@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import delta
-from .spatial import E3, InertialParams, compose_inertia
+from .spatial import E3, composite
 
 
 def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
@@ -28,7 +28,6 @@ def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
 class DobState:
     m_hat: float = 0.0
     force_filt: np.ndarray | None = None  # filtered residual force, N
-    last_update: float = 0.0
 
     def __post_init__(self):
         if self.m_hat < 0.0:
@@ -75,8 +74,7 @@ def dob_step(st: DobState, accel_w, R, thrust_body, m_a: float, c: float,
     decay = math.exp(-c * dt / m_a)
     target = f_filt[2] / g
     m_hat = target + (st.m_hat - target) * decay
-    return replace(st, m_hat=max(m_hat, 0.0), force_filt=f_filt,
-                   last_update=st.last_update + dt)
+    return replace(st, m_hat=max(m_hat, 0.0), force_filt=f_filt)
 
 
 def detect_grasp(d: GraspDetector, ext_force_z: float, dt: float) -> tuple[GraspDetector, bool]:
@@ -109,14 +107,15 @@ def update_total(m_a: float, j_a, p_b, obj_mass, obj_moi, grasp_offset,
 
     The object CoM sits at forward_kin(theta) + grasp_offset in the arm
     frame. With no object (``obj_mass`` None or zero) the bare vehicle
-    parameters come back unchanged.
+    parameters come back unchanged. Both bodies must already be valid (the
+    vehicle at config load, the object where its inertia is built): the
+    composite of two valid bodies is valid, so this runs unchecked at
+    control rate.
     """
     p_b = np.asarray(p_b, dtype=float).reshape(3)
     j_a = np.asarray(j_a, dtype=float)
     if obj_mass is None or obj_mass <= 0.0:
         return TotalInertia(m_a, p_b.copy(), j_a.copy())
     p_o = delta.forward_kin(geom, theta) + np.asarray(grasp_offset, dtype=float).reshape(3)
-    am = InertialParams(m_a, p_b, j_a)
-    obj = InertialParams(float(obj_mass), np.zeros(3), np.asarray(obj_moi, dtype=float))
-    total = compose_inertia(am, obj, p_o)
-    return TotalInertia(total.mass, total.com, total.inertia_about_com)
+    return TotalInertia(*composite(m_a, p_b, j_a, float(obj_mass), p_o,
+                                   np.asarray(obj_moi, dtype=float)))

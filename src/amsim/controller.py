@@ -39,15 +39,16 @@ class ControlOutput:
 
 
 def position_loop(p_des, v_des, p, v, q, m_t_hat: float, gains: Gains,
-                  a_ff=None, yaw_des: float = 0.0,
-                  g: float = 9.81) -> tuple[float, np.ndarray, bool]:
+                  a_ff=None, yaw_des: float = 0.0, g: float = 9.81,
+                  R=None) -> tuple[float, np.ndarray, bool]:
     """Desired collective thrust and attitude from position/velocity error.
 
     The commanded acceleration (PD error feedback plus gravity plus optional
     feedforward) defines the desired body z axis; thrust is the commanded
     force projected onto the current body z. When the command nearly cancels
     gravity (< 0.1 g) the attitude is undefined: the command is clamped to
-    0.1 g along its direction and the free-fall flag is raised.
+    0.1 g along its direction and the free-fall flag is raised. ``R``, the
+    rotation of ``q`` when the caller already has it, saves rebuilding it.
     """
     p_des = np.asarray(p_des, dtype=float)
     v_des = np.asarray(v_des, dtype=float)
@@ -77,17 +78,19 @@ def position_loop(p_des, v_des, p, v, q, m_t_hat: float, gains: Gains,
     r_des = np.column_stack([x_b, y_b, z_b])
     q_des = rot_to_quat(r_des)
 
-    body_z = quat_to_rot(q)[:, 2]
+    body_z = (quat_to_rot(q) if R is None else R)[:, 2]
     thrust = max(m_t_hat * float(a_cmd @ body_z), 0.0)
     return thrust, q_des, freefall
 
 
-def attitude_loop(q_des, q, k_att) -> np.ndarray:
+def attitude_loop(q_des, q, k_att, R=None) -> np.ndarray:
     """Desired body rate from the geometric attitude error on SO(3).
 
-    e_R = 0.5 * vee(Rd^T R - R^T Rd); omega_des = -K_att e_R.
+    e_R = 0.5 * vee(Rd^T R - R^T Rd); omega_des = -K_att e_R. ``R``, the
+    rotation of ``q`` when the caller already has it, saves rebuilding it.
     """
-    R = quat_to_rot(q)
+    if R is None:
+        R = quat_to_rot(q)
     Rd = quat_to_rot(q_des)
     err = 0.5 * (Rd.T @ R - R.T @ Rd)
     e_r = np.array([err[2, 1], err[0, 2], err[1, 0]])

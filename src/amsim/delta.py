@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spatial import cross3
+
 
 class KinematicsError(Exception):
     """Base class for delta kinematics failures."""
@@ -119,7 +121,7 @@ def forward_kin(geom: DeltaGeometry, theta) -> np.ndarray:
     if j_coord < 1e-12:
         raise NoIntersection("collinear sphere centers")
     ey = ey_raw / j_coord
-    ez = np.cross(ex, ey)
+    ez = cross3(ex, ey)
 
     r2 = geom.forearm_len ** 2
     x = 0.5 * d  # equal radii

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import E3, cross3, quat_derivative, quat_normalize, quat_to_rot
+from .spatial import inverse3, quat_normalize, quat_to_rot
 
 
 class NonFinite(RuntimeError):
@@ -95,21 +95,20 @@ class Environment:
         return out
 
 
-def rotor_wrench(thrusts, cfg: RotorConfig, com) -> tuple[np.ndarray, np.ndarray]:
+def rotor_wrench(thrusts, cfg: RotorConfig, com=None,
+                 tmap=None) -> tuple[np.ndarray, np.ndarray]:
     """Total body-frame force and torque of the four rotors about ``com``.
 
     Each rotor pushes along body z; yaw drag is ``spin_dir * k_tau * T`` about z.
+    ``tmap`` may replace ``com`` with its precomputed
+    ``torque_matrix(cfg, com).tolist()``, which stays valid while the CoM
+    stays put.
     """
-    thrusts = np.asarray(thrusts, dtype=float).reshape(4)
-    com = np.asarray(com, dtype=float).reshape(3)
-    total = float(thrusts.sum())
-    force = np.array([0.0, 0.0, total])
-    arms = cfg.positions - com
-    # (r x e3) = (r_y, -r_x, 0)
-    tau_x = float(arms[:, 1] @ thrusts)
-    tau_y = float(-arms[:, 0] @ thrusts)
-    tau_z = float(cfg.k_tau * (cfg.spin_dirs @ thrusts))
-    return force, np.array([tau_x, tau_y, tau_z])
+    t0, t1, t2, t3 = np.asarray(thrusts, dtype=float).reshape(4).tolist()
+    if tmap is None:
+        tmap = torque_matrix(cfg, com).tolist()
+    torque = [r[0] * t0 + r[1] * t1 + r[2] * t2 + r[3] * t3 for r in tmap]
+    return np.array([0.0, 0.0, t0 + t1 + t2 + t3]), np.array(torque)
 
 
 def torque_matrix(cfg: RotorConfig, com) -> np.ndarray:
@@ -123,73 +122,104 @@ def torque_matrix(cfg: RotorConfig, com) -> np.ndarray:
     return m
 
 
-def _deriv_raw(v, q, omega, force_b, torque_b, m_t, j_t, j_inv, g, f_ext_w):
-    R = quat_to_rot(q)
-    dv = -g * E3 + (R @ force_b) / m_t
-    if f_ext_w is not None:
-        dv = dv + f_ext_w / m_t
-    gyro = torque_b - cross3(omega, j_t @ omega)
-    domega = j_inv @ gyro if j_inv is not None else np.linalg.solve(j_t, gyro)
-    dq = quat_derivative(q, omega)
-    return v, dv, dq, domega
+def _floats(x, n: int) -> list:
+    """``x`` as a list of ``n`` floats; such a list passes through as is."""
+    if type(x) is list and len(x) == n:
+        return x
+    return np.asarray(x, dtype=float).reshape(n).tolist()
+
+
+def _deriv(y, f, tau, m_t, j, j_inv, g, ext):
+    """Derivative of the 13-float state ``y = (p, v, q, omega)``.
+
+    ``f``/``tau`` are the body wrench, ``j``/``j_inv`` the row-major inertia
+    and its inverse, ``ext`` an optional world force: all plain floats.
+    """
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz), flat=True)
+    fx, fy, fz = f
+    ax = (r00 * fx + r01 * fy + r02 * fz) / m_t
+    ay = (r10 * fx + r11 * fy + r12 * fz) / m_t
+    az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t
+    if ext is not None:
+        ax += ext[0] / m_t
+        ay += ext[1] / m_t
+        az += ext[2] / m_t
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
+    hx = j00 * wx + j01 * wy + j02 * wz
+    hy = j10 * wx + j11 * wy + j12 * wz
+    hz = j20 * wx + j21 * wy + j22 * wz
+    # tau - omega x (J omega)
+    gx = tau[0] - (wy * hz - wz * hy)
+    gy = tau[1] - (wz * hx - wx * hz)
+    gz = tau[2] - (wx * hy - wy * hx)
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = j_inv
+    return [vx, vy, vz, ax, ay, az,
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            i00 * gx + i01 * gy + i02 * gz,
+            i10 * gx + i11 * gy + i12 * gz,
+            i20 * gx + i21 * gy + i22 * gz]
+
+
+def _kernel_args(force_b, torque_b, j_t, j_inv, f_ext_w):
+    j = _floats(j_t, 9)
+    return (_floats(force_b, 3), _floats(torque_b, 3), j,
+            inverse3(j) if j_inv is None else _floats(j_inv, 9),
+            None if f_ext_w is None else _floats(f_ext_w, 3))
+
+
+def _state_floats(s: VehicleState) -> list:
+    return s.p.tolist() + s.v.tolist() + s.q.tolist() + s.omega.tolist()
 
 
 def derivatives(s: VehicleState, wrench, m_t: float, j_t: np.ndarray,
-                g: float = 9.81, f_ext_w=None, j_inv: np.ndarray | None = None):
+                g: float = 9.81, f_ext_w=None, j_inv=None):
     """Time derivatives (dp, dv, dq, domega) of the rigid-body state.
 
     ``wrench`` is the body-frame (force, torque) pair about the current CoM;
     ``f_ext_w`` is an optional extra world-frame force (e.g. wind). A
-    precomputed ``j_inv`` skips the per-call linear solve.
+    precomputed ``j_inv`` (3x3 or row-major 9 floats) skips the inversion.
     """
-    force_b, torque_b = wrench
-    f_ext = None if f_ext_w is None else np.asarray(f_ext_w, dtype=float)
-    return _deriv_raw(s.v, s.q, s.omega, np.asarray(force_b, dtype=float),
-                      np.asarray(torque_b, dtype=float), m_t, j_t, j_inv, g,
-                      f_ext)
+    f, tau, j, ji, ext = _kernel_args(wrench[0], wrench[1], j_t, j_inv, f_ext_w)
+    d = _deriv(_state_floats(s), f, tau, m_t, j, ji, g, ext)
+    return np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]), np.array(d[10:13])
 
 
 def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> np.ndarray:
     """Exact first-order response of rotor thrusts toward k_m * t_des over dt."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    t_des = np.asarray(t_des, dtype=float).reshape(4)
-    t_actual = np.asarray(t_actual, dtype=float).reshape(4)
-    target = cfg.k_m * t_des
+    k_m = cfg.k_m
     a = math.exp(-dt / cfg.tau_m)
-    return target + (t_actual - target) * a
+    return np.array([k_m * d + (x - k_m * d) * a
+                     for d, x in zip(_floats(t_des, 4), _floats(t_actual, 4))])
 
 
 def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
-             dt: float, g: float = 9.81, f_ext_w=None) -> VehicleState:
+             dt: float, g: float = 9.81, f_ext_w=None, j_inv=None) -> VehicleState:
     """Classical RK4 step holding the body wrench constant; renormalizes q.
 
+    Each stage's rotation comes from its renormalized quaternion. A
+    precomputed ``j_inv`` (3x3 or row-major 9 floats) skips the inversion.
     Raises NonFinite if any state component leaves the finite range.
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}] s")
-    force = np.asarray(force_b, dtype=float)
-    torque = np.asarray(torque_b, dtype=float)
-    f_ext = None if f_ext_w is None else np.asarray(f_ext_w, dtype=float)
-    j_inv = np.linalg.inv(j_t)
-
-    def f(v, q, w):
-        return _deriv_raw(v, q, w, force, torque, m_t, j_t, j_inv, g, f_ext)
-
-    p0, v0, q0, w0 = s.p, s.v, s.q, s.omega
-    k1 = f(v0, q0, w0)
+    f, tau, j, ji, ext = _kernel_args(force_b, torque_b, j_t, j_inv, f_ext_w)
+    y0 = _state_floats(s)
     h = 0.5 * dt
-    k2 = f(v0 + h * k1[1], q0 + h * k1[2], w0 + h * k1[3])
-    k3 = f(v0 + h * k2[1], q0 + h * k2[2], w0 + h * k2[3])
-    k4 = f(v0 + dt * k3[1], q0 + dt * k3[2], w0 + dt * k3[3])
+    k1 = _deriv(y0, f, tau, m_t, j, ji, g, ext)
+    k2 = _deriv([a + h * b for a, b in zip(y0, k1)], f, tau, m_t, j, ji, g, ext)
+    k3 = _deriv([a + h * b for a, b in zip(y0, k2)], f, tau, m_t, j, ji, g, ext)
+    k4 = _deriv([a + dt * b for a, b in zip(y0, k3)], f, tau, m_t, j, ji, g, ext)
 
     sixth = dt / 6.0
-    p = p0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    v = v0 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    q = q0 + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    w = w0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))
-            and np.all(np.isfinite(q)) and np.all(np.isfinite(w))):
+    y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):
         raise NonFinite("state diverged during integration")
-    return VehicleState(p, v, quat_normalize(q), w)
+    return VehicleState(np.array(y[0:3]), np.array(y[3:6]),
+                        quat_normalize(np.array(y[6:10])), np.array(y[10:13]))

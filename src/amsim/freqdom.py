@@ -293,7 +293,8 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     if payload_mass <= 0.0:
         return np.ones(3), None
     dims = np.asarray(payload_dims, dtype=float).reshape(3)
-    j_obj = box_inertia(payload_mass, dims)
+    j_obj = InertialParams(payload_mass, np.zeros(3),
+                           box_inertia(payload_mass, dims)).inertia_about_com
     offset = np.array([0.0, 0.0, -(0.5 * dims[2] + pad_height)])
     lo, hi = geom.joint_limits
     grid = np.linspace(lo, hi, grid_n)

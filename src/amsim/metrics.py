@@ -116,22 +116,6 @@ def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS,
     return times
 
 
-def final_errors(log: RunLog) -> dict:
-    """Relative estimation errors at the last sample (mass, per-axis MoI/CoM)."""
-    row = -1
-    m_hat = float(log.column("m_t_hat")[row])
-    m_true = float(log.column("m_t_true")[row])
-    c_hat = log.columns("ctx_hat", "cty_hat", "ctz_hat")[row]
-    c_true = log.columns("ctx_true", "cty_true", "ctz_true")[row]
-    j_hat = log.columns("jtx_hat", "jty_hat", "jtz_hat")[row]
-    j_true = log.columns("jtx_true", "jty_true", "jtz_true")[row]
-    return {
-        "mass_rel": abs(m_hat - m_true) / abs(m_true),
-        "com_abs": np.abs(c_hat - c_true),
-        "moi_rel": np.abs(j_hat - j_true) / np.maximum(np.abs(j_true), 1e-18),
-    }
-
-
 def compare_runs(candidate: RunLog, reference: RunLog,
                  eval_start: float = 0.0) -> dict:
     """Per-channel metrics of both runs plus percentage deltas vs the reference.

@@ -12,8 +12,8 @@ from .adaptation import DobState, GraspDetector, TotalInertia
 from .config import ScenarioConfig
 from .controller import RateLoop, attitude_loop, iags_gain, mixer, position_loop
 from .dynamics import (Environment, NonFinite, VehicleState, motor_lag_step,
-                       rotor_wrench, step_rk4)
-from .spatial import E3, InertialParams, QUAT_IDENTITY, quat_to_rot
+                       rotor_wrench, step_rk4, torque_matrix)
+from .spatial import E3, InertialParams, QUAT_IDENTITY, inverse3, quat_to_rot
 
 COLUMNS = (
     ["t",
@@ -102,7 +102,9 @@ class Trajectory:
 def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     """Synthesize a cloud of the true object shape, fit it, and apply the prior.
 
-    Returns (mass_tilde, moi_tilde in arm-frame axes, grasp_offset).
+    Returns (mass_tilde, moi_tilde in arm-frame axes, grasp_offset); the
+    prior body is validated here, once, and its inertia comes back
+    symmetrized.
     """
     obj = cfg.obj
     n = cfg.est.cloud_points
@@ -120,7 +122,8 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
         prior = presense.prior_for(obj.label, catalog)
     est = presense.estimate_inertia(box, prior, pad_height=cfg.est.suction_pad)
     moi_world = box.rotation @ est.moi_tilde @ box.rotation.T
-    return est.mass_tilde, moi_world, est.grasp_offset
+    prior_body = InertialParams(est.mass_tilde, np.zeros(3), moi_world)
+    return prior_body.mass, prior_body.inertia_about_com, est.grasp_offset
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunLog:
@@ -167,9 +170,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
         offset_est = np.array([0.0, 0.0, -cfg.est.suction_pad])
 
     obj = cfg.obj
-    offset_true = None
+    offset_true = j_obj_true = None
     if obj is not None:
         offset_true = np.array([0.0, 0.0, -(0.5 * obj.dims[2] + cfg.est.suction_pad)])
+        j_obj_true = InertialParams(obj.true_mass, np.zeros(3),
+                                    obj.true_inertia).inertia_about_com
 
     joints = delta.JointState(delta.inverse_kin(geom, cfg.arm.home), np.zeros(3))
     p0, v0, _, _ = traj.eval(0.0)
@@ -183,8 +188,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     det_filt = None
     det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, dob_dt)
 
-    truth = TotalInertia(am.mass, am.com.copy(), am.inertia_about_com.copy())
-    est_tot = TotalInertia(am.mass, am.com.copy(), am.inertia_about_com.copy())
+    bare = TotalInertia(am.mass, am.com.copy(), am.inertia_about_com.copy())
+    bare_diag = np.diag(bare.j_t_hat)
+    est_tot, est_diag = bare, bare_diag
     attached = False
     latched = False
     kk = np.ones(3)
@@ -197,17 +203,27 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
 
     events = {"attach_time": None, "latch_time": None, "control_ticks": 0,
               "dob_ticks": 0, "servo_ticks": 0, "freefall_ticks": 0,
-              "infeasible_ticks": 0, "m_tilde": m_tilde}
+              "infeasible_ticks": 0, "kin_fallbacks": 0, "m_tilde": m_tilde}
 
     rows = np.empty((n_steps, len(COLUMNS)))
 
-    def refresh_truth():
-        nonlocal truth
-        if attached:
-            tot = adaptation.update_total(am.mass, am.inertia_about_com, am.com,
-                                          obj.true_mass, obj.true_inertia,
-                                          offset_true, joints.theta, geom)
-            truth = tot
+    # the true body and what the physics step derives from it; they change
+    # only when the payload attaches or the arm moves
+    truth = truth_diag = truth_inv = truth_tmap = None
+
+    def refresh_truth(tot):
+        nonlocal truth, truth_diag, truth_inv, truth_tmap
+        truth = tot
+        truth_diag = np.diag(tot.j_t_hat)
+        truth_inv = inverse3(tot.j_t_hat)
+        truth_tmap = torque_matrix(rotor, tot.c_t - veh.p_b).tolist()
+
+    def attached_truth():
+        return adaptation.update_total(am.mass, am.inertia_about_com, am.com,
+                                       obj.true_mass, j_obj_true, offset_true,
+                                       joints.theta, geom)
+
+    refresh_truth(bare)
 
     try:
         for k in range(n_steps):
@@ -216,7 +232,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             if obj is not None and not attached and t >= obj.grasp_time - 1e-12:
                 attached = True
                 events["attach_time"] = t
-                refresh_truth()
+                refresh_truth(attached_truth())
 
             wind = env.wind_at(t)
             R = quat_to_rot(state.q)
@@ -252,11 +268,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                     _, thd_des = delta.joint_command(geom, tgt_p, tgt_v, joints,
                                                      cfg.arm.k_theta)
                 except delta.KinematicsError:
+                    events["kin_fallbacks"] += 1
                     thd_des = np.zeros(3)
                 joints = delta.servo_step(geom, joints, thd_des, servo_dt,
                                           cfg.arm.rate_limit)
                 if attached:
-                    refresh_truth()
+                    refresh_truth(attached_truth())
 
             if k % every_ctrl == 0:
                 events["control_ticks"] += 1
@@ -271,18 +288,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                     est_tot = adaptation.update_total(am.mass, am.inertia_about_com,
                                                       am.com, m_o, j_o, offset_est,
                                                       joints.theta, geom)
+                    est_diag = np.diag(est_tot.j_t_hat)
                     kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).copy()
                 else:
-                    est_tot = TotalInertia(am.mass, am.com.copy(),
-                                           am.inertia_about_com.copy())
+                    est_tot, est_diag = bare, bare_diag
                     kk = np.ones(3)
                 p_des, v_des, a_ff, yaw = traj.eval(t)
                 thrust_des, q_des, freefall = position_loop(
                     p_des, v_des, state.p, state.v, state.q, est_tot.m_t_hat,
-                    cfg.gains, a_ff=a_ff, yaw_des=yaw, g=g)
+                    cfg.gains, a_ff=a_ff, yaw_des=yaw, g=g, R=R)
                 if freefall:
                     events["freefall_ticks"] += 1
-                w_des = attitude_loop(q_des, state.q, cfg.gains.k_att)
+                w_des = attitude_loop(q_des, state.q, cfg.gains.k_att, R=R)
                 tau_des = rate_ctl.step(w_des, w_meas, kk, ctrl_dt)
                 t_cmd, infeasible = mixer(thrust_des, tau_des, rotor,
                                           com=est_tot.c_t - veh.p_b)
@@ -307,20 +324,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 m_tilde if (latched and use_prior) else 0.0)
             row[39] = est_tot.m_t_hat
             row[40:43] = est_tot.c_t
-            row[43:46] = np.diag(est_tot.j_t_hat)
+            row[43:46] = est_diag
             row[46:49] = kk
             row[49] = truth.m_t_hat
             row[50:53] = truth.c_t
-            row[53:56] = np.diag(truth.j_t_hat)
+            row[53:56] = truth_diag
             row[56:59] = f_res_filt
             row[59] = 1.0 if attached else 0.0
             row[60] = 1.0 if latched else 0.0
 
             thr = motor_lag_step(t_cmd, thr, rotor, dt)
-            com_true_b = truth.c_t - veh.p_b
-            force_b, torque_b = rotor_wrench(thr, rotor, com_true_b)
+            force_b, torque_b = rotor_wrench(thr, rotor, tmap=truth_tmap)
             state = step_rk4(state, force_b, torque_b, truth.m_t_hat,
-                             truth.j_t_hat, dt, g=g, f_ext_w=wind)
+                             truth.j_t_hat, dt, g=g, f_ext_w=wind, j_inv=truth_inv)
     except NonFinite as exc:
         raise NonFinite(f"{exc} at t={k * dt:.4f} s") from exc
 

@@ -62,17 +62,41 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix (body->world) from a scalar-first unit quaternion."""
-    w, x, y, z = quat_normalize(q)
+def quat_to_rot(q, flat: bool = False):
+    """Rotation matrix (body->world) of a scalar-first quaternion, renormalized first.
+
+    ``q`` is any 4-sequence. With ``flat`` the nine entries come back as a
+    row-major tuple of floats, for scalar code in the physics step. Raises
+    ValueError on a zero quaternion.
+    """
+    w, x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-15:
+        raise ValueError("cannot normalize a zero quaternion")
+    w, x, y, z = w / n, x / n, y / n, z / n
     ww, xx, yy, zz = w * w, x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array([
-        [ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy)],
-        [2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx)],
-        [2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz],
-    ])
+    r = (ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy),
+         2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx),
+         2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz)
+    return r if flat else np.array(r).reshape(3, 3)
+
+
+def inverse3(m) -> list:
+    """Row-major entries of the inverse of a 3x3 matrix (adjugate over determinant).
+
+    ``m`` is a 3x3 array or its row-major 9 floats. Raises ValueError when
+    the determinant is zero or not finite.
+    """
+    a, b, c, d, e, f, g, h, i = np.asarray(m, dtype=float).reshape(9).tolist()
+    c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * c00 + b * c01 + c * c02
+    if det == 0.0 or not math.isfinite(det):
+        raise ValueError("matrix is singular")
+    return [c00 / det, (c * h - b * i) / det, (b * f - c * e) / det,
+            c01 / det, (a * i - c * g) / det, (c * d - a * f) / det,
+            c02 / det, (b * g - a * h) / det, (a * e - b * d) / det]
 
 
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
@@ -107,11 +131,6 @@ def rot_to_quat(R: np.ndarray) -> np.ndarray:
     if q[0] < 0.0:
         q = -q
     return q
-
-
-def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
-    """q_dot = 0.5 * q ⊗ [0, omega] with omega in body coordinates."""
-    return 0.5 * quat_mul(q, np.array([0.0, omega_body[0], omega_body[1], omega_body[2]]))
 
 
 def parallel_axis(j_com: np.ndarray, mass: float, d: np.ndarray) -> np.ndarray:
@@ -172,6 +191,19 @@ class InertialParams:
         object.__setattr__(self, "inertia_about_com", j)
 
 
+def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o):
+    """Total mass, mass-weighted CoM and inertia about it of two rigid bodies.
+
+    Each body is (mass, CoM, inertia about its CoM) in one shared frame; each
+    tensor is shifted to the common CoM by the parallel-axis theorem. The
+    result of two valid bodies is valid, so nothing is re-checked here.
+    """
+    m_t = m_a + m_o
+    c_t = (m_a * c_a + m_o * c_o) / m_t
+    j_t = parallel_axis(j_a, m_a, c_t - c_a) + parallel_axis(j_o, m_o, c_t - c_o)
+    return m_t, c_t, j_t
+
+
 def compose_inertia(am: InertialParams, obj: InertialParams, p_obj: np.ndarray) -> InertialParams:
     """Combine a carrier body and an attached object into one rigid body.
 
@@ -181,15 +213,9 @@ def compose_inertia(am: InertialParams, obj: InertialParams, p_obj: np.ndarray) 
     inertia about that CoM (each component tensor shifted by the parallel
     axis theorem).
     """
-    p_obj = np.asarray(p_obj, dtype=float).reshape(3)
-    c_obj = p_obj + obj.com
-    m_t = am.mass + obj.mass
-    c_t = (am.mass * am.com + obj.mass * c_obj) / m_t
-    d_a = c_t - am.com
-    d_o = c_t - c_obj
-    j_t = (parallel_axis(am.inertia_about_com, am.mass, d_a)
-           + parallel_axis(obj.inertia_about_com, obj.mass, d_o))
-    return InertialParams(m_t, c_t, j_t)
+    c_obj = np.asarray(p_obj, dtype=float).reshape(3) + obj.com
+    return InertialParams(*composite(am.mass, am.com, am.inertia_about_com,
+                                     obj.mass, c_obj, obj.inertia_about_com))
 
 
 def box_inertia(mass: float, dims) -> np.ndarray:

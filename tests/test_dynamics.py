@@ -6,9 +6,10 @@ import pytest
 from amsim.dynamics import (Environment, NonFinite, RotorConfig, VehicleState,
                             derivatives, motor_lag_step, rotor_wrench,
                             step_rk4)
-from amsim.spatial import quat_to_rot
+from amsim.spatial import quat_mul, quat_to_rot
 
 G = 9.81
+E3 = np.array([0.0, 0.0, 1.0])
 
 
 @pytest.fixture
@@ -27,6 +28,90 @@ def hand_wrench(thrusts, cfg, com):
         torque += np.cross(cfg.positions[i] - com, t_vec)
         torque += cfg.spin_dirs[i] * cfg.k_tau * thrusts[i] * e3
     return force, torque
+
+
+def ref_rot(q):
+    """Rotation of the renormalized quaternion, written with numpy arrays."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q / math.sqrt(float(q @ q))
+    return np.array([
+        [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
+    ])
+
+
+def ref_derivatives(v, q, omega, force_b, torque_b, m_t, j_t, g, f_ext_w):
+    """Reference oracle: the numpy form of the rigid-body derivatives."""
+    dv = -g * E3 + (ref_rot(q) @ force_b) / m_t
+    if f_ext_w is not None:
+        dv = dv + f_ext_w / m_t
+    domega = np.linalg.inv(j_t) @ (torque_b - np.cross(omega, j_t @ omega))
+    dq = 0.5 * quat_mul(q, np.array([0.0, *omega]))
+    return v, dv, dq, domega
+
+
+def ref_step_rk4(s, force_b, torque_b, m_t, j_t, dt, g, f_ext_w):
+    """Reference oracle: classical RK4 over numpy state arrays."""
+    def f(v, q, w):
+        return ref_derivatives(v, q, w, force_b, torque_b, m_t, j_t, g, f_ext_w)
+
+    k1 = f(s.v, s.q, s.omega)
+    k2 = f(*(x + 0.5 * dt * k for x, k in zip((s.v, s.q, s.omega), k1[1:])))
+    k3 = f(*(x + 0.5 * dt * k for x, k in zip((s.v, s.q, s.omega), k2[1:])))
+    k4 = f(*(x + dt * k for x, k in zip((s.v, s.q, s.omega), k3[1:])))
+    out = [x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+           for x, a, b, c, d in zip((s.p, s.v, s.q, s.omega), k1, k2, k3, k4)]
+    out[2] = out[2] / np.linalg.norm(out[2])
+    return out
+
+
+def random_case(rng):
+    """State, wrench, mass and a full (non-diagonal) inertia; wind half the time."""
+    s = VehicleState.at_rest(rng.uniform(-2.0, 2.0, 3))
+    s.v = rng.uniform(-3.0, 3.0, 3)
+    q = rng.standard_normal(4)
+    s.q = q / np.linalg.norm(q)
+    s.omega = rng.uniform(-40.0, 40.0, 3)  # large rates make the gyroscopic term dominate
+    a = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    moments = rng.uniform(5e-3, 2e-2, 3)
+    j = a @ np.diag(moments) @ a.T
+    j = 0.5 * (j + j.T)
+    wind = rng.uniform(-3.0, 3.0, 3) if rng.random() < 0.5 else None
+    return (s, rng.uniform(-5.0, 30.0, 3), rng.uniform(-0.5, 0.5, 3),
+            rng.uniform(0.5, 3.0), j, wind)
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    """Agreement to ``rel`` of the reference vector's largest component."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+class TestFloatKernelAgainstReference:
+    def test_derivatives_match(self, rng):
+        for _ in range(200):
+            s, force, torque, m, j, wind = random_case(rng)
+            s.q = s.q * rng.uniform(0.5, 2.0)  # stage quaternions are not unit
+            got = derivatives(s, (force, torque), m, j, g=G, f_ext_w=wind)
+            want = ref_derivatives(s.v, s.q, s.omega, force, torque, m, j, G, wind)
+            for a, b in zip(got, want):
+                assert_close_rel(a, b)
+
+    def test_step_rk4_matches(self, rng):
+        for dt in (5e-4, 2e-3):
+            for _ in range(100):
+                s, force, torque, m, j, wind = random_case(rng)
+                got = step_rk4(s, force, torque, m, j, dt, g=G, f_ext_w=wind)
+                want = ref_step_rk4(s, force, torque, m, j, dt, G, wind)
+                for a, b in zip((got.p, got.v, got.q, got.omega), want):
+                    assert_close_rel(a, b)
+
+    def test_precomputed_inverse_is_used_as_given(self, rng):
+        s, force, torque, m, j, wind = random_case(rng)
+        a = step_rk4(s, force, torque, m, j, 1e-3, f_ext_w=wind)
+        b = step_rk4(s, force, torque, m, j, 1e-3, f_ext_w=wind, j_inv=np.linalg.inv(j))
+        assert_close_rel(b.omega, a.omega)
 
 
 class TestRotorWrench:
@@ -174,6 +259,18 @@ class TestRK4:
         j = np.eye(3) * 1e-2
         with pytest.raises(NonFinite):
             step_rk4(s, np.array([np.nan, 0, 0]), np.zeros(3), 1.0, j, 1e-3)
+
+    def test_nan_torque_detected(self):
+        s = VehicleState.at_rest([0, 0, 0])
+        j = np.eye(3) * 1e-2
+        with pytest.raises(NonFinite):
+            step_rk4(s, np.zeros(3), np.array([0.0, np.nan, 0.0]), 1.0, j, 1e-3)
+
+    def test_zero_quaternion_rejected(self):
+        s = VehicleState.at_rest([0, 0, 0])
+        s.q = np.zeros(4)
+        with pytest.raises(ValueError):
+            step_rk4(s, np.zeros(3), np.zeros(3), 1.0, np.eye(3) * 1e-2, 1e-3)
 
     def test_quaternion_stays_unit(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])

@@ -5,6 +5,7 @@ import pytest
 
 from amsim import cli, metrics
 from amsim.config import ConfigError, load_config, parse_config, shipped_scenarios
+from amsim.delta import KinematicsError, inverse_kin
 from amsim.scenario import COLUMNS, MismatchedRuns, RunLog, Trajectory, run_scenario
 
 HOVER_QUIET = """
@@ -103,6 +104,7 @@ class TestScheduler:
         assert log.events["control_ticks"] == 40
         assert log.events["dob_ticks"] == 10
         assert log.events["servo_ticks"] == 10
+        assert log.events["kin_fallbacks"] == 0
         assert log.data.shape[0] == 200  # sim-rate rows
 
     def test_uniform_timestamps(self):
@@ -110,6 +112,32 @@ class TestScheduler:
         log = run_scenario(cfg)
         t = log.column("t")
         np.testing.assert_allclose(np.diff(t), cfg.sim_dt, atol=1e-15)
+
+
+ARM_OUT_OF_REACH = HOVER_QUIET + """
+[arm]
+waypoints =
+    0.0   0 0 -0.16
+    0.2   0 0 -0.50
+"""
+
+
+class TestKinematicFallback:
+    def test_unreachable_waypoint_is_counted(self):
+        """The arm is sent below its reach: failed IK ticks command zero joint rate."""
+        cfg = parse_config(ARM_OUT_OF_REACH.format(dur=0.4))
+        log = run_scenario(cfg)
+        assert log.data.shape[0] == 800 and np.all(np.isfinite(log.data))
+        arm = Trajectory(cfg.arm.waypoints)
+        every = cfg.steps_per(cfg.servo_hz)
+        failed = 0
+        for k in range(0, log.data.shape[0], every):
+            try:
+                inverse_kin(cfg.arm.geom, arm.eval(k * cfg.sim_dt)[0])
+            except KinematicsError:
+                failed += 1
+        assert 0 < failed < log.events["servo_ticks"]
+        assert log.events["kin_fallbacks"] == failed
 
 
 class TestQuietHover:

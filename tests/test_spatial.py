@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from conftest import lattice_inertia, random_rotation
 
 from amsim.spatial import (InertialParams, box_inertia, compose_inertia,
-                           cross3, cylinder_inertia, parallel_axis,
+                           cross3, cylinder_inertia, inverse3, parallel_axis,
                            quat_mul, quat_normalize, quat_to_rot, rot_to_quat,
                            skew, vec3)
 
@@ -160,10 +160,37 @@ class TestQuaternions:
             R2 = quat_to_rot(rot_to_quat(R1))
             np.testing.assert_allclose(R1, R2, atol=1e-12)
 
+    def test_flat_rotation_matches_matrix(self, rng):
+        for _ in range(20):
+            q = rng.standard_normal(4) * rng.uniform(0.1, 10.0)
+            R = quat_to_rot(q)
+            assert quat_to_rot(tuple(q), flat=True) == tuple(R.ravel())
+            np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-14)
+
+    def test_zero_quaternion_rejected(self):
+        with pytest.raises(ValueError):
+            quat_to_rot(np.zeros(4))
+
     def test_mul_identity(self):
         q = quat_normalize(np.array([0.3, -0.2, 0.8, 0.1]))
         ident = np.array([1.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(quat_mul(q, ident), q, atol=1e-15)
+
+
+class TestInverse3:
+    def test_matches_numpy(self, rng):
+        for _ in range(50):
+            m = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+            got = np.array(inverse3(m)).reshape(3, 3)
+            np.testing.assert_allclose(got, np.linalg.inv(m), rtol=1e-12, atol=1e-14)
+
+    def test_accepts_row_major_floats(self):
+        j = [2.0, 0.1, 0.0, 0.1, 3.0, 0.2, 0.0, 0.2, 4.0]
+        assert inverse3(j) == inverse3(np.array(j).reshape(3, 3))
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            inverse3(np.ones((3, 3)))
 
 
 class TestInertialParamsValidation:
