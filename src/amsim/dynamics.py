@@ -192,10 +192,11 @@ def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> np.ndarray:
     """Exact first-order response of rotor thrusts toward k_m * t_des over dt."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    k_m = cfg.k_m
+    t_des = np.asarray(t_des, dtype=float).reshape(4)
+    t_actual = np.asarray(t_actual, dtype=float).reshape(4)
+    target = cfg.k_m * t_des
     a = math.exp(-dt / cfg.tau_m)
-    return np.array([k_m * d + (x - k_m * d) * a
-                     for d, x in zip(_floats(t_des, 4), _floats(t_actual, 4))])
+    return target + (t_actual - target) * a
 
 
 def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,

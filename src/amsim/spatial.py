@@ -87,12 +87,12 @@ def inverse3(m) -> list:
     """Row-major entries of the inverse of a 3x3 matrix (adjugate over determinant).
 
     ``m`` is a 3x3 array or its row-major 9 floats. Raises ValueError when
-    the determinant is zero or not finite.
+    the determinant is zero; non-finite entries propagate into the result.
     """
     a, b, c, d, e, f, g, h, i = np.asarray(m, dtype=float).reshape(9).tolist()
     c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * c00 + b * c01 + c * c02
-    if det == 0.0 or not math.isfinite(det):
+    if det == 0.0:
         raise ValueError("matrix is singular")
     return [c00 / det, (c * h - b * i) / det, (b * f - c * e) / det,
             c01 / det, (a * i - c * g) / det, (c * d - a * f) / det,

@@ -266,6 +266,14 @@ class TestRK4:
         with pytest.raises(NonFinite):
             step_rk4(s, np.zeros(3), np.array([0.0, np.nan, 0.0]), 1.0, j, 1e-3)
 
+    def test_nan_inertia_detected(self):
+        s = VehicleState.at_rest([0, 0, 0])
+        s.omega = np.array([1.0, 0.0, 0.0])
+        j = np.eye(3) * 1e-2
+        j[0, 0] = np.nan
+        with pytest.raises(NonFinite):
+            step_rk4(s, np.zeros(3), np.zeros(3), 1.0, j, 1e-3)
+
     def test_zero_quaternion_rejected(self):
         s = VehicleState.at_rest([0, 0, 0])
         s.q = np.zeros(4)
