@@ -5,8 +5,9 @@
 Each scenario runs in its shipped mode and in baseline, once per tree, each
 tree in its own process. The script prints the largest absolute difference
 of every log column over all runs, then one line per run, and exits 1 when
-any difference exceeds ``--tol`` (default 1e-9), when logs differ in shape or
-column names, or when an event both trees record differs; otherwise 0.
+any difference exceeds ``TOL`` (a NaN where the other tree has a number
+counts as an infinite difference), when logs differ in shape or column names,
+or when an event both trees record differs; otherwise 0.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+TOL = 1e-9  # largest absolute difference allowed in any log column
 
 
 def dump(src: str, out: str) -> None:
@@ -47,7 +50,7 @@ def load(src: str, workdir: str, tag: str):
     return arrays, json.loads(Path(out + ".json").read_text(encoding="utf-8"))
 
 
-def compare(ref, new, tol: float) -> int:
+def compare(ref, new) -> int:
     (ref_data, ref_meta), (new_data, new_meta) = ref, new
     problems = []
     worst = {}  # column -> (difference, run)
@@ -61,7 +64,11 @@ def compare(ref, new, tol: float) -> int:
         if names != new_meta[key]["names"] or a.shape != b.shape:
             problems.append(f"{key}: logs differ in shape or columns")
             continue
-        diff = np.abs(a - b).max(axis=0)
+        # Equal NaNs or infinities are no difference; a NaN on one side only
+        # is an infinite one.
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        diff = np.where(same, 0.0, np.abs(a - b))
+        diff = np.nan_to_num(diff, nan=np.inf, posinf=np.inf).max(axis=0)
         for name, d in zip(names, diff):
             if name not in worst or d > worst[name][0]:
                 worst[name] = (float(d), key)
@@ -73,15 +80,15 @@ def compare(ref, new, tol: float) -> int:
                 problems.append(f"{key}: events[{ev}] {ev_a[ev]} != {ev_b[ev]}")
     print(f"{'column':<12} {'max |diff|':>12}  run")
     for name, (d, key) in worst.items():
-        flag = "  > tol" if d > tol else ""
-        print(f"{name:<12} {d:>12.3e}  {key}{flag}")
-        if d > tol:
+        bad = not d <= TOL
+        print(f"{name:<12} {d:>12.3e}  {key}{'  > tol' if bad else ''}")
+        if bad:
             problems.append(f"column {name} differs by {d:.3e} in {key}")
     print()
     print("\n".join(lines))
     for p in problems:
         print("FAIL:", p)
-    print(f"{'FAIL' if problems else 'OK'}: {len(lines)} runs, tolerance {tol:g}")
+    print(f"{'FAIL' if problems else 'OK'}: {len(lines)} runs, tolerance {TOL:g}")
     return 1 if problems else 0
 
 
@@ -89,7 +96,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--ref-src", help="src directory of the reference tree")
     p.add_argument("--new-src", help="src directory of the changed tree")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--dump", nargs=2, metavar=("SRC", "OUT"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.dump:
@@ -100,7 +106,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         ref = load(args.ref_src, workdir, "ref")
         new = load(args.new_src, workdir, "new")
-    return compare(ref, new, args.tol)
+    return compare(ref, new)
 
 
 if __name__ == "__main__":
