@@ -105,6 +105,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.duration <= 0.0 or self.sim_dt <= 0.0:
             raise ConfigError("duration and sim_dt must be positive")
+        if round(self.duration / self.sim_dt) < 1:
+            raise ConfigError(f"duration {self.duration:g} s rounds to no physics "
+                              f"step of {self.sim_dt:g} s")
         sim_hz = 1.0 / self.sim_dt
         for name in ("control_hz", "dob_hz", "servo_hz"):
             hz = getattr(self, name)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,22 +150,41 @@ def allocation_matrix(cfg: RotorConfig, com=None) -> np.ndarray:
     return a
 
 
+class Allocation(NamedTuple):
+    matrix: np.ndarray      # allocation_matrix(cfg, com)
+    collective: np.ndarray  # rotor thrusts of a unit collective, zero torque
+
+
+def allocation(cfg: RotorConfig, com=None) -> Allocation:
+    """Allocation matrix about ``com`` and its collective direction.
+
+    Both stay valid while the CoM estimate stays put, so the engine builds
+    them once per estimate change. Raises ValueError unless the collective
+    direction loads every rotor (the layout is not X-like about ``com``).
+    """
+    a = allocation_matrix(cfg, com)
+    u = np.linalg.solve(a, np.array([1.0, 0.0, 0.0, 0.0]))
+    if np.any(u <= 0.0):
+        raise ValueError("collective direction must load every rotor (allocation not X-like)")
+    return Allocation(a, u)
+
+
 def mixer(thrust_des: float, torque_des, cfg: RotorConfig,
-          com=None) -> tuple[np.ndarray, bool]:
+          com=None, alloc: Allocation | None = None) -> tuple[np.ndarray, bool]:
     """Per-rotor thrusts realizing the commanded collective and torque.
 
     Solves the 4x4 allocation exactly, then handles saturation by shifting
     the collective component only (torque priority): the smallest collective
     change that brings all rotors into [0, max_thrust] is applied. When no
     collective shift can fit the torque demand, the infeasible flag is raised
-    and a best-effort clipped solution is returned.
+    and a best-effort clipped solution is returned. ``alloc`` may replace
+    ``com`` with its precomputed ``allocation(cfg, com)``.
     """
+    if alloc is None:
+        alloc = allocation(cfg, com)
     w = np.array([float(thrust_des), *np.asarray(torque_des, dtype=float).reshape(3)])
-    a = allocation_matrix(cfg, com)
-    t0 = np.linalg.solve(a, w)
-    u = np.linalg.solve(a, np.array([1.0, 0.0, 0.0, 0.0]))
-    if np.any(u <= 0.0):
-        raise ValueError("collective direction must load every rotor (allocation not X-like)")
+    t0 = np.linalg.solve(alloc.matrix, w)
+    u = alloc.collective
     t_max = cfg.max_thrust
     lam_lo = float(np.max(-t0 / u))            # smallest shift keeping all >= 0
     lam_hi = float(np.min((t_max - t0) / u))   # largest shift keeping all <= max

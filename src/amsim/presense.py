@@ -103,9 +103,10 @@ def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     ])
 
 
-def _box_volume(centered: np.ndarray, axes: np.ndarray) -> float:
-    proj = centered @ axes
-    return float(np.prod(proj.max(axis=0) - proj.min(axis=0)))
+def _box_volume(centered_t: np.ndarray, axes: np.ndarray) -> float:
+    """Volume of the box with edges along ``axes`` around the 3xN cloud."""
+    proj = axes.T @ centered_t
+    return float(np.prod(proj.max(axis=1) - proj.min(axis=1)))
 
 
 def fit_obb(points) -> OrientedBox:
@@ -130,8 +131,10 @@ def fit_obb(points) -> OrientedBox:
     if evals[0] < 1e-9 * max(evals[2], 1e-30):
         raise DegenerateCloud("covariance rank below 3")
 
+    # the descent reduces each projection along contiguous rows
+    centered_t = np.ascontiguousarray(centered.T)
     axes = evecs
-    best = _box_volume(centered, axes)
+    best = _box_volume(centered_t, axes)
     step = math.radians(6.0)
     while step > math.radians(0.02):
         improved = False
@@ -139,7 +142,7 @@ def fit_obb(points) -> OrientedBox:
             for sgn in (1.0, -1.0):
                 rot = _axis_rotation(axes[:, k], sgn * step)
                 cand = rot @ axes
-                vol = _box_volume(centered, cand)
+                vol = _box_volume(centered_t, cand)
                 if vol < best * (1.0 - 1e-12):
                     axes, best, improved = cand, vol, True
         if not improved:

@@ -10,7 +10,8 @@ import numpy as np
 from . import adaptation, delta, presense
 from .adaptation import DobState, GraspDetector, TotalInertia
 from .config import ScenarioConfig
-from .controller import RateLoop, attitude_loop, iags_gain, mixer, position_loop
+from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
+                         position_loop)
 from .dynamics import (Environment, NonFinite, VehicleState, motor_lag_step,
                        rotor_wrench, step_rk4, torque_matrix)
 from .spatial import E3, InertialParams, QUAT_IDENTITY, inverse3, quat_to_rot
@@ -29,6 +30,11 @@ COLUMNS = (
      "jtx_true", "jty_true", "jtz_true",
      "fext_x", "fext_y", "fext_z", "attached", "latched"]
 )
+
+
+# rows per block of RunLog.to_csv: small enough that the text of a block
+# adds little to the resident memory of a full-length log
+CSV_BLOCK_ROWS = 250
 
 
 class MismatchedRuns(ValueError):
@@ -50,10 +56,21 @@ class RunLog:
         return self.data[:, idx]
 
     def to_csv(self, path: str):
+        """Write every value as ``repr(float(v))``, which reads back exactly.
+
+        Logs repeat most values (slow-rate and constant columns), so each
+        block of rows formats each distinct bit pattern once; comparing bits
+        keeps -0.0, NaN and the infinities apart.
+        """
+        data = np.ascontiguousarray(self.data, dtype=np.float64)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.names) + "\n")
-            for row in self.data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            for start in range(0, data.shape[0], CSV_BLOCK_ROWS):
+                block = data[start:start + CSV_BLOCK_ROWS]
+                bits, where = np.unique(block.view(np.int64), return_inverse=True)
+                text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                                dtype=object)[where.reshape(block.shape)]
+                fh.write("".join(",".join(row) + "\n" for row in text.tolist()))
 
     @classmethod
     def from_csv(cls, path: str) -> "RunLog":
@@ -158,6 +175,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     arm_traj = Trajectory(arm_wps)
 
     mode = cfg.mode
+    adapt = mode != "baseline" and cfg.obj is not None
     use_prior = mode in ("iags", "pre-only") and cfg.obj is not None
     use_dob = mode in ("iags", "dob-only") and cfg.obj is not None
 
@@ -189,11 +207,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, dob_dt)
 
     bare = TotalInertia(am.mass, am.com.copy(), am.inertia_about_com.copy())
-    bare_diag = np.diag(bare.j_t_hat)
-    est_tot, est_diag = bare, bare_diag
+    est_tot = bare
+    est_diag = np.diag(bare.j_t_hat)
+    kk = np.ones(3)
+    alloc = allocation(rotor, bare.c_t - veh.p_b)
     attached = False
     latched = False
-    kk = np.ones(3)
     thrust_des = am.mass * g
     tau_des = np.zeros(3)
     q_des = QUAT_IDENTITY.copy()
@@ -224,6 +243,28 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                                        joints.theta, geom)
 
     refresh_truth(bare)
+
+    # the estimated body, its rate-loop gain and its allocation: the first
+    # latched control tick builds them, and later ones rebuild them only
+    # after the observer (dob.m_hat) or the servos (joints.theta) mark them
+    # stale
+    est_stale = True
+
+    def refresh_estimate():
+        nonlocal est_tot, est_diag, kk, alloc, est_stale
+        if use_dob and use_prior:
+            m_o = dob.m_hat
+            j_o = adaptation.rescale_moi(j_tilde, m_tilde, m_o)
+        elif use_prior:
+            m_o, j_o = m_tilde, j_tilde
+        else:
+            m_o, j_o = dob.m_hat, j_tilde
+        est_tot = adaptation.update_total(am.mass, am.inertia_about_com, am.com,
+                                          m_o, j_o, offset_est, joints.theta, geom)
+        est_diag = np.diag(est_tot.j_t_hat)
+        kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).copy()
+        alloc = allocation(rotor, est_tot.c_t - veh.p_b)
+        est_stale = False
 
     try:
         for k in range(n_steps):
@@ -260,6 +301,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                     dob = adaptation.dob_step(dob, acc_meas, R, thrust_vec_b,
                                               am.mass, cfg.est.dob_c, dob_dt,
                                               g=g, force_lpf_hz=cfg.est.force_lpf_hz)
+                    est_stale = True
 
             if k % every_servo == 0:
                 events["servo_ticks"] += 1
@@ -272,27 +314,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                     thd_des = np.zeros(3)
                 joints = delta.servo_step(geom, joints, thd_des, servo_dt,
                                           cfg.arm.rate_limit)
+                est_stale = True
                 if attached:
                     refresh_truth(attached_truth())
 
             if k % every_ctrl == 0:
                 events["control_ticks"] += 1
-                if latched and mode != "baseline" and obj is not None:
-                    if use_dob and use_prior:
-                        m_o = dob.m_hat
-                        j_o = adaptation.rescale_moi(j_tilde, m_tilde, m_o)
-                    elif use_prior:
-                        m_o, j_o = m_tilde, j_tilde
-                    else:
-                        m_o, j_o = dob.m_hat, j_tilde
-                    est_tot = adaptation.update_total(am.mass, am.inertia_about_com,
-                                                      am.com, m_o, j_o, offset_est,
-                                                      joints.theta, geom)
-                    est_diag = np.diag(est_tot.j_t_hat)
-                    kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).copy()
-                else:
-                    est_tot, est_diag = bare, bare_diag
-                    kk = np.ones(3)
+                if est_stale and latched and adapt:
+                    refresh_estimate()
                 p_des, v_des, a_ff, yaw = traj.eval(t)
                 thrust_des, q_des, freefall = position_loop(
                     p_des, v_des, state.p, state.v, state.q, est_tot.m_t_hat,
@@ -301,8 +330,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                     events["freefall_ticks"] += 1
                 w_des = attitude_loop(q_des, state.q, cfg.gains.k_att, R=R)
                 tau_des = rate_ctl.step(w_des, w_meas, kk, ctrl_dt)
-                t_cmd, infeasible = mixer(thrust_des, tau_des, rotor,
-                                          com=est_tot.c_t - veh.p_b)
+                t_cmd, infeasible = mixer(thrust_des, tau_des, rotor, alloc=alloc)
                 if infeasible:
                     events["infeasible_ticks"] += 1
 

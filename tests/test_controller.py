@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amsim.controller import (Gains, RateLoop, allocation_matrix,
+from amsim.controller import (Gains, RateLoop, allocation, allocation_matrix,
                               attitude_loop, iags_gain, mixer, position_loop)
 from amsim.dynamics import RotorConfig
 from amsim.spatial import quat_normalize, quat_to_rot
@@ -250,3 +250,20 @@ class TestMixer:
         t, flag = mixer(10.0, np.array([0.05, 0.02, -0.01]), rotor, com=com)
         assert not flag
         np.testing.assert_allclose(a @ t, [10.0, 0.05, 0.02, -0.01], atol=1e-9)
+        # the precomputed allocation gives the same bits as com=
+        alloc = allocation(rotor, com)
+        for thrust, torque in [(10.0, [0.05, 0.02, -0.01]), (500.0, [0.3, -0.2, 0.05]),
+                               (0.0, [50.0, 0.0, 0.0]),
+                               *((rng.uniform(0.0, 40.0), rng.uniform(-0.5, 0.5, 3))
+                                 for _ in range(20))]:
+            t_com, flag_com = mixer(thrust, np.array(torque), rotor, com=com)
+            t_pre, flag_pre = mixer(thrust, np.array(torque), rotor, alloc=alloc)
+            assert t_pre.tobytes() == t_com.tobytes()
+            assert flag_pre == flag_com
+
+    def test_com_outside_footprint_not_x_like(self, rotor):
+        com = np.array([0.5, 0.0, 0.0])  # beyond the 0.12 m arms
+        with pytest.raises(ValueError, match="not X-like"):
+            allocation(rotor, com)
+        with pytest.raises(ValueError, match="not X-like"):
+            mixer(10.0, np.zeros(3), rotor, com=com)

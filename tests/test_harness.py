@@ -1,12 +1,17 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 from amsim import cli, metrics
+from amsim.adaptation import update_total
 from amsim.config import ConfigError, load_config, parse_config, shipped_scenarios
+from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
-from amsim.scenario import COLUMNS, MismatchedRuns, RunLog, Trajectory, run_scenario
+from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, MismatchedRuns, RunLog, Trajectory,
+                            run_scenario)
+from amsim.spatial import InertialParams
 
 HOVER_QUIET = """
 [run]
@@ -52,6 +57,10 @@ class TestConfig:
     def test_rates_must_divide(self):
         with pytest.raises(ConfigError):
             parse_config("[rates]\nsim_dt = 0.001\ncontrol_hz = 400\n")
+
+    def test_duration_below_one_step_rejected(self):
+        with pytest.raises(ConfigError, match="no physics step"):
+            parse_config("[run]\nduration = 2e-4\n[rates]\nsim_dt = 5e-4\n")
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -138,6 +147,42 @@ class TestKinematicFallback:
                 failed += 1
         assert 0 < failed < log.events["servo_ticks"]
         assert log.events["kin_fallbacks"] == failed
+
+
+class TestEstimateRefresh:
+    @pytest.mark.parametrize("dob_hz, servo_hz", [
+        (100, 100),   # the shipped rates: observer and servos tick together
+        (200, 100),   # observer ticks without a servo tick
+        (100, 200),   # servo ticks without an observer tick
+    ])
+    def test_control_ticks_see_current_mass_and_pose(self, dob_hz, servo_hz):
+        """The estimate is rebuilt only when the observer or the servos change
+        its inputs, yet every latched control tick must see the estimate of
+        the logged m_obj_hat and joint angles. dob-only mode assumes a
+        point-mass payload right below the pad, so the whole estimate has an
+        oracle."""
+        cfg = load_config("hover_payload")
+        cfg.mode, cfg.duration, cfg.dob_hz, cfg.servo_hz = "dob-only", 1.5, dob_hz, servo_hz
+        cfg.validate()
+        log = run_scenario(cfg)
+        veh = cfg.vehicle
+        am = InertialParams(veh.mass, veh.p_b, veh.j_a)
+        offset = np.array([0.0, 0.0, -cfg.est.suction_pad])
+        latch = int(round(log.events["latch_time"] / cfg.sim_dt))
+        every = cfg.steps_per(cfg.control_hz)
+        rows = range(latch + (-latch) % every, log.data.shape[0], every)
+        assert len(rows) > 100
+        theta = log.columns("theta1", "theta2", "theta3")
+        assert np.ptp(theta[rows.start:], axis=0).max() > 0.01  # the arm moves
+        m_obj = log.column("m_obj_hat")
+        est = log.columns("m_t_hat", "ctx_hat", "cty_hat", "ctz_hat",
+                          "jtx_hat", "jty_hat", "jtz_hat", "kk_x", "kk_y", "kk_z")
+        for k in rows:
+            tot = update_total(am.mass, am.inertia_about_com, am.com, m_obj[k],
+                               np.eye(3) * 1e-8, offset, theta[k], cfg.arm.geom)
+            kk = np.diag(iags_gain(veh.j_a, tot.j_t_hat))
+            want = [tot.m_t_hat, *tot.c_t, *np.diag(tot.j_t_hat), *kk]
+            assert est[k].tolist() == [float(v) for v in want]
 
 
 class TestQuietHover:
@@ -283,6 +328,46 @@ class TestRunLogRoundtrip:
         np.testing.assert_array_equal(back.data, log.data)
 
 
+def per_value_csv(log, path):
+    """Byte oracle for RunLog.to_csv: one repr(float(v)) per value, row by row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(log.names) + "\n")
+        for row in log.data:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def assert_same_csv_bytes(log, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    log.to_csv(str(got))
+    per_value_csv(log, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    return got
+
+
+class TestCsvWriterOracle:
+    SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                1e308, 0.1, 1.0 / 3.0]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_synthetic_log_bytes(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        data = rng.standard_normal((n_rows, len(COLUMNS))) * 10.0 ** rng.integers(
+            -300, 300, (n_rows, len(COLUMNS)))
+        data[:, 1] = np.resize([-0.0, 0.0], n_rows)          # signed zeros, one column
+        data[:, 2] = np.resize(self.SPECIALS, n_rows)
+        data[:, 3] = np.resize(self.SPECIALS[::-1], n_rows)
+        data[:, 4] = 7.25                                     # repeated in every block
+        data[:, 5] = np.repeat(rng.standard_normal(n_rows // 4 + 1), 4)[:n_rows]
+        assert_same_csv_bytes(RunLog(names=list(COLUMNS), data=data), tmp_path)
+
+    def test_shipped_log_bytes_and_readback(self, tmp_path):
+        log = run_scenario(load_config("grasp_estimate"))
+        path = assert_same_csv_bytes(log, tmp_path)
+        back = RunLog.from_csv(str(path))
+        assert back.names == log.names
+        assert back.data.tobytes() == log.data.tobytes()
+
+
 class TestCli:
     def test_run_and_metrics_roundtrip(self, tmp_path):
         rc = cli.main(["run", "grasp_estimate", "--duration", "0.5",
@@ -295,6 +380,12 @@ class TestCli:
 
     def test_missing_scenario_exit_1(self):
         assert cli.main(["run", "definitely_not_here"]) == 1
+
+    def test_duration_below_one_step_exit_1_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["run", "hover_payload", "--duration", "1e-4",
+                         "--out", str(out)]) == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_run_from_config_path(self, tmp_path):
         cfg_file = tmp_path / "quiet.cfg"

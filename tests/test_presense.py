@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from amsim.presense import (CatalogError, DegenerateCloud, ObjectPrior,
-                            UnknownLabel, estimate_inertia, fit_obb,
-                            load_catalog, prior_for, sample_box_cloud,
+                            UnknownLabel, _axis_rotation, estimate_inertia,
+                            fit_obb, load_catalog, prior_for, sample_box_cloud,
                             sample_cylinder_cloud)
 from amsim.spatial import InertialParams
+
+from conftest import random_rotation
 
 
 def rot_z(angle):
@@ -59,6 +61,70 @@ class TestFitObb:
         box = fit_obb(pts)
         hull = scipy_spatial.ConvexHull(pts)
         assert np.prod(box.dims) >= hull.volume
+
+
+def reference_obb(points):
+    """fit_obb with the volume refinement on the N x 3 cloud, as first written.
+
+    The oracle for the contiguous 3 x N refinement, which must give the same
+    bits.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    cov = centered.T @ centered / pts.shape[0]
+    _, axes = np.linalg.eigh(cov)
+
+    def volume(axes):
+        proj = centered @ axes
+        return float(np.prod(proj.max(axis=0) - proj.min(axis=0)))
+
+    best = volume(axes)
+    step = math.radians(6.0)
+    while step > math.radians(0.02):
+        improved = False
+        for k in range(3):
+            for sgn in (1.0, -1.0):
+                cand = _axis_rotation(axes[:, k], sgn * step) @ axes
+                vol = volume(cand)
+                if vol < best * (1.0 - 1e-12):
+                    axes, best, improved = cand, vol, True
+        if not improved:
+            step *= 0.5
+
+    proj = centered @ axes
+    lo, hi = proj.min(axis=0), proj.max(axis=0)
+    extents = hi - lo
+    order = np.argsort(extents)[::-1]
+    rotation = axes[:, order].copy()
+    if np.linalg.det(rotation) < 0.0:
+        rotation[:, 2] = -rotation[:, 2]
+    center = mean + axes @ (0.5 * (lo + hi))
+    return center, rotation, tuple(float(extents[k]) for k in order)
+
+
+class TestFitObbReference:
+    @pytest.mark.parametrize("n", [50, 2000, 20000])
+    def test_box_bitwise(self, rng, n):
+        self.check(sample_box_cloud([0.2, 0.1, 0.05], n, rng))
+
+    @pytest.mark.parametrize("n", [50, 2000, 20000])
+    def test_cylinder_bitwise(self, rng, n):
+        self.check(sample_cylinder_cloud(0.08, 0.12, n, rng))
+
+    @pytest.mark.parametrize("n", [50, 2000, 20000])
+    def test_posed_box_bitwise(self, rng, n):
+        self.check(sample_box_cloud([0.15, 0.12, 0.07], n, rng,
+                                    rotation=random_rotation(rng),
+                                    center=[1.0, -2.0, 0.5]))
+
+    @staticmethod
+    def check(pts):
+        center, rotation, dims = reference_obb(pts)
+        box = fit_obb(pts)
+        np.testing.assert_array_equal(box.center, center)
+        np.testing.assert_array_equal(box.rotation, rotation)
+        assert box.dims == dims
 
 
 class TestEstimateInertia:
