@@ -5,11 +5,14 @@ motor lag x rotational plant 1/(J s), giving
 
     G(s) = k_m (kd s^2 + kp s + ki) k_k / (j s^2 (tau_m s + 1)).
 
-Margins are found by a dense logarithmic scan plus fixed-depth bisection, so
-repeated evaluations of identical loops agree to near machine precision.
+Margins come from exact crossings: the unity-gain and -180 deg frequencies
+are the real roots of polynomials in omega built from N(j omega) and
+D(j omega) (Astrom & Murray, Feedback Systems, ch. 10), so no frequency grid
+can step over a crossing and no phase needs unwrapping.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,15 +29,13 @@ class PoleOnAxis(Exception):
 
 
 class NoCrossover(Exception):
-    """|G| never crosses unity inside the scanned band."""
+    """|G| never crosses unity inside the analysed band."""
 
 
 #: Worst-case payload inertia/gain multipliers per axis, anchored at unity.
 DEFAULT_UNCERTAINTY_BOX = ((1.0, 3.52), (1.0, 3.79), (1.0, 1.61))
 
 DEFAULT_BAND = (1.0, 600.0)
-
-_BISECT_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -101,143 +102,71 @@ def freq_response(tf: RationalTF, omega: float) -> complex:
     return complex(P.polyval(s, tf.num)) / den
 
 
-def _response_grid(tf: RationalTF, w: np.ndarray) -> np.ndarray:
-    s = 1j * w
-    return P.polyval(s, np.asarray(tf.num, dtype=complex)) / \
-        P.polyval(s, np.asarray(tf.den, dtype=complex))
+def _jw_parts(coeffs) -> tuple:
+    """Real polynomials re, im in omega with p(j omega) = re(omega) + j im(omega)."""
+    c = np.asarray(coeffs, dtype=float)
+    k = np.arange(len(c))
+    c = np.where(k % 4 < 2, c, -c)  # j^k cycles 1, j, -1, -j
+    return np.where(k % 2 == 0, c, 0.0), np.where(k % 2 == 1, c, 0.0)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-            flo = f(mid)
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _real_roots_in(poly, band) -> list:
+    """Real roots of a polynomial in omega that lie inside the closed band.
 
-
-def _unwrap_to(phase: float, anchor: float) -> float:
-    """Shift a wrapped angle by 2*pi*k so it lands nearest the anchor."""
-    return phase + 2.0 * math.pi * round((anchor - phase) / (2.0 * math.pi))
-
-
-def _continuous_phase(tf: RationalTF, w0: float) -> float:
-    """Phase of G(j w0) measured continuously from DC (no 2*pi ambiguity).
-
-    Strips the origin poles/zeros (their phase is an exact multiple of 90
-    degrees), anchors the remainder at its DC sign, and walks the phase up
-    from well below the lowest corner frequency.
+    Leading terms that stay below the rounding of the largest term all over
+    the band are dropped first: their extra roots lie far beyond the band,
+    and a tiny leading coefficient would overflow the companion matrix.
     """
-    num = np.array(tf.num)
-    den = np.array(tf.den)
-    k0 = int(np.nonzero(num)[0][0])
-    l0 = int(np.nonzero(den)[0][0])
-    n = num[k0:]
-    d = den[l0:]
-    base = 0.5 * math.pi * (k0 - l0)
-    phi0 = 0.0 if (n[0] / d[0]) > 0.0 else -math.pi
-    corners = []
-    for poly in (n, d):
-        if len(poly) > 1:
-            corners.extend(abs(r) for r in np.roots(poly[::-1]) if abs(r) > 1e-12)
-    w_start = min(w0, 0.01 * min(corners)) if corners else w0
-    grid = np.geomspace(w_start, w0, 256) if w_start < w0 else np.array([w0])
-    s = 1j * grid
-    r = P.polyval(s, n.astype(complex)) / P.polyval(s, d.astype(complex))
-    ph = np.unwrap(np.angle(r))
-    ph = ph + (_unwrap_to(float(ph[0]), phi0) - float(ph[0]))
-    return base + float(ph[-1])
-
-
-def margins(tf: RationalTF, band=DEFAULT_BAND, n_scan: int = 2400) -> MarginReport:
-    """Gain and phase margins over a frequency band.
-
-    Scans >= 2000 log-spaced points, brackets every unity-gain and -180 deg
-    crossing, and refines each with bisection. The reported phase margin is
-    the smallest over all unity crossings (ties broken by lower frequency);
-    the gain margin is the smallest over all phase crossings, or +inf when
-    the phase never reaches -180 deg inside the band.
-
-    Raises NoCrossover when |G| never crosses unity in the band.
-    """
-    if n_scan < 2000:
-        n_scan = 2000
-    w = np.geomspace(band[0], band[1], n_scan)
-    g = _response_grid(tf, w)
-    mag = np.abs(g)
     with np.errstate(divide="ignore"):
-        logmag = np.log10(mag)
-    phase = np.unwrap(np.angle(g))
-    # np.unwrap anchors on the wrapped first sample; re-anchor on the true
-    # continuous phase so loops entering the band below -180 deg read right
-    true0 = _continuous_phase(tf, float(w[0]))
-    phase = phase + 2.0 * math.pi * round((true0 - float(phase[0]))
-                                          / (2.0 * math.pi))
+        size = np.log2(np.abs(poly)) + np.arange(len(poly)) * math.log2(band[1])
+    kept = np.nonzero(size > size.max() - 52.0)[0]
+    if kept.size == 0:
+        return []
+    return [float(r.real) for r in P.polyroots(poly[:kept[-1] + 1])
+            if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real))
+            and band[0] <= r.real <= band[1]]
 
-    def logmag_at(x: float) -> float:
-        return math.log10(abs(freq_response(tf, x)))
 
-    def wrap_pm(pm_raw: float) -> float:
-        # angular distance to the -1 point, principal branch (-180, 180]
-        pm = math.fmod(pm_raw, 360.0)
-        if pm > 180.0:
-            pm -= 360.0
-        elif pm <= -180.0:
-            pm += 360.0
-        return pm
+def margins(tf: RationalTF, band=DEFAULT_BAND) -> MarginReport:
+    """Gain and phase margins over a frequency band, from exact crossings.
 
-    # unity-gain crossings
+    With N(j w) = Nr + j Ni and D(j w) = Dr + j Di split into real
+    polynomials in w, the unity-gain crossings are the real roots of
+    Nr^2 + Ni^2 - Dr^2 - Di^2 and the -180 deg crossings are the real roots
+    of Im(N conj D) = Ni Dr - Nr Di where Re(N conj D) < 0; only roots inside
+    ``band`` count. The reported phase margin is the smallest over all unity
+    crossings, on the principal branch (-180, 180] (ties broken by lower
+    frequency); the gain margin is the smallest over all phase crossings, or
+    +inf when the phase never reaches -180 deg inside the band.
+
+    Raises ValueError unless 0 < band[0] < band[1] are finite, and
+    NoCrossover when |G| never crosses unity in the band.
+    """
+    lo, hi = (float(b) for b in band)
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise ValueError(f"band must satisfy 0 < lo < hi < inf, got {band}")
+    band = (lo, hi)
+    nr, ni = _jw_parts(tf.num)
+    dr, di = _jw_parts(tf.den)
+
     pm_candidates = []
-    sign = np.sign(logmag)
-    for k in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
-        wc = _bisect(logmag_at, float(w[k]), float(w[k + 1]))
-        ph = _unwrap_to(math.atan2(freq_response(tf, wc).imag,
-                                   freq_response(tf, wc).real), float(phase[k]))
-        pm_candidates.append((wrap_pm(180.0 + math.degrees(ph)), wc))
-    for k in np.nonzero(logmag == 0.0)[0]:
-        pm_candidates.append((wrap_pm(180.0 + math.degrees(float(phase[k]))),
-                              float(w[k])))
+    gain_poly = P.polysub(P.polyadd(P.polymul(nr, nr), P.polymul(ni, ni)),
+                          P.polyadd(P.polymul(dr, dr), P.polymul(di, di)))
+    for wc in _real_roots_in(gain_poly, band):
+        pm = 180.0 + math.degrees(cmath.phase(freq_response(tf, wc)))
+        pm_candidates.append((pm - 360.0 if pm > 180.0 else pm, wc))
     if not pm_candidates:
         raise NoCrossover(f"|G| stays on one side of unity over {band} rad/s")
-    pm, w_gc = min(pm_candidates, key=lambda t: (t[0], t[1]))
+    pm, w_gc = min(pm_candidates)
 
-    # -180 deg crossings (any odd multiple of pi reached by the unwrapped phase)
     gm_candidates = []
-    shifted = phase + math.pi
-    lev = np.floor_divide(shifted, 2.0 * math.pi)
-    for k in range(len(w) - 1):
-        lo_val, hi_val = shifted[k], shifted[k + 1]
-        level = None
-        if lo_val == 0.0:
-            level = -math.pi
-        crossings = set()
-        a, b = sorted((lev[k], lev[k + 1]))
-        for m in range(int(a), int(b) + 1):
-            target = m * 2.0 * math.pi
-            if min(lo_val, hi_val) < target <= max(lo_val, hi_val):
-                crossings.add(target - math.pi)
-        if level is not None:
-            crossings.add(level)
-        for target in crossings:
-            anchor = float(phase[k])
-
-            def ph_err(x: float, _t=target, _a=anchor) -> float:
-                val = _unwrap_to(math.atan2(freq_response(tf, x).imag,
-                                            freq_response(tf, x).real), _a)
-                return val - _t
-
-            wpc = _bisect(ph_err, float(w[k]), float(w[k + 1]))
+    cross_re = P.polyadd(P.polymul(nr, dr), P.polymul(ni, di))
+    cross_im = P.polysub(P.polymul(ni, dr), P.polymul(nr, di))
+    for wpc in _real_roots_in(cross_im, band):
+        if P.polyval(wpc, cross_re) < 0.0:
             gm_db = -20.0 * math.log10(abs(freq_response(tf, wpc)))
             gm_candidates.append((gm_db, wpc))
-    if gm_candidates:
-        gm, w_pc = min(gm_candidates, key=lambda t: (t[0], t[1]))
-    else:
-        gm, w_pc = math.inf, math.nan
+    gm, w_pc = min(gm_candidates) if gm_candidates else (math.inf, math.nan)
     return MarginReport(gain_margin_db=gm, phase_margin_deg=pm,
                         gain_crossover=w_gc, phase_crossover=w_pc)
 
@@ -288,10 +217,15 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     its height plus the pad below the end-effector. Joint angles sweep a
     ``grid_n``^3 grid over the limits; infeasible combinations are skipped.
     Returns ``(maxima, argmax_theta)`` with ``maxima`` the per-axis diagonal
-    of the largest scheduled gain encountered.
+    of the largest scheduled gain encountered; a zero payload mass gives the
+    identity. Raises ValueError for a negative or non-finite payload mass or
+    ``grid_n < 1``.
     """
-    if payload_mass <= 0.0:
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    if payload_mass == 0.0:
         return np.ones(3), None
+    # InertialParams below rejects a negative or non-finite mass
     dims = np.asarray(payload_dims, dtype=float).reshape(3)
     j_obj = InertialParams(payload_mass, np.zeros(3),
                            box_inertia(payload_mass, dims)).inertia_about_com

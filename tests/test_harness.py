@@ -398,6 +398,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PM (deg)" in out
 
+    def test_margins_zero_gain_exit_2(self, capsys):
+        assert cli.main(["margins", "--kk-scale", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--mass", "-1"], ["--grid-n", "0"]])
+    def test_sweep_workspace_bad_input_exit_1(self, capsys, flags):
+        assert cli.main(["sweep", "--workspace", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "max scheduled gain" not in captured.out
+
     def test_sweep_uncertainty_smoke(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert cli.main(["sweep", "--uncertainty", "--grid-n", "5",
