@@ -4,10 +4,12 @@
 
 Each scenario runs in its shipped mode and in baseline, once per tree, each
 tree in its own process. The script prints the largest absolute difference
-of every log column over all runs, then one line per run, and exits 1 when
-any difference exceeds ``TOL`` (a NaN where the other tree has a number
-counts as an infinite difference), when logs differ in shape or column names,
-or when an event both trees record differs; otherwise 0.
+of every log column over all runs, then one line per run (marked
+``bit-identical`` when the two logs have the same bytes) and the count of
+bit-identical runs. It exits 1 when any difference exceeds ``TOL`` (a NaN
+where the other tree has a number counts as an infinite difference), when
+logs differ in shape or column names, or when an event both trees record
+differs; otherwise 0.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ def compare(ref, new) -> int:
     problems = []
     worst = {}  # column -> (difference, run)
     lines = []
+    identical = 0
     for key in sorted(set(ref_data) | set(new_data)):
         if key not in ref_data or key not in new_data:
             problems.append(f"{key}: run missing from one tree")
@@ -73,7 +76,10 @@ def compare(ref, new) -> int:
             if name not in worst or d > worst[name][0]:
                 worst[name] = (float(d), key)
         k = int(np.argmax(diff))
-        lines.append(f"{key:<28} max |diff| {diff[k]:.3e} ({names[k]})")
+        same_bits = a.tobytes() == b.tobytes()
+        identical += same_bits
+        lines.append(f"{key:<28} max |diff| {diff[k]:.3e} ({names[k]})"
+                     + ("  bit-identical" if same_bits else ""))
         ev_a, ev_b = ref_meta[key]["events"], new_meta[key]["events"]
         for ev in sorted(set(ev_a) & set(ev_b)):
             if ev_a[ev] != ev_b[ev]:
@@ -86,6 +92,7 @@ def compare(ref, new) -> int:
             problems.append(f"column {name} differs by {d:.3e} in {key}")
     print()
     print("\n".join(lines))
+    print(f"bit-identical: {identical}/{len(lines)} runs")
     for p in problems:
         print("FAIL:", p)
     print(f"{'FAIL' if problems else 'OK'}: {len(lines)} runs, tolerance {TOL:g}")

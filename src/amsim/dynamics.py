@@ -21,20 +21,46 @@ class NonFinite(RuntimeError):
 MAX_STEP = 5e-3
 
 
-@dataclass
 class VehicleState:
-    p: np.ndarray  # world position (m)
-    v: np.ndarray  # world velocity (m/s)
-    q: np.ndarray  # unit quaternion body->world
-    omega: np.ndarray  # body angular rate (rad/s)
+    """Rigid-body state kept as the 13 floats ``y = (p, v, q, omega)``.
+
+    ``p``/``v`` are world position (m) and velocity (m/s), ``q`` the unit
+    quaternion body->world and ``omega`` the body rate (rad/s). Each reads as
+    a new read-only array; assigning one replaces its floats.
+    """
+    __slots__ = ("y",)
+
+    def __init__(self, p, v, q, omega):
+        self.y = tuple(np.concatenate([np.asarray(x, dtype=float).reshape(n) for x, n in
+                                       ((p, 3), (v, 3), (q, 4), (omega, 3))]).tolist())
+
+    def _part(lo: int, hi: int):
+        def get(self) -> np.ndarray:
+            a = np.array(self.y[lo:hi])
+            a.flags.writeable = False
+            return a
+
+        def put(self, x):
+            self.y = (*self.y[:lo], *np.asarray(x, dtype=float).reshape(hi - lo).tolist(),
+                      *self.y[hi:])
+        return property(get, put)
+
+    p, v, q, omega = _part(0, 3), _part(3, 6), _part(6, 10), _part(10, 13)
+    del _part
 
     def copy(self) -> "VehicleState":
-        return VehicleState(self.p.copy(), self.v.copy(), self.q.copy(), self.omega.copy())
+        return _state(self.y)
 
     @classmethod
     def at_rest(cls, p) -> "VehicleState":
-        return cls(np.asarray(p, dtype=float).reshape(3).copy(), np.zeros(3),
-                   np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+        return cls(p, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def _state(y: tuple) -> VehicleState:
+    """A VehicleState around the 13 floats ``y``, taken as they are."""
+    s = object.__new__(VehicleState)
+    s.y = y
+    return s
 
 
 @dataclass(frozen=True)
@@ -82,11 +108,12 @@ class Environment:
     def __post_init__(self):
         if self.g <= 0.0:
             raise ValueError("g must be positive")
-        self.wind = sorted(((float(t), np.asarray(f, dtype=float).reshape(3))
+        self.wind = sorted(((float(t), tuple(np.asarray(f, dtype=float).reshape(3).tolist()))
                             for t, f in self.wind), key=lambda x: x[0])
 
-    def wind_at(self, t: float) -> np.ndarray:
-        out = np.zeros(3)
+    def wind_at(self, t: float) -> tuple:
+        """World force (N) at ``t`` as three floats."""
+        out = (0.0, 0.0, 0.0)
         for t0, f in self.wind:
             if t >= t0:
                 out = f
@@ -95,8 +122,7 @@ class Environment:
         return out
 
 
-def rotor_wrench(thrusts, cfg: RotorConfig, com=None,
-                 tmap=None) -> tuple[np.ndarray, np.ndarray]:
+def rotor_wrench(thrusts, cfg: RotorConfig, com=None, tmap=None) -> tuple[list, list]:
     """Total body-frame force and torque of the four rotors about ``com``.
 
     Each rotor pushes along body z; yaw drag is ``spin_dir * k_tau * T`` about z.
@@ -104,11 +130,11 @@ def rotor_wrench(thrusts, cfg: RotorConfig, com=None,
     ``torque_matrix(cfg, com).tolist()``, which stays valid while the CoM
     stays put.
     """
-    t0, t1, t2, t3 = np.asarray(thrusts, dtype=float).reshape(4).tolist()
+    t0, t1, t2, t3 = thrusts
     if tmap is None:
         tmap = torque_matrix(cfg, com).tolist()
-    torque = [r[0] * t0 + r[1] * t1 + r[2] * t2 + r[3] * t3 for r in tmap]
-    return np.array([0.0, 0.0, t0 + t1 + t2 + t3]), np.array(torque)
+    return ([0.0, 0.0, t0 + t1 + t2 + t3],
+            [r[0] * t0 + r[1] * t1 + r[2] * t2 + r[3] * t3 for r in tmap])
 
 
 def torque_matrix(cfg: RotorConfig, com) -> np.ndarray:
@@ -122,9 +148,9 @@ def torque_matrix(cfg: RotorConfig, com) -> np.ndarray:
     return m
 
 
-def _floats(x, n: int) -> list:
-    """``x`` as a list of ``n`` floats; such a list passes through as is."""
-    if type(x) is list and len(x) == n:
+def _floats(x, n: int):
+    """``x`` as ``n`` floats; a list or tuple of ``n`` passes through as is."""
+    if type(x) in (list, tuple) and len(x) == n:
         return x
     return np.asarray(x, dtype=float).reshape(n).tolist()
 
@@ -171,10 +197,6 @@ def _kernel_args(force_b, torque_b, j_t, j_inv, f_ext_w):
             None if f_ext_w is None else _floats(f_ext_w, 3))
 
 
-def _state_floats(s: VehicleState) -> list:
-    return s.p.tolist() + s.v.tolist() + s.q.tolist() + s.omega.tolist()
-
-
 def derivatives(s: VehicleState, wrench, m_t: float, j_t: np.ndarray,
                 g: float = 9.81, f_ext_w=None, j_inv=None):
     """Time derivatives (dp, dv, dq, domega) of the rigid-body state.
@@ -184,19 +206,17 @@ def derivatives(s: VehicleState, wrench, m_t: float, j_t: np.ndarray,
     precomputed ``j_inv`` (3x3 or row-major 9 floats) skips the inversion.
     """
     f, tau, j, ji, ext = _kernel_args(wrench[0], wrench[1], j_t, j_inv, f_ext_w)
-    d = _deriv(_state_floats(s), f, tau, m_t, j, ji, g, ext)
+    d = _deriv(s.y, f, tau, m_t, j, ji, g, ext)
     return np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]), np.array(d[10:13])
 
 
-def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> np.ndarray:
+def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> list:
     """Exact first-order response of rotor thrusts toward k_m * t_des over dt."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    t_des = np.asarray(t_des, dtype=float).reshape(4)
-    t_actual = np.asarray(t_actual, dtype=float).reshape(4)
-    target = cfg.k_m * t_des
     a = math.exp(-dt / cfg.tau_m)
-    return target + (t_actual - target) * a
+    k_m = cfg.k_m
+    return [k_m * d + (t - k_m * d) * a for d, t in zip(t_des, t_actual, strict=True)]
 
 
 def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
@@ -210,7 +230,7 @@ def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}] s")
     f, tau, j, ji, ext = _kernel_args(force_b, torque_b, j_t, j_inv, f_ext_w)
-    y0 = _state_floats(s)
+    y0 = s.y
     h = 0.5 * dt
     k1 = _deriv(y0, f, tau, m_t, j, ji, g, ext)
     k2 = _deriv([a + h * b for a, b in zip(y0, k1)], f, tau, m_t, j, ji, g, ext)
@@ -222,5 +242,6 @@ def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
          for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
     if not all(map(math.isfinite, y)):
         raise NonFinite("state diverged during integration")
-    return VehicleState(np.array(y[0:3]), np.array(y[3:6]),
-                        quat_normalize(np.array(y[6:10])), np.array(y[10:13]))
+    # the norm stays numpy's dot, whose rounding a plain float sum does not match
+    y[6:10] = quat_normalize(np.array(y[6:10])).tolist()
+    return _state(tuple(y))

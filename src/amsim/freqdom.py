@@ -218,15 +218,18 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     ``grid_n``^3 grid over the limits; infeasible combinations are skipped.
     Returns ``(maxima, argmax_theta)`` with ``maxima`` the per-axis diagonal
     of the largest scheduled gain encountered; a zero payload mass gives the
-    identity. Raises ValueError for a negative or non-finite payload mass or
-    ``grid_n < 1``.
+    identity. Raises ValueError for a negative or non-finite payload mass,
+    payload dims that are not all positive and finite, or ``grid_n < 1``.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
+    dims = np.asarray(payload_dims, dtype=float).reshape(3)
+    if not np.all(np.isfinite(dims) & (dims > 0.0)):
+        raise ValueError(f"payload dims must be positive and finite, got {dims.tolist()}")
+    if not (math.isfinite(payload_mass) and payload_mass >= 0.0):
+        raise ValueError(f"payload mass must be non-negative and finite, got {payload_mass}")
     if payload_mass == 0.0:
         return np.ones(3), None
-    # InertialParams below rejects a negative or non-finite mass
-    dims = np.asarray(payload_dims, dtype=float).reshape(3)
     j_obj = InertialParams(payload_mass, np.zeros(3),
                            box_inertia(payload_mass, dims)).inertia_about_com
     offset = np.array([0.0, 0.0, -(0.5 * dims[2] + pad_height)])

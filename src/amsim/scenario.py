@@ -14,7 +14,7 @@ from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
                          position_loop)
 from .dynamics import (Environment, NonFinite, VehicleState, motor_lag_step,
                        rotor_wrench, step_rk4, torque_matrix)
-from .spatial import E3, InertialParams, QUAT_IDENTITY, inverse3, quat_to_rot
+from .spatial import E3, InertialParams, inverse3, quat_to_rot
 
 COLUMNS = (
     ["t",
@@ -195,10 +195,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                                     obj.true_inertia).inertia_about_com
 
     joints = delta.JointState(delta.inverse_kin(geom, cfg.arm.home), np.zeros(3))
-    p0, v0, _, _ = traj.eval(0.0)
+    p0 = traj.eval(0.0)[0]
     state = VehicleState.at_rest(p0)
-    thr = np.full(4, am.mass * g / 4.0)  # hover trim
-    t_cmd = thr.copy()
+    thr = t_cmd = [am.mass * g / 4.0] * 4  # hover trim
 
     rate_ctl = RateLoop(cfg.gains)
     detector = GraspDetector(cfg.est.grasp_threshold, cfg.est.grasp_persistence)
@@ -208,17 +207,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
 
     bare = TotalInertia(am.mass, am.com.copy(), am.inertia_about_com.copy())
     est_tot = bare
-    est_diag = np.diag(bare.j_t_hat)
     kk = np.ones(3)
     alloc = allocation(rotor, bare.c_t - veh.p_b)
     attached = False
     latched = False
-    thrust_des = am.mass * g
-    tau_des = np.zeros(3)
-    q_des = QUAT_IDENTITY.copy()
-    w_des = np.zeros(3)
-    p_des, v_des = p0.copy(), v0.copy()
-    f_res_filt = np.zeros(3)
+    m_obj = 0.0  # the logged payload mass estimate
+    theta_cols = None  # the joint angles the bodies were last built for
 
     events = {"attach_time": None, "latch_time": None, "control_ticks": 0,
               "dob_ticks": 0, "servo_ticks": 0, "freefall_ticks": 0,
@@ -226,16 +220,24 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
 
     rows = np.empty((n_steps, len(COLUMNS)))
 
+    def body_cols(tot):
+        return [tot.m_t_hat, *tot.c_t.tolist(), *np.diag(tot.j_t_hat).tolist()]
+
+    # the log row is joined from column slices that are rebuilt where their
+    # values change; tick 0 is a control, observer and servo tick
+    est_cols = body_cols(bare) + kk.tolist()
+
     # the true body and what the physics step derives from it; they change
     # only when the payload attaches or the arm moves
-    truth = truth_diag = truth_inv = truth_tmap = None
+    truth = truth_j = truth_inv = truth_tmap = truth_cols = None
 
     def refresh_truth(tot):
-        nonlocal truth, truth_diag, truth_inv, truth_tmap
+        nonlocal truth, truth_j, truth_inv, truth_tmap, truth_cols
         truth = tot
-        truth_diag = np.diag(tot.j_t_hat)
-        truth_inv = inverse3(tot.j_t_hat)
+        truth_j = tot.j_t_hat.reshape(9).tolist()
+        truth_inv = inverse3(truth_j)
         truth_tmap = torque_matrix(rotor, tot.c_t - veh.p_b).tolist()
+        truth_cols = body_cols(tot)
 
     def attached_truth():
         return adaptation.update_total(am.mass, am.inertia_about_com, am.com,
@@ -251,7 +253,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     est_stale = True
 
     def refresh_estimate():
-        nonlocal est_tot, est_diag, kk, alloc, est_stale
+        nonlocal est_tot, kk, alloc, est_stale, est_cols
         if use_dob and use_prior:
             m_o = dob.m_hat
             j_o = adaptation.rescale_moi(j_tilde, m_tilde, m_o)
@@ -261,9 +263,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             m_o, j_o = dob.m_hat, j_tilde
         est_tot = adaptation.update_total(am.mass, am.inertia_about_com, am.com,
                                           m_o, j_o, offset_est, joints.theta, geom)
-        est_diag = np.diag(est_tot.j_t_hat)
         kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).copy()
         alloc = allocation(rotor, est_tot.c_t - veh.p_b)
+        est_cols = body_cols(est_tot) + kk.tolist()
         est_stale = False
 
     try:
@@ -276,20 +278,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 refresh_truth(attached_truth())
 
             wind = env.wind_at(t)
-            R = quat_to_rot(state.q)
-            thrust_vec_b = np.array([0.0, 0.0, float(thr.sum())])
-            acc_true = -g * E3 + (R @ thrust_vec_b) / truth.m_t_hat + wind / truth.m_t_hat
-            acc_meas = acc_true + env.accel_noise * noise[k, 0:3]
-            w_meas = state.omega + env.gyro_noise * noise[k, 3:6]
+            ctrl_tick = k % every_ctrl == 0
+            dob_tick = k % every_dob == 0
+            if ctrl_tick or dob_tick:  # the only ticks that read the sensors
+                R = quat_to_rot(state.y[6:10])
+                thrust_vec_b = np.array([0.0, 0.0, thr[0] + thr[1] + thr[2] + thr[3]])
+                acc_meas = (-g * E3 + (R @ thrust_vec_b) / truth.m_t_hat
+                            + np.array(wind) / truth.m_t_hat
+                            + env.accel_noise * noise[k, 0:3])
 
-            if k % every_dob == 0:
+            if dob_tick:
                 events["dob_ticks"] += 1
                 f_res = R @ thrust_vec_b - am.mass * acc_meas - am.mass * g * E3
                 if det_filt is None:
                     det_filt = f_res
                 else:
                     det_filt = det_filt + det_alpha * (f_res - det_filt)
-                f_res_filt = det_filt
+                f_res_cols = det_filt.tolist()
                 detector, now_latched = adaptation.detect_grasp(
                     detector, float(det_filt[2]), dob_dt)
                 if now_latched and not latched:
@@ -302,6 +307,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                                               am.mass, cfg.est.dob_c, dob_dt,
                                               g=g, force_lpf_hz=cfg.est.force_lpf_hz)
                     est_stale = True
+                if latched:
+                    m_obj = dob.m_hat if use_dob else (m_tilde if use_prior else 0.0)
 
             if k % every_servo == 0:
                 events["servo_ticks"] += 1
@@ -314,11 +321,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                     thd_des = np.zeros(3)
                 joints = delta.servo_step(geom, joints, thd_des, servo_dt,
                                           cfg.arm.rate_limit)
-                est_stale = True
-                if attached:
-                    refresh_truth(attached_truth())
+                if joints.theta.tolist() != theta_cols:  # the arm moved
+                    theta_cols = joints.theta.tolist()
+                    est_stale = True
+                    if attached:
+                        refresh_truth(attached_truth())
 
-            if k % every_ctrl == 0:
+            if ctrl_tick:
                 events["control_ticks"] += 1
                 if est_stale and latched and adapt:
                     refresh_estimate()
@@ -329,42 +338,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 if freefall:
                     events["freefall_ticks"] += 1
                 w_des = attitude_loop(q_des, state.q, cfg.gains.k_att, R=R)
+                w_meas = state.omega + env.gyro_noise * noise[k, 3:6]
                 tau_des = rate_ctl.step(w_des, w_meas, kk, ctrl_dt)
                 t_cmd, infeasible = mixer(thrust_des, tau_des, rotor, alloc=alloc)
+                t_cmd = t_cmd.tolist()
                 if infeasible:
                     events["infeasible_ticks"] += 1
+                ctrl_cols = [*p_des.tolist(), *v_des.tolist(), *q_des.tolist(),
+                             *w_des.tolist(), thrust_des, *tau_des.tolist()]
 
-            row = rows[k]
-            row[0] = t
-            row[1:4] = state.p
-            row[4:7] = state.v
-            row[7:11] = state.q
-            row[11:14] = state.omega
-            row[14:17] = p_des
-            row[17:20] = v_des
-            row[20:24] = q_des
-            row[24:27] = w_des
-            row[27] = thrust_des
-            row[28:31] = tau_des
-            row[31:35] = thr
-            row[35:38] = joints.theta
-            row[38] = dob.m_hat if (latched and use_dob) else (
-                m_tilde if (latched and use_prior) else 0.0)
-            row[39] = est_tot.m_t_hat
-            row[40:43] = est_tot.c_t
-            row[43:46] = est_diag
-            row[46:49] = kk
-            row[49] = truth.m_t_hat
-            row[50:53] = truth.c_t
-            row[53:56] = truth_diag
-            row[56:59] = f_res_filt
-            row[59] = 1.0 if attached else 0.0
-            row[60] = 1.0 if latched else 0.0
+            rows[k] = [t, *state.y, *ctrl_cols, *thr, *theta_cols, m_obj, *est_cols,
+                       *truth_cols, *f_res_cols, 1.0 if attached else 0.0,
+                       1.0 if latched else 0.0]
 
             thr = motor_lag_step(t_cmd, thr, rotor, dt)
             force_b, torque_b = rotor_wrench(thr, rotor, tmap=truth_tmap)
             state = step_rk4(state, force_b, torque_b, truth.m_t_hat,
-                             truth.j_t_hat, dt, g=g, f_ext_w=wind, j_inv=truth_inv)
+                             truth_j, dt, g=g, f_ext_w=wind, j_inv=truth_inv)
     except NonFinite as exc:
         raise NonFinite(f"{exc} at t={k * dt:.4f} s") from exc
 

@@ -40,7 +40,7 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = math.sqrt(float(q @ q))
+    n = math.sqrt(q.dot(q))
     if n < 1e-15:
         raise ValueError("cannot normalize a zero quaternion")
     return q / n

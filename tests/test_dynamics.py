@@ -114,6 +114,51 @@ class TestFloatKernelAgainstReference:
         assert_close_rel(b.omega, a.omega)
 
 
+class TestVehicleState:
+    def test_constructor_stores_floats(self):
+        s = VehicleState([1, 2, 3], np.array([4.0, 5.0, 6.0]), (1, 0, 0, 0),
+                         np.array([[0.1], [0.2], [0.3]]))
+        assert s.y == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.3)
+        assert all(type(c) is float for c in s.y)
+        np.testing.assert_array_equal(s.v, [4.0, 5.0, 6.0])
+        assert s.p.dtype == np.float64 and s.q.shape == (4,)
+        with pytest.raises(ValueError):
+            VehicleState([0.0, 0.0], np.zeros(3), np.zeros(4), np.zeros(3))
+
+    def test_at_rest(self):
+        s = VehicleState.at_rest(np.array([0.5, -1.0, 2.0]))
+        assert s.y == (0.5, -1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_copy_round_trip(self, rng):
+        s, *_ = random_case(rng)
+        c = s.copy()
+        assert c is not s and c.y == s.y
+        assert VehicleState(c.p, c.v, c.q, c.omega).y == s.y
+        c.omega = [9.0, 8.0, 7.0]
+        assert c.y[10:] == (9.0, 8.0, 7.0)
+        assert s.y[:10] == c.y[:10] and s.y[10:] != c.y[10:]
+
+    def test_arrays_are_read_only(self):
+        s = VehicleState.at_rest([1.0, 2.0, 3.0])
+        before = s.y
+        for name in ("p", "v", "q", "omega"):
+            with pytest.raises(ValueError):
+                getattr(s, name)[0] = 7.0
+        with pytest.raises(ValueError):
+            s.p += 1.0
+        assert s.y == before
+        with pytest.raises(ValueError):
+            s.v = [1.0, 2.0]
+
+    def test_step_keeps_floats(self, rotor):
+        s = VehicleState.at_rest([0.0, 0.0, 1.0])
+        force, torque = rotor_wrench([3.0, 3.5, 3.0, 3.5], rotor, np.zeros(3))
+        out = step_rk4(s, force, torque, 1.4, np.diag([9.2e-3, 10.5e-3, 14.7e-3]),
+                       1e-3, g=G, f_ext_w=(0.0, 1.0, 0.0))
+        assert type(out.y) is tuple and len(out.y) == 13
+        assert all(type(c) is float for c in out.y)
+
+
 class TestRotorWrench:
     def test_equal_thrusts_centered(self, rotor):
         force, torque = rotor_wrench([2.0] * 4, rotor, np.zeros(3))
@@ -141,8 +186,8 @@ class TestRotorWrench:
         fa, ta = rotor_wrench(a, rotor, np.zeros(3))
         fb, tb = rotor_wrench(b, rotor, np.zeros(3))
         fab, tab = rotor_wrench(a + b, rotor, np.zeros(3))
-        np.testing.assert_allclose(fab, fa + fb, atol=1e-12)
-        np.testing.assert_allclose(tab, ta + tb, atol=1e-12)
+        np.testing.assert_allclose(fab, np.add(fa, fb), atol=1e-12)
+        np.testing.assert_allclose(tab, np.add(ta, tb), atol=1e-12)
 
 
 class TestDerivatives:
@@ -193,6 +238,17 @@ class TestMotorLag:
         t0 = np.array([1.0, 1.5, 0.5, 2.0])
         out = motor_lag_step(np.full(4, 9.0), t0, rotor, 1e-12)
         np.testing.assert_allclose(out, t0, atol=1e-9)
+
+    def test_floats_equal_the_array_formula(self, rotor, rng):
+        for _ in range(50):
+            t_des, t_act = rng.uniform(0.0, 18.0, 4), rng.uniform(0.0, 18.0, 4)
+            target = rotor.k_m * t_des
+            want = target + (t_act - target) * math.exp(-5e-4 / rotor.tau_m)
+            got = motor_lag_step(t_des.tolist(), t_act.tolist(), rotor, 5e-4)
+            assert all(type(c) is float for c in got)
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError):
+            motor_lag_step([1.0] * 4, [1.0] * 3, rotor, 5e-4)
 
     def test_matches_fine_euler(self, rotor):
         # closed-form update vs brute-force fine-step Euler integration

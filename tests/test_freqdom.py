@@ -493,6 +493,19 @@ class TestWorkspaceSweep:
             workspace_kk_sweep(DeltaGeometry(), mass, [0.2, 0.2, 0.2],
                                vehicle_params, grid_n=grid_n)
 
+    @pytest.mark.parametrize("mass", [0.4, 0.0])
+    @pytest.mark.parametrize("dims", [[-0.2, 0.2, 0.2], [0.2, 0.0, 0.2],
+                                      [0.2, 0.2, math.inf], [0.2, math.nan, 0.2]])
+    def test_bad_dims_rejected(self, vehicle_params, mass, dims):
+        with pytest.raises(ValueError, match="payload dims"):
+            workspace_kk_sweep(DeltaGeometry(), mass, dims, vehicle_params)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mass", [math.inf, -math.inf, math.nan])
+    def test_non_finite_mass_rejected_without_warning(self, vehicle_params, mass):
+        with pytest.raises(ValueError, match="payload mass"):
+            workspace_kk_sweep(DeltaGeometry(), mass, [0.2, 0.2, 0.2], vehicle_params)
+
     def test_monotone_in_mass(self, vehicle_params):
         prev = None
         for m in (0.1, 0.2, 0.4):

@@ -9,6 +9,7 @@ from amsim.adaptation import update_total
 from amsim.config import ConfigError, load_config, parse_config, shipped_scenarios
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
+from amsim.dynamics import NonFinite
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, MismatchedRuns, RunLog, Trajectory,
                             run_scenario)
 from amsim.spatial import InertialParams
@@ -204,6 +205,26 @@ class TestQuietHover:
         ey = (log.column("py") - log.column("py_des"))[t > 4.0]
         expect = 1.2 / (cfg.vehicle.mass * cfg.gains.k_pos[1])
         assert np.mean(ey) == pytest.approx(expect, rel=0.02)
+
+
+class TestDivergence:
+    """A force no vehicle can hold makes the state overflow within one step."""
+    DIVERGING = HOVER_QUIET.format(dur=0.5) + (
+        "\n[disturbances]\nwind =\n    0.1   1e308 0 0\n")
+
+    def test_nonfinite_names_the_time(self):
+        with pytest.raises(NonFinite, match=r"at t=0\.1000 s$"):
+            run_scenario(parse_config(self.DIVERGING))
+
+    def test_cli_run_exit_2_writes_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "diverge.cfg"
+        cfg_file.write_text(self.DIVERGING)
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ")
+        assert "at t=" in err
+        assert "Traceback" not in err
+        assert [f.name for f in tmp_path.iterdir()] == ["diverge.cfg"]
 
 
 class TestDeterminism:
@@ -410,6 +431,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
         assert "max scheduled gain" not in captured.out
+
+    @pytest.mark.parametrize("dims", ["-0.2 0.2 0.2", "0 0.2 0.2"])
+    def test_sweep_workspace_bad_dims_exit_1(self, capsys, dims):
+        assert cli.main(["sweep", "--workspace", "--dims", dims]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: payload dims")
+        assert "max scheduled gain" not in captured.out
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_workspace_inf_mass_exit_1_without_warning(self, capsys):
+        assert cli.main(["sweep", "--workspace", "--mass", "inf"]) == 1
+        assert capsys.readouterr().err.startswith("config error: payload mass")
 
     def test_sweep_uncertainty_smoke(self, tmp_path):
         out = tmp_path / "grid.csv"
