@@ -2,7 +2,7 @@
 
     python3 scripts/compare_logs.py --ref-src ../amsim-main/src --new-src src
 
-Each scenario runs in its shipped mode and in baseline, once per tree, each
+Each scenario runs in each canonical mode (``MODES``), once per tree, each
 tree in its own process. The script prints the largest absolute difference
 of every log column over all runs, then one line per run (marked
 ``bit-identical`` when the two logs have the same bytes) and the count of
@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 TOL = 1e-9  # largest absolute difference allowed in any log column
+MODES = ("baseline", "iags", "pre-only", "dob-only")  # every engine path
 
 
 def dump(src: str, out: str) -> None:
@@ -35,7 +36,7 @@ def dump(src: str, out: str) -> None:
     arrays, meta = {}, {}
     for name in shipped_scenarios():
         cfg = load_config(name)
-        for mode in dict.fromkeys((cfg.mode, "baseline")):
+        for mode in MODES:
             log = run_scenario(dataclasses.replace(cfg, mode=mode))
             key = f"{name}/{mode}"
             arrays[key] = log.data

@@ -47,6 +47,15 @@ class ArmConfig:
     home: np.ndarray
     waypoints: list  # [(t, xyz)]
 
+    def __post_init__(self):
+        # the servo loop's float clamps rely on these, so they are checked once here
+        k = np.asarray(self.k_theta, dtype=float)
+        if not np.all(k >= 0.0) or not np.all(np.isfinite(k)):
+            raise ConfigError("[arm] k_theta entries must be non-negative and finite")
+        if not self.rate_limit >= 0.0:
+            raise ConfigError("[arm] servo_rate_limit must be non-negative, "
+                              f"got {self.rate_limit}")
+
 
 @dataclass
 class ObjectConfig:

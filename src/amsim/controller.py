@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import RotorConfig, torque_matrix
-from .spatial import E3, cross3, quat_to_rot, rot_to_quat
+from .spatial import cross3, quat_to_rot, rot_to_quat
 
 
 @dataclass
@@ -26,22 +26,19 @@ class Gains:
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_att", "rate_kp", "rate_ki", "rate_kd"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
-            if np.any(v < 0.0):
-                raise ValueError(f"{name} entries must be non-negative")
+            if not np.all(v >= 0.0) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} entries must be non-negative and finite")
             setattr(self, name, v)
-
-
-@dataclass
-class ControlOutput:
-    thrust_des: float
-    torque_des: np.ndarray
-    q_des: np.ndarray
-    omega_des: np.ndarray
+        # the rate loop's float clamps rely on these, so they are checked once here
+        if not self.i_limit >= 0.0:
+            raise ValueError(f"i_limit must be non-negative, got {self.i_limit}")
+        if not self.d_lpf_hz > 0.0:
+            raise ValueError(f"d_lpf_hz must be positive, got {self.d_lpf_hz}")
 
 
 def position_loop(p_des, v_des, p, v, q, m_t_hat: float, gains: Gains,
                   a_ff=None, yaw_des: float = 0.0, g: float = 9.81,
-                  R=None) -> tuple[float, np.ndarray, bool]:
+                  R=None) -> tuple[float, tuple, bool]:
     """Desired collective thrust and attitude from position/velocity error.
 
     The commanded acceleration (PD error feedback plus gravity plus optional
@@ -49,53 +46,65 @@ def position_loop(p_des, v_des, p, v, q, m_t_hat: float, gains: Gains,
     force projected onto the current body z. When the command nearly cancels
     gravity (< 0.1 g) the attitude is undefined: the command is clamped to
     0.1 g along its direction and the free-fall flag is raised. ``R``, the
-    rotation of ``q`` when the caller already has it, saves rebuilding it.
+    nine row-major floats of ``quat_to_rot(q, flat=True)`` when the caller
+    already has them, saves rebuilding the rotation. Vectors are any float
+    sequences; returns (thrust, q_des as four floats, free-fall flag).
     """
-    p_des = np.asarray(p_des, dtype=float)
-    v_des = np.asarray(v_des, dtype=float)
-    a_cmd = gains.k_pos * (p_des - p) + gains.k_vel * (v_des - v) + g * E3
+    kp0, kp1, kp2 = gains.k_pos.tolist()
+    kv0, kv1, kv2 = gains.k_vel.tolist()
+    a0 = kp0 * (p_des[0] - p[0]) + kv0 * (v_des[0] - v[0])
+    a1 = kp1 * (p_des[1] - p[1]) + kv1 * (v_des[1] - v[1])
+    a2 = kp2 * (p_des[2] - p[2]) + kv2 * (v_des[2] - v[2]) + g
     if a_ff is not None:
-        a_cmd = a_cmd + np.asarray(a_ff, dtype=float)
-    n = float(np.linalg.norm(a_cmd))
+        a0, a1, a2 = a0 + a_ff[0], a1 + a_ff[1], a2 + a_ff[2]
+    n = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
     freefall = n < 0.1 * g
     if freefall:
-        direction = a_cmd / n if n > 1e-9 else E3.copy()
-        a_cmd = 0.1 * g * direction
+        d0, d1, d2 = (a0 / n, a1 / n, a2 / n) if n > 1e-9 else (0.0, 0.0, 1.0)
         n = 0.1 * g
+        a0, a1, a2 = n * d0, n * d1, n * d2
 
-    z_b = a_cmd / n
-    x_c = np.array([math.cos(yaw_des), math.sin(yaw_des), 0.0])
-    y_raw = cross3(z_b, x_c)
-    ny = float(np.linalg.norm(y_raw))
+    z_b = (a0 / n, a1 / n, a2 / n)
+    cy, sy = math.cos(yaw_des), math.sin(yaw_des)
+    y0, y1, y2 = cross3(z_b, (cy, sy, 0.0))
+    ny = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
     if ny < 1e-6:
         # thrust axis parallel to the yaw heading; fall back to the yaw-left axis
-        y_c = np.array([-math.sin(yaw_des), math.cos(yaw_des), 0.0])
-        x_b = cross3(y_c, z_b)
-        x_b /= np.linalg.norm(x_b)
-        y_b = cross3(z_b, x_b)
+        x0, x1, x2 = cross3((-sy, cy, 0.0), z_b)
+        nx = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+        x0, x1, x2 = x0 / nx, x1 / nx, x2 / nx
+        y0, y1, y2 = cross3(z_b, (x0, x1, x2))
     else:
-        y_b = y_raw / ny
-        x_b = cross3(y_b, z_b)
-    r_des = np.column_stack([x_b, y_b, z_b])
-    q_des = rot_to_quat(r_des)
+        y0, y1, y2 = y0 / ny, y1 / ny, y2 / ny
+        x0, x1, x2 = cross3((y0, y1, y2), z_b)
+    # the desired rotation has columns x_b, y_b, z_b; its rows go in here
+    q_des = rot_to_quat((x0, y0, z_b[0], x1, y1, z_b[1], x2, y2, z_b[2]))
 
-    body_z = (quat_to_rot(q) if R is None else R)[:, 2]
-    thrust = max(m_t_hat * float(a_cmd @ body_z), 0.0)
+    if R is None:
+        R = quat_to_rot(q, flat=True)
+    thrust = max(m_t_hat * (a0 * R[2] + a1 * R[5] + a2 * R[8]), 0.0)
     return thrust, q_des, freefall
 
 
-def attitude_loop(q_des, q, k_att, R=None) -> np.ndarray:
-    """Desired body rate from the geometric attitude error on SO(3).
+def attitude_loop(q_des, q, k_att, R=None) -> tuple:
+    """Desired body rate (three floats) from the geometric attitude error on SO(3).
 
-    e_R = 0.5 * vee(Rd^T R - R^T Rd); omega_des = -K_att e_R. ``R``, the
-    rotation of ``q`` when the caller already has it, saves rebuilding it.
+    e_R = 0.5 * vee(Rd^T R - R^T Rd); omega_des = -K_att e_R. Only the three
+    entries the vee map reads are formed. ``R``, the nine row-major floats
+    of ``quat_to_rot(q, flat=True)`` when the caller already has them,
+    saves rebuilding the rotation.
     """
-    if R is None:
-        R = quat_to_rot(q)
-    Rd = quat_to_rot(q_des)
-    err = 0.5 * (Rd.T @ R - R.T @ Rd)
-    e_r = np.array([err[2, 1], err[0, 2], err[1, 0]])
-    return -np.asarray(k_att, dtype=float) * e_r
+    r = quat_to_rot(q, flat=True) if R is None else R
+    d = quat_to_rot(q_des, flat=True)
+    # entry (i, j) of a row-major 3x3 matrix sits at index 3 i + j
+    e0 = 0.5 * ((d[2] * r[1] + d[5] * r[4] + d[8] * r[7])
+                - (r[2] * d[1] + r[5] * d[4] + r[8] * d[7]))
+    e1 = 0.5 * ((d[0] * r[2] + d[3] * r[5] + d[6] * r[8])
+                - (r[0] * d[2] + r[3] * d[5] + r[6] * d[8]))
+    e2 = 0.5 * ((d[1] * r[0] + d[4] * r[3] + d[7] * r[6])
+                - (r[1] * d[0] + r[4] * d[3] + r[7] * d[6]))
+    k0, k1, k2 = k_att
+    return -k0 * e0, -k1 * e1, -k2 * e2
 
 
 def iags_gain(j_a, j_t_hat) -> np.ndarray:
@@ -120,24 +129,26 @@ class RateLoop:
         self.reset()
 
     def reset(self):
-        self._integral = np.zeros(3)
+        self._integral = [0.0, 0.0, 0.0]
         self._prev_error = None
-        self._d_filt = np.zeros(3)
+        self._d_filt = [0.0, 0.0, 0.0]
 
-    def step(self, omega_des, omega, k_k_diag, dt: float) -> np.ndarray:
+    def step(self, omega_des, omega, k_k_diag, dt: float) -> list:
+        """Torque command (three floats) from the rate error of one tick."""
         g = self.gains
-        e = np.asarray(omega_des, dtype=float) - np.asarray(omega, dtype=float)
-        self._integral = np.clip(self._integral + g.rate_ki * e * dt,
-                                 -g.i_limit, g.i_limit)
-        if self._prev_error is None:
-            d_raw = np.zeros(3)
-        else:
-            d_raw = (e - self._prev_error) / dt
+        lim = g.i_limit
+        e = [a - b for a, b in zip(omega_des, omega)]
+        # the clamped value comes first so that a NaN passes, as in np.clip
+        self._integral = [min(max(i + ki * x * dt, -lim), lim)
+                          for i, ki, x in zip(self._integral, g.rate_ki.tolist(), e)]
+        prev = self._prev_error
+        d_raw = [0.0, 0.0, 0.0] if prev is None else [(x - p) / dt for x, p in zip(e, prev)]
         alpha = 1.0 - math.exp(-2.0 * math.pi * g.d_lpf_hz * dt)
-        self._d_filt = self._d_filt + alpha * (d_raw - self._d_filt)
+        self._d_filt = [f + alpha * (r - f) for f, r in zip(self._d_filt, d_raw)]
         self._prev_error = e
-        pid = g.rate_kp * e + self._integral + g.rate_kd * self._d_filt
-        return pid * np.asarray(k_k_diag, dtype=float)
+        return [(kp * x + i + kd * f) * kk for kp, x, i, kd, f, kk in
+                zip(g.rate_kp.tolist(), e, self._integral, g.rate_kd.tolist(),
+                    self._d_filt, k_k_diag)]
 
 
 def allocation_matrix(cfg: RotorConfig, com=None) -> np.ndarray:
@@ -151,29 +162,28 @@ def allocation_matrix(cfg: RotorConfig, com=None) -> np.ndarray:
 
 
 class Allocation(NamedTuple):
-    matrix: np.ndarray      # allocation_matrix(cfg, com)
-    collective: np.ndarray  # rotor thrusts of a unit collective, zero torque
+    collective: tuple  # rotor thrusts of a unit collective, zero torque
+    inverse: tuple     # rows of the inverse allocation matrix, four floats each
 
 
 def allocation(cfg: RotorConfig, com=None) -> Allocation:
-    """Allocation matrix about ``com`` and its collective direction.
+    """Inverse of the allocation matrix about ``com``, and its collective direction.
 
     Both stay valid while the CoM estimate stays put, so the engine builds
     them once per estimate change. Raises ValueError unless the collective
     direction loads every rotor (the layout is not X-like about ``com``).
     """
-    a = allocation_matrix(cfg, com)
-    u = np.linalg.solve(a, np.array([1.0, 0.0, 0.0, 0.0]))
-    if np.any(u <= 0.0):
+    inv = np.linalg.inv(allocation_matrix(cfg, com))
+    if np.any(inv[:, 0] <= 0.0):
         raise ValueError("collective direction must load every rotor (allocation not X-like)")
-    return Allocation(a, u)
+    return Allocation(tuple(inv[:, 0].tolist()), tuple(map(tuple, inv.tolist())))
 
 
 def mixer(thrust_des: float, torque_des, cfg: RotorConfig,
-          com=None, alloc: Allocation | None = None) -> tuple[np.ndarray, bool]:
-    """Per-rotor thrusts realizing the commanded collective and torque.
+          com=None, alloc: Allocation | None = None) -> tuple[list, bool]:
+    """Per-rotor thrusts (four floats) realizing the commanded collective and torque.
 
-    Solves the 4x4 allocation exactly, then handles saturation by shifting
+    Inverts the 4x4 allocation exactly, then handles saturation by shifting
     the collective component only (torque priority): the smallest collective
     change that brings all rotors into [0, max_thrust] is applied. When no
     collective shift can fit the torque demand, the infeasible flag is raised
@@ -182,16 +192,17 @@ def mixer(thrust_des: float, torque_des, cfg: RotorConfig,
     """
     if alloc is None:
         alloc = allocation(cfg, com)
-    w = np.array([float(thrust_des), *np.asarray(torque_des, dtype=float).reshape(3)])
-    t0 = np.linalg.solve(alloc.matrix, w)
+    w0 = float(thrust_des)
+    w1, w2, w3 = torque_des
+    t0 = [r0 * w0 + r1 * w1 + r2 * w2 + r3 * w3 for r0, r1, r2, r3 in alloc.inverse]
     u = alloc.collective
     t_max = cfg.max_thrust
-    lam_lo = float(np.max(-t0 / u))            # smallest shift keeping all >= 0
-    lam_hi = float(np.min((t_max - t0) / u))   # largest shift keeping all <= max
+    # a NaN thrust makes every rotor NaN, and max/min then return the first
+    lam_lo = max([-t / c for t, c in zip(t0, u)])          # smallest shift keeping all >= 0
+    lam_hi = min([(t_max - t) / c for t, c in zip(t0, u)])  # largest shift keeping all <= max
     infeasible = lam_lo > lam_hi
     if infeasible:
         lam = 0.5 * (lam_lo + lam_hi)
     else:
         lam = min(max(0.0, lam_lo), lam_hi)
-    t = np.clip(t0 + lam * u, 0.0, t_max)
-    return t, infeasible
+    return [min(max(t + lam * c, 0.0), t_max) for t, c in zip(t0, u)], infeasible

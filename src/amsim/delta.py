@@ -62,40 +62,21 @@ class DeltaGeometry:
         if not lo < hi:
             raise ValueError("joint_limits must satisfy lo < hi")
 
-    def radial(self, i: int) -> np.ndarray:
-        a = self.arm_azimuths[i]
-        return np.array([math.cos(a), math.sin(a), 0.0])
-
-    def tangent(self, i: int) -> np.ndarray:
-        a = self.arm_azimuths[i]
-        return np.array([-math.sin(a), math.cos(a), 0.0])
-
-
 @dataclass
 class JointState:
-    theta: np.ndarray
-    theta_dot: np.ndarray
-
-    def copy(self) -> "JointState":
-        return JointState(self.theta.copy(), self.theta_dot.copy())
+    theta: tuple      # joint angles, three floats (rad)
+    theta_dot: tuple  # joint rates, three floats (rad/s)
 
 
-def _elbow(geom: DeltaGeometry, theta_i: float, i: int) -> np.ndarray:
-    u = geom.radial(i)
-    r = geom.base_radius + geom.upper_arm_len * math.cos(theta_i)
-    z = -geom.upper_arm_len * math.sin(theta_i)
-    return r * u + np.array([0.0, 0.0, z])
+def _chains(geom: DeltaGeometry, theta) -> list:
+    """Per arm: cos and sin of its azimuth, then of its joint angle."""
+    t1, t2, t3 = theta  # exactly three joint angles
+    return [(math.cos(a), math.sin(a), math.cos(th), math.sin(th))
+            for a, th in zip(geom.arm_azimuths, (t1, t2, t3))]
 
 
-def _elbow_rate(geom: DeltaGeometry, theta_i: float, i: int) -> np.ndarray:
-    # dE/dtheta for one arm
-    u = geom.radial(i)
-    return geom.upper_arm_len * (-math.sin(theta_i) * u
-                                 - math.cos(theta_i) * np.array([0.0, 0.0, 1.0]))
-
-
-def forward_kin(geom: DeltaGeometry, theta) -> np.ndarray:
-    """Platform center position for given joint angles.
+def forward_kin(geom: DeltaGeometry, theta) -> tuple:
+    """Platform center position (three floats) for given joint angles.
 
     Reduces each closed chain to a sphere of radius ``forearm_len`` centered
     at the elbow shifted inward by the platform radius, then trilaterates.
@@ -104,24 +85,26 @@ def forward_kin(geom: DeltaGeometry, theta) -> np.ndarray:
 
     Raises NoIntersection when the three spheres do not share a point.
     """
-    theta = np.asarray(theta, dtype=float).reshape(3)
-    centers = [_elbow(geom, theta[i], i) - geom.platform_radius * geom.radial(i)
-               for i in range(3)]
-    c1, c2, c3 = centers
+    la, pr = geom.upper_arm_len, geom.platform_radius
+    centers = []
+    for ca, sa, ct, st in _chains(geom, theta):
+        r = geom.base_radius + la * ct  # radial elbow coordinate
+        centers.append((r * ca - pr * ca, r * sa - pr * sa, -la * st))
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = centers
 
-    ex_raw = c2 - c1
-    d = float(np.linalg.norm(ex_raw))
+    ex0, ex1, ex2 = x2 - x1, y2 - y1, z2 - z1
+    d = math.sqrt(ex0 * ex0 + ex1 * ex1 + ex2 * ex2)
     if d < 1e-12:
         raise NoIntersection("coincident sphere centers")
-    ex = ex_raw / d
-    t3 = c3 - c1
-    i_coord = float(ex @ t3)
-    ey_raw = t3 - i_coord * ex
-    j_coord = float(np.linalg.norm(ey_raw))
+    ex0, ex1, ex2 = ex0 / d, ex1 / d, ex2 / d
+    t0, t1, t2 = x3 - x1, y3 - y1, z3 - z1
+    i_coord = ex0 * t0 + ex1 * t1 + ex2 * t2
+    ey0, ey1, ey2 = t0 - i_coord * ex0, t1 - i_coord * ex1, t2 - i_coord * ex2
+    j_coord = math.sqrt(ey0 * ey0 + ey1 * ey1 + ey2 * ey2)
     if j_coord < 1e-12:
         raise NoIntersection("collinear sphere centers")
-    ey = ey_raw / j_coord
-    ez = cross3(ex, ey)
+    ey0, ey1, ey2 = ey0 / j_coord, ey1 / j_coord, ey2 / j_coord
+    ez0, ez1, ez2 = cross3((ex0, ex1, ex2), (ey0, ey1, ey2))
 
     r2 = geom.forearm_len ** 2
     x = 0.5 * d  # equal radii
@@ -131,14 +114,14 @@ def forward_kin(geom: DeltaGeometry, theta) -> np.ndarray:
         raise NoIntersection("forearm spheres do not intersect")
     z = math.sqrt(max(z2, 0.0))
 
-    base = c1 + x * ex + y * ey
-    pa = base + z * ez
-    pb = base - z * ez
-    return pa if pa[2] <= pb[2] else pb
+    b0, b1, b2 = x1 + x * ex0 + y * ey0, y1 + x * ex1 + y * ey1, z1 + x * ex2 + y * ey2
+    if not b2 + z * ez2 <= b2 - z * ez2:
+        z = -z  # the other intersection is the lower one
+    return b0 + z * ez0, b1 + z * ez1, b2 + z * ez2
 
 
-def inverse_kin(geom: DeltaGeometry, p) -> np.ndarray:
-    """Joint angles that place the platform center at ``p``.
+def inverse_kin(geom: DeltaGeometry, p) -> tuple:
+    """Joint angles (three floats) that place the platform center at ``p``.
 
     Per arm the chain reduces to A cos(theta) + B sin(theta) = C; of the two
     roots the elbow-out branch (larger radial elbow coordinate) is kept.
@@ -146,16 +129,16 @@ def inverse_kin(geom: DeltaGeometry, p) -> np.ndarray:
     Raises Unreachable when any arm has |C| > hypot(A, B), OutOfLimits when a
     root violates the joint limits.
     """
-    p = np.asarray(p, dtype=float).reshape(3)
+    px, py, c = p
     la = geom.upper_arm_len
-    thetas = np.empty(3)
+    shift = geom.platform_radius - geom.base_radius
     lo, hi = geom.joint_limits
-    for i in range(3):
-        u = geom.radial(i)
-        q = p + (geom.platform_radius - geom.base_radius) * u
-        a = float(q @ u)
-        b = float(q @ geom.tangent(i))
-        c = float(q[2])
+    thetas = []
+    for i, az in enumerate(geom.arm_azimuths):
+        ux, uy = math.cos(az), math.sin(az)
+        qx, qy = px + shift * ux, py + shift * uy
+        a = qx * ux + qy * uy   # radial coordinate
+        b = qy * ux - qx * uy   # tangential coordinate
         A = 2.0 * a * la
         B = -2.0 * c * la
         C = a * a + b * b + c * c + la * la - geom.forearm_len ** 2
@@ -170,8 +153,8 @@ def inverse_kin(geom: DeltaGeometry, p) -> np.ndarray:
         th = math.atan2(math.sin(th), math.cos(th))
         if th < lo - 1e-9 or th > hi + 1e-9:
             raise OutOfLimits(f"arm {i}: theta={th:.4f} rad outside limits")
-        thetas[i] = th
-    return thetas
+        thetas.append(th)
+    return tuple(thetas)
 
 
 def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
@@ -182,16 +165,17 @@ def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
 
     Raises Singular at configurations with condition number above 1e8.
     """
-    theta = np.asarray(theta, dtype=float).reshape(3)
-    p = forward_kin(geom, theta)
-    n_rows = np.empty((3, 3))
-    b = np.empty(3)
-    for i in range(3):
-        n_i = p + geom.platform_radius * geom.radial(i) - _elbow(geom, theta[i], i)
-        n_rows[i] = n_i
-        b[i] = float(n_i @ _elbow_rate(geom, theta[i], i))
+    p0, p1, p2 = forward_kin(geom, theta)
+    la, pr, br = geom.upper_arm_len, geom.platform_radius, geom.base_radius
+    rows, b = [], []
+    for ca, sa, ct, st in _chains(geom, theta):
+        r = br + la * ct  # radial elbow coordinate
+        n0, n1, n2 = p0 + pr * ca - r * ca, p1 + pr * sa - r * sa, p2 + la * st
+        rows.append((n0, n1, n2))
+        # n_i . dE_i/dtheta_i, with dE/dtheta = la (-sin(th) u_i - cos(th) e3)
+        b.append(n0 * (la * (-st * ca)) + n1 * (la * (-st * sa)) + n2 * -(la * ct))
     try:
-        jac = np.linalg.solve(n_rows, np.diag(b))
+        jac = np.linalg.solve(np.array(rows), np.diag(b))
     except np.linalg.LinAlgError as exc:
         raise Singular("forearm directions are coplanar") from exc
     if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > _COND_LIMIT:
@@ -200,23 +184,26 @@ def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
 
 
 def joint_command(geom: DeltaGeometry, target_p, target_v, current: JointState,
-                  k_theta) -> tuple[np.ndarray, np.ndarray]:
-    """Servo setpoints: IK position plus feedforward/proportional velocity.
+                  k_theta) -> tuple[tuple, tuple]:
+    """Servo setpoints, three floats each: IK position plus feedforward/proportional velocity.
 
     theta_des = IK(target_p); theta_dot_des = J^-1 target_v + K_theta (theta_des - theta).
     ``k_theta`` is the diagonal of the proportional gain matrix.
     """
     theta_des = inverse_kin(geom, target_p)
     jac = jacobian(geom, current.theta)
-    ff = np.linalg.solve(jac, np.asarray(target_v, dtype=float).reshape(3))
-    theta_dot_des = ff + np.asarray(k_theta, dtype=float) * (theta_des - current.theta)
-    return theta_des, theta_dot_des
+    ff = np.linalg.solve(jac, np.asarray(target_v, dtype=float).reshape(3)).tolist()
+    return theta_des, tuple(f + k * (d - th) for f, k, d, th in
+                            zip(ff, k_theta, theta_des, current.theta))
 
 
 def servo_step(geom: DeltaGeometry, st: JointState, theta_dot_cmd, dt: float,
                rate_limit: float = 6.0) -> JointState:
-    """Advance the servo model one tick: rate-limited tracking of the command."""
-    td = np.clip(np.asarray(theta_dot_cmd, dtype=float).reshape(3), -rate_limit, rate_limit)
+    """Advance the servo model one tick: rate-limited tracking of the command.
+
+    ``rate_limit`` must be non-negative (checked where the config is built);
+    the clamped value comes first so that a NaN command passes, as in np.clip.
+    """
     lo, hi = geom.joint_limits
-    th = np.clip(st.theta + td * dt, lo, hi)
-    return JointState(th, td)
+    td = tuple(min(max(x, -rate_limit), rate_limit) for x in theta_dot_cmd)
+    return JointState(tuple(min(max(th + x * dt, lo), hi) for th, x in zip(st.theta, td)), td)

@@ -14,7 +14,7 @@ from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
                          position_loop)
 from .dynamics import (Environment, NonFinite, VehicleState, motor_lag_step,
                        rotor_wrench, step_rk4, torque_matrix)
-from .spatial import E3, InertialParams, inverse3, quat_to_rot
+from .spatial import InertialParams, inverse3, quat_to_rot
 
 COLUMNS = (
     ["t",
@@ -160,6 +160,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     g = cfg.g
     env = Environment(g=g, wind=cfg.wind, accel_noise=veh.accel_noise,
                       gyro_noise=veh.gyro_noise)
+    accel_noise, gyro_noise = env.accel_noise, env.gyro_noise
+    k_att, k_theta = cfg.gains.k_att.tolist(), cfg.arm.k_theta.tolist()
     am = InertialParams(veh.mass, veh.p_b, veh.j_a)
     j_a = veh.j_a
 
@@ -194,7 +196,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
         j_obj_true = InertialParams(obj.true_mass, np.zeros(3),
                                     obj.true_inertia).inertia_about_com
 
-    joints = delta.JointState(delta.inverse_kin(geom, cfg.arm.home), np.zeros(3))
+    joints = delta.JointState(delta.inverse_kin(geom, cfg.arm.home), (0.0, 0.0, 0.0))
     p0 = traj.eval(0.0)[0]
     state = VehicleState.at_rest(p0)
     thr = t_cmd = [am.mass * g / 4.0] * 4  # hover trim
@@ -207,7 +209,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
 
     bare = TotalInertia(am.mass, am.com.copy(), am.inertia_about_com.copy())
     est_tot = bare
-    kk = np.ones(3)
+    kk = [1.0, 1.0, 1.0]
     alloc = allocation(rotor, bare.c_t - veh.p_b)
     attached = False
     latched = False
@@ -225,7 +227,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
 
     # the log row is joined from column slices that are rebuilt where their
     # values change; tick 0 is a control, observer and servo tick
-    est_cols = body_cols(bare) + kk.tolist()
+    est_cols = body_cols(bare) + kk
 
     # the true body and what the physics step derives from it; they change
     # only when the payload attaches or the arm moves
@@ -263,9 +265,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             m_o, j_o = dob.m_hat, j_tilde
         est_tot = adaptation.update_total(am.mass, am.inertia_about_com, am.com,
                                           m_o, j_o, offset_est, joints.theta, geom)
-        kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).copy()
+        kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).tolist()
         alloc = allocation(rotor, est_tot.c_t - veh.p_b)
-        est_cols = body_cols(est_tot) + kk.tolist()
+        est_cols = body_cols(est_tot) + kk
         est_stale = False
 
     try:
@@ -281,31 +283,34 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             ctrl_tick = k % every_ctrl == 0
             dob_tick = k % every_dob == 0
             if ctrl_tick or dob_tick:  # the only ticks that read the sensors
-                R = quat_to_rot(state.y[6:10])
-                thrust_vec_b = np.array([0.0, 0.0, thr[0] + thr[1] + thr[2] + thr[3]])
-                acc_meas = (-g * E3 + (R @ thrust_vec_b) / truth.m_t_hat
-                            + np.array(wind) / truth.m_t_hat
-                            + env.accel_noise * noise[k, 0:3])
+                y = state.y
+                R = quat_to_rot(y[6:10], flat=True)
+                thrust = thr[0] + thr[1] + thr[2] + thr[3]  # along body z
+                m_t = truth.m_t_hat
+                noise_k = noise[k].tolist()
+                acc_meas = [R[2] * thrust / m_t + wind[0] / m_t + accel_noise * noise_k[0],
+                            R[5] * thrust / m_t + wind[1] / m_t + accel_noise * noise_k[1],
+                            -g + R[8] * thrust / m_t + wind[2] / m_t + accel_noise * noise_k[2]]
 
             if dob_tick:
                 events["dob_ticks"] += 1
-                f_res = R @ thrust_vec_b - am.mass * acc_meas - am.mass * g * E3
+                f_res = [R[2] * thrust - am.mass * acc_meas[0],
+                         R[5] * thrust - am.mass * acc_meas[1],
+                         R[8] * thrust - am.mass * acc_meas[2] - am.mass * g]
                 if det_filt is None:
                     det_filt = f_res
                 else:
-                    det_filt = det_filt + det_alpha * (f_res - det_filt)
-                f_res_cols = det_filt.tolist()
-                detector, now_latched = adaptation.detect_grasp(
-                    detector, float(det_filt[2]), dob_dt)
+                    det_filt = [d + det_alpha * (f - d) for d, f in zip(det_filt, f_res)]
+                detector, now_latched = adaptation.detect_grasp(detector, det_filt[2], dob_dt)
                 if now_latched and not latched:
                     latched = True
                     events["latch_time"] = t
                     if use_dob:
                         dob = DobState(m_hat=(m_tilde if use_prior else 0.0))
                 if latched and use_dob:
-                    dob = adaptation.dob_step(dob, acc_meas, R, thrust_vec_b,
-                                              am.mass, cfg.est.dob_c, dob_dt,
-                                              g=g, force_lpf_hz=cfg.est.force_lpf_hz)
+                    dob = adaptation.dob_step(dob, acc_meas, np.reshape(R, (3, 3)),
+                                              (0.0, 0.0, thrust), am.mass, cfg.est.dob_c,
+                                              dob_dt, g=g, force_lpf_hz=cfg.est.force_lpf_hz)
                     est_stale = True
                 if latched:
                     m_obj = dob.m_hat if use_dob else (m_tilde if use_prior else 0.0)
@@ -314,15 +319,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 events["servo_ticks"] += 1
                 tgt_p, tgt_v, _, _ = arm_traj.eval(t)
                 try:
-                    _, thd_des = delta.joint_command(geom, tgt_p, tgt_v, joints,
-                                                     cfg.arm.k_theta)
+                    _, thd_des = delta.joint_command(geom, tgt_p.tolist(), tgt_v, joints,
+                                                     k_theta)
                 except delta.KinematicsError:
                     events["kin_fallbacks"] += 1
-                    thd_des = np.zeros(3)
+                    thd_des = (0.0, 0.0, 0.0)
                 joints = delta.servo_step(geom, joints, thd_des, servo_dt,
                                           cfg.arm.rate_limit)
-                if joints.theta.tolist() != theta_cols:  # the arm moved
-                    theta_cols = joints.theta.tolist()
+                if joints.theta != theta_cols:  # the arm moved
+                    theta_cols = joints.theta
                     est_stale = True
                     if attached:
                         refresh_truth(attached_truth())
@@ -332,23 +337,22 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 if est_stale and latched and adapt:
                     refresh_estimate()
                 p_des, v_des, a_ff, yaw = traj.eval(t)
+                p_des, v_des = p_des.tolist(), v_des.tolist()
                 thrust_des, q_des, freefall = position_loop(
-                    p_des, v_des, state.p, state.v, state.q, est_tot.m_t_hat,
-                    cfg.gains, a_ff=a_ff, yaw_des=yaw, g=g, R=R)
+                    p_des, v_des, y[0:3], y[3:6], y[6:10], est_tot.m_t_hat,
+                    cfg.gains, a_ff=a_ff.tolist(), yaw_des=yaw, g=g, R=R)
                 if freefall:
                     events["freefall_ticks"] += 1
-                w_des = attitude_loop(q_des, state.q, cfg.gains.k_att, R=R)
-                w_meas = state.omega + env.gyro_noise * noise[k, 3:6]
+                w_des = attitude_loop(q_des, y[6:10], k_att, R=R)
+                w_meas = [w + gyro_noise * e for w, e in zip(y[10:13], noise_k[3:6])]
                 tau_des = rate_ctl.step(w_des, w_meas, kk, ctrl_dt)
                 t_cmd, infeasible = mixer(thrust_des, tau_des, rotor, alloc=alloc)
-                t_cmd = t_cmd.tolist()
                 if infeasible:
                     events["infeasible_ticks"] += 1
-                ctrl_cols = [*p_des.tolist(), *v_des.tolist(), *q_des.tolist(),
-                             *w_des.tolist(), thrust_des, *tau_des.tolist()]
+                ctrl_cols = [*p_des, *v_des, *q_des, *w_des, thrust_des, *tau_des]
 
             rows[k] = [t, *state.y, *ctrl_cols, *thr, *theta_cols, m_obj, *est_cols,
-                       *truth_cols, *f_res_cols, 1.0 if attached else 0.0,
+                       *truth_cols, *det_filt, 1.0 if attached else 0.0,
                        1.0 if latched else 0.0]
 
             thr = motor_lag_step(t_cmd, thr, rotor, dt)

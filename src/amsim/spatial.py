@@ -2,7 +2,7 @@
 
 Conventions used package-wide:
 
-* vectors are length-3 ``float64`` arrays,
+* vectors are length-3 ``float64`` arrays, or three floats in scalar code,
 * rotation matrices are 3x3 and map body coordinates into world coordinates,
 * quaternions are scalar-first ``[w, x, y, z]``, unit norm,
 * inertia tensors are 3x3, symmetric positive definite, expressed about the
@@ -31,11 +31,11 @@ def skew(v: np.ndarray) -> np.ndarray:
                      [-vy, vx, 0.0]])
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors (faster than np.cross for scalars)."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def cross3(a, b) -> tuple:
+    """Cross product of two 3-sequences, as three floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -56,10 +56,6 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ])
-
-
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def quat_to_rot(q, flat: bool = False):
@@ -99,38 +95,35 @@ def inverse3(m) -> list:
             c02 / det, (b * g - a * h) / det, (a * e - b * d) / det]
 
 
-def rot_to_quat(R: np.ndarray) -> np.ndarray:
-    """Quaternion from a rotation matrix, scalar part kept non-negative."""
-    R = np.asarray(R, dtype=float)
-    t = R[0, 0] + R[1, 1] + R[2, 2]
+def rot_to_quat(R) -> tuple:
+    """Quaternion (four floats) from a rotation matrix, scalar part kept non-negative.
+
+    ``R`` is a 3x3 array or nested sequence, or its nine row-major floats.
+    Raises ValueError when the result has zero norm.
+    """
+    if len(R) == 3:
+        R = np.asarray(R, dtype=float).reshape(9).tolist()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    t = r00 + r11 + r22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / s,
-                      0.25 * s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      (R[0, 2] + R[2, 0]) / s])
-    elif R[1, 1] > R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      0.25 * s,
-                      (R[1, 2] + R[2, 1]) / s])
+        q = 0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = (r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s
+    elif r11 > r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = (r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s
     else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / s,
-                      (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s,
-                      0.25 * s])
-    q = quat_normalize(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = (r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-15:
+        raise ValueError("cannot normalize a zero quaternion")
+    if w < 0.0:
+        n = -n
+    return w / n, x / n, y / n, z / n
 
 
 def parallel_axis(j_com: np.ndarray, mass: float, d: np.ndarray) -> np.ndarray:

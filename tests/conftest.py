@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from amsim.delta import DeltaGeometry
-from amsim.spatial import InertialParams, quat_to_rot
+from amsim.spatial import InertialParams, quat_normalize, quat_to_rot
 
 
 @pytest.fixture
@@ -57,3 +59,47 @@ def lattice_inertia(bodies, n=48):
     j[0, 2] = j[2, 0] = -(m * r[:, 0] * r[:, 2]).sum()
     j[1, 2] = j[2, 1] = -(m * r[:, 1] * r[:, 2]).sum()
     return total, c, j
+
+
+def ref_rot_to_quat(R):
+    """The array rot_to_quat the float one replaced, kept as its oracle."""
+    R = np.asarray(R, dtype=float)
+    t = R[0, 0] + R[1, 1] + R[2, 2]
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s,
+                      (R[2, 1] - R[1, 2]) / s,
+                      (R[0, 2] - R[2, 0]) / s,
+                      (R[1, 0] - R[0, 1]) / s])
+    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array([(R[2, 1] - R[1, 2]) / s,
+                      0.25 * s,
+                      (R[0, 1] + R[1, 0]) / s,
+                      (R[0, 2] + R[2, 0]) / s])
+    elif R[1, 1] > R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array([(R[0, 2] - R[2, 0]) / s,
+                      (R[0, 1] + R[1, 0]) / s,
+                      0.25 * s,
+                      (R[1, 2] + R[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array([(R[1, 0] - R[0, 1]) / s,
+                      (R[0, 2] + R[2, 0]) / s,
+                      (R[1, 2] + R[2, 1]) / s,
+                      0.25 * s])
+    q = quat_normalize(q)
+    if q[0] < 0.0:
+        q = -q
+    return q
+
+
+def rot_to_quat_case(R) -> int:
+    """Which of rot_to_quat's four branches a rotation takes (0: trace > 0)."""
+    R = np.asarray(R, dtype=float).reshape(3, 3)
+    if R[0, 0] + R[1, 1] + R[2, 2] > 0.0:
+        return 0
+    if R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        return 1
+    return 2 if R[1, 1] > R[2, 2] else 3

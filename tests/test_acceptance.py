@@ -228,10 +228,10 @@ def test_criterion_10_kinematics_grid():
         jac = jacobian(geom, theta)
         cols = []
         for i in range(3):
-            tp, tm = theta.copy(), theta.copy()
+            tp, tm = np.array(theta), np.array(theta)
             tp[i] += h
             tm[i] -= h
-            cols.append((forward_kin(geom, tp) - forward_kin(geom, tm)) / (2 * h))
+            cols.append((np.asarray(forward_kin(geom, tp)) - forward_kin(geom, tm)) / (2 * h))
         j_fd = np.column_stack(cols)
         worst_jac = max(worst_jac,
                         float(np.abs(jac - j_fd).max() / np.abs(j_fd).max()))

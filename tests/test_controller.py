@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ref_rot_to_quat, rot_to_quat_case
+
+from amsim import cli
 from amsim.controller import (Gains, RateLoop, allocation, allocation_matrix,
                               attitude_loop, iags_gain, mixer, position_loop)
 from amsim.dynamics import RotorConfig
@@ -229,19 +232,20 @@ class TestMixer:
         got = a @ t
         np.testing.assert_allclose(got[1:], torque, atol=1e-9)
         assert got[0] < 500.0
-        assert np.all(t <= rotor.max_thrust + 1e-12)
+        assert np.all(np.asarray(t) <= rotor.max_thrust + 1e-12)
 
     def test_zero_collective_shifted_up(self, rotor):
         torque = np.array([0.2, 0.0, 0.0])
         t, flag = mixer(0.0, torque, rotor)
         assert not flag
-        assert np.all(t >= -1e-12)
+        assert np.all(np.asarray(t) >= -1e-12)
         got = allocation_matrix(rotor, np.zeros(3)) @ t
         np.testing.assert_allclose(got[1:], torque, atol=1e-9)
 
     def test_infeasible_flagged(self, rotor):
         t, flag = mixer(0.0, np.array([50.0, 0.0, 0.0]), rotor)
         assert flag
+        t = np.asarray(t)
         assert np.all(t >= 0.0) and np.all(t <= rotor.max_thrust)
 
     def test_com_offset_allocation(self, rotor, rng):
@@ -258,7 +262,7 @@ class TestMixer:
                                  for _ in range(20))]:
             t_com, flag_com = mixer(thrust, np.array(torque), rotor, com=com)
             t_pre, flag_pre = mixer(thrust, np.array(torque), rotor, alloc=alloc)
-            assert t_pre.tobytes() == t_com.tobytes()
+            assert np.asarray(t_pre).tobytes() == np.asarray(t_com).tobytes()
             assert flag_pre == flag_com
 
     def test_com_outside_footprint_not_x_like(self, rotor):
@@ -267,3 +271,239 @@ class TestMixer:
             allocation(rotor, com)
         with pytest.raises(ValueError, match="not X-like"):
             mixer(10.0, np.zeros(3), rotor, com=com)
+
+
+# The array cascade that the float functions replaced, kept as their oracle.
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def ref_position_loop(p_des, v_des, p, v, q, m_t_hat, gains, a_ff=None,
+                      yaw_des=0.0, g=9.81):
+    p_des = np.asarray(p_des, dtype=float)
+    v_des = np.asarray(v_des, dtype=float)
+    a_cmd = gains.k_pos * (p_des - p) + gains.k_vel * (v_des - v) + g * E3
+    if a_ff is not None:
+        a_cmd = a_cmd + np.asarray(a_ff, dtype=float)
+    n = float(np.linalg.norm(a_cmd))
+    freefall = n < 0.1 * g
+    if freefall:
+        direction = a_cmd / n if n > 1e-9 else E3.copy()
+        a_cmd = 0.1 * g * direction
+        n = 0.1 * g
+    z_b = a_cmd / n
+    x_c = np.array([math.cos(yaw_des), math.sin(yaw_des), 0.0])
+    y_raw = np.cross(z_b, x_c)
+    ny = float(np.linalg.norm(y_raw))
+    if ny < 1e-6:
+        y_c = np.array([-math.sin(yaw_des), math.cos(yaw_des), 0.0])
+        x_b = np.cross(y_c, z_b)
+        x_b /= np.linalg.norm(x_b)
+        y_b = np.cross(z_b, x_b)
+    else:
+        y_b = y_raw / ny
+        x_b = np.cross(y_b, z_b)
+    r_des = np.column_stack([x_b, y_b, z_b])
+    body_z = quat_to_rot(q)[:, 2]
+    thrust = max(m_t_hat * float(a_cmd @ body_z), 0.0)
+    return thrust, ref_rot_to_quat(r_des), freefall, r_des, ny
+
+
+def ref_attitude_loop(q_des, q, k_att):
+    R = quat_to_rot(q)
+    Rd = quat_to_rot(q_des)
+    err = 0.5 * (Rd.T @ R - R.T @ Rd)
+    return -np.asarray(k_att, dtype=float) * np.array([err[2, 1], err[0, 2], err[1, 0]])
+
+
+class RefRateLoop:
+    def __init__(self, gains):
+        self.gains = gains
+        self._integral = np.zeros(3)
+        self._prev_error = None
+        self._d_filt = np.zeros(3)
+
+    def step(self, omega_des, omega, k_k_diag, dt):
+        g = self.gains
+        e = np.asarray(omega_des, dtype=float) - np.asarray(omega, dtype=float)
+        self._integral = np.clip(self._integral + g.rate_ki * e * dt,
+                                 -g.i_limit, g.i_limit)
+        d_raw = np.zeros(3) if self._prev_error is None else (e - self._prev_error) / dt
+        alpha = 1.0 - math.exp(-2.0 * math.pi * g.d_lpf_hz * dt)
+        self._d_filt = self._d_filt + alpha * (d_raw - self._d_filt)
+        self._prev_error = e
+        pid = g.rate_kp * e + self._integral + g.rate_kd * self._d_filt
+        return pid * np.asarray(k_k_diag, dtype=float)
+
+
+def ref_mixer(thrust_des, torque_des, cfg, com):
+    a = allocation_matrix(cfg, com)
+    u = np.linalg.solve(a, np.array([1.0, 0.0, 0.0, 0.0]))
+    w = np.array([float(thrust_des), *np.asarray(torque_des, dtype=float).reshape(3)])
+    t0 = np.linalg.solve(a, w)
+    t_max = cfg.max_thrust
+    lam_lo = float(np.max(-t0 / u))
+    lam_hi = float(np.min((t_max - t0) / u))
+    infeasible = lam_lo > lam_hi
+    if infeasible:
+        lam = 0.5 * (lam_lo + lam_hi)
+    else:
+        lam = min(max(0.0, lam_lo), lam_hi)
+    return np.clip(t0 + lam * u, 0.0, t_max), infeasible
+
+
+def random_quat(rng):
+    q = quat_normalize(rng.standard_normal(4))
+    return q if q[0] >= 0.0 else -q
+
+
+def assert_floats(values, n):
+    assert len(values) == n and all(type(v) is float for v in values)
+
+
+class TestCascadeOracle:
+    """The float cascade against the array code it replaced, to 1e-12."""
+
+    def position_cases(self, rng):
+        """Random commands plus the branches that random inputs miss."""
+        cases = []
+        for _ in range(300):
+            cases.append(dict(p_des=rng.uniform(-2, 2, 3), v_des=rng.uniform(-1, 1, 3),
+                              p=rng.uniform(-2, 2, 3), v=rng.uniform(-1, 1, 3),
+                              a_ff=rng.uniform(-15, 15, 3) if rng.uniform() < 0.7 else None,
+                              yaw_des=rng.uniform(-math.pi, math.pi)))
+        here = dict(p_des=np.zeros(3), v_des=np.zeros(3), p=np.zeros(3), v=np.zeros(3))
+        for yaw in rng.uniform(-math.pi, math.pi, 20):
+            c, s_ = math.cos(yaw), math.sin(yaw)
+            cases += [
+                dict(here, a_ff=[0.3, -0.2, 0.1 - G], yaw_des=yaw),      # free fall
+                dict(here, a_ff=[0.0, 0.0, -G], yaw_des=yaw),            # n = 0
+                dict(here, a_ff=[1e-10, 0.0, -G], yaw_des=yaw),          # 0 < n <= 1e-9
+                dict(here, a_ff=[5.0 * c, 5.0 * s_, -G], yaw_des=yaw),   # thrust along heading
+                dict(here, a_ff=[5.0 * c, 5.0 * s_ + 1e-7, -G], yaw_des=yaw),
+                dict(here, a_ff=[0.0, 0.0, -3.0 * G], yaw_des=yaw),      # thrust down
+            ]
+        return cases
+
+    def test_position_loop(self, gains, rng):
+        branches, cases = set(), set()
+        for case in self.position_cases(rng):
+            q = random_quat(rng)
+            m = float(rng.uniform(0.5, 3.0))
+            args = (case["p_des"], case["v_des"], case["p"], case["v"], q, m, gains)
+            kw = dict(a_ff=case["a_ff"], yaw_des=float(case["yaw_des"]), g=G)
+            ref_thrust, ref_q, ref_flag, r_des, ny = ref_position_loop(*args, **kw)
+            lists = [np.asarray(x).tolist() for x in args[:5]]
+            a_ff = None if kw["a_ff"] is None else np.asarray(kw["a_ff"]).tolist()
+            for got in (position_loop(*args, **kw),
+                        position_loop(*lists, m, gains, R=quat_to_rot(q, flat=True),
+                                      **dict(kw, a_ff=a_ff))):
+                thrust, q_des, flag = got
+                assert flag == ref_flag
+                assert thrust == pytest.approx(ref_thrust, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(q_des, ref_q, rtol=0.0, atol=1e-12)
+            assert type(thrust) is float  # from float inputs, floats come back
+            assert_floats(q_des, 4)
+            branches.add(("freefall", ref_flag))
+            branches.add(("parallel", ny < 1e-6))
+            cases.add(rot_to_quat_case(r_des))
+        assert branches == {("freefall", True), ("freefall", False),
+                            ("parallel", True), ("parallel", False)}
+        assert cases == {0, 1, 2, 3}
+
+    def test_attitude_loop(self, gains, rng):
+        k_att = gains.k_att
+        pairs = [(random_quat(rng), random_quat(rng)) for _ in range(300)]
+        pairs.append((IDENT, axis_angle_quat([0, 0, 1], math.pi)))
+        for q_des, q in pairs:
+            ref = ref_attitude_loop(q_des, q, k_att)
+            for got in (attitude_loop(q_des, q, k_att),
+                        attitude_loop(tuple(q_des.tolist()), tuple(q.tolist()),
+                                      k_att.tolist(), R=quat_to_rot(q, flat=True))):
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+            assert_floats(got, 3)
+
+    def test_rate_loop(self, rng):
+        gains = Gains(i_limit=0.05)  # small, so that the clamp engages
+        loop, ref = RateLoop(gains), RefRateLoop(gains)
+        clamped = 0
+        for _ in range(600):
+            w_des = rng.uniform(-3.0, 3.0, 3)
+            w = rng.uniform(-3.0, 3.0, 3)
+            kk = rng.uniform(0.5, 3.0, 3)
+            got = loop.step(w_des.tolist(), w.tolist(), kk.tolist(), 1 / 400)
+            want = ref.step(w_des, w, kk, 1 / 400)
+            assert_floats(got, 3)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(loop._integral, ref._integral, rtol=0.0, atol=1e-15)
+            clamped += int(np.sum(np.abs(ref._integral) == gains.i_limit))
+        assert clamped > 0
+
+    def test_mixer(self, rotor, rng):
+        flags = {"shifted": 0, "infeasible": 0, "unsaturated": 0}
+        for _ in range(400):
+            com = rng.uniform(-0.02, 0.02, 3)
+            alloc = allocation(rotor, com)
+            kind = rng.integers(4)
+            thrust = [rng.uniform(5.0, 40.0), rng.uniform(60.0, 500.0), 0.0,
+                      rng.uniform(0.0, 40.0)][kind]
+            torque = rng.uniform(-0.4, 0.4, 3) * (100.0 if kind == 3 else 1.0)
+            want, want_flag = ref_mixer(thrust, torque, rotor, com)
+            got, flag = mixer(thrust, torque.tolist(), rotor, alloc=alloc)
+            assert_floats(got, 4)
+            assert flag == want_flag
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            raw = np.linalg.solve(allocation_matrix(rotor, com), [thrust, *torque])
+            if flag:
+                flags["infeasible"] += 1
+            elif raw.min() < 0.0 or raw.max() > rotor.max_thrust:
+                flags["shifted"] += 1
+            else:
+                flags["unsaturated"] += 1
+        assert min(flags.values()) > 0, flags
+
+    def test_nan_passes_through(self, gains, rotor):
+        """A NaN input comes out as NaN, as the array code's np.clip lets it."""
+        nan3 = [math.nan, 0.0, 0.0]
+        thrust, q_des, flag = position_loop([0, 0, 1.0], [0, 0, 0], nan3, [0, 0, 0],
+                                            IDENT, 1.5, gains, g=G)
+        ref = ref_position_loop([0, 0, 1.0], [0, 0, 0], np.array(nan3), np.zeros(3),
+                                IDENT, 1.5, gains, g=G)
+        assert math.isnan(thrust) and math.isnan(ref[0])
+        assert np.all(np.isnan(q_des)) and np.all(np.isnan(ref[1]))
+        assert flag is ref[2] is False
+
+        w = attitude_loop(IDENT, [math.nan, 0.0, 0.0, 1.0], gains.k_att)
+        assert np.all(np.isnan(w))
+
+        loop, ref_loop = RateLoop(gains), RefRateLoop(gains)
+        got = loop.step(nan3, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1 / 400)
+        want = ref_loop.step(np.array(nan3), np.zeros(3), np.ones(3), 1 / 400)
+        assert math.isnan(got[0]) and math.isnan(want[0])
+        assert math.isnan(loop._integral[0]) and math.isnan(ref_loop._integral[0])
+        assert got[1:] == want[1:].tolist()
+
+        for bad in ((math.nan, [0.0, 0.0, 0.0]), (8.0, nan3)):
+            t, flag = mixer(*bad, rotor)
+            t_ref, flag_ref = ref_mixer(*bad, rotor, np.zeros(3))
+            assert np.all(np.isnan(t)) and np.all(np.isnan(t_ref))
+            assert flag is flag_ref is False
+
+
+class TestGainValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(k_pos=[math.nan, 4.0, 3.0]), dict(rate_kd=[0.0, math.inf, 0.0]),
+        dict(k_vel=[-1.0, 1.0, 1.0]), dict(i_limit=-1.0), dict(i_limit=math.nan),
+        dict(d_lpf_hz=0.0), dict(d_lpf_hz=-5.0), dict(d_lpf_hz=math.nan)])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            Gains(**kwargs)
+
+    @pytest.mark.parametrize("section, line", [
+        ("gains", "k_pos = nan 4 3"), ("gains", "i_limit = -1"),
+        ("gains", "d_lpf_hz = 0"), ("gains", "d_lpf_hz = nan")])
+    def test_cli_config_error(self, tmp_path, capsys, section, line):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"[run]\nduration = 0.1\n[{section}]\n{line}\n")
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]

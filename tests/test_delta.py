@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def fd_jacobian(geom, theta, h=1e-6):
         tm = tp.copy()
         tp[i] += h
         tm[i] -= h
-        cols.append((forward_kin(geom, tp) - forward_kin(geom, tm)) / (2.0 * h))
+        cols.append((np.asarray(forward_kin(geom, tp)) - forward_kin(geom, tm)) / (2.0 * h))
     return np.column_stack(cols)
 
 
@@ -102,7 +104,7 @@ class TestJointCommand:
     def test_proportional_gain_arithmetic(self, geom):
         p = np.array([0.0, 0.0, -0.16])
         theta = inverse_kin(geom, p)
-        off = theta.copy()
+        off = np.array(theta)
         off[0] -= 0.01
         _, rate = joint_command(geom, p, np.zeros(3),
                                 JointState(off, np.zeros(3)),
@@ -137,7 +139,7 @@ class TestServo:
         lo, hi = geom.joint_limits
         st = JointState(np.full(3, hi), np.zeros(3))
         out = servo_step(geom, st, np.full(3, 5.0), 0.1)
-        assert np.all(out.theta <= hi + 1e-12)
+        assert np.all(np.asarray(out.theta) <= hi + 1e-12)
 
 
 class TestWorkspaceMonotone:
@@ -168,3 +170,154 @@ class TestGeometryValidation:
             DeltaGeometry(forearm_len=0.02)  # < |base - platform| + margin
         with pytest.raises(ValueError):
             DeltaGeometry(upper_arm_len=0.0)
+
+
+# The array kinematics that the float functions replaced, kept as their oracle.
+def _radial(geom, i):
+    a = geom.arm_azimuths[i]
+    return np.array([math.cos(a), math.sin(a), 0.0])
+
+
+def _tangent(geom, i):
+    a = geom.arm_azimuths[i]
+    return np.array([-math.sin(a), math.cos(a), 0.0])
+
+
+def _elbow(geom, theta_i, i):
+    r = geom.base_radius + geom.upper_arm_len * math.cos(theta_i)
+    return r * _radial(geom, i) + np.array([0.0, 0.0, -geom.upper_arm_len * math.sin(theta_i)])
+
+
+def ref_forward_kin(geom, theta):
+    theta = np.asarray(theta, dtype=float).reshape(3)
+    c1, c2, c3 = [_elbow(geom, theta[i], i) - geom.platform_radius * _radial(geom, i)
+                  for i in range(3)]
+    ex_raw = c2 - c1
+    d = float(np.linalg.norm(ex_raw))
+    if d < 1e-12:
+        raise NoIntersection("coincident sphere centers")
+    ex = ex_raw / d
+    t3 = c3 - c1
+    i_coord = float(ex @ t3)
+    ey_raw = t3 - i_coord * ex
+    j_coord = float(np.linalg.norm(ey_raw))
+    if j_coord < 1e-12:
+        raise NoIntersection("collinear sphere centers")
+    ey = ey_raw / j_coord
+    ez = np.cross(ex, ey)
+    r2 = geom.forearm_len ** 2
+    x = 0.5 * d
+    y = (i_coord * i_coord + j_coord * j_coord - 2.0 * i_coord * x) / (2.0 * j_coord)
+    z2 = r2 - x * x - y * y
+    if z2 < -1e-12 * r2:
+        raise NoIntersection("forearm spheres do not intersect")
+    z = math.sqrt(max(z2, 0.0))
+    base = c1 + x * ex + y * ey
+    pa, pb = base + z * ez, base - z * ez
+    return pa if pa[2] <= pb[2] else pb
+
+
+def ref_inverse_kin(geom, p):
+    p = np.asarray(p, dtype=float).reshape(3)
+    la = geom.upper_arm_len
+    thetas = np.empty(3)
+    lo, hi = geom.joint_limits
+    for i in range(3):
+        u = _radial(geom, i)
+        q = p + (geom.platform_radius - geom.base_radius) * u
+        a, b, c = float(q @ u), float(q @ _tangent(geom, i)), float(q[2])
+        A, B = 2.0 * a * la, -2.0 * c * la
+        C = a * a + b * b + c * c + la * la - geom.forearm_len ** 2
+        rad = math.hypot(A, B)
+        if rad < 1e-15 or abs(C) > rad * (1.0 + 1e-12):
+            raise Unreachable(f"arm {i}")
+        phi = math.atan2(B, A)
+        delta = math.acos(min(1.0, max(-1.0, C / rad)))
+        th = max((phi - delta, phi + delta), key=math.cos)
+        th = math.atan2(math.sin(th), math.cos(th))
+        if th < lo - 1e-9 or th > hi + 1e-9:
+            raise OutOfLimits(f"arm {i}")
+        thetas[i] = th
+    return thetas
+
+
+def ref_jacobian(geom, theta):
+    theta = np.asarray(theta, dtype=float).reshape(3)
+    p = ref_forward_kin(geom, theta)
+    n_rows, b = np.empty((3, 3)), np.empty(3)
+    for i in range(3):
+        n_i = p + geom.platform_radius * _radial(geom, i) - _elbow(geom, theta[i], i)
+        rate = geom.upper_arm_len * (-math.sin(theta[i]) * _radial(geom, i)
+                                     - math.cos(theta[i]) * np.array([0.0, 0.0, 1.0]))
+        n_rows[i], b[i] = n_i, float(n_i @ rate)
+    try:
+        jac = np.linalg.solve(n_rows, np.diag(b))
+    except np.linalg.LinAlgError as exc:
+        raise Singular("coplanar") from exc
+    if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e8:
+        raise Singular("condition number above 1e8")
+    return jac
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type of the KinematicsError it raised."""
+    try:
+        return fn(*args)
+    except (NoIntersection, Singular, Unreachable, OutOfLimits) as exc:
+        return type(exc)
+
+
+class TestKinematicsOracle:
+    """The float kinematics against the array code it replaced, to 1e-12."""
+    GEOMS = [DeltaGeometry(), DeltaGeometry(forearm_len=0.05),       # no intersection
+             DeltaGeometry(forearm_len=0.11), DeltaGeometry(forearm_len=0.19)]
+
+    def test_forward_kin_and_jacobian(self, rng):
+        seen = set()
+        for geom in self.GEOMS:
+            lo, hi = geom.joint_limits
+            thetas = [rng.uniform(lo, hi, 3) for _ in range(150)] + [np.zeros(3)]
+            for theta in thetas:
+                for fn, ref in ((forward_kin, ref_forward_kin), (jacobian, ref_jacobian)):
+                    got, want = outcome(fn, geom, theta.tolist()), outcome(ref, geom, theta)
+                    if isinstance(want, type):
+                        assert got is want
+                        seen.add(want)
+                        continue
+                    if fn is forward_kin:
+                        assert len(got) == 3 and all(type(v) is float for v in got)
+                    scale = np.abs(want).max()
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+                    seen.add(fn)
+        assert seen == {forward_kin, jacobian, NoIntersection, Singular}
+
+    def test_inverse_kin(self, rng):
+        seen = set()
+        for geom in self.GEOMS:
+            for _ in range(150):
+                p = np.array([rng.uniform(-0.08, 0.08), rng.uniform(-0.08, 0.08),
+                              rng.uniform(-0.25, -0.08)])
+                got = outcome(inverse_kin, geom, p.tolist())
+                want = outcome(ref_inverse_kin, geom, p)
+                if isinstance(want, type):
+                    assert got is want
+                    seen.add(want)
+                else:
+                    assert len(got) == 3 and all(type(v) is float for v in got)
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                    seen.add(inverse_kin)
+        assert seen == {inverse_kin, Unreachable, OutOfLimits}
+
+    def test_wrong_length_rejected(self, geom):
+        for fn in (forward_kin, inverse_kin, jacobian):
+            for bad in ([0.5, 0.5], [0.5, 0.5, 0.5, 0.5]):
+                with pytest.raises(ValueError):
+                    fn(geom, bad)
+
+    def test_nan_passes_through(self, geom):
+        assert np.all(np.isnan(forward_kin(geom, [math.nan, 0.5, 0.5])))
+        assert np.all(np.isnan(ref_forward_kin(geom, [math.nan, 0.5, 0.5])))
+        out = servo_step(geom, JointState((0.5, 0.5, 0.5), (0.0, 0.0, 0.0)),
+                         (math.nan, 1.0, -100.0), 0.01, rate_limit=6.0)
+        assert math.isnan(out.theta[0]) and math.isnan(out.theta_dot[0])
+        assert out.theta_dot[1:] == (1.0, -6.0)

@@ -79,6 +79,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("no_such_scenario_anywhere")
 
+    @pytest.mark.parametrize("line", ["k_theta = nan 20 20", "k_theta = -1 20 20",
+                                      "servo_rate_limit = -2", "servo_rate_limit = nan"])
+    def test_bad_arm_servo_rejected(self, line):
+        with pytest.raises(ConfigError, match="arm"):
+            parse_config(f"[arm]\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["k_theta = nan 20 20", "servo_rate_limit = -2"])
+    def test_bad_arm_servo_cli_exit_1(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"[run]\nduration = 0.1\n[arm]\n{line}\n")
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
+
     def test_bad_vector_length(self):
         with pytest.raises(ConfigError):
             parse_config("[gains]\nk_pos = 1 2\n")
@@ -148,6 +162,35 @@ class TestKinematicFallback:
                 failed += 1
         assert 0 < failed < log.events["servo_ticks"]
         assert log.events["kin_fallbacks"] == failed
+
+
+class TestUnreachedPaths:
+    """A fast drop and a fast yaw step drive the free-fall clamp and the
+    infeasible mixer, which no shipped scenario reaches."""
+    TEXT = """
+[run]
+duration = 2.0
+seed = 1
+mode = baseline
+eval_start = 0.0
+
+[trajectory]
+waypoints =
+    0.0   0 0 2.0   0
+    0.3   0 0 2.0   0
+    0.6   0 0 1.0   0
+    1.2   0 0 1.0   0
+    1.25  0 0 1.0   1.6
+"""
+
+    def test_freefall_and_infeasible_ticks(self):
+        cfg = parse_config(self.TEXT)
+        log = run_scenario(cfg)
+        assert log.events["freefall_ticks"] > 0
+        assert log.events["infeasible_ticks"] > 0
+        assert np.all(np.isfinite(log.data))
+        rotors = log.columns("rotor1", "rotor2", "rotor3", "rotor4")
+        assert rotors.min() >= 0.0 and rotors.max() <= cfg.vehicle.rotor.max_thrust
 
 
 class TestEstimateRefresh:

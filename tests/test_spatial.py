@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import lattice_inertia, random_rotation
+from conftest import lattice_inertia, random_rotation, ref_rot_to_quat, rot_to_quat_case
 
 from amsim.spatial import (InertialParams, box_inertia, compose_inertia,
                            cross3, cylinder_inertia, inverse3, parallel_axis,
@@ -170,6 +172,32 @@ class TestQuaternions:
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
             quat_to_rot(np.zeros(4))
+
+    def test_rot_to_quat_matches_array_oracle(self, rng):
+        """The float rot_to_quat against the array code it replaced, on
+        rotations that reach each of its four branches."""
+        rots = [random_rotation(rng) for _ in range(200)]
+        for axis in np.eye(3):  # near half-turns about x, y and z
+            for _ in range(20):
+                u = axis + 0.05 * rng.standard_normal(3)
+                u /= np.linalg.norm(u)
+                half = 0.5 * (math.pi - rng.uniform(0.0, 0.3))
+                rots.append(quat_to_rot(np.array([math.cos(half), *(math.sin(half) * u)])))
+        cases = set()
+        for R in rots:
+            cases.add(rot_to_quat_case(R))
+            got = rot_to_quat(R)
+            assert isinstance(got, tuple) and all(type(v) is float for v in got)
+            np.testing.assert_allclose(got, ref_rot_to_quat(R), rtol=0.0, atol=1e-12)
+            assert rot_to_quat(tuple(R.ravel().tolist())) == got  # flat input
+        assert cases == {0, 1, 2, 3}
+
+    def test_rot_to_quat_nan_passes(self):
+        R = np.eye(3)
+        R[1, 2] = np.nan
+        assert np.all(np.isnan(ref_rot_to_quat(np.full((3, 3), np.nan))))
+        assert np.all(np.isnan(rot_to_quat(np.full((3, 3), np.nan))))
+        assert np.isnan(rot_to_quat(R)[1])
 
     def test_mul_identity(self):
         q = quat_normalize(np.array([0.3, -0.2, 0.8, 0.1]))
