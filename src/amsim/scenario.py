@@ -3,6 +3,9 @@ observer and servos at 100 Hz, all driven from one seeded RNG so a run is
 bit-reproducible."""
 from __future__ import annotations
 
+import bisect
+import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,41 +58,80 @@ class RunLog:
         idx = [self.names.index(n) for n in names]
         return self.data[:, idx]
 
-    def to_csv(self, path: str):
+    def to_csv(self, path):
         """Write every value as ``repr(float(v))``, which reads back exactly.
 
         Logs repeat most values (slow-rate and constant columns), so each
         block of rows formats each distinct bit pattern once; comparing bits
-        keeps -0.0, NaN and the infinities apart.
+        keeps -0.0, NaN and the infinities apart. The rows also go to the
+        sidecar ``path + ".npy"``, followed by the SHA-256 of the CSV bytes.
         """
+        path = os.fspath(path)
         data = np.ascontiguousarray(self.data, dtype=np.float64)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.names) + "\n")
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            def put(text):
+                chunk = text.encode()
+                fh.write(chunk)
+                digest.update(chunk)
+            put(",".join(self.names) + "\n")
             for start in range(0, data.shape[0], CSV_BLOCK_ROWS):
                 block = data[start:start + CSV_BLOCK_ROWS]
                 bits, where = np.unique(block.view(np.int64), return_inverse=True)
                 text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                                 dtype=object)[where.reshape(block.shape)]
-                fh.write("".join(",".join(row) + "\n" for row in text.tolist()))
+                put("".join(",".join(row) + "\n" for row in text.tolist()))
+        if np.isnan(data).any():  # store the NaN that np.loadtxt returns for "nan"
+            data = np.where(np.isnan(data), np.nan, data)
+        with open(path + ".npy", "wb") as fh:
+            np.lib.format.write_array(fh, data, allow_pickle=False)
+            fh.write(digest.digest())
 
     @classmethod
-    def from_csv(cls, path: str) -> "RunLog":
+    def from_csv(cls, path) -> "RunLog":
+        """Read a log, from its sidecar if that matches; ``events["csv_sidecar"]`` says."""
+        path = os.fspath(path)
         with open(path, "r", encoding="utf-8") as fh:
             names = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(names=names, data=data)
+            empty = not fh.readline()
+        data, outcome = _read_sidecar(path, len(names))
+        if data is None:
+            data = (np.empty((0, len(names))) if empty else
+                    np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+        if data.shape[1] != len(names):
+            raise ValueError(f"{path}: {data.shape[1]} values a row, {len(names)} names")
+        return cls(names=names, data=data, events={"csv_sidecar": outcome})
+
+
+def _read_sidecar(path: str, n_cols: int):
+    """(rows, "hit") from the sidecar if it matches the CSV, else (None, the reason)."""
+    if not os.path.exists(path + ".npy"):
+        return None, "absent"
+    try:
+        with open(path + ".npy", "rb") as fh:
+            data = np.lib.format.read_array(fh, allow_pickle=False)
+            stored = fh.read(33)
+    except (OSError, ValueError, EOFError):
+        return None, "unreadable"
+    if data.dtype != "<f8" or data.shape[1:] != (n_cols,) or len(stored) != 32:
+        return None, "unreadable"
+    digest = hashlib.sha256()
+    with open(path, "rb") as csv:
+        for chunk in iter(lambda: csv.read(1 << 20), b""):
+            digest.update(chunk)
+    return (data, "hit") if digest.digest() == stored else (None, "stale")
 
 
 class Trajectory:
     """Timed waypoints joined by minimum-jerk segments; holds at the ends."""
 
     def __init__(self, waypoints):
-        # rows: (t, pos3[, extra scalar])
-        self.times = np.array([w[0] for w in waypoints])
-        if len(self.times) > 1 and np.any(np.diff(self.times) <= 0.0):
+        # rows: (t, pos3[, extra scalar]); kept as floats for eval at every tick
+        self.times = [float(w[0]) for w in waypoints]
+        if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
-        self.points = np.array([np.asarray(w[1], dtype=float) for w in waypoints])
-        self.extras = np.array([float(w[2]) if len(w) > 2 else 0.0 for w in waypoints])
+        self.points = [tuple(float(v) for v in w[1]) for w in waypoints]
+        self.extras = [float(w[2]) if len(w) > 2 else 0.0 for w in waypoints]
 
     @staticmethod
     def _smooth(tau: float):
@@ -99,21 +141,21 @@ class Trajectory:
         return s, ds, dds
 
     def eval(self, t: float):
-        """Returns (pos, vel, acc, extra) at time t."""
-        if t <= self.times[0] or len(self.times) == 1:
-            return self.points[0].copy(), np.zeros(3), np.zeros(3), float(self.extras[0])
-        if t >= self.times[-1]:
-            return self.points[-1].copy(), np.zeros(3), np.zeros(3), float(self.extras[-1])
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        t0, t1 = self.times[k], self.times[k + 1]
-        span = t1 - t0
-        dp = self.points[k + 1] - self.points[k]
+        """Returns (pos, vel, acc, extra) at time t: three 3-tuples and a float."""
+        times = self.times
+        if t <= times[0]:
+            return self.points[0], (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), self.extras[0]
+        if t >= times[-1]:
+            return self.points[-1], (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), self.extras[-1]
+        k = bisect.bisect_right(times, t) - 1
+        t0, p0 = times[k], self.points[k]
+        span = times[k + 1] - t0
+        dp = [b - a for a, b in zip(p0, self.points[k + 1])]
         s, ds, dds = self._smooth((t - t0) / span)
-        pos = self.points[k] + s * dp
-        vel = (ds / span) * dp
-        acc = (dds / span ** 2) * dp
+        kv, ka = ds / span, dds / span ** 2
         extra = self.extras[k] + s * (self.extras[k + 1] - self.extras[k])
-        return pos, vel, acc, extra
+        return (tuple(a + s * d for a, d in zip(p0, dp)), tuple(kv * d for d in dp),
+                tuple(ka * d for d in dp), extra)
 
 
 def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
@@ -319,8 +361,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 events["servo_ticks"] += 1
                 tgt_p, tgt_v, _, _ = arm_traj.eval(t)
                 try:
-                    _, thd_des = delta.joint_command(geom, tgt_p.tolist(), tgt_v, joints,
-                                                     k_theta)
+                    _, thd_des = delta.joint_command(geom, tgt_p, tgt_v, joints, k_theta)
                 except delta.KinematicsError:
                     events["kin_fallbacks"] += 1
                     thd_des = (0.0, 0.0, 0.0)
@@ -337,10 +378,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 if est_stale and latched and adapt:
                     refresh_estimate()
                 p_des, v_des, a_ff, yaw = traj.eval(t)
-                p_des, v_des = p_des.tolist(), v_des.tolist()
                 thrust_des, q_des, freefall = position_loop(
                     p_des, v_des, y[0:3], y[3:6], y[6:10], est_tot.m_t_hat,
-                    cfg.gains, a_ff=a_ff.tolist(), yaw_des=yaw, g=g, R=R)
+                    cfg.gains, a_ff=a_ff, yaw_des=yaw, g=g, R=R)
                 if freefall:
                     events["freefall_ticks"] += 1
                 w_des = attitude_loop(q_des, y[6:10], k_att, R=R)

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -408,21 +409,28 @@ def assert_same_csv_bytes(log, tmp_path):
     return got
 
 
-class TestCsvWriterOracle:
-    SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+CSV_SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 1e308, 0.1, 1.0 / 3.0]
+SYNTHETIC_ROWS = [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
 
-    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+
+def synthetic_log(n_rows):
+    """Values over 600 decades plus signed zeros, NaN, infinities and subnormals."""
+    rng = np.random.default_rng(n_rows)
+    data = rng.standard_normal((n_rows, len(COLUMNS))) * 10.0 ** rng.integers(
+        -300, 300, (n_rows, len(COLUMNS)))
+    data[:, 1] = np.resize([-0.0, 0.0], n_rows)          # signed zeros, one column
+    data[:, 2] = np.resize(CSV_SPECIALS, n_rows)
+    data[:, 3] = np.resize(CSV_SPECIALS[::-1], n_rows)
+    data[:, 4] = 7.25                                     # repeated in every block
+    data[:, 5] = np.repeat(rng.standard_normal(n_rows // 4 + 1), 4)[:n_rows]
+    return RunLog(names=list(COLUMNS), data=data)
+
+
+class TestCsvWriterOracle:
+    @pytest.mark.parametrize("n_rows", SYNTHETIC_ROWS)
     def test_synthetic_log_bytes(self, tmp_path, n_rows):
-        rng = np.random.default_rng(n_rows)
-        data = rng.standard_normal((n_rows, len(COLUMNS))) * 10.0 ** rng.integers(
-            -300, 300, (n_rows, len(COLUMNS)))
-        data[:, 1] = np.resize([-0.0, 0.0], n_rows)          # signed zeros, one column
-        data[:, 2] = np.resize(self.SPECIALS, n_rows)
-        data[:, 3] = np.resize(self.SPECIALS[::-1], n_rows)
-        data[:, 4] = 7.25                                     # repeated in every block
-        data[:, 5] = np.repeat(rng.standard_normal(n_rows // 4 + 1), 4)[:n_rows]
-        assert_same_csv_bytes(RunLog(names=list(COLUMNS), data=data), tmp_path)
+        assert_same_csv_bytes(synthetic_log(n_rows), tmp_path)
 
     def test_shipped_log_bytes_and_readback(self, tmp_path):
         log = run_scenario(load_config("grasp_estimate"))
@@ -430,6 +438,162 @@ class TestCsvWriterOracle:
         back = RunLog.from_csv(str(path))
         assert back.names == log.names
         assert back.data.tobytes() == log.data.tobytes()
+
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".npy")
+
+
+def snapshot(directory):
+    return {f.name: f.stat().st_mtime_ns for f in directory.iterdir()}
+
+
+class TestCsvSidecar:
+    """RunLog.to_csv writes ``<log>.csv.npy``; from_csv uses it only when it matches."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        log = run_scenario(parse_config(HOVER_QUIET.format(dur=0.02)))
+        path = tmp_path / "log.csv"
+        log.to_csv(path)
+        return log, path
+
+    def test_hit_skips_the_parse(self, written, monkeypatch):
+        log, path = written
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        back = RunLog.from_csv(path)
+        assert back.events == {"csv_sidecar": "hit"}
+        assert back.names == log.names
+        assert back.data.tobytes() == log.data.tobytes()
+
+    def test_sidecar_is_a_standard_npy(self, written):
+        log, path = written
+        np.testing.assert_array_equal(np.load(sidecar_of(path)), log.data)
+
+    def test_absent(self, written):
+        log, path = written
+        sidecar_of(path).unlink()
+        back = RunLog.from_csv(path)
+        assert back.events["csv_sidecar"] == "absent"
+        assert back.data.tobytes() == log.data.tobytes()
+
+    def test_stale_after_one_digit_changes(self, written):
+        _, path = written
+        text = path.read_text()
+        at = text.index("0.0", text.index("\n"))
+        path.write_text(text[:at] + "1" + text[at + 1:])
+        back = RunLog.from_csv(path)
+        assert back.events["csv_sidecar"] == "stale"
+        want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert back.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "columns", "tail31", "tail33",
+                                        "big_endian", "garbage"])
+    def test_unreadable_falls_back(self, written, damage):
+        log, path = written
+        side = sidecar_of(path)
+        raw = side.read_bytes()
+        digest = raw[-32:]
+        if damage == "truncated":
+            side.write_bytes(raw[:len(raw) // 2])
+        elif damage == "columns":
+            with open(side, "wb") as fh:
+                np.lib.format.write_array(fh, log.data[:, :-1].copy())
+                fh.write(digest)
+        elif damage == "tail31":
+            side.write_bytes(raw[:-1])
+        elif damage == "tail33":
+            side.write_bytes(raw + b"\0")
+        elif damage == "big_endian":
+            with open(side, "wb") as fh:
+                np.lib.format.write_array(fh, log.data.astype(">f8"))
+                fh.write(digest)
+        else:
+            side.write_bytes(b"not an npy file")
+        back = RunLog.from_csv(path)
+        assert back.events["csv_sidecar"] == "unreadable"
+        assert back.data.tobytes() == log.data.tobytes()
+
+    @pytest.mark.parametrize("n_rows", SYNTHETIC_ROWS)
+    def test_hit_has_the_bits_of_a_parse(self, tmp_path, n_rows):
+        path = tmp_path / "log.csv"
+        log = synthetic_log(n_rows)
+        # NaNs with the sign bit set (x86's default NaN) and a payload print as "nan"
+        log.data[:, 6] = np.resize([-math.nan, np.inf - np.inf,
+                                    np.int64(0x7FF0000000000001).view(np.float64)], n_rows)
+        log.to_csv(path)
+        hit = RunLog.from_csv(path)
+        sidecar_of(path).unlink()
+        parsed = RunLog.from_csv(path)
+        assert (hit.events["csv_sidecar"], parsed.events["csv_sidecar"]) == ("hit", "absent")
+        assert hit.data.shape == parsed.data.shape == (n_rows, len(COLUMNS))
+        assert hit.data.tobytes() == parsed.data.tobytes()
+        if n_rows:
+            want = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert hit.data.tobytes() == want.tobytes()
+
+    def test_header_only_round_trip(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        RunLog(names=list(COLUMNS), data=np.empty((0, len(COLUMNS)))).to_csv(path)
+        assert path.read_text() == ",".join(COLUMNS) + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hit = RunLog.from_csv(path)
+            sidecar_of(path).unlink()
+            parsed = RunLog.from_csv(path)
+        assert hit.events["csv_sidecar"] == "hit"
+        assert hit.data.shape == parsed.data.shape == (0, len(COLUMNS))
+
+    def test_row_width_must_match_header(self, tmp_path):
+        path = tmp_path / "narrow.csv"
+        path.write_text("a,b,c\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="2 values a row, 3 names"):
+            RunLog.from_csv(path)
+        # a sidecar with the CSV's digest but 2 columns is refused as well
+        RunLog(names=["a", "b", "c"], data=np.ones((2, 2))).to_csv(path)
+        with pytest.raises(ValueError, match="2 values a row, 3 names"):
+            RunLog.from_csv(path)
+
+    def test_cli_narrow_csv_config_error(self, tmp_path, capsys):
+        path = tmp_path / "narrow.csv"
+        path.write_text("t,px,py\n0.0,1.0\n")
+        assert cli.main(["metrics", str(path)]) == 1
+        assert cli.main(["compare", str(path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error: ") == 2 and "Traceback" not in err
+
+    def test_reads_write_nothing(self, written):
+        _, path = written
+        before = snapshot(path.parent)
+        assert RunLog.from_csv(path).events["csv_sidecar"] == "hit"
+        assert snapshot(path.parent) == before
+        path.write_text(path.read_text().replace("1.0", "2.0", 1))
+        before = snapshot(path.parent)
+        assert RunLog.from_csv(path).events["csv_sidecar"] == "stale"
+        assert snapshot(path.parent) == before
+        sidecar_of(path).unlink()
+        before = snapshot(path.parent)
+        assert RunLog.from_csv(path).events["csv_sidecar"] == "absent"
+        assert snapshot(path.parent) == before
+
+    def test_cli_output_same_with_and_without_sidecar(self, tmp_path, capsys):
+        assert cli.main(["run", "grasp_estimate", "--duration", "0.5",
+                         "--out", str(tmp_path)]) == 0
+        path = tmp_path / "grasp_estimate_iags.csv"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "grasp_estimate_iags.csv", "grasp_estimate_iags.csv.npy"]
+        capsys.readouterr()
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["metrics", str(path)]) == 0
+            assert cli.main(["compare", str(path), str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+            sidecar_of(path).unlink(missing_ok=True)
+        assert outputs[0] == outputs[1] and "position" in outputs[0]
 
 
 class TestCli:
