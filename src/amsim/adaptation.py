@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import delta
-from .spatial import E3, composite
+from .spatial import E3, as_floats, composite
 
 
 def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
@@ -107,15 +107,14 @@ def update_total(m_a: float, j_a, p_b, obj_mass, obj_moi, grasp_offset,
 
     The object CoM sits at forward_kin(theta) + grasp_offset in the arm
     frame. With no object (``obj_mass`` None or zero) the bare vehicle
-    parameters come back unchanged. Both bodies must already be valid (the
-    vehicle at config load, the object where its inertia is built): the
-    composite of two valid bodies is valid, so this runs unchecked at
-    control rate.
+    parameters come back as new arrays. Both bodies must already be valid
+    (the vehicle at config load, the object where its inertia is built), as
+    ``composite`` checks nothing.
     """
-    p_b = np.asarray(p_b, dtype=float).reshape(3)
-    j_a = np.asarray(j_a, dtype=float)
     if obj_mass is None or obj_mass <= 0.0:
-        return TotalInertia(m_a, p_b.copy(), j_a.copy())
-    p_o = delta.forward_kin(geom, theta) + np.asarray(grasp_offset, dtype=float).reshape(3)
-    return TotalInertia(*composite(m_a, p_b, j_a, float(obj_mass), p_o,
-                                   np.asarray(obj_moi, dtype=float)))
+        return TotalInertia(m_a, np.array(p_b, dtype=float).reshape(3), np.array(j_a, dtype=float))
+    px, py, pz = delta.forward_kin(geom, theta)
+    ox, oy, oz = as_floats(grasp_offset, 3)
+    m_t, c_t, j_t = composite(m_a, as_floats(p_b, 3), as_floats(j_a, 9), float(obj_mass),
+                              (px + ox, py + oy, pz + oz), as_floats(obj_moi, 9))
+    return TotalInertia(m_t, np.array(c_t), np.array(j_t).reshape(3, 3))

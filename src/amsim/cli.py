@@ -122,15 +122,13 @@ def _cmd_margins(args) -> int:
     cfg = _load_cfg(args.config)
     j_diag = np.diag(cfg.vehicle.j_a)
     rotor = cfg.vehicle.rotor
+    reps = [freqdom.margins(freqdom.open_loop_tf(
+        cfg.gains.rate_kp[axis], cfg.gains.rate_ki[axis], cfg.gains.rate_kd[axis],
+        k_k=args.kk_scale, k_m=rotor.k_m, tau_m=rotor.tau_m,
+        j=float(j_diag[axis]) * args.j_scale)) for axis in range(3)]
     print(f"{'axis':<6} {'PM (deg)':>10} {'GM (dB)':>10} {'w_gc (rad/s)':>14} "
           f"{'w_pc (rad/s)':>14}")
-    for axis, label in enumerate("xyz"):
-        tf = freqdom.open_loop_tf(cfg.gains.rate_kp[axis], cfg.gains.rate_ki[axis],
-                                  cfg.gains.rate_kd[axis],
-                                  k_k=args.kk_scale, k_m=rotor.k_m,
-                                  tau_m=rotor.tau_m,
-                                  j=float(j_diag[axis]) * args.j_scale)
-        rep = freqdom.margins(tf)
+    for label, rep in zip("xyz", reps):
         print(f"{label:<6} {rep.phase_margin_deg:>10.2f} {rep.gain_margin_db:>10.2f} "
               f"{rep.gain_crossover:>14.3f} {rep.phase_crossover:>14.3f}")
     return 0

@@ -112,8 +112,8 @@ class ScenarioConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.duration <= 0.0 or self.sim_dt <= 0.0:
-            raise ConfigError("duration and sim_dt must be positive")
+        if not (0.0 < self.duration < math.inf and 0.0 < self.sim_dt < math.inf):
+            raise ConfigError("duration and sim_dt must be positive and finite")
         if round(self.duration / self.sim_dt) < 1:
             raise ConfigError(f"duration {self.duration:g} s rounds to no physics "
                               f"step of {self.sim_dt:g} s")

@@ -153,12 +153,7 @@ class RateLoop:
 
 def allocation_matrix(cfg: RotorConfig, com=None) -> np.ndarray:
     """4x4 map from per-rotor thrusts to [collective; body torque about com]."""
-    if com is None:
-        com = np.zeros(3)
-    a = np.empty((4, 4))
-    a[0] = 1.0
-    a[1:] = torque_matrix(cfg, com)
-    return a
+    return np.array([[1.0] * 4, *torque_matrix(cfg, (0.0, 0.0, 0.0) if com is None else com)])
 
 
 class Allocation(NamedTuple):

@@ -157,14 +157,8 @@ def inverse_kin(geom: DeltaGeometry, p) -> tuple:
     return tuple(thetas)
 
 
-def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
-    """End-effector velocity Jacobian J with v = J @ theta_dot.
-
-    Built from the loop-closure constraint n_i . v = (n_i . dE_i/dtheta_i) thetadot_i
-    where n_i is the forearm vector of chain i.
-
-    Raises Singular at configurations with condition number above 1e8.
-    """
+def _closure(geom: DeltaGeometry, theta) -> tuple[list, list]:
+    """Loop closure N v = diag(b) thetadot: forearm vectors n_i, b_i = n_i . dE_i/dtheta_i."""
     p0, p1, p2 = forward_kin(geom, theta)
     la, pr, br = geom.upper_arm_len, geom.platform_radius, geom.base_radius
     rows, b = [], []
@@ -174,6 +168,38 @@ def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
         rows.append((n0, n1, n2))
         # n_i . dE_i/dtheta_i, with dE/dtheta = la (-sin(th) u_i - cos(th) e3)
         b.append(n0 * (la * (-st * ca)) + n1 * (la * (-st * sa)) + n2 * -(la * ct))
+    return rows, b
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _well_conditioned(rows, b) -> bool:
+    """True only where ``jacobian`` passes its Singular check; False means "ask it".
+
+    J^-1 has rows n_i / b_i and J columns b_i (n_j x n_k) / det N, (i, j, k)
+    cyclic, so cond_F(J) is closed form, and cond_2 <= cond_F <= 3 cond_2.
+    Accepted: all finite, det N and each b_i nonzero, |det N| >= 1e-6 prod ||n_i||
+    (the n_i have the forearm length, so cond_2(N) < 5.2e6 and numpy's J is
+    within a relative 1e-9 of this one) and sqrt(2) <= cond_F(J) <= 0.5e8, half
+    the limit (cond_F >= sqrt(3) always: a smaller value is an underflow).
+    """
+    n0, n1, n2 = rows
+    c0, c1, c2 = cross3(n1, n2), cross3(n2, n0), cross3(n0, n1)  # det N times N^-1's columns
+    det = _dot(n0, c0)
+    dd, bb0, bb1, bb2 = det * det, b[0] * b[0], b[1] * b[1], b[2] * b[2]
+    s0, s1, s2 = _dot(n0, n0), _dot(n1, n1), _dot(n2, n2)
+    if not (dd > 0.0 and bb0 and bb1 and bb2 and dd >= 1e-12 * s0 * s1 * s2):
+        return False  # NaN fails every comparison, and propagates into cond_f2 below
+    cond_f2 = ((s0 / bb0 + s1 / bb1 + s2 / bb2)
+               * (bb0 * _dot(c0, c0) + bb1 * _dot(c1, c1) + bb2 * _dot(c2, c2)))
+    return 2.0 * dd <= cond_f2 <= (0.5 * _COND_LIMIT) ** 2 * dd
+
+
+def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
+    """Velocity Jacobian J = N^-1 diag(b), v = J @ theta_dot; Singular above cond_2 1e8."""
+    rows, b = _closure(geom, theta)
     try:
         jac = np.linalg.solve(np.array(rows), np.diag(b))
     except np.linalg.LinAlgError as exc:
@@ -187,14 +213,18 @@ def joint_command(geom: DeltaGeometry, target_p, target_v, current: JointState,
                   k_theta) -> tuple[tuple, tuple]:
     """Servo setpoints, three floats each: IK position plus feedforward/proportional velocity.
 
-    theta_des = IK(target_p); theta_dot_des = J^-1 target_v + K_theta (theta_des - theta).
-    ``k_theta`` is the diagonal of the proportional gain matrix.
+    theta_des = IK(target_p); theta_dot_des = J^-1 target_v + K_theta (theta_des - theta),
+    (J^-1 v)_i = (n_i . v) / b_i, ``k_theta`` the diagonal of K_theta. Raises as
+    ``inverse_kin``, then as ``jacobian``.
     """
     theta_des = inverse_kin(geom, target_p)
-    jac = jacobian(geom, current.theta)
-    ff = np.linalg.solve(jac, np.asarray(target_v, dtype=float).reshape(3)).tolist()
-    return theta_des, tuple(f + k * (d - th) for f, k, d, th in
-                            zip(ff, k_theta, theta_des, current.theta))
+    rows, b = _closure(geom, current.theta)
+    if not _well_conditioned(rows, b):
+        jacobian(geom, current.theta)  # numpy's Singular check decides
+    v0, v1, v2 = target_v
+    return theta_des, tuple(float((n0 * v0 + n1 * v1 + n2 * v2) / bi + k * (d - th))
+                            for (n0, n1, n2), bi, k, d, th in
+                            zip(rows, b, k_theta, theta_des, current.theta))
 
 
 def servo_step(geom: DeltaGeometry, st: JointState, theta_dot_cmd, dt: float,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import inverse3, quat_normalize, quat_to_rot
+from .spatial import as_floats, inverse3, quat_to_rot, unit_quat
 
 
 class NonFinite(RuntimeError):
@@ -126,33 +126,22 @@ def rotor_wrench(thrusts, cfg: RotorConfig, com=None, tmap=None) -> tuple[list, 
     """Total body-frame force and torque of the four rotors about ``com``.
 
     Each rotor pushes along body z; yaw drag is ``spin_dir * k_tau * T`` about z.
-    ``tmap`` may replace ``com`` with its precomputed
-    ``torque_matrix(cfg, com).tolist()``, which stays valid while the CoM
-    stays put.
+    ``tmap`` may replace ``com`` with its precomputed ``torque_matrix(cfg, com)``,
+    which stays valid while the CoM stays put.
     """
     t0, t1, t2, t3 = thrusts
     if tmap is None:
-        tmap = torque_matrix(cfg, com).tolist()
+        tmap = torque_matrix(cfg, com)
     return ([0.0, 0.0, t0 + t1 + t2 + t3],
             [r[0] * t0 + r[1] * t1 + r[2] * t2 + r[3] * t3 for r in tmap])
 
 
-def torque_matrix(cfg: RotorConfig, com) -> np.ndarray:
-    """3x4 map from per-rotor thrusts to body torque about ``com``."""
-    com = np.asarray(com, dtype=float).reshape(3)
-    arms = cfg.positions - com
-    m = np.empty((3, 4))
-    m[0] = arms[:, 1]
-    m[1] = -arms[:, 0]
-    m[2] = cfg.k_tau * cfg.spin_dirs
-    return m
-
-
-def _floats(x, n: int):
-    """``x`` as ``n`` floats; a list or tuple of ``n`` passes through as is."""
-    if type(x) in (list, tuple) and len(x) == n:
-        return x
-    return np.asarray(x, dtype=float).reshape(n).tolist()
+def torque_matrix(cfg: RotorConfig, com) -> list:
+    """3x4 map from per-rotor thrusts to body torque about ``com``, as three rows of floats."""
+    cx, cy, _ = as_floats(com, 3)
+    pos = cfg.positions.tolist()
+    return [[y - cy for _, y, _ in pos], [cx - x for x, _, _ in pos],
+            [cfg.k_tau * s for s in cfg.spin_dirs.tolist()]]
 
 
 def _deriv(y, f, tau, m_t, j, j_inv, g, ext):
@@ -191,10 +180,10 @@ def _deriv(y, f, tau, m_t, j, j_inv, g, ext):
 
 
 def _kernel_args(force_b, torque_b, j_t, j_inv, f_ext_w):
-    j = _floats(j_t, 9)
-    return (_floats(force_b, 3), _floats(torque_b, 3), j,
-            inverse3(j) if j_inv is None else _floats(j_inv, 9),
-            None if f_ext_w is None else _floats(f_ext_w, 3))
+    j = as_floats(j_t, 9)
+    return (as_floats(force_b, 3), as_floats(torque_b, 3), j,
+            inverse3(j) if j_inv is None else as_floats(j_inv, 9),
+            None if f_ext_w is None else as_floats(f_ext_w, 3))
 
 
 def derivatives(s: VehicleState, wrench, m_t: float, j_t: np.ndarray,
@@ -242,6 +231,5 @@ def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
          for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
     if not all(map(math.isfinite, y)):
         raise NonFinite("state diverged during integration")
-    # the norm stays numpy's dot, whose rounding a plain float sum does not match
-    y[6:10] = quat_normalize(np.array(y[6:10])).tolist()
+    y[6:10] = unit_quat(*y[6:10])
     return _state(tuple(y))

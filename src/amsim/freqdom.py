@@ -13,13 +13,14 @@ can step over a crossing and no phase needs unwrapping.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import adaptation, delta
+from . import adaptation, delta, presense
 from .controller import Gains
 from .spatial import InertialParams, box_inertia
 
@@ -232,25 +233,21 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
         return np.ones(3), None
     j_obj = InertialParams(payload_mass, np.zeros(3),
                            box_inertia(payload_mass, dims)).inertia_about_com
-    offset = np.array([0.0, 0.0, -(0.5 * dims[2] + pad_height)])
+    offset = presense.top_grasp_offset(dims[2], pad_height)
     lo, hi = geom.joint_limits
     grid = np.linspace(lo, hi, grid_n)
     maxima = np.ones(3)
     argmax = [None, None, None]
-    for t1 in grid:
-        for t2 in grid:
-            for t3 in grid:
-                theta = np.array([t1, t2, t3])
-                try:
-                    total = adaptation.update_total(vehicle.mass,
-                                                    vehicle.inertia_about_com,
-                                                    vehicle.com, payload_mass,
-                                                    j_obj, offset, theta, geom)
-                except delta.KinematicsError:
-                    continue
-                kk = np.diag(np.linalg.solve(vehicle.inertia_about_com, total.j_t_hat))
-                for axis in range(3):
-                    if kk[axis] > maxima[axis]:
-                        maxima[axis] = kk[axis]
-                        argmax[axis] = theta.copy()
+    for theta in itertools.product(grid.tolist(), repeat=3):
+        try:
+            total = adaptation.update_total(vehicle.mass, vehicle.inertia_about_com,
+                                            vehicle.com, payload_mass, j_obj, offset,
+                                            theta, geom)
+        except delta.KinematicsError:
+            continue
+        kk = np.diag(np.linalg.solve(vehicle.inertia_about_com, total.j_t_hat))
+        for axis in range(3):
+            if kk[axis] > maxima[axis]:
+                maxima[axis] = kk[axis]
+                argmax[axis] = np.array(theta)
     return maxima, argmax

@@ -179,10 +179,13 @@ def estimate_inertia(box: OrientedBox, prior: ObjectPrior,
     moi = (prior.alpha / 12.0) * mass * np.array([w * w + h * h,
                                                   l * l + h * h,
                                                   l * l + w * w])
-    hv = box.vertical_extent()
-    offset = np.array([0.0, 0.0, -(0.5 * hv + pad_height)])
-    return ObjectEstimate(mass_tilde=mass, moi_tilde=np.diag(moi),
-                          volume_hat=v_hat, grasp_offset=offset)
+    return ObjectEstimate(mass_tilde=mass, moi_tilde=np.diag(moi), volume_hat=v_hat,
+                          grasp_offset=top_grasp_offset(box.vertical_extent(), pad_height))
+
+
+def top_grasp_offset(height: float, pad_height: float) -> tuple:
+    """End-effector to object CoM of a top suction grasp: half the height plus the pad, down."""
+    return 0.0, 0.0, -(0.5 * float(height) + pad_height)
 
 
 def load_catalog(source=None) -> dict:

@@ -205,6 +205,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     accel_noise, gyro_noise = env.accel_noise, env.gyro_noise
     k_att, k_theta = cfg.gains.k_att.tolist(), cfg.arm.k_theta.tolist()
     am = InertialParams(veh.mass, veh.p_b, veh.j_a)
+    am_com, am_j = am.com.tolist(), am.inertia_about_com.ravel().tolist()
     j_a = veh.j_a
 
     every_ctrl = cfg.steps_per(cfg.control_hz)
@@ -234,9 +235,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     obj = cfg.obj
     offset_true = j_obj_true = None
     if obj is not None:
-        offset_true = np.array([0.0, 0.0, -(0.5 * obj.dims[2] + cfg.est.suction_pad)])
+        offset_true = presense.top_grasp_offset(obj.dims[2], cfg.est.suction_pad)
         j_obj_true = InertialParams(obj.true_mass, np.zeros(3),
-                                    obj.true_inertia).inertia_about_com
+                                    obj.true_inertia).inertia_about_com.reshape(9).tolist()
 
     joints = delta.JointState(delta.inverse_kin(geom, cfg.arm.home), (0.0, 0.0, 0.0))
     p0 = traj.eval(0.0)[0]
@@ -265,7 +266,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     rows = np.empty((n_steps, len(COLUMNS)))
 
     def body_cols(tot):
-        return [tot.m_t_hat, *tot.c_t.tolist(), *np.diag(tot.j_t_hat).tolist()]
+        return [tot.m_t_hat, *tot.c_t.tolist(), *tot.j_t_hat.ravel().tolist()[::4]]
 
     # the log row is joined from column slices that are rebuilt where their
     # values change; tick 0 is a control, observer and servo tick
@@ -278,15 +279,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     def refresh_truth(tot):
         nonlocal truth, truth_j, truth_inv, truth_tmap, truth_cols
         truth = tot
-        truth_j = tot.j_t_hat.reshape(9).tolist()
+        truth_j = tot.j_t_hat.ravel().tolist()
         truth_inv = inverse3(truth_j)
-        truth_tmap = torque_matrix(rotor, tot.c_t - veh.p_b).tolist()
+        truth_tmap = torque_matrix(rotor, [c - b for c, b in zip(tot.c_t.tolist(), am_com)])
         truth_cols = body_cols(tot)
 
     def attached_truth():
-        return adaptation.update_total(am.mass, am.inertia_about_com, am.com,
-                                       obj.true_mass, j_obj_true, offset_true,
-                                       joints.theta, geom)
+        return adaptation.update_total(am.mass, am_j, am_com, obj.true_mass, j_obj_true,
+                                       offset_true, joints.theta, geom)
 
     refresh_truth(bare)
 
@@ -305,8 +305,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             m_o, j_o = m_tilde, j_tilde
         else:
             m_o, j_o = dob.m_hat, j_tilde
-        est_tot = adaptation.update_total(am.mass, am.inertia_about_com, am.com,
-                                          m_o, j_o, offset_est, joints.theta, geom)
+        est_tot = adaptation.update_total(am.mass, am_j, am_com, m_o, j_o, offset_est,
+                                          joints.theta, geom)
         kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).tolist()
         alloc = allocation(rotor, est_tot.c_t - veh.p_b)
         est_cols = body_cols(est_tot) + kk

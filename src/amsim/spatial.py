@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 E3 = np.array([0.0, 0.0, 1.0])
-QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
@@ -38,12 +37,23 @@ def cross3(a, b) -> tuple:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = math.sqrt(q.dot(q))
+def as_floats(x, n: int):
+    """``x`` as ``n`` floats; a list or tuple of ``n`` passes through as is."""
+    if type(x) in (list, tuple) and len(x) == n:
+        return x
+    return np.asarray(x, dtype=float).reshape(n).tolist()
+
+
+def unit_quat(w: float, x: float, y: float, z: float) -> tuple:
+    """The four floats over their norm; raises ValueError on a zero quaternion."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-15:
         raise ValueError("cannot normalize a zero quaternion")
-    return q / n
+    return w / n, x / n, y / n, z / n
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    return np.array(unit_quat(*np.asarray(q, dtype=float).reshape(4).tolist()))
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,7 +95,7 @@ def inverse3(m) -> list:
     ``m`` is a 3x3 array or its row-major 9 floats. Raises ValueError when
     the determinant is zero; non-finite entries propagate into the result.
     """
-    a, b, c, d, e, f, g, h, i = np.asarray(m, dtype=float).reshape(9).tolist()
+    a, b, c, d, e, f, g, h, i = as_floats(m, 9)
     c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * c00 + b * c01 + c * c02
     if det == 0.0:
@@ -101,9 +111,7 @@ def rot_to_quat(R) -> tuple:
     ``R`` is a 3x3 array or nested sequence, or its nine row-major floats.
     Raises ValueError when the result has zero norm.
     """
-    if len(R) == 3:
-        R = np.asarray(R, dtype=float).reshape(9).tolist()
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = as_floats(R, 9)
     t = r00 + r11 + r22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
@@ -117,13 +125,17 @@ def rot_to_quat(R) -> tuple:
     else:
         s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
         q = (r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s
-    w, x, y, z = q
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n < 1e-15:
-        raise ValueError("cannot normalize a zero quaternion")
-    if w < 0.0:
-        n = -n
-    return w / n, x / n, y / n, z / n
+    w, x, y, z = unit_quat(*q)
+    return (w, x, y, z) if not w < 0.0 else (-w, -x, -y, -z)
+
+
+def _parallel_axis(j, mass: float, d) -> list:
+    """``j + mass ((d.d) I - d d^T)`` of nine row-major floats ``j`` and three ``d``."""
+    dx, dy, dz = d
+    dd = dx * dx + dy * dy + dz * dz
+    shift = (dd - dx * dx, -dx * dy, -dx * dz, -dy * dx, dd - dy * dy, -dy * dz,
+             -dz * dx, -dz * dy, dd - dz * dz)
+    return [a + mass * s for a, s in zip(j, shift)]
 
 
 def parallel_axis(j_com: np.ndarray, mass: float, d: np.ndarray) -> np.ndarray:
@@ -134,8 +146,7 @@ def parallel_axis(j_com: np.ndarray, mass: float, d: np.ndarray) -> np.ndarray:
     """
     if mass < 0.0:
         raise ValueError("mass must be non-negative")
-    d = np.asarray(d, dtype=float)
-    return np.asarray(j_com, dtype=float) + mass * (float(d @ d) * np.eye(3) - np.outer(d, d))
+    return np.reshape(_parallel_axis(as_floats(j_com, 9), float(mass), as_floats(d, 3)), (3, 3))
 
 
 def _validate_inertia(j: np.ndarray) -> np.ndarray:
@@ -184,31 +195,30 @@ class InertialParams:
         object.__setattr__(self, "inertia_about_com", j)
 
 
-def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o):
+def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o) -> tuple:
     """Total mass, mass-weighted CoM and inertia about it of two rigid bodies.
 
-    Each body is (mass, CoM, inertia about its CoM) in one shared frame; each
-    tensor is shifted to the common CoM by the parallel-axis theorem. The
-    result of two valid bodies is valid, so nothing is re-checked here.
+    Each body is (mass, CoM as 3 floats, inertia about its CoM as 9 row-major
+    floats) in one shared frame, and so is the result; each tensor is shifted
+    by the parallel-axis theorem. Two valid bodies give a valid one, unchecked.
     """
     m_t = m_a + m_o
-    c_t = (m_a * c_a + m_o * c_o) / m_t
-    j_t = parallel_axis(j_a, m_a, c_t - c_a) + parallel_axis(j_o, m_o, c_t - c_o)
-    return m_t, c_t, j_t
+    c_t = [(m_a * a + m_o * o) / m_t for a, o in zip(c_a, c_o)]
+    j_a = _parallel_axis(j_a, m_a, [t - a for t, a in zip(c_t, c_a)])
+    j_o = _parallel_axis(j_o, m_o, [t - o for t, o in zip(c_t, c_o)])
+    return m_t, c_t, [a + o for a, o in zip(j_a, j_o)]
 
 
 def compose_inertia(am: InertialParams, obj: InertialParams, p_obj: np.ndarray) -> InertialParams:
     """Combine a carrier body and an attached object into one rigid body.
 
     ``p_obj`` places the object's frame origin in the shared frame; the
-    object's CoM sits at ``p_obj + obj.com``. The carrier's CoM is ``am.com``
-    as stored. Returns total mass, the mass-weighted CoM, and the total
-    inertia about that CoM (each component tensor shifted by the parallel
-    axis theorem).
+    object's CoM sits at ``p_obj + obj.com``. Returns their ``composite``.
     """
     c_obj = np.asarray(p_obj, dtype=float).reshape(3) + obj.com
-    return InertialParams(*composite(am.mass, am.com, am.inertia_about_com,
-                                     obj.mass, c_obj, obj.inertia_about_com))
+    m_t, c_t, j_t = composite(am.mass, am.com.tolist(), as_floats(am.inertia_about_com, 9),
+                              obj.mass, c_obj.tolist(), as_floats(obj.inertia_about_com, 9))
+    return InertialParams(m_t, c_t, np.reshape(j_t, (3, 3)))
 
 
 def box_inertia(mass: float, dims) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amsim.delta import DeltaGeometry
-from amsim.spatial import InertialParams, quat_normalize, quat_to_rot
+from amsim.spatial import InertialParams, quat_to_rot
 
 
 @pytest.fixture
@@ -89,10 +89,28 @@ def ref_rot_to_quat(R):
                       (R[0, 2] + R[2, 0]) / s,
                       (R[1, 2] + R[2, 1]) / s,
                       0.25 * s])
-    q = quat_normalize(q)
+    q = q / np.linalg.norm(q)
     if q[0] < 0.0:
         q = -q
     return q
+
+
+def ref_composite(m_a, c_a, j_a, m_o, c_o, j_o):
+    """The array parallel-axis sum that the float ``spatial.composite`` replaced."""
+    def shift(j, mass, d):
+        return j + mass * (float(d @ d) * np.eye(3) - np.outer(d, d))
+    m_t = m_a + m_o
+    c_t = (m_a * c_a + m_o * c_o) / m_t
+    return m_t, c_t, shift(j_a, m_a, c_t - c_a) + shift(j_o, m_o, c_t - c_o)
+
+
+def random_body(rng):
+    """Mass, CoM and inertia about the CoM of a randomly posed solid box."""
+    from amsim.spatial import box_inertia
+    mass = rng.uniform(0.05, 3.0)
+    rot = random_rotation(rng)
+    return (mass, rng.uniform(-0.3, 0.3, 3),
+            rot @ box_inertia(mass, rng.uniform(0.02, 0.4, 3)) @ rot.T)
 
 
 def rot_to_quat_case(R) -> int:

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_body, ref_composite
+
 from amsim.adaptation import (DobState, GraspDetector, detect_grasp,
                               dob_step, rescale_moi, update_total)
-from amsim.delta import DeltaGeometry, forward_kin
-from amsim.spatial import box_inertia
+from amsim.delta import DeltaGeometry, KinematicsError, forward_kin
+from amsim.freqdom import workspace_kk_sweep
+from amsim.spatial import InertialParams, box_inertia
+from perfbench.workloads import WORKSPACE_PAYLOAD, WORKSPACE_REFERENCE
 
 G = 9.81
 M_A = 1.379
@@ -196,3 +200,40 @@ class TestUpdateTotal:
         out = update_total(M_A, self.j_a, self.p_b, 0.25, j_o,
                            np.array([0, 0, -0.05]), np.full(3, 0.5), self.geom)
         assert out.m_t_hat == pytest.approx(M_A + 0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("obj_mass", [None, 0.0])
+    def test_no_object_returns_fresh_arrays(self, obj_mass):
+        for p_b, j_a in ((self.p_b, self.j_a), (self.p_b.tolist(), self.j_a.tolist())):
+            out = update_total(M_A, j_a, p_b, obj_mass, None, None, np.full(3, 0.4), self.geom)
+            assert isinstance(out.c_t, np.ndarray) and isinstance(out.j_t_hat, np.ndarray)
+            assert not np.shares_memory(out.c_t, self.p_b)
+            assert not np.shares_memory(out.j_t_hat, self.j_a)
+            out.c_t[:] = out.j_t_hat[:] = 7.0
+            np.testing.assert_array_equal(self.p_b, [0.0, 0.0, 0.03])
+            np.testing.assert_array_equal(self.j_a, np.diag([9.2e-3, 10.5e-3, 14.7e-3]))
+
+    def test_matches_array_oracle(self, rng):
+        lo, hi = self.geom.joint_limits
+        done = 0
+        while done < 300:
+            (m_a, p_b, j_a), (m_o, _, j_o) = random_body(rng), random_body(rng)
+            theta, offset = rng.uniform(lo, hi, 3), rng.uniform(-0.1, 0.1, 3)
+            try:
+                out = update_total(m_a, j_a, p_b, m_o, j_o, offset, theta, self.geom)
+            except KinematicsError:
+                continue
+            m_ref, c_ref, j_ref = ref_composite(
+                m_a, p_b, j_a, m_o, np.asarray(forward_kin(self.geom, theta)) + offset, j_o)
+            assert out.m_t_hat == m_ref
+            assert out.c_t.shape == (3,) and out.j_t_hat.shape == (3, 3)
+            np.testing.assert_allclose(out.c_t, c_ref, rtol=0.0, atol=1e-14 * np.abs(c_ref).max())
+            np.testing.assert_allclose(out.j_t_hat, j_ref, rtol=0.0,
+                                       atol=1e-14 * np.abs(j_ref).max())
+            done += 1
+
+    def test_workspace_sweep_keeps_benchmark_reference(self):
+        vehicle = InertialParams(M_A, self.p_b, self.j_a)
+        mass, dims = WORKSPACE_PAYLOAD
+        maxima, _ = workspace_kk_sweep(self.geom, mass, dims, vehicle, grid_n=9,
+                                       pad_height=0.01)
+        np.testing.assert_allclose(maxima, WORKSPACE_REFERENCE, rtol=1e-9, atol=0.0)

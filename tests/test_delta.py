@@ -241,7 +241,8 @@ def ref_inverse_kin(geom, p):
     return thetas
 
 
-def ref_jacobian(geom, theta):
+def ref_rows(geom, theta):
+    """Forearm vectors n_i (rows) and b_i = n_i . dE_i/dtheta_i."""
     theta = np.asarray(theta, dtype=float).reshape(3)
     p = ref_forward_kin(geom, theta)
     n_rows, b = np.empty((3, 3)), np.empty(3)
@@ -250,6 +251,11 @@ def ref_jacobian(geom, theta):
         rate = geom.upper_arm_len * (-math.sin(theta[i]) * _radial(geom, i)
                                      - math.cos(theta[i]) * np.array([0.0, 0.0, 1.0]))
         n_rows[i], b[i] = n_i, float(n_i @ rate)
+    return n_rows, b
+
+
+def ref_jacobian(geom, theta):
+    n_rows, b = ref_rows(geom, theta)
     try:
         jac = np.linalg.solve(n_rows, np.diag(b))
     except np.linalg.LinAlgError as exc:
@@ -321,3 +327,108 @@ class TestKinematicsOracle:
                          (math.nan, 1.0, -100.0), 0.01, rate_limit=6.0)
         assert math.isnan(out.theta[0]) and math.isnan(out.theta_dot[0])
         assert out.theta_dot[1:] == (1.0, -6.0)
+
+
+def ref_joint_command(geom, p, v, theta):
+    """IK of ``p`` and the feedforward J^-1 v of the array code (K_theta = 0)."""
+    theta_des = ref_inverse_kin(geom, p)
+    return theta_des, np.linalg.solve(ref_jacobian(geom, theta), v)
+
+
+def b0_root(geom, c, lo, hi):
+    """theta_0 in [lo, hi] where b_0 of (theta_0, c, c) changes sign: J loses a column."""
+    def positive(t):
+        return ref_rows(geom, [t, c, c])[1][0] > 0.0
+    side = positive(lo)
+    assert positive(hi) != side
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if positive(mid) == side else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def cond(m):
+    return float(np.linalg.cond(m))
+
+
+def assert_feedforward(rates, want, geom, theta):
+    """``want`` is J^-1 v by two numpy solves, which lose up to about
+    cond(N) cond(J) eps on their own; to 1e-12 of its largest entry, widened
+    by that where the configuration is near-singular."""
+    n_rows, _ = ref_rows(geom, theta)
+    tol = 1e-12 + 1e-15 * cond(n_rows) * cond(ref_jacobian(geom, theta))
+    np.testing.assert_allclose(rates, want, rtol=0.0, atol=tol * np.abs(want).max())
+
+
+class TestScreenedJointCommand:
+    """joint_command's closed-form feedforward and Singular screen against the array code."""
+    GEOMS = TestKinematicsOracle.GEOMS
+    EPS = np.logspace(-1, -14, 53)  # four steps a decade
+
+    def configurations(self, geom, rng):
+        lo, hi = geom.joint_limits
+        thetas = [rng.uniform(lo, hi, 3) for _ in range(100)] + [np.zeros(3)]
+        thetas += [e * np.ones(3) for e in self.EPS]  # coplanar forearms at 0 for 0.11 m
+        if geom.forearm_len == 0.16:  # one arm stretched: b_0 -> 0, det N stays away from 0
+            t0 = b0_root(geom, 1.44, 1.76, 1.775)
+            thetas += [np.array([t0 + s * e, 1.44, 1.44]) for e in self.EPS for s in (1, -1)]
+        return thetas
+
+    def test_matches_array_oracle(self, rng):
+        seen = set()
+        for geom in self.GEOMS:
+            try:  # a target that IK can reach, where there is one
+                p = ref_forward_kin(geom, np.full(3, 0.5))
+            except NoIntersection:
+                p = np.array([0.0, 0.0, -0.16])
+            v = 0.05 * rng.standard_normal(3)
+            for theta in self.configurations(geom, rng):
+                got = outcome(joint_command, geom, p, v,  # arrays in, floats out
+                              JointState(tuple(theta.tolist()), (0.0, 0.0, 0.0)), np.zeros(3))
+                want = outcome(ref_joint_command, geom, p, v, theta)
+                if isinstance(want, type):
+                    assert got is want
+                    seen.add(want)
+                    continue
+                theta_des, rates = got
+                assert all(type(x) is float for x in (*theta_des, *rates))
+                np.testing.assert_allclose(theta_des, want[0], rtol=0.0, atol=1e-12)
+                assert_feedforward(rates, want[1], geom, theta)
+                seen.add(joint_command)
+        assert seen == {joint_command, NoIntersection, Singular, Unreachable}
+
+    def count_cond(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+        return calls
+
+    def test_numpy_decides_only_where_the_screen_declines(self, geom, monkeypatch):
+        t0 = b0_root(geom, 1.44, 1.76, 1.775)
+        p, v = forward_kin(geom, (0.5, 0.5, 0.5)), (0.01, -0.02, 0.03)
+        cases = []  # (theta, cond_2 range, np.linalg.cond calls: 1 where the screen declines)
+        for offset, (lo, hi), calls_wanted in ((1e-6, (1e5, 1e6), 0), (1e-8, (2e7, 1e8), 1)):
+            theta = (t0 + offset, 1.44, 1.44)
+            assert lo < cond(ref_jacobian(geom, theta)) < hi
+            cases.append((theta, calls_wanted, np.linalg.solve(ref_jacobian(geom, theta), v)))
+        theta_singular = (t0 + 2e-9, 1.44, 1.44)
+        n_rows, b = ref_rows(geom, theta_singular)
+        assert 1e8 < cond(np.linalg.solve(n_rows, np.diag(b))) < 1e9  # cond_F is below 1e9 too
+        assert float(np.linalg.cond(np.linalg.solve(n_rows, np.diag(b)), "fro")) < 1e9
+        calls = self.count_cond(monkeypatch)
+        for theta, calls_wanted, ff in cases:
+            calls.clear()
+            _, rates = joint_command(geom, p, v, JointState(theta, (0.0,) * 3), (0.0, 0.0, 0.0))
+            assert len(calls) == calls_wanted
+            assert_feedforward(rates, ff, geom, theta)
+        with pytest.raises(Singular):
+            joint_command(geom, p, v, JointState(theta_singular, (0.0,) * 3), (0.0, 0.0, 0.0))
+
+    def test_hover_payload_run_needs_no_svd(self, monkeypatch):
+        from amsim.config import load_config
+        from amsim.scenario import run_scenario
+        calls = self.count_cond(monkeypatch)
+        log = run_scenario(load_config("hover_payload"))
+        assert log.events["servo_ticks"] == 1000 and log.events["kin_fallbacks"] == 0
+        assert np.ptp(log.column("theta1")) > 0.1  # the arm sweeps all run
+        assert calls == []

@@ -64,6 +64,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="no physics step"):
             parse_config("[run]\nduration = 2e-4\n[rates]\nsim_dt = 5e-4\n")
 
+    @pytest.mark.parametrize("text", ["[run]\nduration = inf\n", "[run]\nduration = nan\n",
+                                      "[rates]\nsim_dt = nan\n", "[rates]\nsim_dt = inf\n"])
+    def test_non_finite_duration_or_step_rejected(self, text):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            parse_config(text)
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             parse_config("[run]\nmode = warp\n")
@@ -615,6 +621,22 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_duration_exit_1(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert cli.main(["run", "hover_payload", "--duration", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: duration and sim_dt must be positive and finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["duration = inf", "duration = nan"])
+    def test_non_finite_duration_in_file_exit_1(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"[run]\n{line}\n")
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: duration and sim_dt")
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
+
     def test_run_from_config_path(self, tmp_path):
         cfg_file = tmp_path / "quiet.cfg"
         cfg_file.write_text(HOVER_QUIET.format(dur=0.05))
@@ -628,9 +650,17 @@ class TestCli:
 
     def test_margins_zero_gain_exit_2(self, capsys):
         assert cli.main(["margins", "--kk-scale", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: ")
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("runtime error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [["--j-scale", "0"], ["--kk-scale", "nan"]])
+    def test_margins_bad_scale_prints_no_table(self, capsys, flags):
+        assert cli.main(["margins", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [["--mass", "-1"], ["--grid-n", "0"]])
     def test_sweep_workspace_bad_input_exit_1(self, capsys, flags):

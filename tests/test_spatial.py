@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import lattice_inertia, random_rotation, ref_rot_to_quat, rot_to_quat_case
+from conftest import (lattice_inertia, random_body, random_rotation, ref_composite,
+                      ref_rot_to_quat, rot_to_quat_case)
 
-from amsim.spatial import (InertialParams, box_inertia, compose_inertia,
+from amsim.spatial import (InertialParams, box_inertia, compose_inertia, composite,
                            cross3, cylinder_inertia, inverse3, parallel_axis,
                            quat_mul, quat_normalize, quat_to_rot, rot_to_quat,
                            skew, vec3)
@@ -143,6 +144,20 @@ class TestComposeInertia:
             [(1.379, dims_v, np.eye(3), vehicle_params.com),
              (0.4, np.array([0.1, 0.1, 0.1]), np.eye(3), p)])
         np.testing.assert_allclose(got.inertia_about_com, j_ref, rtol=0.01)
+
+
+class TestComposite:
+    def test_matches_array_oracle(self, rng):
+        for _ in range(500):
+            (m_a, c_a, j_a), (m_o, c_o, j_o) = random_body(rng), random_body(rng)
+            m_t, c_t, j_t = composite(m_a, c_a.tolist(), j_a.ravel().tolist(),
+                                      m_o, c_o.tolist(), j_o.ravel().tolist())
+            m_ref, c_ref, j_ref = ref_composite(m_a, c_a, j_a, m_o, c_o, j_o)
+            assert m_t == m_ref
+            assert all(type(v) is float for v in (*c_t, *j_t))
+            np.testing.assert_allclose(c_t, c_ref, rtol=0.0, atol=1e-14 * np.abs(c_ref).max())
+            np.testing.assert_allclose(np.reshape(j_t, (3, 3)), j_ref, rtol=0.0,
+                                       atol=1e-14 * np.abs(j_ref).max())
 
 
 class TestQuaternions:
