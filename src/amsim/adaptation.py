@@ -112,7 +112,8 @@ def update_total(m_a: float, j_a, p_b, obj_mass, obj_moi, grasp_offset,
     ``composite`` checks nothing.
     """
     if obj_mass is None or obj_mass <= 0.0:
-        return TotalInertia(m_a, np.array(p_b, dtype=float).reshape(3), np.array(j_a, dtype=float))
+        return TotalInertia(m_a, np.array(p_b, dtype=float).reshape(3),
+                            np.array(j_a, dtype=float).reshape(3, 3))
     px, py, pz = delta.forward_kin(geom, theta)
     ox, oy, oz = as_floats(grasp_offset, 3)
     m_t, c_t, j_t = composite(m_a, as_floats(p_b, 3), as_floats(j_a, 9), float(obj_mass),

@@ -13,7 +13,6 @@ can step over a crossing and no phase needs unwrapping.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -238,16 +237,20 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     grid = np.linspace(lo, hi, grid_n)
     maxima = np.ones(3)
     argmax = [None, None, None]
-    for theta in itertools.product(grid.tolist(), repeat=3):
-        try:
-            total = adaptation.update_total(vehicle.mass, vehicle.inertia_about_com,
-                                            vehicle.com, payload_mass, j_obj, offset,
-                                            theta, geom)
-        except delta.KinematicsError:
-            continue
-        kk = np.diag(np.linalg.solve(vehicle.inertia_about_com, total.j_t_hat))
-        for axis in range(3):
-            if kk[axis] > maxima[axis]:
-                maxima[axis] = kk[axis]
-                argmax[axis] = np.array(theta)
+    for t1 in grid:
+        for t2 in grid:
+            for t3 in grid:
+                theta = np.array([t1, t2, t3])
+                try:
+                    total = adaptation.update_total(vehicle.mass,
+                                                    vehicle.inertia_about_com,
+                                                    vehicle.com, payload_mass,
+                                                    j_obj, offset, theta, geom)
+                except delta.KinematicsError:
+                    continue
+                kk = np.diag(np.linalg.solve(vehicle.inertia_about_com, total.j_t_hat))
+                for axis in range(3):
+                    if kk[axis] > maxima[axis]:
+                        maxima[axis] = kk[axis]
+                        argmax[axis] = theta.copy()
     return maxima, argmax

@@ -266,7 +266,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     rows = np.empty((n_steps, len(COLUMNS)))
 
     def body_cols(tot):
-        return [tot.m_t_hat, *tot.c_t.tolist(), *tot.j_t_hat.ravel().tolist()[::4]]
+        return [tot.m_t_hat, *tot.c_t.tolist(), *np.diag(tot.j_t_hat).tolist()]
 
     # the log row is joined from column slices that are rebuilt where their
     # values change; tick 0 is a control, observer and servo tick

@@ -52,10 +52,6 @@ def unit_quat(w: float, x: float, y: float, z: float) -> tuple:
     return w / n, x / n, y / n, z / n
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.array(unit_quat(*np.asarray(q, dtype=float).reshape(4).tolist()))
-
-
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a ⊗ b, both scalar-first."""
     aw, ax, ay, az = a
@@ -129,24 +125,20 @@ def rot_to_quat(R) -> tuple:
     return (w, x, y, z) if not w < 0.0 else (-w, -x, -y, -z)
 
 
-def _parallel_axis(j, mass: float, d) -> list:
-    """``j + mass ((d.d) I - d d^T)`` of nine row-major floats ``j`` and three ``d``."""
+def parallel_axis(j, mass: float, d) -> list:
+    """Shift an inertia tensor from the body CoM by the offset vector ``d``.
+
+    ``j`` is nine row-major floats and ``d`` three; the result is the nine of
+    ``j + mass ((d.d) I - d d^T)``. The added term is positive semidefinite,
+    so the shifted tensor never has smaller principal moments.
+    """
+    if mass < 0.0:
+        raise ValueError("mass must be non-negative")
     dx, dy, dz = d
     dd = dx * dx + dy * dy + dz * dz
     shift = (dd - dx * dx, -dx * dy, -dx * dz, -dy * dx, dd - dy * dy, -dy * dz,
              -dz * dx, -dz * dy, dd - dz * dz)
     return [a + mass * s for a, s in zip(j, shift)]
-
-
-def parallel_axis(j_com: np.ndarray, mass: float, d: np.ndarray) -> np.ndarray:
-    """Shift an inertia tensor from the body CoM by the offset vector ``d``.
-
-    Adds ``mass * ((d.d) I - d ⊗ d)``, which is positive semidefinite, so the
-    shifted tensor never has smaller principal moments.
-    """
-    if mass < 0.0:
-        raise ValueError("mass must be non-negative")
-    return np.reshape(_parallel_axis(as_floats(j_com, 9), float(mass), as_floats(d, 3)), (3, 3))
 
 
 def _validate_inertia(j: np.ndarray) -> np.ndarray:
@@ -204,8 +196,8 @@ def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o) -> tuple:
     """
     m_t = m_a + m_o
     c_t = [(m_a * a + m_o * o) / m_t for a, o in zip(c_a, c_o)]
-    j_a = _parallel_axis(j_a, m_a, [t - a for t, a in zip(c_t, c_a)])
-    j_o = _parallel_axis(j_o, m_o, [t - o for t, o in zip(c_t, c_o)])
+    j_a = parallel_axis(j_a, m_a, [t - a for t, a in zip(c_t, c_a)])
+    j_o = parallel_axis(j_o, m_o, [t - o for t, o in zip(c_t, c_o)])
     return m_t, c_t, [a + o for a, o in zip(j_a, j_o)]
 
 

@@ -7,6 +7,7 @@ from conftest import random_body, ref_composite
 
 from amsim.adaptation import (DobState, GraspDetector, detect_grasp,
                               dob_step, rescale_moi, update_total)
+from amsim.controller import iags_gain
 from amsim.delta import DeltaGeometry, KinematicsError, forward_kin
 from amsim.freqdom import workspace_kk_sweep
 from amsim.spatial import InertialParams, box_inertia
@@ -203,9 +204,14 @@ class TestUpdateTotal:
 
     @pytest.mark.parametrize("obj_mass", [None, 0.0])
     def test_no_object_returns_fresh_arrays(self, obj_mass):
-        for p_b, j_a in ((self.p_b, self.j_a), (self.p_b.tolist(), self.j_a.tolist())):
+        """Fresh arrays of the tensor's shape, whether the vehicle comes as
+        arrays, nested lists or the nine row-major floats the engine passes."""
+        for p_b, j_a in ((self.p_b, self.j_a), (self.p_b.tolist(), self.j_a.tolist()),
+                         (self.p_b.tolist(), self.j_a.ravel().tolist())):
             out = update_total(M_A, j_a, p_b, obj_mass, None, None, np.full(3, 0.4), self.geom)
             assert isinstance(out.c_t, np.ndarray) and isinstance(out.j_t_hat, np.ndarray)
+            assert out.c_t.shape == (3,) and out.j_t_hat.shape == (3, 3)
+            np.testing.assert_allclose(iags_gain(self.j_a, out.j_t_hat), np.eye(3), atol=1e-15)
             assert not np.shares_memory(out.c_t, self.p_b)
             assert not np.shares_memory(out.j_t_hat, self.j_a)
             out.c_t[:] = out.j_t_hat[:] = 7.0

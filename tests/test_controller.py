@@ -9,7 +9,7 @@ from amsim import cli
 from amsim.controller import (Gains, RateLoop, allocation, allocation_matrix,
                               attitude_loop, iags_gain, mixer, position_loop)
 from amsim.dynamics import RotorConfig
-from amsim.spatial import quat_normalize, quat_to_rot
+from amsim.spatial import quat_to_rot, unit_quat
 
 G = 9.81
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -80,7 +80,7 @@ class TestPositionLoop:
 
 class TestAttitudeLoop:
     def test_zero_error(self):
-        q = quat_normalize(np.array([0.9, 0.1, -0.2, 0.3]))
+        q = np.array(unit_quat(0.9, 0.1, -0.2, 0.3))
         np.testing.assert_allclose(attitude_loop(q, q, np.array([6.0, 6.0, 3.0])),
                                    np.zeros(3), atol=1e-12)
 
@@ -352,7 +352,7 @@ def ref_mixer(thrust_des, torque_des, cfg, com):
 
 
 def random_quat(rng):
-    q = quat_normalize(rng.standard_normal(4))
+    q = np.array(unit_quat(*rng.standard_normal(4)))
     return q if q[0] >= 0.0 else -q
 
 

@@ -236,6 +236,28 @@ class TestEstimateRefresh:
             assert est[k].tolist() == [float(v) for v in want]
 
 
+    def test_zero_mass_estimate_keeps_running(self):
+        """An observer estimate clamped to zero makes the estimate the bare
+        vehicle again. Here the payload never attaches and a near-zero
+        threshold latches on sensor noise, so m_obj_hat sits at 0 on many
+        ticks; each of them must still build a 3x3 estimate and its gain."""
+        cfg = load_config("hover_payload")
+        cfg.mode, cfg.duration = "dob-only", 1.0
+        cfg.obj.grasp_time = 5.0
+        cfg.est.grasp_threshold = 1e-9
+        cfg.validate()
+        log = run_scenario(cfg)
+        assert log.events["attach_time"] is None and log.events["latch_time"] is not None
+        latched = log.column("t") >= log.events["latch_time"]
+        zero = latched & (log.column("m_obj_hat") == 0.0)
+        assert zero.sum() > 10
+        veh = cfg.vehicle
+        bare = [veh.mass, *veh.p_b, *np.diag(veh.j_a), *np.diag(iags_gain(veh.j_a, veh.j_a))]
+        est = log.columns("m_t_hat", "ctx_hat", "cty_hat", "ctz_hat",
+                          "jtx_hat", "jty_hat", "jtz_hat", "kk_x", "kk_y", "kk_z")
+        np.testing.assert_array_equal(est[zero], np.tile(bare, (zero.sum(), 1)))
+
+
 class TestQuietHover:
     def test_noise_free_hover_stays_put(self):
         cfg = parse_config(HOVER_QUIET.format(dur=10.0))

@@ -9,8 +9,8 @@ from conftest import (lattice_inertia, random_body, random_rotation, ref_composi
 
 from amsim.spatial import (InertialParams, box_inertia, compose_inertia, composite,
                            cross3, cylinder_inertia, inverse3, parallel_axis,
-                           quat_mul, quat_normalize, quat_to_rot, rot_to_quat,
-                           skew, vec3)
+                           quat_mul, quat_to_rot, rot_to_quat,
+                           skew, unit_quat, vec3)
 
 finite_components = st.floats(min_value=-100.0, max_value=100.0,
                               allow_nan=False, allow_infinity=False)
@@ -43,13 +43,18 @@ class TestSkew:
         np.testing.assert_allclose(s, -s.T, atol=0.0)
 
 
+def shifted(j, mass, d):
+    """``parallel_axis`` on arrays: a 3x3 tensor and a 3-vector in, 3x3 out."""
+    return np.reshape(parallel_axis(np.ravel(j).tolist(), mass, np.ravel(d).tolist()), (3, 3))
+
+
 class TestParallelAxis:
     def test_zero_offset(self):
         j = np.diag([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(parallel_axis(j, 5.0, np.zeros(3)), j)
+        np.testing.assert_array_equal(shifted(j, 5.0, np.zeros(3)), j)
 
     def test_point_mass_on_z(self):
-        out = parallel_axis(np.zeros((3, 3)), 1.0, vec3(0, 0, 1))
+        out = shifted(np.zeros((3, 3)), 1.0, vec3(0, 0, 1))
         np.testing.assert_allclose(out, np.diag([1.0, 1.0, 0.0]), atol=1e-15)
 
     def test_two_point_masses_direct_sum(self):
@@ -58,21 +63,21 @@ class TestParallelAxis:
         expect = np.zeros((3, 3))
         for p in pts:
             expect += 1.0 * (float(p @ p) * np.eye(3) - np.outer(p, p))
-        total = (parallel_axis(np.zeros((3, 3)), 1.0, pts[0])
-                 + parallel_axis(np.zeros((3, 3)), 1.0, pts[1]))
+        total = (shifted(np.zeros((3, 3)), 1.0, pts[0])
+                 + shifted(np.zeros((3, 3)), 1.0, pts[1]))
         np.testing.assert_allclose(total, expect, atol=1e-15)
         np.testing.assert_allclose(total, np.diag([0.0, 0.5, 0.5]), atol=1e-15)
 
     @given(vectors, st.floats(min_value=0.0, max_value=50.0))
     def test_added_term_psd(self, d, mass):
         base = np.diag([2.0, 2.0, 2.0])
-        shifted = parallel_axis(base, mass, np.array(d))
-        np.testing.assert_array_equal(shifted, shifted.T)
-        assert np.linalg.eigvalsh(shifted - base).min() >= -1e-9
+        out = shifted(base, mass, np.array(d))
+        np.testing.assert_array_equal(out, out.T)
+        assert np.linalg.eigvalsh(out - base).min() >= -1e-9
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
-            parallel_axis(np.eye(3), -1.0, vec3(1, 0, 0))
+            parallel_axis(np.eye(3).ravel().tolist(), -1.0, [1.0, 0.0, 0.0])
 
 
 class TestComposeInertia:
@@ -93,7 +98,7 @@ class TestComposeInertia:
         out = compose_inertia(a, b, -d)
         np.testing.assert_allclose(out.com, np.zeros(3), atol=1e-15)
         np.testing.assert_allclose(out.inertia_about_com,
-                                   2.0 * parallel_axis(j, m, d), rtol=1e-12)
+                                   2.0 * shifted(j, m, d), rtol=1e-12)
 
     def test_commutative(self, rng):
         for _ in range(10):
@@ -164,7 +169,7 @@ class TestQuaternions:
     def test_roundtrip(self, rng):
         for _ in range(50):
             q = rng.standard_normal(4)
-            q = quat_normalize(q)
+            q = np.array(unit_quat(*q))
             if q[0] < 0:
                 q = -q
             q2 = rot_to_quat(quat_to_rot(q))
@@ -172,7 +177,7 @@ class TestQuaternions:
 
     def test_rotation_action_preserved(self, rng):
         for _ in range(20):
-            q = quat_normalize(rng.standard_normal(4))
+            q = np.array(unit_quat(*rng.standard_normal(4)))
             R1 = quat_to_rot(q)
             R2 = quat_to_rot(rot_to_quat(R1))
             np.testing.assert_allclose(R1, R2, atol=1e-12)
@@ -187,6 +192,8 @@ class TestQuaternions:
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
             quat_to_rot(np.zeros(4))
+        with pytest.raises(ValueError):
+            unit_quat(0.0, 0.0, 0.0, 0.0)
 
     def test_rot_to_quat_matches_array_oracle(self, rng):
         """The float rot_to_quat against the array code it replaced, on
@@ -215,7 +222,7 @@ class TestQuaternions:
         assert np.isnan(rot_to_quat(R)[1])
 
     def test_mul_identity(self):
-        q = quat_normalize(np.array([0.3, -0.2, 0.8, 0.1]))
+        q = np.array(unit_quat(0.3, -0.2, 0.8, 0.1))
         ident = np.array([1.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(quat_mul(q, ident), q, atol=1e-15)
 
