@@ -153,7 +153,7 @@ class RateLoop:
 
 def allocation_matrix(cfg: RotorConfig, com=None) -> np.ndarray:
     """4x4 map from per-rotor thrusts to [collective; body torque about com]."""
-    return np.array([[1.0] * 4, *torque_matrix(cfg, (0.0, 0.0, 0.0) if com is None else com)])
+    return np.array([[1.0] * 4, *torque_matrix(cfg, com)])
 
 
 class Allocation(NamedTuple):

@@ -19,6 +19,7 @@ class NonFinite(RuntimeError):
 
 
 MAX_STEP = 5e-3
+_PLAIN = frozenset((list, tuple, type(None)))  # taken by the physics step as they are
 
 
 class VehicleState:
@@ -130,60 +131,66 @@ def rotor_wrench(thrusts, cfg: RotorConfig, com=None, tmap=None) -> tuple[list, 
     which stays valid while the CoM stays put.
     """
     t0, t1, t2, t3 = thrusts
-    if tmap is None:
-        tmap = torque_matrix(cfg, com)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+        torque_matrix(cfg, com) if tmap is None else tmap)
     return ([0.0, 0.0, t0 + t1 + t2 + t3],
-            [r[0] * t0 + r[1] * t1 + r[2] * t2 + r[3] * t3 for r in tmap])
+            [a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3, b0 * t0 + b1 * t1 + b2 * t2 + b3 * t3,
+             c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3])
 
 
-def torque_matrix(cfg: RotorConfig, com) -> list:
-    """3x4 map from per-rotor thrusts to body torque about ``com``, as three rows of floats."""
-    cx, cy, _ = as_floats(com, 3)
+def torque_matrix(cfg: RotorConfig, com=None) -> list:
+    """3x4 map from per-rotor thrusts to body torque about ``com`` (None: the origin), as rows."""
+    cx, cy, _ = (0.0, 0.0, 0.0) if com is None else as_floats(com, 3)
     pos = cfg.positions.tolist()
     return [[y - cy for _, y, _ in pos], [cx - x for x, _, _ in pos],
             [cfg.k_tau * s for s in cfg.spin_dirs.tolist()]]
 
 
-def _deriv(y, f, tau, m_t, j, j_inv, g, ext):
-    """Derivative of the 13-float state ``y = (p, v, q, omega)``.
+def _rates(f, tau, m_t, j, j_inv, g, ext):
+    """Stage derivative under the body wrench ``f``/``tau`` and world force ``ext`` (or None).
 
-    ``f``/``tau`` are the body wrench, ``j``/``j_inv`` the row-major inertia
-    and its inverse, ``ext`` an optional world force: all plain floats.
+    ``j``/``j_inv`` are the row-major inertia and its inverse (None: inverted
+    here). Flat lists and tuples are used as they are, numpy input converted.
+    The result maps ``(q, omega)`` to ``(a, dq, domega)``, ten floats.
     """
-    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz), flat=True)
-    fx, fy, fz = f
-    ax = (r00 * fx + r01 * fy + r02 * fz) / m_t
-    ay = (r10 * fx + r11 * fy + r12 * fz) / m_t
-    az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t
-    if ext is not None:
-        ax += ext[0] / m_t
-        ay += ext[1] / m_t
-        az += ext[2] / m_t
+    if not _PLAIN.issuperset((type(f), type(tau), type(j), type(j_inv), type(ext))):
+        f, tau, j = as_floats(f, 3), as_floats(tau, 3), as_floats(j, 9)
+        j_inv = None if j_inv is None else as_floats(j_inv, 9)
+        ext = None if ext is None else as_floats(ext, 3)
+    (fx, fy, fz), (tx, ty, tz) = f, tau
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
-    hx = j00 * wx + j01 * wy + j02 * wz
-    hy = j10 * wx + j11 * wy + j12 * wz
-    hz = j20 * wx + j21 * wy + j22 * wz
-    # tau - omega x (J omega)
-    gx = tau[0] - (wy * hz - wz * hy)
-    gy = tau[1] - (wz * hx - wx * hz)
-    gz = tau[2] - (wx * hy - wy * hx)
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = j_inv
-    return [vx, vy, vz, ax, ay, az,
-            0.5 * (-qx * wx - qy * wy - qz * wz),
-            0.5 * (qw * wx + qy * wz - qz * wy),
-            0.5 * (qw * wy - qx * wz + qz * wx),
-            0.5 * (qw * wz + qx * wy - qy * wx),
-            i00 * gx + i01 * gy + i02 * gz,
-            i10 * gx + i11 * gy + i12 * gz,
-            i20 * gx + i21 * gy + i22 * gz]
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inverse3(j) if j_inv is None else j_inv
+    wind = ext is not None
+    ex, ey, ez = ext if wind else (0.0, 0.0, 0.0)
+    ex, ey, ez = ex / m_t, ey / m_t, ez / m_t
 
-
-def _kernel_args(force_b, torque_b, j_t, j_inv, f_ext_w):
-    j = as_floats(j_t, 9)
-    return (as_floats(force_b, 3), as_floats(torque_b, 3), j,
-            inverse3(j) if j_inv is None else as_floats(j_inv, 9),
-            None if f_ext_w is None else as_floats(f_ext_w, 3))
+    # constants bound as defaults: each stage reads locals, and no cells are made per step
+    def rates(qw, qx, qy, qz, wx, wy, wz, fx=fx, fy=fy, fz=fz, tx=tx, ty=ty, tz=tz, m_t=m_t,
+              g=g, j00=j00, j01=j01, j02=j02, j10=j10, j11=j11, j12=j12, j20=j20, j21=j21,
+              j22=j22, i00=i00, i01=i01, i02=i02, i10=i10, i11=i11, i12=i12, i20=i20,
+              i21=i21, i22=i22, wind=wind, ex=ex, ey=ey, ez=ez):
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz), flat=True)
+        ax = (r00 * fx + r01 * fy + r02 * fz) / m_t
+        ay = (r10 * fx + r11 * fy + r12 * fz) / m_t
+        az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t
+        if wind:
+            ax, ay, az = ax + ex, ay + ey, az + ez
+        hx = j00 * wx + j01 * wy + j02 * wz
+        hy = j10 * wx + j11 * wy + j12 * wz
+        hz = j20 * wx + j21 * wy + j22 * wz
+        # tau - omega x (J omega)
+        gx = tx - (wy * hz - wz * hy)
+        gy = ty - (wz * hx - wx * hz)
+        gz = tz - (wx * hy - wy * hx)
+        return (ax, ay, az,
+                0.5 * (-qx * wx - qy * wy - qz * wz),
+                0.5 * (qw * wx + qy * wz - qz * wy),
+                0.5 * (qw * wy - qx * wz + qz * wx),
+                0.5 * (qw * wz + qx * wy - qy * wx),
+                i00 * gx + i01 * gy + i02 * gz,
+                i10 * gx + i11 * gy + i12 * gz,
+                i20 * gx + i21 * gy + i22 * gz)
+    return rates
 
 
 def derivatives(s: VehicleState, wrench, m_t: float, j_t: np.ndarray,
@@ -194,18 +201,21 @@ def derivatives(s: VehicleState, wrench, m_t: float, j_t: np.ndarray,
     ``f_ext_w`` is an optional extra world-frame force (e.g. wind). A
     precomputed ``j_inv`` (3x3 or row-major 9 floats) skips the inversion.
     """
-    f, tau, j, ji, ext = _kernel_args(wrench[0], wrench[1], j_t, j_inv, f_ext_w)
-    d = _deriv(s.y, f, tau, m_t, j, ji, g, ext)
-    return np.array(d[0:3]), np.array(d[3:6]), np.array(d[6:10]), np.array(d[10:13])
+    y = s.y
+    d = _rates(wrench[0], wrench[1], m_t, j_t, j_inv, g, f_ext_w)(*y[6:13])
+    return np.array(y[3:6]), np.array(d[0:3]), np.array(d[3:7]), np.array(d[7:10])
 
 
 def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> list:
     """Exact first-order response of rotor thrusts toward k_m * t_des over dt."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     a = math.exp(-dt / cfg.tau_m)
     k_m = cfg.k_m
-    return [k_m * d + (t - k_m * d) * a for d, t in zip(t_des, t_actual, strict=True)]
+    d0, d1, d2, d3 = t_des
+    t0, t1, t2, t3 = t_actual
+    s0, s1, s2, s3 = k_m * d0, k_m * d1, k_m * d2, k_m * d3
+    return [s0 + (t0 - s0) * a, s1 + (t1 - s1) * a, s2 + (t2 - s2) * a, s3 + (t3 - s3) * a]
 
 
 def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
@@ -218,18 +228,32 @@ def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}] s")
-    f, tau, j, ji, ext = _kernel_args(force_b, torque_b, j_t, j_inv, f_ext_w)
-    y0 = s.y
+    rates = _rates(force_b, torque_b, m_t, j_t, j_inv, g, f_ext_w)
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s.y
     h = 0.5 * dt
-    k1 = _deriv(y0, f, tau, m_t, j, ji, g, ext)
-    k2 = _deriv([a + h * b for a, b in zip(y0, k1)], f, tau, m_t, j, ji, g, ext)
-    k3 = _deriv([a + h * b for a, b in zip(y0, k2)], f, tau, m_t, j, ji, g, ext)
-    k4 = _deriv([a + dt * b for a, b in zip(y0, k3)], f, tau, m_t, j, ji, g, ext)
+    # stage k: velocity vk, acceleration ak, quaternion rate dk, angular acceleration ek
+    ax1, ay1, az1, dw1, dx1, dy1, dz1, ex1, ey1, ez1 = rates(qw, qx, qy, qz, wx, wy, wz)
+    vx2, vy2, vz2 = vx + h * ax1, vy + h * ay1, vz + h * az1
+    ax2, ay2, az2, dw2, dx2, dy2, dz2, ex2, ey2, ez2 = rates(
+        qw + h * dw1, qx + h * dx1, qy + h * dy1, qz + h * dz1,
+        wx + h * ex1, wy + h * ey1, wz + h * ez1)
+    vx3, vy3, vz3 = vx + h * ax2, vy + h * ay2, vz + h * az2
+    ax3, ay3, az3, dw3, dx3, dy3, dz3, ex3, ey3, ez3 = rates(
+        qw + h * dw2, qx + h * dx2, qy + h * dy2, qz + h * dz2,
+        wx + h * ex2, wy + h * ey2, wz + h * ez2)
+    vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
+    ax4, ay4, az4, dw4, dx4, dy4, dz4, ex4, ey4, ez4 = rates(
+        qw + dt * dw3, qx + dt * dx3, qy + dt * dy3, qz + dt * dz3,
+        wx + dt * ex3, wy + dt * ey3, wz + dt * ez3)
 
-    sixth = dt / 6.0
-    y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    c = dt / 6.0
+    y = (px + c * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4), py + c * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+         pz + c * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4), vx + c * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+         vy + c * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4), vz + c * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
+         qw + c * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4), qx + c * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+         qy + c * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4), qz + c * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4),
+         wx + c * (ex1 + 2.0 * ex2 + 2.0 * ex3 + ex4), wy + c * (ey1 + 2.0 * ey2 + 2.0 * ey3 + ey4),
+         wz + c * (ez1 + 2.0 * ez2 + 2.0 * ez3 + ez4))
     if not all(map(math.isfinite, y)):
         raise NonFinite("state diverged during integration")
-    y[6:10] = unit_quat(*y[6:10])
-    return _state(tuple(y))
+    return _state(y[:6] + unit_quat(*y[6:10]) + y[10:])

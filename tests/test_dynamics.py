@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import amsim.dynamics
 from amsim.dynamics import (Environment, NonFinite, RotorConfig, VehicleState,
                             derivatives, motor_lag_step, rotor_wrench,
-                            step_rk4)
-from amsim.spatial import quat_mul, quat_to_rot
+                            step_rk4, torque_matrix)
+from amsim.spatial import as_floats, inverse3, quat_mul, quat_to_rot, unit_quat
 
 G = 9.81
 E3 = np.array([0.0, 0.0, 1.0])
@@ -88,6 +89,77 @@ def assert_close_rel(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
 
 
+def list_args(force_b, torque_b, j_t, j_inv, f_ext_w):
+    """The replaced kernel's input handling: every input through ``as_floats``."""
+    j = as_floats(j_t, 9)
+    return (as_floats(force_b, 3), as_floats(torque_b, 3), j,
+            inverse3(j) if j_inv is None else as_floats(j_inv, 9),
+            None if f_ext_w is None else as_floats(f_ext_w, 3))
+
+
+def list_deriv(y, f, tau, m_t, j, j_inv, g, ext):
+    """Exact oracle: the list-based derivative of the 13-float state that the
+    straight-line kernel replaced, with the same float operations in the same order."""
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz), flat=True)
+    fx, fy, fz = f
+    ax = (r00 * fx + r01 * fy + r02 * fz) / m_t
+    ay = (r10 * fx + r11 * fy + r12 * fz) / m_t
+    az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t
+    if ext is not None:
+        ax += ext[0] / m_t
+        ay += ext[1] / m_t
+        az += ext[2] / m_t
+    j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
+    hx = j00 * wx + j01 * wy + j02 * wz
+    hy = j10 * wx + j11 * wy + j12 * wz
+    hz = j20 * wx + j21 * wy + j22 * wz
+    gx = tau[0] - (wy * hz - wz * hy)
+    gy = tau[1] - (wz * hx - wx * hz)
+    gz = tau[2] - (wx * hy - wy * hx)
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = j_inv
+    return [vx, vy, vz, ax, ay, az,
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            i00 * gx + i01 * gy + i02 * gz,
+            i10 * gx + i11 * gy + i12 * gz,
+            i20 * gx + i21 * gy + i22 * gz]
+
+
+def list_step_rk4(y0, force_b, torque_b, m_t, j_t, dt, g, f_ext_w, j_inv):
+    """Exact oracle: the list-based RK4 step that the straight-line kernel replaced."""
+    f, tau, j, ji, ext = list_args(force_b, torque_b, j_t, j_inv, f_ext_w)
+    h = 0.5 * dt
+    k1 = list_deriv(y0, f, tau, m_t, j, ji, g, ext)
+    k2 = list_deriv([a + h * b for a, b in zip(y0, k1)], f, tau, m_t, j, ji, g, ext)
+    k3 = list_deriv([a + h * b for a, b in zip(y0, k2)], f, tau, m_t, j, ji, g, ext)
+    k4 = list_deriv([a + dt * b for a, b in zip(y0, k3)], f, tau, m_t, j, ji, g, ext)
+    sixth = dt / 6.0
+    y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    y[6:10] = unit_quat(*y[6:10])
+    return tuple(y)
+
+
+def same_bits(a, b):
+    """Equal as IEEE doubles, signed zeros and NaN payloads included."""
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+def kernel_inputs(rng, case):
+    """A random case as the engine passes it (float lists, tuple wind, given inverse)
+    or as tests pass it (numpy arrays), with or without the inverse and wind."""
+    s, force, torque, m, j, wind = case
+    j_inv = np.linalg.inv(j) if rng.random() < 0.5 else None
+    if rng.random() < 0.5:
+        force, torque, j = force.tolist(), torque.tolist(), j.ravel().tolist()
+        j_inv = None if j_inv is None else inverse3(j)
+        wind = None if wind is None else tuple(wind.tolist())
+    return s, force, torque, m, j, wind, j_inv
+
+
 class TestFloatKernelAgainstReference:
     def test_derivatives_match(self, rng):
         for _ in range(200):
@@ -112,6 +184,78 @@ class TestFloatKernelAgainstReference:
         a = step_rk4(s, force, torque, m, j, 1e-3, f_ext_w=wind)
         b = step_rk4(s, force, torque, m, j, 1e-3, f_ext_w=wind, j_inv=np.linalg.inv(j))
         assert_close_rel(b.omega, a.omega)
+
+
+class TestStraightLineKernelIsExact:
+    """The unrolled kernel keeps the float operations of the list-based one, so
+    its results must be equal, not close."""
+
+    def test_step_rk4_equals_list_oracle(self, rng):
+        seen = set()
+        for dt in (5e-4, 2e-3, 5e-3):
+            for _ in range(150):
+                s, force, torque, m, j, wind, j_inv = kernel_inputs(rng, random_case(rng))
+                if rng.random() < 0.5:
+                    s.p = np.zeros(3)  # the position sum then shows its own rounding
+                seen.add((type(force), wind is None, j_inv is None))
+                got = step_rk4(s, force, torque, m, j, dt, g=G, f_ext_w=wind, j_inv=j_inv)
+                assert same_bits(got.y, list_step_rk4(s.y, force, torque, m, j, dt, G, wind, j_inv))
+                assert type(got.y) is tuple and all(type(c) is float for c in got.y)
+        assert len(seen) == 8  # list/numpy x wind/none x inverse/none
+
+    def test_derivatives_equal_list_oracle(self, rng):
+        rest = (VehicleState.at_rest([0.0, 0.0, 0.0]), np.full(3, -0.0), np.full(3, -0.0), 1.0,
+                np.eye(3) * 1e-2, None)  # a negative-zero wrench keeps its signed zeros
+        for k in range(300):
+            case = random_case(rng) if k else rest
+            s, force, torque, m, j, wind, j_inv = kernel_inputs(rng, case)
+            s.q = s.q * rng.uniform(0.5, 2.0)  # stage quaternions are not unit
+            got = derivatives(s, (force, torque), m, j, g=G, f_ext_w=wind, j_inv=j_inv)
+            f, tau, j_flat, ji, ext = list_args(force, torque, j, j_inv, wind)
+            want = list_deriv(s.y, f, tau, m, j_flat, ji, G, ext)
+            assert same_bits(np.concatenate(got), want)
+
+    def test_rotor_wrench_equals_list_oracle(self, rotor, rng):
+        # motor_lag_step: TestMotorLag::test_floats_equal_the_array_formula is exact already
+        for _ in range(300):
+            thr = rng.uniform(0.0, 18.0, 4).tolist()
+            com = rng.uniform(-0.05, 0.05, 3).tolist()
+            tmap = torque_matrix(rotor, com)
+            want = ([0.0, 0.0, thr[0] + thr[1] + thr[2] + thr[3]],
+                    [r[0] * thr[0] + r[1] * thr[1] + r[2] * thr[2] + r[3] * thr[3] for r in tmap])
+            assert same_bits(np.concatenate(rotor_wrench(thr, rotor, com)), np.concatenate(want))
+            assert same_bits(np.concatenate(rotor_wrench(thr, rotor, tmap=tmap)),
+                             np.concatenate(want))
+
+    def test_four_rotations_per_step(self, monkeypatch, rng):
+        calls = []
+
+        def counting(q, flat=False):
+            calls.append(q)
+            return quat_to_rot(q, flat=flat)
+
+        monkeypatch.setattr(amsim.dynamics, "quat_to_rot", counting)
+        for n in range(1, 6):
+            s, force, torque, m, j, wind, j_inv = kernel_inputs(rng, random_case(rng))
+            step_rk4(s, force, torque, m, j, 1e-3, g=G, f_ext_w=wind, j_inv=j_inv)
+            assert len(calls) == 4 * n
+        derivatives(s, (force, torque), m, j, g=G)
+        assert len(calls) == 21
+
+    def test_wrong_lengths_rejected(self, rotor):
+        s = VehicleState.at_rest([0.0, 0.0, 0.0])
+        j = [1e-2, 0.0, 0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-2]
+        for f, tau, j_t, ext in (([0.0] * 2, [0.0] * 3, j, None), ([0.0] * 3, [0.0] * 4, j, None),
+                                 ([0.0] * 3, [0.0] * 3, j[:8], None),
+                                 ([0.0] * 3, [0.0] * 3, j, (1.0, 2.0))):
+            with pytest.raises(ValueError):
+                step_rk4(s, f, tau, 1.0, j_t, 1e-3, f_ext_w=ext)
+        with pytest.raises(ValueError):
+            rotor_wrench([1.0] * 3, rotor)
+        with pytest.raises(ValueError):
+            rotor_wrench([1.0] * 5, rotor)
+        with pytest.raises(ValueError):
+            motor_lag_step([1.0] * 5, [1.0] * 5, rotor, 5e-4)
 
 
 class TestVehicleState:
@@ -179,6 +323,11 @@ class TestRotorWrench:
             f_ref, t_ref = hand_wrench(thrusts, rotor, com)
             np.testing.assert_allclose(force, f_ref, atol=1e-12)
             np.testing.assert_allclose(torque, t_ref, atol=1e-12)
+
+    def test_default_com_is_body_origin(self, rotor, rng):
+        thrusts = rng.uniform(0.0, 5.0, 4).tolist()
+        assert rotor_wrench(thrusts, rotor) == rotor_wrench(thrusts, rotor, (0.0, 0.0, 0.0))
+        assert torque_matrix(rotor) == torque_matrix(rotor, np.zeros(3))
 
     def test_linearity(self, rotor, rng):
         a = rng.uniform(0, 3, 4)
@@ -249,6 +398,11 @@ class TestMotorLag:
             np.testing.assert_array_equal(got, want)
         with pytest.raises(ValueError):
             motor_lag_step([1.0] * 4, [1.0] * 3, rotor, 5e-4)
+
+    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1e-3])
+    def test_dt_must_be_positive(self, rotor, dt):
+        with pytest.raises(ValueError):
+            motor_lag_step([1.0] * 4, [0.0] * 4, rotor, dt)
 
     def test_matches_fine_euler(self, rotor):
         # closed-form update vs brute-force fine-step Euler integration
