@@ -165,7 +165,7 @@ def _cmd_sweep(args) -> int:
                 fh.write("axis,kk_max,theta1,theta2,theta3\n")
                 for axis, label in enumerate("xyz"):
                     th = argmax[axis] if argmax and argmax[axis] is not None else [float("nan")] * 3
-                    fh.write(f"{label},{maxima[axis]!r},{th[0]!r},{th[1]!r},{th[2]!r}\n")
+                    fh.write(f"{label},{float(maxima[axis])!r},{th[0]!r},{th[1]!r},{th[2]!r}\n")
             print(f"wrote {args.out}")
         print("per-axis max scheduled gain: "
               f"x={maxima[0]:.3f} y={maxima[1]:.3f} z={maxima[2]:.3f}")

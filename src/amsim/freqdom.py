@@ -15,13 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import product, zip_longest
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import adaptation, delta, presense
 from .controller import Gains
-from .spatial import InertialParams, box_inertia
+from .spatial import InertialParams, as_floats, box_inertia, inverse3
 
 
 class PoleOnAxis(Exception):
@@ -63,13 +63,11 @@ class RationalTF:
         return RationalTF(tuple(c / s for c in self.num), tuple(c / s for c in self.den))
 
     def __mul__(self, other: "RationalTF") -> "RationalTF":
-        num = tuple(P.polymul(self.num, other.num))
-        den = tuple(P.polymul(self.den, other.den))
-        return RationalTF(num, den)
+        return RationalTF(_polymul(self.num, other.num), _polymul(self.den, other.den))
 
 
 def _trim(coeffs) -> tuple:
-    c = [float(v) for v in np.atleast_1d(np.asarray(coeffs, dtype=float))]
+    c = [float(v) for v in coeffs]
     while len(c) > 1 and c[-1] == 0.0:
         c.pop()
     return tuple(c)
@@ -94,47 +92,67 @@ def open_loop_tf(kp: float, ki: float, kd: float, k_k: float,
 
 
 def freq_response(tf: RationalTF, omega: float) -> complex:
-    """Evaluate num(j*omega)/den(j*omega)."""
-    s = 1j * omega
-    den = complex(P.polyval(s, tf.den))
-    if abs(den) < 1e-14:
+    """Evaluate num(j*omega)/den(j*omega); PoleOnAxis where |den| is rounding
+    noise against the sum of its terms' sizes, so scaling the loop changes nothing."""
+    den = _polyval(tf.den, 1j * omega)
+    if abs(den) <= 1e-14 * _polyval([abs(c) for c in tf.den], abs(omega)):
         raise PoleOnAxis(f"denominator vanishes at omega={omega}")
-    return complex(P.polyval(s, tf.num)) / den
+    return _polyval(tf.num, 1j * omega) / den
+
+
+def _polyval(coeffs, x):
+    y = 0.0
+    for c in reversed(coeffs):
+        y = y * x + c
+    return y
+
+
+def _polymul(a, b) -> list:
+    """Coefficients of the product of two polynomials, ascending powers."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
 
 
 def _jw_parts(coeffs) -> tuple:
-    """Real polynomials re, im in omega with p(j omega) = re(omega) + j im(omega)."""
-    c = np.asarray(coeffs, dtype=float)
-    k = np.arange(len(c))
-    c = np.where(k % 4 < 2, c, -c)  # j^k cycles 1, j, -1, -j
-    return np.where(k % 2 == 0, c, 0.0), np.where(k % 2 == 1, c, 0.0)
+    """Polynomials a, b in u = omega^2 with p(j omega) = a(u) + j omega b(u)."""
+    a = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs[0::2])]
+    b = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs[1::2])]
+    return a, b
 
 
-def _real_roots_in(poly, band) -> list:
-    """Real roots of a polynomial in omega that lie inside the closed band.
+def _band_roots(poly, lo: float, hi: float) -> list:
+    """Frequencies in [lo, hi] whose squares u > 0 are real roots of poly(u).
 
     Leading terms that stay below the rounding of the largest term all over
-    the band are dropped first: their extra roots lie far beyond the band,
-    and a tiny leading coefficient would overflow the companion matrix.
+    the band (u up to hi^2) are dropped first: their extra roots lie far
+    beyond the band, and a tiny leading coefficient would overflow the
+    companion matrix.
     """
-    with np.errstate(divide="ignore"):
-        size = np.log2(np.abs(poly)) + np.arange(len(poly)) * math.log2(band[1])
-    kept = np.nonzero(size > size.max() - 52.0)[0]
-    if kept.size == 0:
+    size = [math.log2(abs(c)) + k * math.log2(hi * hi) if c else -math.inf
+            for k, c in enumerate(poly)]
+    top = max(size)
+    n = max((k for k, v in enumerate(size) if v > top - 52.0), default=0)
+    if n == 0:
         return []
-    return [float(r.real) for r in P.polyroots(poly[:kept[-1] + 1])
-            if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real))
-            and band[0] <= r.real <= band[1]]
+    companion = np.eye(n, k=1)
+    companion[:, 0] = [-c / poly[n] for c in reversed(poly[:n])]
+    w = [math.sqrt(u.real) for u in np.linalg.eigvals(companion).tolist()
+         if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real)) and u.real > 0.0]
+    return [x for x in w if lo <= x <= hi]
 
 
 def margins(tf: RationalTF, band=DEFAULT_BAND) -> MarginReport:
     """Gain and phase margins over a frequency band, from exact crossings.
 
-    With N(j w) = Nr + j Ni and D(j w) = Dr + j Di split into real
-    polynomials in w, the unity-gain crossings are the real roots of
-    Nr^2 + Ni^2 - Dr^2 - Di^2 and the -180 deg crossings are the real roots
-    of Im(N conj D) = Ni Dr - Nr Di where Re(N conj D) < 0; only roots inside
-    ``band`` count. The reported phase margin is the smallest over all unity
+    With N(j w) = A(u) + j w B(u) and D(j w) = C(u) + j w E(u) split into
+    their even and odd parts, real polynomials in u = w^2, the unity-gain
+    crossings are the roots of |N|^2 - |D|^2 = A^2 + u B^2 - C^2 - u E^2 and
+    the -180 deg crossings are the roots of Im(N conj D) / w = B C - A E
+    where Re(N conj D) = A C + u B E < 0; only w = sqrt(u) inside ``band``
+    count. The reported phase margin is the smallest over all unity
     crossings, on the principal branch (-180, 180] (ties broken by lower
     frequency); the gain margin is the smallest over all phase crossings, or
     +inf when the phase never reaches -180 deg inside the band.
@@ -145,25 +163,27 @@ def margins(tf: RationalTF, band=DEFAULT_BAND) -> MarginReport:
     lo, hi = (float(b) for b in band)
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise ValueError(f"band must satisfy 0 < lo < hi < inf, got {band}")
-    band = (lo, hi)
-    nr, ni = _jw_parts(tf.num)
-    dr, di = _jw_parts(tf.den)
+    na, nb = _jw_parts(tf.num)
+    da, db = _jw_parts(tf.den)
 
     pm_candidates = []
-    gain_poly = P.polysub(P.polyadd(P.polymul(nr, nr), P.polymul(ni, ni)),
-                          P.polyadd(P.polymul(dr, dr), P.polymul(di, di)))
-    for wc in _real_roots_in(gain_poly, band):
+    gain_poly = [p + q - r - s for p, q, r, s in zip_longest(
+        _polymul(na, na), [0.0] + _polymul(nb, nb),
+        _polymul(da, da), [0.0] + _polymul(db, db), fillvalue=0.0)]
+    for wc in _band_roots(gain_poly, lo, hi):
         pm = 180.0 + math.degrees(cmath.phase(freq_response(tf, wc)))
         pm_candidates.append((pm - 360.0 if pm > 180.0 else pm, wc))
     if not pm_candidates:
-        raise NoCrossover(f"|G| stays on one side of unity over {band} rad/s")
+        raise NoCrossover(f"|G| stays on one side of unity over ({lo}, {hi}) rad/s")
     pm, w_gc = min(pm_candidates)
 
     gm_candidates = []
-    cross_re = P.polyadd(P.polymul(nr, dr), P.polymul(ni, di))
-    cross_im = P.polysub(P.polymul(ni, dr), P.polymul(nr, di))
-    for wpc in _real_roots_in(cross_im, band):
-        if P.polyval(wpc, cross_re) < 0.0:
+    cross_re = [p + q for p, q in zip_longest(_polymul(na, da), [0.0] + _polymul(nb, db),
+                                              fillvalue=0.0)]
+    cross_im = [p - q for p, q in zip_longest(_polymul(nb, da), _polymul(na, db),
+                                              fillvalue=0.0)]
+    for wpc in _band_roots(cross_im, lo, hi):
+        if _polyval(cross_re, wpc * wpc) < 0.0:
             gm_db = -20.0 * math.log10(abs(freq_response(tf, wpc)))
             gm_candidates.append((gm_db, wpc))
     gm, w_pc = min(gm_candidates) if gm_candidates else (math.inf, math.nan)
@@ -192,19 +212,15 @@ def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.
     rows = []
     for axis in range(3):
         lo, hi = box[axis]
-        scales = np.linspace(lo, hi, grid_n)
-        best = None
-        for sj in scales:
-            for sk in scales:
-                tf = open_loop_tf(gains.rate_kp[axis], gains.rate_ki[axis],
-                                  gains.rate_kd[axis], k_k=float(sk), k_m=k_m,
-                                  tau_m=tau_m, j=float(j_a_diag[axis] * sj))
-                rep = margins(tf, band=band)
-                rows.append((axis, float(sj), float(sk), rep))
-                key = (rep.phase_margin_deg, rep.gain_crossover)
-                if best is None or key < best[0]:
-                    best = (key, rep, float(sj), float(sk))
-        worst[axis] = (best[1], best[2], best[3])
+        cells = []
+        for sj, sk in product(np.linspace(lo, hi, grid_n).tolist(), repeat=2):
+            tf = open_loop_tf(gains.rate_kp[axis], gains.rate_ki[axis], gains.rate_kd[axis],
+                              k_k=sk, k_m=k_m, tau_m=tau_m, j=float(j_a_diag[axis] * sj))
+            cells.append((axis, sj, sk, margins(tf, band=band)))
+        # the first of equal (phase margin, crossover) keys is the worst cell
+        _, sj, sk, rep = min(cells, key=lambda c: (c[3].phase_margin_deg, c[3].gain_crossover))
+        worst[axis] = (rep, sj, sk)
+        rows += cells
     return worst, rows
 
 
@@ -217,9 +233,10 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     its height plus the pad below the end-effector. Joint angles sweep a
     ``grid_n``^3 grid over the limits; infeasible combinations are skipped.
     Returns ``(maxima, argmax_theta)`` with ``maxima`` the per-axis diagonal
-    of the largest scheduled gain encountered; a zero payload mass gives the
-    identity. Raises ValueError for a negative or non-finite payload mass,
-    payload dims that are not all positive and finite, or ``grid_n < 1``.
+    of the largest scheduled gain J_a^-1 J_t encountered and ``argmax_theta``
+    each maximum's joint angles as three floats; a zero payload mass gives
+    the identity. Raises ValueError for a negative or non-finite payload
+    mass, payload dims that are not all positive and finite, or ``grid_n < 1``.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
@@ -230,27 +247,26 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
         raise ValueError(f"payload mass must be non-negative and finite, got {payload_mass}")
     if payload_mass == 0.0:
         return np.ones(3), None
-    j_obj = InertialParams(payload_mass, np.zeros(3),
-                           box_inertia(payload_mass, dims)).inertia_about_com
+    j_obj = as_floats(InertialParams(payload_mass, np.zeros(3),
+                                     box_inertia(payload_mass, dims)).inertia_about_com, 9)
     offset = presense.top_grasp_offset(dims[2], pad_height)
+    j_a = as_floats(vehicle.inertia_about_com, 9)
+    j_inv = inverse3(j_a)
     lo, hi = geom.joint_limits
-    grid = np.linspace(lo, hi, grid_n)
-    maxima = np.ones(3)
+    grid = np.linspace(lo, hi, grid_n).tolist()
+    maxima = [1.0, 1.0, 1.0]
     argmax = [None, None, None]
-    for t1 in grid:
-        for t2 in grid:
-            for t3 in grid:
-                theta = np.array([t1, t2, t3])
-                try:
-                    total = adaptation.update_total(vehicle.mass,
-                                                    vehicle.inertia_about_com,
-                                                    vehicle.com, payload_mass,
-                                                    j_obj, offset, theta, geom)
-                except delta.KinematicsError:
-                    continue
-                kk = np.diag(np.linalg.solve(vehicle.inertia_about_com, total.j_t_hat))
-                for axis in range(3):
-                    if kk[axis] > maxima[axis]:
-                        maxima[axis] = kk[axis]
-                        argmax[axis] = theta.copy()
-    return maxima, argmax
+    for theta in product(grid, repeat=3):
+        try:
+            total = adaptation.update_total(vehicle.mass, j_a, vehicle.com, payload_mass,
+                                            j_obj, offset, theta, geom)
+        except delta.KinematicsError:
+            continue
+        j_t = total.j_t_hat.tolist()
+        for axis in range(3):
+            kk = (j_inv[3 * axis] * j_t[0][axis] + j_inv[3 * axis + 1] * j_t[1][axis]
+                  + j_inv[3 * axis + 2] * j_t[2][axis])
+            if kk > maxima[axis]:
+                maxima[axis] = kk
+                argmax[axis] = theta
+    return np.array(maxima), argmax

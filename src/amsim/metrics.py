@@ -70,8 +70,8 @@ def evaluate(log: RunLog, eval_start: float = 0.0) -> MetricReport:
 
 
 def _first_stay_within(t: np.ndarray, err: np.ndarray, bound: float) -> float | None:
-    """First time the error enters the bound and never leaves again."""
-    outside = err > bound
+    """First time the error enters the bound and never leaves again (NaN is outside)."""
+    outside = ~(err <= bound)
     if not outside.any():
         return float(t[0])
     last_bad = int(np.nonzero(outside)[0][-1])

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
+from amsim import adaptation, delta, presense
 from amsim.controller import Gains
 from amsim.delta import DeltaGeometry
 from amsim.freqdom import (DEFAULT_BAND, MarginReport, NoCrossover, PoleOnAxis,
                            RationalTF, freq_response, margins, open_loop_tf,
                            robustness_sweep, workspace_kk_sweep)
+from amsim.spatial import InertialParams, box_inertia
 J_A_DIAG = np.array([9.2e-3, 10.5e-3, 14.7e-3])
 
 
@@ -44,6 +47,16 @@ class TestFreqResponse:
         tf = RationalTF(num=(1.0,), den=(4.0, 0.0, 1.0))  # poles at +-2j
         with pytest.raises(PoleOnAxis):
             freq_response(tf, 2.0)
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e15])
+    def test_pole_test_is_scale_invariant(self, scale):
+        tf = RationalTF(num=(scale,), den=(0.0, scale))
+        assert freq_response(tf, 1.0) == pytest.approx(-1j, abs=1e-15)
+        rep = margins(tf)
+        assert rep.phase_margin_deg == pytest.approx(90.0, abs=1e-9)
+        assert rep.gain_crossover == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(PoleOnAxis):
+            freq_response(RationalTF(num=(scale,), den=(4.0 * scale, 0.0, scale)), 2.0)
 
     def test_product_property(self, rng):
         for _ in range(20):
@@ -320,7 +333,7 @@ class TestMarginsScanOracle:
         # crossings lie 9e-4 rad/s apart, inside one 0.27 rad/s scan step
         zeta, wn = 1e-3, 100.0
         a = 2.0 * zeta * 1.00001
-        tf = RationalTF(num=(a * wn * wn,), den=(wn * wn, 2.0 * zeta * wn, 1.0))
+        tf = resonance_pair_tf()
         with pytest.raises(NoCrossover):
             scan_margins(tf)
         rep = margins(tf)
@@ -342,6 +355,158 @@ loop_params = st.tuples(
     st.floats(min_value=0.2, max_value=5.0),      # k_k
     st.floats(min_value=1e-3, max_value=0.1),     # j
     st.floats(min_value=2e-3, max_value=0.1))     # tau_m
+
+
+def _ref_freq_response(tf, omega):
+    s = 1j * omega
+    den = complex(P.polyval(s, tf.den))
+    if abs(den) < 1e-14:
+        raise PoleOnAxis(f"denominator vanishes at omega={omega}")
+    return complex(P.polyval(s, tf.num)) / den
+
+
+def _ref_jw_parts(coeffs):
+    c = np.asarray(coeffs, dtype=float)
+    k = np.arange(len(c))
+    c = np.where(k % 4 < 2, c, -c)
+    return np.where(k % 2 == 0, c, 0.0), np.where(k % 2 == 1, c, 0.0)
+
+
+def _ref_real_roots_in(poly, band):
+    with np.errstate(divide="ignore"):
+        size = np.log2(np.abs(poly)) + np.arange(len(poly)) * math.log2(band[1])
+    kept = np.nonzero(size > size.max() - 52.0)[0]
+    if kept.size == 0:
+        return []
+    return [float(r.real) for r in P.polyroots(poly[:kept[-1] + 1])
+            if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real))
+            and band[0] <= r.real <= band[1]]
+
+
+def ref_margins(tf, band=DEFAULT_BAND):
+    """Reference: the former numpy.polynomial margins, roots taken in omega."""
+    lo, hi = (float(b) for b in band)
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise ValueError(f"band must satisfy 0 < lo < hi < inf, got {band}")
+    band = (lo, hi)
+    nr, ni = _ref_jw_parts(tf.num)
+    dr, di = _ref_jw_parts(tf.den)
+    pm_candidates = []
+    gain_poly = P.polysub(P.polyadd(P.polymul(nr, nr), P.polymul(ni, ni)),
+                          P.polyadd(P.polymul(dr, dr), P.polymul(di, di)))
+    for wc in _ref_real_roots_in(gain_poly, band):
+        pm = 180.0 + math.degrees(cmath.phase(_ref_freq_response(tf, wc)))
+        pm_candidates.append((pm - 360.0 if pm > 180.0 else pm, wc))
+    if not pm_candidates:
+        raise NoCrossover(f"|G| stays on one side of unity over {band} rad/s")
+    pm, w_gc = min(pm_candidates)
+    gm_candidates = []
+    cross_re = P.polyadd(P.polymul(nr, dr), P.polymul(ni, di))
+    cross_im = P.polysub(P.polymul(ni, dr), P.polymul(nr, di))
+    for wpc in _ref_real_roots_in(cross_im, band):
+        if P.polyval(wpc, cross_re) < 0.0:
+            gm_db = -20.0 * math.log10(abs(_ref_freq_response(tf, wpc)))
+            gm_candidates.append((gm_db, wpc))
+    gm, w_pc = min(gm_candidates) if gm_candidates else (math.inf, math.nan)
+    return MarginReport(gain_margin_db=gm, phase_margin_deg=pm,
+                        gain_crossover=w_gc, phase_crossover=w_pc)
+
+
+def assert_matches_ref(tf, band=DEFAULT_BAND):
+    """margins(tf) equals ref_margins(tf), or both raise the same exception type."""
+    try:
+        ref = ref_margins(tf, band)
+    except (NoCrossover, PoleOnAxis, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            margins(tf, band)
+        return None
+    rep = margins(tf, band)
+    assert rep.gain_crossover == pytest.approx(ref.gain_crossover, rel=1e-12, abs=0)
+    assert rep.phase_margin_deg == pytest.approx(ref.phase_margin_deg, rel=0, abs=1e-9)
+    if math.isinf(ref.gain_margin_db):
+        assert rep.gain_margin_db == ref.gain_margin_db
+        assert math.isnan(rep.phase_crossover)
+    else:
+        assert rep.gain_margin_db == pytest.approx(ref.gain_margin_db, rel=0, abs=1e-9)
+        assert rep.phase_crossover == pytest.approx(ref.phase_crossover, rel=1e-12, abs=0)
+    return rep
+
+
+def resonance_pair_tf():
+    """Lightly damped resonance whose two unity crossings lie 9e-4 rad/s apart."""
+    zeta, wn = 1e-3, 100.0
+    a = 2.0 * zeta * 1.00001
+    return RationalTF(num=(a * wn * wn,), den=(wn * wn, 2.0 * zeta * wn, 1.0))
+
+
+class TestMarginsNumpyOracle:
+    """The float margins on u = omega^2 agree with the former numpy.polynomial code."""
+
+    def test_default_sweep_every_cell(self):
+        g = Gains()
+        _, rows = robustness_sweep(g, J_A_DIAG)
+        assert len(rows) == 147
+        for axis, sj, sk, rep in rows:
+            tf = open_loop_tf(g.rate_kp[axis], g.rate_ki[axis], g.rate_kd[axis],
+                              sk, 1.0, 0.02, J_A_DIAG[axis] * sj)
+            assert assert_matches_ref(tf) == rep
+
+    @settings(max_examples=200, deadline=None)
+    @given(loop_params)
+    def test_rate_loop_family(self, params):
+        kp, ki, kd, kk, j, tau = params
+        assert_matches_ref(open_loop_tf(kp, ki, kd, kk, 1.0, tau, j))
+
+    @pytest.mark.parametrize("tf", [
+        RationalTF(num=(200.0,), den=(0.0, 1.0, 0.11, 0.001)),        # finite GM
+        conditionally_stable_tf(3.0), conditionally_stable_tf(10.0),
+        conditionally_stable_tf(30.0),
+        open_loop_tf(1.0, 0.0, 1e-308, 1.0, 1.0, 0.0625, 0.0625),     # subnormal kd
+        RationalTF(num=(1e-9,), den=(0.0, 1.0, 0.02)),                # no crossover
+        RationalTF(num=(0.0,), den=(0.0, 0.0, 9.2e-3, 9.2e-3 * 0.02)),
+    ], ids=["finite_gm", "cond_stable_3", "cond_stable_10", "cond_stable_30",
+            "subnormal_kd", "no_crossover", "zero_gain"])
+    def test_special_cases(self, tf):
+        assert_matches_ref(tf)
+
+    def test_resonance_pair_nearer_the_exact_crossing(self):
+        # the crossings 9e-4 rad/s apart cost both root finders digits, the
+        # former one 3e-11 of the frequency: measure both against the upper
+        # root of |D|^2 - |N|^2 = d2^2 u^2 + (d1^2 - 2 d0 d2) u + d0^2 - n0^2
+        # solved in 50-digit decimal arithmetic from the same float coefficients
+        tf = resonance_pair_tf()
+        rep, ref = margins(tf), ref_margins(tf)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            (n0,), (d0, d1, d2) = ([decimal.Decimal(c) for c in p] for p in (tf.num, tf.den))
+            a, b, c = d2 * d2, d1 * d1 - 2 * d0 * d2, d0 * d0 - n0 * n0
+            w_exact = float(((-b + (b * b - 4 * a * c).sqrt()) / (2 * a)).sqrt())
+        pm_exact = 180.0 + math.degrees(cmath.phase(freq_response(tf, w_exact)))
+        assert rep.gain_crossover == pytest.approx(w_exact, rel=1e-11, abs=0)
+        assert abs(rep.gain_crossover - w_exact) <= abs(ref.gain_crossover - w_exact)
+        assert abs(rep.phase_margin_deg - pm_exact) <= abs(ref.phase_margin_deg - pm_exact)
+        assert rep.gain_margin_db == ref.gain_margin_db == math.inf
+
+    def test_root_with_negative_u_is_no_frequency(self):
+        # |G| = 1 for K / (s (tau s + 1)) where K^2 - u - tau^2 u^2 = 0: the
+        # roots are u = 247.2 and u = -647.2, and sqrt(647.2) = 25.4 lies in
+        # the band, so only the sign of u keeps the second one out
+        K, tau = 20.0, 0.05
+        tf = RationalTF(num=(K,), den=(0.0, 1.0, tau))
+        rep = assert_matches_ref(tf)
+        pm_ref, wc_ref = analytic_pm_first_order(K, tau)
+        assert rep.gain_crossover == pytest.approx(wc_ref, rel=1e-12)
+        assert rep.phase_margin_deg == pytest.approx(pm_ref, abs=1e-9)
+
+    def test_leading_term_matters_only_near_band_top(self):
+        # the tau^2 u^2 term of |D|^2 is 1e-18 of K^2 at u = hi but about
+        # 1e4 times K^2 at u = hi^2: the size test must reach hi^2, or the
+        # term is dropped and the crossover moves from 0.786e10 to 1e10
+        K, tau, band = 1e10, 1e-10, (1.0, 1e11)
+        tf = RationalTF(num=(K,), den=(0.0, 1.0, tau))
+        rep = assert_matches_ref(tf, band)
+        pm_ref, wc_ref = analytic_pm_first_order(K, tau)
+        assert rep.gain_crossover == pytest.approx(wc_ref, rel=1e-12)
+        assert rep.phase_margin_deg == pytest.approx(pm_ref, abs=1e-9)
 
 
 class TestMarginsProperties:
@@ -480,7 +645,57 @@ class TestRobustnessSweep:
             robustness_sweep(Gains(), J_A_DIAG, grid_n=4)
 
 
+def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_height):
+    """Reference: the former sweep loop, with np.linalg.solve and np.diag per cell."""
+    dims = np.asarray(payload_dims, dtype=float).reshape(3)
+    j_obj = InertialParams(payload_mass, np.zeros(3),
+                           box_inertia(payload_mass, dims)).inertia_about_com
+    offset = presense.top_grasp_offset(dims[2], pad_height)
+    lo, hi = geom.joint_limits
+    grid = np.linspace(lo, hi, grid_n)
+    maxima = np.ones(3)
+    argmax = [None, None, None]
+    for t1 in grid:
+        for t2 in grid:
+            for t3 in grid:
+                theta = np.array([t1, t2, t3])
+                try:
+                    total = adaptation.update_total(vehicle.mass,
+                                                    vehicle.inertia_about_com,
+                                                    vehicle.com, payload_mass,
+                                                    j_obj, offset, theta, geom)
+                except delta.KinematicsError:
+                    continue
+                kk = np.diag(np.linalg.solve(vehicle.inertia_about_com, total.j_t_hat))
+                for axis in range(3):
+                    if kk[axis] > maxima[axis]:
+                        maxima[axis] = kk[axis]
+                        argmax[axis] = theta.copy()
+    return maxima, argmax
+
+
+def tilted_vehicle():
+    """The shipped vehicle with its inertia turned off the body axes and its CoM moved."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]) @ \
+        np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return InertialParams(1.379, np.array([0.01, -0.02, 0.03]),
+                          rot @ np.diag(J_A_DIAG) @ rot.T)
+
+
 class TestWorkspaceSweep:
+    @pytest.mark.parametrize("tilted", [False, True], ids=["diag", "tilted"])
+    @pytest.mark.parametrize("grid_n", [3, 5, 9])
+    @pytest.mark.parametrize("mass", [0.1, 0.4, 1.0])
+    def test_equals_solve_oracle(self, vehicle_params, mass, grid_n, tilted):
+        vehicle = tilted_vehicle() if tilted else vehicle_params
+        args = (DeltaGeometry(), mass, (0.2, 0.2, 0.2), vehicle, grid_n, 0.01)
+        maxima, argmax = workspace_kk_sweep(*args)
+        ref_max, ref_arg = ref_workspace_kk_sweep(*args)
+        np.testing.assert_allclose(maxima, ref_max, rtol=1e-12, atol=0.0)
+        for got, want in zip(argmax, ref_arg):
+            assert (got is None and want is None) or got == tuple(want.tolist())
+
     def test_zero_mass_identity(self, vehicle_params):
         maxima, _ = workspace_kk_sweep(DeltaGeometry(), 0.0, [0.2, 0.2, 0.2],
                                        vehicle_params)

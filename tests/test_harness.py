@@ -395,6 +395,19 @@ class TestMetrics:
         with pytest.raises(metrics.NeverConverged):
             metrics.declare_convergence(log, strict=True)
 
+    @pytest.mark.parametrize("tail", [[math.nan] * 5, [1.0, 1.0, math.nan, math.nan, math.nan]])
+    def test_nan_estimate_never_converges(self, tail):
+        t = np.arange(10) * 0.1
+        ones = np.ones(10)
+        m_hat = np.concatenate([np.full(5, 2.0), tail])
+        cx_hat = np.concatenate([np.zeros(5), tail])
+        log = make_log(t, m_t_hat=m_hat, m_t_true=ones, ctx_hat=cx_hat,
+                       jtx_hat=m_hat, jty_hat=ones, jtz_hat=ones,
+                       jtx_true=ones, jty_true=ones, jtz_true=ones)
+        assert metrics.declare_convergence(log) == {"mass": None, "moi": None, "com": None}
+        with pytest.raises(metrics.NeverConverged, match="mass, moi, com"):
+            metrics.declare_convergence(log, strict=True)
+
     def test_compare_self_zero_deltas(self):
         t = np.arange(50) * 0.01
         log = make_log(t, px=np.sin(t))
@@ -702,6 +715,15 @@ class TestCli:
     def test_sweep_workspace_inf_mass_exit_1_without_warning(self, capsys):
         assert cli.main(["sweep", "--workspace", "--mass", "inf"]) == 1
         assert capsys.readouterr().err.startswith("config error: payload mass")
+
+    def test_sweep_workspace_csv_holds_plain_floats(self, tmp_path):
+        out = tmp_path / "ws.csv"
+        assert cli.main(["sweep", "--workspace", "--grid-n", "3", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "axis,kk_max,theta1,theta2,theta3"
+        assert [r.split(",")[0] for r in rows] == ["x", "y", "z"]
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.split(",")[1:])
 
     def test_sweep_uncertainty_smoke(self, tmp_path):
         out = tmp_path / "grid.csv"
