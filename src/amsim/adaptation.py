@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import delta
-from .spatial import E3, as_floats, composite
+from .spatial import as_floats, composite
 
 
 def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
@@ -27,7 +27,7 @@ def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
 @dataclass
 class DobState:
     m_hat: float = 0.0
-    force_filt: np.ndarray | None = None  # filtered residual force, N
+    force_filt: tuple | None = None  # filtered residual force, three floats, N
 
     def __post_init__(self):
         if self.m_hat < 0.0:
@@ -49,32 +49,34 @@ class GraspDetector:
 @dataclass
 class TotalInertia:
     m_t_hat: float
-    c_t: np.ndarray      # arm-frame CoM of vehicle + payload
-    j_t_hat: np.ndarray  # inertia about c_t
+    c_t: list      # arm-frame CoM of vehicle + payload, three floats
+    j_t_hat: list  # inertia about c_t, nine row-major floats
 
 
 def dob_step(st: DobState, accel_w, R, thrust_body, m_a: float, c: float,
              dt: float, g: float = 9.81, force_lpf_hz: float = 50.0) -> DobState:
     """One observer tick from world acceleration, attitude, and total thrust.
 
-    The raw residual is low-pass filtered (filter state seeded on the first
-    call), then the mass estimate relaxes toward residual_z / g with time
-    constant m_a / c using the exact zero-order-hold discretization. The
-    estimate is clamped non-negative.
+    ``R`` is the body-to-world rotation as a 3x3 matrix or its nine
+    row-major floats. The raw residual is low-pass filtered (filter state
+    seeded on the first call), then the mass estimate relaxes toward
+    residual_z / g with time constant m_a / c using the exact zero-order-hold
+    discretization. The estimate is clamped non-negative.
     """
-    accel_w = np.asarray(accel_w, dtype=float).reshape(3)
-    thrust_body = np.asarray(thrust_body, dtype=float).reshape(3)
-    R = np.asarray(R, dtype=float)
-    f_raw = R @ thrust_body - m_a * accel_w - m_a * g * E3
-    if st.force_filt is None:
-        f_filt = f_raw
-    else:
+    a0, a1, a2 = as_floats(accel_w, 3)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = as_floats(R, 9)
+    t0, t1, t2 = as_floats(thrust_body, 3)
+    f0 = (r00 * t0 + r01 * t1 + r02 * t2) - m_a * a0
+    f1 = (r10 * t0 + r11 * t1 + r12 * t2) - m_a * a1
+    f2 = (r20 * t0 + r21 * t1 + r22 * t2) - m_a * a2 - m_a * g
+    if st.force_filt is not None:
         a = lowpass_alpha(force_lpf_hz, dt)
-        f_filt = st.force_filt + a * (f_raw - st.force_filt)
+        p0, p1, p2 = st.force_filt
+        f0, f1, f2 = p0 + a * (f0 - p0), p1 + a * (f1 - p1), p2 + a * (f2 - p2)
     decay = math.exp(-c * dt / m_a)
-    target = f_filt[2] / g
+    target = f2 / g
     m_hat = target + (st.m_hat - target) * decay
-    return replace(st, m_hat=max(m_hat, 0.0), force_filt=f_filt)
+    return DobState(max(m_hat, 0.0), (f0, f1, f2))
 
 
 def detect_grasp(d: GraspDetector, ext_force_z: float, dt: float) -> tuple[GraspDetector, bool]:
@@ -107,15 +109,13 @@ def update_total(m_a: float, j_a, p_b, obj_mass, obj_moi, grasp_offset,
 
     The object CoM sits at forward_kin(theta) + grasp_offset in the arm
     frame. With no object (``obj_mass`` None or zero) the bare vehicle
-    parameters come back as new arrays. Both bodies must already be valid
+    parameters come back as new lists. Both bodies must already be valid
     (the vehicle at config load, the object where its inertia is built), as
     ``composite`` checks nothing.
     """
     if obj_mass is None or obj_mass <= 0.0:
-        return TotalInertia(m_a, np.array(p_b, dtype=float).reshape(3),
-                            np.array(j_a, dtype=float).reshape(3, 3))
+        return TotalInertia(m_a, list(as_floats(p_b, 3)), list(as_floats(j_a, 9)))
     px, py, pz = delta.forward_kin(geom, theta)
     ox, oy, oz = as_floats(grasp_offset, 3)
-    m_t, c_t, j_t = composite(m_a, as_floats(p_b, 3), as_floats(j_a, 9), float(obj_mass),
-                              (px + ox, py + oy, pz + oz), as_floats(obj_moi, 9))
-    return TotalInertia(m_t, np.array(c_t), np.array(j_t).reshape(3, 3))
+    return TotalInertia(*composite(m_a, as_floats(p_b, 3), as_floats(j_a, 9), float(obj_mass),
+                                   (px + ox, py + oy, pz + oz), as_floats(obj_moi, 9)))

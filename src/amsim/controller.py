@@ -110,10 +110,12 @@ def attitude_loop(q_des, q, k_att, R=None) -> tuple:
 def iags_gain(j_a, j_t_hat) -> np.ndarray:
     """Inertia-scheduled rate-loop gain matrix: J_a^-1 @ J_t_hat.
 
+    ``j_t_hat`` is 3x3 or the nine row-major floats of ``TotalInertia``.
     Identity when the estimated total inertia equals the bare vehicle's, so
     the scheduled loop reduces to the fixed-gain one in the unloaded state.
     """
-    return np.linalg.solve(np.asarray(j_a, dtype=float), np.asarray(j_t_hat, dtype=float))
+    return np.linalg.solve(np.asarray(j_a, dtype=float),
+                           np.asarray(j_t_hat, dtype=float).reshape(3, 3))
 
 
 class RateLoop:
@@ -122,33 +124,46 @@ class RateLoop:
     torque = (Kp e + Ki ∫e + Kd d/dt e_filtered) * k_k, elementwise per axis.
     The integral torque contribution is clamped to +-i_limit per axis; the
     derivative comes from a low-pass filtered finite difference of the error.
+    The gains are read when the loop is built.
     """
 
     def __init__(self, gains: Gains):
         self.gains = gains
+        self._kp, self._ki, self._kd = (tuple(v.tolist()) for v in
+                                        (gains.rate_kp, gains.rate_ki, gains.rate_kd))
+        self._lim = gains.i_limit
+        self._dt = self._alpha = None  # the D filter's blend at the last tick's dt
         self.reset()
 
     def reset(self):
-        self._integral = [0.0, 0.0, 0.0]
+        self._integral = (0.0, 0.0, 0.0)
         self._prev_error = None
-        self._d_filt = [0.0, 0.0, 0.0]
+        self._d_filt = (0.0, 0.0, 0.0)
 
     def step(self, omega_des, omega, k_k_diag, dt: float) -> list:
         """Torque command (three floats) from the rate error of one tick."""
-        g = self.gains
-        lim = g.i_limit
-        e = [a - b for a, b in zip(omega_des, omega)]
+        if dt != self._dt:
+            self._dt = dt
+            self._alpha = 1.0 - math.exp(-2.0 * math.pi * self.gains.d_lpf_hz * dt)
+        lim, a = self._lim, self._alpha
+        (w0, w1, w2), (m0, m1, m2) = omega_des, omega
+        e0, e1, e2 = w0 - m0, w1 - m1, w2 - m2
+        (ki0, ki1, ki2), (i0, i1, i2) = self._ki, self._integral
         # the clamped value comes first so that a NaN passes, as in np.clip
-        self._integral = [min(max(i + ki * x * dt, -lim), lim)
-                          for i, ki, x in zip(self._integral, g.rate_ki.tolist(), e)]
+        i0 = min(max(i0 + ki0 * e0 * dt, -lim), lim)
+        i1 = min(max(i1 + ki1 * e1 * dt, -lim), lim)
+        i2 = min(max(i2 + ki2 * e2 * dt, -lim), lim)
         prev = self._prev_error
-        d_raw = [0.0, 0.0, 0.0] if prev is None else [(x - p) / dt for x, p in zip(e, prev)]
-        alpha = 1.0 - math.exp(-2.0 * math.pi * g.d_lpf_hz * dt)
-        self._d_filt = [f + alpha * (r - f) for f, r in zip(self._d_filt, d_raw)]
-        self._prev_error = e
-        return [(kp * x + i + kd * f) * kk for kp, x, i, kd, f, kk in
-                zip(g.rate_kp.tolist(), e, self._integral, g.rate_kd.tolist(),
-                    self._d_filt, k_k_diag)]
+        if prev is None:
+            r0 = r1 = r2 = 0.0
+        else:
+            r0, r1, r2 = (e0 - prev[0]) / dt, (e1 - prev[1]) / dt, (e2 - prev[2]) / dt
+        f0, f1, f2 = self._d_filt
+        f0, f1, f2 = f0 + a * (r0 - f0), f1 + a * (r1 - f1), f2 + a * (r2 - f2)
+        self._integral, self._d_filt, self._prev_error = (i0, i1, i2), (f0, f1, f2), (e0, e1, e2)
+        (kp0, kp1, kp2), (kd0, kd1, kd2), (k0, k1, k2) = self._kp, self._kd, k_k_diag
+        return [(kp0 * e0 + i0 + kd0 * f0) * k0, (kp1 * e1 + i1 + kd1 * f1) * k1,
+                (kp2 * e2 + i2 + kd2 * f2) * k2]
 
 
 def allocation_matrix(cfg: RotorConfig, com=None) -> np.ndarray:
@@ -189,15 +204,21 @@ def mixer(thrust_des: float, torque_des, cfg: RotorConfig,
         alloc = allocation(cfg, com)
     w0 = float(thrust_des)
     w1, w2, w3 = torque_des
-    t0 = [r0 * w0 + r1 * w1 + r2 * w2 + r3 * w3 for r0, r1, r2, r3 in alloc.inverse]
-    u = alloc.collective
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = alloc.inverse
+    t0 = a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3
+    t1 = b0 * w0 + b1 * w1 + b2 * w2 + b3 * w3
+    t2 = c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3
+    t3 = d0 * w0 + d1 * w1 + d2 * w2 + d3 * w3
+    u0, u1, u2, u3 = alloc.collective
     t_max = cfg.max_thrust
     # a NaN thrust makes every rotor NaN, and max/min then return the first
-    lam_lo = max([-t / c for t, c in zip(t0, u)])          # smallest shift keeping all >= 0
-    lam_hi = min([(t_max - t) / c for t, c in zip(t0, u)])  # largest shift keeping all <= max
+    lam_lo = max(-t0 / u0, -t1 / u1, -t2 / u2, -t3 / u3)  # smallest shift keeping all >= 0
+    lam_hi = min((t_max - t0) / u0, (t_max - t1) / u1,    # largest shift keeping all <= max
+                 (t_max - t2) / u2, (t_max - t3) / u3)
     infeasible = lam_lo > lam_hi
     if infeasible:
         lam = 0.5 * (lam_lo + lam_hi)
     else:
         lam = min(max(0.0, lam_lo), lam_hi)
-    return [min(max(t + lam * c, 0.0), t_max) for t, c in zip(t0, u)], infeasible
+    return [min(max(t0 + lam * u0, 0.0), t_max), min(max(t1 + lam * u1, 0.0), t_max),
+            min(max(t2 + lam * u2, 0.0), t_max), min(max(t3 + lam * u3, 0.0), t_max)], infeasible

@@ -62,9 +62,6 @@ class RationalTF:
         s = self.den[-1]
         return RationalTF(tuple(c / s for c in self.num), tuple(c / s for c in self.den))
 
-    def __mul__(self, other: "RationalTF") -> "RationalTF":
-        return RationalTF(_polymul(self.num, other.num), _polymul(self.den, other.den))
-
 
 def _trim(coeffs) -> tuple:
     c = [float(v) for v in coeffs]
@@ -129,18 +126,26 @@ def _band_roots(poly, lo: float, hi: float) -> list:
     Leading terms that stay below the rounding of the largest term all over
     the band (u up to hi^2) are dropped first: their extra roots lie far
     beyond the band, and a tiny leading coefficient would overflow the
-    companion matrix.
+    companion matrix. Exactly zero low-order terms are roots u = 0, divided
+    out; a linear rest has its root in closed form.
     """
     size = [math.log2(abs(c)) + k * math.log2(hi * hi) if c else -math.inf
             for k, c in enumerate(poly)]
     top = max(size)
     n = max((k for k, v in enumerate(size) if v > top - 52.0), default=0)
+    low = next((k for k, c in enumerate(poly[:n]) if c), n)
+    poly = poly[low:n + 1]
+    n -= low
     if n == 0:
         return []
-    companion = np.eye(n, k=1)
-    companion[:, 0] = [-c / poly[n] for c in reversed(poly[:n])]
-    w = [math.sqrt(u.real) for u in np.linalg.eigvals(companion).tolist()
-         if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real)) and u.real > 0.0]
+    if n == 1:
+        roots = [-poly[0] / poly[1]]
+    else:
+        companion = np.eye(n, k=1)
+        companion[:, 0] = [-c / poly[n] for c in reversed(poly[:n])]
+        roots = [u.real for u in np.linalg.eigvals(companion).tolist()
+                 if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real))]
+    w = [math.sqrt(u) for u in roots if u > 0.0]
     return [x for x in w if lo <= x <= hi]
 
 
@@ -250,7 +255,7 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     j_obj = as_floats(InertialParams(payload_mass, np.zeros(3),
                                      box_inertia(payload_mass, dims)).inertia_about_com, 9)
     offset = presense.top_grasp_offset(dims[2], pad_height)
-    j_a = as_floats(vehicle.inertia_about_com, 9)
+    j_a, com = as_floats(vehicle.inertia_about_com, 9), vehicle.com.tolist()
     j_inv = inverse3(j_a)
     lo, hi = geom.joint_limits
     grid = np.linspace(lo, hi, grid_n).tolist()
@@ -258,14 +263,13 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     argmax = [None, None, None]
     for theta in product(grid, repeat=3):
         try:
-            total = adaptation.update_total(vehicle.mass, j_a, vehicle.com, payload_mass,
-                                            j_obj, offset, theta, geom)
+            j_t = adaptation.update_total(vehicle.mass, j_a, com, payload_mass,
+                                          j_obj, offset, theta, geom).j_t_hat
         except delta.KinematicsError:
             continue
-        j_t = total.j_t_hat.tolist()
         for axis in range(3):
-            kk = (j_inv[3 * axis] * j_t[0][axis] + j_inv[3 * axis + 1] * j_t[1][axis]
-                  + j_inv[3 * axis + 2] * j_t[2][axis])
+            kk = (j_inv[3 * axis] * j_t[axis] + j_inv[3 * axis + 1] * j_t[3 + axis]
+                  + j_inv[3 * axis + 2] * j_t[6 + axis])
             if kk > maxima[axis]:
                 maxima[axis] = kk
                 argmax[axis] = theta

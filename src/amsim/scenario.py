@@ -250,10 +250,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     det_filt = None
     det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, dob_dt)
 
-    bare = TotalInertia(am.mass, am.com.copy(), am.inertia_about_com.copy())
+    bare = TotalInertia(am.mass, am_com, am_j)
     est_tot = bare
     kk = [1.0, 1.0, 1.0]
-    alloc = allocation(rotor, bare.c_t - veh.p_b)
+    alloc = allocation(rotor, None)
     attached = False
     latched = False
     m_obj = 0.0  # the logged payload mass estimate
@@ -266,7 +266,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     rows = np.empty((n_steps, len(COLUMNS)))
 
     def body_cols(tot):
-        return [tot.m_t_hat, *tot.c_t.tolist(), *np.diag(tot.j_t_hat).tolist()]
+        j = tot.j_t_hat
+        return [tot.m_t_hat, *tot.c_t, j[0], j[4], j[8]]
 
     # the log row is joined from column slices that are rebuilt where their
     # values change; tick 0 is a control, observer and servo tick
@@ -279,9 +280,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     def refresh_truth(tot):
         nonlocal truth, truth_j, truth_inv, truth_tmap, truth_cols
         truth = tot
-        truth_j = tot.j_t_hat.ravel().tolist()
+        truth_j = tot.j_t_hat
         truth_inv = inverse3(truth_j)
-        truth_tmap = torque_matrix(rotor, [c - b for c, b in zip(tot.c_t.tolist(), am_com)])
+        truth_tmap = torque_matrix(rotor, [c - b for c, b in zip(tot.c_t, am_com)])
         truth_cols = body_cols(tot)
 
     def attached_truth():
@@ -308,7 +309,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
         est_tot = adaptation.update_total(am.mass, am_j, am_com, m_o, j_o, offset_est,
                                           joints.theta, geom)
         kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).tolist()
-        alloc = allocation(rotor, est_tot.c_t - veh.p_b)
+        alloc = allocation(rotor, [c - b for c, b in zip(est_tot.c_t, am_com)])
         est_cols = body_cols(est_tot) + kk
         est_stale = False
 
@@ -350,9 +351,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                     if use_dob:
                         dob = DobState(m_hat=(m_tilde if use_prior else 0.0))
                 if latched and use_dob:
-                    dob = adaptation.dob_step(dob, acc_meas, np.reshape(R, (3, 3)),
-                                              (0.0, 0.0, thrust), am.mass, cfg.est.dob_c,
-                                              dob_dt, g=g, force_lpf_hz=cfg.est.force_lpf_hz)
+                    dob = adaptation.dob_step(dob, acc_meas, R, (0.0, 0.0, thrust), am.mass,
+                                              cfg.est.dob_c, dob_dt, g=g,
+                                              force_lpf_hz=cfg.est.force_lpf_hz)
                     est_stale = True
                 if latched:
                     m_obj = dob.m_hat if use_dob else (m_tilde if use_prior else 0.0)

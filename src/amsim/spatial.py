@@ -15,21 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-E3 = np.array([0.0, 0.0, 1.0])
-
-
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([float(x), float(y), float(z)])
-
-
-def skew(v: np.ndarray) -> np.ndarray:
-    """Return the 3x3 matrix [v]_x such that [v]_x @ w == cross(v, w)."""
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    return np.array([[0.0, -vz, vy],
-                     [vz, 0.0, -vx],
-                     [-vy, vx, 0.0]])
-
-
 def cross3(a, b) -> tuple:
     """Cross product of two 3-sequences, as three floats."""
     a0, a1, a2 = a
@@ -52,26 +37,15 @@ def unit_quat(w: float, x: float, y: float, z: float) -> tuple:
     return w / n, x / n, y / n, z / n
 
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a ⊗ b, both scalar-first."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
 def quat_to_rot(q, flat: bool = False):
     """Rotation matrix (body->world) of a scalar-first quaternion, renormalized first.
 
-    ``q`` is any 4-sequence. With ``flat`` the nine entries come back as a
-    row-major tuple of floats, for scalar code in the physics step. Raises
-    ValueError on a zero quaternion.
+    ``q`` is any 4-sequence; a tuple, as the physics step passes, is taken as
+    it is, anything else is read as four floats. With ``flat`` the nine
+    entries come back as a row-major tuple of floats, for scalar code in the
+    physics step. Raises ValueError on a zero quaternion.
     """
-    w, x, y, z = q.tolist() if isinstance(q, np.ndarray) else q
+    w, x, y, z = q if type(q) is tuple else np.asarray(q, dtype=float).reshape(4).tolist()
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-15:
         raise ValueError("cannot normalize a zero quaternion")
@@ -79,9 +53,9 @@ def quat_to_rot(q, flat: bool = False):
     ww, xx, yy, zz = w * w, x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    r = (ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy),
-         2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx),
-         2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz)
+    r = (ww + xx - yy - zz, 2.0 * (xy - wz), 2.0 * (xz + wy),
+         2.0 * (xy + wz), ww - xx + yy - zz, 2.0 * (yz - wx),
+         2.0 * (xz - wy), 2.0 * (yz + wx), ww - xx - yy + zz)
     return r if flat else np.array(r).reshape(3, 3)
 
 

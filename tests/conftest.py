@@ -96,12 +96,28 @@ def ref_rot_to_quat(R):
 
 
 def ref_composite(m_a, c_a, j_a, m_o, c_o, j_o):
-    """The array parallel-axis sum that the float ``spatial.composite`` replaced."""
+    """The array parallel-axis sum that the float ``spatial.composite`` replaced.
+
+    d.d is summed left to right: ``d @ d`` goes to a BLAS kernel whose fused
+    multiply-adds can round the last bit differently.
+    """
     def shift(j, mass, d):
-        return j + mass * (float(d @ d) * np.eye(3) - np.outer(d, d))
+        return j + mass * (float(np.sum(d * d)) * np.eye(3) - np.outer(d, d))
     m_t = m_a + m_o
     c_t = (m_a * c_a + m_o * c_o) / m_t
     return m_t, c_t, shift(j_a, m_a, c_t - c_a) + shift(j_o, m_o, c_t - c_o)
+
+
+def quat_mul(a, b) -> np.ndarray:
+    """Hamilton product a ⊗ b of two scalar-first quaternions, as an array."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ])
 
 
 def random_body(rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_body, ref_composite
+from conftest import random_body, random_rotation, ref_composite
 
 from amsim.adaptation import (DobState, GraspDetector, detect_grasp,
                               dob_step, rescale_moi, update_total)
@@ -103,6 +103,86 @@ class TestDobStep:
         np.testing.assert_allclose(st.force_filt, [0.0, 0.0, m_o * G], atol=1e-12)
 
 
+def ref_dob_step(st, accel_w, R, thrust_body, m_a, c, dt, g=9.81, force_lpf_hz=50.0):
+    """The array observer tick the float dob_step replaced, kept as its oracle."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    accel_w = np.asarray(accel_w, dtype=float).reshape(3)
+    thrust_body = np.asarray(thrust_body, dtype=float).reshape(3)
+    R = np.asarray(R, dtype=float)
+    f_raw = R @ thrust_body - m_a * accel_w - m_a * g * e3
+    if st.force_filt is None:
+        f_filt = f_raw
+    else:
+        a = 1.0 - math.exp(-2.0 * math.pi * force_lpf_hz * dt)
+        f_filt = st.force_filt + a * (f_raw - st.force_filt)
+    decay = math.exp(-c * dt / m_a)
+    target = f_filt[2] / g
+    m_hat = target + (st.m_hat - target) * decay
+    return DobState(m_hat=max(m_hat, 0.0), force_filt=f_filt)
+
+
+def dob_bits(st):
+    """The observer state as bytes, so that == compares NaNs and zero signs too."""
+    return np.array([st.m_hat, *st.force_filt]).tobytes()
+
+
+class TestDobOracle:
+    """The float observer against the array code it replaced, bit for bit.
+
+    numpy's ``R @ t`` fuses multiply-adds, so a thrust off the body z axis
+    rounds differently there; a rotor thrust lies on that axis, and there
+    the two agree exactly.
+    """
+
+    def random_run(self, rng, n=40):
+        m_a, c = rng.uniform(0.5, 3.0), rng.uniform(1.0, 30.0)
+        dt, g, lpf = rng.uniform(1e-3, 0.02), rng.uniform(9.7, 9.9), rng.uniform(5.0, 80.0)
+        steps = []
+        for _ in range(n):
+            R = random_rotation(rng)
+            thrust = (0.0, 0.0, float(rng.uniform(0.0, 60.0)))
+            steps.append((rng.standard_normal(3) * 3.0, R, thrust))
+        return steps, (m_a, c, dt), dict(g=g, force_lpf_hz=lpf)
+
+    def test_bitwise_on_random_inputs(self, rng):
+        for _ in range(30):
+            steps, args, kw = self.random_run(rng)
+            m0 = float(rng.uniform(0.0, 0.5))
+            st_3x3 = st_flat = ref = DobState(m_hat=m0)
+            for accel, R, thrust in steps:
+                ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
+                st_3x3 = dob_step(st_3x3, accel, R, thrust, *args, **kw)
+                st_flat = dob_step(st_flat, accel.tolist(), tuple(R.ravel().tolist()),
+                                   thrust, *args, **kw)
+                assert dob_bits(st_3x3) == dob_bits(st_flat) == dob_bits(ref)
+                assert type(st_flat.m_hat) is float and type(st_flat.force_filt) is tuple
+                assert all(type(v) is float for v in st_flat.force_filt)
+
+    def test_off_axis_thrust_matches(self, rng):
+        steps, args, kw = self.random_run(rng)
+        st = ref = DobState()
+        for accel, R, _ in steps:
+            thrust = rng.uniform(-20.0, 20.0, 3)
+            ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
+            st = dob_step(st, accel, R.ravel().tolist(), thrust.tolist(), *args, **kw)
+            np.testing.assert_allclose(st.force_filt, ref.force_filt, rtol=0.0, atol=1e-13)
+            assert st.m_hat == pytest.approx(float(ref.m_hat), rel=0.0, abs=1e-13)
+
+    def test_nan_input(self, rng):
+        steps, args, kw = self.random_run(rng, n=3)
+        for where in range(3):
+            st = ref = DobState(m_hat=0.1)
+            for k, (accel, R, thrust) in enumerate(steps):
+                if k == 1:
+                    accel = accel.copy()
+                    accel[where] = math.nan
+                ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
+                st = dob_step(st, accel, tuple(R.ravel().tolist()), thrust, *args, **kw)
+                assert dob_bits(st) == dob_bits(ref)
+            assert math.isnan(st.force_filt[where])
+            assert math.isnan(st.m_hat) == (where == 2)
+
+
 class TestDetectGrasp:
     def test_below_threshold_never_triggers(self):
         d = GraspDetector(threshold=1.0, persistence=0.5)
@@ -168,7 +248,7 @@ class TestUpdateTotal:
                            np.full(3, 0.4), self.geom)
         assert out.m_t_hat == M_A
         np.testing.assert_array_equal(out.c_t, self.p_b)
-        np.testing.assert_array_equal(out.j_t_hat, self.j_a)
+        np.testing.assert_array_equal(out.j_t_hat, self.j_a.ravel())
 
     def test_outboard_move_increases_yy(self):
         j_o = box_inertia(0.4, [0.1, 0.1, 0.1])
@@ -183,7 +263,7 @@ class TestUpdateTotal:
                          theta_center, self.geom)
         b = update_total(M_A, self.j_a, self.p_b, 0.4, j_o, offset,
                          theta_out, self.geom)
-        assert b.j_t_hat[1, 1] > a.j_t_hat[1, 1]
+        assert b.j_t_hat[4] > a.j_t_hat[4]  # entry (1, 1) of the row-major nine
 
     def test_object_at_vehicle_com_adds_only_its_moi(self):
         j_o = box_inertia(0.4, [0.08, 0.08, 0.08])
@@ -193,7 +273,7 @@ class TestUpdateTotal:
         offset = self.p_b - p_e
         out = update_total(M_A, self.j_a, self.p_b, 0.4, j_o, offset,
                            theta, self.geom)
-        np.testing.assert_allclose(out.j_t_hat, self.j_a + j_o, atol=1e-15)
+        np.testing.assert_allclose(out.j_t_hat, (self.j_a + j_o).ravel(), atol=1e-15)
         np.testing.assert_allclose(out.c_t, self.p_b, atol=1e-15)
 
     def test_mass_adds(self):
@@ -204,19 +284,21 @@ class TestUpdateTotal:
 
     @pytest.mark.parametrize("obj_mass", [None, 0.0])
     def test_no_object_returns_fresh_arrays(self, obj_mass):
-        """Fresh arrays of the tensor's shape, whether the vehicle comes as
-        arrays, nested lists or the nine row-major floats the engine passes."""
+        """Fresh lists of 3 and 9 floats, whether the vehicle comes as arrays,
+        nested lists or the nine row-major floats the engine passes."""
         for p_b, j_a in ((self.p_b, self.j_a), (self.p_b.tolist(), self.j_a.tolist()),
                          (self.p_b.tolist(), self.j_a.ravel().tolist())):
             out = update_total(M_A, j_a, p_b, obj_mass, None, None, np.full(3, 0.4), self.geom)
-            assert isinstance(out.c_t, np.ndarray) and isinstance(out.j_t_hat, np.ndarray)
-            assert out.c_t.shape == (3,) and out.j_t_hat.shape == (3, 3)
+            assert type(out.c_t) is list and type(out.j_t_hat) is list
+            assert all(type(v) is float for v in out.c_t + out.j_t_hat)
+            assert len(out.c_t) == 3 and len(out.j_t_hat) == 9
             np.testing.assert_allclose(iags_gain(self.j_a, out.j_t_hat), np.eye(3), atol=1e-15)
-            assert not np.shares_memory(out.c_t, self.p_b)
-            assert not np.shares_memory(out.j_t_hat, self.j_a)
-            out.c_t[:] = out.j_t_hat[:] = 7.0
-            np.testing.assert_array_equal(self.p_b, [0.0, 0.0, 0.03])
-            np.testing.assert_array_equal(self.j_a, np.diag([9.2e-3, 10.5e-3, 14.7e-3]))
+            assert out.c_t is not p_b and out.j_t_hat is not j_a
+            out.c_t[:] = [7.0] * 3
+            out.j_t_hat[:] = [7.0] * 9
+            np.testing.assert_array_equal(p_b, [0.0, 0.0, 0.03])
+            np.testing.assert_array_equal(np.reshape(j_a, (3, 3)),
+                                          np.diag([9.2e-3, 10.5e-3, 14.7e-3]))
 
     def test_matches_array_oracle(self, rng):
         lo, hi = self.geom.joint_limits
@@ -231,10 +313,29 @@ class TestUpdateTotal:
             m_ref, c_ref, j_ref = ref_composite(
                 m_a, p_b, j_a, m_o, np.asarray(forward_kin(self.geom, theta)) + offset, j_o)
             assert out.m_t_hat == m_ref
-            assert out.c_t.shape == (3,) and out.j_t_hat.shape == (3, 3)
+            assert len(out.c_t) == 3 and len(out.j_t_hat) == 9
             np.testing.assert_allclose(out.c_t, c_ref, rtol=0.0, atol=1e-14 * np.abs(c_ref).max())
-            np.testing.assert_allclose(out.j_t_hat, j_ref, rtol=0.0,
+            np.testing.assert_allclose(out.j_t_hat, j_ref.ravel(), rtol=0.0,
                                        atol=1e-14 * np.abs(j_ref).max())
+            done += 1
+
+    def test_bitwise_equals_array_oracle(self, rng):
+        """The float composite rounds exactly as the array oracle: same
+        mass, CoM and row-major inertia bits at random bodies and poses."""
+        lo, hi = self.geom.joint_limits
+        done = 0
+        while done < 300:
+            (m_a, p_b, j_a), (m_o, _, j_o) = random_body(rng), random_body(rng)
+            theta, offset = rng.uniform(lo, hi, 3), rng.uniform(-0.1, 0.1, 3)
+            try:
+                out = update_total(m_a, j_a, p_b, m_o, j_o, offset, theta, self.geom)
+            except KinematicsError:
+                continue
+            px, py, pz = forward_kin(self.geom, theta)
+            c_o = np.array([px + offset[0], py + offset[1], pz + offset[2]])
+            m_ref, c_ref, j_ref = ref_composite(m_a, p_b, j_a, m_o, c_o, j_o)
+            assert (out.m_t_hat, out.c_t, out.j_t_hat) == (m_ref, c_ref.tolist(),
+                                                           j_ref.ravel().tolist())
             done += 1
 
     def test_workspace_sweep_keeps_benchmark_reference(self):

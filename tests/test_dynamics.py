@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import quat_mul
+
 import amsim.dynamics
 from amsim.dynamics import (Environment, NonFinite, RotorConfig, VehicleState,
                             derivatives, motor_lag_step, rotor_wrench,
                             step_rk4, torque_matrix)
-from amsim.spatial import as_floats, inverse3, quat_mul, quat_to_rot, unit_quat
+from amsim.spatial import as_floats, inverse3, quat_to_rot, unit_quat
 
 G = 9.81
 E3 = np.array([0.0, 0.0, 1.0])

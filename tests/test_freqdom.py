@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from amsim import adaptation, delta, presense
+from amsim import adaptation, delta, freqdom, presense
 from amsim.controller import Gains
 from amsim.delta import DeltaGeometry
 from amsim.freqdom import (DEFAULT_BAND, MarginReport, NoCrossover, PoleOnAxis,
@@ -65,7 +65,8 @@ class TestFreqResponse:
             b = RationalTF(num=tuple(rng.uniform(0.1, 2.0, 3)),
                            den=tuple(rng.uniform(0.1, 2.0, 2)))
             w = rng.uniform(0.5, 50.0)
-            lhs = freq_response(a * b, w)
+            product = RationalTF(freqdom._polymul(a.num, b.num), freqdom._polymul(a.den, b.den))
+            lhs = freq_response(product, w)
             rhs = freq_response(a, w) * freq_response(b, w)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -509,6 +510,59 @@ class TestMarginsNumpyOracle:
         assert rep.phase_margin_deg == pytest.approx(pm_ref, abs=1e-9)
 
 
+def companion_band_roots(poly, lo, hi):
+    """The former ``_band_roots``: every root from one companion matrix,
+    u = 0 included and dropped afterwards by its sign."""
+    size = [math.log2(abs(c)) + k * math.log2(hi * hi) if c else -math.inf
+            for k, c in enumerate(poly)]
+    top = max(size)
+    n = max((k for k, v in enumerate(size) if v > top - 52.0), default=0)
+    if n == 0:
+        return []
+    companion = np.eye(n, k=1)
+    companion[:, 0] = [-c / poly[n] for c in reversed(poly[:n])]
+    w = [math.sqrt(u.real) for u in np.linalg.eigvals(companion).tolist()
+         if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real)) and u.real > 0.0]
+    return [x for x in w if lo <= x <= hi]
+
+
+class TestBandRoots:
+    """Zero roots u = 0 are divided out before any eigenvalue is taken."""
+
+    def test_robustness_grid_matches_companion_roots(self, monkeypatch):
+        _, rows = robustness_sweep(Gains(), J_A_DIAG)
+        monkeypatch.setattr(freqdom, "_band_roots", companion_band_roots)
+        _, ref_rows = robustness_sweep(Gains(), J_A_DIAG)
+        assert len(rows) == len(ref_rows) == 147
+        for (*cell, rep), (*ref_cell, ref) in zip(rows, ref_rows):
+            assert cell == ref_cell
+            for got, want in ((rep.phase_margin_deg, ref.phase_margin_deg),
+                              (rep.gain_crossover, ref.gain_crossover),
+                              (rep.gain_margin_db, ref.gain_margin_db),
+                              (rep.phase_crossover, ref.phase_crossover)):
+                assert got == pytest.approx(want, rel=1e-12, abs=0, nan_ok=True)
+
+    def test_zero_constant_term_has_no_zero_root(self, monkeypatch):
+        lo, hi = 1e-300, 1e3
+        cases = [([0.0, -4.0, 1.0], [2.0]),                  # u (u - 4)
+                 ([0.0, 0.0, 9.0, -10.0, 1.0], [1.0, 3.0]),  # u^2 (u - 1)(u - 9)
+                 ([0.0, 0.0, 5.0], []), ([0.0, 3.0], [])]
+        for poly, want in cases:
+            assert sorted(freqdom._band_roots(poly, lo, hi)) == pytest.approx(want, rel=1e-14)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+        assert freqdom._band_roots([0.0, -4.0, 1.0], lo, hi) == [2.0]
+        assert freqdom._band_roots([0.0, 0.0, 5.0], lo, hi) == []
+        assert calls == []
+        # a rate loop's phase polynomial has a zero constant term: one
+        # eigenvalue call per margins, for the gain polynomial
+        g = Gains()
+        margins(open_loop_tf(g.rate_kp[0], g.rate_ki[0], g.rate_kd[0], 1.0, 1.0, 0.02,
+                             J_A_DIAG[0]))
+        assert len(calls) == 1
+
+
 class TestMarginsProperties:
     @settings(max_examples=200, deadline=None)
     @given(loop_params)
@@ -666,7 +720,8 @@ def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pa
                                                     j_obj, offset, theta, geom)
                 except delta.KinematicsError:
                     continue
-                kk = np.diag(np.linalg.solve(vehicle.inertia_about_com, total.j_t_hat))
+                kk = np.diag(np.linalg.solve(vehicle.inertia_about_com,
+                                             np.reshape(total.j_t_hat, (3, 3))))
                 for axis in range(3):
                     if kk[axis] > maxima[axis]:
                         maxima[axis] = kk[axis]

@@ -232,7 +232,7 @@ class TestEstimateRefresh:
             tot = update_total(am.mass, am.inertia_about_com, am.com, m_obj[k],
                                np.eye(3) * 1e-8, offset, theta[k], cfg.arm.geom)
             kk = np.diag(iags_gain(veh.j_a, tot.j_t_hat))
-            want = [tot.m_t_hat, *tot.c_t, *np.diag(tot.j_t_hat), *kk]
+            want = [tot.m_t_hat, *tot.c_t, *tot.j_t_hat[::4], *kk]
             assert est[k].tolist() == [float(v) for v in want]
 
 

@@ -4,32 +4,43 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (lattice_inertia, random_body, random_rotation, ref_composite,
+from conftest import (lattice_inertia, quat_mul, random_body, random_rotation, ref_composite,
                       ref_rot_to_quat, rot_to_quat_case)
 
 from amsim.spatial import (InertialParams, box_inertia, compose_inertia, composite,
                            cross3, cylinder_inertia, inverse3, parallel_axis,
-                           quat_mul, quat_to_rot, rot_to_quat,
-                           skew, unit_quat, vec3)
+                           quat_to_rot, rot_to_quat, unit_quat)
 
 finite_components = st.floats(min_value=-100.0, max_value=100.0,
                               allow_nan=False, allow_infinity=False)
 vectors = st.tuples(finite_components, finite_components, finite_components)
 
 
+def skew(v) -> np.ndarray:
+    """The matrix [v]_x with [v]_x @ w == cross(v, w): the oracle of ``cross3``."""
+    vx, vy, vz = (float(c) for c in v)
+    return np.array([[0.0, -vz, vy],
+                     [vz, 0.0, -vx],
+                     [-vy, vx, 0.0]])
+
+
 class TestSkew:
+    """``cross3`` against its skew-matrix form and ``np.cross``."""
+
     def test_basis_cross(self):
-        np.testing.assert_allclose(skew(vec3(0, 0, 1)) @ vec3(1, 0, 0),
-                                   vec3(0, 1, 0), atol=1e-15)
+        assert cross3((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) == (0.0, 1.0, 0.0)
+        np.testing.assert_allclose(skew([0, 0, 1]) @ np.array([1.0, 0.0, 0.0]),
+                                   [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_hand_cross(self):
-        np.testing.assert_allclose(skew(vec3(1, 2, 3)) @ vec3(4, 5, 6),
-                                   vec3(-3, 6, -3), atol=1e-12)
+        assert cross3((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)) == (-3.0, 6.0, -3.0)
+        np.testing.assert_allclose(skew([1, 2, 3]) @ np.array([4.0, 5.0, 6.0]),
+                                   [-3.0, 6.0, -3.0], atol=1e-12)
 
     @given(vectors)
     def test_self_cross_zero(self, v):
-        v = np.array(v)
-        np.testing.assert_allclose(skew(v) @ v, np.zeros(3), atol=1e-9)
+        np.testing.assert_allclose(cross3(v, v), np.zeros(3), atol=1e-9)
+        np.testing.assert_allclose(skew(v) @ np.array(v), np.zeros(3), atol=1e-9)
 
     @given(vectors, vectors)
     def test_matches_cross_product(self, a, b):
@@ -37,9 +48,10 @@ class TestSkew:
         np.testing.assert_allclose(skew(a) @ b, np.cross(a, b), atol=1e-9)
         np.testing.assert_allclose(cross3(a, b), np.cross(a, b), atol=1e-9)
 
-    @given(vectors)
-    def test_antisymmetric(self, v):
-        s = skew(np.array(v))
+    @given(vectors, vectors)
+    def test_antisymmetric(self, a, b):
+        np.testing.assert_array_equal(cross3(a, b), -np.array(cross3(b, a)))
+        s = skew(a)
         np.testing.assert_allclose(s, -s.T, atol=0.0)
 
 
@@ -54,7 +66,7 @@ class TestParallelAxis:
         np.testing.assert_array_equal(shifted(j, 5.0, np.zeros(3)), j)
 
     def test_point_mass_on_z(self):
-        out = shifted(np.zeros((3, 3)), 1.0, vec3(0, 0, 1))
+        out = shifted(np.zeros((3, 3)), 1.0, np.array([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(out, np.diag([1.0, 1.0, 0.0]), atol=1e-15)
 
     def test_two_point_masses_direct_sum(self):
@@ -83,7 +95,7 @@ class TestParallelAxis:
 class TestComposeInertia:
     def test_vanishing_payload(self, vehicle_params):
         tiny = InertialParams(1e-12, np.zeros(3), np.eye(3) * 1e-20)
-        out = compose_inertia(vehicle_params, tiny, vec3(0.1, 0.0, -0.3))
+        out = compose_inertia(vehicle_params, tiny, np.array([0.1, 0.0, -0.3]))
         assert abs(out.mass - vehicle_params.mass) < 1e-11
         np.testing.assert_allclose(out.com, vehicle_params.com, atol=1e-12)
         np.testing.assert_allclose(out.inertia_about_com,
@@ -92,7 +104,7 @@ class TestComposeInertia:
     def test_symmetric_pair(self):
         j = np.diag([1e-3, 2e-3, 3e-3])
         m = 0.7
-        d = vec3(0.2, 0.0, 0.1)
+        d = np.array([0.2, 0.0, 0.1])
         a = InertialParams(m, d, j)
         b = InertialParams(m, np.zeros(3), j)
         out = compose_inertia(a, b, -d)
@@ -138,7 +150,7 @@ class TestComposeInertia:
     def test_hover_vehicle_plus_cube(self, vehicle_params, rng):
         # vehicle plus a 0.4 kg cube at an arm-extended pose, vs the oracle
         cube = InertialParams(0.4, np.zeros(3), box_inertia(0.4, [0.1, 0.1, 0.1]))
-        p = vec3(0.05, 0.02, -0.25)
+        p = np.array([0.05, 0.02, -0.25])
         got = compose_inertia(vehicle_params, cube, p)
         # vehicle modeled as the box with matching inertia for the oracle
         dims_v = np.sqrt(6.0 / 1.379 * np.array([
