@@ -6,6 +6,7 @@ analysis failure, 3 criteria failure (for CI gating).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -72,15 +73,9 @@ def _load_cfg(path: str | None) -> ScenarioConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.scenario)
-    if args.mode is not None:
-        cfg.mode = args.mode
-        cfg.__post_init__()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.duration is not None:
-        cfg.duration = args.duration
-        cfg.validate()
+    overrides = {key: getattr(args, key) for key in ("mode", "seed", "duration")
+                 if getattr(args, key) is not None}
+    cfg = dataclasses.replace(load_config(args.scenario), **overrides)
     log = run_scenario(cfg)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{cfg.name}_{cfg.mode}.csv")

@@ -3,12 +3,16 @@
 Sections: [run], [rates], [vehicle], [arm], [gains], [estimation], [object]
 (optional), [trajectory], [disturbances]. Vectors are whitespace-separated
 numbers; waypoint/wind tables are one row per line in multiline values.
-Every field has a default, so a minimal file needs only what it changes.
+The dataclasses below write every default once, so a minimal file needs only
+what it changes; ``_KEYS`` maps each key onto the field it sets. Configs are
+frozen and checked when built: derive a variant with ``dataclasses.replace``.
 """
 from __future__ import annotations
 
 import configparser
 import math
+import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -17,6 +21,7 @@ import numpy as np
 from .controller import Gains
 from .delta import DeltaGeometry
 from .dynamics import RotorConfig
+from .spatial import box_inertia, cylinder_inertia
 
 
 class ConfigError(ValueError):
@@ -29,23 +34,23 @@ MODES = ("baseline", "iags", "iags+dob", "pre-only", "dob-only")
 _MODE_ALIASES = {"iags+dob": "iags"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class VehicleConfig:
-    mass: float
-    j_a: np.ndarray
-    p_b: np.ndarray
-    rotor: RotorConfig
-    accel_noise: float
-    gyro_noise: float
+    mass: float = 1.379
+    j_a: np.ndarray = field(default_factory=lambda: np.diag([9.2e-3, 10.5e-3, 14.7e-3]))
+    p_b: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.03]))
+    rotor: RotorConfig = field(default_factory=RotorConfig.x_config)
+    accel_noise: float = 0.02
+    gyro_noise: float = 0.002
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArmConfig:
-    geom: DeltaGeometry
-    k_theta: np.ndarray
-    rate_limit: float
-    home: np.ndarray
-    waypoints: list  # [(t, xyz)]
+    geom: DeltaGeometry = field(default_factory=DeltaGeometry)
+    k_theta: np.ndarray = field(default_factory=lambda: np.array([20.0, 20.0, 20.0]))
+    rate_limit: float = 6.0
+    home: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -0.16]))
+    waypoints: list = field(default_factory=list)  # [(t, xyz)]
 
     def __post_init__(self):
         # the servo loop's float clamps rely on these, so they are checked once here
@@ -57,18 +62,39 @@ class ArmConfig:
                               f"got {self.rate_limit}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectConfig:
-    label: str | None
-    shape: str              # box | cylinder
-    dims: np.ndarray        # box: lx ly lz; cylinder: d d h (axis vertical)
     true_mass: float
-    true_inertia: np.ndarray  # about CoM, grasped orientation
-    grasp_time: float
-    prior: tuple | None     # (beta, alpha3, rho) inline override
+    label: str | None = None
+    shape: str = "box"  # box | cylinder
+    # box: lx ly lz; cylinder: d d h (axis vertical)
+    dims: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.1, 0.1]))
+    true_inertia: np.ndarray | None = None  # about CoM, grasped orientation
+    grasp_time: float = 1.0
+    # inline prior, used instead of the catalog entry of the label when prior_rho is set
+    prior_beta: float = 1.0
+    prior_alpha: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 1.0]))
+    prior_rho: float | None = None
+
+    def __post_init__(self):
+        if not self.true_mass > 0.0:
+            raise ConfigError("[object] true_mass must be positive")
+        if not self.label and self.prior_rho is None:
+            raise ConfigError("[object] needs a label or an inline prior_*")
+        if self.shape not in ("box", "cylinder"):
+            raise ConfigError(f"[object] unknown shape {self.shape!r}")
+
+    @property
+    def inertia(self) -> np.ndarray:
+        """``true_inertia``, or else that of the solid shape of ``dims`` and ``true_mass``."""
+        if self.true_inertia is not None:
+            return self.true_inertia
+        if self.shape == "box":
+            return box_inertia(self.true_mass, self.dims)
+        return cylinder_inertia(self.true_mass, 0.5 * self.dims[0], self.dims[2])
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationConfig:
     grasp_threshold: float = 1.0
     grasp_persistence: float = 0.5
@@ -79,7 +105,7 @@ class EstimationConfig:
     catalog: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "scenario"
     duration: float = 5.0
@@ -91,27 +117,23 @@ class ScenarioConfig:
     dob_hz: int = 100
     servo_hz: int = 100
     g: float = 9.81
-    vehicle: VehicleConfig = None
-    arm: ArmConfig = None
+    vehicle: VehicleConfig = field(default_factory=VehicleConfig)
+    arm: ArmConfig = field(default_factory=ArmConfig)
     obj: ObjectConfig | None = None
     gains: Gains = field(default_factory=Gains)
     est: EstimationConfig = field(default_factory=EstimationConfig)
-    trajectory: list = field(default_factory=list)  # [(t, xyz, yaw)]
-    wind: list = field(default_factory=list)        # [(t, fxyz)]
+    trajectory: list = field(  # [(t, xyz, yaw)]
+        default_factory=lambda: [(0.0, np.array([0.0, 0.0, 1.0]), 0.0)])
+    wind: list = field(default_factory=list)  # [(t, fxyz)]
 
     def __post_init__(self):
-        if self.vehicle is None:
-            self.vehicle = _default_vehicle()
-        if self.arm is None:
-            self.arm = _default_arm()
-        if not self.trajectory:
-            self.trajectory = [(0.0, np.array([0.0, 0.0, 1.0]), 0.0)]
-        self.mode = _MODE_ALIASES.get(self.mode, self.mode)
-        self.validate()
-
-    def validate(self):
+        object.__setattr__(self, "mode", _MODE_ALIASES.get(self.mode, self.mode))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not self.trajectory:
+            raise ConfigError("[trajectory] waypoints needs at least one row")
         if not (0.0 < self.duration < math.inf and 0.0 < self.sim_dt < math.inf):
             raise ConfigError("duration and sim_dt must be positive and finite")
         if round(self.duration / self.sim_dt) < 1:
@@ -130,47 +152,23 @@ class ScenarioConfig:
         return int(round(1.0 / (self.sim_dt * hz)))
 
 
-def _default_vehicle() -> VehicleConfig:
-    return VehicleConfig(
-        mass=1.379,
-        j_a=np.diag([9.2e-3, 10.5e-3, 14.7e-3]),
-        p_b=np.array([0.0, 0.0, 0.03]),
-        rotor=RotorConfig.x_config(arm_length=0.12),
-        accel_noise=0.02,
-        gyro_noise=0.002,
-    )
-
-
-def _default_arm() -> ArmConfig:
-    return ArmConfig(
-        geom=DeltaGeometry(),
-        k_theta=np.array([20.0, 20.0, 20.0]),
-        rate_limit=6.0,
-        home=np.array([0.0, 0.0, -0.16]),
-        waypoints=[],
-    )
-
-
-def _vec(text: str, n: int, where: str) -> np.ndarray:
-    try:
-        vals = np.array([float(v) for v in text.split()])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if vals.shape != (n,):
-        raise ConfigError(f"{where}: expected {n} numbers, got {vals.size}")
+def _vec3(text: str) -> np.ndarray:
+    vals = np.array([float(v) for v in text.split()])
+    if vals.shape != (3,):
+        raise ValueError(f"expected 3 numbers, got {vals.size}")
     return vals
 
 
-def _mat3(text: str, where: str) -> np.ndarray:
-    vals = text.split()
+def _mat3(text: str) -> np.ndarray:
+    vals = [float(v) for v in text.split()]
     if len(vals) == 3:
-        return np.diag([float(v) for v in vals])
+        return np.diag(vals)
     if len(vals) == 9:
-        return np.array([float(v) for v in vals]).reshape(3, 3)
-    raise ConfigError(f"{where}: expected 3 (diagonal) or 9 (row-major) numbers")
+        return np.array(vals).reshape(3, 3)
+    raise ValueError("expected 3 (diagonal) or 9 (row-major) numbers")
 
 
-def _rows(text: str, n_cols: int, where: str) -> list:
+def _rows(text: str, n_cols: int) -> list:
     rows = []
     for line in text.splitlines():
         line = line.strip()
@@ -178,145 +176,104 @@ def _rows(text: str, n_cols: int, where: str) -> list:
             continue
         vals = [float(v) for v in line.split()]
         if len(vals) != n_cols:
-            raise ConfigError(f"{where}: each row needs {n_cols} numbers")
+            raise ValueError(f"each row needs {n_cols} numbers")
         rows.append(vals)
     rows.sort(key=lambda r: r[0])
     times = [r[0] for r in rows]
     if len(set(times)) != len(times):
-        raise ConfigError(f"{where}: duplicate timestamps")
+        raise ValueError("duplicate timestamps")
     return rows
 
 
-def _object_inertia(shape: str, dims: np.ndarray, mass: float) -> np.ndarray:
-    from .spatial import box_inertia, cylinder_inertia
-    if shape == "box":
-        return box_inertia(mass, dims)
-    if shape == "cylinder":
-        return cylinder_inertia(mass, 0.5 * dims[0], dims[2])
-    raise ConfigError(f"unknown object shape {shape!r}")
+def _points(text: str) -> list:
+    """Rows of t x y z, as [(t, xyz)]."""
+    return [(r[0], np.array(r[1:4])) for r in _rows(text, 4)]
+
+
+def _poses(text: str) -> list:
+    """Rows of t x y z yaw, as [(t, xyz, yaw)]."""
+    return [(r[0], np.array(r[1:4]), r[4]) for r in _rows(text, 5)]
+
+
+def _fields(part: str, **parsers) -> dict:
+    """Table entries for keys named as the field of ``part`` they set."""
+    return {key: (part, key, parse) for key, parse in parsers.items()}
+
+
+# [section] key -> (part, field, parser). The parts are ScenarioConfig
+# ("scenario") and the configs nested in it; "rotor" goes through
+# RotorConfig.x_config, and "geom"'s theta_min/theta_max make up
+# DeltaGeometry.joint_limits. No default lives here: a key the file leaves
+# out is not passed, so the dataclass default applies.
+_KEYS = {
+    "run": _fields("scenario", name=str, duration=float, seed=int, mode=str,
+                   eval_start=float),
+    "rates": _fields("scenario", sim_dt=float, control_hz=int, dob_hz=int, servo_hz=int),
+    "vehicle": {
+        **_fields("scenario", g=float),
+        **_fields("vehicle", mass=float, p_b=_vec3, accel_noise=float, gyro_noise=float),
+        "inertia": ("vehicle", "j_a", _mat3),
+        **_fields("rotor", rotor_height=float, c_t=float, k_tau=float, k_m=float,
+                  tau_m=float),
+        "rotor_arm": ("rotor", "arm_length", float),
+    },
+    "arm": {
+        **_fields("geom", base_radius=float, platform_radius=float, theta_min=float,
+                  theta_max=float),
+        "upper_arm": ("geom", "upper_arm_len", float),
+        "forearm": ("geom", "forearm_len", float),
+        **_fields("arm", k_theta=_vec3, home=_vec3, waypoints=_points),
+        "servo_rate_limit": ("arm", "rate_limit", float),
+    },
+    "gains": _fields("gains", k_pos=_vec3, k_vel=_vec3, k_att=_vec3, rate_kp=_vec3,
+                     rate_ki=_vec3, rate_kd=_vec3, d_lpf_hz=float, i_limit=float),
+    "estimation": _fields("est", grasp_threshold=float, grasp_persistence=float,
+                          dob_c=float, force_lpf_hz=float, cloud_points=int,
+                          suction_pad=float, catalog=str),
+    "object": _fields("obj", label=str, shape=str, dims=_vec3, true_mass=float,
+                      true_inertia=_mat3, grasp_time=float, prior_beta=float,
+                      prior_alpha=_vec3, prior_rho=float),
+    "trajectory": {"waypoints": ("scenario", "trajectory", _poses)},
+    "disturbances": {"wind": ("scenario", "wind", _points)},
+}
 
 
 def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    if cp.defaults():
+        raise ConfigError(f"unknown section [{cp.default_section}]")
 
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
+    kw = defaultdict(dict)
+    kw["scenario"]["name"] = name
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, value in cp.items(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            part, fld, parse = _KEYS[section][key]
+            try:
+                kw[part][fld] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
+    geom = kw["geom"]
+    lo, hi = DeltaGeometry.joint_limits
+    geom["joint_limits"] = (geom.pop("theta_min", lo), geom.pop("theta_max", hi))
     try:
-        cfg_kwargs = dict(
-            name=get("run", "name", name),
-            duration=float(get("run", "duration", 5.0)),
-            seed=int(get("run", "seed", 1)),
-            mode=str(get("run", "mode", "iags")).strip(),
-            eval_start=float(get("run", "eval_start", 0.5)),
-            sim_dt=float(get("rates", "sim_dt", 5e-4)),
-            control_hz=int(get("rates", "control_hz", 400)),
-            dob_hz=int(get("rates", "dob_hz", 100)),
-            servo_hz=int(get("rates", "servo_hz", 100)),
-            g=float(get("vehicle", "g", 9.81)),
-        )
-
-        rotor = RotorConfig.x_config(
-            arm_length=float(get("vehicle", "rotor_arm", 0.12)),
-            rotor_height=float(get("vehicle", "rotor_height", 0.0)),
-            c_t=float(get("vehicle", "c_t", 18.1712)),
-            k_tau=float(get("vehicle", "k_tau", 0.0136)),
-            k_m=float(get("vehicle", "k_m", 1.0)),
-            tau_m=float(get("vehicle", "tau_m", 0.02)),
-        )
-        vehicle = VehicleConfig(
-            mass=float(get("vehicle", "mass", 1.379)),
-            j_a=_mat3(get("vehicle", "inertia", "9.2e-3 10.5e-3 14.7e-3"), "[vehicle] inertia"),
-            p_b=_vec(get("vehicle", "p_b", "0 0 0.03"), 3, "[vehicle] p_b"),
-            rotor=rotor,
-            accel_noise=float(get("vehicle", "accel_noise", 0.02)),
-            gyro_noise=float(get("vehicle", "gyro_noise", 0.002)),
-        )
-
-        geom = DeltaGeometry(
-            base_radius=float(get("arm", "base_radius", 0.06)),
-            platform_radius=float(get("arm", "platform_radius", 0.03)),
-            upper_arm_len=float(get("arm", "upper_arm", 0.08)),
-            forearm_len=float(get("arm", "forearm", 0.16)),
-            joint_limits=(float(get("arm", "theta_min", -math.pi / 6.0)),
-                          float(get("arm", "theta_max", 2.0 * math.pi / 3.0))),
-        )
-        arm_rows = _rows(get("arm", "waypoints", ""), 4, "[arm] waypoints")
-        arm = ArmConfig(
-            geom=geom,
-            k_theta=_vec(get("arm", "k_theta", "20 20 20"), 3, "[arm] k_theta"),
-            rate_limit=float(get("arm", "servo_rate_limit", 6.0)),
-            home=_vec(get("arm", "home", "0 0 -0.16"), 3, "[arm] home"),
-            waypoints=[(r[0], np.array(r[1:4])) for r in arm_rows],
-        )
-
-        gains = Gains(
-            k_pos=_vec(get("gains", "k_pos", "4 4 3"), 3, "[gains] k_pos"),
-            k_vel=_vec(get("gains", "k_vel", "3.5 3.4 3"), 3, "[gains] k_vel"),
-            k_att=_vec(get("gains", "k_att", "6 6 3"), 3, "[gains] k_att"),
-            rate_kp=_vec(get("gains", "rate_kp", "0.15 0.15 0.2"), 3, "[gains] rate_kp"),
-            rate_ki=_vec(get("gains", "rate_ki", "0.2 0.2 0.1"), 3, "[gains] rate_ki"),
-            rate_kd=_vec(get("gains", "rate_kd", "0.003 0.003 0.0"), 3, "[gains] rate_kd"),
-            d_lpf_hz=float(get("gains", "d_lpf_hz", 40.0)),
-            i_limit=float(get("gains", "i_limit", 0.3)),
-        )
-
-        est = EstimationConfig(
-            grasp_threshold=float(get("estimation", "grasp_threshold", 1.0)),
-            grasp_persistence=float(get("estimation", "grasp_persistence", 0.5)),
-            dob_c=float(get("estimation", "dob_c", 10.0)),
-            force_lpf_hz=float(get("estimation", "force_lpf_hz", 50.0)),
-            cloud_points=int(get("estimation", "cloud_points", 20000)),
-            suction_pad=float(get("estimation", "suction_pad", 0.01)),
-            catalog=get("estimation", "catalog", None),
-        )
-
-        obj = None
-        if cp.has_section("object"):
-            shape = str(get("object", "shape", "box")).strip()
-            dims = _vec(get("object", "dims", "0.1 0.1 0.1"), 3, "[object] dims")
-            true_mass = float(get("object", "true_mass", 0.0))
-            if true_mass <= 0.0:
-                raise ConfigError("[object] true_mass must be positive")
-            ji_text = get("object", "true_inertia", None)
-            if ji_text is not None:
-                j_true = _mat3(ji_text, "[object] true_inertia")
-            else:
-                j_true = _object_inertia(shape, dims, true_mass)
-            prior = None
-            if get("object", "prior_rho", None) is not None:
-                prior = (float(get("object", "prior_beta", 1.0)),
-                         _vec(get("object", "prior_alpha", "1 1 1"), 3,
-                              "[object] prior_alpha"),
-                         float(get("object", "prior_rho")))
-            label = get("object", "label", None)
-            if label is None and prior is None:
-                raise ConfigError("[object] needs a label or an inline prior_*")
-            obj = ObjectConfig(
-                label=label.strip() if label else None,
-                shape=shape, dims=dims, true_mass=true_mass, true_inertia=j_true,
-                grasp_time=float(get("object", "grasp_time", 1.0)),
-                prior=prior,
-            )
-
-        traj_rows = _rows(get("trajectory", "waypoints", "0 0 0 1 0"), 5,
-                          "[trajectory] waypoints")
-        trajectory = [(r[0], np.array(r[1:4]), r[4]) for r in traj_rows]
-        wind_rows = _rows(get("disturbances", "wind", ""), 4, "[disturbances] wind")
-        wind = [(r[0], np.array(r[1:4])) for r in wind_rows]
+        return ScenarioConfig(
+            vehicle=VehicleConfig(rotor=RotorConfig.x_config(**kw["rotor"]), **kw["vehicle"]),
+            arm=ArmConfig(geom=DeltaGeometry(**geom), **kw["arm"]),
+            obj=ObjectConfig(**kw["obj"]) if cp.has_section("object") else None,
+            gains=Gains(**kw["gains"]), est=EstimationConfig(**kw["est"]), **kw["scenario"])
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
-
-    return ScenarioConfig(vehicle=vehicle, arm=arm, obj=obj, gains=gains, est=est,
-                          trajectory=trajectory, wind=wind, **cfg_kwargs)
 
 
 def shipped_scenarios() -> list[str]:
@@ -326,8 +283,6 @@ def shipped_scenarios() -> list[str]:
 
 def load_config(source: str) -> ScenarioConfig:
     """Load a scenario from a file path or a shipped scenario name."""
-    import os
-
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()

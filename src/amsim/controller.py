@@ -12,7 +12,7 @@ from .dynamics import RotorConfig, torque_matrix
 from .spatial import cross3, quat_to_rot, rot_to_quat
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gains:
     k_pos: np.ndarray = field(default_factory=lambda: np.array([4.0, 4.0, 3.0]))
     k_vel: np.ndarray = field(default_factory=lambda: np.array([3.5, 3.4, 3.0]))
@@ -28,7 +28,7 @@ class Gains:
             v = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
             if not np.all(v >= 0.0) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} entries must be non-negative and finite")
-            setattr(self, name, v)
+            object.__setattr__(self, name, v)
         # the rate loop's float clamps rely on these, so they are checked once here
         if not self.i_limit >= 0.0:
             raise ValueError(f"i_limit must be non-negative, got {self.i_limit}")

@@ -172,10 +172,9 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     else:
         cloud = presense.sample_box_cloud(obj.dims, n, rng)
     box = presense.fit_obb(cloud)
-    if obj.prior is not None:
-        beta, alpha, rho = obj.prior
-        prior = presense.ObjectPrior(label=obj.label or "inline", beta=beta,
-                                     alpha=alpha, rho=rho)
+    if obj.prior_rho is not None:
+        prior = presense.ObjectPrior(label=obj.label or "inline", beta=obj.prior_beta,
+                                     alpha=obj.prior_alpha, rho=obj.prior_rho)
     else:
         catalog = presense.load_catalog(cfg.est.catalog)
         prior = presense.prior_for(obj.label, catalog)
@@ -237,7 +236,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
     if obj is not None:
         offset_true = presense.top_grasp_offset(obj.dims[2], cfg.est.suction_pad)
         j_obj_true = InertialParams(obj.true_mass, np.zeros(3),
-                                    obj.true_inertia).inertia_about_com.reshape(9).tolist()
+                                    obj.inertia).inertia_about_com.reshape(9).tolist()
 
     joints = delta.JointState(delta.inverse_kin(geom, cfg.arm.home), (0.0, 0.0, 0.0))
     p0 = traj.eval(0.0)[0]

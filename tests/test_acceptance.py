@@ -2,6 +2,7 @@
 PASS/FAIL line (run with -s to see them inline)."""
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,10 +37,7 @@ def grasp_runs():
     runs["iags"] = run_scenario(cfg)
     runs["wall_iags"] = time.perf_counter() - t0
     for mode in ("pre-only", "baseline"):
-        cfg = load_config("grasp_estimate")
-        cfg.mode = mode
-        cfg.__post_init__()
-        runs[mode] = run_scenario(cfg)
+        runs[mode] = run_scenario(replace(load_config("grasp_estimate"), mode=mode))
     return runs
 
 
@@ -48,10 +46,7 @@ def hover_pair():
     t0 = time.perf_counter()
     out = {}
     for mode in ("iags", "baseline"):
-        cfg = load_config("hover_payload")
-        cfg.mode = mode
-        cfg.__post_init__()
-        out[mode] = run_scenario(cfg)
+        out[mode] = run_scenario(replace(load_config("hover_payload"), mode=mode))
     out["wall_pair"] = time.perf_counter() - t0
     return out
 
@@ -276,9 +271,7 @@ def test_criterion_11_dynamics_conservation():
 
 
 def test_criterion_12_determinism(tmp_path):
-    cfg = load_config("grasp_estimate")
-    cfg.duration = 1.5
-    cfg.validate()
+    cfg = replace(load_config("grasp_estimate"), duration=1.5)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     run_scenario(cfg).to_csv(str(pa))
     run_scenario(cfg).to_csv(str(pb))

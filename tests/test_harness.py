@@ -1,13 +1,17 @@
+import dataclasses
 import math
 import os
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from amsim import cli, metrics
 from amsim.adaptation import update_total
-from amsim.config import ConfigError, load_config, parse_config, shipped_scenarios
+from amsim.config import (ConfigError, ScenarioConfig, load_config, parse_config,
+                          shipped_scenarios)
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
 from amsim.dynamics import NonFinite
@@ -42,6 +46,21 @@ def make_log(t, **cols):
     for name, vals in cols.items():
         data[:, COLUMNS.index(name)] = vals
     return RunLog(names=list(COLUMNS), data=data)
+
+
+def assert_same_config(a, b, where="cfg"):
+    """Equal field by field, nested configs and waypoint tables included;
+    arrays exactly, and every value of the same type."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same_config(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_config(x, y, f"{where}[{i}]")
+    else:
+        np.testing.assert_array_equal(a, b, err_msg=where)
 
 
 class TestConfig:
@@ -103,6 +122,58 @@ class TestConfig:
     def test_bad_vector_length(self):
         with pytest.raises(ConfigError):
             parse_config("[gains]\nk_pos = 1 2\n")
+
+    def test_defaults_written_once(self):
+        """The dataclass defaults and an empty file build the same config."""
+        assert_same_config(ScenarioConfig(), parse_config(""))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[gains]\nk_pso = 1 2 3\n", "[gains] unknown key 'k_pso'"),
+        ("[rate]\nsim_dt = 5e-4\n", "unknown section [rate]"),
+        ("[object]\nlabel = coffee can\ntrue_mass = 0.2\nprior = 1\n",
+         "[object] unknown key 'prior'"),
+        ("[trajectory]\nwind =\n    1 0 0 0\n", "[trajectory] unknown key 'wind'"),
+        ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+    ])
+    def test_unknown_section_or_key_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+
+    def test_unknown_key_cli_exit_1_writes_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "typo.cfg"
+        cfg_file.write_text("[run]\nduration = 0.1\n[gains]\nk_pso = 1 2 3\n")
+        assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: [gains] unknown key 'k_pso'\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["typo.cfg"]
+
+    def test_percent_sign_is_literal(self):
+        cfg = parse_config("[object]\nlabel = 50% box\ntrue_mass = 0.2\n")
+        assert cfg.obj.label == "50% box"
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            parse_config("[run]\nseed = -1\n")
+
+    def test_negative_seed_cli_exit_1_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "grasp_estimate", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_replace_is_checked_like_a_file(self):
+        with pytest.raises(ConfigError) as from_file:
+            parse_config("[object]\nlabel = coffee can\ntrue_mass = 0\n")
+        with pytest.raises(ConfigError) as from_replace:
+            replace(load_config("grasp_estimate").obj, true_mass=0.0)
+        assert str(from_replace.value) == str(from_file.value)
+        assert str(from_file.value) == "[object] true_mass must be positive"
+
+    def test_configs_are_frozen(self):
+        cfg = load_config("grasp_estimate")
+        for part, name in ((cfg, "seed"), (cfg.vehicle, "mass"), (cfg.arm, "home"),
+                           (cfg.obj, "true_mass"), (cfg.gains, "k_pos"), (cfg.est, "dob_c")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(part, name, getattr(part, name))
 
 
 class TestTrajectory:
@@ -212,9 +283,8 @@ class TestEstimateRefresh:
         the logged m_obj_hat and joint angles. dob-only mode assumes a
         point-mass payload right below the pad, so the whole estimate has an
         oracle."""
-        cfg = load_config("hover_payload")
-        cfg.mode, cfg.duration, cfg.dob_hz, cfg.servo_hz = "dob-only", 1.5, dob_hz, servo_hz
-        cfg.validate()
+        cfg = replace(load_config("hover_payload"), mode="dob-only", duration=1.5,
+                      dob_hz=dob_hz, servo_hz=servo_hz)
         log = run_scenario(cfg)
         veh = cfg.vehicle
         am = InertialParams(veh.mass, veh.p_b, veh.j_a)
@@ -242,10 +312,9 @@ class TestEstimateRefresh:
         threshold latches on sensor noise, so m_obj_hat sits at 0 on many
         ticks; each of them must still build a 3x3 estimate and its gain."""
         cfg = load_config("hover_payload")
-        cfg.mode, cfg.duration = "dob-only", 1.0
-        cfg.obj.grasp_time = 5.0
-        cfg.est.grasp_threshold = 1e-9
-        cfg.validate()
+        cfg = replace(cfg, mode="dob-only", duration=1.0,
+                      obj=replace(cfg.obj, grasp_time=5.0),
+                      est=replace(cfg.est, grasp_threshold=1e-9))
         log = run_scenario(cfg)
         assert log.events["attach_time"] is None and log.events["latch_time"] is not None
         latched = log.column("t") >= log.events["latch_time"]
@@ -301,9 +370,7 @@ class TestDivergence:
 
 class TestDeterminism:
     def test_same_seed_bitwise_logs(self, tmp_path):
-        cfg = load_config("grasp_estimate")
-        cfg.duration = 0.8
-        cfg.validate()
+        cfg = replace(load_config("grasp_estimate"), duration=0.8)
         a = run_scenario(cfg)
         b = run_scenario(cfg)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -312,23 +379,19 @@ class TestDeterminism:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seed_differs(self):
-        cfg = load_config("grasp_estimate")
-        cfg.duration = 0.5
-        cfg.validate()
+        cfg = replace(load_config("grasp_estimate"), duration=0.5)
         a = run_scenario(cfg)
-        cfg.seed = 99
-        b = run_scenario(cfg)
+        b = run_scenario(replace(cfg, seed=99))
         assert not np.array_equal(a.data, b.data)
 
     def test_cross_process_determinism(self, tmp_path):
         import subprocess
         import sys
         snippet = (
+            "from dataclasses import replace\n"
             "from amsim.config import load_config\n"
             "from amsim.scenario import run_scenario\n"
-            "cfg = load_config('grasp_estimate')\n"
-            "cfg.duration = 0.3\n"
-            "cfg.validate()\n"
+            "cfg = replace(load_config('grasp_estimate'), duration=0.3)\n"
             "run_scenario(cfg).to_csv(r'{out}')\n")
         paths = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
         for p in paths:
@@ -339,9 +402,7 @@ class TestDeterminism:
 
 class TestLatchTiming:
     def test_latch_follows_attach_by_persistence(self):
-        cfg = load_config("grasp_estimate")
-        cfg.duration = 2.5
-        cfg.validate()
+        cfg = replace(load_config("grasp_estimate"), duration=2.5)
         log = run_scenario(cfg)
         attach = log.events["attach_time"]
         latch = log.events["latch_time"]
@@ -649,6 +710,16 @@ class TestCli:
 
     def test_missing_scenario_exit_1(self):
         assert cli.main(["run", "definitely_not_here"]) == 1
+
+    @pytest.mark.parametrize("mode_arg, mode", [("iags+dob", "iags"), ("baseline", "baseline")])
+    def test_run_overrides_are_one_replace(self, tmp_path, mode_arg, mode):
+        """--mode, --seed and --duration give the log of the config they replace."""
+        assert cli.main(["run", "grasp_estimate", "--mode", mode_arg, "--seed", "3",
+                         "--duration", "0.2", "--out", str(tmp_path)]) == 0
+        cfg = replace(load_config("grasp_estimate"), mode=mode, seed=3, duration=0.2)
+        run_scenario(cfg).to_csv(str(tmp_path / "ref.csv"))
+        assert ((tmp_path / f"grasp_estimate_{mode}.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     def test_duration_below_one_step_exit_1_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
