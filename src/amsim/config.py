@@ -83,6 +83,9 @@ class ObjectConfig:
             raise ConfigError("[object] needs a label or an inline prior_*")
         if self.shape not in ("box", "cylinder"):
             raise ConfigError(f"[object] unknown shape {self.shape!r}")
+        dims = np.asarray(self.dims, dtype=float)
+        if not np.all((dims > 0.0) & np.isfinite(dims)):
+            raise ConfigError(f"[object] dims must be positive and finite, got {dims.tolist()}")
 
     @property
     def inertia(self) -> np.ndarray:
@@ -104,6 +107,17 @@ class EstimationConfig:
     suction_pad: float = 0.01
     catalog: str | None = None
 
+    def __post_init__(self):
+        for name in ("grasp_threshold", "grasp_persistence", "dob_c", "force_lpf_hz"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"[estimation] {name} must be positive and finite, got {value}")
+        if self.cloud_points < 10:
+            raise ConfigError(f"[estimation] cloud_points must be >= 10, got {self.cloud_points}")
+        if not 0.0 <= self.suction_pad < math.inf:
+            raise ConfigError("[estimation] suction_pad must be finite and >= 0, "
+                              f"got {self.suction_pad}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -124,7 +138,7 @@ class ScenarioConfig:
     est: EstimationConfig = field(default_factory=EstimationConfig)
     trajectory: list = field(  # [(t, xyz, yaw)]
         default_factory=lambda: [(0.0, np.array([0.0, 0.0, 1.0]), 0.0)])
-    wind: list = field(default_factory=list)  # [(t, fxyz)]
+    wind: list = field(default_factory=list)  # [(t, fxyz)], piecewise constant from each t
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _MODE_ALIASES.get(self.mode, self.mode))
@@ -136,6 +150,14 @@ class ScenarioConfig:
             raise ConfigError("[trajectory] waypoints needs at least one row")
         if not (0.0 < self.duration < math.inf and 0.0 < self.sim_dt < math.inf):
             raise ConfigError("duration and sim_dt must be positive and finite")
+        if not 0.0 <= self.eval_start < math.inf:
+            raise ConfigError(f"[run] eval_start must be finite and >= 0, got {self.eval_start}")
+        if not 0.0 < self.g < math.inf:
+            raise ConfigError(f"[vehicle] g must be positive and finite, got {self.g}")
+        # the engine looks the wind up by time: (float, three floats) rows in start order
+        object.__setattr__(self, "wind", sorted(
+            ((float(t), tuple(np.asarray(f, dtype=float).reshape(3).tolist()))
+             for t, f in self.wind), key=lambda row: row[0]))
         if round(self.duration / self.sim_dt) < 1:
             raise ConfigError(f"duration {self.duration:g} s rounds to no physics "
                               f"step of {self.sim_dt:g} s")

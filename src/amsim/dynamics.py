@@ -7,7 +7,7 @@ plane. Rotor speeds are normalized to [0, 1]; a rotor at full speed produces
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,30 +99,6 @@ class RotorConfig:
         return cls(positions=positions, spin_dirs=spin_dirs, **kwargs)
 
 
-@dataclass
-class Environment:
-    g: float = 9.81
-    wind: list = field(default_factory=list)  # [(t_start, force_vec3 N)], piecewise constant
-    accel_noise: float = 0.0  # sigma, m/s^2 per axis
-    gyro_noise: float = 0.0   # sigma, rad/s per axis
-
-    def __post_init__(self):
-        if self.g <= 0.0:
-            raise ValueError("g must be positive")
-        self.wind = sorted(((float(t), tuple(np.asarray(f, dtype=float).reshape(3).tolist()))
-                            for t, f in self.wind), key=lambda x: x[0])
-
-    def wind_at(self, t: float) -> tuple:
-        """World force (N) at ``t`` as three floats."""
-        out = (0.0, 0.0, 0.0)
-        for t0, f in self.wind:
-            if t >= t0:
-                out = f
-            else:
-                break
-        return out
-
-
 def rotor_wrench(thrusts, cfg: RotorConfig, com=None, tmap=None) -> tuple[list, list]:
     """Total body-frame force and torque of the four rotors about ``com``.
 
@@ -191,19 +167,6 @@ def _rates(f, tau, m_t, j, j_inv, g, ext):
                 i10 * gx + i11 * gy + i12 * gz,
                 i20 * gx + i21 * gy + i22 * gz)
     return rates
-
-
-def derivatives(s: VehicleState, wrench, m_t: float, j_t: np.ndarray,
-                g: float = 9.81, f_ext_w=None, j_inv=None):
-    """Time derivatives (dp, dv, dq, domega) of the rigid-body state.
-
-    ``wrench`` is the body-frame (force, torque) pair about the current CoM;
-    ``f_ext_w`` is an optional extra world-frame force (e.g. wind). A
-    precomputed ``j_inv`` (3x3 or row-major 9 floats) skips the inversion.
-    """
-    y = s.y
-    d = _rates(wrench[0], wrench[1], m_t, j_t, j_inv, g, f_ext_w)(*y[6:13])
-    return np.array(y[3:6]), np.array(d[0:3]), np.array(d[3:7]), np.array(d[7:10])
 
 
 def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> list:

@@ -15,8 +15,8 @@ from .adaptation import DobState, GraspDetector, TotalInertia
 from .config import ScenarioConfig
 from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
                          position_loop)
-from .dynamics import (Environment, NonFinite, VehicleState, motor_lag_step,
-                       rotor_wrench, step_rk4, torque_matrix)
+from .dynamics import (NonFinite, VehicleState, motor_lag_step, rotor_wrench, step_rk4,
+                       torque_matrix)
 from .spatial import InertialParams, inverse3, quat_to_rot
 
 COLUMNS = (
@@ -184,222 +184,215 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     return prior_body.mass, prior_body.inertia_about_com, est.grasp_offset
 
 
+def _wind_at(wind: list, t: float) -> tuple:
+    """World force (N) of the piecewise-constant ``wind`` table at ``t``, as three floats."""
+    out = (0.0, 0.0, 0.0)
+    for t0, f in wind:
+        if not t >= t0:
+            break
+        out = f
+    return out
+
+
+def _body_cols(tot: TotalInertia) -> list:
+    """The logged mass, CoM and inertia diagonal of a composite body."""
+    return [tot.m_t_hat, *tot.c_t, *tot.j_t_hat[::4]]
+
+
+class _Run:
+    """The state a run carries between ticks, with one method per rate; each
+    stage keeps current the log-row columns that it changes."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg, self.g, self.dt = cfg, cfg.g, cfg.sim_dt
+        rng = np.random.default_rng(cfg.seed)
+        self.n_steps = int(round(cfg.duration / cfg.sim_dt))
+        self.noise = rng.standard_normal((self.n_steps, 6))
+        veh, obj = cfg.vehicle, cfg.obj
+        self.rotor, self.geom, self.j_a = veh.rotor, cfg.arm.geom, veh.j_a
+        self.k_att, self.k_theta = cfg.gains.k_att.tolist(), cfg.arm.k_theta.tolist()
+        am = InertialParams(veh.mass, veh.p_b, veh.j_a)
+        self.m_a, self.am_com = am.mass, am.com.tolist()
+        self.am_j = am.inertia_about_com.ravel().tolist()
+        # sim steps per control, observer and servo tick
+        self.every = [cfg.steps_per(hz) for hz in (cfg.control_hz, cfg.dob_hz, cfg.servo_hz)]
+        self.ctrl_dt, self.dob_dt, self.servo_dt = (cfg.sim_dt * n for n in self.every)
+        self.traj = Trajectory(cfg.trajectory)
+        self.arm_traj = Trajectory(cfg.arm.waypoints or [(0.0, cfg.arm.home)])
+
+        # the mode, decided once: which estimates make up the latched body
+        self.use_prior = obj is not None and cfg.mode in ("iags", "pre-only")
+        self.use_dob = obj is not None and cfg.mode in ("iags", "dob-only")
+        # the pre-grasp estimate; with no vision prior, a point mass right below the pad
+        self.m_tilde, self.j_tilde, self.offset_est = (
+            _presense_object(cfg, rng) if self.use_prior
+            else (None, np.eye(3) * 1e-8, np.array([0.0, 0.0, -cfg.est.suction_pad])))
+        if obj is not None:  # the true payload: mass, inertia about its CoM, grasp offset
+            j_obj = InertialParams(obj.true_mass, np.zeros(3), obj.inertia).inertia_about_com
+            self.payload = (obj.true_mass, j_obj.reshape(9).tolist(),
+                            presense.top_grasp_offset(obj.dims[2], cfg.est.suction_pad))
+
+        self.joints = delta.JointState(delta.inverse_kin(self.geom, cfg.arm.home),
+                                       (0.0, 0.0, 0.0))
+        self.state = VehicleState.at_rest(self.traj.eval(0.0)[0])
+        self.thr = self.t_cmd = [am.mass * cfg.g / 4.0] * 4  # hover trim
+        self.rate_ctl = RateLoop(cfg.gains)
+        self.detector = GraspDetector(cfg.est.grasp_threshold, cfg.est.grasp_persistence)
+        self.dob = DobState()  # its m_hat is the logged payload mass estimate
+        self.det_filt = None
+        self.det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, self.dob_dt)
+        self.attached = self.latched = False
+
+        # the estimated body, its gain and allocation: built on the first latched
+        # control tick, then only after the observer or the servos mark them stale.
+        # Tick 0 is a control, observer and servo tick: it sets the other columns.
+        self.bare = TotalInertia(am.mass, self.am_com, self.am_j)
+        self.est_tot, self.kk = self.bare, [1.0, 1.0, 1.0]
+        self.alloc = allocation(self.rotor, None)
+        self.est_cols = _body_cols(self.bare) + self.kk
+        self.est_stale = True
+        self.theta_cols = None  # the joint angles the bodies were last built for
+        self.set_truth()
+
+        ctrl, dob, servo = (len(range(0, self.n_steps, n)) for n in self.every)
+        self.events = {"attach_time": None, "latch_time": None, "control_ticks": ctrl,
+                       "dob_ticks": dob, "servo_ticks": servo, "freefall_ticks": 0,
+                       "infeasible_ticks": 0, "kin_fallbacks": 0, "m_tilde": self.m_tilde}
+
+    def set_truth(self):
+        """Build the true body and what the physics step derives from it; the
+        payload joins it at the attach, and it changes again when the arm moves."""
+        tot = self.bare
+        if self.attached:
+            tot = adaptation.update_total(self.m_a, self.am_j, self.am_com, *self.payload,
+                                          self.joints.theta, self.geom)
+        self.truth = tot
+        self.truth_inv = inverse3(tot.j_t_hat)
+        self.truth_tmap = torque_matrix(self.rotor, [c - b for c, b in zip(tot.c_t, self.am_com)])
+        self.truth_cols = _body_cols(tot)
+
+    def sense(self, k: int, wind: tuple):
+        """Attitude, total thrust, accelerometer and gyro, on control and observer ticks."""
+        self.y = y = self.state.y
+        self.R = R = quat_to_rot(y[6:10], flat=True)
+        thr = self.thr
+        self.thrust = thrust = thr[0] + thr[1] + thr[2] + thr[3]  # along body z
+        m_t, g = self.truth.m_t_hat, self.g
+        a_sig, w_sig = self.cfg.vehicle.accel_noise, self.cfg.vehicle.gyro_noise
+        noise_k = self.noise[k].tolist()
+        self.acc_meas = [R[2] * thrust / m_t + wind[0] / m_t + a_sig * noise_k[0],
+                         R[5] * thrust / m_t + wind[1] / m_t + a_sig * noise_k[1],
+                         -g + R[8] * thrust / m_t + wind[2] / m_t + a_sig * noise_k[2]]
+        self.w_meas = [w + w_sig * e for w, e in zip(y[10:13], noise_k[3:6])]
+
+    def observe(self, t: float):
+        """Detector residual, grasp latch and mass observer, at the observer rate."""
+        R, thrust, acc, m_a = self.R, self.thrust, self.acc_meas, self.m_a
+        f_res = [R[2] * thrust - m_a * acc[0], R[5] * thrust - m_a * acc[1],
+                 R[8] * thrust - m_a * acc[2] - m_a * self.g]
+        if self.det_filt is None:
+            self.det_filt = f_res
+        else:
+            alpha = self.det_alpha
+            self.det_filt = [d + alpha * (f - d) for d, f in zip(self.det_filt, f_res)]
+        self.detector, now_latched = adaptation.detect_grasp(self.detector, self.det_filt[2],
+                                                             self.dob_dt)
+        if now_latched and not self.latched:
+            self.latched = True
+            self.events["latch_time"] = t
+            self.dob = DobState(m_hat=(self.m_tilde if self.use_prior else 0.0))
+        if self.latched and self.use_dob:
+            est = self.cfg.est
+            self.dob = adaptation.dob_step(self.dob, acc, R, (0.0, 0.0, thrust), m_a, est.dob_c,
+                                           self.dob_dt, g=self.g, force_lpf_hz=est.force_lpf_hz)
+            self.est_stale = True
+
+    def servo(self, t: float):
+        """Arm joint command and servo step, at the servo rate."""
+        tgt_p, tgt_v, _, _ = self.arm_traj.eval(t)
+        try:
+            _, thd_des = delta.joint_command(self.geom, tgt_p, tgt_v, self.joints, self.k_theta)
+        except delta.KinematicsError:
+            self.events["kin_fallbacks"] += 1
+            thd_des = (0.0, 0.0, 0.0)
+        self.joints = delta.servo_step(self.geom, self.joints, thd_des, self.servo_dt,
+                                       self.cfg.arm.rate_limit)
+        if self.joints.theta != self.theta_cols:  # the arm moved
+            self.theta_cols = self.joints.theta
+            self.est_stale = True
+            if self.attached:
+                self.set_truth()
+
+    def control(self, t: float):
+        """Estimate refresh, position/attitude/rate cascade and mixer, at the control rate."""
+        if self.est_stale and self.latched and (self.use_prior or self.use_dob):
+            m_o, j_o = self.dob.m_hat, self.j_tilde
+            if self.use_prior:
+                j_o = adaptation.rescale_moi(j_o, self.m_tilde, m_o)
+            self.est_tot = est = adaptation.update_total(
+                self.m_a, self.am_j, self.am_com, m_o, j_o, self.offset_est, self.joints.theta,
+                self.geom)
+            self.kk = np.diag(iags_gain(self.j_a, est.j_t_hat)).tolist()
+            self.alloc = allocation(self.rotor, [c - b for c, b in zip(est.c_t, self.am_com)])
+            self.est_cols = _body_cols(est) + self.kk
+            self.est_stale = False
+        y, R = self.y, self.R
+        p_des, v_des, a_ff, yaw = self.traj.eval(t)
+        thrust_des, q_des, freefall = position_loop(
+            p_des, v_des, y[0:3], y[3:6], y[6:10], self.est_tot.m_t_hat, self.cfg.gains,
+            a_ff=a_ff, yaw_des=yaw, g=self.g, R=R)
+        if freefall:
+            self.events["freefall_ticks"] += 1
+        w_des = attitude_loop(q_des, y[6:10], self.k_att, R=R)
+        tau_des = self.rate_ctl.step(w_des, self.w_meas, self.kk, self.ctrl_dt)
+        self.t_cmd, infeasible = mixer(thrust_des, tau_des, self.rotor, alloc=self.alloc)
+        if infeasible:
+            self.events["infeasible_ticks"] += 1
+        self.ctrl_cols = [*p_des, *v_des, *q_des, *w_des, thrust_des, *tau_des]
+
+    def physics(self, wind: tuple):
+        """Motor lag, rotor wrench and one RK4 step, at the sim rate."""
+        rotor, dt, truth = self.rotor, self.dt, self.truth
+        self.thr = thr = motor_lag_step(self.t_cmd, self.thr, rotor, dt)
+        force_b, torque_b = rotor_wrench(thr, rotor, tmap=self.truth_tmap)
+        self.state = step_rk4(self.state, force_b, torque_b, truth.m_t_hat, truth.j_t_hat, dt,
+                              g=self.g, f_ext_w=wind, j_inv=self.truth_inv)
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunLog:
     """Run one scenario to completion and return the full-rate log.
 
-    Raises NonFinite (annotated with the simulation time) if the state
-    diverges.
+    Each sim step attaches the payload at its grasp time, runs the ``_Run``
+    stages due on it (``sense``, ``observe``, ``servo``, ``control``), logs
+    one row and ends with ``physics``. Raises NonFinite (annotated with the
+    simulation time) if the state diverges.
     """
-    rng = np.random.default_rng(cfg.seed)
-    dt = cfg.sim_dt
-    n_steps = int(round(cfg.duration / dt))
-    noise = rng.standard_normal((n_steps, 6))
-
-    veh = cfg.vehicle
-    rotor = veh.rotor
-    geom = cfg.arm.geom
-    g = cfg.g
-    env = Environment(g=g, wind=cfg.wind, accel_noise=veh.accel_noise,
-                      gyro_noise=veh.gyro_noise)
-    accel_noise, gyro_noise = env.accel_noise, env.gyro_noise
-    k_att, k_theta = cfg.gains.k_att.tolist(), cfg.arm.k_theta.tolist()
-    am = InertialParams(veh.mass, veh.p_b, veh.j_a)
-    am_com, am_j = am.com.tolist(), am.inertia_about_com.ravel().tolist()
-    j_a = veh.j_a
-
-    every_ctrl = cfg.steps_per(cfg.control_hz)
-    every_dob = cfg.steps_per(cfg.dob_hz)
-    every_servo = cfg.steps_per(cfg.servo_hz)
-    ctrl_dt = dt * every_ctrl
-    dob_dt = dt * every_dob
-    servo_dt = dt * every_servo
-
-    traj = Trajectory(cfg.trajectory)
-    arm_wps = cfg.arm.waypoints or [(0.0, cfg.arm.home)]
-    arm_traj = Trajectory(arm_wps)
-
-    mode = cfg.mode
-    adapt = mode != "baseline" and cfg.obj is not None
-    use_prior = mode in ("iags", "pre-only") and cfg.obj is not None
-    use_dob = mode in ("iags", "dob-only") and cfg.obj is not None
-
-    m_tilde = j_tilde = offset_est = None
-    if use_prior:
-        m_tilde, j_tilde, offset_est = _presense_object(cfg, rng)
-    elif use_dob:
-        # no vision prior: point-mass payload assumed right below the pad
-        j_tilde = np.eye(3) * 1e-8
-        offset_est = np.array([0.0, 0.0, -cfg.est.suction_pad])
-
-    obj = cfg.obj
-    offset_true = j_obj_true = None
-    if obj is not None:
-        offset_true = presense.top_grasp_offset(obj.dims[2], cfg.est.suction_pad)
-        j_obj_true = InertialParams(obj.true_mass, np.zeros(3),
-                                    obj.inertia).inertia_about_com.reshape(9).tolist()
-
-    joints = delta.JointState(delta.inverse_kin(geom, cfg.arm.home), (0.0, 0.0, 0.0))
-    p0 = traj.eval(0.0)[0]
-    state = VehicleState.at_rest(p0)
-    thr = t_cmd = [am.mass * g / 4.0] * 4  # hover trim
-
-    rate_ctl = RateLoop(cfg.gains)
-    detector = GraspDetector(cfg.est.grasp_threshold, cfg.est.grasp_persistence)
-    dob = DobState()
-    det_filt = None
-    det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, dob_dt)
-
-    bare = TotalInertia(am.mass, am_com, am_j)
-    est_tot = bare
-    kk = [1.0, 1.0, 1.0]
-    alloc = allocation(rotor, None)
-    attached = False
-    latched = False
-    m_obj = 0.0  # the logged payload mass estimate
-    theta_cols = None  # the joint angles the bodies were last built for
-
-    events = {"attach_time": None, "latch_time": None, "control_ticks": 0,
-              "dob_ticks": 0, "servo_ticks": 0, "freefall_ticks": 0,
-              "infeasible_ticks": 0, "kin_fallbacks": 0, "m_tilde": m_tilde}
-
-    rows = np.empty((n_steps, len(COLUMNS)))
-
-    def body_cols(tot):
-        j = tot.j_t_hat
-        return [tot.m_t_hat, *tot.c_t, j[0], j[4], j[8]]
-
-    # the log row is joined from column slices that are rebuilt where their
-    # values change; tick 0 is a control, observer and servo tick
-    est_cols = body_cols(bare) + kk
-
-    # the true body and what the physics step derives from it; they change
-    # only when the payload attaches or the arm moves
-    truth = truth_j = truth_inv = truth_tmap = truth_cols = None
-
-    def refresh_truth(tot):
-        nonlocal truth, truth_j, truth_inv, truth_tmap, truth_cols
-        truth = tot
-        truth_j = tot.j_t_hat
-        truth_inv = inverse3(truth_j)
-        truth_tmap = torque_matrix(rotor, [c - b for c, b in zip(tot.c_t, am_com)])
-        truth_cols = body_cols(tot)
-
-    def attached_truth():
-        return adaptation.update_total(am.mass, am_j, am_com, obj.true_mass, j_obj_true,
-                                       offset_true, joints.theta, geom)
-
-    refresh_truth(bare)
-
-    # the estimated body, its rate-loop gain and its allocation: the first
-    # latched control tick builds them, and later ones rebuild them only
-    # after the observer (dob.m_hat) or the servos (joints.theta) mark them
-    # stale
-    est_stale = True
-
-    def refresh_estimate():
-        nonlocal est_tot, kk, alloc, est_stale, est_cols
-        if use_dob and use_prior:
-            m_o = dob.m_hat
-            j_o = adaptation.rescale_moi(j_tilde, m_tilde, m_o)
-        elif use_prior:
-            m_o, j_o = m_tilde, j_tilde
-        else:
-            m_o, j_o = dob.m_hat, j_tilde
-        est_tot = adaptation.update_total(am.mass, am_j, am_com, m_o, j_o, offset_est,
-                                          joints.theta, geom)
-        kk = np.diag(iags_gain(j_a, est_tot.j_t_hat)).tolist()
-        alloc = allocation(rotor, [c - b for c, b in zip(est_tot.c_t, am_com)])
-        est_cols = body_cols(est_tot) + kk
-        est_stale = False
-
+    run = _Run(cfg)
+    dt, obj = cfg.sim_dt, cfg.obj
+    every_ctrl, every_dob, every_servo = run.every
+    rows = np.empty((run.n_steps, len(COLUMNS)))
     try:
-        for k in range(n_steps):
+        for k in range(run.n_steps):
             t = k * dt
-
-            if obj is not None and not attached and t >= obj.grasp_time - 1e-12:
-                attached = True
-                events["attach_time"] = t
-                refresh_truth(attached_truth())
-
-            wind = env.wind_at(t)
+            if obj is not None and not run.attached and t >= obj.grasp_time - 1e-12:
+                run.attached = True
+                run.events["attach_time"] = t
+                run.set_truth()
+            wind = _wind_at(cfg.wind, t)
             ctrl_tick = k % every_ctrl == 0
             dob_tick = k % every_dob == 0
             if ctrl_tick or dob_tick:  # the only ticks that read the sensors
-                y = state.y
-                R = quat_to_rot(y[6:10], flat=True)
-                thrust = thr[0] + thr[1] + thr[2] + thr[3]  # along body z
-                m_t = truth.m_t_hat
-                noise_k = noise[k].tolist()
-                acc_meas = [R[2] * thrust / m_t + wind[0] / m_t + accel_noise * noise_k[0],
-                            R[5] * thrust / m_t + wind[1] / m_t + accel_noise * noise_k[1],
-                            -g + R[8] * thrust / m_t + wind[2] / m_t + accel_noise * noise_k[2]]
-
+                run.sense(k, wind)
             if dob_tick:
-                events["dob_ticks"] += 1
-                f_res = [R[2] * thrust - am.mass * acc_meas[0],
-                         R[5] * thrust - am.mass * acc_meas[1],
-                         R[8] * thrust - am.mass * acc_meas[2] - am.mass * g]
-                if det_filt is None:
-                    det_filt = f_res
-                else:
-                    det_filt = [d + det_alpha * (f - d) for d, f in zip(det_filt, f_res)]
-                detector, now_latched = adaptation.detect_grasp(detector, det_filt[2], dob_dt)
-                if now_latched and not latched:
-                    latched = True
-                    events["latch_time"] = t
-                    if use_dob:
-                        dob = DobState(m_hat=(m_tilde if use_prior else 0.0))
-                if latched and use_dob:
-                    dob = adaptation.dob_step(dob, acc_meas, R, (0.0, 0.0, thrust), am.mass,
-                                              cfg.est.dob_c, dob_dt, g=g,
-                                              force_lpf_hz=cfg.est.force_lpf_hz)
-                    est_stale = True
-                if latched:
-                    m_obj = dob.m_hat if use_dob else (m_tilde if use_prior else 0.0)
-
+                run.observe(t)
             if k % every_servo == 0:
-                events["servo_ticks"] += 1
-                tgt_p, tgt_v, _, _ = arm_traj.eval(t)
-                try:
-                    _, thd_des = delta.joint_command(geom, tgt_p, tgt_v, joints, k_theta)
-                except delta.KinematicsError:
-                    events["kin_fallbacks"] += 1
-                    thd_des = (0.0, 0.0, 0.0)
-                joints = delta.servo_step(geom, joints, thd_des, servo_dt,
-                                          cfg.arm.rate_limit)
-                if joints.theta != theta_cols:  # the arm moved
-                    theta_cols = joints.theta
-                    est_stale = True
-                    if attached:
-                        refresh_truth(attached_truth())
-
+                run.servo(t)
             if ctrl_tick:
-                events["control_ticks"] += 1
-                if est_stale and latched and adapt:
-                    refresh_estimate()
-                p_des, v_des, a_ff, yaw = traj.eval(t)
-                thrust_des, q_des, freefall = position_loop(
-                    p_des, v_des, y[0:3], y[3:6], y[6:10], est_tot.m_t_hat,
-                    cfg.gains, a_ff=a_ff, yaw_des=yaw, g=g, R=R)
-                if freefall:
-                    events["freefall_ticks"] += 1
-                w_des = attitude_loop(q_des, y[6:10], k_att, R=R)
-                w_meas = [w + gyro_noise * e for w, e in zip(y[10:13], noise_k[3:6])]
-                tau_des = rate_ctl.step(w_des, w_meas, kk, ctrl_dt)
-                t_cmd, infeasible = mixer(thrust_des, tau_des, rotor, alloc=alloc)
-                if infeasible:
-                    events["infeasible_ticks"] += 1
-                ctrl_cols = [*p_des, *v_des, *q_des, *w_des, thrust_des, *tau_des]
-
-            rows[k] = [t, *state.y, *ctrl_cols, *thr, *theta_cols, m_obj, *est_cols,
-                       *truth_cols, *det_filt, 1.0 if attached else 0.0,
-                       1.0 if latched else 0.0]
-
-            thr = motor_lag_step(t_cmd, thr, rotor, dt)
-            force_b, torque_b = rotor_wrench(thr, rotor, tmap=truth_tmap)
-            state = step_rk4(state, force_b, torque_b, truth.m_t_hat,
-                             truth_j, dt, g=g, f_ext_w=wind, j_inv=truth_inv)
+                run.control(t)
+            rows[k] = [t, *run.state.y, *run.ctrl_cols, *run.thr, *run.theta_cols,
+                       run.dob.m_hat, *run.est_cols, *run.truth_cols, *run.det_filt,
+                       1.0 if run.attached else 0.0, 1.0 if run.latched else 0.0]
+            run.physics(wind)
     except NonFinite as exc:
         raise NonFinite(f"{exc} at t={k * dt:.4f} s") from exc
-
-    return RunLog(names=list(COLUMNS), data=rows, events=events, config=cfg)
+    return RunLog(names=list(COLUMNS), data=rows, events=run.events, config=cfg)

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from amsim import cli, metrics
-from amsim.adaptation import update_total
+from amsim.adaptation import DobState, dob_step, update_total
 from amsim.config import (ConfigError, ScenarioConfig, load_config, parse_config,
                           shipped_scenarios)
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
 from amsim.dynamics import NonFinite
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, MismatchedRuns, RunLog, Trajectory,
-                            run_scenario)
-from amsim.spatial import InertialParams
+                            _wind_at, run_scenario)
+from amsim.spatial import InertialParams, quat_to_rot
 
 HOVER_QUIET = """
 [run]
@@ -118,6 +118,60 @@ class TestConfig:
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("[estimation]\nforce_lpf_hz = -5\n",
+         "[estimation] force_lpf_hz must be positive and finite, got -5.0"),
+        ("[estimation]\ngrasp_threshold = 0\n",
+         "[estimation] grasp_threshold must be positive and finite, got 0.0"),
+        ("[estimation]\ngrasp_persistence = -1\n",
+         "[estimation] grasp_persistence must be positive and finite, got -1.0"),
+        ("[estimation]\ndob_c = inf\n", "[estimation] dob_c must be positive and finite, got inf"),
+        ("[estimation]\nforce_lpf_hz = nan\n",
+         "[estimation] force_lpf_hz must be positive and finite, got nan"),
+        ("[estimation]\ncloud_points = 0\n", "[estimation] cloud_points must be >= 10, got 0"),
+        ("[estimation]\nsuction_pad = -0.01\n",
+         "[estimation] suction_pad must be finite and >= 0, got -0.01"),
+        ("[object]\nlabel = coffee can\ntrue_mass = 0.2\ndims = -0.1 0.1 0.1\n",
+         "[object] dims must be positive and finite, got [-0.1, 0.1, 0.1]"),
+        ("[object]\nlabel = coffee can\ntrue_mass = 0.2\ndims = 0.1 0 inf\n",
+         "[object] dims must be positive and finite, got [0.1, 0.0, inf]"),
+        ("[run]\neval_start = -3\n", "[run] eval_start must be finite and >= 0, got -3.0"),
+        ("[run]\neval_start = nan\n", "[run] eval_start must be finite and >= 0, got nan"),
+    ])
+    def test_bad_estimation_object_or_run_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text", ["[estimation]\nforce_lpf_hz = -5\n",
+                                      "[estimation]\ncloud_points = 0\n",
+                                      "[object]\nlabel = coffee can\ntrue_mass = 0.2\n"
+                                      "dims = -0.1 0.1 0.1\n",
+                                      "[run]\neval_start = -3\n"])
+    def test_bad_estimation_object_or_run_cli_exit_1(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text)
+        assert cli.main(["run", str(cfg_file), "--duration", "0.1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
+
+    def test_wind_schedule(self):
+        """Wind rows become (float, three floats) in start order, built directly or parsed."""
+        cfg = ScenarioConfig(wind=[(2, [1, 0, 0]), (0.5, np.array([0, 1.0, 0]))])
+        assert cfg.wind == [(0.5, (0.0, 1.0, 0.0)), (2.0, (1.0, 0.0, 0.0))]
+        assert all(type(v) is float for t, f in cfg.wind for v in (t, *f))
+        parsed = parse_config("[disturbances]\nwind =\n    2.0 1 0 0\n    0.5 0 1 0\n")
+        assert parsed.wind == cfg.wind
+        assert _wind_at(cfg.wind, 0.0) == (0.0, 0.0, 0.0)
+        assert _wind_at(cfg.wind, 1.0) == (0.0, 1.0, 0.0)
+        assert _wind_at(cfg.wind, 3.0) == (1.0, 0.0, 0.0)
+
+    def test_g_validation(self):
+        for g in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="^\\[vehicle\\] g must be positive and finite"):
+                ScenarioConfig(g=g)
+            with pytest.raises(ConfigError, match="^\\[vehicle\\] g must be positive and finite"):
+                parse_config(f"[vehicle]\ng = {g}\n")
 
     def test_bad_vector_length(self):
         with pytest.raises(ConfigError):
@@ -398,6 +452,46 @@ class TestDeterminism:
             subprocess.run([sys.executable, "-c", snippet.format(out=p)],
                            check=True)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestModeEstimate:
+    """What each mode logs as the payload mass estimate, on a noise-free
+    grasp_estimate run past its latch, where the observer's first step has an
+    oracle: the latch row's attitude, thrust and true mass."""
+    MODES = ["baseline", "pre-only", "dob-only", "iags"]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        cfg = load_config("grasp_estimate")
+        cfg = replace(cfg, duration=2.5,
+                      vehicle=replace(cfg.vehicle, accel_noise=0.0, gyro_noise=0.0))
+        return {mode: run_scenario(replace(cfg, mode=mode)) for mode in self.MODES}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_payload_estimate_per_mode(self, runs, mode):
+        log = runs[mode]
+        cfg, m_tilde = log.config, log.events["m_tilde"]
+        latch = int(round(log.events["latch_time"] / cfg.sim_dt))
+        assert 0 < latch < log.data.shape[0] - 100
+        m_obj = log.column("m_obj_hat")
+        assert np.all(m_obj[:latch] == 0.0)
+        if mode == "baseline":
+            assert m_tilde is None and np.all(m_obj == 0.0)
+            assert np.all(log.columns("kk_x", "kk_y", "kk_z") == 1.0)
+        elif mode == "pre-only":
+            assert m_tilde > 0.0 and np.all(m_obj[latch:] == m_tilde)
+        else:
+            row = dict(zip(log.names, log.data[latch].tolist()))
+            R = quat_to_rot([row["qw"], row["qx"], row["qy"], row["qz"]], flat=True)
+            thrust = row["rotor1"] + row["rotor2"] + row["rotor3"] + row["rotor4"]
+            acc = [R[2] * thrust / row["m_t_true"], R[5] * thrust / row["m_t_true"],
+                   -cfg.g + R[8] * thrust / row["m_t_true"]]
+            start = DobState(m_hat=(m_tilde if mode == "iags" else 0.0))
+            first = dob_step(start, acc, R, (0.0, 0.0, thrust), cfg.vehicle.mass, cfg.est.dob_c,
+                             cfg.sim_dt * cfg.steps_per(cfg.dob_hz), g=cfg.g,
+                             force_lpf_hz=cfg.est.force_lpf_hz)
+            assert m_obj[latch] == pytest.approx(first.m_hat, rel=1e-12)
+            assert (m_tilde is None) == (mode == "dob-only")
 
 
 class TestLatchTiming:
