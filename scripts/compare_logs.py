@@ -6,10 +6,12 @@ Each scenario runs in each canonical mode (``MODES``), once per tree, each
 tree in its own process. The script prints the largest absolute difference
 of every log column over all runs, then one line per run (marked
 ``bit-identical`` when the two logs have the same bytes) and the count of
-bit-identical runs. It exits 1 when any difference exceeds ``TOL`` (a NaN
-where the other tree has a number counts as an infinite difference), when
-logs differ in shape or column names, or when an event both trees record
-differs; otherwise 0.
+bit-identical runs. Each tree also runs the offline sweeps of the default
+vehicle (``SWEEPS``): every cell of the uncertainty grid and the workspace
+maxima with their joint angles. It exits 1 when any log difference exceeds
+``TOL`` (a NaN where the other tree has a number counts as an infinite
+difference), when logs differ in shape or column names, when an event both
+trees record differs, or when a sweep output differs in any bit; otherwise 0.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ import numpy as np
 
 TOL = 1e-9  # largest absolute difference allowed in any log column
 MODES = ("baseline", "iags", "pre-only", "dob-only")  # every engine path
+# the `amsim sweep` defaults, with the workspace grid that perfbench checks
+SWEEPS = {"uncertainty_grid_n": 7, "workspace_grid_n": 9, "mass": 0.4,
+          "dims": (0.2, 0.2, 0.2)}
+SWEEP_PREFIX = "sweep/"
 
 
 def dump(src: str, out: str) -> None:
@@ -41,8 +47,35 @@ def dump(src: str, out: str) -> None:
             key = f"{name}/{mode}"
             arrays[key] = log.data
             meta[key] = {"names": log.names, "events": log.events}
+    arrays.update(sweeps())
     np.savez(out, **arrays)
     Path(out + ".json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def sweeps() -> dict:
+    """The default vehicle's sweep outputs as float arrays: one row per
+    uncertainty cell (axis, j_scale, kk_scale, GM, PM, w_gc, w_pc) and one
+    per workspace axis (maximum, joint angles; NaN angles when no pose
+    raises the gain above 1)."""
+    from amsim.config import ScenarioConfig
+    from amsim.freqdom import robustness_sweep, workspace_kk_sweep
+    from amsim.spatial import InertialParams
+
+    cfg = ScenarioConfig()
+    veh, rotor = cfg.vehicle, cfg.vehicle.rotor
+    _, rows = robustness_sweep(cfg.gains, np.diag(veh.j_a), k_m=rotor.k_m,
+                               tau_m=rotor.tau_m, grid_n=SWEEPS["uncertainty_grid_n"])
+    maxima, argmax = workspace_kk_sweep(
+        cfg.arm.geom, SWEEPS["mass"], SWEEPS["dims"], InertialParams(veh.mass, veh.p_b, veh.j_a),
+        grid_n=SWEEPS["workspace_grid_n"], pad_height=cfg.est.suction_pad)
+    nan3 = (np.nan,) * 3
+    return {
+        SWEEP_PREFIX + "uncertainty": np.array([
+            (axis, sj, sk, r.gain_margin_db, r.phase_margin_deg, r.gain_crossover,
+             r.phase_crossover) for axis, sj, sk, r in rows]),
+        SWEEP_PREFIX + "workspace": np.array([
+            (m, *(nan3 if th is None else th)) for m, th in zip(maxima, argmax)]),
+    }
 
 
 def load(src: str, workdir: str, tag: str):
@@ -59,6 +92,15 @@ def compare(ref, new) -> int:
     worst = {}  # column -> (difference, run)
     lines = []
     identical = 0
+    sweep_lines = []
+    for key in sorted(k for k in set(ref_data) | set(new_data) if k.startswith(SWEEP_PREFIX)):
+        a, b = ref_data.pop(key, None), new_data.pop(key, None)
+        if a is None or b is None:
+            problems.append(f"{key}: output missing from one tree")
+        elif a.shape != b.shape or a.tobytes() != b.tobytes():
+            problems.append(f"{key}: outputs differ")
+        else:
+            sweep_lines.append(f"{key:<28} {a.shape[0]} rows  bit-identical")
     for key in sorted(set(ref_data) | set(new_data)):
         if key not in ref_data or key not in new_data:
             problems.append(f"{key}: run missing from one tree")
@@ -94,6 +136,7 @@ def compare(ref, new) -> int:
     print()
     print("\n".join(lines))
     print(f"bit-identical: {identical}/{len(lines)} runs")
+    print("\n".join(sweep_lines))
     for p in problems:
         print("FAIL:", p)
     print(f"{'FAIL' if problems else 'OK'}: {len(lines)} runs, tolerance {TOL:g}")

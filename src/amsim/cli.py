@@ -80,7 +80,11 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{cfg.name}_{cfg.mode}.csv")
     log.to_csv(out_path)
-    eval_start = cfg.eval_start if cfg.eval_start < cfg.duration else 0.0
+    eval_start = cfg.eval_start
+    if eval_start >= cfg.duration:
+        print(f"note: eval_start {eval_start:g} s is not before the end of the "
+              f"{cfg.duration:g} s run; the metrics cover the whole run", file=sys.stderr)
+        eval_start = 0.0
     rep = metrics.evaluate(log, eval_start=eval_start)
     print(f"wrote {out_path} ({log.data.shape[0]} rows)")
     for name in ("position", "attitude", "rate"):
@@ -117,10 +121,10 @@ def _cmd_margins(args) -> int:
     cfg = _load_cfg(args.config)
     j_diag = np.diag(cfg.vehicle.j_a)
     rotor = cfg.vehicle.rotor
-    reps = [freqdom.margins(freqdom.open_loop_tf(
+    reps = freqdom.margins_stack([freqdom.open_loop_tf(
         cfg.gains.rate_kp[axis], cfg.gains.rate_ki[axis], cfg.gains.rate_kd[axis],
         k_k=args.kk_scale, k_m=rotor.k_m, tau_m=rotor.tau_m,
-        j=float(j_diag[axis]) * args.j_scale)) for axis in range(3)]
+        j=float(j_diag[axis]) * args.j_scale) for axis in range(3)])
     print(f"{'axis':<6} {'PM (deg)':>10} {'GM (dB)':>10} {'w_gc (rad/s)':>14} "
           f"{'w_pc (rad/s)':>14}")
     for label, rep in zip("xyz", reps):

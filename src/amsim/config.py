@@ -79,6 +79,8 @@ class ObjectConfig:
     def __post_init__(self):
         if not self.true_mass > 0.0:
             raise ConfigError("[object] true_mass must be positive")
+        if not math.isfinite(self.grasp_time):
+            raise ConfigError(f"[object] grasp_time must be finite, got {self.grasp_time}")
         if not self.label and self.prior_rho is None:
             raise ConfigError("[object] needs a label or an inline prior_*")
         if self.shape not in ("box", "cylinder"):
@@ -199,6 +201,8 @@ def _rows(text: str, n_cols: int) -> list:
         vals = [float(v) for v in line.split()]
         if len(vals) != n_cols:
             raise ValueError(f"each row needs {n_cols} numbers")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"row {line!r} has a non-finite number")
         rows.append(vals)
     rows.sort(key=lambda r: r[0])
     times = [r[0] for r in rows]

@@ -15,13 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product, zip_longest
+from itertools import product
 
 import numpy as np
 
-from . import adaptation, delta, presense
+from . import delta, presense
 from .controller import Gains
-from .spatial import InertialParams, as_floats, box_inertia, inverse3
+from .spatial import InertialParams, as_floats, box_inertia, composite, inverse3
 
 
 class PoleOnAxis(Exception):
@@ -104,49 +104,65 @@ def _polyval(coeffs, x):
     return y
 
 
-def _polymul(a, b) -> list:
-    """Coefficients of the product of two polynomials, ascending powers."""
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b):
-            out[i + k] += x * y
+def _polymul(a, b, shift: int = 0) -> np.ndarray:
+    """Row by row products u^shift a(u) b(u) of two stacks of polynomials in
+    ascending powers, with a spare zero top coefficient when ``shift`` is 0.
+
+    Each coefficient is summed in the order of the one-polynomial product;
+    zero padding adds only zero terms, which leave every sum as it was.
+    """
+    out = np.zeros((len(a), a.shape[1] + b.shape[1]))
+    for i in range(a.shape[1]):
+        out[:, shift + i:shift + i + b.shape[1]] += a[:, i:i + 1] * b
     return out
 
 
-def _jw_parts(coeffs) -> tuple:
-    """Polynomials a, b in u = omega^2 with p(j omega) = a(u) + j omega b(u)."""
-    a = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs[0::2])]
-    b = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs[1::2])]
+def _jw_parts(polys) -> tuple:
+    """Stacks a, b of polynomials in u = omega^2 with p(j omega) = a(u) + j omega b(u),
+    one row per polynomial of ``polys``, all zero-padded to one length."""
+    width = max(map(len, polys), default=1)
+    coeffs = np.zeros((len(polys), width + width % 2))
+    for row, p in zip(coeffs, polys):
+        row[:len(p)] = p
+    a, b = coeffs[:, 0::2].copy(), coeffs[:, 1::2].copy()
+    a[:, 1::2] *= -1.0
+    b[:, 1::2] *= -1.0
     return a, b
 
 
-def _band_roots(poly, lo: float, hi: float) -> list:
-    """Frequencies in [lo, hi] whose squares u > 0 are real roots of poly(u).
+def _band_roots(polys, lo: float, hi: float) -> list:
+    """Per polynomial, the frequencies in [lo, hi] whose squares u > 0 are its real roots.
 
     Leading terms that stay below the rounding of the largest term all over
     the band (u up to hi^2) are dropped first: their extra roots lie far
     beyond the band, and a tiny leading coefficient would overflow the
     companion matrix. Exactly zero low-order terms are roots u = 0, divided
-    out; a linear rest has its root in closed form.
+    out; a linear rest has its root in closed form. The companion matrices
+    of one size share one ``np.linalg.eigvals`` call.
     """
-    size = [math.log2(abs(c)) + k * math.log2(hi * hi) if c else -math.inf
-            for k, c in enumerate(poly)]
-    top = max(size)
-    n = max((k for k, v in enumerate(size) if v > top - 52.0), default=0)
-    low = next((k for k, c in enumerate(poly[:n]) if c), n)
-    poly = poly[low:n + 1]
-    n -= low
-    if n == 0:
-        return []
-    if n == 1:
-        roots = [-poly[0] / poly[1]]
-    else:
-        companion = np.eye(n, k=1)
-        companion[:, 0] = [-c / poly[n] for c in reversed(poly[:n])]
-        roots = [u.real for u in np.linalg.eigvals(companion).tolist()
-                 if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real))]
-    w = [math.sqrt(u) for u in roots if u > 0.0]
-    return [x for x in w if lo <= x <= hi]
+    roots = []
+    companions = {}  # size -> (polynomial index, first column) pairs
+    log2_u_top = math.log2(hi * hi)
+    for i, poly in enumerate(polys):
+        size = [math.log2(abs(c)) + k * log2_u_top if c else -math.inf
+                for k, c in enumerate(poly)]
+        top = max(size)
+        n = max((k for k, v in enumerate(size) if v > top - 52.0), default=0)
+        low = next((k for k, c in enumerate(poly[:n]) if c), n)
+        poly = poly[low:n + 1]
+        n -= low
+        roots.append([-poly[0] / poly[1]] if n == 1 else [])
+        if n > 1:
+            companions.setdefault(n, []).append(
+                (i, [-c / poly[n] for c in reversed(poly[:n])]))
+    for n, group in companions.items():
+        stack = np.empty((len(group), n, n))
+        stack[:] = np.eye(n, k=1)
+        stack[:, :, 0] = [column for _, column in group]
+        for (i, _), eig in zip(group, np.linalg.eigvals(stack).tolist()):
+            roots[i] = [u.real for u in eig if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real))]
+    return [[w for w in (math.sqrt(u) for u in r if u > 0.0) if lo <= w <= hi]
+            for r in roots]
 
 
 def margins(tf: RationalTF, band=DEFAULT_BAND) -> MarginReport:
@@ -165,35 +181,45 @@ def margins(tf: RationalTF, band=DEFAULT_BAND) -> MarginReport:
     Raises ValueError unless 0 < band[0] < band[1] are finite, and
     NoCrossover when |G| never crosses unity in the band.
     """
+    return margins_stack([tf], band)[0]
+
+
+def margins_stack(tfs, band=DEFAULT_BAND) -> list:
+    """``margins`` of each loop in ``tfs``, as a list of reports in their order.
+
+    The crossing polynomials of the whole stack are built as arrays, one row
+    per loop, and go through one ``_band_roots`` call, so each
+    companion-matrix size takes one eigenvalue call; each report equals that
+    of the loop analysed alone. Raises NoCrossover when any loop has no unity
+    crossing in the band.
+    """
     lo, hi = (float(b) for b in band)
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise ValueError(f"band must satisfy 0 < lo < hi < inf, got {band}")
-    na, nb = _jw_parts(tf.num)
-    da, db = _jw_parts(tf.den)
+    k = len(tfs)
+    a, b = _jw_parts([tf.num for tf in tfs] + [tf.den for tf in tfs])
+    na, nb, da, db = a[:k], b[:k], a[k:], b[k:]
+    gain_polys = (_polymul(na, na) + _polymul(nb, nb, 1)
+                  - _polymul(da, da) - _polymul(db, db, 1)).tolist()
+    cross_re = (_polymul(na, da) + _polymul(nb, db, 1)).tolist()
+    cross_im = (_polymul(nb, da) - _polymul(na, db)).tolist()
 
-    pm_candidates = []
-    gain_poly = [p + q - r - s for p, q, r, s in zip_longest(
-        _polymul(na, na), [0.0] + _polymul(nb, nb),
-        _polymul(da, da), [0.0] + _polymul(db, db), fillvalue=0.0)]
-    for wc in _band_roots(gain_poly, lo, hi):
-        pm = 180.0 + math.degrees(cmath.phase(freq_response(tf, wc)))
-        pm_candidates.append((pm - 360.0 if pm > 180.0 else pm, wc))
-    if not pm_candidates:
-        raise NoCrossover(f"|G| stays on one side of unity over ({lo}, {hi}) rad/s")
-    pm, w_gc = min(pm_candidates)
-
-    gm_candidates = []
-    cross_re = [p + q for p, q in zip_longest(_polymul(na, da), [0.0] + _polymul(nb, db),
-                                              fillvalue=0.0)]
-    cross_im = [p - q for p, q in zip_longest(_polymul(nb, da), _polymul(na, db),
-                                              fillvalue=0.0)]
-    for wpc in _band_roots(cross_im, lo, hi):
-        if _polyval(cross_re, wpc * wpc) < 0.0:
-            gm_db = -20.0 * math.log10(abs(freq_response(tf, wpc)))
-            gm_candidates.append((gm_db, wpc))
-    gm, w_pc = min(gm_candidates) if gm_candidates else (math.inf, math.nan)
-    return MarginReport(gain_margin_db=gm, phase_margin_deg=pm,
-                        gain_crossover=w_gc, phase_crossover=w_pc)
+    roots = _band_roots(gain_polys + cross_im, lo, hi)
+    reports = []
+    for tf, gain_roots, phase_roots, re in zip(tfs, roots[:k], roots[k:], cross_re):
+        pm_candidates = []
+        for wc in gain_roots:
+            pm = 180.0 + math.degrees(cmath.phase(freq_response(tf, wc)))
+            pm_candidates.append((pm - 360.0 if pm > 180.0 else pm, wc))
+        if not pm_candidates:
+            raise NoCrossover(f"|G| stays on one side of unity over ({lo}, {hi}) rad/s")
+        pm, w_gc = min(pm_candidates)
+        gm_candidates = [(-20.0 * math.log10(abs(freq_response(tf, wpc))), wpc)
+                         for wpc in phase_roots if _polyval(re, wpc * wpc) < 0.0]
+        gm, w_pc = min(gm_candidates) if gm_candidates else (math.inf, math.nan)
+        reports.append(MarginReport(gain_margin_db=gm, phase_margin_deg=pm,
+                                    gain_crossover=w_gc, phase_crossover=w_pc))
+    return reports
 
 
 def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.02,
@@ -217,11 +243,12 @@ def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.
     rows = []
     for axis in range(3):
         lo, hi = box[axis]
-        cells = []
-        for sj, sk in product(np.linspace(lo, hi, grid_n).tolist(), repeat=2):
-            tf = open_loop_tf(gains.rate_kp[axis], gains.rate_ki[axis], gains.rate_kd[axis],
-                              k_k=sk, k_m=k_m, tau_m=tau_m, j=float(j_a_diag[axis] * sj))
-            cells.append((axis, sj, sk, margins(tf, band=band)))
+        scales = list(product(np.linspace(lo, hi, grid_n).tolist(), repeat=2))
+        reports = margins_stack([
+            open_loop_tf(gains.rate_kp[axis], gains.rate_ki[axis], gains.rate_kd[axis],
+                         k_k=sk, k_m=k_m, tau_m=tau_m, j=float(j_a_diag[axis] * sj))
+            for sj, sk in scales], band=band)
+        cells = [(axis, sj, sk, rep) for (sj, sk), rep in zip(scales, reports)]
         # the first of equal (phase margin, crossover) keys is the worst cell
         _, sj, sk, rep = min(cells, key=lambda c: (c[3].phase_margin_deg, c[3].gain_crossover))
         worst[axis] = (rep, sj, sk)
@@ -236,7 +263,8 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
 
     The payload is modeled as a solid box of ``payload_dims`` hanging half
     its height plus the pad below the end-effector. Joint angles sweep a
-    ``grid_n``^3 grid over the limits; infeasible combinations are skipped.
+    ``grid_n``^3 grid over the limits; infeasible combinations are skipped,
+    and one ``composite`` over arrays covers the feasible ones.
     Returns ``(maxima, argmax_theta)`` with ``maxima`` the per-axis diagonal
     of the largest scheduled gain J_a^-1 J_t encountered and ``argmax_theta``
     each maximum's joint angles as three floats; a zero payload mass gives
@@ -254,23 +282,31 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
         return np.ones(3), None
     j_obj = as_floats(InertialParams(payload_mass, np.zeros(3),
                                      box_inertia(payload_mass, dims)).inertia_about_com, 9)
-    offset = presense.top_grasp_offset(dims[2], pad_height)
-    j_a, com = as_floats(vehicle.inertia_about_com, 9), vehicle.com.tolist()
-    j_inv = inverse3(j_a)
+    ox, oy, oz = presense.top_grasp_offset(dims[2], pad_height)
     lo, hi = geom.joint_limits
     grid = np.linspace(lo, hi, grid_n).tolist()
-    maxima = [1.0, 1.0, 1.0]
-    argmax = [None, None, None]
+    poses, points = [], []
     for theta in product(grid, repeat=3):
         try:
-            j_t = adaptation.update_total(vehicle.mass, j_a, com, payload_mass,
-                                          j_obj, offset, theta, geom).j_t_hat
+            px, py, pz = delta.forward_kin(geom, theta)
         except delta.KinematicsError:
             continue
-        for axis in range(3):
-            kk = (j_inv[3 * axis] * j_t[axis] + j_inv[3 * axis + 1] * j_t[3 + axis]
-                  + j_inv[3 * axis + 2] * j_t[6 + axis])
-            if kk > maxima[axis]:
-                maxima[axis] = kk
-                argmax[axis] = theta
-    return np.array(maxima), argmax
+        poses.append(theta)
+        points.append((px + ox, py + oy, pz + oz))
+    maxima = np.ones(3)
+    argmax = [None, None, None]
+    if not poses:
+        return maxima, argmax
+    # one composite over every feasible pose: the payload CoM as three arrays
+    j_a = as_floats(vehicle.inertia_about_com, 9)
+    _, _, j_t = composite(vehicle.mass, vehicle.com.tolist(), j_a, payload_mass,
+                          list(np.array(points).T), j_obj)
+    j_inv = inverse3(j_a)
+    for axis in range(3):
+        kk = (j_inv[3 * axis] * j_t[axis] + j_inv[3 * axis + 1] * j_t[3 + axis]
+              + j_inv[3 * axis + 2] * j_t[6 + axis])
+        k = int(np.argmax(kk))  # the first pose of the largest gain, as a strict > scan
+        if kk[k] > 1.0:
+            maxima[axis] = kk[k]
+            argmax[axis] = poses[k]
+    return maxima, argmax

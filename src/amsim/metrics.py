@@ -43,12 +43,14 @@ def evaluate(log: RunLog, eval_start: float = 0.0) -> MetricReport:
     if not np.any(mask):
         raise ValueError("evaluation window contains no samples")
 
-    pos = log.columns("px", "py", "pz")[mask]
-    pos_des = log.columns("px_des", "py_des", "pz_des")[mask]
-    q = log.columns("qw", "qx", "qy", "qz")[mask]
-    q_des = log.columns("qw_des", "qx_des", "qy_des", "qz_des")[mask]
-    w = log.columns("wx", "wy", "wz")[mask]
-    w_des = log.columns("wx_des", "wy_des", "wz_des")[mask]
+    names = ("px", "py", "pz", "px_des", "py_des", "pz_des",
+             "qw", "qx", "qy", "qz", "qw_des", "qx_des", "qy_des", "qz_des",
+             "wx", "wy", "wz", "wx_des", "wy_des", "wz_des")
+    # one copy of the window's rows and columns, not one of all rows first
+    window = log.data[np.ix_(mask, [log.names.index(n) for n in names])]
+    pos, pos_des = window[:, 0:3], window[:, 3:6]
+    q, q_des = window[:, 6:10], window[:, 10:14]
+    w, w_des = window[:, 14:17], window[:, 17:20]
 
     def rms(x):
         return float(np.sqrt(np.mean(np.square(x))))

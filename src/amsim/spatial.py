@@ -167,6 +167,8 @@ def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o) -> tuple:
     Each body is (mass, CoM as 3 floats, inertia about its CoM as 9 row-major
     floats) in one shared frame, and so is the result; each tensor is shifted
     by the parallel-axis theorem. Two valid bodies give a valid one, unchecked.
+    Any CoM or inertia entry may be an array instead of a float: the arrays
+    broadcast, and each element is the bits of the scalar call on it.
     """
     m_t = m_a + m_o
     c_t = [(m_a * a + m_o * o) / m_t for a, o in zip(c_a, c_o)]

@@ -10,10 +10,11 @@ from numpy.polynomial import polynomial as P
 from amsim import adaptation, delta, freqdom, presense
 from amsim.controller import Gains
 from amsim.delta import DeltaGeometry
-from amsim.freqdom import (DEFAULT_BAND, MarginReport, NoCrossover, PoleOnAxis,
-                           RationalTF, freq_response, margins, open_loop_tf,
-                           robustness_sweep, workspace_kk_sweep)
-from amsim.spatial import InertialParams, box_inertia
+from amsim.freqdom import (DEFAULT_BAND, DEFAULT_UNCERTAINTY_BOX, MarginReport,
+                           NoCrossover, PoleOnAxis, RationalTF, freq_response, margins,
+                           margins_stack, open_loop_tf, robustness_sweep,
+                           workspace_kk_sweep)
+from amsim.spatial import InertialParams, box_inertia, inverse3
 J_A_DIAG = np.array([9.2e-3, 10.5e-3, 14.7e-3])
 
 
@@ -65,7 +66,7 @@ class TestFreqResponse:
             b = RationalTF(num=tuple(rng.uniform(0.1, 2.0, 3)),
                            den=tuple(rng.uniform(0.1, 2.0, 2)))
             w = rng.uniform(0.5, 50.0)
-            product = RationalTF(freqdom._polymul(a.num, b.num), freqdom._polymul(a.den, b.den))
+            product = RationalTF(P.polymul(a.num, b.num), P.polymul(a.den, b.den))
             lhs = freq_response(product, w)
             rhs = freq_response(a, w) * freq_response(b, w)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -531,7 +532,8 @@ class TestBandRoots:
 
     def test_robustness_grid_matches_companion_roots(self, monkeypatch):
         _, rows = robustness_sweep(Gains(), J_A_DIAG)
-        monkeypatch.setattr(freqdom, "_band_roots", companion_band_roots)
+        monkeypatch.setattr(freqdom, "_band_roots", lambda polys, lo, hi: [
+            companion_band_roots(poly, lo, hi) for poly in polys])
         _, ref_rows = robustness_sweep(Gains(), J_A_DIAG)
         assert len(rows) == len(ref_rows) == 147
         for (*cell, rep), (*ref_cell, ref) in zip(rows, ref_rows):
@@ -548,12 +550,12 @@ class TestBandRoots:
                  ([0.0, 0.0, 9.0, -10.0, 1.0], [1.0, 3.0]),  # u^2 (u - 1)(u - 9)
                  ([0.0, 0.0, 5.0], []), ([0.0, 3.0], [])]
         for poly, want in cases:
-            assert sorted(freqdom._band_roots(poly, lo, hi)) == pytest.approx(want, rel=1e-14)
+            assert sorted(freqdom._band_roots([poly], lo, hi)[0]) == pytest.approx(want,
+                                                                                 rel=1e-14)
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
-        assert freqdom._band_roots([0.0, -4.0, 1.0], lo, hi) == [2.0]
-        assert freqdom._band_roots([0.0, 0.0, 5.0], lo, hi) == []
+        assert freqdom._band_roots([[0.0, -4.0, 1.0], [0.0, 0.0, 5.0]], lo, hi) == [[2.0], []]
         assert calls == []
         # a rate loop's phase polynomial has a zero constant term: one
         # eigenvalue call per margins, for the gain polynomial
@@ -561,6 +563,57 @@ class TestBandRoots:
         margins(open_loop_tf(g.rate_kp[0], g.rate_ki[0], g.rate_kd[0], 1.0, 1.0, 0.02,
                              J_A_DIAG[0]))
         assert len(calls) == 1
+
+
+def report_bits(reports) -> bytes:
+    """The bytes of every float of a list of reports (NaN included)."""
+    return np.array([[r.gain_margin_db, r.phase_margin_deg, r.gain_crossover,
+                      r.phase_crossover] for r in reports]).tobytes()
+
+
+class TestMarginsStack:
+    """A stack of loops gives each loop the bits of its own ``margins`` call."""
+
+    def mixed_stack(self):
+        g = Gains()
+        return [
+            *(open_loop_tf(g.rate_kp[a], g.rate_ki[a], g.rate_kd[a], kk, 1.0, 0.02,
+                           J_A_DIAG[a] * sj)
+              for a in range(3) for sj, kk in ((1.0, 1.0), (3.52, 1.0), (1.0, 3.79))),
+            open_loop_tf(0.15, 0.2, 0.0, 1.0, 1.0, 0.02, 9.2e-3),  # kd = 0: lower degree
+            open_loop_tf(0.2, 0.0, 0.0, 1.0, 1.0, 0.02, 9.2e-3),   # P only
+            RationalTF(num=(40.0,), den=(0.0, 1.0, 0.05)),
+            conditionally_stable_tf(10.0),                         # a finite gain margin
+            resonance_pair_tf(),
+        ]
+
+    def test_equals_one_at_a_time_bitwise(self, monkeypatch):
+        tfs = self.mixed_stack()
+        assert len({(len(tf.num), len(tf.den)) for tf in tfs}) >= 4
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda m: calls.append(np.shape(m)) or eigvals(m))
+        stacked = margins_stack(tfs)
+        # one eigenvalue call per companion size, each over its whole group
+        sizes = [shape[-1] for shape in calls]
+        assert len(sizes) == len(set(sizes)) >= 2
+        assert max(shape[0] for shape in calls) > 1
+        monkeypatch.undo()
+        alone = [margins(tf) for tf in tfs]
+        assert report_bits(stacked) == report_bits(alone)
+        assert any(math.isfinite(r.gain_margin_db) for r in stacked)
+        assert margins_stack([]) == []
+
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_no_crossover_member_raises(self, where):
+        tfs = self.mixed_stack()
+        never = RationalTF(num=(1e-6,), den=(0.0, 1.0))  # |G| = 1e-6 / w < 1 in band
+        with pytest.raises(NoCrossover):
+            margins(never)
+        tfs.insert(where if where >= 0 else len(tfs), never)
+        with pytest.raises(NoCrossover):
+            margins_stack(tfs)
 
 
 class TestMarginsProperties:
@@ -698,6 +751,30 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError):
             robustness_sweep(Gains(), J_A_DIAG, grid_n=4)
 
+    def test_rows_equal_per_cell_margins_bitwise(self):
+        """Every row is the cell's own ``margins`` call, in grid order, and the
+        worst cell is the first of the smallest (phase margin, crossover)."""
+        g, grid_n = Gains(), 7
+        worst, rows = robustness_sweep(g, J_A_DIAG, k_m=1.3, tau_m=0.025, grid_n=grid_n)
+        want = []
+        for axis in range(3):
+            lo, hi = DEFAULT_UNCERTAINTY_BOX[axis]
+            for sj in np.linspace(lo, hi, grid_n).tolist():
+                for sk in np.linspace(lo, hi, grid_n).tolist():
+                    tf = open_loop_tf(g.rate_kp[axis], g.rate_ki[axis], g.rate_kd[axis],
+                                      k_k=sk, k_m=1.3, tau_m=0.025,
+                                      j=float(J_A_DIAG[axis] * sj))
+                    want.append((axis, sj, sk, margins(tf)))
+        assert [r[:3] for r in rows] == [w[:3] for w in want]
+        assert report_bits(r[3] for r in rows) == report_bits(w[3] for w in want)
+        for axis in range(3):
+            cells = [w for w in want if w[0] == axis]
+            _, sj, sk, rep = min(cells, key=lambda c: (c[3].phase_margin_deg,
+                                                        c[3].gain_crossover))
+            got, got_sj, got_sk = worst[axis]
+            assert (got_sj, got_sk) == (sj, sk)
+            assert report_bits([got]) == report_bits([rep])
+
 
 def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_height):
     """Reference: the former sweep loop, with np.linalg.solve and np.diag per cell."""
@@ -729,6 +806,33 @@ def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pa
     return maxima, argmax
 
 
+def per_pose_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_height):
+    """Oracle: one ``update_total`` per pose and a strict > scan from 1, in the
+    float order of the sweep. Also returns each feasible pose's gain diagonal."""
+    dims = np.asarray(payload_dims, dtype=float).reshape(3)
+    j_obj = box_inertia(payload_mass, dims).ravel().tolist()
+    offset = presense.top_grasp_offset(dims[2], pad_height)
+    j_a = vehicle.inertia_about_com.ravel().tolist()
+    j_inv = inverse3(j_a)
+    grid = np.linspace(*geom.joint_limits, grid_n).tolist()
+    maxima, argmax, gains = [1.0, 1.0, 1.0], [None, None, None], []
+    for t1 in grid:
+        for t2 in grid:
+            for t3 in grid:
+                try:
+                    j_t = adaptation.update_total(vehicle.mass, j_a, vehicle.com.tolist(),
+                                                  payload_mass, j_obj, offset,
+                                                  (t1, t2, t3), geom).j_t_hat
+                except delta.KinematicsError:
+                    continue
+                gains.append([j_inv[3 * a] * j_t[a] + j_inv[3 * a + 1] * j_t[3 + a]
+                              + j_inv[3 * a + 2] * j_t[6 + a] for a in range(3)])
+                for a in range(3):
+                    if gains[-1][a] > maxima[a]:
+                        maxima[a], argmax[a] = gains[-1][a], (t1, t2, t3)
+    return maxima, argmax, gains
+
+
 def tilted_vehicle():
     """The shipped vehicle with its inertia turned off the body axes and its CoM moved."""
     c, s = math.cos(0.3), math.sin(0.3)
@@ -750,6 +854,36 @@ class TestWorkspaceSweep:
         np.testing.assert_allclose(maxima, ref_max, rtol=1e-12, atol=0.0)
         for got, want in zip(argmax, ref_arg):
             assert (got is None and want is None) or got == tuple(want.tolist())
+
+    @pytest.mark.parametrize("case", ["shipped", "tilted", "ties", "never_above_1",
+                                      "few_feasible", "none_feasible"])
+    def test_equals_per_pose_oracle_bitwise(self, vehicle_params, case):
+        """Maxima and first-occurrence argmax equal a per-pose scan bit for bit;
+        infeasible poses are skipped and an axis never above 1 keeps None."""
+        geom, mass, vehicle = DeltaGeometry(), 0.4, vehicle_params
+        if case == "tilted":
+            vehicle = tilted_vehicle()
+        elif case == "ties":
+            geom = DeltaGeometry(forearm_len=0.12)
+        elif case == "never_above_1":
+            mass = 1e-20
+        elif case == "few_feasible":
+            geom = DeltaGeometry(forearm_len=0.04)
+        elif case == "none_feasible":
+            geom = DeltaGeometry(forearm_len=0.04, joint_limits=(-0.52, 0.0))
+        args = (geom, mass, (0.2, 0.2, 0.2), vehicle, 9, 0.01)
+        maxima, argmax = workspace_kk_sweep(*args)
+        ref_max, ref_arg, gains = per_pose_kk_sweep(*args)
+        assert maxima.tobytes() == np.array(ref_max).tobytes()
+        assert argmax == ref_arg
+        if case in ("shipped", "ties", "few_feasible"):
+            assert 0 < len(gains) < 9 ** 3  # some poses are infeasible
+        if case == "ties":  # the z maximum is reached at several poses
+            assert sum(g[2] == ref_max[2] for g in gains) > 1
+        if case in ("never_above_1", "none_feasible"):
+            assert argmax == [None, None, None] and maxima.tolist() == [1.0, 1.0, 1.0]
+        if case == "none_feasible":
+            assert gains == []
 
     def test_zero_mass_identity(self, vehicle_params):
         maxima, _ = workspace_kk_sweep(DeltaGeometry(), 0.0, [0.2, 0.2, 0.2],

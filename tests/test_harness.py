@@ -166,6 +166,34 @@ class TestConfig:
         assert _wind_at(cfg.wind, 1.0) == (0.0, 1.0, 0.0)
         assert _wind_at(cfg.wind, 3.0) == (1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("section, key, row", [
+        ("trajectory", "waypoints", "0 0 0 1 0"),
+        ("arm", "waypoints", "0 0 0 -0.16"),
+        ("disturbances", "wind", "1 0 3 0"),
+    ], ids=["trajectory", "arm", "wind"])
+    @pytest.mark.parametrize("column", [0, -1], ids=["time", "value"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_table_row_rejected(self, section, key, row, column, value):
+        """A NaN time would sort anywhere and a NaN wind start switches off every
+        later row, so a table row must hold finite numbers only."""
+        bad = row.split()
+        bad[column] = value
+        bad = " ".join(bad)
+        parse_config(f"[{section}]\n{key} =\n    {row}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'[{section}] {key}: row')} "
+                                              f"{re.escape(repr(bad))} has a non-finite number$"):
+            parse_config(f"[{section}]\n{key} =\n    {row}\n    {bad}\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grasp_time_rejected(self, value):
+        """A NaN grasp time would never attach the payload, and the run would exit 0."""
+        message = f"[object] grasp_time must be finite, got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"[object]\nlabel = coffee can\ntrue_mass = 0.2\n"
+                         f"grasp_time = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(load_config("grasp_estimate").obj, grasp_time=value)
+
     def test_g_validation(self):
         for g in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ConfigError, match="^\\[vehicle\\] g must be positive and finite"):
@@ -836,6 +864,21 @@ class TestCli:
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: duration and sim_dt")
         assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
+
+    def test_eval_start_past_the_end_is_noted(self, tmp_path, capsys):
+        """grasp_estimate evaluates from 0.5 s: a shorter run says that its
+        metrics cover the whole run, and they do."""
+        assert cli.main(["run", "grasp_estimate", "--duration", "0.3",
+                         "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("note: eval_start 0.5 s is not before the end of the "
+                                "0.3 s run; the metrics cover the whole run\n")
+        log = RunLog.from_csv(str(tmp_path / "grasp_estimate_iags.csv"))
+        rmse = metrics.evaluate(log, eval_start=0.0).rmse("position")
+        assert f"position   rmse={rmse:.6f}" in captured.out
+        assert cli.main(["run", "grasp_estimate", "--duration", "0.6",
+                         "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_run_from_config_path(self, tmp_path):
         cfg_file = tmp_path / "quiet.cfg"

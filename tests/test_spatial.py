@@ -177,6 +177,26 @@ class TestComposite:
                                        atol=1e-14 * np.abs(j_ref).max())
 
 
+    def test_arrays_equal_per_element_scalar_calls_bitwise(self, rng):
+        """CoMs and inertias given as arrays give, element by element, the
+        bits of the scalar call, as the workspace sweep relies on."""
+        n = 64
+        (m_a, c_a, j_a), (m_o, _, _) = random_body(rng), random_body(rng)
+        bodies = [random_body(rng) for _ in range(n)]
+        c_o = np.array([b[1] for b in bodies])
+        j_o = np.array([b[2].ravel() for b in bodies])
+        m_t, c_t, j_t = composite(m_a, c_a.tolist(), j_a.ravel().tolist(),
+                                  m_o, list(c_o.T), list(j_o.T))
+        got_c, got_j = np.array(c_t).T, np.array(j_t).T
+        assert got_c.shape == (n, 3) and got_j.shape == (n, 9)
+        for i in range(n):
+            m_ref, c_ref, j_ref = composite(m_a, c_a.tolist(), j_a.ravel().tolist(),
+                                            m_o, c_o[i].tolist(), j_o[i].tolist())
+            assert m_t == m_ref
+            assert got_c[i].tobytes() == np.array(c_ref).tobytes()
+            assert got_j[i].tobytes() == np.array(j_ref).tobytes()
+
+
 class TestQuaternions:
     def test_roundtrip(self, rng):
         for _ in range(50):
