@@ -12,6 +12,8 @@ maxima with their joint angles. It exits 1 when any log difference exceeds
 ``TOL`` (a NaN where the other tree has a number counts as an infinite
 difference), when logs differ in shape or column names, when an event both
 trees record differs, or when a sweep output differs in any bit; otherwise 0.
+Last it prints the line count of each tree's ``amsim`` package (its ``.py``
+files, as ``wc -l`` counts them), which plays no part in the exit status.
 """
 from __future__ import annotations
 
@@ -143,6 +145,11 @@ def compare(ref, new) -> int:
     return 1 if problems else 0
 
 
+def amsim_lines(src: str) -> int:
+    """Newlines in the ``.py`` files of the ``amsim`` package under ``src``."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(src) / "amsim").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--ref-src", help="src directory of the reference tree")
@@ -157,7 +164,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         ref = load(args.ref_src, workdir, "ref")
         new = load(args.new_src, workdir, "new")
-    return compare(ref, new)
+    status = compare(ref, new)
+    ref_lines, new_lines = amsim_lines(args.ref_src), amsim_lines(args.new_src)
+    print(f"src/amsim lines: {ref_lines} -> {new_lines} ({new_lines - ref_lines:+d})")
+    return status
 
 
 if __name__ == "__main__":

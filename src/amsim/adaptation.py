@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import delta
-from .spatial import as_floats, composite
+from .spatial import composite
 
 
 def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
@@ -57,15 +55,15 @@ def dob_step(st: DobState, accel_w, R, thrust_body, m_a: float, c: float,
              dt: float, g: float = 9.81, force_lpf_hz: float = 50.0) -> DobState:
     """One observer tick from world acceleration, attitude, and total thrust.
 
-    ``R`` is the body-to-world rotation as a 3x3 matrix or its nine
-    row-major floats. The raw residual is low-pass filtered (filter state
-    seeded on the first call), then the mass estimate relaxes toward
-    residual_z / g with time constant m_a / c using the exact zero-order-hold
-    discretization. The estimate is clamped non-negative.
+    ``accel_w`` and ``thrust_body`` are three floats and ``R``, the body-to-world
+    rotation, its nine row-major floats. The raw residual is low-pass filtered
+    (filter state seeded on the first call), then the mass estimate relaxes
+    toward residual_z / g with time constant m_a / c using the exact
+    zero-order-hold discretization. The estimate is clamped non-negative.
     """
-    a0, a1, a2 = as_floats(accel_w, 3)
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = as_floats(R, 9)
-    t0, t1, t2 = as_floats(thrust_body, 3)
+    a0, a1, a2 = accel_w
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    t0, t1, t2 = thrust_body
     f0 = (r00 * t0 + r01 * t1 + r02 * t2) - m_a * a0
     f1 = (r10 * t0 + r11 * t1 + r12 * t2) - m_a * a1
     f2 = (r20 * t0 + r21 * t1 + r22 * t2) - m_a * a2 - m_a * g
@@ -96,26 +94,26 @@ def detect_grasp(d: GraspDetector, ext_force_z: float, dt: float) -> tuple[Grasp
     return replace(d, elapsed_above=elapsed, triggered=triggered), triggered
 
 
-def rescale_moi(j_tilde, m_tilde: float, m_hat: float) -> np.ndarray:
-    """Scale the pre-grasp MoI estimate by the refined-to-initial mass ratio."""
+def rescale_moi(j_tilde, m_tilde: float, m_hat: float) -> list:
+    """Scale the pre-grasp MoI estimate (nine floats) by the refined-to-initial mass ratio."""
     if m_tilde <= 0.0:
         raise ValueError("m_tilde must be positive")
-    return np.asarray(j_tilde, dtype=float) * (m_hat / m_tilde)
+    return [j * (m_hat / m_tilde) for j in j_tilde]
 
 
 def update_total(m_a: float, j_a, p_b, obj_mass, obj_moi, grasp_offset,
                  theta, geom: delta.DeltaGeometry) -> TotalInertia:
     """Composite mass/CoM/MoI of vehicle plus grasped object at the current pose.
 
-    The object CoM sits at forward_kin(theta) + grasp_offset in the arm
-    frame. With no object (``obj_mass`` None or zero) the bare vehicle
-    parameters come back as new lists. Both bodies must already be valid
-    (the vehicle at config load, the object where its inertia is built), as
-    ``composite`` checks nothing.
+    Vectors are three floats and inertias nine row-major floats; the object CoM
+    sits at forward_kin(theta) + grasp_offset in the arm frame. With no object
+    mass (the observer clamps its estimate to 0) the bare vehicle parameters
+    come back as new lists. Both bodies must already be valid (the vehicle at
+    config load, the object where its inertia is built): ``composite`` checks nothing.
     """
-    if obj_mass is None or obj_mass <= 0.0:
-        return TotalInertia(m_a, list(as_floats(p_b, 3)), list(as_floats(j_a, 9)))
+    if obj_mass <= 0.0:
+        return TotalInertia(m_a, list(p_b), list(j_a))
     px, py, pz = delta.forward_kin(geom, theta)
-    ox, oy, oz = as_floats(grasp_offset, 3)
-    return TotalInertia(*composite(m_a, as_floats(p_b, 3), as_floats(j_a, 9), float(obj_mass),
-                                   (px + ox, py + oy, pz + oz), as_floats(obj_moi, 9)))
+    ox, oy, oz = grasp_offset
+    return TotalInertia(*composite(m_a, p_b, j_a, obj_mass, (px + ox, py + oy, pz + oz),
+                                   obj_moi))

@@ -28,6 +28,19 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
+def _check_rows(where: str, rows) -> None:
+    """Table rows (t, xyz[, scalar]) hold finite numbers only, at distinct times:
+    a NaN time would sort anywhere, and a NaN wind start switches off every later row."""
+    for row in rows:
+        vals = (row[0], *row[1], *row[2:])
+        if not all(map(math.isfinite, vals)):
+            text = " ".join(f"{float(v):g}" for v in vals)
+            raise ConfigError(f"{where}: row {text!r} has a non-finite number")
+    times = [row[0] for row in rows]
+    if len(set(times)) != len(times):
+        raise ConfigError(f"{where}: duplicate timestamps")
+
+
 MODES = ("baseline", "iags", "iags+dob", "pre-only", "dob-only")
 
 # iags+dob is accepted as an alias of the canonical full pipeline
@@ -60,6 +73,7 @@ class ArmConfig:
         if not self.rate_limit >= 0.0:
             raise ConfigError("[arm] servo_rate_limit must be non-negative, "
                               f"got {self.rate_limit}")
+        _check_rows("[arm] waypoints", self.waypoints)
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,8 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.trajectory:
             raise ConfigError("[trajectory] waypoints needs at least one row")
+        _check_rows("[trajectory] waypoints", self.trajectory)
+        _check_rows("[disturbances] wind", self.wind)
         if not (0.0 < self.duration < math.inf and 0.0 < self.sim_dt < math.inf):
             raise ConfigError("duration and sim_dt must be positive and finite")
         if not 0.0 <= self.eval_start < math.inf:
@@ -201,13 +217,8 @@ def _rows(text: str, n_cols: int) -> list:
         vals = [float(v) for v in line.split()]
         if len(vals) != n_cols:
             raise ValueError(f"each row needs {n_cols} numbers")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"row {line!r} has a non-finite number")
         rows.append(vals)
     rows.sort(key=lambda r: r[0])
-    times = [r[0] for r in rows]
-    if len(set(times)) != len(times):
-        raise ValueError("duplicate timestamps")
     return rows
 
 

@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .adaptation import lowpass_alpha
 from .dynamics import RotorConfig, torque_matrix
 from .spatial import cross3, quat_to_rot, rot_to_quat
 
@@ -36,27 +37,24 @@ class Gains:
             raise ValueError(f"d_lpf_hz must be positive, got {self.d_lpf_hz}")
 
 
-def position_loop(p_des, v_des, p, v, q, m_t_hat: float, gains: Gains,
-                  a_ff=None, yaw_des: float = 0.0, g: float = 9.81,
-                  R=None) -> tuple[float, tuple, bool]:
+def position_loop(p_des, v_des, p, v, m_t_hat: float, gains: Gains, a_ff, yaw_des: float,
+                  g: float, R) -> tuple[float, tuple, bool]:
     """Desired collective thrust and attitude from position/velocity error.
 
-    The commanded acceleration (PD error feedback plus gravity plus optional
-    feedforward) defines the desired body z axis; thrust is the commanded
-    force projected onto the current body z. When the command nearly cancels
+    The commanded acceleration (PD error feedback plus gravity plus the
+    feedforward ``a_ff``) defines the desired body z axis; thrust is the
+    commanded force projected onto the current body z, the last column of the
+    attitude ``R`` (nine row-major floats). When the command nearly cancels
     gravity (< 0.1 g) the attitude is undefined: the command is clamped to
-    0.1 g along its direction and the free-fall flag is raised. ``R``, the
-    nine row-major floats of ``quat_to_rot(q, flat=True)`` when the caller
-    already has them, saves rebuilding the rotation. Vectors are any float
-    sequences; returns (thrust, q_des as four floats, free-fall flag).
+    0.1 g along its direction and the free-fall flag is raised. Vectors are
+    three floats; returns (thrust, q_des as four floats, free-fall flag).
     """
     kp0, kp1, kp2 = gains.k_pos.tolist()
     kv0, kv1, kv2 = gains.k_vel.tolist()
     a0 = kp0 * (p_des[0] - p[0]) + kv0 * (v_des[0] - v[0])
     a1 = kp1 * (p_des[1] - p[1]) + kv1 * (v_des[1] - v[1])
     a2 = kp2 * (p_des[2] - p[2]) + kv2 * (v_des[2] - v[2]) + g
-    if a_ff is not None:
-        a0, a1, a2 = a0 + a_ff[0], a1 + a_ff[1], a2 + a_ff[2]
+    a0, a1, a2 = a0 + a_ff[0], a1 + a_ff[1], a2 + a_ff[2]
     n = math.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
     freefall = n < 0.1 * g
     if freefall:
@@ -80,22 +78,18 @@ def position_loop(p_des, v_des, p, v, q, m_t_hat: float, gains: Gains,
     # the desired rotation has columns x_b, y_b, z_b; its rows go in here
     q_des = rot_to_quat((x0, y0, z_b[0], x1, y1, z_b[1], x2, y2, z_b[2]))
 
-    if R is None:
-        R = quat_to_rot(q, flat=True)
     thrust = max(m_t_hat * (a0 * R[2] + a1 * R[5] + a2 * R[8]), 0.0)
     return thrust, q_des, freefall
 
 
-def attitude_loop(q_des, q, k_att, R=None) -> tuple:
+def attitude_loop(q_des, R, k_att) -> tuple:
     """Desired body rate (three floats) from the geometric attitude error on SO(3).
 
-    e_R = 0.5 * vee(Rd^T R - R^T Rd); omega_des = -K_att e_R. Only the three
-    entries the vee map reads are formed. ``R``, the nine row-major floats
-    of ``quat_to_rot(q, flat=True)`` when the caller already has them,
-    saves rebuilding the rotation.
+    e_R = 0.5 * vee(Rd^T R - R^T Rd); omega_des = -K_att e_R, with ``R`` the
+    attitude's nine row-major floats and ``k_att`` three floats. Only the
+    three entries the vee map reads are formed.
     """
-    r = quat_to_rot(q, flat=True) if R is None else R
-    d = quat_to_rot(q_des, flat=True)
+    r, d = R, quat_to_rot(q_des)
     # entry (i, j) of a row-major 3x3 matrix sits at index 3 i + j
     e0 = 0.5 * ((d[2] * r[1] + d[5] * r[4] + d[8] * r[7])
                 - (r[2] * d[1] + r[5] * d[4] + r[8] * d[7]))
@@ -110,12 +104,12 @@ def attitude_loop(q_des, q, k_att, R=None) -> tuple:
 def iags_gain(j_a, j_t_hat) -> np.ndarray:
     """Inertia-scheduled rate-loop gain matrix: J_a^-1 @ J_t_hat.
 
-    ``j_t_hat`` is 3x3 or the nine row-major floats of ``TotalInertia``.
-    Identity when the estimated total inertia equals the bare vehicle's, so
-    the scheduled loop reduces to the fixed-gain one in the unloaded state.
+    ``j_a`` is the vehicle's 3x3 inertia and ``j_t_hat`` the nine row-major
+    floats of ``TotalInertia``. Identity when the estimated total inertia
+    equals the bare vehicle's, so the scheduled loop reduces to the
+    fixed-gain one in the unloaded state.
     """
-    return np.linalg.solve(np.asarray(j_a, dtype=float),
-                           np.asarray(j_t_hat, dtype=float).reshape(3, 3))
+    return np.linalg.solve(j_a, np.reshape(j_t_hat, (3, 3)))
 
 
 class RateLoop:
@@ -144,7 +138,7 @@ class RateLoop:
         """Torque command (three floats) from the rate error of one tick."""
         if dt != self._dt:
             self._dt = dt
-            self._alpha = 1.0 - math.exp(-2.0 * math.pi * self.gains.d_lpf_hz * dt)
+            self._alpha = lowpass_alpha(self.gains.d_lpf_hz, dt)
         lim, a = self._lim, self._alpha
         (w0, w1, w2), (m0, m1, m2) = omega_des, omega
         e0, e1, e2 = w0 - m0, w1 - m1, w2 - m2
@@ -166,43 +160,36 @@ class RateLoop:
                 (kp2 * e2 + i2 + kd2 * f2) * k2]
 
 
-def allocation_matrix(cfg: RotorConfig, com=None) -> np.ndarray:
-    """4x4 map from per-rotor thrusts to [collective; body torque about com]."""
-    return np.array([[1.0] * 4, *torque_matrix(cfg, com)])
-
-
 class Allocation(NamedTuple):
     collective: tuple  # rotor thrusts of a unit collective, zero torque
     inverse: tuple     # rows of the inverse allocation matrix, four floats each
 
 
-def allocation(cfg: RotorConfig, com=None) -> Allocation:
+def allocation(cfg: RotorConfig, com) -> Allocation:
     """Inverse of the allocation matrix about ``com``, and its collective direction.
 
-    Both stay valid while the CoM estimate stays put, so the engine builds
-    them once per estimate change. Raises ValueError unless the collective
-    direction loads every rotor (the layout is not X-like about ``com``).
+    The allocation matrix maps rotor thrusts to [collective; body torque about
+    ``com``]. Both stay valid while the CoM estimate stays put, so the engine
+    builds them once per estimate change. Raises ValueError unless the
+    collective direction loads every rotor (the layout is not X-like about ``com``).
     """
-    inv = np.linalg.inv(allocation_matrix(cfg, com))
+    inv = np.linalg.inv(np.array([[1.0] * 4, *torque_matrix(cfg, com)]))
     if np.any(inv[:, 0] <= 0.0):
         raise ValueError("collective direction must load every rotor (allocation not X-like)")
     return Allocation(tuple(inv[:, 0].tolist()), tuple(map(tuple, inv.tolist())))
 
 
-def mixer(thrust_des: float, torque_des, cfg: RotorConfig,
-          com=None, alloc: Allocation | None = None) -> tuple[list, bool]:
+def mixer(thrust_des: float, torque_des, alloc: Allocation, t_max: float) -> tuple[list, bool]:
     """Per-rotor thrusts (four floats) realizing the commanded collective and torque.
 
-    Inverts the 4x4 allocation exactly, then handles saturation by shifting
-    the collective component only (torque priority): the smallest collective
-    change that brings all rotors into [0, max_thrust] is applied. When no
+    Applies the exact inverse ``alloc`` (``allocation(cfg, com)``), then
+    handles saturation by shifting the collective component only (torque
+    priority): the smallest collective change that brings all rotors into
+    [0, t_max] is applied; ``t_max`` is the rotor's ``c_t``. When no
     collective shift can fit the torque demand, the infeasible flag is raised
-    and a best-effort clipped solution is returned. ``alloc`` may replace
-    ``com`` with its precomputed ``allocation(cfg, com)``.
+    and a best-effort clipped solution is returned.
     """
-    if alloc is None:
-        alloc = allocation(cfg, com)
-    w0 = float(thrust_des)
+    w0 = thrust_des
     w1, w2, w3 = torque_des
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = alloc.inverse
     t0 = a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3
@@ -210,7 +197,6 @@ def mixer(thrust_des: float, torque_des, cfg: RotorConfig,
     t2 = c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3
     t3 = d0 * w0 + d1 * w1 + d2 * w2 + d3 * w3
     u0, u1, u2, u3 = alloc.collective
-    t_max = cfg.max_thrust
     # a NaN thrust makes every rotor NaN, and max/min then return the first
     lam_lo = max(-t0 / u0, -t1 / u1, -t2 / u2, -t3 / u3)  # smallest shift keeping all >= 0
     lam_hi = min((t_max - t0) / u0, (t_max - t1) / u1,    # largest shift keeping all <= max

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import as_floats, inverse3, quat_to_rot, unit_quat
+from .spatial import quat_to_rot, unit_quat
 
 
 class NonFinite(RuntimeError):
@@ -19,49 +19,6 @@ class NonFinite(RuntimeError):
 
 
 MAX_STEP = 5e-3
-_PLAIN = frozenset((list, tuple, type(None)))  # taken by the physics step as they are
-
-
-class VehicleState:
-    """Rigid-body state kept as the 13 floats ``y = (p, v, q, omega)``.
-
-    ``p``/``v`` are world position (m) and velocity (m/s), ``q`` the unit
-    quaternion body->world and ``omega`` the body rate (rad/s). Each reads as
-    a new read-only array; assigning one replaces its floats.
-    """
-    __slots__ = ("y",)
-
-    def __init__(self, p, v, q, omega):
-        self.y = tuple(np.concatenate([np.asarray(x, dtype=float).reshape(n) for x, n in
-                                       ((p, 3), (v, 3), (q, 4), (omega, 3))]).tolist())
-
-    def _part(lo: int, hi: int):
-        def get(self) -> np.ndarray:
-            a = np.array(self.y[lo:hi])
-            a.flags.writeable = False
-            return a
-
-        def put(self, x):
-            self.y = (*self.y[:lo], *np.asarray(x, dtype=float).reshape(hi - lo).tolist(),
-                      *self.y[hi:])
-        return property(get, put)
-
-    p, v, q, omega = _part(0, 3), _part(3, 6), _part(6, 10), _part(10, 13)
-    del _part
-
-    def copy(self) -> "VehicleState":
-        return _state(self.y)
-
-    @classmethod
-    def at_rest(cls, p) -> "VehicleState":
-        return cls(p, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-
-
-def _state(y: tuple) -> VehicleState:
-    """A VehicleState around the 13 floats ``y``, taken as they are."""
-    s = object.__new__(VehicleState)
-    s.y = y
-    return s
 
 
 @dataclass(frozen=True)
@@ -83,11 +40,6 @@ class RotorConfig:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "spin_dirs", spins)
 
-    @property
-    def max_thrust(self) -> float:
-        """Per-rotor thrust at full normalized speed."""
-        return self.c_t
-
     @classmethod
     def x_config(cls, arm_length: float = 0.12, rotor_height: float = 0.0,
                  **kwargs) -> "RotorConfig":
@@ -99,58 +51,46 @@ class RotorConfig:
         return cls(positions=positions, spin_dirs=spin_dirs, **kwargs)
 
 
-def rotor_wrench(thrusts, cfg: RotorConfig, com=None, tmap=None) -> tuple[list, list]:
-    """Total body-frame force and torque of the four rotors about ``com``.
+def rotor_wrench(thrusts, tmap) -> tuple[list, list]:
+    """Total body-frame force and torque of the four rotors; each pushes along body z.
 
-    Each rotor pushes along body z; yaw drag is ``spin_dir * k_tau * T`` about z.
-    ``tmap`` may replace ``com`` with its precomputed ``torque_matrix(cfg, com)``,
-    which stays valid while the CoM stays put.
+    ``tmap`` is ``torque_matrix(cfg, com)``: thrusts to torque about ``com``.
     """
     t0, t1, t2, t3 = thrusts
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
-        torque_matrix(cfg, com) if tmap is None else tmap)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = tmap
     return ([0.0, 0.0, t0 + t1 + t2 + t3],
             [a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3, b0 * t0 + b1 * t1 + b2 * t2 + b3 * t3,
              c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3])
 
 
-def torque_matrix(cfg: RotorConfig, com=None) -> list:
-    """3x4 map from per-rotor thrusts to body torque about ``com`` (None: the origin), as rows."""
-    cx, cy, _ = (0.0, 0.0, 0.0) if com is None else as_floats(com, 3)
+def torque_matrix(cfg: RotorConfig, com) -> list:
+    """3x4 map from per-rotor thrusts to body torque about ``com`` (three floats), as rows."""
+    cx, cy, _ = com
     pos = cfg.positions.tolist()
     return [[y - cy for _, y, _ in pos], [cx - x for x, _, _ in pos],
             [cfg.k_tau * s for s in cfg.spin_dirs.tolist()]]
 
 
 def _rates(f, tau, m_t, j, j_inv, g, ext):
-    """Stage derivative under the body wrench ``f``/``tau`` and world force ``ext`` (or None).
+    """Stage derivative under the body wrench ``f``/``tau`` and world force ``ext``.
 
-    ``j``/``j_inv`` are the row-major inertia and its inverse (None: inverted
-    here). Flat lists and tuples are used as they are, numpy input converted.
-    The result maps ``(q, omega)`` to ``(a, dq, domega)``, ten floats.
+    ``j``/``j_inv`` are the row-major inertia and its inverse. The result
+    maps ``(q, omega)`` to ``(a, dq, domega)``, ten floats.
     """
-    if not _PLAIN.issuperset((type(f), type(tau), type(j), type(j_inv), type(ext))):
-        f, tau, j = as_floats(f, 3), as_floats(tau, 3), as_floats(j, 9)
-        j_inv = None if j_inv is None else as_floats(j_inv, 9)
-        ext = None if ext is None else as_floats(ext, 3)
     (fx, fy, fz), (tx, ty, tz) = f, tau
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
-    i00, i01, i02, i10, i11, i12, i20, i21, i22 = inverse3(j) if j_inv is None else j_inv
-    wind = ext is not None
-    ex, ey, ez = ext if wind else (0.0, 0.0, 0.0)
-    ex, ey, ez = ex / m_t, ey / m_t, ez / m_t
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = j_inv
+    ex, ey, ez = (e / m_t for e in ext)
 
     # constants bound as defaults: each stage reads locals, and no cells are made per step
     def rates(qw, qx, qy, qz, wx, wy, wz, fx=fx, fy=fy, fz=fz, tx=tx, ty=ty, tz=tz, m_t=m_t,
               g=g, j00=j00, j01=j01, j02=j02, j10=j10, j11=j11, j12=j12, j20=j20, j21=j21,
               j22=j22, i00=i00, i01=i01, i02=i02, i10=i10, i11=i11, i12=i12, i20=i20,
-              i21=i21, i22=i22, wind=wind, ex=ex, ey=ey, ez=ez):
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz), flat=True)
-        ax = (r00 * fx + r01 * fy + r02 * fz) / m_t
-        ay = (r10 * fx + r11 * fy + r12 * fz) / m_t
-        az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t
-        if wind:
-            ax, ay, az = ax + ex, ay + ey, az + ez
+              i21=i21, i22=i22, ex=ex, ey=ey, ez=ez):
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz))
+        ax = (r00 * fx + r01 * fy + r02 * fz) / m_t + ex
+        ay = (r10 * fx + r11 * fy + r12 * fz) / m_t + ey
+        az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t + ez
         hx = j00 * wx + j01 * wy + j02 * wz
         hy = j10 * wx + j11 * wy + j12 * wz
         hz = j20 * wx + j21 * wy + j22 * wz
@@ -181,18 +121,21 @@ def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> list:
     return [s0 + (t0 - s0) * a, s1 + (t1 - s1) * a, s2 + (t2 - s2) * a, s3 + (t3 - s3) * a]
 
 
-def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
-             dt: float, g: float = 9.81, f_ext_w=None, j_inv=None) -> VehicleState:
-    """Classical RK4 step holding the body wrench constant; renormalizes q.
+def step_rk4(y, force_b, torque_b, m_t: float, j_t, j_inv, dt: float, g: float,
+             f_ext_w) -> tuple:
+    """Classical RK4 step of the state ``y`` holding the body wrench constant.
 
-    Each stage's rotation comes from its renormalized quaternion. A
-    precomputed ``j_inv`` (3x3 or row-major 9 floats) skips the inversion.
-    Raises NonFinite if any state component leaves the finite range.
+    ``y`` is the 13 floats ``(p, v, q, omega)``: world position (m) and
+    velocity (m/s), the unit quaternion body->world and the body rate (rad/s).
+    ``j_t``/``j_inv`` are the row-major inertia and its inverse and ``f_ext_w``
+    the world force. Each stage's rotation comes from its renormalized
+    quaternion; the new q is renormalized. Raises NonFinite if any state
+    component leaves the finite range.
     """
     if not 0.0 < dt <= MAX_STEP:
         raise ValueError(f"dt must be in (0, {MAX_STEP}] s")
     rates = _rates(force_b, torque_b, m_t, j_t, j_inv, g, f_ext_w)
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s.y
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
     h = 0.5 * dt
     # stage k: velocity vk, acceleration ak, quaternion rate dk, angular acceleration ek
     ax1, ay1, az1, dw1, dx1, dy1, dz1, ex1, ey1, ez1 = rates(qw, qx, qy, qz, wx, wy, wz)
@@ -219,4 +162,4 @@ def step_rk4(s: VehicleState, force_b, torque_b, m_t: float, j_t: np.ndarray,
          wz + c * (ez1 + 2.0 * ez2 + 2.0 * ez3 + ez4))
     if not all(map(math.isfinite, y)):
         raise NonFinite("state diverged during integration")
-    return _state(y[:6] + unit_quat(*y[6:10]) + y[10:])
+    return y[:6] + unit_quat(*y[6:10]) + y[10:]

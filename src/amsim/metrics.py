@@ -9,10 +9,6 @@ import numpy as np
 from .scenario import MismatchedRuns, RunLog
 
 
-class NeverConverged(Exception):
-    """An estimate never entered and stayed within its bound."""
-
-
 #: relative mass, relative MoI (per axis), absolute CoM (m, per axis)
 CONVERGENCE_BOUNDS = (0.04, 0.20, 0.002)
 
@@ -82,14 +78,13 @@ def _first_stay_within(t: np.ndarray, err: np.ndarray, bound: float) -> float | 
     return float(t[last_bad + 1])
 
 
-def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS,
-                        strict: bool = False) -> dict:
+def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS) -> dict:
     """Convergence times of mass, MoI, and CoM estimates against logged truth.
 
     A channel converges at the first time its error enters the bound and
     never leaves again. Bounds: relative mass error, relative per-axis MoI
     error, absolute per-axis CoM error (m). A channel that never converges
-    maps to None, or raises NeverConverged when ``strict``.
+    maps to None.
     """
     t = log.column("t")
     mass_bound, moi_bound, com_bound = bounds
@@ -106,16 +101,11 @@ def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS,
     j_true = log.columns("jtx_true", "jty_true", "jtz_true")
     moi_err = (np.abs(j_hat - j_true) / np.maximum(np.abs(j_true), 1e-18)).max(axis=1)
 
-    times = {
+    return {
         "mass": _first_stay_within(t, mass_err, mass_bound),
         "moi": _first_stay_within(t, moi_err, moi_bound),
         "com": _first_stay_within(t, com_err, com_bound),
     }
-    if strict:
-        missing = [name for name, tc in times.items() if tc is None]
-        if missing:
-            raise NeverConverged(", ".join(missing))
-    return times
 
 
 def compare_runs(candidate: RunLog, reference: RunLog,

@@ -188,19 +188,17 @@ def top_grasp_offset(height: float, pad_height: float) -> tuple:
     return 0.0, 0.0, -(0.5 * float(height) + pad_height)
 
 
-def load_catalog(source=None) -> dict:
-    """Load the prior catalog from a file path or text; None loads the shipped one.
+def load_catalog(path=None) -> dict:
+    """Load the prior catalog from a file path; None loads the shipped one.
 
     Format: one record per line, pipe separated:
     ``label | beta | alpha_x alpha_y alpha_z | rho``; '#' starts a comment.
     Duplicate labels (case-insensitive) are a load-time error.
     """
-    if source is None:
+    if path is None:
         text = resources.files("amsim").joinpath("data/priors.txt").read_text()
-    elif "\n" in str(source) or "|" in str(source):
-        text = str(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     catalog: dict[str, ObjectPrior] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -236,26 +234,17 @@ def prior_for(label: str, catalog: dict) -> ObjectPrior:
     raise UnknownLabel(label)
 
 
-def sample_box_cloud(dims, n: int, rng: np.random.Generator,
-                     rotation=None, center=None) -> np.ndarray:
-    """Uniform samples inside a solid box, optionally posed."""
+def sample_box_cloud(dims, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples inside a solid box centered on the origin, edges along the axes."""
     d = np.asarray(dims, dtype=float).reshape(3)
-    pts = (rng.random((n, 3)) - 0.5) * d
-    if rotation is not None:
-        pts = pts @ np.asarray(rotation, dtype=float).T
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+    return (rng.random((n, 3)) - 0.5) * d
 
 
 def sample_cylinder_cloud(diameter: float, height: float, n: int,
-                          rng: np.random.Generator, center=None) -> np.ndarray:
-    """Uniform samples inside a solid cylinder, axis along z."""
+                          rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples inside a solid cylinder centered on the origin, axis along z."""
     r = 0.5 * diameter
     rad = r * np.sqrt(rng.random(n))
     ang = rng.random(n) * (2.0 * math.pi)
     z = (rng.random(n) - 0.5) * height
-    pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), z])
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang), z])

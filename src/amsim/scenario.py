@@ -15,9 +15,8 @@ from .adaptation import DobState, GraspDetector, TotalInertia
 from .config import ScenarioConfig
 from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
                          position_loop)
-from .dynamics import (NonFinite, VehicleState, motor_lag_step, rotor_wrench, step_rk4,
-                       torque_matrix)
-from .spatial import InertialParams, inverse3, quat_to_rot
+from .dynamics import NonFinite, motor_lag_step, rotor_wrench, step_rk4, torque_matrix
+from .spatial import InertialParams, as_floats, inverse3, quat_to_rot
 
 COLUMNS = (
     ["t",
@@ -224,9 +223,10 @@ class _Run:
         self.use_prior = obj is not None and cfg.mode in ("iags", "pre-only")
         self.use_dob = obj is not None and cfg.mode in ("iags", "dob-only")
         # the pre-grasp estimate; with no vision prior, a point mass right below the pad
-        self.m_tilde, self.j_tilde, self.offset_est = (
+        self.m_tilde, j_tilde, offset = (
             _presense_object(cfg, rng) if self.use_prior
-            else (None, np.eye(3) * 1e-8, np.array([0.0, 0.0, -cfg.est.suction_pad])))
+            else (None, np.eye(3) * 1e-8, (0.0, 0.0, -cfg.est.suction_pad)))
+        self.j_tilde, self.offset_est = as_floats(j_tilde, 9), as_floats(offset, 3)
         if obj is not None:  # the true payload: mass, inertia about its CoM, grasp offset
             j_obj = InertialParams(obj.true_mass, np.zeros(3), obj.inertia).inertia_about_com
             self.payload = (obj.true_mass, j_obj.reshape(9).tolist(),
@@ -234,7 +234,8 @@ class _Run:
 
         self.joints = delta.JointState(delta.inverse_kin(self.geom, cfg.arm.home),
                                        (0.0, 0.0, 0.0))
-        self.state = VehicleState.at_rest(self.traj.eval(0.0)[0])
+        # the vehicle state (p, v, q, omega), 13 floats: at rest, level, at the first waypoint
+        self.y = (*self.traj.eval(0.0)[0], 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         self.thr = self.t_cmd = [am.mass * cfg.g / 4.0] * 4  # hover trim
         self.rate_ctl = RateLoop(cfg.gains)
         self.detector = GraspDetector(cfg.est.grasp_threshold, cfg.est.grasp_persistence)
@@ -248,7 +249,7 @@ class _Run:
         # Tick 0 is a control, observer and servo tick: it sets the other columns.
         self.bare = TotalInertia(am.mass, self.am_com, self.am_j)
         self.est_tot, self.kk = self.bare, [1.0, 1.0, 1.0]
-        self.alloc = allocation(self.rotor, None)
+        self.alloc = allocation(self.rotor, (0.0, 0.0, 0.0))
         self.est_cols = _body_cols(self.bare) + self.kk
         self.est_stale = True
         self.theta_cols = None  # the joint angles the bodies were last built for
@@ -273,8 +274,7 @@ class _Run:
 
     def sense(self, k: int, wind: tuple):
         """Attitude, total thrust, accelerometer and gyro, on control and observer ticks."""
-        self.y = y = self.state.y
-        self.R = R = quat_to_rot(y[6:10], flat=True)
+        self.R = R = quat_to_rot(self.y[6:10])
         thr = self.thr
         self.thrust = thrust = thr[0] + thr[1] + thr[2] + thr[3]  # along body z
         m_t, g = self.truth.m_t_hat, self.g
@@ -283,7 +283,7 @@ class _Run:
         self.acc_meas = [R[2] * thrust / m_t + wind[0] / m_t + a_sig * noise_k[0],
                          R[5] * thrust / m_t + wind[1] / m_t + a_sig * noise_k[1],
                          -g + R[8] * thrust / m_t + wind[2] / m_t + a_sig * noise_k[2]]
-        self.w_meas = [w + w_sig * e for w, e in zip(y[10:13], noise_k[3:6])]
+        self.w_meas = [w + w_sig * e for w, e in zip(self.y[10:13], noise_k[3:6])]
 
     def observe(self, t: float):
         """Detector residual, grasp latch and mass observer, at the observer rate."""
@@ -339,13 +339,13 @@ class _Run:
         y, R = self.y, self.R
         p_des, v_des, a_ff, yaw = self.traj.eval(t)
         thrust_des, q_des, freefall = position_loop(
-            p_des, v_des, y[0:3], y[3:6], y[6:10], self.est_tot.m_t_hat, self.cfg.gains,
-            a_ff=a_ff, yaw_des=yaw, g=self.g, R=R)
+            p_des, v_des, y[0:3], y[3:6], self.est_tot.m_t_hat, self.cfg.gains, a_ff, yaw, self.g,
+            R)
         if freefall:
             self.events["freefall_ticks"] += 1
-        w_des = attitude_loop(q_des, y[6:10], self.k_att, R=R)
+        w_des = attitude_loop(q_des, R, self.k_att)
         tau_des = self.rate_ctl.step(w_des, self.w_meas, self.kk, self.ctrl_dt)
-        self.t_cmd, infeasible = mixer(thrust_des, tau_des, self.rotor, alloc=self.alloc)
+        self.t_cmd, infeasible = mixer(thrust_des, tau_des, self.alloc, self.rotor.c_t)
         if infeasible:
             self.events["infeasible_ticks"] += 1
         self.ctrl_cols = [*p_des, *v_des, *q_des, *w_des, thrust_des, *tau_des]
@@ -354,9 +354,9 @@ class _Run:
         """Motor lag, rotor wrench and one RK4 step, at the sim rate."""
         rotor, dt, truth = self.rotor, self.dt, self.truth
         self.thr = thr = motor_lag_step(self.t_cmd, self.thr, rotor, dt)
-        force_b, torque_b = rotor_wrench(thr, rotor, tmap=self.truth_tmap)
-        self.state = step_rk4(self.state, force_b, torque_b, truth.m_t_hat, truth.j_t_hat, dt,
-                              g=self.g, f_ext_w=wind, j_inv=self.truth_inv)
+        force_b, torque_b = rotor_wrench(thr, self.truth_tmap)
+        self.y = step_rk4(self.y, force_b, torque_b, truth.m_t_hat, truth.j_t_hat,
+                          self.truth_inv, dt, self.g, wind)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunLog:
@@ -389,7 +389,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 run.servo(t)
             if ctrl_tick:
                 run.control(t)
-            rows[k] = [t, *run.state.y, *run.ctrl_cols, *run.thr, *run.theta_cols,
+            rows[k] = [t, *run.y, *run.ctrl_cols, *run.thr, *run.theta_cols,
                        run.dob.m_hat, *run.est_cols, *run.truth_cols, *run.det_filt,
                        1.0 if run.attached else 0.0, 1.0 if run.latched else 0.0]
             run.physics(wind)

@@ -2,8 +2,8 @@
 
 Conventions used package-wide:
 
-* vectors are length-3 ``float64`` arrays, or three floats in scalar code,
-* rotation matrices are 3x3 and map body coordinates into world coordinates,
+* kernels take floats: a vector is three and a matrix its nine row-major floats,
+* rotation matrices map body coordinates into world coordinates,
 * quaternions are scalar-first ``[w, x, y, z]``, unit norm,
 * inertia tensors are 3x3, symmetric positive definite, expressed about the
   body's center of mass unless stated otherwise.
@@ -22,10 +22,8 @@ def cross3(a, b) -> tuple:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def as_floats(x, n: int):
-    """``x`` as ``n`` floats; a list or tuple of ``n`` passes through as is."""
-    if type(x) in (list, tuple) and len(x) == n:
-        return x
+def as_floats(x, n: int) -> list:
+    """A numpy config value ``x`` as the ``n`` floats that the kernels take."""
     return np.asarray(x, dtype=float).reshape(n).tolist()
 
 
@@ -37,15 +35,13 @@ def unit_quat(w: float, x: float, y: float, z: float) -> tuple:
     return w / n, x / n, y / n, z / n
 
 
-def quat_to_rot(q, flat: bool = False):
+def quat_to_rot(q) -> tuple:
     """Rotation matrix (body->world) of a scalar-first quaternion, renormalized first.
 
-    ``q`` is any 4-sequence; a tuple, as the physics step passes, is taken as
-    it is, anything else is read as four floats. With ``flat`` the nine
-    entries come back as a row-major tuple of floats, for scalar code in the
-    physics step. Raises ValueError on a zero quaternion.
+    ``q`` is four floats; the nine entries come back as a row-major tuple of
+    floats. Raises ValueError on a zero quaternion.
     """
-    w, x, y, z = q if type(q) is tuple else np.asarray(q, dtype=float).reshape(4).tolist()
+    w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-15:
         raise ValueError("cannot normalize a zero quaternion")
@@ -53,19 +49,18 @@ def quat_to_rot(q, flat: bool = False):
     ww, xx, yy, zz = w * w, x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    r = (ww + xx - yy - zz, 2.0 * (xy - wz), 2.0 * (xz + wy),
-         2.0 * (xy + wz), ww - xx + yy - zz, 2.0 * (yz - wx),
-         2.0 * (xz - wy), 2.0 * (yz + wx), ww - xx - yy + zz)
-    return r if flat else np.array(r).reshape(3, 3)
+    return (ww + xx - yy - zz, 2.0 * (xy - wz), 2.0 * (xz + wy),
+            2.0 * (xy + wz), ww - xx + yy - zz, 2.0 * (yz - wx),
+            2.0 * (xz - wy), 2.0 * (yz + wx), ww - xx - yy + zz)
 
 
 def inverse3(m) -> list:
     """Row-major entries of the inverse of a 3x3 matrix (adjugate over determinant).
 
-    ``m`` is a 3x3 array or its row-major 9 floats. Raises ValueError when
-    the determinant is zero; non-finite entries propagate into the result.
+    ``m`` is the matrix's row-major 9 floats. Raises ValueError when the
+    determinant is zero; non-finite entries propagate into the result.
     """
-    a, b, c, d, e, f, g, h, i = as_floats(m, 9)
+    a, b, c, d, e, f, g, h, i = m
     c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
     det = a * c00 + b * c01 + c * c02
     if det == 0.0:
@@ -78,10 +73,10 @@ def inverse3(m) -> list:
 def rot_to_quat(R) -> tuple:
     """Quaternion (four floats) from a rotation matrix, scalar part kept non-negative.
 
-    ``R`` is a 3x3 array or nested sequence, or its nine row-major floats.
-    Raises ValueError when the result has zero norm.
+    ``R`` is the matrix's nine row-major floats. Raises ValueError when the
+    result has zero norm.
     """
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = as_floats(R, 9)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
     t = r00 + r11 + r22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from amsim.delta import DeltaGeometry
-from amsim.spatial import InertialParams, quat_to_rot
+from amsim.dynamics import step_rk4
+from amsim.spatial import InertialParams, inverse3, quat_to_rot
 
 
 @pytest.fixture
@@ -23,9 +24,33 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def rot_matrix(q) -> np.ndarray:
+    """``quat_to_rot`` of any 4-sequence, its nine row-major floats as a 3x3 array."""
+    return np.reshape(quat_to_rot(np.asarray(q, dtype=float).tolist()), (3, 3))
+
+
 def random_rotation(rng):
     q = rng.standard_normal(4)
-    return quat_to_rot(q / np.linalg.norm(q))
+    return rot_matrix(q / np.linalg.norm(q))
+
+
+def state(p=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0),
+          omega=(0.0, 0.0, 0.0)) -> tuple:
+    """The 13-float vehicle state ``(p, v, q, omega)`` from any sequences; at rest by default."""
+    return tuple(np.concatenate([np.ravel(x) for x in (p, v, q, omega)]).astype(float).tolist())
+
+
+# the parts of a 13-float state
+P, V, Q, W = slice(0, 3), slice(3, 6), slice(6, 10), slice(10, 13)
+
+
+def step(y, force, torque, m, j, dt, g=9.81, wind=(0.0, 0.0, 0.0)):
+    """``step_rk4`` on test values: arrays go in as the floats it takes, the
+    inertia as nine row-major floats with their ``inverse3``."""
+    j9 = np.ravel(j).astype(float).tolist()
+    return step_rk4(y, np.ravel(force).astype(float).tolist(),
+                    np.ravel(torque).astype(float).tolist(), m, j9, inverse3(j9), dt, g,
+                    tuple(np.ravel(wind).astype(float).tolist()))
 
 
 def lattice_inertia(bodies, n=48):

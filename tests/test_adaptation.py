@@ -17,14 +17,14 @@ G = 9.81
 M_A = 1.379
 C_GAIN = 10.0
 DT = 0.01  # 100 Hz
+I9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity, nine row-major floats
 
 
 def hover_inputs(m_obj, m_a=M_A):
     """Measurement triple for a level hover carrying m_obj."""
-    accel = np.zeros(3)
-    R = np.eye(3)
-    thrust = np.array([0.0, 0.0, (m_a + m_obj) * G])
-    return accel, R, thrust
+    accel = (0.0, 0.0, 0.0)
+    thrust = (0.0, 0.0, (m_a + m_obj) * G)
+    return accel, I9, thrust
 
 
 class TestDobStep:
@@ -79,7 +79,7 @@ class TestDobStep:
         n = 1000  # 10 s at 100 Hz
         samples = []
         for _ in range(n):
-            accel = sigma * rng.standard_normal(3)
+            accel = (sigma * rng.standard_normal(3)).tolist()
             st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G)
             samples.append(st.m_hat)
         tail = np.array(samples[n // 5:])
@@ -90,10 +90,10 @@ class TestDobStep:
 
     def test_clamped_nonnegative(self):
         st = DobState(m_hat=0.0)
-        accel = np.zeros(3)
-        thrust = np.array([0.0, 0.0, 0.5 * M_A * G])  # thrust deficit
+        accel = (0.0, 0.0, 0.0)
+        thrust = (0.0, 0.0, 0.5 * M_A * G)  # thrust deficit
         for _ in range(50):
-            st = dob_step(st, accel, np.eye(3), thrust, M_A, C_GAIN, DT, g=G)
+            st = dob_step(st, accel, I9, thrust, M_A, C_GAIN, DT, g=G)
         assert st.m_hat == 0.0
 
     def test_filter_seeds_on_first_call(self):
@@ -148,13 +148,12 @@ class TestDobOracle:
         for _ in range(30):
             steps, args, kw = self.random_run(rng)
             m0 = float(rng.uniform(0.0, 0.5))
-            st_3x3 = st_flat = ref = DobState(m_hat=m0)
+            st_flat = ref = DobState(m_hat=m0)
             for accel, R, thrust in steps:
                 ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-                st_3x3 = dob_step(st_3x3, accel, R, thrust, *args, **kw)
                 st_flat = dob_step(st_flat, accel.tolist(), tuple(R.ravel().tolist()),
                                    thrust, *args, **kw)
-                assert dob_bits(st_3x3) == dob_bits(st_flat) == dob_bits(ref)
+                assert dob_bits(st_flat) == dob_bits(ref)
                 assert type(st_flat.m_hat) is float and type(st_flat.force_filt) is tuple
                 assert all(type(v) is float for v in st_flat.force_filt)
 
@@ -164,7 +163,7 @@ class TestDobOracle:
         for accel, R, _ in steps:
             thrust = rng.uniform(-20.0, 20.0, 3)
             ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-            st = dob_step(st, accel, R.ravel().tolist(), thrust.tolist(), *args, **kw)
+            st = dob_step(st, accel.tolist(), R.ravel().tolist(), thrust.tolist(), *args, **kw)
             np.testing.assert_allclose(st.force_filt, ref.force_filt, rtol=0.0, atol=1e-13)
             assert st.m_hat == pytest.approx(float(ref.m_hat), rel=0.0, abs=1e-13)
 
@@ -177,7 +176,7 @@ class TestDobOracle:
                     accel = accel.copy()
                     accel[where] = math.nan
                 ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-                st = dob_step(st, accel, tuple(R.ravel().tolist()), thrust, *args, **kw)
+                st = dob_step(st, accel.tolist(), tuple(R.ravel().tolist()), thrust, *args, **kw)
                 assert dob_bits(st) == dob_bits(ref)
             assert math.isnan(st.force_filt[where])
             assert math.isnan(st.m_hat) == (where == 2)
@@ -225,16 +224,16 @@ class TestDetectGrasp:
 
 class TestRescaleMoi:
     def test_identity(self):
-        j = np.diag([1.0, 2.0, 3.0]) * 1e-4
-        np.testing.assert_array_equal(rescale_moi(j, 0.2, 0.2), j)
+        j = (np.diag([1.0, 2.0, 3.0]) * 1e-4).ravel()
+        np.testing.assert_array_equal(rescale_moi(j.tolist(), 0.2, 0.2), j)
 
     def test_doubling(self):
-        j = np.diag([1.0, 2.0, 3.0]) * 1e-4
-        np.testing.assert_allclose(rescale_moi(j, 0.2, 0.4), 2.0 * j, rtol=1e-15)
+        j = (np.diag([1.0, 2.0, 3.0]) * 1e-4).ravel()
+        np.testing.assert_allclose(rescale_moi(j.tolist(), 0.2, 0.4), 2.0 * j, rtol=1e-15)
 
     def test_rejects_zero_initial_mass(self):
         with pytest.raises(ValueError):
-            rescale_moi(np.eye(3), 0.0, 0.1)
+            rescale_moi(list(I9), 0.0, 0.1)
 
 
 class TestUpdateTotal:
@@ -242,10 +241,18 @@ class TestUpdateTotal:
         self.geom = DeltaGeometry()
         self.j_a = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
         self.p_b = np.array([0.0, 0.0, 0.03])
+        # the vehicle as update_total takes it: nine row-major floats and three
+        self.j9, self.p3 = self.j_a.ravel().tolist(), self.p_b.tolist()
+
+    def total(self, m_o, j_o, offset, theta, m_a=M_A, j_a=None, p_b=None):
+        """update_total on test arrays, passed as the floats it takes."""
+        return update_total(m_a, self.j9 if j_a is None else np.ravel(j_a).tolist(),
+                            self.p3 if p_b is None else np.ravel(p_b).tolist(), m_o,
+                            np.ravel(j_o).tolist(), np.ravel(offset).tolist(),
+                            np.ravel(theta).tolist(), self.geom)
 
     def test_no_object_passthrough(self):
-        out = update_total(M_A, self.j_a, self.p_b, None, None, None,
-                           np.full(3, 0.4), self.geom)
+        out = update_total(M_A, self.j9, self.p3, 0.0, None, None, (0.4, 0.4, 0.4), self.geom)
         assert out.m_t_hat == M_A
         np.testing.assert_array_equal(out.c_t, self.p_b)
         np.testing.assert_array_equal(out.j_t_hat, self.j_a.ravel())
@@ -259,10 +266,8 @@ class TestUpdateTotal:
         p_out = p_center + np.array([0.04, 0.0, 0.0])
         theta_out = inverse_kin(self.geom, p_out)
         offset = np.array([0.0, 0.0, -0.06])
-        a = update_total(M_A, self.j_a, self.p_b, 0.4, j_o, offset,
-                         theta_center, self.geom)
-        b = update_total(M_A, self.j_a, self.p_b, 0.4, j_o, offset,
-                         theta_out, self.geom)
+        a = self.total(0.4, j_o, offset, theta_center)
+        b = self.total(0.4, j_o, offset, theta_out)
         assert b.j_t_hat[4] > a.j_t_hat[4]  # entry (1, 1) of the row-major nine
 
     def test_object_at_vehicle_com_adds_only_its_moi(self):
@@ -271,34 +276,30 @@ class TestUpdateTotal:
         theta = np.full(3, 0.5)
         p_e = forward_kin(self.geom, theta)
         offset = self.p_b - p_e
-        out = update_total(M_A, self.j_a, self.p_b, 0.4, j_o, offset,
-                           theta, self.geom)
+        out = self.total(0.4, j_o, offset, theta)
         np.testing.assert_allclose(out.j_t_hat, (self.j_a + j_o).ravel(), atol=1e-15)
         np.testing.assert_allclose(out.c_t, self.p_b, atol=1e-15)
 
     def test_mass_adds(self):
         j_o = box_inertia(0.25, [0.1, 0.1, 0.1])
-        out = update_total(M_A, self.j_a, self.p_b, 0.25, j_o,
-                           np.array([0, 0, -0.05]), np.full(3, 0.5), self.geom)
+        out = self.total(0.25, j_o, np.array([0.0, 0.0, -0.05]), np.full(3, 0.5))
         assert out.m_t_hat == pytest.approx(M_A + 0.25, rel=1e-15)
 
-    @pytest.mark.parametrize("obj_mass", [None, 0.0])
+    @pytest.mark.parametrize("obj_mass", [0.0])
     def test_no_object_returns_fresh_arrays(self, obj_mass):
-        """Fresh lists of 3 and 9 floats, whether the vehicle comes as arrays,
-        nested lists or the nine row-major floats the engine passes."""
-        for p_b, j_a in ((self.p_b, self.j_a), (self.p_b.tolist(), self.j_a.tolist()),
-                         (self.p_b.tolist(), self.j_a.ravel().tolist())):
-            out = update_total(M_A, j_a, p_b, obj_mass, None, None, np.full(3, 0.4), self.geom)
-            assert type(out.c_t) is list and type(out.j_t_hat) is list
-            assert all(type(v) is float for v in out.c_t + out.j_t_hat)
-            assert len(out.c_t) == 3 and len(out.j_t_hat) == 9
-            np.testing.assert_allclose(iags_gain(self.j_a, out.j_t_hat), np.eye(3), atol=1e-15)
-            assert out.c_t is not p_b and out.j_t_hat is not j_a
-            out.c_t[:] = [7.0] * 3
-            out.j_t_hat[:] = [7.0] * 9
-            np.testing.assert_array_equal(p_b, [0.0, 0.0, 0.03])
-            np.testing.assert_array_equal(np.reshape(j_a, (3, 3)),
-                                          np.diag([9.2e-3, 10.5e-3, 14.7e-3]))
+        """Fresh lists of 3 and 9 floats from the nine row-major floats the engine passes."""
+        p_b, j_a = self.p_b.tolist(), self.j_a.ravel().tolist()
+        out = update_total(M_A, j_a, p_b, obj_mass, None, None, (0.4, 0.4, 0.4), self.geom)
+        assert type(out.c_t) is list and type(out.j_t_hat) is list
+        assert all(type(v) is float for v in out.c_t + out.j_t_hat)
+        assert len(out.c_t) == 3 and len(out.j_t_hat) == 9
+        np.testing.assert_allclose(iags_gain(self.j_a, out.j_t_hat), np.eye(3), atol=1e-15)
+        assert out.c_t is not p_b and out.j_t_hat is not j_a
+        out.c_t[:] = [7.0] * 3
+        out.j_t_hat[:] = [7.0] * 9
+        np.testing.assert_array_equal(p_b, [0.0, 0.0, 0.03])
+        np.testing.assert_array_equal(np.reshape(j_a, (3, 3)),
+                                      np.diag([9.2e-3, 10.5e-3, 14.7e-3]))
 
     def test_matches_array_oracle(self, rng):
         lo, hi = self.geom.joint_limits
@@ -307,7 +308,7 @@ class TestUpdateTotal:
             (m_a, p_b, j_a), (m_o, _, j_o) = random_body(rng), random_body(rng)
             theta, offset = rng.uniform(lo, hi, 3), rng.uniform(-0.1, 0.1, 3)
             try:
-                out = update_total(m_a, j_a, p_b, m_o, j_o, offset, theta, self.geom)
+                out = self.total(m_o, j_o, offset, theta, m_a, j_a, p_b)
             except KinematicsError:
                 continue
             m_ref, c_ref, j_ref = ref_composite(
@@ -328,7 +329,7 @@ class TestUpdateTotal:
             (m_a, p_b, j_a), (m_o, _, j_o) = random_body(rng), random_body(rng)
             theta, offset = rng.uniform(lo, hi, 3), rng.uniform(-0.1, 0.1, 3)
             try:
-                out = update_total(m_a, j_a, p_b, m_o, j_o, offset, theta, self.geom)
+                out = self.total(m_o, j_o, offset, theta, m_a, j_a, p_b)
             except KinematicsError:
                 continue
             px, py, pz = forward_kin(self.geom, theta)

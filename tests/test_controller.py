@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ref_rot_to_quat, rot_to_quat_case
+from conftest import ref_rot_to_quat, rot_matrix, rot_to_quat_case
 
 from amsim import cli
-from amsim.controller import (Gains, RateLoop, allocation, allocation_matrix,
-                              attitude_loop, iags_gain, mixer, position_loop)
-from amsim.dynamics import RotorConfig
+from amsim.controller import (Gains, RateLoop, allocation, attitude_loop, iags_gain, mixer,
+                              position_loop)
+from amsim.dynamics import RotorConfig, torque_matrix
 from amsim.spatial import quat_to_rot, unit_quat
 
 G = 9.81
@@ -31,11 +31,37 @@ def axis_angle_quat(axis, angle):
     return np.array([math.cos(angle / 2), *(math.sin(angle / 2) * axis)])
 
 
+def floats(x) -> list:
+    return np.ravel(x).astype(float).tolist()
+
+
+def pos_loop(p_des, v_des, p, v, q, m_t_hat, gains, a_ff=(0.0, 0.0, 0.0), yaw_des=0.0, g=G):
+    """position_loop on test arrays: vectors as three floats, the attitude
+    ``q`` as its rotation's nine row-major floats."""
+    return position_loop(floats(p_des), floats(v_des), floats(p), floats(v), m_t_hat, gains,
+                         floats(a_ff), yaw_des, g, quat_to_rot(floats(q)))
+
+
+def att_loop(q_des, q, k_att):
+    """attitude_loop on test arrays: the attitude ``q`` as its rotation's nine floats."""
+    return attitude_loop(floats(q_des), quat_to_rot(floats(q)), floats(k_att))
+
+
+def allocation_matrix(cfg, com):
+    """Oracle: the 4x4 map from rotor thrusts to [collective; body torque about com]."""
+    return np.array([[1.0] * 4, *torque_matrix(cfg, floats(com))])
+
+
+def mix(thrust_des, torque_des, cfg, com=(0.0, 0.0, 0.0)):
+    """mixer with the allocation about ``com``, on test arrays."""
+    return mixer(thrust_des, floats(torque_des), allocation(cfg, floats(com)), cfg.c_t)
+
+
 class TestPositionLoop:
     def test_hover_at_setpoint(self, gains):
-        thrust, q_des, flag = position_loop(
+        thrust, q_des, flag = pos_loop(
             np.array([0, 0, 1.0]), np.zeros(3), np.array([0, 0, 1.0]),
-            np.zeros(3), IDENT, 1.6, gains, g=G)
+            np.zeros(3), IDENT, 1.6, gains)
         assert thrust == pytest.approx(1.6 * G, rel=1e-12)
         np.testing.assert_allclose(q_des, IDENT, atol=1e-12)
         assert not flag
@@ -43,16 +69,16 @@ class TestPositionLoop:
     def test_linear_in_mass(self, gains):
         args = (np.array([0.3, 0, 1.2]), np.zeros(3), np.array([0, 0, 1.0]),
                 np.zeros(3), IDENT)
-        t1, _, _ = position_loop(*args, 1.0, gains, g=G)
-        t2, _, _ = position_loop(*args, 2.0, gains, g=G)
+        t1, _, _ = pos_loop(*args, 1.0, gains)
+        t2, _, _ = pos_loop(*args, 2.0, gains)
         assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
 
     def test_one_meter_x_error_commands_4ms2(self, gains):
-        thrust, q_des, _ = position_loop(
+        thrust, q_des, _ = pos_loop(
             np.array([1.0, 0, 1.0]), np.zeros(3), np.array([0, 0, 1.0]),
-            np.zeros(3), IDENT, 1.0, gains, g=G)
+            np.zeros(3), IDENT, 1.0, gains)
         a_cmd = np.array([4.0, 0.0, G])  # k_pos_x * 1 m plus gravity
-        z_des = quat_to_rot(q_des)[:, 2]
+        z_des = rot_matrix(q_des)[:, 2]
         np.testing.assert_allclose(z_des, a_cmd / np.linalg.norm(a_cmd),
                                    atol=1e-12)
         # projection on current (level) body z picks up only the z component
@@ -61,33 +87,33 @@ class TestPositionLoop:
     def test_freefall_flagged_and_saturated(self, gains):
         # setpoint below by exactly g/k_z: commanded acceleration cancels gravity
         p_des = np.array([0, 0, 1.0 - G / gains.k_pos[2]])
-        thrust, q_des, flag = position_loop(
+        thrust, q_des, flag = pos_loop(
             p_des, np.zeros(3), np.array([0, 0, 1.0]),
-            np.zeros(3), IDENT, 1.5, gains, g=G)
+            np.zeros(3), IDENT, 1.5, gains)
         assert flag
         assert np.isfinite(thrust) and thrust >= 0.0
         assert np.all(np.isfinite(q_des))
 
     def test_feedforward_acceleration(self, gains):
-        t0, _, _ = position_loop(np.array([0, 0, 1.0]), np.zeros(3),
+        t0, _, _ = pos_loop(np.array([0, 0, 1.0]), np.zeros(3),
                                  np.array([0, 0, 1.0]), np.zeros(3), IDENT,
-                                 1.0, gains, g=G)
-        t1, _, _ = position_loop(np.array([0, 0, 1.0]), np.zeros(3),
+                                 1.0, gains)
+        t1, _, _ = pos_loop(np.array([0, 0, 1.0]), np.zeros(3),
                                  np.array([0, 0, 1.0]), np.zeros(3), IDENT,
-                                 1.0, gains, a_ff=np.array([0, 0, 1.0]), g=G)
+                                 1.0, gains, a_ff=np.array([0, 0, 1.0]))
         assert t1 == pytest.approx(t0 + 1.0, rel=1e-12)
 
 
 class TestAttitudeLoop:
     def test_zero_error(self):
         q = np.array(unit_quat(0.9, 0.1, -0.2, 0.3))
-        np.testing.assert_allclose(attitude_loop(q, q, np.array([6.0, 6.0, 3.0])),
+        np.testing.assert_allclose(att_loop(q, q, np.array([6.0, 6.0, 3.0])),
                                    np.zeros(3), atol=1e-12)
 
     def test_antipodal_finite(self):
         q_des = IDENT
         q = axis_angle_quat([0, 0, 1], math.pi)  # 180 deg yaw error
-        out = attitude_loop(q_des, q, np.array([6.0, 6.0, 3.0]))
+        out = att_loop(q_des, q, np.array([6.0, 6.0, 3.0]))
         assert np.all(np.isfinite(out))
 
     def test_small_angle_matches_rotation_vector(self):
@@ -96,14 +122,14 @@ class TestAttitudeLoop:
                      np.array([0.3, -0.5, 0.8])):
             angle = math.radians(5.0)
             q = axis_angle_quat(axis, angle)
-            out = attitude_loop(IDENT, q, k)
+            out = att_loop(IDENT, q, k)
             expect = -k * (angle * axis / np.linalg.norm(axis))
             np.testing.assert_allclose(out, expect, rtol=0.01)
 
     def test_sign_drives_back(self):
         # positive roll offset must command negative roll rate
         q = axis_angle_quat([1, 0, 0], 0.2)
-        out = attitude_loop(IDENT, q, np.array([6.0, 6.0, 3.0]))
+        out = att_loop(IDENT, q, np.array([6.0, 6.0, 3.0]))
         assert out[0] < 0.0
 
 
@@ -196,7 +222,7 @@ class TestRateLoop:
 
 class TestMixer:
     def test_pure_collective_equal_thrusts(self, rotor):
-        t, flag = mixer(8.0, np.zeros(3), rotor)
+        t, flag = mix(8.0, np.zeros(3), rotor)
         assert not flag
         np.testing.assert_allclose(t, np.full(4, 2.0), atol=1e-12)
 
@@ -212,14 +238,14 @@ class TestMixer:
         for _ in range(50):
             thrust = rng.uniform(5.0, 40.0)
             torque = rng.uniform(-0.4, 0.4, 3)
-            t, flag = mixer(thrust, torque, rotor)
+            t, flag = mix(thrust, torque, rotor)
             assert not flag
             got = a @ t
             # torque is always preserved when feasible; the collective too
             # whenever the raw allocation needed no saturation shift
             np.testing.assert_allclose(got[1:], torque, atol=1e-9)
             raw = np.linalg.solve(a, np.array([thrust, *torque]))
-            if raw.min() >= 0.0 and raw.max() <= rotor.max_thrust:
+            if raw.min() >= 0.0 and raw.max() <= rotor.c_t:
                 np.testing.assert_allclose(got[0], thrust, atol=1e-9)
                 np.testing.assert_allclose(t, raw, atol=1e-9)
 
@@ -227,50 +253,40 @@ class TestMixer:
         # collective demand beyond limits: torque held, collective scaled
         a = allocation_matrix(rotor, np.zeros(3))
         torque = np.array([0.3, -0.2, 0.05])
-        t, flag = mixer(500.0, torque, rotor)
+        t, flag = mix(500.0, torque, rotor)
         assert not flag
         got = a @ t
         np.testing.assert_allclose(got[1:], torque, atol=1e-9)
         assert got[0] < 500.0
-        assert np.all(np.asarray(t) <= rotor.max_thrust + 1e-12)
+        assert np.all(np.asarray(t) <= rotor.c_t + 1e-12)
 
     def test_zero_collective_shifted_up(self, rotor):
         torque = np.array([0.2, 0.0, 0.0])
-        t, flag = mixer(0.0, torque, rotor)
+        t, flag = mix(0.0, torque, rotor)
         assert not flag
         assert np.all(np.asarray(t) >= -1e-12)
         got = allocation_matrix(rotor, np.zeros(3)) @ t
         np.testing.assert_allclose(got[1:], torque, atol=1e-9)
 
     def test_infeasible_flagged(self, rotor):
-        t, flag = mixer(0.0, np.array([50.0, 0.0, 0.0]), rotor)
+        t, flag = mix(0.0, np.array([50.0, 0.0, 0.0]), rotor)
         assert flag
         t = np.asarray(t)
-        assert np.all(t >= 0.0) and np.all(t <= rotor.max_thrust)
+        assert np.all(t >= 0.0) and np.all(t <= rotor.c_t)
 
-    def test_com_offset_allocation(self, rotor, rng):
+    def test_com_offset_allocation(self, rotor):
         com = np.array([0.01, -0.02, 0.0])
         a = allocation_matrix(rotor, com)
-        t, flag = mixer(10.0, np.array([0.05, 0.02, -0.01]), rotor, com=com)
+        t, flag = mix(10.0, np.array([0.05, 0.02, -0.01]), rotor, com)
         assert not flag
         np.testing.assert_allclose(a @ t, [10.0, 0.05, 0.02, -0.01], atol=1e-9)
-        # the precomputed allocation gives the same bits as com=
-        alloc = allocation(rotor, com)
-        for thrust, torque in [(10.0, [0.05, 0.02, -0.01]), (500.0, [0.3, -0.2, 0.05]),
-                               (0.0, [50.0, 0.0, 0.0]),
-                               *((rng.uniform(0.0, 40.0), rng.uniform(-0.5, 0.5, 3))
-                                 for _ in range(20))]:
-            t_com, flag_com = mixer(thrust, np.array(torque), rotor, com=com)
-            t_pre, flag_pre = mixer(thrust, np.array(torque), rotor, alloc=alloc)
-            assert np.asarray(t_pre).tobytes() == np.asarray(t_com).tobytes()
-            assert flag_pre == flag_com
 
     def test_com_outside_footprint_not_x_like(self, rotor):
         com = np.array([0.5, 0.0, 0.0])  # beyond the 0.12 m arms
         with pytest.raises(ValueError, match="not X-like"):
-            allocation(rotor, com)
+            allocation(rotor, com.tolist())
         with pytest.raises(ValueError, match="not X-like"):
-            mixer(10.0, np.zeros(3), rotor, com=com)
+            mix(10.0, np.zeros(3), rotor, com)
 
 
 # The array cascade that the float functions replaced, kept as their oracle.
@@ -303,14 +319,14 @@ def ref_position_loop(p_des, v_des, p, v, q, m_t_hat, gains, a_ff=None,
         y_b = y_raw / ny
         x_b = np.cross(y_b, z_b)
     r_des = np.column_stack([x_b, y_b, z_b])
-    body_z = quat_to_rot(q)[:, 2]
+    body_z = rot_matrix(q)[:, 2]
     thrust = max(m_t_hat * float(a_cmd @ body_z), 0.0)
     return thrust, ref_rot_to_quat(r_des), freefall, r_des, ny
 
 
 def ref_attitude_loop(q_des, q, k_att):
-    R = quat_to_rot(q)
-    Rd = quat_to_rot(q_des)
+    R = rot_matrix(q)
+    Rd = rot_matrix(q_des)
     err = 0.5 * (Rd.T @ R - R.T @ Rd)
     return -np.asarray(k_att, dtype=float) * np.array([err[2, 1], err[0, 2], err[1, 0]])
 
@@ -340,7 +356,7 @@ def ref_mixer(thrust_des, torque_des, cfg, com):
     u = np.linalg.solve(a, np.array([1.0, 0.0, 0.0, 0.0]))
     w = np.array([float(thrust_des), *np.asarray(torque_des, dtype=float).reshape(3)])
     t0 = np.linalg.solve(a, w)
-    t_max = cfg.max_thrust
+    t_max = cfg.c_t
     lam_lo = float(np.max(-t0 / u))
     lam_hi = float(np.min((t_max - t0) / u))
     infeasible = lam_lo > lam_hi
@@ -369,7 +385,8 @@ class TestCascadeOracle:
         for _ in range(300):
             cases.append(dict(p_des=rng.uniform(-2, 2, 3), v_des=rng.uniform(-1, 1, 3),
                               p=rng.uniform(-2, 2, 3), v=rng.uniform(-1, 1, 3),
-                              a_ff=rng.uniform(-15, 15, 3) if rng.uniform() < 0.7 else None,
+                              a_ff=(rng.uniform(-15, 15, 3) if rng.uniform() < 0.7
+                                    else np.zeros(3)),
                               yaw_des=rng.uniform(-math.pi, math.pi)))
         here = dict(p_des=np.zeros(3), v_des=np.zeros(3), p=np.zeros(3), v=np.zeros(3))
         for yaw in rng.uniform(-math.pi, math.pi, 20):
@@ -392,15 +409,10 @@ class TestCascadeOracle:
             args = (case["p_des"], case["v_des"], case["p"], case["v"], q, m, gains)
             kw = dict(a_ff=case["a_ff"], yaw_des=float(case["yaw_des"]), g=G)
             ref_thrust, ref_q, ref_flag, r_des, ny = ref_position_loop(*args, **kw)
-            lists = [np.asarray(x).tolist() for x in args[:5]]
-            a_ff = None if kw["a_ff"] is None else np.asarray(kw["a_ff"]).tolist()
-            for got in (position_loop(*args, **kw),
-                        position_loop(*lists, m, gains, R=quat_to_rot(q, flat=True),
-                                      **dict(kw, a_ff=a_ff))):
-                thrust, q_des, flag = got
-                assert flag == ref_flag
-                assert thrust == pytest.approx(ref_thrust, rel=1e-12, abs=1e-12)
-                np.testing.assert_allclose(q_des, ref_q, rtol=0.0, atol=1e-12)
+            thrust, q_des, flag = pos_loop(*args, **kw)
+            assert flag == ref_flag
+            assert thrust == pytest.approx(ref_thrust, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(q_des, ref_q, rtol=0.0, atol=1e-12)
             assert type(thrust) is float  # from float inputs, floats come back
             assert_floats(q_des, 4)
             branches.add(("freefall", ref_flag))
@@ -416,10 +428,8 @@ class TestCascadeOracle:
         pairs.append((IDENT, axis_angle_quat([0, 0, 1], math.pi)))
         for q_des, q in pairs:
             ref = ref_attitude_loop(q_des, q, k_att)
-            for got in (attitude_loop(q_des, q, k_att),
-                        attitude_loop(tuple(q_des.tolist()), tuple(q.tolist()),
-                                      k_att.tolist(), R=quat_to_rot(q, flat=True))):
-                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+            got = att_loop(q_des, q, k_att)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
             assert_floats(got, 3)
 
     def test_rate_loop(self, rng):
@@ -442,20 +452,20 @@ class TestCascadeOracle:
         flags = {"shifted": 0, "infeasible": 0, "unsaturated": 0}
         for _ in range(400):
             com = rng.uniform(-0.02, 0.02, 3)
-            alloc = allocation(rotor, com)
+            alloc = allocation(rotor, com.tolist())
             kind = rng.integers(4)
             thrust = [rng.uniform(5.0, 40.0), rng.uniform(60.0, 500.0), 0.0,
                       rng.uniform(0.0, 40.0)][kind]
             torque = rng.uniform(-0.4, 0.4, 3) * (100.0 if kind == 3 else 1.0)
             want, want_flag = ref_mixer(thrust, torque, rotor, com)
-            got, flag = mixer(thrust, torque.tolist(), rotor, alloc=alloc)
+            got, flag = mixer(thrust, torque.tolist(), alloc, rotor.c_t)
             assert_floats(got, 4)
             assert flag == want_flag
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
             raw = np.linalg.solve(allocation_matrix(rotor, com), [thrust, *torque])
             if flag:
                 flags["infeasible"] += 1
-            elif raw.min() < 0.0 or raw.max() > rotor.max_thrust:
+            elif raw.min() < 0.0 or raw.max() > rotor.c_t:
                 flags["shifted"] += 1
             else:
                 flags["unsaturated"] += 1
@@ -464,15 +474,15 @@ class TestCascadeOracle:
     def test_nan_passes_through(self, gains, rotor):
         """A NaN input comes out as NaN, as the array code's np.clip lets it."""
         nan3 = [math.nan, 0.0, 0.0]
-        thrust, q_des, flag = position_loop([0, 0, 1.0], [0, 0, 0], nan3, [0, 0, 0],
-                                            IDENT, 1.5, gains, g=G)
+        thrust, q_des, flag = pos_loop([0, 0, 1.0], [0, 0, 0], nan3, [0, 0, 0], IDENT, 1.5,
+                                       gains)
         ref = ref_position_loop([0, 0, 1.0], [0, 0, 0], np.array(nan3), np.zeros(3),
                                 IDENT, 1.5, gains, g=G)
         assert math.isnan(thrust) and math.isnan(ref[0])
         assert np.all(np.isnan(q_des)) and np.all(np.isnan(ref[1]))
         assert flag is ref[2] is False
 
-        w = attitude_loop(IDENT, [math.nan, 0.0, 0.0, 1.0], gains.k_att)
+        w = att_loop(IDENT, [math.nan, 0.0, 0.0, 1.0], gains.k_att)
         assert np.all(np.isnan(w))
 
         loop, ref_loop = RateLoop(gains), RefRateLoop(gains)
@@ -483,7 +493,7 @@ class TestCascadeOracle:
         assert got[1:] == want[1:].tolist()
 
         for bad in ((math.nan, [0.0, 0.0, 0.0]), (8.0, nan3)):
-            t, flag = mixer(*bad, rotor)
+            t, flag = mix(*bad, rotor)
             t_ref, flag_ref = ref_mixer(*bad, rotor, np.zeros(3))
             assert np.all(np.isnan(t)) and np.all(np.isnan(t_ref))
             assert flag is flag_ref is False

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import quat_mul
+from conftest import P, Q, V, W, quat_mul, rot_matrix, state, step
 
 import amsim.dynamics
-from amsim.dynamics import (NonFinite, RotorConfig, VehicleState, _rates, motor_lag_step,
-                            rotor_wrench, step_rk4, torque_matrix)
-from amsim.spatial import as_floats, inverse3, quat_to_rot, unit_quat
+from amsim.config import ScenarioConfig
+from amsim.dynamics import (NonFinite, RotorConfig, _rates, motor_lag_step, rotor_wrench,
+                            step_rk4, torque_matrix)
+from amsim.scenario import _Run
+from amsim.spatial import inverse3, quat_to_rot, unit_quat
 
 G = 9.81
 E3 = np.array([0.0, 0.0, 1.0])
+NO_WIND = (0.0, 0.0, 0.0)
 
 
 @pytest.fixture
@@ -45,43 +48,52 @@ def ref_rot(q):
 
 def ref_derivatives(v, q, omega, force_b, torque_b, m_t, j_t, g, f_ext_w):
     """Reference oracle: the numpy form of the rigid-body derivatives."""
-    dv = -g * E3 + (ref_rot(q) @ force_b) / m_t
-    if f_ext_w is not None:
-        dv = dv + f_ext_w / m_t
+    dv = -g * E3 + (ref_rot(q) @ force_b) / m_t + f_ext_w / m_t
     domega = np.linalg.inv(j_t) @ (torque_b - np.cross(omega, j_t @ omega))
     dq = 0.5 * quat_mul(q, np.array([0.0, *omega]))
     return v, dv, dq, domega
 
 
-def ref_step_rk4(s, force_b, torque_b, m_t, j_t, dt, g, f_ext_w):
+def parts(y):
+    """The position, velocity, quaternion and rate of a 13-float state, as arrays."""
+    return [np.array(y[part]) for part in (P, V, Q, W)]
+
+
+def ref_step_rk4(y, force_b, torque_b, m_t, j_t, dt, g, f_ext_w):
     """Reference oracle: classical RK4 over numpy state arrays."""
     def f(v, q, w):
         return ref_derivatives(v, q, w, force_b, torque_b, m_t, j_t, g, f_ext_w)
 
-    k1 = f(s.v, s.q, s.omega)
-    k2 = f(*(x + 0.5 * dt * k for x, k in zip((s.v, s.q, s.omega), k1[1:])))
-    k3 = f(*(x + 0.5 * dt * k for x, k in zip((s.v, s.q, s.omega), k2[1:])))
-    k4 = f(*(x + dt * k for x, k in zip((s.v, s.q, s.omega), k3[1:])))
+    p, v, q, w = parts(y)
+    k1 = f(v, q, w)
+    k2 = f(*(x + 0.5 * dt * k for x, k in zip((v, q, w), k1[1:])))
+    k3 = f(*(x + 0.5 * dt * k for x, k in zip((v, q, w), k2[1:])))
+    k4 = f(*(x + dt * k for x, k in zip((v, q, w), k3[1:])))
     out = [x + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-           for x, a, b, c, d in zip((s.p, s.v, s.q, s.omega), k1, k2, k3, k4)]
+           for x, a, b, c, d in zip((p, v, q, w), k1, k2, k3, k4)]
     out[2] = out[2] / np.linalg.norm(out[2])
     return out
 
 
 def random_case(rng):
     """State, wrench, mass and a full (non-diagonal) inertia; wind half the time."""
-    s = VehicleState.at_rest(rng.uniform(-2.0, 2.0, 3))
-    s.v = rng.uniform(-3.0, 3.0, 3)
+    p = rng.uniform(-2.0, 2.0, 3)
+    v = rng.uniform(-3.0, 3.0, 3)
     q = rng.standard_normal(4)
-    s.q = q / np.linalg.norm(q)
-    s.omega = rng.uniform(-40.0, 40.0, 3)  # large rates make the gyroscopic term dominate
+    q = q / np.linalg.norm(q)
+    omega = rng.uniform(-40.0, 40.0, 3)  # large rates make the gyroscopic term dominate
     a = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     moments = rng.uniform(5e-3, 2e-2, 3)
     j = a @ np.diag(moments) @ a.T
     j = 0.5 * (j + j.T)
-    wind = rng.uniform(-3.0, 3.0, 3) if rng.random() < 0.5 else None
-    return (s, rng.uniform(-5.0, 30.0, 3), rng.uniform(-0.5, 0.5, 3),
+    wind = rng.uniform(-3.0, 3.0, 3) if rng.random() < 0.5 else np.zeros(3)
+    return (state(p, v, q, omega), rng.uniform(-5.0, 30.0, 3), rng.uniform(-0.5, 0.5, 3),
             rng.uniform(0.5, 3.0), j, wind)
+
+
+def scaled_q(y, k):
+    """The state with its quaternion scaled by ``k``, as a stage quaternion is not unit."""
+    return y[:6] + tuple(c * k for c in y[Q]) + y[W]
 
 
 def assert_close_rel(got, want, rel=1e-12):
@@ -90,27 +102,18 @@ def assert_close_rel(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
 
 
-def list_args(force_b, torque_b, j_t, j_inv, f_ext_w):
-    """The replaced kernel's input handling: every input through ``as_floats``."""
-    j = as_floats(j_t, 9)
-    return (as_floats(force_b, 3), as_floats(torque_b, 3), j,
-            inverse3(j) if j_inv is None else as_floats(j_inv, 9),
-            None if f_ext_w is None else as_floats(f_ext_w, 3))
-
-
 def list_deriv(y, f, tau, m_t, j, j_inv, g, ext):
     """Exact oracle: the list-based derivative of the 13-float state that the
     straight-line kernel replaced, with the same float operations in the same order."""
     _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz), flat=True)
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz))
     fx, fy, fz = f
     ax = (r00 * fx + r01 * fy + r02 * fz) / m_t
     ay = (r10 * fx + r11 * fy + r12 * fz) / m_t
     az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t
-    if ext is not None:
-        ax += ext[0] / m_t
-        ay += ext[1] / m_t
-        az += ext[2] / m_t
+    ax += ext[0] / m_t
+    ay += ext[1] / m_t
+    az += ext[2] / m_t
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
     hx = j00 * wx + j01 * wy + j02 * wz
     hy = j10 * wx + j11 * wy + j12 * wz
@@ -129,9 +132,8 @@ def list_deriv(y, f, tau, m_t, j, j_inv, g, ext):
             i20 * gx + i21 * gy + i22 * gz]
 
 
-def list_step_rk4(y0, force_b, torque_b, m_t, j_t, dt, g, f_ext_w, j_inv):
+def list_step_rk4(y0, f, tau, m_t, j, dt, g, ext, ji):
     """Exact oracle: the list-based RK4 step that the straight-line kernel replaced."""
-    f, tau, j, ji, ext = list_args(force_b, torque_b, j_t, j_inv, f_ext_w)
     h = 0.5 * dt
     k1 = list_deriv(y0, f, tau, m_t, j, ji, g, ext)
     k2 = list_deriv([a + h * b for a, b in zip(y0, k1)], f, tau, m_t, j, ji, g, ext)
@@ -149,42 +151,52 @@ def same_bits(a, b):
     return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
 
 
-def kernel_inputs(rng, case):
-    """A random case as the engine passes it (float lists, tuple wind, given inverse)
-    or as tests pass it (numpy arrays), with or without the inverse and wind."""
-    s, force, torque, m, j, wind = case
-    j_inv = np.linalg.inv(j) if rng.random() < 0.5 else None
-    if rng.random() < 0.5:
-        force, torque, j = force.tolist(), torque.tolist(), j.ravel().tolist()
-        j_inv = None if j_inv is None else inverse3(j)
-        wind = None if wind is None else tuple(wind.tolist())
-    return s, force, torque, m, j, wind, j_inv
+def kernel_inputs(case):
+    """A random case as the engine passes it: float lists, the row-major inertia
+    with its ``inverse3``, and the wind as a tuple."""
+    y, force, torque, m, j, wind = case
+    j = j.ravel().tolist()
+    return y, force.tolist(), torque.tolist(), m, j, tuple(wind.tolist()), inverse3(j)
+
+
+def kernel_j(j):
+    """A 3x3 inertia as the kernels take it: nine row-major floats, and their inverse."""
+    j9 = np.ravel(j).tolist()
+    return j9, inverse3(j9)
+
+
+def wrench(thrusts, rotor, com):
+    """``rotor_wrench`` about ``com``, from test arrays."""
+    return rotor_wrench(np.ravel(thrusts).tolist(), torque_matrix(rotor, np.ravel(com).tolist()))
 
 
 class TestFloatKernelAgainstReference:
     def test_derivatives_match(self, rng):
         for _ in range(200):
-            s, force, torque, m, j, wind = random_case(rng)
-            s.q = s.q * rng.uniform(0.5, 2.0)  # stage quaternions are not unit
-            got = _rates(force, torque, m, j, None, G, wind)(*s.y[6:13])
-            want = ref_derivatives(s.v, s.q, s.omega, force, torque, m, j, G, wind)
+            case = random_case(rng)
+            y, force, torque, m, j, wind, j_inv = kernel_inputs(case)
+            y = scaled_q(y, rng.uniform(0.5, 2.0))  # stage quaternions are not unit
+            got = _rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
+            _, v, q, omega = parts(y)
+            want = ref_derivatives(v, q, omega, *case[1:5], G, case[5])
             for a, b in zip((got[0:3], got[3:7], got[7:10]), want[1:]):
                 assert_close_rel(a, b)
 
     def test_step_rk4_matches(self, rng):
         for dt in (5e-4, 2e-3):
             for _ in range(100):
-                s, force, torque, m, j, wind = random_case(rng)
-                got = step_rk4(s, force, torque, m, j, dt, g=G, f_ext_w=wind)
-                want = ref_step_rk4(s, force, torque, m, j, dt, G, wind)
-                for a, b in zip((got.p, got.v, got.q, got.omega), want):
+                y, force, torque, m, j, wind = random_case(rng)
+                got = step(y, force, torque, m, j, dt, G, wind)
+                want = ref_step_rk4(y, force, torque, m, j, dt, G, wind)
+                for a, b in zip(parts(got), want):
                     assert_close_rel(a, b)
 
     def test_precomputed_inverse_is_used_as_given(self, rng):
-        s, force, torque, m, j, wind = random_case(rng)
-        a = step_rk4(s, force, torque, m, j, 1e-3, f_ext_w=wind)
-        b = step_rk4(s, force, torque, m, j, 1e-3, f_ext_w=wind, j_inv=np.linalg.inv(j))
-        assert_close_rel(b.omega, a.omega)
+        y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
+        a = step_rk4(y, force, torque, m, j, j_inv, 1e-3, G, wind)
+        b = step_rk4(y, force, torque, m, j, np.linalg.inv(np.reshape(j, (3, 3))).ravel().tolist(),
+                     1e-3, G, wind)
+        assert_close_rel(b[W], a[W])
 
 
 class TestStraightLineKernelIsExact:
@@ -195,25 +207,24 @@ class TestStraightLineKernelIsExact:
         seen = set()
         for dt in (5e-4, 2e-3, 5e-3):
             for _ in range(150):
-                s, force, torque, m, j, wind, j_inv = kernel_inputs(rng, random_case(rng))
-                if rng.random() < 0.5:
-                    s.p = np.zeros(3)  # the position sum then shows its own rounding
-                seen.add((type(force), wind is None, j_inv is None))
-                got = step_rk4(s, force, torque, m, j, dt, g=G, f_ext_w=wind, j_inv=j_inv)
-                assert same_bits(got.y, list_step_rk4(s.y, force, torque, m, j, dt, G, wind, j_inv))
-                assert type(got.y) is tuple and all(type(c) is float for c in got.y)
-        assert len(seen) == 8  # list/numpy x wind/none x inverse/none
+                y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
+                if rng.random() < 0.5:  # the position sum then shows its own rounding
+                    y = state(v=y[V], q=y[Q], omega=y[W])
+                seen.add(wind == NO_WIND)
+                got = step_rk4(y, force, torque, m, j, j_inv, dt, G, wind)
+                assert same_bits(got, list_step_rk4(y, force, torque, m, j, dt, G, wind, j_inv))
+                assert type(got) is tuple and all(type(c) is float for c in got)
+        assert len(seen) == 2  # wind / no wind
 
     def test_derivatives_equal_list_oracle(self, rng):
-        rest = (VehicleState.at_rest([0.0, 0.0, 0.0]), np.full(3, -0.0), np.full(3, -0.0), 1.0,
-                np.eye(3) * 1e-2, None)  # a negative-zero wrench keeps its signed zeros
+        rest = (state(), np.full(3, -0.0), np.full(3, -0.0), 1.0, np.eye(3) * 1e-2,
+                np.full(3, -0.0))  # a negative-zero wrench and wind keep their signed zeros
         for k in range(300):
             case = random_case(rng) if k else rest
-            s, force, torque, m, j, wind, j_inv = kernel_inputs(rng, case)
-            s.q = s.q * rng.uniform(0.5, 2.0)  # stage quaternions are not unit
-            got = _rates(force, torque, m, j, j_inv, G, wind)(*s.y[6:13])
-            f, tau, j_flat, ji, ext = list_args(force, torque, j, j_inv, wind)
-            want = list_deriv(s.y, f, tau, m, j_flat, ji, G, ext)
+            y, force, torque, m, j, wind, j_inv = kernel_inputs(case)
+            y = scaled_q(y, rng.uniform(0.5, 2.0))  # stage quaternions are not unit
+            got = _rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
+            want = list_deriv(y, force, torque, m, j, j_inv, G, wind)
             assert same_bits(got, want[3:])  # the oracle starts with the velocity
 
     def test_rotor_wrench_equals_list_oracle(self, rotor, rng):
@@ -224,95 +235,70 @@ class TestStraightLineKernelIsExact:
             tmap = torque_matrix(rotor, com)
             want = ([0.0, 0.0, thr[0] + thr[1] + thr[2] + thr[3]],
                     [r[0] * thr[0] + r[1] * thr[1] + r[2] * thr[2] + r[3] * thr[3] for r in tmap])
-            assert same_bits(np.concatenate(rotor_wrench(thr, rotor, com)), np.concatenate(want))
-            assert same_bits(np.concatenate(rotor_wrench(thr, rotor, tmap=tmap)),
-                             np.concatenate(want))
+            assert same_bits(np.concatenate(rotor_wrench(thr, tmap)), np.concatenate(want))
 
     def test_four_rotations_per_step(self, monkeypatch, rng):
         calls = []
 
-        def counting(q, flat=False):
+        def counting(q):
             calls.append(q)
-            return quat_to_rot(q, flat=flat)
+            return quat_to_rot(q)
 
         monkeypatch.setattr(amsim.dynamics, "quat_to_rot", counting)
         for n in range(1, 6):
-            s, force, torque, m, j, wind, j_inv = kernel_inputs(rng, random_case(rng))
-            step_rk4(s, force, torque, m, j, 1e-3, g=G, f_ext_w=wind, j_inv=j_inv)
+            y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
+            step_rk4(y, force, torque, m, j, j_inv, 1e-3, G, wind)
             assert len(calls) == 4 * n
-        _rates(force, torque, m, j, None, G, None)(*s.y[6:13])
+        _rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
         assert len(calls) == 21
 
     def test_wrong_lengths_rejected(self, rotor):
-        s = VehicleState.at_rest([0.0, 0.0, 0.0])
+        y = state()
         j = [1e-2, 0.0, 0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-2]
-        for f, tau, j_t, ext in (([0.0] * 2, [0.0] * 3, j, None), ([0.0] * 3, [0.0] * 4, j, None),
-                                 ([0.0] * 3, [0.0] * 3, j[:8], None),
+        j_inv, no_wind = inverse3(j), (0.0, 0.0, 0.0)
+        for f, tau, j_t, ext in (([0.0] * 2, [0.0] * 3, j, no_wind),
+                                 ([0.0] * 3, [0.0] * 4, j, no_wind),
+                                 ([0.0] * 3, [0.0] * 3, j[:8], no_wind),
                                  ([0.0] * 3, [0.0] * 3, j, (1.0, 2.0))):
             with pytest.raises(ValueError):
-                step_rk4(s, f, tau, 1.0, j_t, 1e-3, f_ext_w=ext)
+                step_rk4(y, f, tau, 1.0, j_t, j_inv, 1e-3, G, ext)
+        tmap = torque_matrix(rotor, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            rotor_wrench([1.0] * 3, rotor)
+            rotor_wrench([1.0] * 3, tmap)
         with pytest.raises(ValueError):
-            rotor_wrench([1.0] * 5, rotor)
+            rotor_wrench([1.0] * 5, tmap)
         with pytest.raises(ValueError):
             motor_lag_step([1.0] * 5, [1.0] * 5, rotor, 5e-4)
 
 
 class TestVehicleState:
-    def test_constructor_stores_floats(self):
-        s = VehicleState([1, 2, 3], np.array([4.0, 5.0, 6.0]), (1, 0, 0, 0),
-                         np.array([[0.1], [0.2], [0.3]]))
-        assert s.y == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.3)
-        assert all(type(c) is float for c in s.y)
-        np.testing.assert_array_equal(s.v, [4.0, 5.0, 6.0])
-        assert s.p.dtype == np.float64 and s.q.shape == (4,)
-        with pytest.raises(ValueError):
-            VehicleState([0.0, 0.0], np.zeros(3), np.zeros(4), np.zeros(3))
+    """The state is the 13 floats ``(p, v, q, omega)`` that the engine logs."""
 
     def test_at_rest(self):
-        s = VehicleState.at_rest(np.array([0.5, -1.0, 2.0]))
-        assert s.y == (0.5, -1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_copy_round_trip(self, rng):
-        s, *_ = random_case(rng)
-        c = s.copy()
-        assert c is not s and c.y == s.y
-        assert VehicleState(c.p, c.v, c.q, c.omega).y == s.y
-        c.omega = [9.0, 8.0, 7.0]
-        assert c.y[10:] == (9.0, 8.0, 7.0)
-        assert s.y[:10] == c.y[:10] and s.y[10:] != c.y[10:]
-
-    def test_arrays_are_read_only(self):
-        s = VehicleState.at_rest([1.0, 2.0, 3.0])
-        before = s.y
-        for name in ("p", "v", "q", "omega"):
-            with pytest.raises(ValueError):
-                getattr(s, name)[0] = 7.0
-        with pytest.raises(ValueError):
-            s.p += 1.0
-        assert s.y == before
-        with pytest.raises(ValueError):
-            s.v = [1.0, 2.0]
+        """A run starts at rest and level, at its first waypoint."""
+        cfg = ScenarioConfig(trajectory=[(0.0, np.array([0.5, -1.0, 2.0]), 0.0)])
+        y = _Run(cfg).y
+        assert y == (0.5, -1.0, 2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert all(type(c) is float for c in y)
 
     def test_step_keeps_floats(self, rotor):
-        s = VehicleState.at_rest([0.0, 0.0, 1.0])
-        force, torque = rotor_wrench([3.0, 3.5, 3.0, 3.5], rotor, np.zeros(3))
-        out = step_rk4(s, force, torque, 1.4, np.diag([9.2e-3, 10.5e-3, 14.7e-3]),
-                       1e-3, g=G, f_ext_w=(0.0, 1.0, 0.0))
-        assert type(out.y) is tuple and len(out.y) == 13
-        assert all(type(c) is float for c in out.y)
+        y = state((0.0, 0.0, 1.0))
+        force, torque = wrench([3.0, 3.5, 3.0, 3.5], rotor, np.zeros(3))
+        out = step(y, force, torque, 1.4, np.diag([9.2e-3, 10.5e-3, 14.7e-3]), 1e-3, G,
+                   (0.0, 1.0, 0.0))
+        assert type(out) is tuple and len(out) == 13
+        assert all(type(c) is float for c in out)
 
 
 class TestRotorWrench:
     def test_equal_thrusts_centered(self, rotor):
-        force, torque = rotor_wrench([2.0] * 4, rotor, np.zeros(3))
+        force, torque = wrench([2.0] * 4, rotor, np.zeros(3))
         np.testing.assert_allclose(force, [0, 0, 8.0], atol=1e-15)
         np.testing.assert_allclose(torque, np.zeros(3), atol=1e-15)
 
     def test_com_offset_lever_arm(self, rotor):
         d = 0.01
-        _, torque = rotor_wrench([2.0] * 4, rotor, [d, 0.0, 0.0])
+        _, torque = wrench([2.0] * 4, rotor, [d, 0.0, 0.0])
         assert torque[1] == pytest.approx(4 * 2.0 * d, rel=1e-12)
         assert abs(torque[0]) < 1e-15
 
@@ -320,22 +306,17 @@ class TestRotorWrench:
         for _ in range(10):
             thrusts = rng.uniform(0.0, 5.0, 4)
             com = rng.uniform(-0.05, 0.05, 3)
-            force, torque = rotor_wrench(thrusts, rotor, com)
+            force, torque = wrench(thrusts, rotor, com)
             f_ref, t_ref = hand_wrench(thrusts, rotor, com)
             np.testing.assert_allclose(force, f_ref, atol=1e-12)
             np.testing.assert_allclose(torque, t_ref, atol=1e-12)
 
-    def test_default_com_is_body_origin(self, rotor, rng):
-        thrusts = rng.uniform(0.0, 5.0, 4).tolist()
-        assert rotor_wrench(thrusts, rotor) == rotor_wrench(thrusts, rotor, (0.0, 0.0, 0.0))
-        assert torque_matrix(rotor) == torque_matrix(rotor, np.zeros(3))
-
     def test_linearity(self, rotor, rng):
         a = rng.uniform(0, 3, 4)
         b = rng.uniform(0, 3, 4)
-        fa, ta = rotor_wrench(a, rotor, np.zeros(3))
-        fb, tb = rotor_wrench(b, rotor, np.zeros(3))
-        fab, tab = rotor_wrench(a + b, rotor, np.zeros(3))
+        fa, ta = wrench(a, rotor, np.zeros(3))
+        fb, tb = wrench(b, rotor, np.zeros(3))
+        fab, tab = wrench(a + b, rotor, np.zeros(3))
         np.testing.assert_allclose(fab, np.add(fa, fb), atol=1e-12)
         np.testing.assert_allclose(tab, np.add(ta, tb), atol=1e-12)
 
@@ -344,31 +325,30 @@ class TestDerivatives:
     def test_hover_equilibrium(self, rotor):
         m = 1.379
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        s = VehicleState.at_rest([0.0, 0.0, 1.0])
-        force, torque = rotor_wrench([m * G / 4] * 4, rotor, np.zeros(3))
-        d = _rates(force, torque, m, j, None, G, None)(*s.y[6:13])
-        np.testing.assert_allclose(s.v, np.zeros(3), atol=1e-12)
+        y = state((0.0, 0.0, 1.0))
+        force, torque = wrench([m * G / 4] * 4, rotor, np.zeros(3))
+        d = _rates(force, torque, m, *kernel_j(j), G, NO_WIND)(*y[6:13])
+        np.testing.assert_allclose(y[V], np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(d[0:3], np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(d[3:7], np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(d[7:10], np.zeros(3), atol=1e-12)
 
     def test_principal_axis_spin_torque_free(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        s = VehicleState.at_rest([0, 0, 0])
-        s.omega = np.array([0.0, 2.0, 0.0])
-        dw = _rates(np.zeros(3), np.zeros(3), 1.0, j, None, G, None)(*s.y[6:13])[7:10]
+        y = state(omega=[0.0, 2.0, 0.0])
+        dw = _rates([0.0] * 3, [0.0] * 3, 1.0, *kernel_j(j), G, NO_WIND)(*y[6:13])[7:10]
         np.testing.assert_allclose(dw, np.zeros(3), atol=1e-14)
 
     def test_translation_matches_specific_force(self, rng):
         m = 1.6
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
         for _ in range(10):
-            s = VehicleState.at_rest(rng.uniform(-1, 1, 3))
+            p = rng.uniform(-1, 1, 3)
             q = rng.standard_normal(4)
-            s.q = q / np.linalg.norm(q)
-            s.v = rng.uniform(-2, 2, 3)
+            y = state(p, rng.uniform(-2, 2, 3), q / np.linalg.norm(q))
             force = np.array([0.0, 0.0, rng.uniform(0, 30)])
-            dv = np.array(_rates(force, np.zeros(3), m, j, None, G, None)(*s.y[6:13])[0:3])
+            dv = np.array(_rates(force.tolist(), [0.0] * 3, m, *kernel_j(j), G,
+                                 NO_WIND)(*y[6:13])[0:3])
             lhs = np.linalg.norm(dv + G * np.array([0, 0, 1.0]))
             assert lhs == pytest.approx(np.linalg.norm(force) / m, rel=1e-12)
 
@@ -421,81 +401,76 @@ class TestRK4:
     def test_equilibrium_unchanged(self, rotor):
         m = 1.379
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        s = VehicleState.at_rest([0.0, 0.0, 1.0])
-        force, torque = rotor_wrench([m * G / 4] * 4, rotor, np.zeros(3))
-        out = step_rk4(s, force, torque, m, j, 1e-3, g=G)
-        np.testing.assert_allclose(out.p, s.p, atol=1e-12)
-        np.testing.assert_allclose(out.v, s.v, atol=1e-12)
-        np.testing.assert_allclose(out.q, s.q, atol=1e-12)
-        np.testing.assert_allclose(out.omega, s.omega, atol=1e-12)
+        y = state((0.0, 0.0, 1.0))
+        force, torque = wrench([m * G / 4] * 4, rotor, np.zeros(3))
+        out = step(y, force, torque, m, j, 1e-3, G)
+        np.testing.assert_allclose(out[P], y[P], atol=1e-12)
+        np.testing.assert_allclose(out[V], y[V], atol=1e-12)
+        np.testing.assert_allclose(out[Q], y[Q], atol=1e-12)
+        np.testing.assert_allclose(out[W], y[W], atol=1e-12)
 
     def test_free_fall_parabola(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        s = VehicleState.at_rest([0.0, 0.0, 2.0])
+        y = state((0.0, 0.0, 2.0))
         dt = 1e-3
         for _ in range(1000):
-            s = step_rk4(s, np.zeros(3), np.zeros(3), 1.379, j, dt, g=G)
-        assert s.p[2] == pytest.approx(2.0 - 0.5 * G * 1.0 ** 2, abs=1e-9)
+            y = step(y, np.zeros(3), np.zeros(3), 1.379, j, dt, G)
+        assert y[2] == pytest.approx(2.0 - 0.5 * G * 1.0 ** 2, abs=1e-9)
 
     def test_angular_momentum_conserved_short(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        s = VehicleState.at_rest([0, 0, 0])
-        s.omega = np.array([1.2, -0.7, 0.9])
-        L0 = quat_to_rot(s.q) @ (j @ s.omega)
+        y = state(omega=[1.2, -0.7, 0.9])
+        L0 = rot_matrix(y[Q]) @ (j @ y[W])
         for _ in range(2000):
-            s = step_rk4(s, np.zeros(3), np.zeros(3), 1.379, j, 1e-3, g=G)
-        L = quat_to_rot(s.q) @ (j @ s.omega)
+            y = step(y, np.zeros(3), np.zeros(3), 1.379, j, 1e-3, G)
+        L = rot_matrix(y[Q]) @ (j @ y[W])
         assert np.linalg.norm(L - L0) / np.linalg.norm(L0) < 1e-7
 
     def test_energy_conserved_short(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        s = VehicleState.at_rest([0, 0, 0])
-        s.omega = np.array([1.2, -0.7, 0.9])
-        e0 = 0.5 * float(s.omega @ (j @ s.omega))
+        y = state(omega=[1.2, -0.7, 0.9])
+        e0 = 0.5 * float(np.array(y[W]) @ (j @ y[W]))
         for _ in range(2000):
-            s = step_rk4(s, np.zeros(3), np.zeros(3), 1.379, j, 1e-3, g=G)
-        e = 0.5 * float(s.omega @ (j @ s.omega))
+            y = step(y, np.zeros(3), np.zeros(3), 1.379, j, 1e-3, G)
+        e = 0.5 * float(np.array(y[W]) @ (j @ y[W]))
         assert abs(e - e0) / e0 < 1e-7
 
     def test_dt_bounds(self):
-        s = VehicleState.at_rest([0, 0, 0])
+        y = state()
         j = np.eye(3) * 1e-2
         with pytest.raises(ValueError):
-            step_rk4(s, np.zeros(3), np.zeros(3), 1.0, j, 6e-3)
+            step(y, np.zeros(3), np.zeros(3), 1.0, j, 6e-3)
         with pytest.raises(ValueError):
-            step_rk4(s, np.zeros(3), np.zeros(3), 1.0, j, 0.0)
+            step(y, np.zeros(3), np.zeros(3), 1.0, j, 0.0)
 
     def test_nonfinite_detected(self):
-        s = VehicleState.at_rest([0, 0, 0])
+        y = state()
         j = np.eye(3) * 1e-2
         with pytest.raises(NonFinite):
-            step_rk4(s, np.array([np.nan, 0, 0]), np.zeros(3), 1.0, j, 1e-3)
+            step(y, np.array([np.nan, 0, 0]), np.zeros(3), 1.0, j, 1e-3)
 
     def test_nan_torque_detected(self):
-        s = VehicleState.at_rest([0, 0, 0])
+        y = state()
         j = np.eye(3) * 1e-2
         with pytest.raises(NonFinite):
-            step_rk4(s, np.zeros(3), np.array([0.0, np.nan, 0.0]), 1.0, j, 1e-3)
+            step(y, np.zeros(3), np.array([0.0, np.nan, 0.0]), 1.0, j, 1e-3)
 
     def test_nan_inertia_detected(self):
-        s = VehicleState.at_rest([0, 0, 0])
-        s.omega = np.array([1.0, 0.0, 0.0])
+        y = state(omega=[1.0, 0.0, 0.0])
         j = np.eye(3) * 1e-2
         j[0, 0] = np.nan
         with pytest.raises(NonFinite):
-            step_rk4(s, np.zeros(3), np.zeros(3), 1.0, j, 1e-3)
+            step(y, np.zeros(3), np.zeros(3), 1.0, j, 1e-3)
 
     def test_zero_quaternion_rejected(self):
-        s = VehicleState.at_rest([0, 0, 0])
-        s.q = np.zeros(4)
+        y = state(q=np.zeros(4))
         with pytest.raises(ValueError):
-            step_rk4(s, np.zeros(3), np.zeros(3), 1.0, np.eye(3) * 1e-2, 1e-3)
+            step(y, np.zeros(3), np.zeros(3), 1.0, np.eye(3) * 1e-2, 1e-3)
 
     def test_quaternion_stays_unit(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        s = VehicleState.at_rest([0, 0, 0])
-        s.omega = np.array([3.0, 2.0, -1.0])
+        y = state(omega=[3.0, 2.0, -1.0])
         for _ in range(500):
-            s = step_rk4(s, np.zeros(3), np.zeros(3), 1.0, j, 1e-3)
-            assert abs(np.linalg.norm(s.q) - 1.0) < 1e-9
+            y = step(y, np.zeros(3), np.zeros(3), 1.0, j, 1e-3)
+            assert abs(np.linalg.norm(y[Q]) - 1.0) < 1e-9
 

@@ -792,9 +792,10 @@ def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pa
                 theta = np.array([t1, t2, t3])
                 try:
                     total = adaptation.update_total(vehicle.mass,
-                                                    vehicle.inertia_about_com,
-                                                    vehicle.com, payload_mass,
-                                                    j_obj, offset, theta, geom)
+                                                    vehicle.inertia_about_com.ravel().tolist(),
+                                                    vehicle.com.tolist(), payload_mass,
+                                                    j_obj.ravel().tolist(), offset,
+                                                    theta.tolist(), geom)
                 except delta.KinematicsError:
                     continue
                 kk = np.diag(np.linalg.solve(vehicle.inertia_about_com,

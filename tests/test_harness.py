@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amsim import cli, metrics
 from amsim.adaptation import DobState, dob_step, update_total
@@ -184,6 +185,29 @@ class TestConfig:
                                               f"{re.escape(repr(bad))} has a non-finite number$"):
             parse_config(f"[{section}]\n{key} =\n    {row}\n    {bad}\n")
 
+    @pytest.mark.parametrize("table", ["trajectory", "arm", "wind"])
+    def test_non_finite_table_row_rejected_in_replace(self, table):
+        """A config derived with ``replace`` goes through the same row check as a file."""
+        cfg = load_config("gate_wind")
+        message = {"trajectory": "[trajectory] waypoints: row 'nan 0 0 1 0'",
+                   "arm": "[arm] waypoints: row 'nan 0 0 -0.16'",
+                   "wind": "[disturbances] wind: row 'nan 5 0 0'"}[table]
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)} has a non-finite number$"):
+            if table == "trajectory":
+                replace(cfg, trajectory=[(0.0, np.array([0.0, 0.0, 1.0]), 0.0),
+                                         (math.nan, np.array([0.0, 0.0, 1.0]), 0.0)])
+            elif table == "arm":
+                replace(cfg.arm, waypoints=[(math.nan, np.array([0.0, 0.0, -0.16]))])
+            else:
+                replace(cfg, wind=[(math.nan, (5, 0, 0)), (1.0, (0, 3, 0))])
+
+    def test_duplicate_row_times_rejected(self):
+        """Two rows at one time are an error in a file and through ``replace`` alike."""
+        with pytest.raises(ConfigError, match=r"^\[disturbances\] wind: duplicate timestamps$"):
+            parse_config("[disturbances]\nwind =\n    1 0 1 0\n    1 0 2 0\n")
+        with pytest.raises(ConfigError, match=r"^\[disturbances\] wind: duplicate timestamps$"):
+            replace(load_config("gate_wind"), wind=[(1.0, (0, 1, 0)), (1.0, (0, 2, 0))])
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_grasp_time_rejected(self, value):
         """A NaN grasp time would never attach the payload, and the run would exit 0."""
@@ -350,7 +374,29 @@ waypoints =
         assert log.events["infeasible_ticks"] > 0
         assert np.all(np.isfinite(log.data))
         rotors = log.columns("rotor1", "rotor2", "rotor3", "rotor4")
-        assert rotors.min() >= 0.0 and rotors.max() <= cfg.vehicle.rotor.max_thrust
+        assert rotors.min() >= 0.0 and rotors.max() <= cfg.vehicle.rotor.c_t
+
+
+class TestRunInvariants:
+    """grasp_estimate under payloads, grasp times and wind steps that no shipped
+    scenario uses, so that the float kernels see inputs outside the shipped runs."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(true_mass=st.floats(0.1, 0.6), grasp_time=st.floats(0.2, 0.6),
+           wind_time=st.floats(0.0, 1.5),
+           wind=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    def test_log_invariants(self, true_mass, grasp_time, wind_time, wind):
+        base = load_config("grasp_estimate")
+        cfg = replace(base, mode="iags", duration=1.5, wind=[(wind_time, wind)],
+                      obj=replace(base.obj, true_mass=true_mass, grasp_time=grasp_time))
+        log = run_scenario(cfg)
+        assert np.all(np.isfinite(log.data))
+        q = log.columns("qw", "qx", "qy", "qz")
+        assert np.abs(np.linalg.norm(q, axis=1) - 1.0).max() <= 1e-12
+        rotors = log.columns("rotor1", "rotor2", "rotor3", "rotor4")
+        assert rotors.min() >= 0.0 and rotors.max() <= cfg.vehicle.rotor.c_t
+        assert np.all(np.diff(log.column("latched")) >= 0.0)  # the latch never clears
+        assert log.column("m_obj_hat").min() >= 0.0
 
 
 class TestEstimateRefresh:
@@ -370,7 +416,9 @@ class TestEstimateRefresh:
         log = run_scenario(cfg)
         veh = cfg.vehicle
         am = InertialParams(veh.mass, veh.p_b, veh.j_a)
-        offset = np.array([0.0, 0.0, -cfg.est.suction_pad])
+        offset = (0.0, 0.0, -cfg.est.suction_pad)
+        am_j, am_com = am.inertia_about_com.ravel().tolist(), am.com.tolist()
+        j_tilde = (np.eye(3) * 1e-8).ravel().tolist()
         latch = int(round(log.events["latch_time"] / cfg.sim_dt))
         every = cfg.steps_per(cfg.control_hz)
         rows = range(latch + (-latch) % every, log.data.shape[0], every)
@@ -381,8 +429,8 @@ class TestEstimateRefresh:
         est = log.columns("m_t_hat", "ctx_hat", "cty_hat", "ctz_hat",
                           "jtx_hat", "jty_hat", "jtz_hat", "kk_x", "kk_y", "kk_z")
         for k in rows:
-            tot = update_total(am.mass, am.inertia_about_com, am.com, m_obj[k],
-                               np.eye(3) * 1e-8, offset, theta[k], cfg.arm.geom)
+            tot = update_total(am.mass, am_j, am_com, float(m_obj[k]), j_tilde, offset,
+                               theta[k].tolist(), cfg.arm.geom)
             kk = np.diag(iags_gain(veh.j_a, tot.j_t_hat))
             want = [tot.m_t_hat, *tot.c_t, *tot.j_t_hat[::4], *kk]
             assert est[k].tolist() == [float(v) for v in want]
@@ -510,7 +558,7 @@ class TestModeEstimate:
             assert m_tilde > 0.0 and np.all(m_obj[latch:] == m_tilde)
         else:
             row = dict(zip(log.names, log.data[latch].tolist()))
-            R = quat_to_rot([row["qw"], row["qx"], row["qy"], row["qz"]], flat=True)
+            R = quat_to_rot([row["qw"], row["qx"], row["qy"], row["qz"]])
             thrust = row["rotor1"] + row["rotor2"] + row["rotor3"] + row["rotor4"]
             acc = [R[2] * thrust / row["m_t_true"], R[5] * thrust / row["m_t_true"],
                    -cfg.g + R[8] * thrust / row["m_t_true"]]
@@ -575,8 +623,6 @@ class TestMetrics:
                        jtx_hat=np.ones(10), jty_hat=np.ones(10), jtz_hat=np.ones(10),
                        jtx_true=np.ones(10), jty_true=np.ones(10), jtz_true=np.ones(10))
         assert metrics.declare_convergence(log)["mass"] is None
-        with pytest.raises(metrics.NeverConverged):
-            metrics.declare_convergence(log, strict=True)
 
     @pytest.mark.parametrize("tail", [[math.nan] * 5, [1.0, 1.0, math.nan, math.nan, math.nan]])
     def test_nan_estimate_never_converges(self, tail):
@@ -588,8 +634,6 @@ class TestMetrics:
                        jtx_hat=m_hat, jty_hat=ones, jtz_hat=ones,
                        jtx_true=ones, jty_true=ones, jtz_true=ones)
         assert metrics.declare_convergence(log) == {"mass": None, "moi": None, "com": None}
-        with pytest.raises(metrics.NeverConverged, match="mass, moi, com"):
-            metrics.declare_convergence(log, strict=True)
 
     def test_compare_self_zero_deltas(self):
         t = np.arange(50) * 0.01

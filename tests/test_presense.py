@@ -12,6 +12,13 @@ from amsim.spatial import InertialParams
 from conftest import random_rotation
 
 
+def catalog_file(tmp_path, text: str) -> str:
+    """A catalog file holding ``text``, for ``load_catalog``."""
+    path = tmp_path / "priors.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def rot_z(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -48,8 +55,7 @@ class TestFitObb:
             fit_obb(np.zeros((5, 3)))
 
     def test_contains_all_points(self, rng):
-        pts = sample_box_cloud([0.15, 0.12, 0.07], 2000, rng,
-                               rotation=rot_z(0.6), center=[1.0, -2.0, 0.5])
+        pts = sample_box_cloud([0.15, 0.12, 0.07], 2000, rng) @ rot_z(0.6).T + [1.0, -2.0, 0.5]
         box = fit_obb(pts)
         local = (pts - box.center) @ box.rotation
         half = np.array(box.dims) / 2.0
@@ -57,7 +63,7 @@ class TestFitObb:
 
     def test_box_volume_bounds_hull(self, rng):
         scipy_spatial = pytest.importorskip("scipy.spatial")
-        pts = sample_box_cloud([0.2, 0.15, 0.1], 3000, rng, rotation=rot_z(0.3))
+        pts = sample_box_cloud([0.2, 0.15, 0.1], 3000, rng) @ rot_z(0.3).T
         box = fit_obb(pts)
         hull = scipy_spatial.ConvexHull(pts)
         assert np.prod(box.dims) >= hull.volume
@@ -114,9 +120,8 @@ class TestFitObbReference:
 
     @pytest.mark.parametrize("n", [50, 2000, 20000])
     def test_posed_box_bitwise(self, rng, n):
-        self.check(sample_box_cloud([0.15, 0.12, 0.07], n, rng,
-                                    rotation=random_rotation(rng),
-                                    center=[1.0, -2.0, 0.5]))
+        rotation = random_rotation(rng)
+        self.check(sample_box_cloud([0.15, 0.12, 0.07], n, rng) @ rotation.T + [1.0, -2.0, 0.5])
 
     @staticmethod
     def check(pts):
@@ -236,15 +241,15 @@ class TestCatalog:
         with pytest.raises(UnknownLabel):
             prior_for("submarine", load_catalog())
 
-    def test_duplicate_labels_rejected(self):
+    def test_duplicate_labels_rejected(self, tmp_path):
         text = "a | 1.0 | 1 1 1 | 100\nA | 1.0 | 1 1 1 | 100\n"
         with pytest.raises(CatalogError):
-            load_catalog(text)
+            load_catalog(catalog_file(tmp_path, text))
 
-    def test_malformed_line_rejected(self):
+    def test_malformed_line_rejected(self, tmp_path):
         with pytest.raises(CatalogError):
-            load_catalog("just some words\n")
+            load_catalog(catalog_file(tmp_path, "just some words\n"))
 
-    def test_bad_prior_values_rejected(self):
+    def test_bad_prior_values_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            load_catalog("x | 1.5 | 1 1 1 | 100\n")  # beta > 1
+            load_catalog(catalog_file(tmp_path, "x | 1.5 | 1 1 1 | 100\n"))  # beta > 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (lattice_inertia, quat_mul, random_body, random_rotation, ref_composite,
-                      ref_rot_to_quat, rot_to_quat_case)
+                      ref_rot_to_quat, rot_matrix, rot_to_quat_case)
 
 from amsim.spatial import (InertialParams, box_inertia, compose_inertia, composite,
                            cross3, cylinder_inertia, inverse3, parallel_axis,
@@ -204,26 +204,31 @@ class TestQuaternions:
             q = np.array(unit_quat(*q))
             if q[0] < 0:
                 q = -q
-            q2 = rot_to_quat(quat_to_rot(q))
+            q2 = rot_to_quat(quat_to_rot(q.tolist()))
             np.testing.assert_allclose(q2, q, atol=1e-12)
 
     def test_rotation_action_preserved(self, rng):
         for _ in range(20):
             q = np.array(unit_quat(*rng.standard_normal(4)))
-            R1 = quat_to_rot(q)
+            R1 = quat_to_rot(q.tolist())
             R2 = quat_to_rot(rot_to_quat(R1))
             np.testing.assert_allclose(R1, R2, atol=1e-12)
 
     def test_flat_rotation_matches_matrix(self, rng):
         for _ in range(20):
             q = rng.standard_normal(4) * rng.uniform(0.1, 10.0)
-            R = quat_to_rot(q)
-            assert quat_to_rot(tuple(q), flat=True) == tuple(R.ravel())
+            flat = quat_to_rot(tuple(q.tolist()))
+            assert type(flat) is tuple and len(flat) == 9
+            assert all(type(v) is float for v in flat)
+            R = np.reshape(flat, (3, 3))  # row-major: R v rotates v as q v q* does
+            qn, v = q / np.linalg.norm(q), rng.standard_normal(3)
+            rotated = quat_mul(quat_mul(qn, [0.0, *v]), qn * [1.0, -1.0, -1.0, -1.0])
+            np.testing.assert_allclose(R @ v, rotated[1:], atol=1e-12)
             np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-14)
 
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
-            quat_to_rot(np.zeros(4))
+            quat_to_rot((0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             unit_quat(0.0, 0.0, 0.0, 0.0)
 
@@ -236,22 +241,21 @@ class TestQuaternions:
                 u = axis + 0.05 * rng.standard_normal(3)
                 u /= np.linalg.norm(u)
                 half = 0.5 * (math.pi - rng.uniform(0.0, 0.3))
-                rots.append(quat_to_rot(np.array([math.cos(half), *(math.sin(half) * u)])))
+                rots.append(rot_matrix([math.cos(half), *(math.sin(half) * u)]))
         cases = set()
         for R in rots:
             cases.add(rot_to_quat_case(R))
-            got = rot_to_quat(R)
+            got = rot_to_quat(tuple(R.ravel().tolist()))
             assert isinstance(got, tuple) and all(type(v) is float for v in got)
             np.testing.assert_allclose(got, ref_rot_to_quat(R), rtol=0.0, atol=1e-12)
-            assert rot_to_quat(tuple(R.ravel().tolist())) == got  # flat input
         assert cases == {0, 1, 2, 3}
 
     def test_rot_to_quat_nan_passes(self):
         R = np.eye(3)
         R[1, 2] = np.nan
         assert np.all(np.isnan(ref_rot_to_quat(np.full((3, 3), np.nan))))
-        assert np.all(np.isnan(rot_to_quat(np.full((3, 3), np.nan))))
-        assert np.isnan(rot_to_quat(R)[1])
+        assert np.all(np.isnan(rot_to_quat((math.nan,) * 9)))
+        assert np.isnan(rot_to_quat(R.ravel().tolist())[1])
 
     def test_mul_identity(self):
         q = np.array(unit_quat(0.3, -0.2, 0.8, 0.1))
@@ -263,16 +267,19 @@ class TestInverse3:
     def test_matches_numpy(self, rng):
         for _ in range(50):
             m = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-            got = np.array(inverse3(m)).reshape(3, 3)
+            got = np.array(inverse3(m.ravel().tolist())).reshape(3, 3)
             np.testing.assert_allclose(got, np.linalg.inv(m), rtol=1e-12, atol=1e-14)
 
     def test_accepts_row_major_floats(self):
         j = [2.0, 0.1, 0.0, 0.1, 3.0, 0.2, 0.0, 0.2, 4.0]
-        assert inverse3(j) == inverse3(np.array(j).reshape(3, 3))
+        got = inverse3(j)
+        assert type(got) is list and len(got) == 9 and all(type(v) is float for v in got)
+        np.testing.assert_allclose(np.reshape(got, (3, 3)) @ np.reshape(j, (3, 3)), np.eye(3),
+                                   rtol=0.0, atol=1e-15)
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
-            inverse3(np.ones((3, 3)))
+            inverse3([1.0] * 9)
 
 
 class TestInertialParamsValidation:
