@@ -52,7 +52,7 @@ class TotalInertia:
 
 
 def dob_step(st: DobState, accel_w, R, thrust_body, m_a: float, c: float,
-             dt: float, g: float = 9.81, force_lpf_hz: float = 50.0) -> DobState:
+             dt: float, g: float, force_lpf_hz: float) -> DobState:
     """One observer tick from world acceleration, attitude, and total thrust.
 
     ``accel_w`` and ``thrust_body`` are three floats and ``R``, the body-to-world

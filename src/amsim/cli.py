@@ -119,12 +119,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_margins(args) -> int:
     cfg = _load_cfg(args.config)
-    j_diag = np.diag(cfg.vehicle.j_a)
     rotor = cfg.vehicle.rotor
     reps = freqdom.margins_stack([freqdom.open_loop_tf(
         cfg.gains.rate_kp[axis], cfg.gains.rate_ki[axis], cfg.gains.rate_kd[axis],
         k_k=args.kk_scale, k_m=rotor.k_m, tau_m=rotor.tau_m,
-        j=float(j_diag[axis]) * args.j_scale) for axis in range(3)])
+        j=cfg.vehicle.j_a[axis][axis] * args.j_scale) for axis in range(3)])
     print(f"{'axis':<6} {'PM (deg)':>10} {'GM (dB)':>10} {'w_gc (rad/s)':>14} "
           f"{'w_pc (rad/s)':>14}")
     for label, rep in zip("xyz", reps):

@@ -5,7 +5,9 @@ Sections: [run], [rates], [vehicle], [arm], [gains], [estimation], [object]
 numbers; waypoint/wind tables are one row per line in multiline values.
 The dataclasses below write every default once, so a minimal file needs only
 what it changes; ``_KEYS`` maps each key onto the field it sets. Configs are
-frozen and checked when built: derive a variant with ``dataclasses.replace``.
+frozen and checked when built, and hold no mutable value: a vector is a tuple
+of floats, a matrix a tuple of row tuples and a table a tuple of rows. Derive
+a variant with ``dataclasses.replace``, which runs the same checks.
 """
 from __future__ import annotations
 
@@ -19,26 +21,44 @@ from importlib import resources
 import numpy as np
 
 from .controller import Gains
-from .delta import DeltaGeometry
+from .delta import DeltaGeometry, KinematicsError, inverse_kin
 from .dynamics import RotorConfig
-from .spatial import box_inertia, cylinder_inertia
+from .presense import ObjectPrior
+from .spatial import (ConfigError, _validate_inertia, as_floats, box_inertia,
+                      cylinder_inertia)
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent scenario configuration."""
-
-
-def _check_rows(where: str, rows) -> None:
-    """Table rows (t, xyz[, scalar]) hold finite numbers only, at distinct times:
-    a NaN time would sort anywhere, and a NaN wind start switches off every later row."""
+def _table(where: str, rows, columns: str) -> tuple:
+    """Table rows as float tuples ``(t, (x, y, z), *scalars)`` in time order.
+    Each row holds exactly the ``columns`` named, all finite, at a distinct
+    time: a NaN time would sort anywhere, and a NaN wind start switches off
+    every later row."""
+    out = []
     for row in rows:
-        vals = (row[0], *row[1], *row[2:])
-        if not all(map(math.isfinite, vals)):
-            text = " ".join(f"{float(v):g}" for v in vals)
+        try:
+            t, xyz, *rest = row
+            t, xyz, rest = float(t), tuple(map(float, xyz)), tuple(map(float, rest))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: row {row!r} is not {columns}") from None
+        text = " ".join(f"{v:g}" for v in (t, *xyz, *rest))
+        if len(xyz) != 3 or 4 + len(rest) != len(columns.split()):
+            raise ConfigError(f"{where}: row {text!r} is not {columns}")
+        if not all(map(math.isfinite, (t, *xyz, *rest))):
             raise ConfigError(f"{where}: row {text!r} has a non-finite number")
-    times = [row[0] for row in rows]
+        out.append((t, xyz, *rest))
+    times = [row[0] for row in out]
     if len(set(times)) != len(times):
         raise ConfigError(f"{where}: duplicate timestamps")
+    return tuple(sorted(out, key=lambda row: row[0]))
+
+
+def _inertia(j, name: str) -> tuple:
+    """A rigid body's inertia tensor ``j`` (three rows), checked and symmetrized."""
+    try:
+        j = _validate_inertia(np.array(j, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return tuple(map(tuple, j.tolist()))
 
 
 MODES = ("baseline", "iags", "iags+dob", "pre-only", "dob-only")
@@ -50,30 +70,42 @@ _MODE_ALIASES = {"iags+dob": "iags"}
 @dataclass(frozen=True)
 class VehicleConfig:
     mass: float = 1.379
-    j_a: np.ndarray = field(default_factory=lambda: np.diag([9.2e-3, 10.5e-3, 14.7e-3]))
-    p_b: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.03]))
+    j_a: tuple = ((9.2e-3, 0.0, 0.0), (0.0, 10.5e-3, 0.0), (0.0, 0.0, 14.7e-3))
+    p_b: tuple = (0.0, 0.0, 0.03)
     rotor: RotorConfig = field(default_factory=RotorConfig.x_config)
     accel_noise: float = 0.02
     gyro_noise: float = 0.002
+
+    def __post_init__(self):
+        as_floats([self.mass], 1, "[vehicle] mass", "positive")
+        as_floats([self.accel_noise, self.gyro_noise], 2, "[vehicle] accel_noise, gyro_noise",
+                  "non-negative")
+        object.__setattr__(self, "p_b", as_floats(self.p_b, 3, "[vehicle] p_b"))
+        object.__setattr__(self, "j_a", _inertia(self.j_a, "[vehicle] inertia"))
 
 
 @dataclass(frozen=True)
 class ArmConfig:
     geom: DeltaGeometry = field(default_factory=DeltaGeometry)
-    k_theta: np.ndarray = field(default_factory=lambda: np.array([20.0, 20.0, 20.0]))
+    k_theta: tuple = (20.0, 20.0, 20.0)
     rate_limit: float = 6.0
-    home: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -0.16]))
-    waypoints: list = field(default_factory=list)  # [(t, xyz)]
+    home: tuple = (0.0, 0.0, -0.16)
+    waypoints: tuple = ()  # ((t, xyz), ...)
 
     def __post_init__(self):
         # the servo loop's float clamps rely on these, so they are checked once here
-        k = np.asarray(self.k_theta, dtype=float)
-        if not np.all(k >= 0.0) or not np.all(np.isfinite(k)):
-            raise ConfigError("[arm] k_theta entries must be non-negative and finite")
+        object.__setattr__(self, "k_theta", as_floats(self.k_theta, 3, "[arm] k_theta",
+                                                      "non-negative"))
         if not self.rate_limit >= 0.0:
             raise ConfigError("[arm] servo_rate_limit must be non-negative, "
                               f"got {self.rate_limit}")
-        _check_rows("[arm] waypoints", self.waypoints)
+        object.__setattr__(self, "home", as_floats(self.home, 3, "[arm] home"))
+        try:  # the arm starts at home
+            inverse_kin(self.geom, self.home)
+        except KinematicsError as exc:
+            raise ConfigError(f"[arm] home {list(self.home)} is out of reach: {exc}") from None
+        object.__setattr__(self, "waypoints",
+                           _table("[arm] waypoints", self.waypoints, "t x y z"))
 
 
 @dataclass(frozen=True)
@@ -82,35 +114,42 @@ class ObjectConfig:
     label: str | None = None
     shape: str = "box"  # box | cylinder
     # box: lx ly lz; cylinder: d d h (axis vertical)
-    dims: np.ndarray = field(default_factory=lambda: np.array([0.1, 0.1, 0.1]))
-    true_inertia: np.ndarray | None = None  # about CoM, grasped orientation
+    dims: tuple = (0.1, 0.1, 0.1)
+    true_inertia: tuple | None = None  # about CoM, grasped orientation
     grasp_time: float = 1.0
     # inline prior, used instead of the catalog entry of the label when prior_rho is set
     prior_beta: float = 1.0
-    prior_alpha: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0, 1.0]))
+    prior_alpha: tuple = (1.0, 1.0, 1.0)
     prior_rho: float | None = None
+    # derived from the fields above when built: ``true_inertia``, or else that of
+    # the solid shape of ``dims`` and ``true_mass``; and the inline prior, if any
+    inertia: tuple = field(init=False, repr=False, compare=False)
+    prior: ObjectPrior | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.true_mass > 0.0:
-            raise ConfigError("[object] true_mass must be positive")
-        if not math.isfinite(self.grasp_time):
-            raise ConfigError(f"[object] grasp_time must be finite, got {self.grasp_time}")
+        as_floats([self.true_mass], 1, "[object] true_mass", "positive")
+        as_floats([self.grasp_time], 1, "[object] grasp_time")
         if not self.label and self.prior_rho is None:
             raise ConfigError("[object] needs a label or an inline prior_*")
         if self.shape not in ("box", "cylinder"):
             raise ConfigError(f"[object] unknown shape {self.shape!r}")
-        dims = np.asarray(self.dims, dtype=float)
-        if not np.all((dims > 0.0) & np.isfinite(dims)):
-            raise ConfigError(f"[object] dims must be positive and finite, got {dims.tolist()}")
-
-    @property
-    def inertia(self) -> np.ndarray:
-        """``true_inertia``, or else that of the solid shape of ``dims`` and ``true_mass``."""
+        object.__setattr__(self, "dims", as_floats(self.dims, 3, "[object] dims", "positive"))
         if self.true_inertia is not None:
-            return self.true_inertia
-        if self.shape == "box":
-            return box_inertia(self.true_mass, self.dims)
-        return cylinder_inertia(self.true_mass, 0.5 * self.dims[0], self.dims[2])
+            object.__setattr__(self, "true_inertia",
+                               _inertia(self.true_inertia, "[object] true_inertia"))
+        solid = (box_inertia(self.true_mass, self.dims) if self.shape == "box"
+                 else cylinder_inertia(self.true_mass, 0.5 * self.dims[0], self.dims[2]))
+        object.__setattr__(self, "inertia",
+                           self.true_inertia or _inertia(solid, "[object] inertia"))
+        object.__setattr__(self, "prior_alpha",
+                           as_floats(self.prior_alpha, 3, "[object] prior_alpha"))
+        if self.prior_rho is not None:
+            try:
+                object.__setattr__(self, "prior", ObjectPrior(
+                    label=self.label or "inline", beta=self.prior_beta,
+                    alpha=self.prior_alpha, rho=self.prior_rho))
+            except ValueError as exc:
+                raise ConfigError(f"[object] inline prior: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -125,9 +164,7 @@ class EstimationConfig:
 
     def __post_init__(self):
         for name in ("grasp_threshold", "grasp_persistence", "dob_c", "force_lpf_hz"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"[estimation] {name} must be positive and finite, got {value}")
+            as_floats([getattr(self, name)], 1, f"[estimation] {name}", "positive")
         if self.cloud_points < 10:
             raise ConfigError(f"[estimation] cloud_points must be >= 10, got {self.cloud_points}")
         if not 0.0 <= self.suction_pad < math.inf:
@@ -152,9 +189,8 @@ class ScenarioConfig:
     obj: ObjectConfig | None = None
     gains: Gains = field(default_factory=Gains)
     est: EstimationConfig = field(default_factory=EstimationConfig)
-    trajectory: list = field(  # [(t, xyz, yaw)]
-        default_factory=lambda: [(0.0, np.array([0.0, 0.0, 1.0]), 0.0)])
-    wind: list = field(default_factory=list)  # [(t, fxyz)], piecewise constant from each t
+    trajectory: tuple = ((0.0, (0.0, 0.0, 1.0), 0.0),)  # ((t, xyz, yaw), ...)
+    wind: tuple = ()  # ((t, fxyz), ...), piecewise constant from each t
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _MODE_ALIASES.get(self.mode, self.mode))
@@ -162,20 +198,16 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "trajectory",
+                           _table("[trajectory] waypoints", self.trajectory, "t x y z yaw"))
         if not self.trajectory:
             raise ConfigError("[trajectory] waypoints needs at least one row")
-        _check_rows("[trajectory] waypoints", self.trajectory)
-        _check_rows("[disturbances] wind", self.wind)
+        object.__setattr__(self, "wind", _table("[disturbances] wind", self.wind, "t fx fy fz"))
         if not (0.0 < self.duration < math.inf and 0.0 < self.sim_dt < math.inf):
             raise ConfigError("duration and sim_dt must be positive and finite")
         if not 0.0 <= self.eval_start < math.inf:
             raise ConfigError(f"[run] eval_start must be finite and >= 0, got {self.eval_start}")
-        if not 0.0 < self.g < math.inf:
-            raise ConfigError(f"[vehicle] g must be positive and finite, got {self.g}")
-        # the engine looks the wind up by time: (float, three floats) rows in start order
-        object.__setattr__(self, "wind", sorted(
-            ((float(t), tuple(np.asarray(f, dtype=float).reshape(3).tolist()))
-             for t, f in self.wind), key=lambda row: row[0]))
+        as_floats([self.g], 1, "[vehicle] g", "positive")
         if round(self.duration / self.sim_dt) < 1:
             raise ConfigError(f"duration {self.duration:g} s rounds to no physics "
                               f"step of {self.sim_dt:g} s")
@@ -192,15 +224,12 @@ class ScenarioConfig:
         return int(round(1.0 / (self.sim_dt * hz)))
 
 
-def _vec3(text: str) -> np.ndarray:
-    vals = np.array([float(v) for v in text.split()])
-    if vals.shape != (3,):
-        raise ValueError(f"expected 3 numbers, got {vals.size}")
-    return vals
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split()]
 
 
 def _mat3(text: str) -> np.ndarray:
-    vals = [float(v) for v in text.split()]
+    vals = _floats(text)
     if len(vals) == 3:
         return np.diag(vals)
     if len(vals) == 9:
@@ -208,28 +237,9 @@ def _mat3(text: str) -> np.ndarray:
     raise ValueError("expected 3 (diagonal) or 9 (row-major) numbers")
 
 
-def _rows(text: str, n_cols: int) -> list:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        vals = [float(v) for v in line.split()]
-        if len(vals) != n_cols:
-            raise ValueError(f"each row needs {n_cols} numbers")
-        rows.append(vals)
-    rows.sort(key=lambda r: r[0])
-    return rows
-
-
-def _points(text: str) -> list:
-    """Rows of t x y z, as [(t, xyz)]."""
-    return [(r[0], np.array(r[1:4])) for r in _rows(text, 4)]
-
-
-def _poses(text: str) -> list:
-    """Rows of t x y z yaw, as [(t, xyz, yaw)]."""
-    return [(r[0], np.array(r[1:4]), r[4]) for r in _rows(text, 5)]
+def _rows(text: str) -> list:
+    """Table rows, one a line, as [t, [x, y, z], *rest]; the config checks their widths."""
+    return [[r[0], r[1:4], *r[4:]] for r in map(_floats, text.splitlines()) if r]
 
 
 def _fields(part: str, **parsers) -> dict:
@@ -248,7 +258,7 @@ _KEYS = {
     "rates": _fields("scenario", sim_dt=float, control_hz=int, dob_hz=int, servo_hz=int),
     "vehicle": {
         **_fields("scenario", g=float),
-        **_fields("vehicle", mass=float, p_b=_vec3, accel_noise=float, gyro_noise=float),
+        **_fields("vehicle", mass=float, p_b=_floats, accel_noise=float, gyro_noise=float),
         "inertia": ("vehicle", "j_a", _mat3),
         **_fields("rotor", rotor_height=float, c_t=float, k_tau=float, k_m=float,
                   tau_m=float),
@@ -259,19 +269,19 @@ _KEYS = {
                   theta_max=float),
         "upper_arm": ("geom", "upper_arm_len", float),
         "forearm": ("geom", "forearm_len", float),
-        **_fields("arm", k_theta=_vec3, home=_vec3, waypoints=_points),
+        **_fields("arm", k_theta=_floats, home=_floats, waypoints=_rows),
         "servo_rate_limit": ("arm", "rate_limit", float),
     },
-    "gains": _fields("gains", k_pos=_vec3, k_vel=_vec3, k_att=_vec3, rate_kp=_vec3,
-                     rate_ki=_vec3, rate_kd=_vec3, d_lpf_hz=float, i_limit=float),
+    "gains": _fields("gains", k_pos=_floats, k_vel=_floats, k_att=_floats, rate_kp=_floats,
+                     rate_ki=_floats, rate_kd=_floats, d_lpf_hz=float, i_limit=float),
     "estimation": _fields("est", grasp_threshold=float, grasp_persistence=float,
                           dob_c=float, force_lpf_hz=float, cloud_points=int,
                           suction_pad=float, catalog=str),
-    "object": _fields("obj", label=str, shape=str, dims=_vec3, true_mass=float,
+    "object": _fields("obj", label=str, shape=str, dims=_floats, true_mass=float,
                       true_inertia=_mat3, grasp_time=float, prior_beta=float,
-                      prior_alpha=_vec3, prior_rho=float),
-    "trajectory": {"waypoints": ("scenario", "trajectory", _poses)},
-    "disturbances": {"wind": ("scenario", "wind", _points)},
+                      prior_alpha=_floats, prior_rho=float),
+    "trajectory": {"waypoints": ("scenario", "trajectory", _rows)},
+    "disturbances": {"wind": ("scenario", "wind", _rows)},
 }
 
 
@@ -307,9 +317,7 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
             arm=ArmConfig(geom=DeltaGeometry(**geom), **kw["arm"]),
             obj=ObjectConfig(**kw["obj"]) if cp.has_section("object") else None,
             gains=Gains(**kw["gains"]), est=EstimationConfig(**kw["est"]), **kw["scenario"])
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # a ConfigError too, keeping its message
         raise ConfigError(str(exc)) from exc
 
 

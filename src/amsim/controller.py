@@ -3,38 +3,36 @@ loop, inertia-scheduled angular-rate PID, and thrust allocation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .adaptation import lowpass_alpha
 from .dynamics import RotorConfig, torque_matrix
-from .spatial import cross3, quat_to_rot, rot_to_quat
+from .spatial import ConfigError, as_floats, cross3, quat_to_rot, rot_to_quat
 
 
 @dataclass(frozen=True)
 class Gains:
-    k_pos: np.ndarray = field(default_factory=lambda: np.array([4.0, 4.0, 3.0]))
-    k_vel: np.ndarray = field(default_factory=lambda: np.array([3.5, 3.4, 3.0]))
-    k_att: np.ndarray = field(default_factory=lambda: np.array([6.0, 6.0, 3.0]))
-    rate_kp: np.ndarray = field(default_factory=lambda: np.array([0.15, 0.15, 0.2]))
-    rate_ki: np.ndarray = field(default_factory=lambda: np.array([0.2, 0.2, 0.1]))
-    rate_kd: np.ndarray = field(default_factory=lambda: np.array([0.003, 0.003, 0.0]))
+    k_pos: tuple = (4.0, 4.0, 3.0)
+    k_vel: tuple = (3.5, 3.4, 3.0)
+    k_att: tuple = (6.0, 6.0, 3.0)
+    rate_kp: tuple = (0.15, 0.15, 0.2)
+    rate_ki: tuple = (0.2, 0.2, 0.1)
+    rate_kd: tuple = (0.003, 0.003, 0.0)
     d_lpf_hz: float = 40.0
     i_limit: float = 0.3  # N*m clamp on the integral torque contribution
 
     def __post_init__(self):
         for name in ("k_pos", "k_vel", "k_att", "rate_kp", "rate_ki", "rate_kd"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(3).copy()
-            if not np.all(v >= 0.0) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} entries must be non-negative and finite")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, as_floats(getattr(self, name), 3, f"[gains] {name}",
+                                                     "non-negative"))
         # the rate loop's float clamps rely on these, so they are checked once here
         if not self.i_limit >= 0.0:
-            raise ValueError(f"i_limit must be non-negative, got {self.i_limit}")
+            raise ConfigError(f"[gains] i_limit must be non-negative, got {self.i_limit}")
         if not self.d_lpf_hz > 0.0:
-            raise ValueError(f"d_lpf_hz must be positive, got {self.d_lpf_hz}")
+            raise ConfigError(f"[gains] d_lpf_hz must be positive, got {self.d_lpf_hz}")
 
 
 def position_loop(p_des, v_des, p, v, m_t_hat: float, gains: Gains, a_ff, yaw_des: float,
@@ -49,8 +47,8 @@ def position_loop(p_des, v_des, p, v, m_t_hat: float, gains: Gains, a_ff, yaw_de
     0.1 g along its direction and the free-fall flag is raised. Vectors are
     three floats; returns (thrust, q_des as four floats, free-fall flag).
     """
-    kp0, kp1, kp2 = gains.k_pos.tolist()
-    kv0, kv1, kv2 = gains.k_vel.tolist()
+    kp0, kp1, kp2 = gains.k_pos
+    kv0, kv1, kv2 = gains.k_vel
     a0 = kp0 * (p_des[0] - p[0]) + kv0 * (v_des[0] - v[0])
     a1 = kp1 * (p_des[1] - p[1]) + kv1 * (v_des[1] - v[1])
     a2 = kp2 * (p_des[2] - p[2]) + kv2 * (v_des[2] - v[2]) + g
@@ -104,9 +102,9 @@ def attitude_loop(q_des, R, k_att) -> tuple:
 def iags_gain(j_a, j_t_hat) -> np.ndarray:
     """Inertia-scheduled rate-loop gain matrix: J_a^-1 @ J_t_hat.
 
-    ``j_a`` is the vehicle's 3x3 inertia and ``j_t_hat`` the nine row-major
-    floats of ``TotalInertia``. Identity when the estimated total inertia
-    equals the bare vehicle's, so the scheduled loop reduces to the
+    ``j_a`` is the vehicle's inertia as three rows and ``j_t_hat`` the nine
+    row-major floats of ``TotalInertia``. Identity when the estimated total
+    inertia equals the bare vehicle's, so the scheduled loop reduces to the
     fixed-gain one in the unloaded state.
     """
     return np.linalg.solve(j_a, np.reshape(j_t_hat, (3, 3)))
@@ -123,8 +121,7 @@ class RateLoop:
 
     def __init__(self, gains: Gains):
         self.gains = gains
-        self._kp, self._ki, self._kd = (tuple(v.tolist()) for v in
-                                        (gains.rate_kp, gains.rate_ki, gains.rate_kd))
+        self._kp, self._ki, self._kd = gains.rate_kp, gains.rate_ki, gains.rate_kd
         self._lim = gains.i_limit
         self._dt = self._alpha = None  # the D filter's blend at the last tick's dt
         self.reset()

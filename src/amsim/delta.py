@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import cross3
+from .spatial import as_floats, cross3
 
 
 class KinematicsError(Exception):
@@ -52,12 +52,11 @@ class DeltaGeometry:
 
     def __post_init__(self):
         for name in ("base_radius", "platform_radius", "upper_arm_len", "forearm_len"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            as_floats([getattr(self, name)], 1, name, "positive")
         if self.forearm_len <= abs(self.base_radius - self.platform_radius):
             raise ValueError("forearm_len too short for a non-degenerate workspace")
-        if len(self.arm_azimuths) != 3:
-            raise ValueError("exactly three arm azimuths required")
+        object.__setattr__(self, "arm_azimuths", as_floats(self.arm_azimuths, 3, "arm_azimuths"))
+        object.__setattr__(self, "joint_limits", as_floats(self.joint_limits, 2, "joint_limits"))
         lo, hi = self.joint_limits
         if not lo < hi:
             raise ValueError("joint_limits must satisfy lo < hi")
@@ -228,7 +227,7 @@ def joint_command(geom: DeltaGeometry, target_p, target_v, current: JointState,
 
 
 def servo_step(geom: DeltaGeometry, st: JointState, theta_dot_cmd, dt: float,
-               rate_limit: float = 6.0) -> JointState:
+               rate_limit: float) -> JointState:
     """Advance the servo model one tick: rate-limited tracking of the command.
 
     ``rate_limit`` must be non-negative (checked where the config is built);

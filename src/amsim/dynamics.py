@@ -9,9 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .spatial import quat_to_rot, unit_quat
+from .spatial import ConfigError, as_floats, quat_to_rot, unit_quat
 
 
 class NonFinite(RuntimeError):
@@ -23,22 +21,23 @@ MAX_STEP = 5e-3
 
 @dataclass(frozen=True)
 class RotorConfig:
-    positions: np.ndarray  # (4,3) rotor centers in body frame (m)
-    spin_dirs: np.ndarray  # (4,) +1 / -1
+    positions: tuple       # four (x, y, z) rotor centers in body frame (m)
+    spin_dirs: tuple       # four of +1 / -1
     c_t: float = 18.1712   # N at unit normalized speed (squared-speed thrust model)
     k_tau: float = 0.0136  # yaw drag torque per newton of thrust (m)
     k_m: float = 1.0       # motor steady-state gain
     tau_m: float = 0.02    # motor time constant (s)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(4, 3).copy()
-        spins = np.asarray(self.spin_dirs, dtype=float).reshape(4).copy()
-        if self.c_t <= 0.0 or self.tau_m <= 0.0:
-            raise ValueError("c_t and tau_m must be positive")
-        if not np.all(np.abs(spins) == 1.0):
-            raise ValueError("spin_dirs must be +1 or -1")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "spin_dirs", spins)
+        object.__setattr__(self, "spin_dirs", as_floats(self.spin_dirs, 4, "spin_dirs"))
+        object.__setattr__(self, "positions", tuple(as_floats(p, 3, "rotor positions")
+                                                    for p in self.positions))
+        if len(self.positions) != 4:
+            raise ConfigError(f"rotor positions needs 4 rows, got {len(self.positions)}")
+        as_floats([self.c_t, self.tau_m], 2, "c_t, tau_m", "positive")
+        as_floats([self.k_tau, self.k_m], 2, "k_tau, k_m")
+        if not all(abs(s) == 1.0 for s in self.spin_dirs):
+            raise ConfigError("spin_dirs must be +1 or -1")
 
     @classmethod
     def x_config(cls, arm_length: float = 0.12, rotor_height: float = 0.0,
@@ -46,9 +45,8 @@ class RotorConfig:
         """Standard X quad: rotors at +-45 deg, arm_length from center to rotor."""
         a = arm_length / math.sqrt(2.0)
         h = rotor_height
-        positions = np.array([[a, a, h], [-a, a, h], [-a, -a, h], [a, -a, h]])
-        spin_dirs = np.array([-1.0, 1.0, -1.0, 1.0])
-        return cls(positions=positions, spin_dirs=spin_dirs, **kwargs)
+        return cls(positions=((a, a, h), (-a, a, h), (-a, -a, h), (a, -a, h)),
+                   spin_dirs=(-1.0, 1.0, -1.0, 1.0), **kwargs)
 
 
 def rotor_wrench(thrusts, tmap) -> tuple[list, list]:
@@ -66,9 +64,9 @@ def rotor_wrench(thrusts, tmap) -> tuple[list, list]:
 def torque_matrix(cfg: RotorConfig, com) -> list:
     """3x4 map from per-rotor thrusts to body torque about ``com`` (three floats), as rows."""
     cx, cy, _ = com
-    pos = cfg.positions.tolist()
+    pos = cfg.positions
     return [[y - cy for _, y, _ in pos], [cx - x for x, _, _ in pos],
-            [cfg.k_tau * s for s in cfg.spin_dirs.tolist()]]
+            [cfg.k_tau * s for s in cfg.spin_dirs]]
 
 
 def _rates(f, tau, m_t, j, j_inv, g, ext):

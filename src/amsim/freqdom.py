@@ -273,15 +273,12 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    dims = np.asarray(payload_dims, dtype=float).reshape(3)
-    if not np.all(np.isfinite(dims) & (dims > 0.0)):
-        raise ValueError(f"payload dims must be positive and finite, got {dims.tolist()}")
-    if not (math.isfinite(payload_mass) and payload_mass >= 0.0):
-        raise ValueError(f"payload mass must be non-negative and finite, got {payload_mass}")
+    dims = as_floats(payload_dims, 3, "payload dims", "positive")
+    as_floats([payload_mass], 1, "payload mass", "non-negative")
     if payload_mass == 0.0:
         return np.ones(3), None
-    j_obj = as_floats(InertialParams(payload_mass, np.zeros(3),
-                                     box_inertia(payload_mass, dims)).inertia_about_com, 9)
+    j_obj = InertialParams(payload_mass, np.zeros(3),
+                           box_inertia(payload_mass, dims)).inertia_about_com.ravel().tolist()
     ox, oy, oz = presense.top_grasp_offset(dims[2], pad_height)
     lo, hi = geom.joint_limits
     grid = np.linspace(lo, hi, grid_n).tolist()
@@ -298,7 +295,7 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     if not poses:
         return maxima, argmax
     # one composite over every feasible pose: the payload CoM as three arrays
-    j_a = as_floats(vehicle.inertia_about_com, 9)
+    j_a = vehicle.inertia_about_com.ravel().tolist()
     _, _, j_t = composite(vehicle.mass, vehicle.com.tolist(), j_a, payload_mass,
                           list(np.array(points).T), j_obj)
     j_inv = inverse3(j_a)

@@ -13,6 +13,8 @@ from importlib import resources
 
 import numpy as np
 
+from .spatial import as_floats
+
 
 class DegenerateCloud(Exception):
     """Point cloud covariance has rank < 3 (e.g. coplanar points)."""
@@ -37,9 +39,7 @@ class OrientedBox:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(3).copy()
         rot = np.asarray(self.rotation, dtype=float).reshape(3, 3).copy()
-        dims = tuple(float(d) for d in self.dims)
-        if any(d <= 0.0 for d in dims):
-            raise ValueError("box dims must be positive")
+        dims = as_floats(self.dims, 3, "box dims", "positive")
         if not (dims[0] >= dims[1] >= dims[2]):
             raise ValueError("box dims must be ordered l >= w >= h")
         if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6 or np.linalg.det(rot) < 0.0:
@@ -58,18 +58,17 @@ class OrientedBox:
 class ObjectPrior:
     label: str
     beta: float          # volume fill factor of the box, (0, 1]
-    alpha: np.ndarray    # per-axis MoI shape factors, entries (0, 3]
+    alpha: tuple         # per-axis MoI shape factors, three floats in (0, 3]
     rho: float           # bulk density kg/m^3
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float).reshape(3).copy()
+        # each range is written so that NaN fails it
+        object.__setattr__(self, "alpha", as_floats(self.alpha, 3, "alpha"))
         if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
-        if np.any(alpha <= 0.0) or np.any(alpha > 3.0):
-            raise ValueError("alpha entries must be in (0, 3]")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-        object.__setattr__(self, "alpha", alpha)
+            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+        if not all(0.0 < a <= 3.0 for a in self.alpha):
+            raise ValueError(f"alpha entries must be in (0, 3], got {list(self.alpha)}")
+        as_floats([self.rho], 1, "rho", "positive")
 
 
 @dataclass(frozen=True)
@@ -79,17 +78,15 @@ class ObjectEstimate:
     mass_tilde: float
     moi_tilde: np.ndarray
     volume_hat: float
-    grasp_offset: np.ndarray  # end-effector frame, suction grasp from above
+    grasp_offset: tuple  # end-effector frame, suction grasp from above
 
     def __post_init__(self):
-        if self.mass_tilde <= 0.0:
-            raise ValueError("mass estimate must be positive")
+        as_floats([self.mass_tilde], 1, "mass estimate", "positive")
         moi = np.asarray(self.moi_tilde, dtype=float).reshape(3, 3).copy()
         if np.any(np.linalg.eigvalsh(0.5 * (moi + moi.T)) <= 0.0):
             raise ValueError("MoI estimate must be positive definite")
         object.__setattr__(self, "moi_tilde", moi)
-        object.__setattr__(self, "grasp_offset",
-                           np.asarray(self.grasp_offset, dtype=float).reshape(3).copy())
+        object.__setattr__(self, "grasp_offset", as_floats(self.grasp_offset, 3, "grasp offset"))
 
 
 def _axis_rotation(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -176,9 +173,9 @@ def estimate_inertia(box: OrientedBox, prior: ObjectPrior,
     v_box = l * w * h
     v_hat = prior.beta * v_box
     mass = prior.rho * v_hat
-    moi = (prior.alpha / 12.0) * mass * np.array([w * w + h * h,
-                                                  l * l + h * h,
-                                                  l * l + w * w])
+    moi = (np.array(prior.alpha) / 12.0) * mass * np.array([w * w + h * h,
+                                                            l * l + h * h,
+                                                            l * l + w * w])
     return ObjectEstimate(mass_tilde=mass, moi_tilde=np.diag(moi), volume_hat=v_hat,
                           grasp_offset=top_grasp_offset(box.vertical_extent(), pad_height))
 
@@ -209,17 +206,13 @@ def load_catalog(path=None) -> dict:
         if len(parts) != 4:
             raise CatalogError(f"line {lineno}: expected 4 pipe-separated fields")
         label = parts[0]
-        try:
-            beta = float(parts[1])
-            alpha = np.array([float(v) for v in parts[2].split()])
-            rho = float(parts[3])
-        except ValueError as exc:
-            raise CatalogError(f"line {lineno}: {exc}") from exc
-        if alpha.shape != (3,):
-            raise CatalogError(f"line {lineno}: alpha needs exactly 3 entries")
         if label.casefold() in {k.casefold() for k in catalog}:
             raise CatalogError(f"line {lineno}: duplicate label {label!r}")
-        catalog[label] = ObjectPrior(label=label, beta=beta, alpha=alpha, rho=rho)
+        try:
+            catalog[label] = ObjectPrior(label=label, beta=float(parts[1]),
+                                         alpha=parts[2].split(), rho=float(parts[3]))
+        except ValueError as exc:
+            raise CatalogError(f"line {lineno}: {exc}") from exc
     return catalog
 
 

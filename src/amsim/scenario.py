@@ -16,7 +16,7 @@ from .config import ScenarioConfig
 from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
                          position_loop)
 from .dynamics import NonFinite, motor_lag_step, rotor_wrench, step_rk4, torque_matrix
-from .spatial import InertialParams, as_floats, inverse3, quat_to_rot
+from .spatial import InertialParams, inverse3, quat_to_rot
 
 COLUMNS = (
     ["t",
@@ -125,12 +125,12 @@ class Trajectory:
     """Timed waypoints joined by minimum-jerk segments; holds at the ends."""
 
     def __init__(self, waypoints):
-        # rows: (t, pos3[, extra scalar]); kept as floats for eval at every tick
-        self.times = [float(w[0]) for w in waypoints]
+        # rows: (t, pos3[, extra scalar]) of floats, as a config table holds them
+        self.times = [w[0] for w in waypoints]
         if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
             raise ValueError("waypoint times must be strictly increasing")
-        self.points = [tuple(float(v) for v in w[1]) for w in waypoints]
-        self.extras = [float(w[2]) if len(w) > 2 else 0.0 for w in waypoints]
+        self.points = [w[1] for w in waypoints]
+        self.extras = [w[2] if len(w) > 2 else 0.0 for w in waypoints]
 
     @staticmethod
     def _smooth(tau: float):
@@ -160,9 +160,9 @@ class Trajectory:
 def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     """Synthesize a cloud of the true object shape, fit it, and apply the prior.
 
-    Returns (mass_tilde, moi_tilde in arm-frame axes, grasp_offset); the
-    prior body is validated here, once, and its inertia comes back
-    symmetrized.
+    Returns (mass_tilde, moi_tilde in arm-frame axes as nine row-major floats,
+    grasp_offset as three floats); the prior body is validated here, once, and
+    its inertia comes back symmetrized.
     """
     obj = cfg.obj
     n = cfg.est.cloud_points
@@ -171,16 +171,11 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     else:
         cloud = presense.sample_box_cloud(obj.dims, n, rng)
     box = presense.fit_obb(cloud)
-    if obj.prior_rho is not None:
-        prior = presense.ObjectPrior(label=obj.label or "inline", beta=obj.prior_beta,
-                                     alpha=obj.prior_alpha, rho=obj.prior_rho)
-    else:
-        catalog = presense.load_catalog(cfg.est.catalog)
-        prior = presense.prior_for(obj.label, catalog)
+    prior = obj.prior or presense.prior_for(obj.label, presense.load_catalog(cfg.est.catalog))
     est = presense.estimate_inertia(box, prior, pad_height=cfg.est.suction_pad)
     moi_world = box.rotation @ est.moi_tilde @ box.rotation.T
     prior_body = InertialParams(est.mass_tilde, np.zeros(3), moi_world)
-    return prior_body.mass, prior_body.inertia_about_com, est.grasp_offset
+    return prior_body.mass, prior_body.inertia_about_com.ravel().tolist(), est.grasp_offset
 
 
 def _wind_at(wind: list, t: float) -> tuple:
@@ -209,10 +204,9 @@ class _Run:
         self.noise = rng.standard_normal((self.n_steps, 6))
         veh, obj = cfg.vehicle, cfg.obj
         self.rotor, self.geom, self.j_a = veh.rotor, cfg.arm.geom, veh.j_a
-        self.k_att, self.k_theta = cfg.gains.k_att.tolist(), cfg.arm.k_theta.tolist()
-        am = InertialParams(veh.mass, veh.p_b, veh.j_a)
-        self.m_a, self.am_com = am.mass, am.com.tolist()
-        self.am_j = am.inertia_about_com.ravel().tolist()
+        self.k_att, self.k_theta = cfg.gains.k_att, cfg.arm.k_theta
+        # the bare vehicle: mass, CoM and inertia, all checked when the config was built
+        self.m_a, self.am_com, self.am_j = veh.mass, veh.p_b, [v for row in veh.j_a for v in row]
         # sim steps per control, observer and servo tick
         self.every = [cfg.steps_per(hz) for hz in (cfg.control_hz, cfg.dob_hz, cfg.servo_hz)]
         self.ctrl_dt, self.dob_dt, self.servo_dt = (cfg.sim_dt * n for n in self.every)
@@ -223,20 +217,19 @@ class _Run:
         self.use_prior = obj is not None and cfg.mode in ("iags", "pre-only")
         self.use_dob = obj is not None and cfg.mode in ("iags", "dob-only")
         # the pre-grasp estimate; with no vision prior, a point mass right below the pad
-        self.m_tilde, j_tilde, offset = (
+        self.m_tilde, self.j_tilde, self.offset_est = (
             _presense_object(cfg, rng) if self.use_prior
-            else (None, np.eye(3) * 1e-8, (0.0, 0.0, -cfg.est.suction_pad)))
-        self.j_tilde, self.offset_est = as_floats(j_tilde, 9), as_floats(offset, 3)
+            else (None, [1e-8, 0.0, 0.0, 0.0, 1e-8, 0.0, 0.0, 0.0, 1e-8],
+                  (0.0, 0.0, -cfg.est.suction_pad)))
         if obj is not None:  # the true payload: mass, inertia about its CoM, grasp offset
-            j_obj = InertialParams(obj.true_mass, np.zeros(3), obj.inertia).inertia_about_com
-            self.payload = (obj.true_mass, j_obj.reshape(9).tolist(),
+            self.payload = (obj.true_mass, [v for row in obj.inertia for v in row],
                             presense.top_grasp_offset(obj.dims[2], cfg.est.suction_pad))
 
         self.joints = delta.JointState(delta.inverse_kin(self.geom, cfg.arm.home),
                                        (0.0, 0.0, 0.0))
         # the vehicle state (p, v, q, omega), 13 floats: at rest, level, at the first waypoint
         self.y = (*self.traj.eval(0.0)[0], 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        self.thr = self.t_cmd = [am.mass * cfg.g / 4.0] * 4  # hover trim
+        self.thr = self.t_cmd = [self.m_a * cfg.g / 4.0] * 4  # hover trim
         self.rate_ctl = RateLoop(cfg.gains)
         self.detector = GraspDetector(cfg.est.grasp_threshold, cfg.est.grasp_persistence)
         self.dob = DobState()  # its m_hat is the logged payload mass estimate
@@ -247,7 +240,7 @@ class _Run:
         # the estimated body, its gain and allocation: built on the first latched
         # control tick, then only after the observer or the servos mark them stale.
         # Tick 0 is a control, observer and servo tick: it sets the other columns.
-        self.bare = TotalInertia(am.mass, self.am_com, self.am_j)
+        self.bare = TotalInertia(self.m_a, self.am_com, self.am_j)
         self.est_tot, self.kk = self.bare, [1.0, 1.0, 1.0]
         self.alloc = allocation(self.rotor, (0.0, 0.0, 0.0))
         self.est_cols = _body_cols(self.bare) + self.kk

@@ -22,9 +22,30 @@ def cross3(a, b) -> tuple:
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def as_floats(x, n: int) -> list:
-    """A numpy config value ``x`` as the ``n`` floats that the kernels take."""
-    return np.asarray(x, dtype=float).reshape(n).tolist()
+class ConfigError(ValueError):
+    """Malformed or inconsistent scenario configuration."""
+
+
+_IN_RANGE = {"": lambda v: -math.inf < v < math.inf,
+             "non-negative": lambda v: 0.0 <= v < math.inf,
+             "positive": lambda v: 0.0 < v < math.inf}
+
+
+def as_floats(x, n: int, name: str, sign: str = "") -> tuple:
+    """``x`` as a tuple of ``n`` finite floats, each also "positive" or
+    "non-negative" when ``sign`` says so; NaN fails every range. The one check
+    of each vector a config holds, and of a scalar passed as ``[value]``:
+    raises ConfigError naming ``name``."""
+    try:
+        vals = tuple(map(float, x))
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or len(vals) != n:
+        raise ConfigError(f"{name} needs {n} numbers, got {x!r}")
+    if not all(map(_IN_RANGE[sign], vals)):
+        got = vals[0] if n == 1 else list(vals)
+        raise ConfigError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {got}")
+    return vals
 
 
 def unit_quat(w: float, x: float, y: float, z: float) -> tuple:
@@ -144,16 +165,10 @@ class InertialParams:
     inertia_about_com: np.ndarray
 
     def __post_init__(self):
-        mass = float(self.mass)
-        if not math.isfinite(mass) or mass <= 0.0:
-            raise ValueError("mass must be positive and finite")
-        com = np.asarray(self.com, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(com)):
-            raise ValueError("com has non-finite entries")
-        j = _validate_inertia(self.inertia_about_com)
+        (mass,) = as_floats([self.mass], 1, "mass", "positive")
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "com", com)
-        object.__setattr__(self, "inertia_about_com", j)
+        object.__setattr__(self, "com", np.array(as_floats(self.com, 3, "com")))
+        object.__setattr__(self, "inertia_about_com", _validate_inertia(self.inertia_about_com))
 
 
 def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o) -> tuple:
@@ -179,8 +194,8 @@ def compose_inertia(am: InertialParams, obj: InertialParams, p_obj: np.ndarray) 
     object's CoM sits at ``p_obj + obj.com``. Returns their ``composite``.
     """
     c_obj = np.asarray(p_obj, dtype=float).reshape(3) + obj.com
-    m_t, c_t, j_t = composite(am.mass, am.com.tolist(), as_floats(am.inertia_about_com, 9),
-                              obj.mass, c_obj.tolist(), as_floats(obj.inertia_about_com, 9))
+    m_t, c_t, j_t = composite(am.mass, am.com.tolist(), am.inertia_about_com.ravel().tolist(),
+                              obj.mass, c_obj.tolist(), obj.inertia_about_com.ravel().tolist())
     return InertialParams(m_t, c_t, np.reshape(j_t, (3, 3)))
 
 

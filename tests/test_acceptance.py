@@ -79,7 +79,7 @@ def test_criterion_2_dob_analytic_response():
     st = DobState(m_hat=0.0)
     worst_rel = 0.0
     for k in range(1, 201):
-        st = dob_step(st, accel, R, thrust, m_a, c, dt, g=g)
+        st = dob_step(st, accel, R, thrust, m_a, c, dt, g=g, force_lpf_hz=50.0)
         expect = m_o * (1.0 - math.exp(-c * k * dt / m_a))
         worst_rel = max(worst_rel, abs(st.m_hat - expect) / expect)
     ok = worst_rel < 0.005

@@ -17,6 +17,7 @@ G = 9.81
 M_A = 1.379
 C_GAIN = 10.0
 DT = 0.01  # 100 Hz
+LPF_HZ = 50.0  # the [estimation] force_lpf_hz default
 I9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity, nine row-major floats
 
 
@@ -33,7 +34,7 @@ class TestDobStep:
         st = DobState(m_hat=m_o)
         accel, R, thrust = hover_inputs(m_o)
         for _ in range(100):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G)
+            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
         assert st.m_hat == pytest.approx(m_o, abs=1e-12)
 
     def test_step_response_closed_form(self):
@@ -43,7 +44,7 @@ class TestDobStep:
         accel, R, thrust = hover_inputs(m_o)
         worst = 0.0
         for k in range(1, 201):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G)
+            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
             expect = m_o * (1.0 - math.exp(-C_GAIN * k * DT / M_A))
             worst = max(worst, abs(st.m_hat - expect))
         assert worst < 0.005 * m_o
@@ -55,7 +56,7 @@ class TestDobStep:
         accel, R, thrust = hover_inputs(m_o)
         t, reached = 0.0, None
         for _ in range(200):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G)
+            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
             t += DT
             if reached is None and st.m_hat >= 0.95 * m_o:
                 reached = t
@@ -67,7 +68,7 @@ class TestDobStep:
         accel, R, thrust = hover_inputs(m_o)
         errs = []
         for _ in range(300):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G)
+            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
             errs.append(abs(st.m_hat - m_o))
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
@@ -80,7 +81,7 @@ class TestDobStep:
         samples = []
         for _ in range(n):
             accel = (sigma * rng.standard_normal(3)).tolist()
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G)
+            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
             samples.append(st.m_hat)
         tail = np.array(samples[n // 5:])
         # effective sample count from the observer's decorrelation time
@@ -93,13 +94,13 @@ class TestDobStep:
         accel = (0.0, 0.0, 0.0)
         thrust = (0.0, 0.0, 0.5 * M_A * G)  # thrust deficit
         for _ in range(50):
-            st = dob_step(st, accel, I9, thrust, M_A, C_GAIN, DT, g=G)
+            st = dob_step(st, accel, I9, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
         assert st.m_hat == 0.0
 
     def test_filter_seeds_on_first_call(self):
         m_o = 0.2
         accel, R, thrust = hover_inputs(m_o)
-        st = dob_step(DobState(), accel, R, thrust, M_A, C_GAIN, DT, g=G)
+        st = dob_step(DobState(), accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
         np.testing.assert_allclose(st.force_filt, [0.0, 0.0, m_o * G], atol=1e-12)
 
 

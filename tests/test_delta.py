@@ -138,7 +138,7 @@ class TestServo:
     def test_limits_clamp(self, geom):
         lo, hi = geom.joint_limits
         st = JointState(np.full(3, hi), np.zeros(3))
-        out = servo_step(geom, st, np.full(3, 5.0), 0.1)
+        out = servo_step(geom, st, np.full(3, 5.0), 0.1, rate_limit=6.0)
         assert np.all(np.asarray(out.theta) <= hi + 1e-12)
 
 
@@ -170,6 +170,12 @@ class TestGeometryValidation:
             DeltaGeometry(forearm_len=0.02)  # < |base - platform| + margin
         with pytest.raises(ValueError):
             DeltaGeometry(upper_arm_len=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_length(self, value):
+        message = f"^base_radius must be positive and finite, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            DeltaGeometry(base_radius=value)
 
 
 # The array kinematics that the float functions replaced, kept as their oracle.

@@ -18,7 +18,7 @@ from amsim.delta import KinematicsError, inverse_kin
 from amsim.dynamics import NonFinite
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, MismatchedRuns, RunLog, Trajectory,
                             _wind_at, run_scenario)
-from amsim.spatial import InertialParams, quat_to_rot
+from amsim.spatial import InertialParams, box_inertia, quat_to_rot
 
 HOVER_QUIET = """
 [run]
@@ -47,6 +47,21 @@ def make_log(t, **cols):
     for name, vals in cols.items():
         data[:, COLUMNS.index(name)] = vals
     return RunLog(names=list(COLUMNS), data=data)
+
+
+def config_values(node, where="cfg"):
+    """Every value a config holds, nested configs, tuples and rows included, by path."""
+    yield where, node
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from config_values(getattr(node, f.name), f"{where}.{f.name}")
+    elif isinstance(node, (tuple, list)):
+        for i, item in enumerate(node):
+            yield from config_values(item, f"{where}[{i}]")
+
+
+def config_tuples(cfg):
+    return ((where, value) for where, value in config_values(cfg) if isinstance(value, tuple))
 
 
 def assert_same_config(a, b, where="cfg"):
@@ -159,7 +174,7 @@ class TestConfig:
     def test_wind_schedule(self):
         """Wind rows become (float, three floats) in start order, built directly or parsed."""
         cfg = ScenarioConfig(wind=[(2, [1, 0, 0]), (0.5, np.array([0, 1.0, 0]))])
-        assert cfg.wind == [(0.5, (0.0, 1.0, 0.0)), (2.0, (1.0, 0.0, 0.0))]
+        assert cfg.wind == ((0.5, (0.0, 1.0, 0.0)), (2.0, (1.0, 0.0, 0.0)))
         assert all(type(v) is float for t, f in cfg.wind for v in (t, *f))
         parsed = parse_config("[disturbances]\nwind =\n    2.0 1 0 0\n    0.5 0 1 0\n")
         assert parsed.wind == cfg.wind
@@ -272,14 +287,121 @@ class TestConfig:
         with pytest.raises(ConfigError) as from_replace:
             replace(load_config("grasp_estimate").obj, true_mass=0.0)
         assert str(from_replace.value) == str(from_file.value)
-        assert str(from_file.value) == "[object] true_mass must be positive"
+        assert str(from_file.value) == "[object] true_mass must be positive and finite, got 0.0"
 
     def test_configs_are_frozen(self):
+        """No value of a built config can change: its attributes are frozen, and
+        every vector, matrix and table is a tuple, down to its rows."""
         cfg = load_config("grasp_estimate")
         for part, name in ((cfg, "seed"), (cfg.vehicle, "mass"), (cfg.arm, "home"),
                            (cfg.obj, "true_mass"), (cfg.gains, "k_pos"), (cfg.est, "dob_c")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(part, name, getattr(part, name))
+        vectors = ("vehicle.j_a", "vehicle.p_b", "vehicle.rotor.positions",
+                   "vehicle.rotor.spin_dirs", "arm.k_theta", "arm.home", "arm.waypoints",
+                   "gains.k_pos", "gains.k_vel", "gains.k_att", "gains.rate_kp",
+                   "gains.rate_ki", "gains.rate_kd", "obj.dims", "obj.prior_alpha",
+                   "trajectory", "wind")
+        for name in shipped_scenarios():
+            cfg = load_config(name)
+            found = dict(config_tuples(cfg))
+            assert {f"cfg.{v}" for v in vectors} <= set(found), name
+            for where, value in found.items():
+                if value:
+                    with pytest.raises(TypeError):
+                        value[0] = value[0]
+            # the nested configs, matrices and table rows hold no mutable value either
+            assert not [where for where, value in config_values(cfg)
+                        if isinstance(value, (list, dict, set, np.ndarray))], name
+
+    def test_configs_hash_and_compare_equal(self):
+        """Two loads of a scenario are equal and hash equal, and their text holds
+        no numpy array: a config can key a cache or a run manifest."""
+        for name in shipped_scenarios():
+            a, b = load_config(name), load_config(name)
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b) and "array(" not in repr(a)
+            assert replace(a, seed=a.seed + 1) != a
+
+    @pytest.mark.parametrize("table", ["trajectory", "arm", "wind"])
+    def test_table_row_of_wrong_width_rejected(self, table):
+        """A row of the wrong width fails when its table is built, from a file or
+        through ``replace``, with an error naming the table."""
+        where, row, text, columns = {
+            "trajectory": ("[trajectory] waypoints", (0.0, (0.0, 1.0), 0.0), "0 0 1 0",
+                           "t x y z yaw"),
+            "arm": ("[arm] waypoints", (0.0, (0.0, -0.16)), "0 0 -0.16", "t x y z"),
+            "wind": ("[disturbances] wind", (1.0, (2.0, 0.0)), "1 2 0", "t fx fy fz")}[table]
+        message = f"^{re.escape(f'{where}: row {text!r} is not {columns}')}$"
+        cfg = load_config("hover_payload")
+        with pytest.raises(ConfigError, match=message):
+            if table == "trajectory":
+                replace(cfg, trajectory=[row])
+            elif table == "arm":
+                replace(cfg.arm, waypoints=[row])
+            else:
+                replace(cfg, wind=[row])
+        section, key = where[1:].split("] ")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"[{section}]\n{key} =\n    {text}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[vehicle]\ninertia = 1 2 -3\n",
+         "[vehicle] inertia: inertia tensor is not positive definite"),
+        ("[vehicle]\nmass = -1\n", "[vehicle] mass must be positive and finite, got -1.0"),
+        ("[vehicle]\np_b = nan 0 0\n", "[vehicle] p_b must be finite, got [nan, 0.0, 0.0]"),
+        ("[vehicle]\naccel_noise = -1\n",
+         "[vehicle] accel_noise, gyro_noise must be non-negative and finite, got [-1.0, 0.002]"),
+        ("[arm]\nhome = nan 0 -0.16\n", "[arm] home must be finite, got [nan, 0.0, -0.16]"),
+        ("[arm]\nhome = 0 0 -1\n", "[arm] home [0.0, 0.0, -1.0] is out of reach: arm 0"),
+        ("[object]\ntrue_mass = 0.3\nprior_alpha = 1 nan 1\nprior_rho = 1000\n",
+         "[object] prior_alpha must be finite, got [1.0, nan, 1.0]"),
+        ("[object]\ntrue_mass = 0.3\nprior_rho = nan\n",
+         "[object] inline prior: rho must be positive and finite, got nan"),
+        ("[object]\ntrue_mass = 0.3\nlabel = x\ntrue_inertia = 1 1 5\n",
+         "[object] true_inertia: principal moments violate the triangle inequality"),
+    ], ids=["inertia", "mass", "p_b", "noise", "nan-home", "far-home", "prior-alpha",
+            "prior-rho", "true-inertia"])
+    def test_bad_body_home_or_prior_rejected_at_load(self, text, message):
+        """Each of these parsed before and failed only inside the run, or ran on."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("home", [(math.nan, 0.0, -0.16), (0.0, 0.0, -1.0)])
+    def test_bad_home_rejected_in_replace(self, home):
+        with pytest.raises(ConfigError, match=r"^\[arm\] home "):
+            replace(load_config("pick_place").arm, home=home)
+
+    def test_bodies_stored_checked_and_symmetrized(self):
+        """The vehicle inertia is stored symmetrized, and the payload's inertia
+        and inline prior are built once, at load."""
+        cfg = parse_config("[vehicle]\ninertia = 1 1e-12 0  0 1 0  0 0 1\n")
+        assert cfg.vehicle.j_a[0][1] == cfg.vehicle.j_a[1][0] == 5e-13
+        obj = load_config("hover_payload").obj
+        assert obj.prior.rho == 1150.0 and obj.prior.alpha == obj.prior_alpha
+        assert load_config("grasp_estimate").obj.prior is None  # a catalog label
+        box = replace(obj, shape="box", dims=(0.1, 0.2, 0.3))
+        assert box.inertia == tuple(map(tuple, box_inertia(obj.true_mass, box.dims).tolist()))
+
+    @pytest.mark.parametrize("text", [
+        "[trajectory]\nwaypoints =\n    0 0 1 0\n", "[arm]\nwaypoints =\n    0 0 -0.16\n",
+        "[disturbances]\nwind =\n    1 2 0\n", "[vehicle]\ninertia = 1 2 -3\n",
+        "[vehicle]\nmass = -1\n", "[vehicle]\np_b = nan 0 0\n", "[vehicle]\naccel_noise = -1\n",
+        "[arm]\nhome = nan 0 -0.16\n", "[arm]\nhome = 0 0 -1\n",
+        "[object]\ntrue_mass = 0.3\nprior_alpha = 1 nan 1\nprior_rho = 1000\n",
+        "[object]\ntrue_mass = 0.3\nprior_rho = nan\n",
+        "[estimation]\ncatalog = {catalog}\n[object]\nlabel = x\ntrue_mass = 0.3\n",
+    ], ids=["trajectory-row", "arm-row", "wind-row", "inertia", "mass", "p_b", "noise",
+            "nan-home", "far-home", "prior-alpha", "prior-rho", "catalog-nan"])
+    def test_bad_input_cli_exit_1_writes_nothing(self, tmp_path, capsys, text):
+        catalog = tmp_path / "priors.txt"
+        catalog.write_text("x | 1.0 | 1 nan 1 | nan\n", encoding="utf-8")
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("[run]\nduration = 0.1\n" + text.format(catalog=catalog))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
 
 class TestTrajectory:

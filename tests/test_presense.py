@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,3 +254,19 @@ class TestCatalog:
     def test_bad_prior_values_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_catalog(catalog_file(tmp_path, "x | 1.5 | 1 1 1 | 100\n"))  # beta > 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("x | 1.0 | 1 nan 1 | 100", "line 2: alpha must be finite, got [1.0, nan, 1.0]"),
+        ("x | 1.0 | 1 1 1 | nan", "line 2: rho must be positive and finite, got nan"),
+        ("x | nan | 1 1 1 | 100", "line 2: beta must be in (0, 1], got nan"),
+        ("x | 1.0 | 1 1 | 100", "line 2: alpha needs 3 numbers, got ['1', '1']"),
+    ])
+    def test_nan_or_short_prior_rejected_with_its_line(self, tmp_path, line, message):
+        """A NaN fails every range check, so the catalog cannot hold it."""
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            load_catalog(catalog_file(tmp_path, f"# header\n{line}\n"))
+
+    def test_prior_is_hashable_floats(self):
+        prior = ObjectPrior("t", 1.0, np.ones(3), 100.0)
+        assert prior.alpha == (1.0, 1.0, 1.0) and type(prior.alpha[0]) is float
+        assert hash(prior) == hash(ObjectPrior("t", 1.0, [1, 1, 1], 100.0))
