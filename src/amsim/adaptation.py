@@ -11,7 +11,7 @@ continuous first-order response to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import delta
 from .spatial import composite
@@ -80,18 +80,15 @@ def dob_step(st: DobState, accel_w, R, thrust_body, m_a: float, c: float,
 def detect_grasp(d: GraspDetector, ext_force_z: float, dt: float) -> tuple[GraspDetector, bool]:
     """Accumulate time above threshold; latch once it persists long enough.
 
-    Returns the updated detector and the latched flag. Once triggered the
-    flag never clears; before triggering, any drop below the threshold resets
-    the accumulated time.
+    Advances ``d`` in place, without checking again the values checked when it
+    was built, and returns it with the latched flag. Once triggered the flag
+    never clears; before triggering, any drop below the threshold resets the
+    accumulated time.
     """
-    if d.triggered:
-        return d, True
-    if abs(ext_force_z) > d.threshold:
-        elapsed = d.elapsed_above + dt
-    else:
-        elapsed = 0.0
-    triggered = elapsed >= d.persistence - 1e-12
-    return replace(d, elapsed_above=elapsed, triggered=triggered), triggered
+    if not d.triggered:
+        d.elapsed_above = d.elapsed_above + dt if abs(ext_force_z) > d.threshold else 0.0
+        d.triggered = d.elapsed_above >= d.persistence - 1e-12
+    return d, d.triggered
 
 
 def rescale_moi(j_tilde, m_tilde: float, m_hat: float) -> list:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .controller import Gains
 from .delta import DeltaGeometry, KinematicsError, inverse_kin
-from .dynamics import RotorConfig
+from .dynamics import MAX_STEP, RotorConfig
 from .presense import ObjectPrior
 from .spatial import (ConfigError, _validate_inertia, as_floats, box_inertia,
                       cylinder_inertia)
@@ -117,7 +117,8 @@ class ObjectConfig:
     dims: tuple = (0.1, 0.1, 0.1)
     true_inertia: tuple | None = None  # about CoM, grasped orientation
     grasp_time: float = 1.0
-    # inline prior, used instead of the catalog entry of the label when prior_rho is set
+    # inline prior, used instead of the catalog entry of the label when prior_rho is
+    # set; prior_beta and prior_alpha other than these defaults need prior_rho
     prior_beta: float = 1.0
     prior_alpha: tuple = (1.0, 1.0, 1.0)
     prior_rho: float | None = None
@@ -143,6 +144,11 @@ class ObjectConfig:
                            self.true_inertia or _inertia(solid, "[object] inertia"))
         object.__setattr__(self, "prior_alpha",
                            as_floats(self.prior_alpha, 3, "[object] prior_alpha"))
+        ignored = [key for key in ("prior_beta", "prior_alpha") if self.prior_rho is None
+                   and getattr(self, key) != getattr(ObjectConfig, key)]
+        if ignored:
+            raise ConfigError(f"[object] prior_rho is not set, so {' and '.join(ignored)} "
+                              "would be ignored for the catalog prior of the label")
         if self.prior_rho is not None:
             try:
                 object.__setattr__(self, "prior", ObjectPrior(
@@ -205,6 +211,9 @@ class ScenarioConfig:
         object.__setattr__(self, "wind", _table("[disturbances] wind", self.wind, "t fx fy fz"))
         if not (0.0 < self.duration < math.inf and 0.0 < self.sim_dt < math.inf):
             raise ConfigError("duration and sim_dt must be positive and finite")
+        if self.sim_dt > MAX_STEP:  # the physics step's own limit, named here by its key
+            raise ConfigError(f"[rates] sim_dt must be at most {MAX_STEP:g} s, "
+                              f"got {self.sim_dt:g}")
         if not 0.0 <= self.eval_start < math.inf:
             raise ConfigError(f"[run] eval_start must be finite and >= 0, got {self.eval_start}")
         as_floats([self.g], 1, "[vehicle] g", "positive")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ COLUMNS = (
      "jtx_true", "jty_true", "jtz_true",
      "fext_x", "fext_y", "fext_z", "attached", "latched"]
 )
+_ROW = struct.Struct(f"{len(COLUMNS)}d")  # one log row, packed exactly into a float64 buffer
 
 
 # rows per block of RunLog.to_csv: small enough that the text of a block
@@ -194,8 +196,9 @@ def _body_cols(tot: TotalInertia) -> list:
 
 
 class _Run:
-    """The state a run carries between ticks, with one method per rate; each
-    stage keeps current the log-row columns that it changes."""
+    """The state a run carries between ticks, with one method per rate; each stage keeps
+    current the log-row columns it changes, and recomputes a derived value (servo
+    command, estimated body, allocation) only when its inputs differ from the last."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg, self.g, self.dt = cfg, cfg.g, cfg.sim_dt
@@ -237,15 +240,14 @@ class _Run:
         self.det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, self.dob_dt)
         self.attached = self.latched = False
 
-        # the estimated body, its gain and allocation: built on the first latched
-        # control tick, then only after the observer or the servos mark them stale.
-        # Tick 0 is a control, observer and servo tick: it sets the other columns.
+        # the estimated body and its gain, built on latched control ticks for each new
+        # (m_hat, theta), and the allocation, for each new CoM x/y (torque_matrix reads
+        # no more); tick 0 is a control, observer and servo tick: it sets the other columns
         self.bare = TotalInertia(self.m_a, self.am_com, self.am_j)
-        self.est_tot, self.kk = self.bare, [1.0, 1.0, 1.0]
-        self.alloc = allocation(self.rotor, (0.0, 0.0, 0.0))
+        self.est_tot, self.kk, self.est_key = self.bare, [1.0, 1.0, 1.0], None
+        self.alloc_com, self.alloc = [0.0, 0.0], allocation(self.rotor, (0.0, 0.0, 0.0))
         self.est_cols = _body_cols(self.bare) + self.kk
-        self.est_stale = True
-        self.theta_cols = None  # the joint angles the bodies were last built for
+        self.servo_key = self.theta_cols = None  # servo inputs; angles the truth was built for
         self.set_truth()
 
         ctrl, dob, servo = (len(range(0, self.n_steps, n)) for n in self.every)
@@ -298,37 +300,41 @@ class _Run:
             est = self.cfg.est
             self.dob = adaptation.dob_step(self.dob, acc, R, (0.0, 0.0, thrust), m_a, est.dob_c,
                                            self.dob_dt, g=self.g, force_lpf_hz=est.force_lpf_hz)
-            self.est_stale = True
 
     def servo(self, t: float):
         """Arm joint command and servo step, at the servo rate."""
         tgt_p, tgt_v, _, _ = self.arm_traj.eval(t)
-        try:
-            _, thd_des = delta.joint_command(self.geom, tgt_p, tgt_v, self.joints, self.k_theta)
-        except delta.KinematicsError:
-            self.events["kin_fallbacks"] += 1
-            thd_des = (0.0, 0.0, 0.0)
-        self.joints = delta.servo_step(self.geom, self.joints, thd_des, self.servo_dt,
+        if (tgt_p, tgt_v, self.joints.theta) != self.servo_key:
+            self.servo_key = (tgt_p, tgt_v, self.joints.theta)
+            try:  # on a fallback, zero joint rate
+                self.thd_des, self.kin_failed = delta.joint_command(
+                    self.geom, tgt_p, tgt_v, self.joints, self.k_theta)[1], False
+            except delta.KinematicsError:
+                self.thd_des, self.kin_failed = (0.0, 0.0, 0.0), True
+        self.events["kin_fallbacks"] += self.kin_failed
+        self.joints = delta.servo_step(self.geom, self.joints, self.thd_des, self.servo_dt,
                                        self.cfg.arm.rate_limit)
         if self.joints.theta != self.theta_cols:  # the arm moved
             self.theta_cols = self.joints.theta
-            self.est_stale = True
             if self.attached:
                 self.set_truth()
 
     def control(self, t: float):
         """Estimate refresh, position/attitude/rate cascade and mixer, at the control rate."""
-        if self.est_stale and self.latched and (self.use_prior or self.use_dob):
-            m_o, j_o = self.dob.m_hat, self.j_tilde
+        key = (self.dob.m_hat, self.joints.theta)
+        if key != self.est_key and self.latched and (self.use_prior or self.use_dob):
+            self.est_key, m_o, j_o = key, key[0], self.j_tilde
             if self.use_prior:
                 j_o = adaptation.rescale_moi(j_o, self.m_tilde, m_o)
             self.est_tot = est = adaptation.update_total(
                 self.m_a, self.am_j, self.am_com, m_o, j_o, self.offset_est, self.joints.theta,
                 self.geom)
             self.kk = np.diag(iags_gain(self.j_a, est.j_t_hat)).tolist()
-            self.alloc = allocation(self.rotor, [c - b for c, b in zip(est.c_t, self.am_com)])
+            com = [c - b for c, b in zip(est.c_t, self.am_com)]
+            if com[:2] != self.alloc_com:
+                self.alloc_com = com[:2]
+                self.alloc = allocation(self.rotor, com)
             self.est_cols = _body_cols(est) + self.kk
-            self.est_stale = False
         y, R = self.y, self.R
         p_des, v_des, a_ff, yaw = self.traj.eval(t)
         thrust_des, q_des, freefall = position_loop(
@@ -382,9 +388,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
                 run.servo(t)
             if ctrl_tick:
                 run.control(t)
-            rows[k] = [t, *run.y, *run.ctrl_cols, *run.thr, *run.theta_cols,
-                       run.dob.m_hat, *run.est_cols, *run.truth_cols, *run.det_filt,
-                       1.0 if run.attached else 0.0, 1.0 if run.latched else 0.0]
+            _ROW.pack_into(rows, k * _ROW.size, t, *run.y, *run.ctrl_cols, *run.thr,
+                           *run.theta_cols, run.dob.m_hat, *run.est_cols, *run.truth_cols,
+                           *run.det_filt, float(run.attached), float(run.latched))
             run.physics(wind)
     except NonFinite as exc:
         raise NonFinite(f"{exc} at t={k * dt:.4f} s") from exc

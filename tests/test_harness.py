@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amsim import cli, metrics
+from amsim import cli, metrics, scenario
 from amsim.adaptation import DobState, dob_step, update_total
 from amsim.config import (ConfigError, ScenarioConfig, load_config, parse_config,
                           shipped_scenarios)
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
-from amsim.dynamics import NonFinite
+from amsim.dynamics import MAX_STEP, NonFinite, step_rk4
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, MismatchedRuns, RunLog, Trajectory,
                             _wind_at, run_scenario)
 from amsim.spatial import InertialParams, box_inertia, quat_to_rot
@@ -104,6 +104,28 @@ class TestConfig:
     def test_non_finite_duration_or_step_rejected(self, text):
         with pytest.raises(ConfigError, match="positive and finite"):
             parse_config(text)
+
+    def test_step_above_the_physics_limit_rejected(self, tmp_path, capsys):
+        """A sim_dt the RK4 step would refuse fails at load, naming its key: from a
+        file, through ``replace`` and through ``amsim run``, which writes nothing."""
+        rates = dict(sim_dt=0.01, control_hz=100, dob_hz=100, servo_hz=100)
+        text = "[rates]\n" + "".join(f"{key} = {value}\n" for key, value in rates.items())
+        message = "[rates] sim_dt must be at most 0.005 s, got 0.01"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(load_config("grasp_estimate"), **rates)
+        cfg_file, out = tmp_path / "coarse.cfg", tmp_path / "out"
+        cfg_file.write_text(text)
+        assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+        # the limit itself loads, and the physics step keeps its own check
+        cfg = replace(load_config("grasp_estimate"), **{**rates, "sim_dt": MAX_STEP})
+        assert cfg.sim_dt == MAX_STEP
+        level, zero, eye = (0.0,) * 6 + (1.0,) + (0.0,) * 6, (0.0,) * 3, np.eye(3).ravel().tolist()
+        with pytest.raises(ValueError, match="dt must be in"):
+            step_rk4(level, zero, zero, 1.0, eye, eye, 0.01, 9.81, zero)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -367,6 +389,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             parse_config(text)
 
+    @pytest.mark.parametrize("lines, keys", [
+        ("prior_alpha = 2 2 2\n", "prior_alpha"), ("prior_beta = 0.5\n", "prior_beta"),
+        ("prior_alpha = 2 2 2\nprior_beta = 0.5\n", "prior_beta and prior_alpha")],
+        ids=["alpha", "beta", "both"])
+    def test_inline_prior_keys_without_rho_rejected(self, lines, keys):
+        """Without prior_rho the label's catalog prior applies, so an inline
+        prior_alpha or prior_beta would have no effect."""
+        message = (f"[object] prior_rho is not set, so {keys} would be ignored for the "
+                   "catalog prior of the label")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config("[object]\nlabel = coffee can\ntrue_mass = 0.2\n" + lines)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(load_config("grasp_estimate").obj,
+                    **{key: 0.5 if key == "prior_beta" else (2.0, 2.0, 2.0)
+                       for key in keys.split(" and ")})
+
+    def test_dropping_rho_of_an_inline_prior_rejected(self):
+        obj = load_config("hover_payload").obj
+        with pytest.raises(ConfigError, match="prior_beta and prior_alpha would be ignored"):
+            replace(obj, prior_rho=None)
+        assert replace(obj, prior_rho=None, prior_beta=1.0, prior_alpha=(1.0, 1.0, 1.0)).prior \
+            is None
+
     @pytest.mark.parametrize("home", [(math.nan, 0.0, -0.16), (0.0, 0.0, -1.0)])
     def test_bad_home_rejected_in_replace(self, home):
         with pytest.raises(ConfigError, match=r"^\[arm\] home "):
@@ -391,8 +436,10 @@ class TestConfig:
         "[object]\ntrue_mass = 0.3\nprior_alpha = 1 nan 1\nprior_rho = 1000\n",
         "[object]\ntrue_mass = 0.3\nprior_rho = nan\n",
         "[estimation]\ncatalog = {catalog}\n[object]\nlabel = x\ntrue_mass = 0.3\n",
+        "[object]\nlabel = coffee can\ntrue_mass = 0.3\nprior_alpha = 2 2 2\n",
     ], ids=["trajectory-row", "arm-row", "wind-row", "inertia", "mass", "p_b", "noise",
-            "nan-home", "far-home", "prior-alpha", "prior-rho", "catalog-nan"])
+            "nan-home", "far-home", "prior-alpha", "prior-rho", "catalog-nan",
+            "prior-without-rho"])
     def test_bad_input_cli_exit_1_writes_nothing(self, tmp_path, capsys, text):
         catalog = tmp_path / "priors.txt"
         catalog.write_text("x | 1.0 | 1 nan 1 | nan\n", encoding="utf-8")
@@ -577,6 +624,29 @@ class TestEstimateRefresh:
         est = log.columns("m_t_hat", "ctx_hat", "cty_hat", "ctz_hat",
                           "jtx_hat", "jty_hat", "jtz_hat", "kk_x", "kk_y", "kk_z")
         np.testing.assert_array_equal(est[zero], np.tile(bare, (zero.sum(), 1)))
+
+
+class TestInputReuse:
+    def test_unchanged_inputs_are_not_solved_again(self, monkeypatch):
+        """grasp_estimate holds its arm at home and its CoM estimate on the
+        rotor axis: one joint command serves all 500 servo ticks, and the
+        allocation built at the start (once more at most) every refresh."""
+        calls = {"joint_command": 0, "allocation": 0}
+
+        def count(owner, name):
+            inner = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        count(scenario.delta, "joint_command")
+        count(scenario, "allocation")
+        log = run_scenario(load_config("grasp_estimate"))
+        assert log.config.mode == "iags" and log.events["latch_time"] is not None
+        assert log.events["servo_ticks"] == 500 and log.events["kin_fallbacks"] == 0
+        assert calls["joint_command"] == 1
+        assert 1 <= calls["allocation"] <= 2
 
 
 class TestQuietHover:
