@@ -108,6 +108,12 @@ class ArmConfig:
                            _table("[arm] waypoints", self.waypoints, "t x y z"))
 
 
+def _check_prior_keys(ignored: list):
+    if ignored:
+        raise ConfigError(f"[object] prior_rho is not set, so {' and '.join(ignored)} "
+                          "would be ignored for the catalog prior of the label")
+
+
 @dataclass(frozen=True)
 class ObjectConfig:
     true_mass: float
@@ -144,11 +150,8 @@ class ObjectConfig:
                            self.true_inertia or _inertia(solid, "[object] inertia"))
         object.__setattr__(self, "prior_alpha",
                            as_floats(self.prior_alpha, 3, "[object] prior_alpha"))
-        ignored = [key for key in ("prior_beta", "prior_alpha") if self.prior_rho is None
-                   and getattr(self, key) != getattr(ObjectConfig, key)]
-        if ignored:
-            raise ConfigError(f"[object] prior_rho is not set, so {' and '.join(ignored)} "
-                              "would be ignored for the catalog prior of the label")
+        _check_prior_keys([key for key in ("prior_beta", "prior_alpha") if self.prior_rho
+                           is None and getattr(self, key) != getattr(ObjectConfig, key)])
         if self.prior_rho is not None:
             try:
                 object.__setattr__(self, "prior", ObjectPrior(
@@ -317,6 +320,11 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
+    # written without prior_rho, they are refused even at the values ObjectConfig
+    # cannot tell apart from its defaults
+    obj = kw["obj"]
+    _check_prior_keys([key for key in ("prior_beta", "prior_alpha")
+                       if key in obj and "prior_rho" not in obj])
     geom = kw["geom"]
     lo, hi = DeltaGeometry.joint_limits
     geom["joint_limits"] = (geom.pop("theta_min", lo), geom.pop("theta_max", hi))

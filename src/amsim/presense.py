@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .spatial import as_floats
+from .spatial import as_floats, frozen
 
 
 class DegenerateCloud(Exception):
@@ -37,8 +37,8 @@ class OrientedBox:
     dims: tuple
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float).reshape(3).copy()
-        rot = np.asarray(self.rotation, dtype=float).reshape(3, 3).copy()
+        center = frozen(np.reshape(self.center, 3))
+        rot = frozen(np.reshape(self.rotation, (3, 3)))
         dims = as_floats(self.dims, 3, "box dims", "positive")
         if not (dims[0] >= dims[1] >= dims[2]):
             raise ValueError("box dims must be ordered l >= w >= h")
@@ -82,7 +82,7 @@ class ObjectEstimate:
 
     def __post_init__(self):
         as_floats([self.mass_tilde], 1, "mass estimate", "positive")
-        moi = np.asarray(self.moi_tilde, dtype=float).reshape(3, 3).copy()
+        moi = frozen(np.reshape(self.moi_tilde, (3, 3)))
         if np.any(np.linalg.eigvalsh(0.5 * (moi + moi.T)) <= 0.0):
             raise ValueError("MoI estimate must be positive definite")
         object.__setattr__(self, "moi_tilde", moi)

@@ -7,6 +7,7 @@ import bisect
 import hashlib
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ _ROW = struct.Struct(f"{len(COLUMNS)}d")  # one log row, packed exactly into a f
 # rows per block of RunLog.to_csv: small enough that the text of a block
 # adds little to the resident memory of a full-length log
 CSV_BLOCK_ROWS = 250
+# bytes per chunk of a CSV's digest, each hashed on its own (``_csv_digest``)
+CSV_CHUNK = 1 << 20
 
 
 class MismatchedRuns(ValueError):
@@ -65,28 +68,23 @@ class RunLog:
         Logs repeat most values (slow-rate and constant columns), so each
         block of rows formats each distinct bit pattern once; comparing bits
         keeps -0.0, NaN and the infinities apart. The rows also go to the
-        sidecar ``path + ".npy"``, followed by the SHA-256 of the CSV bytes.
+        sidecar ``path + ".npy"``, followed by the CSV's ``_csv_digest``.
         """
         path = os.fspath(path)
         data = np.ascontiguousarray(self.data, dtype=np.float64)
-        digest = hashlib.sha256()
         with open(path, "wb") as fh:
-            def put(text):
-                chunk = text.encode()
-                fh.write(chunk)
-                digest.update(chunk)
-            put(",".join(self.names) + "\n")
+            fh.write((",".join(self.names) + "\n").encode())
             for start in range(0, data.shape[0], CSV_BLOCK_ROWS):
                 block = data[start:start + CSV_BLOCK_ROWS]
                 bits, where = np.unique(block.view(np.int64), return_inverse=True)
                 text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                                 dtype=object)[where.reshape(block.shape)]
-                put("".join(",".join(row) + "\n" for row in text.tolist()))
+                fh.write("".join(",".join(row) + "\n" for row in text.tolist()).encode())
         if np.isnan(data).any():  # store the NaN that np.loadtxt returns for "nan"
             data = np.where(np.isnan(data), np.nan, data)
         with open(path + ".npy", "wb") as fh:
             np.lib.format.write_array(fh, data, allow_pickle=False)
-            fh.write(digest.digest())
+            fh.write(_csv_digest(path)[0])
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
@@ -108,19 +106,55 @@ def _read_sidecar(path: str, n_cols: int):
     """(rows, "hit") from the sidecar if it matches the CSV, else (None, the reason)."""
     if not os.path.exists(path + ".npy"):
         return None, "absent"
-    try:
-        with open(path + ".npy", "rb") as fh:
-            data = np.lib.format.read_array(fh, allow_pickle=False)
-            stored = fh.read(33)
-    except (OSError, ValueError, EOFError):
+
+    def read():
+        try:
+            with open(path + ".npy", "rb") as fh:
+                return np.lib.format.read_array(fh, allow_pickle=False), fh.read(33)
+        except (OSError, ValueError, EOFError):
+            return None, b""
+    digest, (data, stored) = _csv_digest(path, read)
+    if data is None or data.dtype != "<f8" or data.shape[1:] != (n_cols,) or len(stored) != 32:
         return None, "unreadable"
-    if data.dtype != "<f8" or data.shape[1:] != (n_cols,) or len(stored) != 32:
-        return None, "unreadable"
-    digest = hashlib.sha256()
-    with open(path, "rb") as csv:
-        for chunk in iter(lambda: csv.read(1 << 20), b""):
-            digest.update(chunk)
-    return (data, "hit") if digest.digest() == stored else (None, "stale")
+    return (data, "hit") if digest == stored else (None, "stale")
+
+
+def _csv_digest(path: str, meanwhile=lambda: None):
+    """(digest, ``meanwhile()``). The digest is the SHA-256 of the file's byte length
+    (8 bytes, little-endian) followed by the SHA-256 of each CSV_CHUNK bytes in turn.
+    Up to one thread per core hashes chunks, read by ``os.preadv`` (both release the
+    GIL); this one runs ``meanwhile`` first and joins every helper before it returns."""
+    with open(path, "rb") as fh:
+        fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
+        hashes, errors, lock = [b""] * -(-size // CSV_CHUNK), [], threading.Lock()
+        chunks = iter(range(len(hashes)))
+
+        def hash_chunks():
+            buf = memoryview(bytearray(CSV_CHUNK))
+            try:
+                while True:
+                    with lock:
+                        i = next(chunks, None)
+                    if i is None:
+                        return
+                    got = os.preadv(fd, [buf[:size - i * CSV_CHUNK]], i * CSV_CHUNK)
+                    hashes[i] = hashlib.sha256(buf[:got]).digest()
+            except Exception as exc:  # raised again in the calling thread
+                errors.append(exc)
+        helpers = [threading.Thread(target=hash_chunks)
+                   for _ in range(min(len(os.sched_getaffinity(0)), len(hashes)) - 1)]
+        try:
+            for helper in helpers:
+                helper.start()
+            result = meanwhile()
+            hash_chunks()
+        finally:
+            for helper in helpers:
+                if helper.is_alive():  # one that never started or has ended needs no join
+                    helper.join()
+    if errors:
+        raise errors[0]
+    return hashlib.sha256(size.to_bytes(8, "little") + b"".join(hashes)).digest(), result
 
 
 class Trajectory:

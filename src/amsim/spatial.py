@@ -152,6 +152,13 @@ def _validate_inertia(j: np.ndarray) -> np.ndarray:
     return 0.5 * (j + j.T)
 
 
+def frozen(a) -> np.ndarray:
+    """A float copy of ``a`` that raises on item assignment."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class InertialParams:
     """Mass, CoM position, and inertia tensor about the CoM of one rigid body.
@@ -167,8 +174,9 @@ class InertialParams:
     def __post_init__(self):
         (mass,) = as_floats([self.mass], 1, "mass", "positive")
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "com", np.array(as_floats(self.com, 3, "com")))
-        object.__setattr__(self, "inertia_about_com", _validate_inertia(self.inertia_about_com))
+        object.__setattr__(self, "com", frozen(as_floats(self.com, 3, "com")))
+        object.__setattr__(self, "inertia_about_com",
+                           frozen(_validate_inertia(self.inertia_about_com)))
 
 
 def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o) -> tuple:

@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 import math
 import os
 import re
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -16,8 +19,8 @@ from amsim.config import (ConfigError, ScenarioConfig, load_config, parse_config
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
 from amsim.dynamics import MAX_STEP, NonFinite, step_rk4
-from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, MismatchedRuns, RunLog, Trajectory,
-                            _wind_at, run_scenario)
+from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, RunLog,
+                            Trajectory, _csv_digest, _wind_at, run_scenario)
 from amsim.spatial import InertialParams, box_inertia, quat_to_rot
 
 HOVER_QUIET = """
@@ -405,6 +408,17 @@ class TestConfig:
                     **{key: 0.5 if key == "prior_beta" else (2.0, 2.0, 2.0)
                        for key in keys.split(" and ")})
 
+    @pytest.mark.parametrize("lines, keys", [
+        ("prior_alpha = 1 1 1\n", "prior_alpha"), ("prior_beta = 1.0\n", "prior_beta"),
+        ("prior_alpha = 1 1 1\nprior_beta = 1\n", "prior_beta and prior_alpha")],
+        ids=["alpha", "beta", "both"])
+    def test_inline_prior_keys_at_defaults_without_rho_rejected(self, lines, keys):
+        """A file that writes them is refused even at the dataclass defaults."""
+        message = (f"[object] prior_rho is not set, so {keys} would be ignored for the "
+                   "catalog prior of the label")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config("[object]\nlabel = coffee can\ntrue_mass = 0.2\n" + lines)
+
     def test_dropping_rho_of_an_inline_prior_rejected(self):
         obj = load_config("hover_payload").obj
         with pytest.raises(ConfigError, match="prior_beta and prior_alpha would be ignored"):
@@ -437,9 +451,10 @@ class TestConfig:
         "[object]\ntrue_mass = 0.3\nprior_rho = nan\n",
         "[estimation]\ncatalog = {catalog}\n[object]\nlabel = x\ntrue_mass = 0.3\n",
         "[object]\nlabel = coffee can\ntrue_mass = 0.3\nprior_alpha = 2 2 2\n",
+        "[object]\nlabel = coffee can\ntrue_mass = 0.3\nprior_alpha = 1 1 1\n",
     ], ids=["trajectory-row", "arm-row", "wind-row", "inertia", "mass", "p_b", "noise",
             "nan-home", "far-home", "prior-alpha", "prior-rho", "catalog-nan",
-            "prior-without-rho"])
+            "prior-without-rho", "default-prior-without-rho"])
     def test_bad_input_cli_exit_1_writes_nothing(self, tmp_path, capsys, text):
         catalog = tmp_path / "priors.txt"
         catalog.write_text("x | 1.0 | 1 nan 1 | nan\n", encoding="utf-8")
@@ -909,6 +924,32 @@ def snapshot(directory):
     return {f.name: f.stat().st_mtime_ns for f in directory.iterdir()}
 
 
+def sized_log(n_bytes):
+    """A log of ones in 64 columns whose CSV is exactly ``n_bytes`` long: a header of
+    at least 128 bytes, the first name padded, and rows of 256 bytes."""
+    rows, pad = divmod(n_bytes - 128, 256)
+    return RunLog(names=["a" * (1 + pad)] + ["a"] * 63, data=np.ones((rows, 64)))
+
+
+def ref_digest(raw: bytes) -> bytes:
+    """The sidecar digest written out in one thread: the byte length, then each chunk's."""
+    chunks = [raw[i:i + CSV_CHUNK] for i in range(0, len(raw), CSV_CHUNK)]
+    return hashlib.sha256(len(raw).to_bytes(8, "little")
+                          + b"".join(hashlib.sha256(c).digest() for c in chunks)).digest()
+
+
+def cores(monkeypatch, n):
+    """Make ``_csv_digest`` see ``n`` usable cores; returns the list of threads it starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
 class TestCsvSidecar:
     """RunLog.to_csv writes ``<log>.csv.npy``; from_csv uses it only when it matches."""
 
@@ -1039,6 +1080,92 @@ class TestCsvSidecar:
         before = snapshot(path.parent)
         assert RunLog.from_csv(path).events["csv_sidecar"] == "absent"
         assert snapshot(path.parent) == before
+
+    @pytest.mark.parametrize("n_bytes", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+    def test_stored_digest_at_chunk_edges(self, tmp_path, n_bytes):
+        path = tmp_path / "log.csv"
+        sized_log(n_bytes).to_csv(path)
+        raw = path.read_bytes()
+        assert len(raw) == n_bytes
+        stored = sidecar_of(path).read_bytes()[-32:]
+        assert stored == _csv_digest(str(path))[0] == ref_digest(raw)
+        assert RunLog.from_csv(path).events["csv_sidecar"] == "hit"
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_digest_same_for_any_worker_count(self, tmp_path, monkeypatch, n_cores):
+        path = tmp_path / "blob"
+        raw = np.random.default_rng(5).bytes(3 * CSV_CHUNK + 12345)
+        path.write_bytes(raw)
+        started = cores(monkeypatch, n_cores)
+        assert _csv_digest(str(path)) == (ref_digest(raw), None)
+        assert len(started) == n_cores - 1
+
+    def test_digest_of_empty_file(self, tmp_path):
+        path = tmp_path / "empty"
+        path.write_bytes(b"")
+        assert _csv_digest(str(path))[0] == ref_digest(b"")
+
+    def test_stress_more_workers_than_cores(self, tmp_path, monkeypatch):
+        """Eight workers share out 10 chunks under a tiny switch interval: a chunk
+        skipped or hashed into the wrong slot would change the digest."""
+        path = tmp_path / "blob"
+        raw = np.random.default_rng(6).bytes(9 * CSV_CHUNK + 7)
+        path.write_bytes(raw)
+        started = cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert _csv_digest(str(path))[0] == ref_digest(raw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 5 * 7 and not any(t.is_alive() for t in started)
+
+    def test_stale_after_one_digit_changes_in_last_chunk(self, tmp_path):
+        path = tmp_path / "log.csv"
+        sized_log(2 * CSV_CHUNK + 1000).to_csv(path)
+        raw = path.read_bytes()
+        at = raw.rindex(b"1.0")
+        path.write_bytes(raw[:at] + b"2" + raw[at + 1:])
+        back = RunLog.from_csv(path)
+        assert back.events["csv_sidecar"] == "stale"
+        assert back.data[-1, -1] == 2.0 and back.data.sum() == back.data.size + 1
+
+    def test_old_plain_sha256_sidecar_reads_stale(self, written):
+        """A sidecar written before the chunked digest ends in the SHA-256 of the CSV."""
+        log, path = written
+        side = sidecar_of(path)
+        side.write_bytes(side.read_bytes()[:-32] + hashlib.sha256(path.read_bytes()).digest())
+        back = RunLog.from_csv(path)
+        assert back.events["csv_sidecar"] == "stale"
+        assert back.data.tobytes() == log.data.tobytes()
+
+    @pytest.mark.parametrize("outcome", ["hit", "unreadable"])
+    def test_no_thread_outlives_a_read(self, tmp_path, monkeypatch, outcome):
+        path = tmp_path / "log.csv"
+        sized_log(3 * CSV_CHUNK + 1).to_csv(path)  # four chunks
+        if outcome == "unreadable":
+            sidecar_of(path).write_bytes(b"not an npy file")
+        started = cores(monkeypatch, 4)
+        before = threading.active_count()
+        assert RunLog.from_csv(path).events["csv_sidecar"] == outcome
+        assert threading.active_count() == before and len(started) == 3
+
+    def test_helper_error_raised_in_caller(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.csv"
+        sized_log(3 * CSV_CHUNK).to_csv(path)
+        preadv = os.preadv
+
+        def failing(fd, buffers, offset):
+            if threading.current_thread() is not threading.main_thread():
+                raise OSError(5, "injected read error")
+            return preadv(fd, buffers, offset)
+        monkeypatch.setattr(os, "preadv", failing)
+        started = cores(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="injected read error"):
+            RunLog.from_csv(path)
+        assert threading.active_count() == before and len(started) == 1
 
     def test_cli_output_same_with_and_without_sidecar(self, tmp_path, capsys):
         assert cli.main(["run", "grasp_estimate", "--duration", "0.5",

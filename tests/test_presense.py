@@ -134,6 +134,18 @@ class TestFitObbReference:
 
 
 class TestEstimateInertia:
+    def test_arrays_are_read_only(self):
+        from amsim.presense import OrientedBox
+        center, rot = np.zeros(3), np.eye(3)
+        box = OrientedBox(center=center, rotation=rot, dims=(0.3, 0.2, 0.1))
+        est = estimate_inertia(box, ObjectPrior("box", beta=1.0, alpha=np.ones(3), rho=500.0))
+        for array, index in ((box.center, 0), (box.rotation, (0, 0)),
+                             (est.moi_tilde, (0, 0))):
+            with pytest.raises(ValueError, match="read-only"):
+                array[index] = 5.0
+        center[0] = rot[0, 0] = 2.0  # the caller's arrays stay writeable and apart
+        assert box.center[0] == 0.0 and box.rotation[0, 0] == 1.0
+
     def test_unit_cube_direct_evaluation(self):
         from amsim.presense import OrientedBox
         box = OrientedBox(center=np.zeros(3), rotation=np.eye(3),

@@ -305,3 +305,13 @@ class TestInertialParamsValidation:
 
     def test_accepts_physical(self):
         InertialParams(1.0, np.zeros(3), cylinder_inertia(1.0, 0.04, 0.12))
+
+    def test_arrays_are_read_only_copies(self):
+        com, j = np.zeros(3), np.eye(3)
+        body = InertialParams(1.0, com, j)
+        with pytest.raises(ValueError, match="read-only"):
+            body.com[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            body.inertia_about_com[0, 0] = 5.0
+        com[0] = j[0, 0] = 2.0  # the caller's arrays stay writeable and apart
+        assert body.com[0] == 0.0 and body.inertia_about_com[0, 0] == 1.0
