@@ -23,43 +23,23 @@ def lowpass_alpha(cutoff_hz: float, dt: float) -> float:
 
 
 @dataclass
-class DobState:
-    m_hat: float = 0.0
-    force_filt: tuple | None = None  # filtered residual force, three floats, N
-
-    def __post_init__(self):
-        if self.m_hat < 0.0:
-            raise ValueError("m_hat must be non-negative")
-
-
-@dataclass
-class GraspDetector:
-    threshold: float = 1.0     # N, above hover noise, below lightest payload weight
-    persistence: float = 0.5   # s the force must persist before switching
-    elapsed_above: float = 0.0
-    triggered: bool = False
-
-    def __post_init__(self):
-        if self.threshold <= 0.0 or self.persistence <= 0.0:
-            raise ValueError("threshold and persistence must be positive")
-
-
-@dataclass
 class TotalInertia:
     m_t_hat: float
     c_t: list      # arm-frame CoM of vehicle + payload, three floats
     j_t_hat: list  # inertia about c_t, nine row-major floats
 
 
-def dob_step(st: DobState, accel_w, R, thrust_body, m_a: float, c: float,
-             dt: float, g: float, force_lpf_hz: float) -> DobState:
+def dob_step(m_hat: float, force_filt, accel_w, R, thrust_body, m_a: float, c: float,
+             dt: float, g: float, alpha: float) -> tuple[float, tuple]:
     """One observer tick from world acceleration, attitude, and total thrust.
 
     ``accel_w`` and ``thrust_body`` are three floats and ``R``, the body-to-world
     rotation, its nine row-major floats. The raw residual is low-pass filtered
-    (filter state seeded on the first call), then the mass estimate relaxes
+    with the blend ``alpha`` (``lowpass_alpha`` of the cutoff at ``dt``); a
+    ``force_filt`` of None seeds the filter. Then the mass estimate relaxes
     toward residual_z / g with time constant m_a / c using the exact
-    zero-order-hold discretization. The estimate is clamped non-negative.
+    zero-order-hold discretization. Returns the estimate, clamped
+    non-negative, and the filtered residual as three floats.
     """
     a0, a1, a2 = accel_w
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
@@ -67,34 +47,29 @@ def dob_step(st: DobState, accel_w, R, thrust_body, m_a: float, c: float,
     f0 = (r00 * t0 + r01 * t1 + r02 * t2) - m_a * a0
     f1 = (r10 * t0 + r11 * t1 + r12 * t2) - m_a * a1
     f2 = (r20 * t0 + r21 * t1 + r22 * t2) - m_a * a2 - m_a * g
-    if st.force_filt is not None:
-        a = lowpass_alpha(force_lpf_hz, dt)
-        p0, p1, p2 = st.force_filt
-        f0, f1, f2 = p0 + a * (f0 - p0), p1 + a * (f1 - p1), p2 + a * (f2 - p2)
+    if force_filt is not None:
+        p0, p1, p2 = force_filt
+        f0, f1, f2 = p0 + alpha * (f0 - p0), p1 + alpha * (f1 - p1), p2 + alpha * (f2 - p2)
     decay = math.exp(-c * dt / m_a)
     target = f2 / g
-    m_hat = target + (st.m_hat - target) * decay
-    return DobState(max(m_hat, 0.0), (f0, f1, f2))
+    return max(target + (m_hat - target) * decay, 0.0), (f0, f1, f2)
 
 
-def detect_grasp(d: GraspDetector, ext_force_z: float, dt: float) -> tuple[GraspDetector, bool]:
+def detect_grasp(elapsed: float, ext_force_z: float, threshold: float, persistence: float,
+                 dt: float) -> tuple[float, bool]:
     """Accumulate time above threshold; latch once it persists long enough.
 
-    Advances ``d`` in place, without checking again the values checked when it
-    was built, and returns it with the latched flag. Once triggered the flag
-    never clears; before triggering, any drop below the threshold resets the
-    accumulated time.
+    Returns the new time above threshold and whether the grasp latched: any
+    drop below the threshold resets the time. The caller stops calling once
+    latched, so the latch never clears.
     """
-    if not d.triggered:
-        d.elapsed_above = d.elapsed_above + dt if abs(ext_force_z) > d.threshold else 0.0
-        d.triggered = d.elapsed_above >= d.persistence - 1e-12
-    return d, d.triggered
+    elapsed = elapsed + dt if abs(ext_force_z) > threshold else 0.0
+    return elapsed, elapsed >= persistence - 1e-12
 
 
 def rescale_moi(j_tilde, m_tilde: float, m_hat: float) -> list:
-    """Scale the pre-grasp MoI estimate (nine floats) by the refined-to-initial mass ratio."""
-    if m_tilde <= 0.0:
-        raise ValueError("m_tilde must be positive")
+    """Scale the pre-grasp MoI estimate (nine floats) by the refined-to-initial mass
+    ratio; ``m_tilde`` is positive, as ``ObjectEstimate`` requires."""
     return [j * (m_hat / m_tilde) for j in j_tilde]
 
 

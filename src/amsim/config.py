@@ -12,6 +12,7 @@ a variant with ``dataclasses.replace``, which runs the same checks.
 from __future__ import annotations
 
 import configparser
+import copy
 import math
 import os
 from collections import defaultdict
@@ -23,7 +24,7 @@ import numpy as np
 from .controller import Gains
 from .delta import DeltaGeometry, KinematicsError, inverse_kin
 from .dynamics import MAX_STEP, RotorConfig
-from .presense import ObjectPrior
+from .presense import ObjectPrior, UnknownLabel, load_catalog, prior_for
 from .spatial import (ConfigError, _validate_inertia, as_floats, box_inertia,
                       cylinder_inertia)
 
@@ -130,6 +131,7 @@ class ObjectConfig:
     prior_rho: float | None = None
     # derived from the fields above when built: ``true_inertia``, or else that of
     # the solid shape of ``dims`` and ``true_mass``; and the inline prior, if any
+    # (a ScenarioConfig sets the catalog prior of the label on its own copy)
     inertia: tuple = field(init=False, repr=False, compare=False)
     prior: ObjectPrior | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -220,6 +222,18 @@ class ScenarioConfig:
         if not 0.0 <= self.eval_start < math.inf:
             raise ConfigError(f"[run] eval_start must be finite and >= 0, got {self.eval_start}")
         as_floats([self.g], 1, "[vehicle] g", "positive")
+        if self.obj is not None and self.obj.prior_rho is None:  # in every mode
+            label, path = self.obj.label, self.est.catalog
+            where = f"catalog {path!r}" if path else "the shipped catalog"
+            try:
+                prior = prior_for(label, load_catalog(path))
+            except UnknownLabel:
+                raise ConfigError(f"[object] label {label!r} is not in {where}") from None
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"[estimation] {where}, read for [object] label {label!r}: "
+                                  f"{exc}") from None
+            object.__setattr__(self, "obj", copy.copy(self.obj))  # it may sit in other configs
+            object.__setattr__(self.obj, "prior", prior)
         if round(self.duration / self.sim_dt) < 1:
             raise ConfigError(f"duration {self.duration:g} s rounds to no physics "
                               f"step of {self.sim_dt:g} s")

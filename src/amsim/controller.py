@@ -116,27 +116,19 @@ class RateLoop:
     torque = (Kp e + Ki ∫e + Kd d/dt e_filtered) * k_k, elementwise per axis.
     The integral torque contribution is clamped to +-i_limit per axis; the
     derivative comes from a low-pass filtered finite difference of the error.
-    The gains are read when the loop is built.
+    The gains, the tick ``dt`` and the D filter's blend are fixed when the loop is built.
     """
 
-    def __init__(self, gains: Gains):
-        self.gains = gains
+    def __init__(self, gains: Gains, dt: float):
         self._kp, self._ki, self._kd = gains.rate_kp, gains.rate_ki, gains.rate_kd
-        self._lim = gains.i_limit
-        self._dt = self._alpha = None  # the D filter's blend at the last tick's dt
-        self.reset()
-
-    def reset(self):
-        self._integral = (0.0, 0.0, 0.0)
+        self._lim, self._dt = gains.i_limit, dt
+        self._alpha = lowpass_alpha(gains.d_lpf_hz, dt)
+        self._integral = self._d_filt = (0.0, 0.0, 0.0)
         self._prev_error = None
-        self._d_filt = (0.0, 0.0, 0.0)
 
-    def step(self, omega_des, omega, k_k_diag, dt: float) -> list:
+    def step(self, omega_des, omega, k_k_diag) -> list:
         """Torque command (three floats) from the rate error of one tick."""
-        if dt != self._dt:
-            self._dt = dt
-            self._alpha = lowpass_alpha(self.gains.d_lpf_hz, dt)
-        lim, a = self._lim, self._alpha
+        lim, a, dt = self._lim, self._alpha, self._dt
         (w0, w1, w2), (m0, m1, m2) = omega_des, omega
         e0, e1, e2 = w0 - m0, w1 - m1, w2 - m2
         (ki0, ki1, ki2), (i0, i1, i2) = self._ki, self._integral

@@ -61,11 +61,6 @@ class DeltaGeometry:
         if not lo < hi:
             raise ValueError("joint_limits must satisfy lo < hi")
 
-@dataclass
-class JointState:
-    theta: tuple      # joint angles, three floats (rad)
-    theta_dot: tuple  # joint rates, three floats (rad/s)
-
 
 def _chains(geom: DeltaGeometry, theta) -> list:
     """Per arm: cos and sin of its azimuth, then of its joint angle."""
@@ -208,31 +203,31 @@ def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
     return jac
 
 
-def joint_command(geom: DeltaGeometry, target_p, target_v, current: JointState,
+def joint_command(geom: DeltaGeometry, target_p, target_v, theta,
                   k_theta) -> tuple[tuple, tuple]:
     """Servo setpoints, three floats each: IK position plus feedforward/proportional velocity.
 
     theta_des = IK(target_p); theta_dot_des = J^-1 target_v + K_theta (theta_des - theta),
-    (J^-1 v)_i = (n_i . v) / b_i, ``k_theta`` the diagonal of K_theta. Raises as
-    ``inverse_kin``, then as ``jacobian``.
+    (J^-1 v)_i = (n_i . v) / b_i, ``theta`` the current joint angles and ``k_theta``
+    the diagonal of K_theta. Raises as ``inverse_kin``, then as ``jacobian``.
     """
     theta_des = inverse_kin(geom, target_p)
-    rows, b = _closure(geom, current.theta)
+    rows, b = _closure(geom, theta)
     if not _well_conditioned(rows, b):
-        jacobian(geom, current.theta)  # numpy's Singular check decides
+        jacobian(geom, theta)  # numpy's Singular check decides
     v0, v1, v2 = target_v
     return theta_des, tuple(float((n0 * v0 + n1 * v1 + n2 * v2) / bi + k * (d - th))
                             for (n0, n1, n2), bi, k, d, th in
-                            zip(rows, b, k_theta, theta_des, current.theta))
+                            zip(rows, b, k_theta, theta_des, theta))
 
 
-def servo_step(geom: DeltaGeometry, st: JointState, theta_dot_cmd, dt: float,
-               rate_limit: float) -> JointState:
-    """Advance the servo model one tick: rate-limited tracking of the command.
+def servo_step(geom: DeltaGeometry, theta, theta_dot_cmd, dt: float,
+               rate_limit: float) -> tuple:
+    """Joint angles (three floats) after one tick of rate-limited tracking of the command.
 
     ``rate_limit`` must be non-negative (checked where the config is built);
     the clamped value comes first so that a NaN command passes, as in np.clip.
     """
     lo, hi = geom.joint_limits
-    td = tuple(min(max(x, -rate_limit), rate_limit) for x in theta_dot_cmd)
-    return JointState(tuple(min(max(th + x * dt, lo), hi) for th, x in zip(st.theta, td)), td)
+    return tuple(min(max(th + min(max(x, -rate_limit), rate_limit) * dt, lo), hi)
+                 for th, x in zip(theta, theta_dot_cmd))

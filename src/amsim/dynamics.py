@@ -34,8 +34,8 @@ class RotorConfig:
                                                     for p in self.positions))
         if len(self.positions) != 4:
             raise ConfigError(f"rotor positions needs 4 rows, got {len(self.positions)}")
-        as_floats([self.c_t, self.tau_m], 2, "c_t, tau_m", "positive")
-        as_floats([self.k_tau, self.k_m], 2, "k_tau, k_m")
+        as_floats([self.c_t, self.tau_m, self.k_m], 3, "c_t, tau_m, k_m", "positive")
+        as_floats([self.k_tau], 1, "k_tau")
         if not all(abs(s) == 1.0 for s in self.spin_dirs):
             raise ConfigError("spin_dirs must be +1 or -1")
 

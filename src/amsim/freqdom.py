@@ -57,11 +57,6 @@ class RationalTF:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def normalized(self) -> "RationalTF":
-        """Scale so the denominator's leading coefficient is one."""
-        s = self.den[-1]
-        return RationalTF(tuple(c / s for c in self.num), tuple(c / s for c in self.den))
-
 
 def _trim(coeffs) -> tuple:
     c = [float(v) for v in coeffs]
@@ -80,9 +75,9 @@ class MarginReport:
 
 def open_loop_tf(kp: float, ki: float, kd: float, k_k: float,
                  k_m: float, tau_m: float, j: float) -> RationalTF:
-    """Open-loop rate transfer function for one axis."""
-    if j <= 0.0 or tau_m <= 0.0:
-        raise ValueError("j and tau_m must be positive")
+    """Open-loop rate transfer function for one axis; ``k_k`` must be non-negative."""
+    if j <= 0.0 or tau_m <= 0.0 or not k_k >= 0.0:
+        raise ValueError("j and tau_m must be positive and k_k non-negative")
     scale = k_m * k_k
     return RationalTF(num=(scale * ki, scale * kp, scale * kd),
                       den=(0.0, 0.0, j, j * tau_m))

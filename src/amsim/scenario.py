@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adaptation, delta, presense
-from .adaptation import DobState, GraspDetector, TotalInertia
+from .adaptation import TotalInertia
 from .config import ScenarioConfig
 from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
                          position_loop)
@@ -162,9 +162,7 @@ class Trajectory:
 
     def __init__(self, waypoints):
         # rows: (t, pos3[, extra scalar]) of floats, as a config table holds them
-        self.times = [w[0] for w in waypoints]
-        if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
+        self.times = [w[0] for w in waypoints]  # distinct and sorted, as the config made them
         self.points = [w[1] for w in waypoints]
         self.extras = [w[2] if len(w) > 2 else 0.0 for w in waypoints]
 
@@ -207,8 +205,7 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     else:
         cloud = presense.sample_box_cloud(obj.dims, n, rng)
     box = presense.fit_obb(cloud)
-    prior = obj.prior or presense.prior_for(obj.label, presense.load_catalog(cfg.est.catalog))
-    est = presense.estimate_inertia(box, prior, pad_height=cfg.est.suction_pad)
+    est = presense.estimate_inertia(box, obj.prior, pad_height=cfg.est.suction_pad)
     moi_world = box.rotation @ est.moi_tilde @ box.rotation.T
     prior_body = InertialParams(est.mass_tilde, np.zeros(3), moi_world)
     return prior_body.mass, prior_body.inertia_about_com.ravel().tolist(), est.grasp_offset
@@ -262,15 +259,15 @@ class _Run:
             self.payload = (obj.true_mass, [v for row in obj.inertia for v in row],
                             presense.top_grasp_offset(obj.dims[2], cfg.est.suction_pad))
 
-        self.joints = delta.JointState(delta.inverse_kin(self.geom, cfg.arm.home),
-                                       (0.0, 0.0, 0.0))
+        self.theta = delta.inverse_kin(self.geom, cfg.arm.home)  # the arm's joint angles
         # the vehicle state (p, v, q, omega), 13 floats: at rest, level, at the first waypoint
         self.y = (*self.traj.eval(0.0)[0], 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         self.thr = self.t_cmd = [self.m_a * cfg.g / 4.0] * 4  # hover trim
-        self.rate_ctl = RateLoop(cfg.gains)
-        self.detector = GraspDetector(cfg.est.grasp_threshold, cfg.est.grasp_persistence)
-        self.dob = DobState()  # its m_hat is the logged payload mass estimate
-        self.det_filt = None
+        self.rate_ctl = RateLoop(cfg.gains, self.ctrl_dt)
+        # the detector's filtered residual and time above threshold, and the observer's
+        # filtered residual and payload mass (logged); both filters blend by det_alpha
+        self.det_filt = self.dob_filt = None
+        self.above = self.m_hat = 0.0
         self.det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, self.dob_dt)
         self.attached = self.latched = False
 
@@ -295,7 +292,7 @@ class _Run:
         tot = self.bare
         if self.attached:
             tot = adaptation.update_total(self.m_a, self.am_j, self.am_com, *self.payload,
-                                          self.joints.theta, self.geom)
+                                          self.theta, self.geom)
         self.truth = tot
         self.truth_inv = inverse3(tot.j_t_hat)
         self.truth_tmap = torque_matrix(self.rotor, [c - b for c, b in zip(tot.c_t, self.am_com)])
@@ -324,44 +321,46 @@ class _Run:
         else:
             alpha = self.det_alpha
             self.det_filt = [d + alpha * (f - d) for d, f in zip(self.det_filt, f_res)]
-        self.detector, now_latched = adaptation.detect_grasp(self.detector, self.det_filt[2],
-                                                             self.dob_dt)
-        if now_latched and not self.latched:
-            self.latched = True
-            self.events["latch_time"] = t
-            self.dob = DobState(m_hat=(self.m_tilde if self.use_prior else 0.0))
+        est = self.cfg.est
+        if not self.latched:
+            self.above, self.latched = adaptation.detect_grasp(
+                self.above, self.det_filt[2], est.grasp_threshold, est.grasp_persistence,
+                self.dob_dt)
+            if self.latched:
+                self.events["latch_time"] = t
+                self.m_hat = self.m_tilde if self.use_prior else 0.0
         if self.latched and self.use_dob:
-            est = self.cfg.est
-            self.dob = adaptation.dob_step(self.dob, acc, R, (0.0, 0.0, thrust), m_a, est.dob_c,
-                                           self.dob_dt, g=self.g, force_lpf_hz=est.force_lpf_hz)
+            self.m_hat, self.dob_filt = adaptation.dob_step(
+                self.m_hat, self.dob_filt, acc, R, (0.0, 0.0, thrust), m_a, est.dob_c,
+                self.dob_dt, self.g, self.det_alpha)
 
     def servo(self, t: float):
         """Arm joint command and servo step, at the servo rate."""
         tgt_p, tgt_v, _, _ = self.arm_traj.eval(t)
-        if (tgt_p, tgt_v, self.joints.theta) != self.servo_key:
-            self.servo_key = (tgt_p, tgt_v, self.joints.theta)
+        if (tgt_p, tgt_v, self.theta) != self.servo_key:
+            self.servo_key = (tgt_p, tgt_v, self.theta)
             try:  # on a fallback, zero joint rate
                 self.thd_des, self.kin_failed = delta.joint_command(
-                    self.geom, tgt_p, tgt_v, self.joints, self.k_theta)[1], False
+                    self.geom, tgt_p, tgt_v, self.theta, self.k_theta)[1], False
             except delta.KinematicsError:
                 self.thd_des, self.kin_failed = (0.0, 0.0, 0.0), True
         self.events["kin_fallbacks"] += self.kin_failed
-        self.joints = delta.servo_step(self.geom, self.joints, self.thd_des, self.servo_dt,
-                                       self.cfg.arm.rate_limit)
-        if self.joints.theta != self.theta_cols:  # the arm moved
-            self.theta_cols = self.joints.theta
+        self.theta = delta.servo_step(self.geom, self.theta, self.thd_des, self.servo_dt,
+                                      self.cfg.arm.rate_limit)
+        if self.theta != self.theta_cols:  # the arm moved
+            self.theta_cols = self.theta
             if self.attached:
                 self.set_truth()
 
     def control(self, t: float):
         """Estimate refresh, position/attitude/rate cascade and mixer, at the control rate."""
-        key = (self.dob.m_hat, self.joints.theta)
+        key = (self.m_hat, self.theta)
         if key != self.est_key and self.latched and (self.use_prior or self.use_dob):
             self.est_key, m_o, j_o = key, key[0], self.j_tilde
             if self.use_prior:
                 j_o = adaptation.rescale_moi(j_o, self.m_tilde, m_o)
             self.est_tot = est = adaptation.update_total(
-                self.m_a, self.am_j, self.am_com, m_o, j_o, self.offset_est, self.joints.theta,
+                self.m_a, self.am_j, self.am_com, m_o, j_o, self.offset_est, self.theta,
                 self.geom)
             self.kk = np.diag(iags_gain(self.j_a, est.j_t_hat)).tolist()
             com = [c - b for c, b in zip(est.c_t, self.am_com)]
@@ -377,7 +376,7 @@ class _Run:
         if freefall:
             self.events["freefall_ticks"] += 1
         w_des = attitude_loop(q_des, R, self.k_att)
-        tau_des = self.rate_ctl.step(w_des, self.w_meas, self.kk, self.ctrl_dt)
+        tau_des = self.rate_ctl.step(w_des, self.w_meas, self.kk)
         self.t_cmd, infeasible = mixer(thrust_des, tau_des, self.alloc, self.rotor.c_t)
         if infeasible:
             self.events["infeasible_ticks"] += 1
@@ -423,7 +422,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunLog:
             if ctrl_tick:
                 run.control(t)
             _ROW.pack_into(rows, k * _ROW.size, t, *run.y, *run.ctrl_cols, *run.thr,
-                           *run.theta_cols, run.dob.m_hat, *run.est_cols, *run.truth_cols,
+                           *run.theta_cols, run.m_hat, *run.est_cols, *run.truth_cols,
                            *run.det_filt, float(run.attached), float(run.latched))
             run.physics(wind)
     except NonFinite as exc:

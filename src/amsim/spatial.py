@@ -195,18 +195,6 @@ def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o) -> tuple:
     return m_t, c_t, [a + o for a, o in zip(j_a, j_o)]
 
 
-def compose_inertia(am: InertialParams, obj: InertialParams, p_obj: np.ndarray) -> InertialParams:
-    """Combine a carrier body and an attached object into one rigid body.
-
-    ``p_obj`` places the object's frame origin in the shared frame; the
-    object's CoM sits at ``p_obj + obj.com``. Returns their ``composite``.
-    """
-    c_obj = np.asarray(p_obj, dtype=float).reshape(3) + obj.com
-    m_t, c_t, j_t = composite(am.mass, am.com.tolist(), am.inertia_about_com.ravel().tolist(),
-                              obj.mass, c_obj.tolist(), obj.inertia_about_com.ravel().tolist())
-    return InertialParams(m_t, c_t, np.reshape(j_t, (3, 3)))
-
-
 def box_inertia(mass: float, dims) -> np.ndarray:
     """Inertia tensor of a solid uniform box about its center, axes along edges."""
     lx, ly, lz = (float(d) for d in dims)

@@ -162,3 +162,10 @@ def rot_to_quat_case(R) -> int:
     if R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
         return 1
     return 2 if R[1, 1] > R[2, 2] else 3
+
+
+def monic(tf):
+    """Numerator and denominator coefficients of ``tf`` over its leading
+    denominator coefficient, as arrays: equal for two forms of one loop."""
+    s = tf.den[-1]
+    return np.array(tf.num) / s, np.array(tf.den) / s

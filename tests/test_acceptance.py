@@ -7,17 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import Q, W, lattice_inertia, random_rotation, rot_matrix, state, step
+from conftest import Q, W, lattice_inertia, monic, random_rotation, rot_matrix, state, step
 
 from amsim import metrics
-from amsim.adaptation import DobState, dob_step
+from amsim.adaptation import dob_step, lowpass_alpha
 from amsim.config import load_config
 from amsim.controller import Gains
 from amsim.delta import DeltaGeometry, forward_kin, inverse_kin, jacobian
 from amsim.freqdom import (RationalTF, margins, open_loop_tf,
                            robustness_sweep, workspace_kk_sweep)
 from amsim.scenario import run_scenario
-from amsim.spatial import InertialParams, box_inertia, compose_inertia
+from amsim.spatial import box_inertia, composite
 
 J_A_DIAG = np.array([9.2e-3, 10.5e-3, 14.7e-3])
 
@@ -76,12 +76,12 @@ def test_criterion_2_dob_analytic_response():
     accel = (0.0, 0.0, 0.0)
     R = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     thrust = (0.0, 0.0, (m_a + m_o) * g)
-    st = DobState(m_hat=0.0)
+    m_hat, filt, alpha = 0.0, None, lowpass_alpha(50.0, dt)
     worst_rel = 0.0
     for k in range(1, 201):
-        st = dob_step(st, accel, R, thrust, m_a, c, dt, g=g, force_lpf_hz=50.0)
+        m_hat, filt = dob_step(m_hat, filt, accel, R, thrust, m_a, c, dt, g, alpha)
         expect = m_o * (1.0 - math.exp(-c * k * dt / m_a))
-        worst_rel = max(worst_rel, abs(st.m_hat - expect) / expect)
+        worst_rel = max(worst_rel, abs(m_hat - expect) / expect)
     ok = worst_rel < 0.005
     report(2, "observer matches closed-form first-order response within 0.5%",
            ok, f"(worst sample error {100*worst_rel:.2e}%)")
@@ -92,17 +92,15 @@ def test_criterion_3_loop_shape_invariance():
     g = Gains()
     worst = 0.0
     for axis in range(3):
-        nominal = open_loop_tf(g.rate_kp[axis], g.rate_ki[axis], g.rate_kd[axis],
-                               1.0, 1.0, 0.02, J_A_DIAG[axis]).normalized()
-        ref_num = np.array(nominal.num)
-        ref_den = np.array(nominal.den)
+        ref_num, ref_den = monic(open_loop_tf(g.rate_kp[axis], g.rate_ki[axis],
+                                              g.rate_kd[axis], 1.0, 1.0, 0.02, J_A_DIAG[axis]))
         scale_ref = max(np.abs(ref_num).max(), np.abs(ref_den).max())
         for _ in range(100):
             s = rng.uniform(1.0, 4.0)
-            tf = open_loop_tf(g.rate_kp[axis], g.rate_ki[axis], g.rate_kd[axis],
-                              s, 1.0, 0.02, J_A_DIAG[axis] * s).normalized()
-            dn = np.abs(np.array(tf.num) - ref_num).max()
-            dd = np.abs(np.array(tf.den) - ref_den).max()
+            num, den = monic(open_loop_tf(g.rate_kp[axis], g.rate_ki[axis], g.rate_kd[axis],
+                                          s, 1.0, 0.02, J_A_DIAG[axis] * s))
+            dn = np.abs(num - ref_num).max()
+            dd = np.abs(den - ref_den).max()
             worst = max(worst, dn / scale_ref, dd / scale_ref)
     ok = worst < 1e-12
     report(3, "scheduled gain k_k = j/j_a reproduces unloaded coefficients",
@@ -189,13 +187,12 @@ def test_criterion_9_composite_inertia_oracle():
         ma, mb = rng.uniform(0.2, 3.0, 2)
         rot_a, rot_b = random_rotation(rng), random_rotation(rng)
         ca, cb = rng.uniform(-0.25, 0.25, 3), rng.uniform(-0.25, 0.25, 3)
-        got = compose_inertia(
-            InertialParams(ma, ca, rot_a @ box_inertia(ma, dims_a) @ rot_a.T),
-            InertialParams(mb, np.zeros(3), rot_b @ box_inertia(mb, dims_b) @ rot_b.T),
-            cb)
+        _, _, j_t = composite(ma, ca.tolist(), (rot_a @ box_inertia(ma, dims_a) @ rot_a.T).ravel()
+                              .tolist(), mb, cb.tolist(),
+                              (rot_b @ box_inertia(mb, dims_b) @ rot_b.T).ravel().tolist())
         _, _, j_ref = lattice_inertia([(ma, dims_a, rot_a, ca),
                                        (mb, dims_b, rot_b, cb)])
-        rel = np.linalg.norm(got.inertia_about_com - j_ref) / np.linalg.norm(j_ref)
+        rel = np.linalg.norm(np.reshape(j_t, (3, 3)) - j_ref) / np.linalg.norm(j_ref)
         worst = max(worst, rel)
     ok = worst < 0.01
     report(9, "composite inertia matches point-mass discretization within 1%",

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_body, random_rotation, ref_composite
 
-from amsim.adaptation import (DobState, GraspDetector, detect_grasp,
-                              dob_step, rescale_moi, update_total)
+from amsim.adaptation import (detect_grasp, dob_step, lowpass_alpha, rescale_moi,
+                              update_total)
 from amsim.controller import iags_gain
 from amsim.delta import DeltaGeometry, KinematicsError, forward_kin
 from amsim.freqdom import workspace_kk_sweep
@@ -17,7 +17,7 @@ G = 9.81
 M_A = 1.379
 C_GAIN = 10.0
 DT = 0.01  # 100 Hz
-LPF_HZ = 50.0  # the [estimation] force_lpf_hz default
+ALPHA = lowpass_alpha(50.0, DT)  # the filter blend at the [estimation] force_lpf_hz default
 I9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity, nine row-major floats
 
 
@@ -28,61 +28,54 @@ def hover_inputs(m_obj, m_a=M_A):
     return accel, I9, thrust
 
 
+def observe(m_hat, accel, R, thrust, n):
+    """The estimates of ``n`` observer ticks on constant inputs, from ``m_hat`` and no filter."""
+    filt, out = None, []
+    for _ in range(n):
+        m_hat, filt = dob_step(m_hat, filt, accel, R, thrust, M_A, C_GAIN, DT, G, ALPHA)
+        out.append(m_hat)
+    return out
+
+
 class TestDobStep:
     def test_fixed_point(self):
         m_o = 0.219
-        st = DobState(m_hat=m_o)
-        accel, R, thrust = hover_inputs(m_o)
-        for _ in range(100):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
-        assert st.m_hat == pytest.approx(m_o, abs=1e-12)
+        assert observe(m_o, *hover_inputs(m_o), 100)[-1] == pytest.approx(m_o, abs=1e-12)
 
     def test_step_response_closed_form(self):
         # m_hat(t) = m_o (1 - exp(-c t / m_a)) for a constant residual
         m_o = 0.219
-        st = DobState(m_hat=0.0)
-        accel, R, thrust = hover_inputs(m_o)
         worst = 0.0
-        for k in range(1, 201):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
+        for k, m_hat in enumerate(observe(0.0, *hover_inputs(m_o), 200), start=1):
             expect = m_o * (1.0 - math.exp(-C_GAIN * k * DT / M_A))
-            worst = max(worst, abs(st.m_hat - expect))
+            worst = max(worst, abs(m_hat - expect))
         assert worst < 0.005 * m_o
 
     def test_95pct_time(self):
         # 95% of the step is reached near 3 time constants (~0.414 s)
         m_o = 0.219
-        st = DobState(m_hat=0.0)
-        accel, R, thrust = hover_inputs(m_o)
         t, reached = 0.0, None
-        for _ in range(200):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
+        for m_hat in observe(0.0, *hover_inputs(m_o), 200):
             t += DT
-            if reached is None and st.m_hat >= 0.95 * m_o:
+            if reached is None and m_hat >= 0.95 * m_o:
                 reached = t
         assert reached == pytest.approx(3.0 * M_A / C_GAIN, abs=2 * DT)
 
     def test_monotone_convergence_noise_free(self):
         m_o = 0.3
-        st = DobState(m_hat=0.0)
-        accel, R, thrust = hover_inputs(m_o)
-        errs = []
-        for _ in range(300):
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
-            errs.append(abs(st.m_hat - m_o))
+        errs = [abs(m_hat - m_o) for m_hat in observe(0.0, *hover_inputs(m_o), 300)]
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
     def test_unbiased_under_zero_mean_noise(self, rng):
-        m_o = 0.25
-        st = DobState(m_hat=m_o)
+        m_o = m_hat = 0.25
         _, R, thrust = hover_inputs(m_o)
         sigma = 0.05
         n = 1000  # 10 s at 100 Hz
-        samples = []
+        samples, filt = [], None
         for _ in range(n):
             accel = (sigma * rng.standard_normal(3)).tolist()
-            st = dob_step(st, accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
-            samples.append(st.m_hat)
+            m_hat, filt = dob_step(m_hat, filt, accel, R, thrust, M_A, C_GAIN, DT, G, ALPHA)
+            samples.append(m_hat)
         tail = np.array(samples[n // 5:])
         # effective sample count from the observer's decorrelation time
         n_eff = (len(tail) * DT) / (2.0 * M_A / C_GAIN)
@@ -90,41 +83,40 @@ class TestDobStep:
         assert abs(tail.mean() - m_o) < max(tol, 1e-4)
 
     def test_clamped_nonnegative(self):
-        st = DobState(m_hat=0.0)
-        accel = (0.0, 0.0, 0.0)
         thrust = (0.0, 0.0, 0.5 * M_A * G)  # thrust deficit
-        for _ in range(50):
-            st = dob_step(st, accel, I9, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
-        assert st.m_hat == 0.0
+        assert observe(0.0, (0.0, 0.0, 0.0), I9, thrust, 50) == [0.0] * 50
 
     def test_filter_seeds_on_first_call(self):
         m_o = 0.2
         accel, R, thrust = hover_inputs(m_o)
-        st = dob_step(DobState(), accel, R, thrust, M_A, C_GAIN, DT, g=G, force_lpf_hz=LPF_HZ)
-        np.testing.assert_allclose(st.force_filt, [0.0, 0.0, m_o * G], atol=1e-12)
+        _, filt = dob_step(0.0, None, accel, R, thrust, M_A, C_GAIN, DT, G, ALPHA)
+        np.testing.assert_allclose(filt, [0.0, 0.0, m_o * G], atol=1e-12)
 
 
 def ref_dob_step(st, accel_w, R, thrust_body, m_a, c, dt, g=9.81, force_lpf_hz=50.0):
-    """The array observer tick the float dob_step replaced, kept as its oracle."""
+    """The array observer tick the float dob_step replaced, kept as its oracle;
+    ``st`` and the result are (m_hat, filtered residual as an array or None)."""
     e3 = np.array([0.0, 0.0, 1.0])
     accel_w = np.asarray(accel_w, dtype=float).reshape(3)
     thrust_body = np.asarray(thrust_body, dtype=float).reshape(3)
     R = np.asarray(R, dtype=float)
     f_raw = R @ thrust_body - m_a * accel_w - m_a * g * e3
-    if st.force_filt is None:
+    m_hat, force_filt = st
+    if force_filt is None:
         f_filt = f_raw
     else:
         a = 1.0 - math.exp(-2.0 * math.pi * force_lpf_hz * dt)
-        f_filt = st.force_filt + a * (f_raw - st.force_filt)
+        f_filt = force_filt + a * (f_raw - force_filt)
     decay = math.exp(-c * dt / m_a)
     target = f_filt[2] / g
-    m_hat = target + (st.m_hat - target) * decay
-    return DobState(m_hat=max(m_hat, 0.0), force_filt=f_filt)
+    m_hat = target + (m_hat - target) * decay
+    return max(m_hat, 0.0), f_filt
 
 
 def dob_bits(st):
     """The observer state as bytes, so that == compares NaNs and zero signs too."""
-    return np.array([st.m_hat, *st.force_filt]).tobytes()
+    m_hat, force_filt = st
+    return np.array([m_hat, *force_filt]).tobytes()
 
 
 class TestDobOracle:
@@ -145,82 +137,85 @@ class TestDobOracle:
             steps.append((rng.standard_normal(3) * 3.0, R, thrust))
         return steps, (m_a, c, dt), dict(g=g, force_lpf_hz=lpf)
 
+    @staticmethod
+    def step(st, accel, R, thrust, m_a, c, dt, g, force_lpf_hz):
+        """``dob_step`` on the oracle's arguments: the blend is made here, once a call."""
+        return dob_step(*st, accel, R, thrust, m_a, c, dt, g, lowpass_alpha(force_lpf_hz, dt))
+
     def test_bitwise_on_random_inputs(self, rng):
         for _ in range(30):
             steps, args, kw = self.random_run(rng)
             m0 = float(rng.uniform(0.0, 0.5))
-            st_flat = ref = DobState(m_hat=m0)
+            st_flat = ref = (m0, None)
             for accel, R, thrust in steps:
                 ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-                st_flat = dob_step(st_flat, accel.tolist(), tuple(R.ravel().tolist()),
-                                   thrust, *args, **kw)
+                st_flat = self.step(st_flat, accel.tolist(), tuple(R.ravel().tolist()),
+                                    thrust, *args, **kw)
                 assert dob_bits(st_flat) == dob_bits(ref)
-                assert type(st_flat.m_hat) is float and type(st_flat.force_filt) is tuple
-                assert all(type(v) is float for v in st_flat.force_filt)
+                assert type(st_flat[0]) is float and type(st_flat[1]) is tuple
+                assert all(type(v) is float for v in st_flat[1])
 
     def test_off_axis_thrust_matches(self, rng):
         steps, args, kw = self.random_run(rng)
-        st = ref = DobState()
+        st = ref = (0.0, None)
         for accel, R, _ in steps:
             thrust = rng.uniform(-20.0, 20.0, 3)
             ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-            st = dob_step(st, accel.tolist(), R.ravel().tolist(), thrust.tolist(), *args, **kw)
-            np.testing.assert_allclose(st.force_filt, ref.force_filt, rtol=0.0, atol=1e-13)
-            assert st.m_hat == pytest.approx(float(ref.m_hat), rel=0.0, abs=1e-13)
+            st = self.step(st, accel.tolist(), R.ravel().tolist(), thrust.tolist(), *args, **kw)
+            np.testing.assert_allclose(st[1], ref[1], rtol=0.0, atol=1e-13)
+            assert st[0] == pytest.approx(float(ref[0]), rel=0.0, abs=1e-13)
 
     def test_nan_input(self, rng):
         steps, args, kw = self.random_run(rng, n=3)
         for where in range(3):
-            st = ref = DobState(m_hat=0.1)
+            st = ref = (0.1, None)
             for k, (accel, R, thrust) in enumerate(steps):
                 if k == 1:
                     accel = accel.copy()
                     accel[where] = math.nan
                 ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-                st = dob_step(st, accel.tolist(), tuple(R.ravel().tolist()), thrust, *args, **kw)
+                st = self.step(st, accel.tolist(), tuple(R.ravel().tolist()), thrust, *args,
+                               **kw)
                 assert dob_bits(st) == dob_bits(ref)
-            assert math.isnan(st.force_filt[where])
-            assert math.isnan(st.m_hat) == (where == 2)
+            assert math.isnan(st[1][where])
+            assert math.isnan(st[0]) == (where == 2)
+
+
+def detect(forces, persistence=0.5, dt=0.01):
+    """(time above threshold, latched) after each of ``forces``, from no time above."""
+    elapsed, out = 0.0, []
+    for f in forces:
+        elapsed, latched = detect_grasp(elapsed, f, 1.0, persistence, dt)
+        out.append((elapsed, latched))
+    return out
 
 
 class TestDetectGrasp:
     def test_below_threshold_never_triggers(self):
-        d = GraspDetector(threshold=1.0, persistence=0.5)
-        for _ in range(200):
-            d, latched = detect_grasp(d, 0.8, 0.01)
-        assert not latched
+        assert detect([0.8] * 200) == [(0.0, False)] * 200
 
     def test_049s_not_enough(self):
-        d = GraspDetector(threshold=1.0, persistence=0.5)
-        latched = False
-        for _ in range(49):
-            d, latched = detect_grasp(d, 2.0, 0.01)
-        assert not latched
-        d, latched = detect_grasp(d, 0.0, 0.01)
-        assert not latched
-        assert d.elapsed_above == 0.0  # dropped below: accumulated time resets
+        out = detect([2.0] * 49 + [0.0])
+        assert not any(latched for _, latched in out)
+        assert out[48][0] == pytest.approx(0.49)
+        assert out[-1] == (0.0, False)  # dropped below: accumulated time resets
 
     def test_05s_continuous_triggers(self):
-        d = GraspDetector(threshold=1.0, persistence=0.5)
-        latched = False
-        for _ in range(50):
-            d, latched = detect_grasp(d, 2.0, 0.01)
-        assert latched
+        """The latch sets at the tick whose summed time reaches the persistence,
+        up to the 1e-12 s by which a sum of ticks may fall short of it."""
+        out = detect([2.0] * 50)
+        assert [latched for _, latched in out] == [False] * 49 + [True]
+        out = detect([2.0] * 10, persistence=0.1)
+        assert out[-1] == (0.09999999999999999, True)  # ten ticks of 0.01 s: just short
+        assert not out[-2][1]
 
-    def test_latch_is_monotone(self):
-        d = GraspDetector(threshold=1.0, persistence=0.5)
-        for _ in range(60):
-            d, _ = detect_grasp(d, 2.0, 0.01)
-        for _ in range(100):
-            d, latched = detect_grasp(d, 0.0, 0.01)
-            assert latched
+    def test_reset_restarts_the_count(self):
+        out = detect([2.0] * 30 + [0.5] + [2.0] * 50)
+        assert [k for k, (_, latched) in enumerate(out) if latched][0] == 30 + 50
 
     def test_sign_insensitive(self):
-        d = GraspDetector(threshold=1.0, persistence=0.5)
-        latched = False
-        for _ in range(50):
-            d, latched = detect_grasp(d, -2.0, 0.01)
-        assert latched
+        assert detect([-2.0] * 50)[-1][1]
+        assert detect([-1.0] * 50) == [(0.0, False)] * 50  # |f| must exceed the threshold
 
 
 class TestRescaleMoi:
@@ -231,10 +226,6 @@ class TestRescaleMoi:
     def test_doubling(self):
         j = (np.diag([1.0, 2.0, 3.0]) * 1e-4).ravel()
         np.testing.assert_allclose(rescale_moi(j.tolist(), 0.2, 0.4), 2.0 * j, rtol=1e-15)
-
-    def test_rejects_zero_initial_mass(self):
-        with pytest.raises(ValueError):
-            rescale_moi(list(I9), 0.0, 0.1)
 
 
 class TestUpdateTotal:

@@ -152,22 +152,22 @@ class TestIagsGain:
 
 class TestRateLoop:
     def test_zero_history_zero_torque(self, gains):
-        loop = RateLoop(gains)
-        out = loop.step(np.zeros(3), np.zeros(3), np.ones(3), 1 / 400)
+        loop = RateLoop(gains, 1 / 400)
+        out = loop.step(np.zeros(3), np.zeros(3), np.ones(3))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_constant_error_p_term(self):
         g = Gains(rate_ki=np.zeros(3), rate_kd=np.zeros(3))
-        loop = RateLoop(g)
+        loop = RateLoop(g, 1 / 400)
         e = np.array([0.1, -0.2, 0.3])
         kk = np.array([2.0, 1.0, 1.5])
-        out = loop.step(e, np.zeros(3), kk, 1 / 400)
+        out = loop.step(e, np.zeros(3), kk)
         np.testing.assert_allclose(out, g.rate_kp * e * kk, rtol=1e-15)
 
     def test_reduces_to_plain_pid_bitwise(self, gains, rng):
         """With unit scheduled gain the loop is exactly the baseline PID."""
-        loop = RateLoop(gains)
         dt = 1 / 400
+        loop = RateLoop(gains, dt)
         integral = np.zeros(3)
         prev = None
         d_filt = np.zeros(3)
@@ -175,7 +175,7 @@ class TestRateLoop:
         for _ in range(500):
             w_des = rng.uniform(-1, 1, 3)
             w = rng.uniform(-1, 1, 3)
-            got = loop.step(w_des, w, np.ones(3), dt)
+            got = loop.step(w_des, w, np.ones(3))
             e = w_des - w
             integral = np.clip(integral + gains.rate_ki * e * dt,
                                -gains.i_limit, gains.i_limit)
@@ -186,9 +186,9 @@ class TestRateLoop:
             assert np.array_equal(got, ref)  # bitwise
 
     def test_anti_windup_bound(self, gains, rng):
-        loop = RateLoop(gains)
+        loop = RateLoop(gains, 1 / 400)
         for _ in range(5000):
-            loop.step(rng.uniform(5, 10, 3), np.zeros(3), np.ones(3), 1 / 400)
+            loop.step(rng.uniform(5, 10, 3), np.zeros(3), np.ones(3))
             assert np.all(np.abs(loop._integral) <= gains.i_limit + 1e-15)
 
     def test_loop_shape_invariance_paired_sim(self, gains):
@@ -198,7 +198,7 @@ class TestRateLoop:
         dt = 1 / 400
 
         def simulate(j_plant, kk):
-            loop = RateLoop(gains)
+            loop = RateLoop(gains, dt)
             w = 0.0
             tau_act = 0.0
             hist = []
@@ -206,7 +206,7 @@ class TestRateLoop:
                 w_des = 1.0  # rate step
                 tau_cmd = loop.step(np.array([w_des, 0, 0]),
                                     np.array([w, 0, 0]),
-                                    np.array([kk, 1.0, 1.0]), dt)[0]
+                                    np.array([kk, 1.0, 1.0]))[0]
                 a = math.exp(-dt / tau_m)
                 tau_act = tau_cmd + (tau_act - tau_cmd) * a
                 w += dt * tau_act / j_plant
@@ -433,19 +433,22 @@ class TestCascadeOracle:
             assert_floats(got, 3)
 
     def test_rate_loop(self, rng):
+        """Bit for bit, at each tick length the loop may be built with."""
         gains = Gains(i_limit=0.05)  # small, so that the clamp engages
-        loop, ref = RateLoop(gains), RefRateLoop(gains)
         clamped = 0
-        for _ in range(600):
-            w_des = rng.uniform(-3.0, 3.0, 3)
-            w = rng.uniform(-3.0, 3.0, 3)
-            kk = rng.uniform(0.5, 3.0, 3)
-            got = loop.step(w_des.tolist(), w.tolist(), kk.tolist(), 1 / 400)
-            want = ref.step(w_des, w, kk, 1 / 400)
-            assert_floats(got, 3)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(loop._integral, ref._integral, rtol=0.0, atol=1e-15)
-            clamped += int(np.sum(np.abs(ref._integral) == gains.i_limit))
+        for dt in (1 / 400, 1 / 250, 1 / 1000, 0.0123):
+            loop, ref = RateLoop(gains, dt), RefRateLoop(gains)
+            for _ in range(300):
+                w_des = rng.uniform(-3.0, 3.0, 3)
+                w = rng.uniform(-3.0, 3.0, 3)
+                kk = rng.uniform(0.5, 3.0, 3)
+                got = loop.step(w_des.tolist(), w.tolist(), kk.tolist())
+                want = ref.step(w_des, w, kk, dt)
+                assert_floats(got, 3)
+                assert np.array(got).tobytes() == want.tobytes()
+                assert np.array(loop._integral).tobytes() == ref._integral.tobytes()
+                assert np.array(loop._d_filt).tobytes() == ref._d_filt.tobytes()
+                clamped += int(np.sum(np.abs(ref._integral) == gains.i_limit))
         assert clamped > 0
 
     def test_mixer(self, rotor, rng):
@@ -485,8 +488,8 @@ class TestCascadeOracle:
         w = att_loop(IDENT, [math.nan, 0.0, 0.0, 1.0], gains.k_att)
         assert np.all(np.isnan(w))
 
-        loop, ref_loop = RateLoop(gains), RefRateLoop(gains)
-        got = loop.step(nan3, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1 / 400)
+        loop, ref_loop = RateLoop(gains, 1 / 400), RefRateLoop(gains)
+        got = loop.step(nan3, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         want = ref_loop.step(np.array(nan3), np.zeros(3), np.ones(3), 1 / 400)
         assert math.isnan(got[0]) and math.isnan(want[0])
         assert math.isnan(loop._integral[0]) and math.isnan(ref_loop._integral[0])

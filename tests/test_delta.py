@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amsim.delta import (DeltaGeometry, JointState, NoIntersection,
+from amsim.delta import (DeltaGeometry, NoIntersection,
                          OutOfLimits, Singular, Unreachable, forward_kin,
                          inverse_kin, jacobian, joint_command, servo_step)
 
@@ -97,7 +97,7 @@ class TestJointCommand:
         p = np.array([0.0, 0.0, -0.16])
         theta = inverse_kin(geom, p)
         _, rate = joint_command(geom, p, np.zeros(3),
-                                JointState(theta, np.zeros(3)),
+                                theta,
                                 np.array([20.0, 20.0, 20.0]))
         np.testing.assert_allclose(rate, np.zeros(3), atol=1e-9)
 
@@ -107,7 +107,7 @@ class TestJointCommand:
         off = np.array(theta)
         off[0] -= 0.01
         _, rate = joint_command(geom, p, np.zeros(3),
-                                JointState(off, np.zeros(3)),
+                                off,
                                 np.array([20.0, 20.0, 20.0]))
         assert rate[0] == pytest.approx(0.2, rel=1e-9)
         np.testing.assert_allclose(rate[1:], np.zeros(2), atol=1e-12)
@@ -116,7 +116,7 @@ class TestJointCommand:
         p = np.array([0.0, 0.0, -0.16])
         theta = inverse_kin(geom, p)
         _, rate = joint_command(geom, p, np.array([0.0, 0.0, -0.05]),
-                                JointState(theta, np.zeros(3)),
+                                theta,
                                 np.array([20.0, 20.0, 20.0]))
         assert np.ptp(rate) < 1e-10
 
@@ -124,22 +124,19 @@ class TestJointCommand:
         theta = inverse_kin(geom, [0.0, 0.0, -0.16])
         with pytest.raises(Unreachable):
             joint_command(geom, np.array([1.0, 0.0, -0.1]), np.zeros(3),
-                          JointState(theta, np.zeros(3)), np.full(3, 20.0))
+                          theta, np.full(3, 20.0))
 
 
 class TestServo:
     def test_rate_limit_applies(self, geom):
-        st = JointState(np.zeros(3), np.zeros(3))
-        out = servo_step(geom, st, np.array([100.0, -100.0, 1.0]), 0.01,
+        out = servo_step(geom, (0.0, 0.0, 0.0), np.array([100.0, -100.0, 1.0]), 0.01,
                          rate_limit=6.0)
-        np.testing.assert_allclose(out.theta_dot, [6.0, -6.0, 1.0])
-        np.testing.assert_allclose(out.theta, [0.06, -0.06, 0.01])
+        np.testing.assert_allclose(out, [0.06, -0.06, 0.01])  # 6, -6 and 1 rad/s
 
     def test_limits_clamp(self, geom):
         lo, hi = geom.joint_limits
-        st = JointState(np.full(3, hi), np.zeros(3))
-        out = servo_step(geom, st, np.full(3, 5.0), 0.1, rate_limit=6.0)
-        assert np.all(np.asarray(out.theta) <= hi + 1e-12)
+        out = servo_step(geom, (hi, hi, hi), np.full(3, 5.0), 0.1, rate_limit=6.0)
+        assert np.all(np.asarray(out) <= hi + 1e-12)
 
 
 class TestWorkspaceMonotone:
@@ -329,10 +326,9 @@ class TestKinematicsOracle:
     def test_nan_passes_through(self, geom):
         assert np.all(np.isnan(forward_kin(geom, [math.nan, 0.5, 0.5])))
         assert np.all(np.isnan(ref_forward_kin(geom, [math.nan, 0.5, 0.5])))
-        out = servo_step(geom, JointState((0.5, 0.5, 0.5), (0.0, 0.0, 0.0)),
-                         (math.nan, 1.0, -100.0), 0.01, rate_limit=6.0)
-        assert math.isnan(out.theta[0]) and math.isnan(out.theta_dot[0])
-        assert out.theta_dot[1:] == (1.0, -6.0)
+        out = servo_step(geom, (0.5, 0.5, 0.5), (math.nan, 1.0, -100.0), 0.01, rate_limit=6.0)
+        assert math.isnan(out[0])
+        assert out[1:] == (0.5 + 1.0 * 0.01, 0.5 - 6.0 * 0.01)  # the rate clamped to 6
 
 
 def ref_joint_command(geom, p, v, theta):
@@ -390,7 +386,7 @@ class TestScreenedJointCommand:
             v = 0.05 * rng.standard_normal(3)
             for theta in self.configurations(geom, rng):
                 got = outcome(joint_command, geom, p, v,  # arrays in, floats out
-                              JointState(tuple(theta.tolist()), (0.0, 0.0, 0.0)), np.zeros(3))
+                              tuple(theta.tolist()), np.zeros(3))
                 want = outcome(ref_joint_command, geom, p, v, theta)
                 if isinstance(want, type):
                     assert got is want
@@ -424,11 +420,11 @@ class TestScreenedJointCommand:
         calls = self.count_cond(monkeypatch)
         for theta, calls_wanted, ff in cases:
             calls.clear()
-            _, rates = joint_command(geom, p, v, JointState(theta, (0.0,) * 3), (0.0, 0.0, 0.0))
+            _, rates = joint_command(geom, p, v, theta, (0.0, 0.0, 0.0))
             assert len(calls) == calls_wanted
             assert_feedforward(rates, ff, geom, theta)
         with pytest.raises(Singular):
-            joint_command(geom, p, v, JointState(theta_singular, (0.0,) * 3), (0.0, 0.0, 0.0))
+            joint_command(geom, p, v, theta_singular, (0.0, 0.0, 0.0))
 
     def test_hover_payload_run_needs_no_svd(self, monkeypatch):
         from amsim.config import load_config

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
+from conftest import monic
+
 from amsim import adaptation, delta, freqdom, presense
 from amsim.controller import Gains
 from amsim.delta import DeltaGeometry
@@ -82,10 +84,17 @@ class TestRationalTF:
         with pytest.raises(ValueError):
             RationalTF(num=(1.0,), den=(0.0,))
 
-    def test_normalized_monic(self):
-        tf = RationalTF(num=(2.0, 4.0), den=(1.0, 2.0)).normalized()
-        assert tf.den[-1] == 1.0
-        np.testing.assert_allclose(tf.num, (1.0, 2.0))
+    def test_common_scale_leaves_response(self):
+        """The coefficients are kept as given; over their leading denominator
+        coefficient they are monic, and either form has the same response."""
+        tf = RationalTF(num=(2.0, 4.0), den=(1.0, 2.0))
+        assert tf.num == (2.0, 4.0) and tf.den == (1.0, 2.0)
+        num, den = monic(tf)
+        assert den[-1] == 1.0
+        np.testing.assert_allclose(num, (1.0, 2.0))
+        for w in (0.1, 3.0, 70.0):
+            assert freq_response(RationalTF(tuple(num), tuple(den)), w) == pytest.approx(
+                freq_response(tf, w), rel=1e-15)
 
 
 class TestMargins:
@@ -654,16 +663,15 @@ class TestOpenLoopTF:
     def test_scheduled_gain_cancels_inertia(self, rng):
         g = Gains()
         for axis in range(3):
-            nominal = open_loop_tf(g.rate_kp[axis], g.rate_ki[axis],
-                                   g.rate_kd[axis], 1.0, 1.0, 0.02,
-                                   J_A_DIAG[axis]).normalized()
+            nominal = monic(open_loop_tf(g.rate_kp[axis], g.rate_ki[axis],
+                                         g.rate_kd[axis], 1.0, 1.0, 0.02, J_A_DIAG[axis]))
             for _ in range(20):
                 scale = rng.uniform(1.0, 4.0)
-                scheduled = open_loop_tf(g.rate_kp[axis], g.rate_ki[axis],
-                                         g.rate_kd[axis], scale, 1.0, 0.02,
-                                         J_A_DIAG[axis] * scale).normalized()
-                np.testing.assert_allclose(scheduled.num, nominal.num, rtol=1e-12)
-                np.testing.assert_allclose(scheduled.den, nominal.den, rtol=1e-12)
+                scheduled = monic(open_loop_tf(g.rate_kp[axis], g.rate_ki[axis],
+                                               g.rate_kd[axis], scale, 1.0, 0.02,
+                                               J_A_DIAG[axis] * scale))
+                np.testing.assert_allclose(scheduled[0], nominal[0], rtol=1e-12)
+                np.testing.assert_allclose(scheduled[1], nominal[1], rtol=1e-12)
 
     def test_doubling_gain_adds_6db(self):
         tf1 = open_loop_tf(0.15, 0.2, 0.003, 1.0, 1.0, 0.02, 9.2e-3)
@@ -676,6 +684,16 @@ class TestOpenLoopTF:
     def test_rejects_bad_plant(self):
         with pytest.raises(ValueError):
             open_loop_tf(0.1, 0.1, 0.0, 1.0, 1.0, 0.02, 0.0)
+
+    @pytest.mark.parametrize("k_k", [-1.0, -1e-300, math.nan])
+    def test_rejects_negative_scheduled_gain(self, k_k):
+        """A negative gain flips the loop's sign: its margins describe no loop
+        the schedule can make, so it is refused; a zero gain is a loop with no
+        crossover."""
+        with pytest.raises(ValueError, match="k_k non-negative"):
+            open_loop_tf(0.15, 0.2, 0.003, k_k, 1.0, 0.02, 9.2e-3)
+        with pytest.raises(NoCrossover):
+            margins(open_loop_tf(0.15, 0.2, 0.003, 0.0, 1.0, 0.02, 9.2e-3))
 
 
 def _abs2_poly(coeffs):

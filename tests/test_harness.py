@@ -7,18 +7,20 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from amsim import cli, metrics, scenario
-from amsim.adaptation import DobState, dob_step, update_total
-from amsim.config import (ConfigError, ScenarioConfig, load_config, parse_config,
+from amsim.adaptation import dob_step, lowpass_alpha, update_total
+from amsim.config import (MODES, ConfigError, ScenarioConfig, load_config, parse_config,
                           shipped_scenarios)
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
 from amsim.dynamics import MAX_STEP, NonFinite, step_rk4
+from amsim.presense import load_catalog, prior_for
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, RunLog,
                             Trajectory, _csv_digest, _wind_at, run_scenario)
 from amsim.spatial import InertialParams, box_inertia, quat_to_rot
@@ -292,9 +294,12 @@ class TestConfig:
         assert capsys.readouterr().err == "config error: [gains] unknown key 'k_pso'\n"
         assert [f.name for f in tmp_path.iterdir()] == ["typo.cfg"]
 
-    def test_percent_sign_is_literal(self):
-        cfg = parse_config("[object]\nlabel = 50% box\ntrue_mass = 0.2\n")
-        assert cfg.obj.label == "50% box"
+    def test_percent_sign_is_literal(self, tmp_path):
+        catalog = tmp_path / "priors.txt"
+        catalog.write_text("50% box | 1.0 | 1 1 1 | 500\n", encoding="utf-8")
+        cfg = parse_config(f"[estimation]\ncatalog = {catalog}\n"
+                           "[object]\nlabel = 50% box\ntrue_mass = 0.2\n")
+        assert cfg.obj.label == cfg.obj.prior.label == "50% box"
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
@@ -438,7 +443,7 @@ class TestConfig:
         assert cfg.vehicle.j_a[0][1] == cfg.vehicle.j_a[1][0] == 5e-13
         obj = load_config("hover_payload").obj
         assert obj.prior.rho == 1150.0 and obj.prior.alpha == obj.prior_alpha
-        assert load_config("grasp_estimate").obj.prior is None  # a catalog label
+        assert load_config("grasp_estimate").obj.prior == prior_for("coffee can", load_catalog())
         box = replace(obj, shape="box", dims=(0.1, 0.2, 0.3))
         assert box.inertia == tuple(map(tuple, box_inertia(obj.true_mass, box.dims).tolist()))
 
@@ -452,9 +457,10 @@ class TestConfig:
         "[estimation]\ncatalog = {catalog}\n[object]\nlabel = x\ntrue_mass = 0.3\n",
         "[object]\nlabel = coffee can\ntrue_mass = 0.3\nprior_alpha = 2 2 2\n",
         "[object]\nlabel = coffee can\ntrue_mass = 0.3\nprior_alpha = 1 1 1\n",
+        "[vehicle]\nk_m = -1\n", "[vehicle]\nk_m = 0\n",
     ], ids=["trajectory-row", "arm-row", "wind-row", "inertia", "mass", "p_b", "noise",
             "nan-home", "far-home", "prior-alpha", "prior-rho", "catalog-nan",
-            "prior-without-rho", "default-prior-without-rho"])
+            "prior-without-rho", "default-prior-without-rho", "k_m-negative", "k_m-zero"])
     def test_bad_input_cli_exit_1_writes_nothing(self, tmp_path, capsys, text):
         catalog = tmp_path / "priors.txt"
         catalog.write_text("x | 1.0 | 1 nan 1 | nan\n", encoding="utf-8")
@@ -464,6 +470,45 @@ class TestConfig:
         assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", MODES)  # every mode the config accepts
+    @pytest.mark.parametrize("estimation, label, message", [
+        ("", "cofee can", "[object] label 'cofee can' is not in the shipped catalog"),
+        ("catalog = {dir}/priors.txt", "cofee can",
+         "[object] label 'cofee can' is not in catalog '{dir}/priors.txt'"),
+        ("catalog = {dir}/none.txt", "coffee can",
+         "[estimation] catalog '{dir}/none.txt', read for [object] label 'coffee can': "),
+        ("catalog = {dir}/short.txt", "coffee can",
+         "[estimation] catalog '{dir}/short.txt', read for [object] label 'coffee can': "
+         "line 1: alpha needs 3 numbers"),
+    ], ids=["unknown-label", "unknown-in-file", "missing-catalog", "bad-catalog"])
+    def test_bad_label_or_catalog_exit_1_in_every_mode(self, tmp_path, capsys, mode,
+                                                      estimation, label, message):
+        """The prior is looked up at load, so a mode that never reads it refuses
+        the label as the modes that do."""
+        (tmp_path / "priors.txt").write_text("coffee can | 1 | 1 1 1 | 300\n", encoding="utf-8")
+        (tmp_path / "short.txt").write_text("coffee can | 1 | 1 1 | 300\n", encoding="utf-8")
+        text = (resources.files("amsim").joinpath("data/scenarios/grasp_estimate.cfg")
+                .read_text().replace("coffee can", label).replace("mode = iags", f"mode = {mode}"))
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text + f"[estimation]\n{estimation.format(dir=tmp_path)}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--mode", mode, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(dir=tmp_path))
+        assert not out.exists()
+
+    def test_label_and_catalog_checked_in_replace(self, tmp_path):
+        cfg = load_config("grasp_estimate")
+        with pytest.raises(ConfigError, match="label 'cofee can' is not in the shipped"):
+            replace(cfg, mode="baseline", obj=replace(cfg.obj, label="cofee can"))
+        with pytest.raises(ConfigError, match="none.txt', read for"):
+            replace(cfg, mode="baseline", est=replace(cfg.est, catalog=str(tmp_path / "none.txt")))
+        catalog = tmp_path / "priors.txt"
+        catalog.write_text("coffee can | 0.5 | 1 1 1 | 300\n", encoding="utf-8")
+        other = replace(cfg, est=replace(cfg.est, catalog=str(catalog)))
+        assert other.obj.prior.rho == 300.0 and other.obj == cfg.obj
+        assert cfg.obj.prior == prior_for("coffee can", load_catalog())  # not changed by other
 
 
 class TestTrajectory:
@@ -769,11 +814,11 @@ class TestModeEstimate:
             thrust = row["rotor1"] + row["rotor2"] + row["rotor3"] + row["rotor4"]
             acc = [R[2] * thrust / row["m_t_true"], R[5] * thrust / row["m_t_true"],
                    -cfg.g + R[8] * thrust / row["m_t_true"]]
-            start = DobState(m_hat=(m_tilde if mode == "iags" else 0.0))
-            first = dob_step(start, acc, R, (0.0, 0.0, thrust), cfg.vehicle.mass, cfg.est.dob_c,
-                             cfg.sim_dt * cfg.steps_per(cfg.dob_hz), g=cfg.g,
-                             force_lpf_hz=cfg.est.force_lpf_hz)
-            assert m_obj[latch] == pytest.approx(first.m_hat, rel=1e-12)
+            dt = cfg.sim_dt * cfg.steps_per(cfg.dob_hz)
+            first, _ = dob_step(m_tilde if mode == "iags" else 0.0, None, acc, R,
+                                (0.0, 0.0, thrust), cfg.vehicle.mass, cfg.est.dob_c, dt, cfg.g,
+                                lowpass_alpha(cfg.est.force_lpf_hz, dt))
+            assert m_obj[latch] == pytest.approx(first, rel=1e-12)
             assert (m_tilde is None) == (mode == "dob-only")
 
 
@@ -785,6 +830,22 @@ class TestLatchTiming:
         latch = log.events["latch_time"]
         assert attach == pytest.approx(1.5, abs=1e-9)
         assert latch - attach == pytest.approx(cfg.est.grasp_persistence, abs=0.05)
+
+    def test_no_detect_grasp_call_after_latch(self, monkeypatch):
+        """The detector runs on each observer tick up to the latch and on none
+        after it, and the latch never clears."""
+        calls = []
+        inner = scenario.adaptation.detect_grasp
+        monkeypatch.setattr(scenario.adaptation, "detect_grasp",
+                            lambda *args: calls.append(args) or inner(*args))
+        log = run_scenario(load_config("grasp_estimate"))
+        cfg, latch_time = log.config, log.events["latch_time"]
+        dob_dt = cfg.sim_dt * cfg.steps_per(cfg.dob_hz)
+        assert 0.0 < latch_time < cfg.duration - 1.0
+        assert len(calls) == round(latch_time / dob_dt) + 1  # tick 0 up to the latch tick
+        latched = log.column("latched")
+        first = int(np.argmax(latched))
+        assert first == round(latch_time / cfg.sim_dt) and np.all(latched[first:] == 1.0)
 
 
 class TestMetrics:
@@ -1261,7 +1322,8 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flags", [["--j-scale", "0"], ["--kk-scale", "nan"]])
+    @pytest.mark.parametrize("flags", [["--j-scale", "0"], ["--kk-scale", "nan"],
+                                       ["--kk-scale", "-1"]])
     def test_margins_bad_scale_prints_no_table(self, capsys, flags):
         assert cli.main(["margins", *flags]) == 1
         captured = capsys.readouterr()

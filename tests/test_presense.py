@@ -146,6 +146,13 @@ class TestEstimateInertia:
         center[0] = rot[0, 0] = 2.0  # the caller's arrays stay writeable and apart
         assert box.center[0] == 0.0 and box.rotation[0, 0] == 1.0
 
+    @pytest.mark.parametrize("mass", [0.0, -0.1, math.nan])
+    def test_zero_mass_estimate_rejected(self, mass):
+        """The one check of the pre-grasp mass, which ``rescale_moi`` divides by."""
+        from amsim.presense import ObjectEstimate
+        with pytest.raises(ValueError, match="^mass estimate must be positive"):
+            ObjectEstimate(mass, np.eye(3), 1e-3, (0.0, 0.0, -0.06))
+
     def test_unit_cube_direct_evaluation(self):
         from amsim.presense import OrientedBox
         box = OrientedBox(center=np.zeros(3), rotation=np.eye(3),

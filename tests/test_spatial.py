@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import (lattice_inertia, quat_mul, random_body, random_rotation, ref_composite,
                       ref_rot_to_quat, rot_matrix, rot_to_quat_case)
 
-from amsim.spatial import (InertialParams, box_inertia, compose_inertia, composite,
+from amsim.spatial import (InertialParams, box_inertia, composite,
                            cross3, cylinder_inertia, inverse3, parallel_axis,
                            quat_to_rot, rot_to_quat, unit_quat)
 
@@ -92,25 +92,32 @@ class TestParallelAxis:
             parallel_axis(np.eye(3).ravel().tolist(), -1.0, [1.0, 0.0, 0.0])
 
 
+def compose(m_a, c_a, j_a, m_o, c_o, j_o):
+    """``composite`` of two bodies given with array CoMs and 3x3 inertias, the
+    result as (mass, CoM array, 3x3 inertia array)."""
+    m_t, c_t, j_t = composite(m_a, list(map(float, c_a)), np.ravel(j_a).tolist(),
+                              m_o, list(map(float, c_o)), np.ravel(j_o).tolist())
+    return m_t, np.array(c_t), np.reshape(j_t, (3, 3))
+
+
 class TestComposeInertia:
+    """Composing two bodies into one with ``composite``."""
+
     def test_vanishing_payload(self, vehicle_params):
-        tiny = InertialParams(1e-12, np.zeros(3), np.eye(3) * 1e-20)
-        out = compose_inertia(vehicle_params, tiny, np.array([0.1, 0.0, -0.3]))
-        assert abs(out.mass - vehicle_params.mass) < 1e-11
-        np.testing.assert_allclose(out.com, vehicle_params.com, atol=1e-12)
-        np.testing.assert_allclose(out.inertia_about_com,
-                                   vehicle_params.inertia_about_com, atol=1e-12)
+        v = vehicle_params
+        m, c, j = compose(v.mass, v.com, v.inertia_about_com,
+                          1e-12, [0.1, 0.0, -0.3], np.eye(3) * 1e-20)
+        assert abs(m - v.mass) < 1e-11
+        np.testing.assert_allclose(c, v.com, atol=1e-12)
+        np.testing.assert_allclose(j, v.inertia_about_com, atol=1e-12)
 
     def test_symmetric_pair(self):
         j = np.diag([1e-3, 2e-3, 3e-3])
         m = 0.7
         d = np.array([0.2, 0.0, 0.1])
-        a = InertialParams(m, d, j)
-        b = InertialParams(m, np.zeros(3), j)
-        out = compose_inertia(a, b, -d)
-        np.testing.assert_allclose(out.com, np.zeros(3), atol=1e-15)
-        np.testing.assert_allclose(out.inertia_about_com,
-                                   2.0 * shifted(j, m, d), rtol=1e-12)
+        _, c_out, j_out = compose(m, d, j, m, -d, j)
+        np.testing.assert_allclose(c_out, np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(j_out, 2.0 * shifted(j, m, d), rtol=1e-12)
 
     def test_commutative(self, rng):
         for _ in range(10):
@@ -119,14 +126,11 @@ class TestComposeInertia:
             pb = rng.uniform(-0.3, 0.3, 3)
             ja = box_inertia(ma, rng.uniform(0.05, 0.3, 3))
             jb = box_inertia(mb, rng.uniform(0.05, 0.3, 3))
-            one = compose_inertia(InertialParams(ma, ca, ja),
-                                  InertialParams(mb, np.zeros(3), jb), pb)
-            two = compose_inertia(InertialParams(mb, pb, jb),
-                                  InertialParams(ma, np.zeros(3), ja), ca)
-            assert abs(one.mass - two.mass) < 1e-12
-            np.testing.assert_allclose(one.com, two.com, atol=1e-12)
-            np.testing.assert_allclose(one.inertia_about_com,
-                                       two.inertia_about_com, atol=1e-12)
+            one = compose(ma, ca, ja, mb, pb, jb)
+            two = compose(mb, pb, jb, ma, ca, ja)
+            assert abs(one[0] - two[0]) < 1e-12
+            np.testing.assert_allclose(one[1], two[1], atol=1e-12)
+            np.testing.assert_allclose(one[2], two[2], atol=1e-12)
 
     def test_against_lattice_oracle(self, rng):
         for _ in range(5):
@@ -137,21 +141,20 @@ class TestComposeInertia:
             rot_b = random_rotation(rng)
             ca = rng.uniform(-0.2, 0.2, 3)
             cb = rng.uniform(-0.2, 0.2, 3)
-            am = InertialParams(ma, ca, rot_a @ box_inertia(ma, dims_a) @ rot_a.T)
-            obj = InertialParams(mb, np.zeros(3), rot_b @ box_inertia(mb, dims_b) @ rot_b.T)
-            got = compose_inertia(am, obj, cb)
+            m, c, j = compose(ma, ca, rot_a @ box_inertia(ma, dims_a) @ rot_a.T,
+                              mb, cb, rot_b @ box_inertia(mb, dims_b) @ rot_b.T)
             m_ref, c_ref, j_ref = lattice_inertia(
                 [(ma, dims_a, rot_a, ca), (mb, dims_b, rot_b, cb)])
-            assert abs(got.mass - m_ref) < 1e-12
-            np.testing.assert_allclose(got.com, c_ref, atol=1e-9)
-            np.testing.assert_allclose(got.inertia_about_com, j_ref,
-                                       rtol=0.01, atol=1e-9)
+            assert abs(m - m_ref) < 1e-12
+            np.testing.assert_allclose(c, c_ref, atol=1e-9)
+            np.testing.assert_allclose(j, j_ref, rtol=0.01, atol=1e-9)
 
     def test_hover_vehicle_plus_cube(self, vehicle_params, rng):
         # vehicle plus a 0.4 kg cube at an arm-extended pose, vs the oracle
-        cube = InertialParams(0.4, np.zeros(3), box_inertia(0.4, [0.1, 0.1, 0.1]))
         p = np.array([0.05, 0.02, -0.25])
-        got = compose_inertia(vehicle_params, cube, p)
+        v = vehicle_params
+        _, _, j = compose(v.mass, v.com, v.inertia_about_com,
+                          0.4, p, box_inertia(0.4, [0.1, 0.1, 0.1]))
         # vehicle modeled as the box with matching inertia for the oracle
         dims_v = np.sqrt(6.0 / 1.379 * np.array([
             -9.2e-3 + 10.5e-3 + 14.7e-3,
@@ -160,7 +163,7 @@ class TestComposeInertia:
         m_ref, c_ref, j_ref = lattice_inertia(
             [(1.379, dims_v, np.eye(3), vehicle_params.com),
              (0.4, np.array([0.1, 0.1, 0.1]), np.eye(3), p)])
-        np.testing.assert_allclose(got.inertia_about_com, j_ref, rtol=0.01)
+        np.testing.assert_allclose(j, j_ref, rtol=0.01)
 
 
 class TestComposite:
