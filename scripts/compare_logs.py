@@ -3,15 +3,18 @@
     python3 scripts/compare_logs.py --ref-src ../amsim-main/src --new-src src
 
 Each scenario runs in each canonical mode (``MODES``), once per tree, each
-tree in its own process. The script prints the largest absolute difference
-of every log column over all runs, then one line per run (marked
-``bit-identical`` when the two logs have the same bytes) and the count of
-bit-identical runs. Each tree also runs the offline sweeps of the default
-vehicle (``SWEEPS``): every cell of the uncertainty grid and the workspace
-maxima with their joint angles. It exits 1 when any log difference exceeds
-``TOL`` (a NaN where the other tree has a number counts as an infinite
-difference), when logs differ in shape or column names, when an event both
-trees record differs, or when a sweep output differs in any bit; otherwise 0.
+tree in its own process, which also writes each log with ``RunLog.to_csv``
+and keeps the SHA-256 of the CSV and of its ``.npy`` sidecar. The script
+prints the largest absolute difference of every log column over all runs,
+then one line per run (marked ``bit-identical`` when the two logs have the
+same bytes), the count of bit-identical runs and the count of runs whose
+files have equal digests. Each tree also runs the offline sweeps of the
+default vehicle (``SWEEPS``): every cell of the uncertainty grid and the
+workspace maxima with their joint angles. It exits 1 when any log difference
+exceeds ``TOL`` (a NaN where the other tree has a number counts as an
+infinite difference), when logs differ in shape or column names, when an
+event both trees record differs, when the CSV or sidecar bytes of a run
+differ, or when a sweep output differs in any bit; otherwise 0.
 Last it prints the line count of each tree's ``amsim`` package (its ``.py``
 files, as ``wc -l`` counts them), which plays no part in the exit status.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -33,6 +37,7 @@ MODES = ("baseline", "iags", "pre-only", "dob-only")  # every engine path
 SWEEPS = {"uncertainty_grid_n": 7, "workspace_grid_n": 9, "mass": 0.4,
           "dims": (0.2, 0.2, 0.2)}
 SWEEP_PREFIX = "sweep/"
+FILE_DIGESTS = ("csv_sha256", "npy_sha256")  # of each run's to_csv output, in the metadata
 
 
 def dump(src: str, out: str) -> None:
@@ -42,13 +47,18 @@ def dump(src: str, out: str) -> None:
     from amsim.scenario import run_scenario
 
     arrays, meta = {}, {}
-    for name in shipped_scenarios():
-        cfg = load_config(name)
-        for mode in MODES:
-            log = run_scenario(dataclasses.replace(cfg, mode=mode))
-            key = f"{name}/{mode}"
-            arrays[key] = log.data
-            meta[key] = {"names": log.names, "events": log.events}
+    with tempfile.TemporaryDirectory() as workdir:
+        csv = Path(workdir) / "log.csv"
+        for name in shipped_scenarios():
+            cfg = load_config(name)
+            for mode in MODES:
+                log = run_scenario(dataclasses.replace(cfg, mode=mode))
+                key = f"{name}/{mode}"
+                arrays[key] = log.data
+                log.to_csv(csv)
+                digests = {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in
+                           zip(FILE_DIGESTS, (csv, csv.with_name(csv.name + ".npy")))}
+                meta[key] = {"names": log.names, "events": log.events, **digests}
     arrays.update(sweeps())
     np.savez(out, **arrays)
     Path(out + ".json").write_text(json.dumps(meta), encoding="utf-8")
@@ -93,7 +103,7 @@ def compare(ref, new) -> int:
     problems = []
     worst = {}  # column -> (difference, run)
     lines = []
-    identical = 0
+    identical = files_equal = 0
     sweep_lines = []
     for key in sorted(k for k in set(ref_data) | set(new_data) if k.startswith(SWEEP_PREFIX)):
         a, b = ref_data.pop(key, None), new_data.pop(key, None)
@@ -125,6 +135,10 @@ def compare(ref, new) -> int:
         identical += same_bits
         lines.append(f"{key:<28} max |diff| {diff[k]:.3e} ({names[k]})"
                      + ("  bit-identical" if same_bits else ""))
+        same_files = all(ref_meta[key][f] == new_meta[key][f] for f in FILE_DIGESTS)
+        files_equal += same_files
+        if not same_files:
+            problems.append(f"{key}: the CSV or its sidecar differs in bytes")
         ev_a, ev_b = ref_meta[key]["events"], new_meta[key]["events"]
         for ev in sorted(set(ev_a) & set(ev_b)):
             if ev_a[ev] != ev_b[ev]:
@@ -138,6 +152,7 @@ def compare(ref, new) -> int:
     print()
     print("\n".join(lines))
     print(f"bit-identical: {identical}/{len(lines)} runs")
+    print(f"equal CSV and sidecar digests: {files_equal}/{len(lines)} runs")
     print("\n".join(sweep_lines))
     for p in problems:
         print("FAIL:", p)

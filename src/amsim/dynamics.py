@@ -29,15 +29,15 @@ class RotorConfig:
     tau_m: float = 0.02    # motor time constant (s)
 
     def __post_init__(self):
-        object.__setattr__(self, "spin_dirs", as_floats(self.spin_dirs, 4, "spin_dirs"))
-        object.__setattr__(self, "positions", tuple(as_floats(p, 3, "rotor positions")
-                                                    for p in self.positions))
+        object.__setattr__(self, "spin_dirs", as_floats(self.spin_dirs, 4, "[vehicle] spin_dirs"))
+        where = "[vehicle] rotor positions (rotor_arm, rotor_height)"
+        object.__setattr__(self, "positions", tuple(as_floats(p, 3, where) for p in self.positions))
         if len(self.positions) != 4:
-            raise ConfigError(f"rotor positions needs 4 rows, got {len(self.positions)}")
-        as_floats([self.c_t, self.tau_m, self.k_m], 3, "c_t, tau_m, k_m", "positive")
-        as_floats([self.k_tau], 1, "k_tau")
+            raise ConfigError(f"{where} needs 4 rows, got {len(self.positions)}")
+        for k in ("c_t", "tau_m", "k_m", "k_tau"):
+            as_floats([getattr(self, k)], 1, f"[vehicle] {k}", "" if k == "k_tau" else "positive")
         if not all(abs(s) == 1.0 for s in self.spin_dirs):
-            raise ConfigError("spin_dirs must be +1 or -1")
+            raise ConfigError("[vehicle] spin_dirs must be +1 or -1")
 
     @classmethod
     def x_config(cls, arm_length: float = 0.12, rotor_height: float = 0.0,

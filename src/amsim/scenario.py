@@ -37,9 +37,7 @@ COLUMNS = (
 _ROW = struct.Struct(f"{len(COLUMNS)}d")  # one log row, packed exactly into a float64 buffer
 
 
-# rows per block of RunLog.to_csv: small enough that the text of a block
-# adds little to the resident memory of a full-length log
-CSV_BLOCK_ROWS = 250
+CSV_BLOCK_ROWS = 250  # rows per block of RunLog.to_csv; its caller holds one block's text
 # bytes per chunk of a CSV's digest, each hashed on its own (``_csv_digest``)
 CSV_CHUNK = 1 << 20
 
@@ -67,22 +65,54 @@ class RunLog:
 
         Logs repeat most values (slow-rate and constant columns), so each
         block of rows formats each distinct bit pattern once; comparing bits
-        keeps -0.0, NaN and the infinities apart. The rows also go to the
-        sidecar ``path + ".npy"``, followed by the CSV's ``_csv_digest``.
+        keeps -0.0, NaN and the infinities apart. Children forked one a core, if
+        no other thread runs, format even shares of the blocks after the first.
         """
         path = os.fspath(path)
         data = np.ascontiguousarray(self.data, dtype=np.float64)
-        with open(path, "wb") as fh:
-            fh.write((",".join(self.names) + "\n").encode())
-            for start in range(0, data.shape[0], CSV_BLOCK_ROWS):
+        def blocks(starts):  # the CSV text of the blocks of rows at ``starts``, as bytes
+            for start in starts:
                 block = data[start:start + CSV_BLOCK_ROWS]
                 bits, where = np.unique(block.view(np.int64), return_inverse=True)
                 text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
                                 dtype=object)[where.reshape(block.shape)]
-                fh.write("".join(",".join(row) + "\n" for row in text.tolist()).encode())
+                yield "".join(",".join(row) + "\n" for row in text.tolist()).encode()
+        starts = range(0, data.shape[0], CSV_BLOCK_ROWS)
+        cores = len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+        shares = np.array_split(starts, min(cores, len(starts)) or 1)
+        fh, children = open(f"{path}.{os.getpid()}.tmp", "wb"), []  # children: (pid, read end)
+        try:
+            with fh:
+                try:
+                    for share in shares[1:]:
+                        r, w = os.pipe()
+                        if (pid := os.fork()) == 0:  # the child exits here, running no
+                            try:                     # atexit handler, flushing no buffer
+                                os.close(r)  # leaves the caller the only reader
+                                with open(w, "wb") as pipe:
+                                    pipe.writelines(list(blocks(share)))
+                                os._exit(0)
+                            finally:  # reached only on an error
+                                os._exit(1)
+                        os.close(w)
+                        children.append((pid, r))
+                    fh.write((",".join(self.names) + "\n").encode())
+                    fh.writelines(blocks(shares[0]))
+                    for _, r in children:  # in reads of at most CSV_CHUNK bytes
+                        fh.writelines(iter(lambda: os.read(r, CSV_CHUNK), b""))
+                finally:  # a child blocked on a full pipe fails once every read end is closed
+                    for _, r in children:
+                        os.close(r)
+                    failed = [pid for pid, _ in children if os.waitpid(pid, 0)[1]]
+                if failed:
+                    raise OSError(f"{path}: CSV worker {failed[0]} failed; nothing written")
+            os.replace(fh.name, path)
+        except BaseException:
+            os.unlink(fh.name)
+            raise
         if np.isnan(data).any():  # store the NaN that np.loadtxt returns for "nan"
             data = np.where(np.isnan(data), np.nan, data)
-        with open(path + ".npy", "wb") as fh:
+        with open(path + ".npy", "wb") as fh:  # the sidecar: the rows, then the CSV's digest
             np.lib.format.write_array(fh, data, allow_pickle=False)
             fh.write(_csv_digest(path)[0])
 

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import re
+import signal
 import sys
 import threading
 import warnings
@@ -469,6 +471,22 @@ class TestConfig:
         out = tmp_path / "out"
         assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("k_m = -1", "[vehicle] k_m must be positive and finite, got -1.0"),
+        ("c_t = 0", "[vehicle] c_t must be positive and finite, got 0.0"),
+        ("tau_m = nan", "[vehicle] tau_m must be positive and finite, got nan"),
+        ("k_tau = inf", "[vehicle] k_tau must be finite, got inf"),
+        ("rotor_arm = nan", "[vehicle] rotor positions (rotor_arm, rotor_height) must be "
+                            "finite, got [nan, nan, 0.0]"),
+    ])
+    def test_bad_rotor_cli_exit_1_names_the_key(self, tmp_path, capsys, line, message):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"[run]\nduration = 0.1\n[vehicle]\n{line}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", MODES)  # every mode the config accepts
@@ -938,16 +956,22 @@ def per_value_csv(log, path):
 
 
 def assert_same_csv_bytes(log, tmp_path):
+    """The CSV against ``per_value_csv``, and its sidecar against the rows (each NaN
+    stored as np.nan) in a standard .npy, followed by the CSV's ``ref_digest``."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     log.to_csv(str(got))
     per_value_csv(log, str(want))
     assert got.read_bytes() == want.read_bytes()
+    npy = io.BytesIO()
+    np.lib.format.write_array(npy, np.where(np.isnan(log.data), np.nan, log.data))
+    assert sidecar_of(got).read_bytes() == npy.getvalue() + ref_digest(want.read_bytes())
     return got
 
 
 CSV_SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                 1e308, 0.1, 1.0 / 3.0]
-SYNTHETIC_ROWS = [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
+# no block, one, one full, two, and four blocks: enough for three workers
+SYNTHETIC_ROWS = [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 1]
 
 
 def synthetic_log(n_rows):
@@ -963,18 +987,104 @@ def synthetic_log(n_rows):
     return RunLog(names=list(COLUMNS), data=data)
 
 
+def forks(monkeypatch):
+    """Count the ``os.fork`` calls made in this process; returns the list of child pids."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
 class TestCsvWriterOracle:
+    """to_csv formats blocks of rows on one worker per core: forked children format
+    all shares but the first, and the bytes are those of one worker."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        """Fail rather than hang if a write never returns; leave no worker behind."""
+        def hung(signum, frame):
+            raise TimeoutError("RunLog.to_csv did not return within 60 s")
+        handler = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        with pytest.raises(ChildProcessError):  # every forked worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("n_rows", SYNTHETIC_ROWS)
-    def test_synthetic_log_bytes(self, tmp_path, n_rows):
-        assert_same_csv_bytes(synthetic_log(n_rows), tmp_path)
+    def test_synthetic_log_bytes(self, tmp_path, monkeypatch, n_rows):
+        log = synthetic_log(n_rows)
+        for n_cores in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                cores(mp, n_cores)
+                pids = forks(mp)
+                assert_same_csv_bytes(log, tmp_path)
+            # at most one worker a block: a header-only or one-block log forks nothing
+            assert len(pids) == max(1, min(n_cores, -(-n_rows // CSV_BLOCK_ROWS))) - 1
 
-    def test_shipped_log_bytes_and_readback(self, tmp_path):
+    def test_shipped_log_bytes_and_readback(self, tmp_path, monkeypatch):
         log = run_scenario(load_config("grasp_estimate"))
-        path = assert_same_csv_bytes(log, tmp_path)
-        back = RunLog.from_csv(str(path))
-        assert back.names == log.names
-        assert back.data.tobytes() == log.data.tobytes()
+        for n_cores in (1, 2, 3):
+            with monkeypatch.context() as mp:
+                cores(mp, n_cores)
+                pids = forks(mp)
+                path = assert_same_csv_bytes(log, tmp_path)
+            assert len(pids) == n_cores - 1
+            back = RunLog.from_csv(str(path))
+            assert back.names == log.names and back.events["csv_sidecar"] == "hit"
+            assert back.data.tobytes() == log.data.tobytes()
 
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
+        cores(monkeypatch, 3)
+        pids = forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert_same_csv_bytes(synthetic_log(3 * CSV_BLOCK_ROWS + 1), tmp_path)
+        finally:
+            release.set()
+            other.join(30)
+        assert pids == [] and not other.is_alive()
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["previous", "none"])
+    @pytest.mark.parametrize("fault, target", [
+        ("child", (np, "unique")), ("parent", (np, "unique")), ("copy", (os, "read")),
+        ("rename", (os, "replace")),
+    ], ids=["child", "parent", "copy", "rename"])
+    def test_failed_write_leaves_the_previous_log(self, tmp_path, monkeypatch, previous,
+                                                  fault, target):
+        """A failure in a worker's share, in this process's share, while copying a
+        child's text or at the rename raises here and leaves the directory as it was."""
+        path = tmp_path / "log.csv"
+        if previous:
+            synthetic_log(1).to_csv(path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        cores(monkeypatch, 3)
+        pids = forks(monkeypatch)
+        caller, call = os.getpid(), getattr(*target)
+
+        def failing(*args, **kwargs):  # np.unique fails in the process the fault names
+            if fault in ("copy", "rename") or (os.getpid() != caller) == (fault == "child"):
+                raise OSError(28, "injected fault")
+            return call(*args, **kwargs)
+        monkeypatch.setattr(*target, failing)
+        message = "CSV worker [0-9]+ failed" if fault == "child" else "injected fault"
+        with pytest.raises(OSError, match=message):
+            synthetic_log(3 * CSV_BLOCK_ROWS + 1).to_csv(path)
+        monkeypatch.undo()
+        assert len(pids) == 2
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        if previous:
+            assert RunLog.from_csv(path).events["csv_sidecar"] == "hit"
 
 
 def sidecar_of(path):
