@@ -8,13 +8,18 @@ and keeps the SHA-256 of the CSV and of its ``.npy`` sidecar. The script
 prints the largest absolute difference of every log column over all runs,
 then one line per run (marked ``bit-identical`` when the two logs have the
 same bytes), the count of bit-identical runs and the count of runs whose
-files have equal digests. Each tree also runs the offline sweeps of the
-default vehicle (``SWEEPS``): every cell of the uncertainty grid and the
-workspace maxima with their joint angles. It exits 1 when any log difference
-exceeds ``TOL`` (a NaN where the other tree has a number counts as an
-infinite difference), when logs differ in shape or column names, when an
-event both trees record differs, when the CSV or sidecar bytes of a run
-differ, or when a sweep output differs in any bit; otherwise 0.
+files have equal digests. Each tree also analyses each log as ``amsim
+metrics`` and ``compare`` do: the ``evaluate`` channels at the scenario's
+``eval_start``, the ``declare_convergence`` times and, for the iags run,
+``compare_runs`` against the baseline run of its scenario; the script counts
+the runs whose analysis has the same bits in both trees. Each tree also runs
+the offline sweeps of the default vehicle (``SWEEPS``): every cell of the
+uncertainty grid and the workspace maxima with their joint angles. It exits
+1 when any log difference exceeds ``TOL`` (a NaN where the other tree has a
+number counts as an infinite difference), when logs differ in shape or column
+names, when an event both trees record differs, when the CSV or sidecar bytes
+of a run differ, or when an analysis or sweep output differs in any bit;
+otherwise 0.
 Last it prints the line count of each tree's ``amsim`` package (its ``.py``
 files, as ``wc -l`` counts them), which plays no part in the exit status.
 """
@@ -43,6 +48,7 @@ FILE_DIGESTS = ("csv_sha256", "npy_sha256")  # of each run's to_csv output, in t
 def dump(src: str, out: str) -> None:
     """Run every shipped scenario with the amsim found under ``src``."""
     sys.path.insert(0, str(Path(src).resolve()))
+    from amsim import metrics
     from amsim.config import load_config, shipped_scenarios
     from amsim.scenario import run_scenario
 
@@ -50,18 +56,33 @@ def dump(src: str, out: str) -> None:
     with tempfile.TemporaryDirectory() as workdir:
         csv = Path(workdir) / "log.csv"
         for name in shipped_scenarios():
-            cfg = load_config(name)
+            cfg, logs = load_config(name), {}
             for mode in MODES:
-                log = run_scenario(dataclasses.replace(cfg, mode=mode))
+                log = logs[mode] = run_scenario(dataclasses.replace(cfg, mode=mode))
                 key = f"{name}/{mode}"
                 arrays[key] = log.data
                 log.to_csv(csv)
                 digests = {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in
                            zip(FILE_DIGESTS, (csv, csv.with_name(csv.name + ".npy")))}
-                meta[key] = {"names": log.names, "events": log.events, **digests}
+                meta[key] = {"names": log.names, "events": log.events, **digests,
+                             "metrics": hex_floats({
+                                 "evaluate": metrics.evaluate(log, cfg.eval_start).channels,
+                                 "converged": metrics.declare_convergence(log)})}
+            meta[f"{name}/iags"]["metrics"]["compare_baseline"] = hex_floats(
+                metrics.compare_runs(logs["iags"], logs["baseline"], cfg.eval_start))
     arrays.update(sweeps())
     np.savez(out, **arrays)
     Path(out + ".json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def hex_floats(value):
+    """``value`` with each float in its dicts, lists and tuples as ``float.hex``
+    (None kept), so that equal JSON records mean equal bits."""
+    if isinstance(value, dict):
+        return {k: hex_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [hex_floats(v) for v in value]
+    return None if value is None else float(value).hex()
 
 
 def sweeps() -> dict:
@@ -103,7 +124,7 @@ def compare(ref, new) -> int:
     problems = []
     worst = {}  # column -> (difference, run)
     lines = []
-    identical = files_equal = 0
+    identical = files_equal = metrics_equal = 0
     sweep_lines = []
     for key in sorted(k for k in set(ref_data) | set(new_data) if k.startswith(SWEEP_PREFIX)):
         a, b = ref_data.pop(key, None), new_data.pop(key, None)
@@ -139,6 +160,10 @@ def compare(ref, new) -> int:
         files_equal += same_files
         if not same_files:
             problems.append(f"{key}: the CSV or its sidecar differs in bytes")
+        same_metrics = ref_meta[key]["metrics"] == new_meta[key]["metrics"]
+        metrics_equal += same_metrics
+        if not same_metrics:
+            problems.append(f"{key}: evaluate, declare_convergence or compare_runs differs")
         ev_a, ev_b = ref_meta[key]["events"], new_meta[key]["events"]
         for ev in sorted(set(ev_a) & set(ev_b)):
             if ev_a[ev] != ev_b[ev]:
@@ -153,6 +178,7 @@ def compare(ref, new) -> int:
     print("\n".join(lines))
     print(f"bit-identical: {identical}/{len(lines)} runs")
     print(f"equal CSV and sidecar digests: {files_equal}/{len(lines)} runs")
+    print(f"metrics bit-identical: {metrics_equal}/{len(lines)}")
     print("\n".join(sweep_lines))
     for p in problems:
         print("FAIL:", p)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime divergence or
-analysis failure, 3 criteria failure (for CI gating).
+analysis failure, 3 criteria failure (for CI gating), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -214,6 +214,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a missing input is a config error, above
+        print(f"io error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -69,23 +69,31 @@ def _chains(geom: DeltaGeometry, theta) -> list:
             for a, th in zip(geom.arm_azimuths, (t1, t2, t3))]
 
 
-def forward_kin(geom: DeltaGeometry, theta) -> tuple:
-    """Platform center position (three floats) for given joint angles.
+def sphere_centres(geom: DeltaGeometry, theta) -> list:
+    """Per arm, the centre (three floats) of its forearm sphere: the elbow
+    shifted inward by the platform radius."""
+    la, pr = geom.upper_arm_len, geom.platform_radius
+    centres = []
+    for ca, sa, ct, st in _chains(geom, theta):
+        r = geom.base_radius + la * ct  # radial elbow coordinate
+        centres.append((r * ca - pr * ca, r * sa - pr * sa, -la * st))
+    return centres
 
-    Reduces each closed chain to a sphere of radius ``forearm_len`` centered
-    at the elbow shifted inward by the platform radius, then trilaterates.
-    Of the two sphere intersections the lower one (platform below the base
-    plane) is returned.
+
+def forward_kin(geom: DeltaGeometry, theta) -> tuple:
+    """Platform center position (three floats) for given joint angles: each closed
+    chain is a sphere of radius ``forearm_len`` about ``sphere_centres``, and the
+    three are trilaterated. Raises as ``trilaterate``."""
+    return trilaterate(geom, *sphere_centres(geom, theta))
+
+
+def trilaterate(geom: DeltaGeometry, c1, c2, c3) -> tuple:
+    """The lower (platform below the base plane) of the two points at
+    ``forearm_len`` from the three sphere centres, as three floats.
 
     Raises NoIntersection when the three spheres do not share a point.
     """
-    la, pr = geom.upper_arm_len, geom.platform_radius
-    centers = []
-    for ca, sa, ct, st in _chains(geom, theta):
-        r = geom.base_radius + la * ct  # radial elbow coordinate
-        centers.append((r * ca - pr * ca, r * sa - pr * sa, -la * st))
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = centers
-
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = c1, c2, c3
     ex0, ex1, ex2 = x2 - x1, y2 - y1, z2 - z1
     d = math.sqrt(ex0 * ex0 + ex1 * ex1 + ex2 * ex2)
     if d < 1e-12:

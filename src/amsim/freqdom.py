@@ -275,15 +275,16 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     j_obj = InertialParams(payload_mass, np.zeros(3),
                            box_inertia(payload_mass, dims)).inertia_about_com.ravel().tolist()
     ox, oy, oz = presense.top_grasp_offset(dims[2], pad_height)
-    lo, hi = geom.joint_limits
-    grid = np.linspace(lo, hi, grid_n).tolist()
+    grid = np.linspace(*geom.joint_limits, grid_n).tolist()
+    # per arm, (angle, sphere centre) at each grid angle: forward_kin's centres, built once
+    arms = zip(*[[(g, c) for c in delta.sphere_centres(geom, (g, g, g))] for g in grid])
     poses, points = [], []
-    for theta in product(grid, repeat=3):
+    for (t1, c1), (t2, c2), (t3, c3) in product(*arms):
         try:
-            px, py, pz = delta.forward_kin(geom, theta)
+            px, py, pz = delta.trilaterate(geom, c1, c2, c3)
         except delta.KinematicsError:
             continue
-        poses.append(theta)
+        poses.append((t1, t2, t3))
         points.append((px + ox, py + oy, pz + oz))
     maxima = np.ones(3)
     argmax = [None, None, None]

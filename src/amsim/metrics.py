@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -34,36 +35,25 @@ def _attitude_angle(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
 
 def evaluate(log: RunLog, eval_start: float = 0.0) -> MetricReport:
-    t = log.column("t")
-    mask = t >= eval_start
-    if not np.any(mask):
+    """RMSE and max-abs of each tracking error over the rows with ``t >= eval_start``;
+    ValueError unless ``t`` is non-decreasing, or when that window is empty."""
+    t = log.column("t")  # a NaN fails each comparison; a lone row is compared with itself
+    if not (np.all(t[1:] >= t[:-1]) and np.all(t[:1] == t[:1])):
+        raise ValueError("log time column t is not non-decreasing")
+    k = int(np.searchsorted(t, eval_start))  # the window: the rows from k on
+    if k == len(t):
         raise ValueError("evaluation window contains no samples")
-
     names = ("px", "py", "pz", "px_des", "py_des", "pz_des",
              "qw", "qx", "qy", "qz", "qw_des", "qx_des", "qy_des", "qz_des",
              "wx", "wy", "wz", "wx_des", "wy_des", "wz_des")
-    # one copy of the window's rows and columns, not one of all rows first
-    window = log.data[np.ix_(mask, [log.names.index(n) for n in names])]
-    pos, pos_des = window[:, 0:3], window[:, 3:6]
-    q, q_des = window[:, 6:10], window[:, 10:14]
-    w, w_des = window[:, 14:17], window[:, 17:20]
-
-    def rms(x):
-        return float(np.sqrt(np.mean(np.square(x))))
-
-    pe = pos - pos_des
-    pe_norm = np.linalg.norm(pe, axis=1)
-    ang = _attitude_angle(q, q_des)
-    we_norm = np.linalg.norm(w - w_des, axis=1)
-
-    channels = {
-        "position": (rms(pe_norm), float(pe_norm.max())),
-        "position_x": (rms(pe[:, 0]), float(np.abs(pe[:, 0]).max())),
-        "position_y": (rms(pe[:, 1]), float(np.abs(pe[:, 1]).max())),
-        "position_z": (rms(pe[:, 2]), float(np.abs(pe[:, 2]).max())),
-        "attitude": (rms(ang), float(ang.max())),
-        "rate": (rms(we_norm), float(we_norm.max())),
-    }
+    window = log.data[k:, [log.names.index(n) for n in names]]
+    def rms_max(err):  # each error array lives only for its own channel
+        return float(np.sqrt(np.mean(np.square(err)))), float(err.max())
+    pe = window[:, 0:3] - window[:, 3:6]
+    channels = {"position": rms_max(np.linalg.norm(pe, axis=1)),
+                **{f"position_{a}": rms_max(np.abs(pe[:, i])) for i, a in enumerate("xyz")},
+                "attitude": rms_max(_attitude_angle(window[:, 6:10], window[:, 10:14])),
+                "rate": rms_max(np.linalg.norm(window[:, 14:17] - window[:, 17:20], axis=1))}
     return MetricReport(channels=channels, window=(float(eval_start), float(t[-1])))
 
 
@@ -86,20 +76,17 @@ def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS) -> dict:
     error, absolute per-axis CoM error (m). A channel that never converges
     maps to None.
     """
-    t = log.column("t")
+    t, col = log.column("t"), log.column
     mass_bound, moi_bound, com_bound = bounds
 
-    m_hat = log.column("m_t_hat")
-    m_true = log.column("m_t_true")
-    mass_err = np.abs(m_hat - m_true) / np.maximum(np.abs(m_true), 1e-12)
-
-    c_hat = log.columns("ctx_hat", "cty_hat", "ctz_hat")
-    c_true = log.columns("ctx_true", "cty_true", "ctz_true")
-    com_err = np.abs(c_hat - c_true).max(axis=1)
-
-    j_hat = log.columns("jtx_hat", "jty_hat", "jtz_hat")
-    j_true = log.columns("jtx_true", "jty_true", "jtz_true")
-    moi_err = (np.abs(j_hat - j_true) / np.maximum(np.abs(j_true), 1e-18)).max(axis=1)
+    def err(name, floor=None):  # |hat - true| of one estimate, relative above ``floor``
+        true = col(f"{name}_true")
+        diff = np.abs(col(f"{name}_hat") - true)
+        return diff if floor is None else diff / np.maximum(np.abs(true), floor)
+    mass_err = err("m_t", 1e-12)
+    # the worst axis, from column views: a maximum neither rounds nor drops a NaN
+    com_err = reduce(np.maximum, [err(f"ct{a}") for a in "xyz"])
+    moi_err = reduce(np.maximum, [err(f"jt{a}", 1e-18) for a in "xyz"])
 
     return {
         "mass": _first_stay_within(t, mass_err, mass_bound),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from conftest import monic
@@ -423,8 +423,13 @@ def ref_margins(tf, band=DEFAULT_BAND):
                         gain_crossover=w_gc, phase_crossover=w_pc)
 
 
-def assert_matches_ref(tf, band=DEFAULT_BAND):
-    """margins(tf) equals ref_margins(tf), or both raise the same exception type."""
+def assert_matches_ref(tf, band=DEFAULT_BAND, exact=False):
+    """margins(tf) equals ref_margins(tf), or both raise the same exception type.
+
+    With ``exact`` the gain crossover and phase margin are measured against
+    those of the exact crossover instead, within the same tolerances; where the
+    former code disagrees by more than a tolerance, it must be the farther one.
+    """
     try:
         ref = ref_margins(tf, band)
     except (NoCrossover, PoleOnAxis, ValueError) as exc:
@@ -432,8 +437,19 @@ def assert_matches_ref(tf, band=DEFAULT_BAND):
             margins(tf, band)
         return None
     rep = margins(tf, band)
-    assert rep.gain_crossover == pytest.approx(ref.gain_crossover, rel=1e-12, abs=0)
-    assert rep.phase_margin_deg == pytest.approx(ref.phase_margin_deg, rel=0, abs=1e-9)
+    checks = [(rep.gain_crossover, ref.gain_crossover, {"rel": 1e-12, "abs": 0}),
+              (rep.phase_margin_deg, ref.phase_margin_deg, {"rel": 0, "abs": 1e-9})]
+    if exact:
+        w_exact = exact_gain_crossover(tf, rep.gain_crossover)
+        pm_exact = 180.0 + math.degrees(cmath.phase(freq_response(tf, w_exact)))
+        pm_exact -= 360.0 * (pm_exact > 180.0)  # on the branch (-180, 180] of margins
+        for (got, former, tol), want in zip(checks, (w_exact, pm_exact)):
+            assert got == pytest.approx(want, **tol)
+            if got != pytest.approx(former, **tol):
+                assert abs(got - want) <= abs(former - want)
+    else:
+        for got, former, tol in checks:
+            assert got == pytest.approx(former, **tol)
     if math.isinf(ref.gain_margin_db):
         assert rep.gain_margin_db == ref.gain_margin_db
         assert math.isnan(rep.phase_crossover)
@@ -441,6 +457,32 @@ def assert_matches_ref(tf, band=DEFAULT_BAND):
         assert rep.gain_margin_db == pytest.approx(ref.gain_margin_db, rel=0, abs=1e-9)
         assert rep.phase_crossover == pytest.approx(ref.phase_crossover, rel=1e-12, abs=0)
     return rep
+
+
+def exact_gain_crossover(tf, w):
+    """The root of |N(j w)|^2 - |D(j w)|^2 next to ``w``, from the float coefficients
+    of ``tf``: secant steps on u = w^2 in 50-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        def parts(coeffs):  # p(j w) = a(u) + j w b(u), as decimal coefficient lists
+            a, b = [], []
+            for k, c in enumerate(coeffs):
+                (a if k % 2 == 0 else b).append(decimal.Decimal(c) * (-1) ** (k // 2))
+            return a, b
+
+        def val(p, u):
+            return sum(c * u ** i for i, c in enumerate(p))
+        (na, nb), (da, db) = parts(tf.num), parts(tf.den)
+        def gap(u):
+            return val(na, u) ** 2 + u * val(nb, u) ** 2 - val(da, u) ** 2 - u * val(db, u) ** 2
+        u0 = decimal.Decimal(w) ** 2
+        u1 = u0 * (1 + decimal.Decimal("1e-9"))
+        for _ in range(100):
+            f0, f1 = gap(u0), gap(u1)
+            if f1 == f0 or abs(u1 - u0) <= abs(u1) * decimal.Decimal("1e-40"):
+                break
+            u0, u1 = u1, u1 - f1 * (u1 - u0) / (f1 - f0)
+        assert abs(gap(u1)) <= abs(gap(u0 * (1 + decimal.Decimal("1e-30"))) - gap(u0))
+        return float(u1.sqrt())
 
 
 def resonance_pair_tf():
@@ -464,9 +506,11 @@ class TestMarginsNumpyOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(loop_params)
+    @example((0.01, 1.7421875, 0.003258524641941705, 2.3203125, 0.001,
+              0.003258524641941705))  # the former oracle is 2.1e-12 off its crossover
     def test_rate_loop_family(self, params):
         kp, ki, kd, kk, j, tau = params
-        assert_matches_ref(open_loop_tf(kp, ki, kd, kk, 1.0, tau, j))
+        assert_matches_ref(open_loop_tf(kp, ki, kd, kk, 1.0, tau, j), exact=True)
 
     @pytest.mark.parametrize("tf", [
         RationalTF(num=(200.0,), den=(0.0, 1.0, 0.11, 0.001)),        # finite GM
@@ -903,6 +947,19 @@ class TestWorkspaceSweep:
             assert argmax == [None, None, None] and maxima.tolist() == [1.0, 1.0, 1.0]
         if case == "none_feasible":
             assert gains == []
+
+    def test_centres_built_once_per_grid_angle(self, vehicle_params, monkeypatch):
+        """Each grid angle's sphere centres are built once, each pose is one
+        trilateration, and forward_kin is not called."""
+        calls = {"sphere_centres": 0, "trilaterate": 0}
+        for name in calls:
+            def counted(*args, inner=getattr(delta, name), name=name):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(delta, name, counted)
+        monkeypatch.setattr(delta, "forward_kin", None)
+        workspace_kk_sweep(DeltaGeometry(), 0.4, (0.2, 0.2, 0.2), vehicle_params, grid_n=9)
+        assert calls == {"sphere_centres": 9, "trilaterate": 9 ** 3}
 
     def test_zero_mass_identity(self, vehicle_params):
         maxima, _ = workspace_kk_sweep(DeltaGeometry(), 0.0, [0.2, 0.2, 0.2],

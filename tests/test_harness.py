@@ -866,7 +866,126 @@ class TestLatchTiming:
         assert first == round(latch_time / cfg.sim_dt) and np.all(latched[first:] == 1.0)
 
 
+def ref_evaluate(log, eval_start=0.0):
+    """The former ``metrics.evaluate``: a boolean mask over ``t`` and one np.ix_
+    gather, kept as the oracle of the time slice."""
+    t = log.column("t")
+    mask = t >= eval_start
+    if not np.any(mask):
+        raise ValueError("evaluation window contains no samples")
+    names = ("px", "py", "pz", "px_des", "py_des", "pz_des",
+             "qw", "qx", "qy", "qz", "qw_des", "qx_des", "qy_des", "qz_des",
+             "wx", "wy", "wz", "wx_des", "wy_des", "wz_des")
+    window = log.data[np.ix_(mask, [log.names.index(n) for n in names])]
+    pos, pos_des = window[:, 0:3], window[:, 3:6]
+    q, q_des = window[:, 6:10], window[:, 10:14]
+    w, w_des = window[:, 14:17], window[:, 17:20]
+
+    def rms(x):
+        return float(np.sqrt(np.mean(np.square(x))))
+
+    pe = pos - pos_des
+    pe_norm = np.linalg.norm(pe, axis=1)
+    ang = metrics._attitude_angle(q, q_des)
+    we_norm = np.linalg.norm(w - w_des, axis=1)
+    channels = {
+        "position": (rms(pe_norm), float(pe_norm.max())),
+        "position_x": (rms(pe[:, 0]), float(np.abs(pe[:, 0]).max())),
+        "position_y": (rms(pe[:, 1]), float(np.abs(pe[:, 1]).max())),
+        "position_z": (rms(pe[:, 2]), float(np.abs(pe[:, 2]).max())),
+        "attitude": (rms(ang), float(ang.max())),
+        "rate": (rms(we_norm), float(we_norm.max())),
+    }
+    return metrics.MetricReport(channels=channels, window=(float(eval_start), float(t[-1])))
+
+
+def ref_declare_convergence(log, bounds=metrics.CONVERGENCE_BOUNDS):
+    """The former ``declare_convergence``: per-axis errors of (rows, 3) copies."""
+    t = log.column("t")
+    m_true = log.column("m_t_true")
+    mass_err = np.abs(log.column("m_t_hat") - m_true) / np.maximum(np.abs(m_true), 1e-12)
+    c_err = np.abs(log.columns("ctx_hat", "cty_hat", "ctz_hat")
+                   - log.columns("ctx_true", "cty_true", "ctz_true")).max(axis=1)
+    j_true = log.columns("jtx_true", "jty_true", "jtz_true")
+    j_err = (np.abs(log.columns("jtx_hat", "jty_hat", "jtz_hat") - j_true)
+             / np.maximum(np.abs(j_true), 1e-18)).max(axis=1)
+    return {name: metrics._first_stay_within(t, err, bound) for name, err, bound in
+            zip(("mass", "moi", "com"), (mass_err, j_err, c_err), bounds)}
+
+
+def report_bits(rep):
+    """A report's channel names and the bytes of its values and window."""
+    values = [v for pair in rep.channels.values() for v in pair] + list(rep.window)
+    return list(rep.channels), np.array(values).tobytes()
+
+
+def noisy_log(t, rng):
+    """``make_log`` with every tracked and estimated channel drawn at random."""
+    log = make_log(t)
+    log.data[:, 1:] = rng.standard_normal((len(t), len(COLUMNS) - 1))
+    return log
+
+
 class TestMetrics:
+    @pytest.fixture(scope="class")
+    def shipped_runs(self):
+        """Every shipped scenario in each engine mode, cut to 1 s past eval_start."""
+        runs = {}
+        for name in shipped_scenarios():
+            cfg = load_config(name)
+            for mode in ("baseline", "iags", "pre-only", "dob-only"):
+                runs[name, mode] = run_scenario(replace(cfg, mode=mode,
+                                                        duration=cfg.eval_start + 1.0))
+        return runs
+
+    def test_slice_equals_mask_oracle_on_shipped_runs(self, shipped_runs):
+        assert len(shipped_runs) == 4 * len(shipped_scenarios())
+        for log in shipped_runs.values():
+            for start in (log.config.eval_start, 0.0):
+                assert (report_bits(metrics.evaluate(log, start))
+                        == report_bits(ref_evaluate(log, start)))
+            assert metrics.declare_convergence(log) == ref_declare_convergence(log)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct_t", "repeated_t"])
+    def test_slice_equals_mask_oracle_at_each_start(self, rng, ties):
+        """eval_start before, on, between and after the samples (on a repeated
+        time, every row of it is in the window)."""
+        t = np.repeat(np.arange(30) * 0.01, 2) if ties else np.arange(60) * 0.01
+        log = noisy_log(t, rng)
+        for start in (-math.inf, -1.0, t[0], t[20], 0.5 * (t[20] + t[22]),
+                      np.nextafter(t[20], -1.0), np.nextafter(t[20], 1.0), t[-1]):
+            got, want = metrics.evaluate(log, start), ref_evaluate(log, start)
+            assert report_bits(got) == report_bits(want)
+        for start in (t[-1] + 0.01, math.inf, math.nan):
+            for fn in (metrics.evaluate, ref_evaluate):
+                with pytest.raises(ValueError, match="^evaluation window contains no samples$"):
+                    fn(log, start)
+
+    def test_empty_log_window_message(self):
+        with pytest.raises(ValueError, match="^evaluation window contains no samples$"):
+            metrics.evaluate(make_log(np.zeros(0)))
+
+    @pytest.mark.parametrize("t", [[0.0, 0.02, 0.01, 0.03], [0.0, math.nan, 0.02, 0.03],
+                                   [math.nan, 0.01, 0.02, 0.03], [math.nan]],
+                             ids=["unsorted", "nan_inside", "nan_first", "lone_nan"])
+    def test_t_not_non_decreasing_refused(self, t, rng):
+        log = noisy_log(np.array(t), rng)
+        with pytest.raises(ValueError, match="^log time column t is not non-decreasing$"):
+            metrics.evaluate(log)
+        # a NaN time already fails compare_runs' grid check (NaN != NaN)
+        with pytest.raises((ValueError, MismatchedRuns)):
+            metrics.compare_runs(log, log)
+
+    def test_convergence_equals_column_copy_oracle(self, rng):
+        """Random estimates with NaNs, zeros and -0.0 in the truth."""
+        log = noisy_log(np.arange(400) * 0.01, rng)
+        log.data[rng.random(log.data.shape) < 0.01] = math.nan
+        log.data[:, 0] = np.arange(400) * 0.01
+        for name in ("jtx_true", "ctz_true", "m_t_true"):
+            log.data[::7, COLUMNS.index(name)] = rng.choice([0.0, -0.0], 58)
+        for bounds in (metrics.CONVERGENCE_BOUNDS, (10.0, 10.0, 10.0), (1e3, 1e9, 1e3)):
+            assert metrics.declare_convergence(log, bounds) == ref_declare_convergence(log, bounds)
+
     def test_constant_error_rmse_exact(self):
         t = np.arange(100) * 0.01
         log = make_log(t, px=np.full(100, 0.25))
@@ -1363,6 +1482,22 @@ class TestCli:
         assert log_path.exists()
         assert cli.main(["metrics", str(log_path)]) == 0
         assert cli.main(["compare", str(log_path), str(log_path)]) == 0
+
+    def test_unwritable_out_exit_4(self, tmp_path, capsys):
+        """An output that cannot be written is one `io error:` line, exit 4."""
+        (tmp_path / "file").write_text("")
+        assert cli.main(["run", "grasp_estimate", "--out", str(tmp_path / "file" / "sub")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_metrics_of_unsorted_log_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        make_log(np.array([0.0, 0.02, 0.01])).to_csv(str(path))
+        assert cli.main(["metrics", str(path)]) == 1
+        assert capsys.readouterr().err == ("config error: log time column t is not "
+                                           "non-decreasing\n")
+        assert cli.main(["compare", str(path), str(path)]) == 1
 
     def test_missing_scenario_exit_1(self):
         assert cli.main(["run", "definitely_not_here"]) == 1
