@@ -72,6 +72,14 @@ def _load_cfg(path: str | None) -> ScenarioConfig:
     return load_config(path)
 
 
+def _open_out(path: str):
+    """``path`` opened for writing; a missing directory is an I/O error (exit 4)."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except FileNotFoundError as exc:  # not the missing input of a configuration error
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_run(args) -> int:
     overrides = {key: getattr(args, key) for key in ("mode", "seed", "duration")
                  if getattr(args, key) is not None}
@@ -140,7 +148,7 @@ def _cmd_sweep(args) -> int:
                                                tau_m=cfg.vehicle.rotor.tau_m,
                                                grid_n=args.grid_n)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with _open_out(args.out) as fh:
                 fh.write("axis,j_scale,kk_scale,gm_db,pm_deg,w_gc,w_pc\n")
                 for axis, sj, sk, rep in rows:
                     fh.write(f"{'xyz'[axis]},{sj!r},{sk!r},{rep.gain_margin_db!r},"
@@ -159,7 +167,7 @@ def _cmd_sweep(args) -> int:
                                                     vehicle, grid_n=args.grid_n,
                                                     pad_height=cfg.est.suction_pad)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with _open_out(args.out) as fh:
                 fh.write("axis,kk_max,theta1,theta2,theta3\n")
                 for axis, label in enumerate("xyz"):
                     th = argmax[axis] if argmax and argmax[axis] is not None else [float("nan")] * 3

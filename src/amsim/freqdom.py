@@ -275,16 +275,17 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     j_obj = InertialParams(payload_mass, np.zeros(3),
                            box_inertia(payload_mass, dims)).inertia_about_com.ravel().tolist()
     ox, oy, oz = presense.top_grasp_offset(dims[2], pad_height)
-    grid = np.linspace(*geom.joint_limits, grid_n).tolist()
-    # per arm, (angle, sphere centre) at each grid angle: forward_kin's centres, built once
-    arms = zip(*[[(g, c) for c in delta.sphere_centres(geom, (g, g, g))] for g in grid])
+    lo, hi = geom.joint_limits
+    grid = np.linspace(lo, hi, grid_n).tolist()
+    # each arm's sphere centre at each grid angle, built once: forward_kin's floats
+    centres = [delta.sphere_centres(geom, (g, g, g)) for g in grid]
     poses, points = [], []
-    for (t1, c1), (t2, c2), (t3, c3) in product(*arms):
+    for i, j, k in product(range(len(grid)), repeat=3):
         try:
-            px, py, pz = delta.trilaterate(geom, c1, c2, c3)
+            px, py, pz = delta.trilaterate(geom, centres[i][0], centres[j][1], centres[k][2])
         except delta.KinematicsError:
             continue
-        poses.append((t1, t2, t3))
+        poses.append((grid[i], grid[j], grid[k]))
         points.append((px + ox, py + oy, pz + oz))
     maxima = np.ones(3)
     argmax = [None, None, None]

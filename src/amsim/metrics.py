@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -37,23 +36,32 @@ def _attitude_angle(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 def evaluate(log: RunLog, eval_start: float = 0.0) -> MetricReport:
     """RMSE and max-abs of each tracking error over the rows with ``t >= eval_start``;
     ValueError unless ``t`` is non-decreasing, or when that window is empty."""
-    t = log.column("t")  # a NaN fails each comparison; a lone row is compared with itself
+    t = log.column("t")
+    # a NaN fails every comparison: t[1:] >= t[:-1] catches it, and t[:1] == t[:1] in a lone row
     if not (np.all(t[1:] >= t[:-1]) and np.all(t[:1] == t[:1])):
         raise ValueError("log time column t is not non-decreasing")
-    k = int(np.searchsorted(t, eval_start))  # the window: the rows from k on
+    k = int(np.searchsorted(t, eval_start))  # the window is the rows from k on
     if k == len(t):
         raise ValueError("evaluation window contains no samples")
+
     names = ("px", "py", "pz", "px_des", "py_des", "pz_des",
              "qw", "qx", "qy", "qz", "qw_des", "qx_des", "qy_des", "qz_des",
              "wx", "wy", "wz", "wx_des", "wy_des", "wz_des")
+    # one copy of the window's rows and columns, not one of all rows first
     window = log.data[k:, [log.names.index(n) for n in names]]
+
     def rms_max(err):  # each error array lives only for its own channel
         return float(np.sqrt(np.mean(np.square(err)))), float(err.max())
+
     pe = window[:, 0:3] - window[:, 3:6]
-    channels = {"position": rms_max(np.linalg.norm(pe, axis=1)),
-                **{f"position_{a}": rms_max(np.abs(pe[:, i])) for i, a in enumerate("xyz")},
-                "attitude": rms_max(_attitude_angle(window[:, 6:10], window[:, 10:14])),
-                "rate": rms_max(np.linalg.norm(window[:, 14:17] - window[:, 17:20], axis=1))}
+    channels = {
+        "position": rms_max(np.linalg.norm(pe, axis=1)),
+        "position_x": rms_max(np.abs(pe[:, 0])),
+        "position_y": rms_max(np.abs(pe[:, 1])),
+        "position_z": rms_max(np.abs(pe[:, 2])),
+        "attitude": rms_max(_attitude_angle(window[:, 6:10], window[:, 10:14])),
+        "rate": rms_max(np.linalg.norm(window[:, 14:17] - window[:, 17:20], axis=1)),
+    }
     return MetricReport(channels=channels, window=(float(eval_start), float(t[-1])))
 
 
@@ -76,17 +84,23 @@ def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS) -> dict:
     error, absolute per-axis CoM error (m). A channel that never converges
     maps to None.
     """
-    t, col = log.column("t"), log.column
+    t = log.column("t")
     mass_bound, moi_bound, com_bound = bounds
 
-    def err(name, floor=None):  # |hat - true| of one estimate, relative above ``floor``
-        true = col(f"{name}_true")
-        diff = np.abs(col(f"{name}_hat") - true)
-        return diff if floor is None else diff / np.maximum(np.abs(true), floor)
-    mass_err = err("m_t", 1e-12)
+    m_hat = log.column("m_t_hat")
+    m_true = log.column("m_t_true")
+    mass_err = np.abs(m_hat - m_true) / np.maximum(np.abs(m_true), 1e-12)
+
+    def com_axis(a):
+        return np.abs(log.column(f"ct{a}_hat") - log.column(f"ct{a}_true"))
+
+    def moi_axis(a):
+        j_true = log.column(f"jt{a}_true")
+        return np.abs(log.column(f"jt{a}_hat") - j_true) / np.maximum(np.abs(j_true), 1e-18)
+
     # the worst axis, from column views: a maximum neither rounds nor drops a NaN
-    com_err = reduce(np.maximum, [err(f"ct{a}") for a in "xyz"])
-    moi_err = reduce(np.maximum, [err(f"jt{a}", 1e-18) for a in "xyz"])
+    com_err = np.maximum(np.maximum(com_axis("x"), com_axis("y")), com_axis("z"))
+    moi_err = np.maximum(np.maximum(moi_axis("x"), moi_axis("y")), moi_axis("z"))
 
     return {
         "mass": _first_stay_within(t, mass_err, mass_bound),

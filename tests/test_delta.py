@@ -1,13 +1,11 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 
 from amsim.delta import (DeltaGeometry, NoIntersection,
                          OutOfLimits, Singular, Unreachable, forward_kin,
-                         inverse_kin, jacobian, joint_command, servo_step, sphere_centres,
-                         trilaterate)
+                         inverse_kin, jacobian, joint_command, servo_step)
 
 
 def fd_jacobian(geom, theta, h=1e-6):
@@ -276,43 +274,6 @@ def outcome(fn, *args):
         return fn(*args)
     except (NoIntersection, Singular, Unreachable, OutOfLimits) as exc:
         return type(exc)
-
-
-def table_kin(table, geom, theta):
-    """The workspace sweep's path: each arm's sphere centre looked up in a table
-    built once per angle (all three arms at that angle), then trilaterated."""
-    return trilaterate(geom, *(table[th][arm] for arm, th in enumerate(theta)))
-
-
-class TestSphereCentreTable:
-    """The table path has forward_kin's feasible set and its position bits."""
-    GEOMS = [DeltaGeometry(), DeltaGeometry(forearm_len=0.12),
-             DeltaGeometry(forearm_len=0.05), DeltaGeometry(platform_radius=0.05)]
-
-    def assert_same(self, geom, thetas):
-        table = {th: sphere_centres(geom, (th, th, th)) for theta in thetas for th in theta}
-        feasible = 0
-        for theta in thetas:
-            got, want = outcome(table_kin, table, geom, theta), outcome(forward_kin, geom, theta)
-            if isinstance(want, type):
-                assert got is want
-            else:
-                assert np.array(got).tobytes() == np.array(want).tobytes()
-                feasible += 1
-        return feasible
-
-    @pytest.mark.parametrize("geom", GEOMS[:2])
-    def test_full_grid(self, geom):
-        grid = np.linspace(*geom.joint_limits, 9).tolist()
-        assert 0 < self.assert_same(geom, list(product(grid, repeat=3))) < 9 ** 3
-
-    def test_random_poses(self, rng):
-        feasible = 0
-        for geom in self.GEOMS:
-            lo, hi = geom.joint_limits
-            thetas = [tuple(rng.uniform(lo - 0.3, hi + 0.3, 3).tolist()) for _ in range(50)]
-            feasible += self.assert_same(geom, thetas)
-        assert 0 < feasible < 200
 
 
 class TestKinematicsOracle:

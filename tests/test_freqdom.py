@@ -427,8 +427,9 @@ def assert_matches_ref(tf, band=DEFAULT_BAND, exact=False):
     """margins(tf) equals ref_margins(tf), or both raise the same exception type.
 
     With ``exact`` the gain crossover and phase margin are measured against
-    those of the exact crossover instead, within the same tolerances; where the
-    former code disagrees by more than a tolerance, it must be the farther one.
+    those of the exact root next to the former code's crossover instead, within
+    the same tolerances, so both must pick the same crossing; where the former
+    code disagrees by more than a tolerance, it must be the farther one.
     """
     try:
         ref = ref_margins(tf, band)
@@ -440,7 +441,7 @@ def assert_matches_ref(tf, band=DEFAULT_BAND, exact=False):
     checks = [(rep.gain_crossover, ref.gain_crossover, {"rel": 1e-12, "abs": 0}),
               (rep.phase_margin_deg, ref.phase_margin_deg, {"rel": 0, "abs": 1e-9})]
     if exact:
-        w_exact = exact_gain_crossover(tf, rep.gain_crossover)
+        w_exact = exact_gain_crossover(tf, ref.gain_crossover)
         pm_exact = 180.0 + math.degrees(cmath.phase(freq_response(tf, w_exact)))
         pm_exact -= 360.0 * (pm_exact > 180.0)  # on the branch (-180, 180] of margins
         for (got, former, tol), want in zip(checks, (w_exact, pm_exact)):
@@ -485,6 +486,12 @@ def exact_gain_crossover(tf, w):
         return float(u1.sqrt())
 
 
+def resonant_integrator_tf(k, zeta, wn=100.0):
+    """k wn^2 / (s (s^2 + 2 zeta wn s + wn^2)): |G| crosses unity near k and
+    twice about a resonance peak of k / (2 zeta wn) at wn."""
+    return RationalTF(num=(k * wn * wn,), den=(0.0, wn * wn, 2.0 * zeta * wn, 1.0))
+
+
 def resonance_pair_tf():
     """Lightly damped resonance whose two unity crossings lie 9e-4 rad/s apart."""
     zeta, wn = 1e-3, 100.0
@@ -523,6 +530,15 @@ class TestMarginsNumpyOracle:
             "subnormal_kd", "no_crossover", "zero_gain"])
     def test_special_cases(self, tf):
         assert_matches_ref(tf)
+
+    @pytest.mark.parametrize("k, zeta", [(10.0, 0.01), (30.0, 0.05)])
+    def test_exact_crossing_of_the_oracles_choice(self, k, zeta):
+        """Of three unity crossings with distinct phase margins, margins reports
+        the one the oracle picks, within 1e-12 of its exact root."""
+        tf = resonant_integrator_tf(k, zeta)
+        gain = [abs(freq_response(tf, w)) for w in np.geomspace(*DEFAULT_BAND, 20001)]
+        assert np.count_nonzero(np.diff(np.sign(np.log(gain)))) == 3
+        assert assert_matches_ref(tf, exact=True).gain_crossover > 100.0
 
     def test_resonance_pair_nearer_the_exact_crossing(self):
         # the crossings 9e-4 rad/s apart cost both root finders digits, the
@@ -919,7 +935,8 @@ class TestWorkspaceSweep:
             assert (got is None and want is None) or got == tuple(want.tolist())
 
     @pytest.mark.parametrize("case", ["shipped", "tilted", "ties", "never_above_1",
-                                      "few_feasible", "none_feasible"])
+                                      "few_feasible", "none_feasible", "short_forearm",
+                                      "wide_platform"])
     def test_equals_per_pose_oracle_bitwise(self, vehicle_params, case):
         """Maxima and first-occurrence argmax equal a per-pose scan bit for bit;
         infeasible poses are skipped and an axis never above 1 keeps None."""
@@ -934,12 +951,16 @@ class TestWorkspaceSweep:
             geom = DeltaGeometry(forearm_len=0.04)
         elif case == "none_feasible":
             geom = DeltaGeometry(forearm_len=0.04, joint_limits=(-0.52, 0.0))
+        elif case == "short_forearm":
+            geom = DeltaGeometry(forearm_len=0.05)
+        elif case == "wide_platform":
+            geom = DeltaGeometry(platform_radius=0.05)
         args = (geom, mass, (0.2, 0.2, 0.2), vehicle, 9, 0.01)
         maxima, argmax = workspace_kk_sweep(*args)
         ref_max, ref_arg, gains = per_pose_kk_sweep(*args)
         assert maxima.tobytes() == np.array(ref_max).tobytes()
         assert argmax == ref_arg
-        if case in ("shipped", "ties", "few_feasible"):
+        if case in ("shipped", "ties", "few_feasible", "short_forearm", "wide_platform"):
             assert 0 < len(gains) < 9 ** 3  # some poses are infeasible
         if case == "ties":  # the z maximum is reached at several poses
             assert sum(g[2] == ref_max[2] for g in gains) > 1

@@ -1491,6 +1491,14 @@ class TestCli:
         assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["--workspace", "--uncertainty"])
+    def test_sweep_out_in_missing_directory_exit_4(self, tmp_path, capsys, kind):
+        """An output in a missing directory is an I/O error, not a missing input."""
+        out = tmp_path / "no" / "grid.csv"
+        assert cli.main(["sweep", kind, "--grid-n", "5", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (f"io error: cannot write {out}: "
+                                           "No such file or directory\n")
+
     def test_metrics_of_unsorted_log_exit_1(self, tmp_path, capsys):
         path = tmp_path / "log.csv"
         make_log(np.array([0.0, 0.02, 0.01])).to_csv(str(path))
