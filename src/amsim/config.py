@@ -25,8 +25,7 @@ from .controller import Gains
 from .delta import DeltaGeometry, KinematicsError, inverse_kin
 from .dynamics import MAX_STEP, RotorConfig
 from .presense import ObjectPrior, UnknownLabel, load_catalog, prior_for
-from .spatial import (ConfigError, _validate_inertia, as_floats, box_inertia,
-                      cylinder_inertia)
+from .spatial import ConfigError, as_floats, box_inertia, cylinder_inertia, inertia_rows
 
 
 def _table(where: str, rows, columns: str) -> tuple:
@@ -53,15 +52,6 @@ def _table(where: str, rows, columns: str) -> tuple:
     return tuple(sorted(out, key=lambda row: row[0]))
 
 
-def _inertia(j, name: str) -> tuple:
-    """A rigid body's inertia tensor ``j`` (three rows), checked and symmetrized."""
-    try:
-        j = _validate_inertia(np.array(j, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-    return tuple(map(tuple, j.tolist()))
-
-
 MODES = ("baseline", "iags", "iags+dob", "pre-only", "dob-only")
 
 # iags+dob is accepted as an alias of the canonical full pipeline
@@ -82,7 +72,7 @@ class VehicleConfig:
         as_floats([self.accel_noise, self.gyro_noise], 2, "[vehicle] accel_noise, gyro_noise",
                   "non-negative")
         object.__setattr__(self, "p_b", as_floats(self.p_b, 3, "[vehicle] p_b"))
-        object.__setattr__(self, "j_a", _inertia(self.j_a, "[vehicle] inertia"))
+        object.__setattr__(self, "j_a", inertia_rows(self.j_a, "[vehicle] inertia"))
 
 
 @dataclass(frozen=True)
@@ -145,11 +135,11 @@ class ObjectConfig:
         object.__setattr__(self, "dims", as_floats(self.dims, 3, "[object] dims", "positive"))
         if self.true_inertia is not None:
             object.__setattr__(self, "true_inertia",
-                               _inertia(self.true_inertia, "[object] true_inertia"))
+                               inertia_rows(self.true_inertia, "[object] true_inertia"))
         solid = (box_inertia(self.true_mass, self.dims) if self.shape == "box"
                  else cylinder_inertia(self.true_mass, 0.5 * self.dims[0], self.dims[2]))
         object.__setattr__(self, "inertia",
-                           self.true_inertia or _inertia(solid, "[object] inertia"))
+                           self.true_inertia or inertia_rows(solid, "[object] inertia"))
         object.__setattr__(self, "prior_alpha",
                            as_floats(self.prior_alpha, 3, "[object] prior_alpha"))
         _check_prior_keys([key for key in ("prior_beta", "prior_alpha") if self.prior_rho

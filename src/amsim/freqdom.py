@@ -272,8 +272,7 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     as_floats([payload_mass], 1, "payload mass", "non-negative")
     if payload_mass == 0.0:
         return np.ones(3), None
-    j_obj = InertialParams(payload_mass, np.zeros(3),
-                           box_inertia(payload_mass, dims)).inertia_about_com.ravel().tolist()
+    j_obj = box_inertia(payload_mass, dims).ravel().tolist()  # diagonal: valid as built
     ox, oy, oz = presense.top_grasp_offset(dims[2], pad_height)
     lo, hi = geom.joint_limits
     grid = np.linspace(lo, hi, grid_n).tolist()
@@ -292,8 +291,8 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     if not poses:
         return maxima, argmax
     # one composite over every feasible pose: the payload CoM as three arrays
-    j_a = vehicle.inertia_about_com.ravel().tolist()
-    _, _, j_t = composite(vehicle.mass, vehicle.com.tolist(), j_a, payload_mass,
+    j_a = [v for row in vehicle.inertia_about_com for v in row]
+    _, _, j_t = composite(vehicle.mass, vehicle.com, j_a, payload_mass,
                           list(np.array(points).T), j_obj)
     j_inv = inverse3(j_a)
     for axis in range(3):

@@ -33,13 +33,19 @@ def _attitude_angle(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     return 2.0 * np.arccos(np.clip(dot, 0.0, 1.0))
 
 
-def evaluate(log: RunLog, eval_start: float = 0.0) -> MetricReport:
-    """RMSE and max-abs of each tracking error over the rows with ``t >= eval_start``;
-    ValueError unless ``t`` is non-decreasing, or when that window is empty."""
+def _time(log: RunLog) -> np.ndarray:
+    """The log's ``t``, checked once for every analysis: ValueError unless non-decreasing."""
     t = log.column("t")
     # a NaN fails every comparison: t[1:] >= t[:-1] catches it, and t[:1] == t[:1] in a lone row
     if not (np.all(t[1:] >= t[:-1]) and np.all(t[:1] == t[:1])):
         raise ValueError("log time column t is not non-decreasing")
+    return t
+
+
+def evaluate(log: RunLog, eval_start: float = 0.0) -> MetricReport:
+    """RMSE and max-abs of each tracking error over the rows with ``t >= eval_start``;
+    ValueError unless ``t`` is non-decreasing, or when that window is empty."""
+    t = _time(log)
     k = int(np.searchsorted(t, eval_start))  # the window is the rows from k on
     if k == len(t):
         raise ValueError("evaluation window contains no samples")
@@ -82,9 +88,9 @@ def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS) -> dict:
     A channel converges at the first time its error enters the bound and
     never leaves again. Bounds: relative mass error, relative per-axis MoI
     error, absolute per-axis CoM error (m). A channel that never converges
-    maps to None.
+    maps to None. ValueError unless ``t`` is non-decreasing.
     """
-    t = log.column("t")
+    t = _time(log)
     mass_bound, moi_bound, com_bound = bounds
 
     m_hat = log.column("m_t_hat")
@@ -114,14 +120,15 @@ def compare_runs(candidate: RunLog, reference: RunLog,
     """Per-channel metrics of both runs plus percentage deltas vs the reference.
 
     Negative delta means the candidate improved on the reference. Raises
-    MismatchedRuns unless both logs share timestamps and position setpoints.
+    ValueError unless both ``t`` are non-decreasing, then MismatchedRuns unless
+    both logs share timestamps and position setpoints.
     """
-    ta, tb = candidate.column("t"), reference.column("t")
-    if ta.shape != tb.shape or not np.allclose(ta, tb, atol=1e-12):
+    ta, tb = _time(candidate), _time(reference)
+    if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=0.0, atol=1e-12):
         raise MismatchedRuns("timestamp grids differ")
     pa = candidate.columns("px_des", "py_des", "pz_des")
     pb = reference.columns("px_des", "py_des", "pz_des")
-    if not np.allclose(pa, pb, atol=1e-9):
+    if not np.allclose(pa, pb, rtol=0.0, atol=1e-9):
         raise MismatchedRuns("position setpoints differ; not the same trajectory")
 
     ma = evaluate(candidate, eval_start)

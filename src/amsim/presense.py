@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .spatial import as_floats, frozen
+from .spatial import as_floats
 
 
 class DegenerateCloud(Exception):
@@ -30,28 +30,28 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class OrientedBox:
-    """Tight oriented box: ``rotation`` columns are box axes in world, dims l >= w >= h."""
+    """Tight oriented box: ``rotation`` columns are box axes in world, dims l >= w >= h;
+    ``center`` is three floats and ``rotation`` three row tuples, compared by value."""
 
-    center: np.ndarray
-    rotation: np.ndarray
+    center: tuple
+    rotation: tuple
     dims: tuple
 
     def __post_init__(self):
-        center = frozen(np.reshape(self.center, 3))
-        rot = frozen(np.reshape(self.rotation, (3, 3)))
+        rot = np.array(self.rotation, dtype=float).reshape(3, 3)
         dims = as_floats(self.dims, 3, "box dims", "positive")
         if not (dims[0] >= dims[1] >= dims[2]):
             raise ValueError("box dims must be ordered l >= w >= h")
         if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6 or np.linalg.det(rot) < 0.0:
             raise ValueError("rotation must be orthonormal with det +1")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "center", as_floats(self.center, 3, "box center"))
+        object.__setattr__(self, "rotation", tuple(map(tuple, rot.tolist())))
         object.__setattr__(self, "dims", dims)
 
     def vertical_extent(self) -> float:
-        """Box dimension along the axis most aligned with world z."""
-        k = int(np.argmax(np.abs(self.rotation[2, :])))
-        return self.dims[k]
+        """Box dimension along the axis most aligned with world z (the first of equals)."""
+        z_row = self.rotation[2]
+        return self.dims[max(range(3), key=lambda k: abs(z_row[k]))]
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,16 @@ class ObjectEstimate:
     """Pre-grasp estimate: mass, MoI about the box center in box axes, grasp offset."""
 
     mass_tilde: float
-    moi_tilde: np.ndarray
+    moi_tilde: tuple
     volume_hat: float
     grasp_offset: tuple  # end-effector frame, suction grasp from above
 
     def __post_init__(self):
         as_floats([self.mass_tilde], 1, "mass estimate", "positive")
-        moi = frozen(np.reshape(self.moi_tilde, (3, 3)))
+        moi = np.array(self.moi_tilde, dtype=float).reshape(3, 3)
         if np.any(np.linalg.eigvalsh(0.5 * (moi + moi.T)) <= 0.0):
             raise ValueError("MoI estimate must be positive definite")
-        object.__setattr__(self, "moi_tilde", moi)
+        object.__setattr__(self, "moi_tilde", tuple(map(tuple, moi.tolist())))
         object.__setattr__(self, "grasp_offset", as_floats(self.grasp_offset, 3, "grasp offset"))
 
 

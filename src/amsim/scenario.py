@@ -236,9 +236,9 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
         cloud = presense.sample_box_cloud(obj.dims, n, rng)
     box = presense.fit_obb(cloud)
     est = presense.estimate_inertia(box, obj.prior, pad_height=cfg.est.suction_pad)
-    moi_world = box.rotation @ est.moi_tilde @ box.rotation.T
-    prior_body = InertialParams(est.mass_tilde, np.zeros(3), moi_world)
-    return prior_body.mass, prior_body.inertia_about_com.ravel().tolist(), est.grasp_offset
+    rot = np.array(box.rotation)
+    body = InertialParams(est.mass_tilde, (0.0, 0.0, 0.0), rot @ est.moi_tilde @ rot.T)
+    return body.mass, [v for row in body.inertia_about_com for v in row], est.grasp_offset
 
 
 def _wind_at(wind: list, t: float) -> tuple:

@@ -131,52 +131,54 @@ def parallel_axis(j, mass: float, d) -> list:
     return [a + mass * s for a, s in zip(j, shift)]
 
 
-def _validate_inertia(j: np.ndarray) -> np.ndarray:
-    j = np.asarray(j, dtype=float)
+def inertia_rows(j, name: str) -> tuple:
+    """A rigid body's inertia tensor ``j`` (three rows), checked and symmetrized, as
+    three row tuples of floats. The one check of an inertia: raises ConfigError
+    naming ``name`` unless ``j`` is a finite, nonzero, symmetric, positive-definite
+    3x3 whose principal moments obey the triangle inequality."""
+    try:
+        j = np.array(j, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
     if j.shape != (3, 3):
-        raise ValueError("inertia tensor must be 3x3")
+        raise ConfigError(f"{name}: inertia tensor must be 3x3")
     if not np.all(np.isfinite(j)):
-        raise ValueError("inertia tensor has non-finite entries")
+        raise ConfigError(f"{name}: inertia tensor has non-finite entries")
     scale = float(np.max(np.abs(j)))
     if scale <= 0.0:
-        raise ValueError("inertia tensor is zero")
+        raise ConfigError(f"{name}: inertia tensor is zero")
     if float(np.max(np.abs(j - j.T))) > 1e-9 * scale + 1e-18:
-        raise ValueError("inertia tensor is not symmetric")
-    e = np.linalg.eigvalsh(0.5 * (j + j.T))
+        raise ConfigError(f"{name}: inertia tensor is not symmetric")
+    j = 0.5 * (j + j.T)
+    e = np.linalg.eigvalsh(j)
     if e[0] <= 0.0:
-        raise ValueError(f"inertia tensor is not positive definite (eigenvalues {e})")
+        raise ConfigError(f"{name}: inertia tensor is not positive definite (eigenvalues {e})")
     # Principal moments of a physical rigid body obey the triangle inequality.
     tol = 1e-9 * e[2]
     if e[0] + e[1] + tol < e[2]:
-        raise ValueError(f"principal moments violate the triangle inequality: {e}")
-    return 0.5 * (j + j.T)
-
-
-def frozen(a) -> np.ndarray:
-    """A float copy of ``a`` that raises on item assignment."""
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
+        raise ConfigError(f"{name}: principal moments violate the triangle inequality: {e}")
+    return tuple(map(tuple, j.tolist()))
 
 
 @dataclass(frozen=True)
 class InertialParams:
     """Mass, CoM position, and inertia tensor about the CoM of one rigid body.
 
-    ``com`` is expressed in whatever shared frame the caller works in; the
-    inertia tensor uses that frame's axes.
+    ``com`` is three floats in whatever shared frame the caller works in; the
+    inertia tensor is three row tuples along that frame's axes. The body
+    compares and hashes by value.
     """
 
     mass: float
-    com: np.ndarray
-    inertia_about_com: np.ndarray
+    com: tuple
+    inertia_about_com: tuple
 
     def __post_init__(self):
         (mass,) = as_floats([self.mass], 1, "mass", "positive")
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "com", frozen(as_floats(self.com, 3, "com")))
+        object.__setattr__(self, "com", as_floats(self.com, 3, "com"))
         object.__setattr__(self, "inertia_about_com",
-                           frozen(_validate_inertia(self.inertia_about_com)))
+                           inertia_rows(self.inertia_about_com, "inertia_about_com"))
 
 
 def composite(m_a: float, c_a, j_a, m_o: float, c_o, j_o) -> tuple:

@@ -857,8 +857,8 @@ class TestRobustnessSweep:
 def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_height):
     """Reference: the former sweep loop, with np.linalg.solve and np.diag per cell."""
     dims = np.asarray(payload_dims, dtype=float).reshape(3)
-    j_obj = InertialParams(payload_mass, np.zeros(3),
-                           box_inertia(payload_mass, dims)).inertia_about_com
+    j_obj = np.asarray(InertialParams(payload_mass, np.zeros(3),
+                                      box_inertia(payload_mass, dims)).inertia_about_com)
     offset = presense.top_grasp_offset(dims[2], pad_height)
     lo, hi = geom.joint_limits
     grid = np.linspace(lo, hi, grid_n)
@@ -870,13 +870,14 @@ def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pa
                 theta = np.array([t1, t2, t3])
                 try:
                     total = adaptation.update_total(vehicle.mass,
-                                                    vehicle.inertia_about_com.ravel().tolist(),
-                                                    vehicle.com.tolist(), payload_mass,
+                                                    np.asarray(vehicle.inertia_about_com)
+                                                    .ravel().tolist(),
+                                                    np.asarray(vehicle.com).tolist(), payload_mass,
                                                     j_obj.ravel().tolist(), offset,
                                                     theta.tolist(), geom)
                 except delta.KinematicsError:
                     continue
-                kk = np.diag(np.linalg.solve(vehicle.inertia_about_com,
+                kk = np.diag(np.linalg.solve(np.asarray(vehicle.inertia_about_com),
                                              np.reshape(total.j_t_hat, (3, 3))))
                 for axis in range(3):
                     if kk[axis] > maxima[axis]:
@@ -891,7 +892,7 @@ def per_pose_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_hei
     dims = np.asarray(payload_dims, dtype=float).reshape(3)
     j_obj = box_inertia(payload_mass, dims).ravel().tolist()
     offset = presense.top_grasp_offset(dims[2], pad_height)
-    j_a = vehicle.inertia_about_com.ravel().tolist()
+    j_a = np.asarray(vehicle.inertia_about_com).ravel().tolist()
     j_inv = inverse3(j_a)
     grid = np.linspace(*geom.joint_limits, grid_n).tolist()
     maxima, argmax, gains = [1.0, 1.0, 1.0], [None, None, None], []
@@ -899,7 +900,8 @@ def per_pose_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_hei
         for t2 in grid:
             for t3 in grid:
                 try:
-                    j_t = adaptation.update_total(vehicle.mass, j_a, vehicle.com.tolist(),
+                    j_t = adaptation.update_total(vehicle.mass, j_a,
+                                                  np.asarray(vehicle.com).tolist(),
                                                   payload_mass, j_obj, offset,
                                                   (t1, t2, t3), geom).j_t_hat
                 except delta.KinematicsError:

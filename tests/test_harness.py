@@ -27,6 +27,8 @@ from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, 
                             Trajectory, _csv_digest, _wind_at, run_scenario)
 from amsim.spatial import InertialParams, box_inertia, quat_to_rot
 
+from conftest import random_rotation
+
 HOVER_QUIET = """
 [run]
 duration = {dur}
@@ -664,7 +666,8 @@ class TestEstimateRefresh:
         veh = cfg.vehicle
         am = InertialParams(veh.mass, veh.p_b, veh.j_a)
         offset = (0.0, 0.0, -cfg.est.suction_pad)
-        am_j, am_com = am.inertia_about_com.ravel().tolist(), am.com.tolist()
+        am_j = np.asarray(am.inertia_about_com).ravel().tolist()
+        am_com = np.asarray(am.com).tolist()
         j_tilde = (np.eye(3) * 1e-8).ravel().tolist()
         latch = int(round(log.events["latch_time"] / cfg.sim_dt))
         every = cfg.steps_per(cfg.control_hz)
@@ -966,15 +969,20 @@ class TestMetrics:
             metrics.evaluate(make_log(np.zeros(0)))
 
     @pytest.mark.parametrize("t", [[0.0, 0.02, 0.01, 0.03], [0.0, math.nan, 0.02, 0.03],
-                                   [math.nan, 0.01, 0.02, 0.03], [math.nan]],
-                             ids=["unsorted", "nan_inside", "nan_first", "lone_nan"])
+                                   [math.nan, 0.01, 0.02, 0.03], [math.nan],
+                                   (np.arange(10) * 0.1)[::-1].tolist()],
+                             ids=["unsorted", "nan_inside", "nan_first", "lone_nan", "reversed"])
     def test_t_not_non_decreasing_refused(self, t, rng):
+        """Every analysis checks ``t`` first, so a NaN time is not reported as a
+        grid mismatch, whichever side of a comparison it is on."""
         log = noisy_log(np.array(t), rng)
-        with pytest.raises(ValueError, match="^log time column t is not non-decreasing$"):
-            metrics.evaluate(log)
-        # a NaN time already fails compare_runs' grid check (NaN != NaN)
-        with pytest.raises((ValueError, MismatchedRuns)):
-            metrics.compare_runs(log, log)
+        good = noisy_log(np.arange(len(t)) * 0.01, rng)
+        for call in (lambda: metrics.evaluate(log), lambda: metrics.declare_convergence(log),
+                     lambda: metrics.compare_runs(log, log),
+                     lambda: metrics.compare_runs(log, good),
+                     lambda: metrics.compare_runs(good, log)):
+            with pytest.raises(ValueError, match="^log time column t is not non-decreasing$"):
+                call()
 
     def test_convergence_equals_column_copy_oracle(self, rng):
         """Random estimates with NaNs, zeros and -0.0 in the truth."""
@@ -1053,6 +1061,21 @@ class TestMetrics:
         b = make_log(t, px_des=np.ones(50))
         with pytest.raises(MismatchedRuns):
             metrics.compare_runs(a, b)
+
+    def test_compare_tolerances_are_absolute(self):
+        """Timestamps 8e-6 relative and setpoints 15 µm apart are within numpy's
+        default rtol but not within the grid's 1e-12 s or the setpoints' 1e-9 m."""
+        t = np.arange(10000) * 0.0005
+        ref = make_log(t, px_des=np.full(10000, 2.0))
+        for cand, message in ((make_log(t * (1 + 8e-6), px_des=np.full(10000, 2.000015)),
+                               "timestamp grids differ"),
+                              (make_log(t * (1 + 8e-6), px_des=np.full(10000, 2.0)),
+                               "timestamp grids differ"),
+                              (make_log(t, px_des=np.full(10000, 2.000015)),
+                               "position setpoints differ")):
+            with pytest.raises(MismatchedRuns, match=f"^{message}"):
+                metrics.compare_runs(cand, ref)
+        metrics.compare_runs(make_log(t + 5e-13, px_des=np.full(10000, 2.0 + 5e-10)), ref)
 
 
 class TestRunLogRoundtrip:
@@ -1627,9 +1650,29 @@ class TestCli:
                          "--label", "warp core"]) == 1
 
     def test_estimate_known_label(self, tmp_path, rng, capsys):
+        """The whole output on a seeded can cloud: box, mass, MoI and grasp offset."""
         from amsim.presense import sample_cylinder_cloud
         cloud = tmp_path / "can.xyz"
         np.savetxt(str(cloud), sample_cylinder_cloud(0.08, 0.12, 5000, rng))
         assert cli.main(["estimate", "--cloud", str(cloud),
                          "--label", "coffee can"]) == 0
-        assert "mass estimate" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "box dims: 0.1200 x 0.0797 x 0.0793 m, center (0.0001, -0.0001, -0.0000)\n"
+            "mass estimate: 0.2216 kg (volume 5.957851e-04 m^3)\n"
+            "MoI estimate (box axes): 1.750964e-04 3.515859e-04 3.527663e-04 kg m^2\n"
+            "grasp offset: (0.0000, 0.0000, -0.0700) m\n")
+
+    def test_estimate_rotated_box(self, tmp_path, rng, capsys):
+        """The whole output on a seeded box cloud turned and moved off the origin."""
+        from amsim.presense import sample_box_cloud
+        cloud = tmp_path / "box.xyz"
+        rotation = random_rotation(rng)
+        np.savetxt(str(cloud), sample_box_cloud([0.15, 0.12, 0.07], 3000, rng) @ rotation.T
+                   + [1.0, -2.0, 0.5])
+        assert cli.main(["estimate", "--cloud", str(cloud),
+                         "--label", "solid cardboard box"]) == 0
+        assert capsys.readouterr().out == (
+            "box dims: 0.1499 x 0.1200 x 0.0700 m, center (1.0001, -2.0000, 0.5000)\n"
+            "mass estimate: 0.2265 kg (volume 1.258509e-03 m^3)\n"
+            "MoI estimate (box axes): 3.641387e-04 5.168063e-04 6.961938e-04 kg m^2\n"
+            "grasp offset: (0.0000, 0.0000, -0.0850) m\n")

@@ -42,7 +42,7 @@ class TestFitObb:
         # permutation/sign: every recovered axis aligns with some true axis
         true_axes = rot  # world directions of the rotated box edges
         for k in range(3):
-            align = np.abs(true_axes.T @ box_b.rotation[:, k]).max()
+            align = np.abs(true_axes.T @ np.asarray(box_b.rotation)[:, k]).max()
             assert align > 0.99
 
     def test_coplanar_degenerate(self, rng):
@@ -134,17 +134,29 @@ class TestFitObbReference:
 
 
 class TestEstimateInertia:
-    def test_arrays_are_read_only(self):
+    def test_float_tuples_compare_and_hash_by_value(self, rng):
+        """A box and an estimate hold float tuples: no item assignment, nothing
+        shared with the caller's arrays, and equality and hash by value."""
         from amsim.presense import OrientedBox
         center, rot = np.zeros(3), np.eye(3)
         box = OrientedBox(center=center, rotation=rot, dims=(0.3, 0.2, 0.1))
-        est = estimate_inertia(box, ObjectPrior("box", beta=1.0, alpha=np.ones(3), rho=500.0))
-        for array, index in ((box.center, 0), (box.rotation, (0, 0)),
-                             (est.moi_tilde, (0, 0))):
-            with pytest.raises(ValueError, match="read-only"):
-                array[index] = 5.0
+        prior = ObjectPrior("box", beta=1.0, alpha=np.ones(3), rho=500.0)
+        est = estimate_inertia(box, prior)
+        for target, index in ((box.center, 0), (box.rotation, 0), (box.rotation[0], 0),
+                              (est.moi_tilde, 0), (est.moi_tilde[0], 0)):
+            with pytest.raises(TypeError):
+                target[index] = 5.0
         center[0] = rot[0, 0] = 2.0  # the caller's arrays stay writeable and apart
-        assert box.center[0] == 0.0 and box.rotation[0, 0] == 1.0
+        assert box.center == (0.0, 0.0, 0.0) and box.rotation[0] == (1.0, 0.0, 0.0)
+        cloud = sample_box_cloud([0.15, 0.12, 0.07], 2000, rng) @ random_rotation(rng).T
+        box_a, box_b = fit_obb(cloud), fit_obb(cloud.copy())
+        assert box_a == box_b and hash(box_a) == hash(box_b)
+        est_a, est_b = estimate_inertia(box_a, prior), estimate_inertia(box_b, prior)
+        assert est_a == est_b and hash(est_a) == hash(est_b)
+        assert box_a != fit_obb(cloud + [0.0, 0.0, 1.0])
+        assert box_a != fit_obb(cloud @ random_rotation(rng).T)
+        assert est_a != estimate_inertia(box_a, ObjectPrior("box", 1.0, [2.0, 1.0, 1.0], 500.0))
+        assert est_a != estimate_inertia(box_a, prior, pad_height=0.02)
 
     @pytest.mark.parametrize("mass", [0.0, -0.1, math.nan])
     def test_zero_mass_estimate_rejected(self, mass):
@@ -186,7 +198,8 @@ class TestEstimateInertia:
         e_beta = estimate_inertia(box, ObjectPrior("b", 1.0, np.ones(3), 100.0))
         assert e_beta.mass_tilde == pytest.approx(2 * e0.mass_tilde, rel=1e-12)
         e_alpha = estimate_inertia(box, ObjectPrior("b", 0.5, np.array([2.0, 1.0, 1.0]), 100.0))
-        assert e_alpha.moi_tilde[0, 0] == pytest.approx(2 * e0.moi_tilde[0, 0], rel=1e-12)
+        assert (np.asarray(e_alpha.moi_tilde)[0, 0]
+                == pytest.approx(2 * np.asarray(e0.moi_tilde)[0, 0], rel=1e-12))
         np.testing.assert_allclose(np.diag(e_alpha.moi_tilde)[1:],
                                    np.diag(e0.moi_tilde)[1:], rtol=1e-12)
 

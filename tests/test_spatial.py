@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import (lattice_inertia, quat_mul, random_body, random_rotation, ref_composite,
                       ref_rot_to_quat, rot_matrix, rot_to_quat_case)
 
+from amsim.config import load_config
 from amsim.spatial import (InertialParams, box_inertia, composite,
                            cross3, cylinder_inertia, inverse3, parallel_axis,
                            quat_to_rot, rot_to_quat, unit_quat)
@@ -309,12 +310,23 @@ class TestInertialParamsValidation:
     def test_accepts_physical(self):
         InertialParams(1.0, np.zeros(3), cylinder_inertia(1.0, 0.04, 0.12))
 
-    def test_arrays_are_read_only_copies(self):
+    def test_float_tuples_compare_and_hash_by_value(self):
+        """A body holds float tuples: no item assignment, nothing shared with the
+        caller's arrays, and equality and hash by value."""
         com, j = np.zeros(3), np.eye(3)
         body = InertialParams(1.0, com, j)
-        with pytest.raises(ValueError, match="read-only"):
-            body.com[0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            body.inertia_about_com[0, 0] = 5.0
+        for target, index in ((body.com, 0), (body.inertia_about_com, 0),
+                              (body.inertia_about_com[0], 0)):
+            with pytest.raises(TypeError):
+                target[index] = 5.0
         com[0] = j[0, 0] = 2.0  # the caller's arrays stay writeable and apart
-        assert body.com[0] == 0.0 and body.inertia_about_com[0, 0] == 1.0
+        assert body.com == (0.0, 0.0, 0.0) and body.inertia_about_com[0] == (1.0, 0.0, 0.0)
+        veh = load_config("grasp_estimate").vehicle
+        a, b = (InertialParams(veh.mass, veh.p_b, veh.j_a) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        ints = InertialParams(1, [0, 0, 0], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert ints == body and hash(ints) == hash(body)
+        assert {type(v) for row in ints.inertia_about_com for v in (*row, *ints.com)} == {float}
+        assert a != InertialParams(2.0 * veh.mass, veh.p_b, veh.j_a)
+        assert a != InertialParams(veh.mass, (0.0, 0.0, 0.0), veh.j_a)
+        assert a != InertialParams(veh.mass, veh.p_b, 2.0 * np.asarray(veh.j_a))
