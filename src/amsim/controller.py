@@ -99,15 +99,19 @@ def attitude_loop(q_des, R, k_att) -> tuple:
     return -k0 * e0, -k1 * e1, -k2 * e2
 
 
-def iags_gain(j_a, j_t_hat) -> np.ndarray:
-    """Inertia-scheduled rate-loop gain matrix: J_a^-1 @ J_t_hat.
+def iags_gain(j_a, j_a_inv, j_t_hat) -> list:
+    """Inertia-scheduled rate-loop gain, the diagonal of J_a^-1 J_t_hat, as three values.
 
-    ``j_a`` is the vehicle's inertia as three rows and ``j_t_hat`` the nine
-    row-major floats of ``TotalInertia``. Identity when the estimated total
-    inertia equals the bare vehicle's, so the scheduled loop reduces to the
-    fixed-gain one in the unloaded state.
+    Each argument is nine row-major entries: the vehicle's inertia, its inverse
+    (``inverse3``) and the estimated total inertia of ``TotalInertia``. The
+    diagonal is formed as 1 + diag(J_a^-1 (J_t_hat - J_a)), so an estimate equal
+    to the bare vehicle gives exactly 1.0 and the scheduled loop reduces to the
+    fixed-gain one. Any entry may be an array instead of a float: the arrays
+    broadcast, and each element is the bits of the scalar call on it.
     """
-    return np.linalg.solve(j_a, np.reshape(j_t_hat, (3, 3)))
+    i, d = j_a_inv, [t - a for t, a in zip(j_t_hat, j_a)]
+    return [1.0 + (i[3 * k] * d[k] + i[3 * k + 1] * d[3 + k] + i[3 * k + 2] * d[6 + k])
+            for k in range(3)]
 
 
 class RateLoop:

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import delta, presense
-from .controller import Gains
+from .controller import Gains, iags_gain
 from .spatial import InertialParams, as_floats, box_inertia, composite, inverse3
 
 
@@ -294,10 +294,7 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     j_a = [v for row in vehicle.inertia_about_com for v in row]
     _, _, j_t = composite(vehicle.mass, vehicle.com, j_a, payload_mass,
                           list(np.array(points).T), j_obj)
-    j_inv = inverse3(j_a)
-    for axis in range(3):
-        kk = (j_inv[3 * axis] * j_t[axis] + j_inv[3 * axis + 1] * j_t[3 + axis]
-              + j_inv[3 * axis + 2] * j_t[6 + axis])
+    for axis, kk in enumerate(iags_gain(j_a, inverse3(j_a), j_t)):
         k = int(np.argmax(kk))  # the first pose of the largest gain, as a strict > scan
         if kk[k] > 1.0:
             maxima[axis] = kk[k]

@@ -267,10 +267,11 @@ class _Run:
         self.n_steps = int(round(cfg.duration / cfg.sim_dt))
         self.noise = rng.standard_normal((self.n_steps, 6))
         veh, obj = cfg.vehicle, cfg.obj
-        self.rotor, self.geom, self.j_a = veh.rotor, cfg.arm.geom, veh.j_a
+        self.rotor, self.geom = veh.rotor, cfg.arm.geom
         self.k_att, self.k_theta = cfg.gains.k_att, cfg.arm.k_theta
         # the bare vehicle: mass, CoM and inertia, all checked when the config was built
         self.m_a, self.am_com, self.am_j = veh.mass, veh.p_b, [v for row in veh.j_a for v in row]
+        self.am_j_inv = inverse3(self.am_j)  # what the scheduled gain divides by
         # sim steps per control, observer and servo tick
         self.every = [cfg.steps_per(hz) for hz in (cfg.control_hz, cfg.dob_hz, cfg.servo_hz)]
         self.ctrl_dt, self.dob_dt, self.servo_dt = (cfg.sim_dt * n for n in self.every)
@@ -392,7 +393,7 @@ class _Run:
             self.est_tot = est = adaptation.update_total(
                 self.m_a, self.am_j, self.am_com, m_o, j_o, self.offset_est, self.theta,
                 self.geom)
-            self.kk = np.diag(iags_gain(self.j_a, est.j_t_hat)).tolist()
+            self.kk = iags_gain(self.am_j, self.am_j_inv, est.j_t_hat)
             com = [c - b for c, b in zip(est.c_t, self.am_com)]
             if com[:2] != self.alloc_com:
                 self.alloc_com = com[:2]

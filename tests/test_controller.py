@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ref_rot_to_quat, rot_matrix, rot_to_quat_case
+from conftest import random_rotation, ref_rot_to_quat, rot_matrix, rot_to_quat_case
 
 from amsim import cli
+from amsim.config import ScenarioConfig
 from amsim.controller import (Gains, RateLoop, allocation, attitude_loop, iags_gain, mixer,
                               position_loop)
 from amsim.dynamics import RotorConfig, torque_matrix
-from amsim.spatial import quat_to_rot, unit_quat
+from amsim.spatial import inverse3, quat_to_rot, unit_quat
 
 G = 9.81
 IDENT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -133,21 +134,58 @@ class TestAttitudeLoop:
         assert out[0] < 0.0
 
 
+def spd(rng, scale, lo, hi):
+    """A random symmetric positive-definite 3x3 with eigenvalues in scale * [lo, hi)."""
+    rot = random_rotation(rng)
+    j = rot @ np.diag(rng.uniform(lo, hi, 3) * scale) @ rot.T
+    return 0.5 * (j + j.T)
+
+
 class TestIagsGain:
-    def test_unloaded_identity(self):
-        j_a = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        np.testing.assert_allclose(iags_gain(j_a, j_a), np.eye(3), atol=1e-15)
+    """The diagonal of J_a^-1 J_t_hat, formed as 1 + diag(J_a^-1 (J_t_hat - J_a))."""
+    J_A = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
+
+    @staticmethod
+    def gain(j_a, j_t):
+        """iags_gain on 3x3 arrays, passed as the nine row-major floats it takes."""
+        j9 = floats(j_a)
+        return iags_gain(j9, inverse3(j9), floats(j_t))
+
+    @pytest.mark.parametrize("vehicle", ["shipped", "tilted"])
+    def test_unloaded_is_exactly_one(self, vehicle):
+        """An estimate equal to the bare vehicle schedules no change, to the bit;
+        a LAPACK solve gives 0.9999999999999999 on y for the shipped vehicle."""
+        j_a = np.array(ScenarioConfig().vehicle.j_a)
+        if vehicle == "tilted":
+            rot = rot_matrix(unit_quat(0.9, 0.2, -0.3, 0.1))
+            j_a = rot @ j_a @ rot.T
+            assert np.abs(j_a - np.diag(np.diag(j_a))).max() > 1e-4
+        out = self.gain(j_a, j_a)
+        assert out == [1.0, 1.0, 1.0] and all(type(v) is float for v in out)
 
     def test_doubled_inertia(self):
-        j_a = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        np.testing.assert_allclose(iags_gain(j_a, 2.0 * j_a), 2.0 * np.eye(3),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(self.gain(self.J_A, 2.0 * self.J_A), [2.0] * 3, rtol=1e-15)
 
-    def test_general_product(self, rng):
-        j_a = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
-        j_t = j_a + np.diag(rng.uniform(0, 0.02, 3))
-        kk = iags_gain(j_a, j_t)
-        np.testing.assert_allclose(j_a @ kk, j_t, rtol=1e-12)
+    def test_equals_solve_oracle(self, rng):
+        """np.linalg.solve is the independent oracle, over random SPD pairs whose
+        total inertia is the vehicle's plus a payload's."""
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-3.0, -1.0)
+            j_a = spd(rng, scale, 0.5, 1.5)
+            j_t = j_a + spd(rng, scale, 0.0, 2.0)
+            want = np.diag(np.linalg.solve(j_a, j_t))
+            np.testing.assert_allclose(self.gain(j_a, j_t), want, rtol=1e-14, atol=0.0)
+
+    def test_arrays_give_the_bits_of_scalar_calls(self, rng):
+        """Arrays broadcast against floats, as ``spatial.composite``'s do; each
+        element equals the scalar call on it, bit for bit."""
+        j_a = spd(rng, 1e-2, 0.5, 1.5)
+        j9, inv = floats(j_a), inverse3(floats(j_a))
+        j_t = np.array([floats(j_a + spd(rng, 1e-2, 0.0, 2.0)) for _ in range(64)])
+        j_t[:, 1] = j9[1]  # a float entry among the arrays
+        got = iags_gain(j9, inv, [j_t[:, e] if e != 1 else j9[1] for e in range(9)])
+        want = [iags_gain(j9, inv, row) for row in j_t.tolist()]
+        assert np.array(got).tobytes() == np.array(want).T.tobytes()
 
 
 class TestRateLoop:

@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as P
 from conftest import monic
 
 from amsim import adaptation, delta, freqdom, presense
-from amsim.controller import Gains
+from amsim.controller import Gains, iags_gain
 from amsim.delta import DeltaGeometry
 from amsim.freqdom import (DEFAULT_BAND, DEFAULT_UNCERTAINTY_BOX, MarginReport,
                            NoCrossover, PoleOnAxis, RationalTF, freq_response, margins,
@@ -887,8 +887,8 @@ def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pa
 
 
 def per_pose_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_height):
-    """Oracle: one ``update_total`` per pose and a strict > scan from 1, in the
-    float order of the sweep. Also returns each feasible pose's gain diagonal."""
+    """Oracle: one ``update_total`` and one ``iags_gain`` per pose and a strict > scan
+    from 1. Also returns each feasible pose's gain diagonal."""
     dims = np.asarray(payload_dims, dtype=float).reshape(3)
     j_obj = box_inertia(payload_mass, dims).ravel().tolist()
     offset = presense.top_grasp_offset(dims[2], pad_height)
@@ -906,8 +906,7 @@ def per_pose_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_hei
                                                   (t1, t2, t3), geom).j_t_hat
                 except delta.KinematicsError:
                     continue
-                gains.append([j_inv[3 * a] * j_t[a] + j_inv[3 * a + 1] * j_t[3 + a]
-                              + j_inv[3 * a + 2] * j_t[6 + a] for a in range(3)])
+                gains.append(iags_gain(j_a, j_inv, j_t))
                 for a in range(3):
                     if gains[-1][a] > maxima[a]:
                         maxima[a], argmax[a] = gains[-1][a], (t1, t2, t3)
