@@ -1,12 +1,15 @@
 """Post-grasp refinement: grasp detection, mass observer, inertia composition.
 
-The mass observer watches the world-frame force residual
-``f = R T - m_a (a + g e3)``: thrust in excess of what the bare vehicle
-needs, i.e. the apparent weight of whatever hangs from it. At a steady lift
-its z component equals the payload weight. The observer state relaxes toward
-``f_z / g`` with rate ``c / m_a``; the update below integrates that relation
-exactly over each sample interval, so a constant residual reproduces the
-continuous first-order response to machine precision.
+Both the grasp detector and the mass observer watch the world-frame force
+residual ``f = R T - m_a (a + g e3)``: thrust in excess of what the bare
+vehicle needs, i.e. the apparent weight of whatever hangs from it. At a
+steady lift its z component equals the payload weight. The engine forms and
+low-pass filters it once per observer tick (``scenario._Run.observe``), and
+that one filtered residual feeds the detector, the observer and the log
+(``fext_*``). The observer state relaxes toward ``f_z / g`` with rate
+``c / m_a``; ``dob_step`` integrates that relation exactly over each sample
+interval, so a constant residual reproduces the continuous first-order
+response to machine precision.
 """
 from __future__ import annotations
 
@@ -29,30 +32,16 @@ class TotalInertia:
     j_t_hat: list  # inertia about c_t, nine row-major floats
 
 
-def dob_step(m_hat: float, force_filt, accel_w, R, thrust_body, m_a: float, c: float,
-             dt: float, g: float, alpha: float) -> tuple[float, tuple]:
-    """One observer tick from world acceleration, attitude, and total thrust.
+def dob_step(m_hat: float, f_z: float, m_a: float, c: float, dt: float, g: float) -> float:
+    """One observer tick on the filtered residual's z component ``f_z``.
 
-    ``accel_w`` and ``thrust_body`` are three floats and ``R``, the body-to-world
-    rotation, its nine row-major floats. The raw residual is low-pass filtered
-    with the blend ``alpha`` (``lowpass_alpha`` of the cutoff at ``dt``); a
-    ``force_filt`` of None seeds the filter. Then the mass estimate relaxes
-    toward residual_z / g with time constant m_a / c using the exact
-    zero-order-hold discretization. Returns the estimate, clamped
-    non-negative, and the filtered residual as three floats.
+    The mass estimate relaxes toward f_z / g with time constant m_a / c, by
+    the exact zero-order-hold discretization over ``dt``; returns it clamped
+    non-negative.
     """
-    a0, a1, a2 = accel_w
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    t0, t1, t2 = thrust_body
-    f0 = (r00 * t0 + r01 * t1 + r02 * t2) - m_a * a0
-    f1 = (r10 * t0 + r11 * t1 + r12 * t2) - m_a * a1
-    f2 = (r20 * t0 + r21 * t1 + r22 * t2) - m_a * a2 - m_a * g
-    if force_filt is not None:
-        p0, p1, p2 = force_filt
-        f0, f1, f2 = p0 + alpha * (f0 - p0), p1 + alpha * (f1 - p1), p2 + alpha * (f2 - p2)
     decay = math.exp(-c * dt / m_a)
-    target = f2 / g
-    return max(target + (m_hat - target) * decay, 0.0), (f0, f1, f2)
+    target = f_z / g
+    return max(target + (m_hat - target) * decay, 0.0)
 
 
 def detect_grasp(elapsed: float, ext_force_z: float, threshold: float, persistence: float,

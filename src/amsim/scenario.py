@@ -295,9 +295,10 @@ class _Run:
         self.y = (*self.traj.eval(0.0)[0], 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         self.thr = self.t_cmd = [self.m_a * cfg.g / 4.0] * 4  # hover trim
         self.rate_ctl = RateLoop(cfg.gains, self.ctrl_dt)
-        # the detector's filtered residual and time above threshold, and the observer's
-        # filtered residual and payload mass (logged); both filters blend by det_alpha
-        self.det_filt = self.dob_filt = None
+        # the filtered force residual (logged as fext_*), the detector's time above
+        # threshold and the payload mass (logged); one filter, blending by det_alpha,
+        # serves the detector, the observer and the log
+        self.det_filt = None
         self.above = self.m_hat = 0.0
         self.det_alpha = adaptation.lowpass_alpha(cfg.est.force_lpf_hz, self.dob_dt)
         self.attached = self.latched = False
@@ -343,7 +344,7 @@ class _Run:
         self.w_meas = [w + w_sig * e for w, e in zip(self.y[10:13], noise_k[3:6])]
 
     def observe(self, t: float):
-        """Detector residual, grasp latch and mass observer, at the observer rate."""
+        """Filtered force residual, grasp latch and mass observer, at the observer rate."""
         R, thrust, acc, m_a = self.R, self.thrust, self.acc_meas, self.m_a
         f_res = [R[2] * thrust - m_a * acc[0], R[5] * thrust - m_a * acc[1],
                  R[8] * thrust - m_a * acc[2] - m_a * self.g]
@@ -361,9 +362,8 @@ class _Run:
                 self.events["latch_time"] = t
                 self.m_hat = self.m_tilde if self.use_prior else 0.0
         if self.latched and self.use_dob:
-            self.m_hat, self.dob_filt = adaptation.dob_step(
-                self.m_hat, self.dob_filt, acc, R, (0.0, 0.0, thrust), m_a, est.dob_c,
-                self.dob_dt, self.g, self.det_alpha)
+            self.m_hat = adaptation.dob_step(self.m_hat, self.det_filt[2], m_a, est.dob_c,
+                                             self.dob_dt, self.g)
 
     def servo(self, t: float):
         """Arm joint command and servo step, at the servo rate."""

@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_body, random_rotation, ref_composite
 
-from amsim.adaptation import (detect_grasp, dob_step, lowpass_alpha, rescale_moi,
-                              update_total)
+from amsim.adaptation import detect_grasp, dob_step, rescale_moi, update_total
+from amsim.config import load_config
 from amsim.controller import iags_gain
 from amsim.delta import DeltaGeometry, KinematicsError, forward_kin
 from amsim.freqdom import workspace_kk_sweep
+from amsim.scenario import _Run
 from amsim.spatial import InertialParams, box_inertia, inverse3
 from perfbench.workloads import WORKSPACE_PAYLOAD, WORKSPACE_REFERENCE
 
@@ -17,36 +19,29 @@ G = 9.81
 M_A = 1.379
 C_GAIN = 10.0
 DT = 0.01  # 100 Hz
-ALPHA = lowpass_alpha(50.0, DT)  # the filter blend at the [estimation] force_lpf_hz default
-I9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity, nine row-major floats
 
 
-def hover_inputs(m_obj, m_a=M_A):
-    """Measurement triple for a level hover carrying m_obj."""
-    accel = (0.0, 0.0, 0.0)
-    thrust = (0.0, 0.0, (m_a + m_obj) * G)
-    return accel, I9, thrust
-
-
-def observe(m_hat, accel, R, thrust, n):
-    """The estimates of ``n`` observer ticks on constant inputs, from ``m_hat`` and no filter."""
-    filt, out = None, []
+def observe(m_hat, f_z, n):
+    """The estimates of ``n`` observer ticks on a constant residual ``f_z``, from ``m_hat``."""
+    out = []
     for _ in range(n):
-        m_hat, filt = dob_step(m_hat, filt, accel, R, thrust, M_A, C_GAIN, DT, G, ALPHA)
+        m_hat = dob_step(m_hat, f_z, M_A, C_GAIN, DT, G)
         out.append(m_hat)
     return out
 
 
 class TestDobStep:
+    """The observer on the residual a level hover carrying m_o gives: f_z = m_o g."""
+
     def test_fixed_point(self):
         m_o = 0.219
-        assert observe(m_o, *hover_inputs(m_o), 100)[-1] == pytest.approx(m_o, abs=1e-12)
+        assert observe(m_o, m_o * G, 100)[-1] == pytest.approx(m_o, abs=1e-12)
 
     def test_step_response_closed_form(self):
         # m_hat(t) = m_o (1 - exp(-c t / m_a)) for a constant residual
         m_o = 0.219
         worst = 0.0
-        for k, m_hat in enumerate(observe(0.0, *hover_inputs(m_o), 200), start=1):
+        for k, m_hat in enumerate(observe(0.0, m_o * G, 200), start=1):
             expect = m_o * (1.0 - math.exp(-C_GAIN * k * DT / M_A))
             worst = max(worst, abs(m_hat - expect))
         assert worst < 0.005 * m_o
@@ -55,7 +50,7 @@ class TestDobStep:
         # 95% of the step is reached near 3 time constants (~0.414 s)
         m_o = 0.219
         t, reached = 0.0, None
-        for m_hat in observe(0.0, *hover_inputs(m_o), 200):
+        for m_hat in observe(0.0, m_o * G, 200):
             t += DT
             if reached is None and m_hat >= 0.95 * m_o:
                 reached = t
@@ -63,18 +58,18 @@ class TestDobStep:
 
     def test_monotone_convergence_noise_free(self):
         m_o = 0.3
-        errs = [abs(m_hat - m_o) for m_hat in observe(0.0, *hover_inputs(m_o), 300)]
+        errs = [abs(m_hat - m_o) for m_hat in observe(0.0, m_o * G, 300)]
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
     def test_unbiased_under_zero_mean_noise(self, rng):
+        """Accelerometer noise enters the residual as -m_a times the noise."""
         m_o = m_hat = 0.25
-        _, R, thrust = hover_inputs(m_o)
         sigma = 0.05
         n = 1000  # 10 s at 100 Hz
-        samples, filt = [], None
+        samples = []
         for _ in range(n):
-            accel = (sigma * rng.standard_normal(3)).tolist()
-            m_hat, filt = dob_step(m_hat, filt, accel, R, thrust, M_A, C_GAIN, DT, G, ALPHA)
+            f_z = m_o * G - M_A * sigma * float(rng.standard_normal())
+            m_hat = dob_step(m_hat, f_z, M_A, C_GAIN, DT, G)
             samples.append(m_hat)
         tail = np.array(samples[n // 5:])
         # effective sample count from the observer's decorrelation time
@@ -83,19 +78,14 @@ class TestDobStep:
         assert abs(tail.mean() - m_o) < max(tol, 1e-4)
 
     def test_clamped_nonnegative(self):
-        thrust = (0.0, 0.0, 0.5 * M_A * G)  # thrust deficit
-        assert observe(0.0, (0.0, 0.0, 0.0), I9, thrust, 50) == [0.0] * 50
-
-    def test_filter_seeds_on_first_call(self):
-        m_o = 0.2
-        accel, R, thrust = hover_inputs(m_o)
-        _, filt = dob_step(0.0, None, accel, R, thrust, M_A, C_GAIN, DT, G, ALPHA)
-        np.testing.assert_allclose(filt, [0.0, 0.0, m_o * G], atol=1e-12)
+        f_z = -0.5 * M_A * G  # thrust deficit: half the bare vehicle's weight
+        assert observe(0.0, f_z, 50) == [0.0] * 50
 
 
 def ref_dob_step(st, accel_w, R, thrust_body, m_a, c, dt, g=9.81, force_lpf_hz=50.0):
-    """The array observer tick the float dob_step replaced, kept as its oracle;
-    ``st`` and the result are (m_hat, filtered residual as an array or None)."""
+    """The array observer tick the float engine replaced, kept as its oracle:
+    residual, low-pass filter and relaxation in one. ``st`` and the result are
+    (m_hat, filtered residual as an array or None)."""
     e3 = np.array([0.0, 0.0, 1.0])
     accel_w = np.asarray(accel_w, dtype=float).reshape(3)
     thrust_body = np.asarray(thrust_body, dtype=float).reshape(3)
@@ -120,62 +110,55 @@ def dob_bits(st):
 
 
 class TestDobOracle:
-    """The float observer against the array code it replaced, bit for bit.
-
-    numpy's ``R @ t`` fuses multiply-adds, so a thrust off the body z axis
-    rounds differently there; a rotor thrust lies on that axis, and there
-    the two agree exactly.
+    """The engine's observer stage, ``_Run.observe`` (its one residual filter,
+    then ``dob_step`` on the filtered z), against the array code it replaced,
+    bit for bit. The thrust lies on the body z axis, as a rotor thrust does.
     """
 
     def random_run(self, rng, n=40):
-        m_a, c = rng.uniform(0.5, 3.0), rng.uniform(1.0, 30.0)
-        dt, g, lpf = rng.uniform(1e-3, 0.02), rng.uniform(9.7, 9.9), rng.uniform(5.0, 80.0)
-        steps = []
-        for _ in range(n):
-            R = random_rotation(rng)
-            thrust = (0.0, 0.0, float(rng.uniform(0.0, 60.0)))
-            steps.append((rng.standard_normal(3) * 3.0, R, thrust))
-        return steps, (m_a, c, dt), dict(g=g, force_lpf_hz=lpf)
+        """A latched dob-only ``_Run`` at random observer parameters, and ``n`` inputs."""
+        base = load_config("grasp_estimate")
+        cfg = replace(base, mode="dob-only", duration=0.01, g=float(rng.uniform(9.7, 9.9)),
+                      dob_hz=int(rng.choice([50, 100, 200, 500])),
+                      vehicle=replace(base.vehicle, mass=float(rng.uniform(0.5, 3.0))),
+                      est=replace(base.est, dob_c=float(rng.uniform(1.0, 30.0)),
+                                  force_lpf_hz=float(rng.uniform(5.0, 80.0))))
+        run = _Run(cfg)
+        run.latched = True
+        steps = [(rng.standard_normal(3) * 3.0, random_rotation(rng), float(rng.uniform(0.0, 60.0)))
+                 for _ in range(n)]
+        return run, steps, (cfg.vehicle.mass, cfg.est.dob_c, run.dob_dt), dict(
+            g=cfg.g, force_lpf_hz=cfg.est.force_lpf_hz)
 
     @staticmethod
-    def step(st, accel, R, thrust, m_a, c, dt, g, force_lpf_hz):
-        """``dob_step`` on the oracle's arguments: the blend is made here, once a call."""
-        return dob_step(*st, accel, R, thrust, m_a, c, dt, g, lowpass_alpha(force_lpf_hz, dt))
+    def step(run, accel, R, thrust):
+        """One observer tick of ``run`` on these sensor values: its (m_hat, filtered residual)."""
+        run.acc_meas, run.R, run.thrust = accel.tolist(), tuple(R.ravel().tolist()), thrust
+        run.observe(0.0)
+        return run.m_hat, run.det_filt
 
     def test_bitwise_on_random_inputs(self, rng):
         for _ in range(30):
-            steps, args, kw = self.random_run(rng)
-            m0 = float(rng.uniform(0.0, 0.5))
-            st_flat = ref = (m0, None)
+            run, steps, args, kw = self.random_run(rng)
+            run.m_hat = m0 = float(rng.uniform(0.0, 0.5))
+            ref = (m0, None)
             for accel, R, thrust in steps:
-                ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-                st_flat = self.step(st_flat, accel.tolist(), tuple(R.ravel().tolist()),
-                                    thrust, *args, **kw)
-                assert dob_bits(st_flat) == dob_bits(ref)
-                assert type(st_flat[0]) is float and type(st_flat[1]) is tuple
-                assert all(type(v) is float for v in st_flat[1])
-
-    def test_off_axis_thrust_matches(self, rng):
-        steps, args, kw = self.random_run(rng)
-        st = ref = (0.0, None)
-        for accel, R, _ in steps:
-            thrust = rng.uniform(-20.0, 20.0, 3)
-            ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-            st = self.step(st, accel.tolist(), R.ravel().tolist(), thrust.tolist(), *args, **kw)
-            np.testing.assert_allclose(st[1], ref[1], rtol=0.0, atol=1e-13)
-            assert st[0] == pytest.approx(float(ref[0]), rel=0.0, abs=1e-13)
+                ref = ref_dob_step(ref, accel, R, (0.0, 0.0, thrust), *args, **kw)
+                st = self.step(run, accel, R, thrust)
+                assert dob_bits(st) == dob_bits(ref)
+                assert type(st[0]) is float and all(type(v) is float for v in st[1])
 
     def test_nan_input(self, rng):
-        steps, args, kw = self.random_run(rng, n=3)
         for where in range(3):
-            st = ref = (0.1, None)
+            run, steps, args, kw = self.random_run(rng, n=3)
+            run.m_hat = 0.1
+            ref = (0.1, None)
             for k, (accel, R, thrust) in enumerate(steps):
                 if k == 1:
                     accel = accel.copy()
                     accel[where] = math.nan
-                ref = ref_dob_step(ref, accel, R, thrust, *args, **kw)
-                st = self.step(st, accel.tolist(), tuple(R.ravel().tolist()), thrust, *args,
-                               **kw)
+                ref = ref_dob_step(ref, accel, R, (0.0, 0.0, thrust), *args, **kw)
+                st = self.step(run, accel, R, thrust)
                 assert dob_bits(st) == dob_bits(ref)
             assert math.isnan(st[1][where])
             assert math.isnan(st[0]) == (where == 2)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amsim import cli, metrics, scenario
-from amsim.adaptation import dob_step, lowpass_alpha, update_total
+from amsim.adaptation import dob_step, update_total
 from amsim.config import (MODES, ConfigError, ScenarioConfig, load_config, parse_config,
                           shipped_scenarios)
 from amsim.controller import iags_gain
@@ -25,7 +25,7 @@ from amsim.dynamics import MAX_STEP, NonFinite, step_rk4
 from amsim.presense import load_catalog, prior_for
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, RunLog,
                             Trajectory, _csv_digest, _wind_at, run_scenario)
-from amsim.spatial import InertialParams, box_inertia, inverse3, quat_to_rot
+from amsim.spatial import InertialParams, box_inertia, inverse3
 
 from conftest import random_rotation
 
@@ -803,10 +803,27 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def replay_observer(log):
+    """``m_obj_hat`` at every observer tick from the latch on, replayed from the
+    logged ``fext_z`` through ``dob_step``, and the logged values; both as arrays."""
+    cfg = log.config
+    every = cfg.steps_per(cfg.dob_hz)
+    latch = int(round(log.events["latch_time"] / cfg.sim_dt))
+    assert latch % every == 0  # the latch is an observer tick
+    ticks = np.arange(latch, log.data.shape[0], every)
+    m_hat = log.events["m_tilde"] if cfg.mode == "iags" else 0.0
+    replayed = []
+    for f_z in log.column("fext_z")[ticks].tolist():
+        m_hat = dob_step(m_hat, f_z, cfg.vehicle.mass, cfg.est.dob_c,
+                         cfg.sim_dt * every, cfg.g)
+        replayed.append(m_hat)
+    return np.array(replayed), log.column("m_obj_hat")[ticks]
+
+
 class TestModeEstimate:
     """What each mode logs as the payload mass estimate, on a noise-free
-    grasp_estimate run past its latch, where the observer's first step has an
-    oracle: the latch row's attitude, thrust and true mass."""
+    grasp_estimate run past its latch; where the observer runs, its every
+    tick is replayed from the logged filtered residual."""
     MODES = ["baseline", "pre-only", "dob-only", "iags"]
 
     @pytest.fixture(scope="class")
@@ -830,17 +847,18 @@ class TestModeEstimate:
         elif mode == "pre-only":
             assert m_tilde > 0.0 and np.all(m_obj[latch:] == m_tilde)
         else:
-            row = dict(zip(log.names, log.data[latch].tolist()))
-            R = quat_to_rot([row["qw"], row["qx"], row["qy"], row["qz"]])
-            thrust = row["rotor1"] + row["rotor2"] + row["rotor3"] + row["rotor4"]
-            acc = [R[2] * thrust / row["m_t_true"], R[5] * thrust / row["m_t_true"],
-                   -cfg.g + R[8] * thrust / row["m_t_true"]]
-            dt = cfg.sim_dt * cfg.steps_per(cfg.dob_hz)
-            first, _ = dob_step(m_tilde if mode == "iags" else 0.0, None, acc, R,
-                                (0.0, 0.0, thrust), cfg.vehicle.mass, cfg.est.dob_c, dt, cfg.g,
-                                lowpass_alpha(cfg.est.force_lpf_hz, dt))
-            assert m_obj[latch] == pytest.approx(first, rel=1e-12)
+            replayed, logged = replay_observer(log)
+            assert replayed.tobytes() == logged.tobytes()
             assert (m_tilde is None) == (mode == "dob-only")
+
+    @pytest.mark.parametrize("mode", ["iags", "dob-only"])
+    @pytest.mark.parametrize("name", shipped_scenarios())
+    def test_observer_replays_from_log(self, name, mode):
+        """On every shipped scenario, with its sensor noise: the observer reads
+        nothing but the logged filtered residual."""
+        log = run_scenario(replace(load_config(name), mode=mode))
+        replayed, logged = replay_observer(log)
+        assert len(logged) > 100 and replayed.tobytes() == logged.tobytes()
 
 
 class TestLatchTiming:
