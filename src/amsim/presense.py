@@ -42,7 +42,8 @@ class OrientedBox:
         dims = as_floats(self.dims, 3, "box dims", "positive")
         if not (dims[0] >= dims[1] >= dims[2]):
             raise ValueError("box dims must be ordered l >= w >= h")
-        if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6 or np.linalg.det(rot) < 0.0:
+        # written so that a NaN entry fails it
+        if not (np.max(np.abs(rot @ rot.T - np.eye(3))) <= 1e-6 and np.linalg.det(rot) > 0.0):
             raise ValueError("rotation must be orthonormal with det +1")
         object.__setattr__(self, "center", as_floats(self.center, 3, "box center"))
         object.__setattr__(self, "rotation", tuple(map(tuple, rot.tolist())))
@@ -82,7 +83,8 @@ class ObjectEstimate:
 
     def __post_init__(self):
         as_floats([self.mass_tilde], 1, "mass estimate", "positive")
-        moi = np.array(self.moi_tilde, dtype=float).reshape(3, 3)
+        as_floats([self.volume_hat], 1, "volume estimate", "positive")
+        moi = np.reshape(as_floats(np.ravel(self.moi_tilde), 9, "MoI estimate"), (3, 3))
         if np.any(np.linalg.eigvalsh(0.5 * (moi + moi.T)) <= 0.0):
             raise ValueError("MoI estimate must be positive definite")
         object.__setattr__(self, "moi_tilde", tuple(map(tuple, moi.tolist())))

@@ -788,18 +788,23 @@ class TestDeterminism:
         assert not np.array_equal(a.data, b.data)
 
     def test_cross_process_determinism(self, tmp_path):
+        """Each child imports the amsim this test imported, whatever the caller's
+        PYTHONPATH or an installed copy."""
         import subprocess
-        import sys
+        src = os.path.dirname(os.path.dirname(os.path.abspath(scenario.__file__)))
         snippet = (
             "from dataclasses import replace\n"
             "from amsim.config import load_config\n"
-            "from amsim.scenario import run_scenario\n"
+            "from amsim.scenario import __file__, run_scenario\n"
             "cfg = replace(load_config('grasp_estimate'), duration=0.3)\n"
-            "run_scenario(cfg).to_csv(r'{out}')\n")
+            "run_scenario(cfg).to_csv(r'{out}')\n"
+            "print(__file__)\n")
         paths = [tmp_path / "p1.csv", tmp_path / "p2.csv"]
         for p in paths:
-            subprocess.run([sys.executable, "-c", snippet.format(out=p)],
-                           check=True)
+            child = subprocess.run([sys.executable, "-c", snippet.format(out=p)], check=True,
+                                   env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                                   capture_output=True, text=True)
+            assert child.stdout.strip() == os.path.abspath(scenario.__file__)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

@@ -165,6 +165,27 @@ class TestEstimateInertia:
         with pytest.raises(ValueError, match="^mass estimate must be positive"):
             ObjectEstimate(mass, np.eye(3), 1e-3, (0.0, 0.0, -0.06))
 
+    def test_nan_rotation_rejected(self):
+        """A NaN once slipped through the orthonormality check, and the box
+        reported a vertical extent of 0.1."""
+        from amsim.presense import OrientedBox
+        with pytest.raises(ValueError, match="^rotation must be orthonormal with det \\+1$"):
+            OrientedBox((0.0, 0.0, 0.0), [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                        (0.3, 0.2, 0.1))
+
+    def test_non_finite_moi_estimate_rejected(self):
+        from amsim.presense import ObjectEstimate
+        moi = np.eye(3) * 1e-3
+        moi[2, 2] = math.inf
+        with pytest.raises(ValueError, match="^MoI estimate must be finite"):
+            ObjectEstimate(0.2, moi, 1e-3, (0.0, 0.0, -0.06))
+
+    @pytest.mark.parametrize("volume", [math.nan, math.inf, 0.0, -1e-3])
+    def test_volume_estimate_must_be_positive_and_finite(self, volume):
+        from amsim.presense import ObjectEstimate
+        with pytest.raises(ValueError, match="^volume estimate must be positive and finite"):
+            ObjectEstimate(0.2, np.eye(3) * 1e-3, volume, (0.0, 0.0, -0.06))
+
     def test_unit_cube_direct_evaluation(self):
         from amsim.presense import OrientedBox
         box = OrientedBox(center=np.zeros(3), rotation=np.eye(3),
