@@ -166,8 +166,8 @@ class TestEstimateInertia:
             ObjectEstimate(mass, np.eye(3), 1e-3, (0.0, 0.0, -0.06))
 
     def test_nan_rotation_rejected(self):
-        """A NaN once slipped through the orthonormality check, and the box
-        reported a vertical extent of 0.1."""
+        """A NaN entry fails the orthonormality check, so no box reads a vertical
+        extent off it."""
         from amsim.presense import OrientedBox
         with pytest.raises(ValueError, match="^rotation must be orthonormal with det \\+1$"):
             OrientedBox((0.0, 0.0, 0.0), [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
