@@ -1,8 +1,11 @@
 """Quadrotor rigid-body model: rotor wrench, 6-DOF derivatives, motor lag, RK4.
 
-The body frame sits at the unloaded vehicle CoM, z up through the rotor
-plane. Rotor speeds are normalized to [0, 1]; a rotor at full speed produces
-``c_t`` newtons, so per-rotor thrust is capped at ``c_t``.
+Rotor positions are taken from the unloaded vehicle CoM, z up through the rotor
+plane. The integrated ``p`` is the composite (vehicle plus payload) CoM, and the
+rotor torques act about it, through ``torque_matrix(rotor, c_t - p_b)``. The arm's
+reaction wrench and the (dJ/dt) omega term are not modelled: the body's mass
+properties change quasi-statically (ROADMAP item 4). Rotor speeds are normalized to
+[0, 1]; a rotor at full speed produces ``c_t`` newtons, so thrust is capped at ``c_t``.
 """
 from __future__ import annotations
 
@@ -69,26 +72,22 @@ def torque_matrix(cfg: RotorConfig, com) -> list:
             [cfg.k_tau * s for s in cfg.spin_dirs]]
 
 
-def _rates(f, tau, m_t, j, j_inv, g, ext):
-    """Stage derivative under the body wrench ``f``/``tau`` and world force ``ext``.
-
-    ``j``/``j_inv`` are the row-major inertia and its inverse. The result
-    maps ``(q, omega)`` to ``(a, dq, domega)``, ten floats.
-    """
-    (fx, fy, fz), (tx, ty, tz) = f, tau
+def rigid_body(m_t: float, j, j_inv, g: float, dt: float) -> tuple:
+    """``(rates, m_t, dt)``, the body that ``step_rk4`` integrates over ``dt`` (checked here);
+    ``j``/``j_inv`` are the row-major inertia and its inverse. ``rates`` maps a stage's
+    ``(q, omega)``, the body wrench and the world force over ``m_t`` (sixteen floats) to
+    ``(a, dq, domega)``, ten floats."""
+    if not 0.0 < dt <= MAX_STEP:
+        raise ValueError(f"dt must be in (0, {MAX_STEP}] s")
     j00, j01, j02, j10, j11, j12, j20, j21, j22 = j
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = j_inv
-    ex, ey, ez = (e / m_t for e in ext)
 
-    # constants bound as defaults: each stage reads locals, and no cells are made per step
-    def rates(qw, qx, qy, qz, wx, wy, wz, fx=fx, fy=fy, fz=fz, tx=tx, ty=ty, tz=tz, m_t=m_t,
-              g=g, j00=j00, j01=j01, j02=j02, j10=j10, j11=j11, j12=j12, j20=j20, j21=j21,
-              j22=j22, i00=i00, i01=i01, i02=i02, i10=i10, i11=i11, i12=i12, i20=i20,
-              i21=i21, i22=i22, ex=ex, ey=ey, ez=ez):
+    # the body's constants are the closure's cells, made once per body
+    def rates(qw, qx, qy, qz, wx, wy, wz, fx, fy, fz, tx, ty, tz, ux, uy, uz):
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = quat_to_rot((qw, qx, qy, qz))
-        ax = (r00 * fx + r01 * fy + r02 * fz) / m_t + ex
-        ay = (r10 * fx + r11 * fy + r12 * fz) / m_t + ey
-        az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t + ez
+        ax = (r00 * fx + r01 * fy + r02 * fz) / m_t + ux
+        ay = (r10 * fx + r11 * fy + r12 * fz) / m_t + uy
+        az = -g + (r20 * fx + r21 * fy + r22 * fz) / m_t + uz
         hx = j00 * wx + j01 * wy + j02 * wz
         hy = j10 * wx + j11 * wy + j12 * wz
         hz = j20 * wx + j21 * wy + j22 * wz
@@ -104,51 +103,54 @@ def _rates(f, tau, m_t, j, j_inv, g, ext):
                 i00 * gx + i01 * gy + i02 * gz,
                 i10 * gx + i11 * gy + i12 * gz,
                 i20 * gx + i21 * gy + i22 * gz)
-    return rates
+    return rates, m_t, dt
 
 
-def motor_lag_step(t_des, t_actual, cfg: RotorConfig, dt: float) -> list:
-    """Exact first-order response of rotor thrusts toward k_m * t_des over dt."""
+def motor_decay(tau_m: float, dt: float) -> float:
+    """The share ``exp(-dt/tau_m)`` of its error that a rotor keeps over one step of ``dt``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    a = math.exp(-dt / cfg.tau_m)
-    k_m = cfg.k_m
+    return math.exp(-dt / tau_m)
+
+
+def motor_lag_step(t_des, t_actual, k_m: float, a: float) -> list:
+    """Exact first-order response of rotor thrusts toward k_m * t_des; ``a`` is the step's
+    ``motor_decay``."""
     d0, d1, d2, d3 = t_des
     t0, t1, t2, t3 = t_actual
     s0, s1, s2, s3 = k_m * d0, k_m * d1, k_m * d2, k_m * d3
     return [s0 + (t0 - s0) * a, s1 + (t1 - s1) * a, s2 + (t2 - s2) * a, s3 + (t3 - s3) * a]
 
 
-def step_rk4(y, force_b, torque_b, m_t: float, j_t, j_inv, dt: float, g: float,
-             f_ext_w) -> tuple:
-    """Classical RK4 step of the state ``y`` holding the body wrench constant.
+def step_rk4(y, force_b, torque_b, f_ext_w, body) -> tuple:
+    """Classical RK4 step of the state ``y`` of ``rigid_body``'s ``body``, holding the body
+    wrench ``force_b``/``torque_b`` and the world force ``f_ext_w`` constant.
 
     ``y`` is the 13 floats ``(p, v, q, omega)``: world position (m) and
     velocity (m/s), the unit quaternion body->world and the body rate (rad/s).
-    ``j_t``/``j_inv`` are the row-major inertia and its inverse and ``f_ext_w``
-    the world force. Each stage's rotation comes from its renormalized
-    quaternion; the new q is renormalized. Raises NonFinite if any state
-    component leaves the finite range.
+    Each stage's rotation comes from its renormalized quaternion; the new q is
+    renormalized. Raises NonFinite if any state component leaves the finite range.
     """
-    if not 0.0 < dt <= MAX_STEP:
-        raise ValueError(f"dt must be in (0, {MAX_STEP}] s")
-    rates = _rates(force_b, torque_b, m_t, j_t, j_inv, g, f_ext_w)
+    rates, m_t, dt = body
+    (fx, fy, fz), (tx, ty, tz), (ux, uy, uz) = force_b, torque_b, f_ext_w
+    ux, uy, uz = ux / m_t, uy / m_t, uz / m_t
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
     h = 0.5 * dt
     # stage k: velocity vk, acceleration ak, quaternion rate dk, angular acceleration ek
-    ax1, ay1, az1, dw1, dx1, dy1, dz1, ex1, ey1, ez1 = rates(qw, qx, qy, qz, wx, wy, wz)
+    ax1, ay1, az1, dw1, dx1, dy1, dz1, ex1, ey1, ez1 = rates(
+        qw, qx, qy, qz, wx, wy, wz, fx, fy, fz, tx, ty, tz, ux, uy, uz)
     vx2, vy2, vz2 = vx + h * ax1, vy + h * ay1, vz + h * az1
     ax2, ay2, az2, dw2, dx2, dy2, dz2, ex2, ey2, ez2 = rates(
         qw + h * dw1, qx + h * dx1, qy + h * dy1, qz + h * dz1,
-        wx + h * ex1, wy + h * ey1, wz + h * ez1)
+        wx + h * ex1, wy + h * ey1, wz + h * ez1, fx, fy, fz, tx, ty, tz, ux, uy, uz)
     vx3, vy3, vz3 = vx + h * ax2, vy + h * ay2, vz + h * az2
     ax3, ay3, az3, dw3, dx3, dy3, dz3, ex3, ey3, ez3 = rates(
         qw + h * dw2, qx + h * dx2, qy + h * dy2, qz + h * dz2,
-        wx + h * ex2, wy + h * ey2, wz + h * ez2)
+        wx + h * ex2, wy + h * ey2, wz + h * ez2, fx, fy, fz, tx, ty, tz, ux, uy, uz)
     vx4, vy4, vz4 = vx + dt * ax3, vy + dt * ay3, vz + dt * az3
     ax4, ay4, az4, dw4, dx4, dy4, dz4, ex4, ey4, ez4 = rates(
         qw + dt * dw3, qx + dt * dx3, qy + dt * dy3, qz + dt * dz3,
-        wx + dt * ex3, wy + dt * ey3, wz + dt * ez3)
+        wx + dt * ex3, wy + dt * ey3, wz + dt * ez3, fx, fy, fz, tx, ty, tz, ux, uy, uz)
 
     c = dt / 6.0
     y = (px + c * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4), py + c * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),

@@ -262,16 +262,17 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     and one ``composite`` over arrays covers the feasible ones.
     Returns ``(maxima, argmax_theta)`` with ``maxima`` the per-axis diagonal
     of the largest scheduled gain J_a^-1 J_t encountered and ``argmax_theta``
-    each maximum's joint angles as three floats; a zero payload mass gives
-    the identity. Raises ValueError for a negative or non-finite payload
+    each maximum's joint angles as three floats, or None where no pose exceeds 1 (every
+    axis of a zero payload mass). Raises ValueError for a negative or non-finite payload
     mass, payload dims that are not all positive and finite, or ``grid_n < 1``.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     dims = as_floats(payload_dims, 3, "payload dims", "positive")
     as_floats([payload_mass], 1, "payload mass", "non-negative")
+    maxima, argmax = np.ones(3), [None, None, None]
     if payload_mass == 0.0:
-        return np.ones(3), None
+        return maxima, argmax
     j_obj = box_inertia(payload_mass, dims).ravel().tolist()  # diagonal: valid as built
     ox, oy, oz = presense.top_grasp_offset(dims[2], pad_height)
     lo, hi = geom.joint_limits
@@ -286,8 +287,6 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
             continue
         poses.append((grid[i], grid[j], grid[k]))
         points.append((px + ox, py + oy, pz + oz))
-    maxima = np.ones(3)
-    argmax = [None, None, None]
     if not poses:
         return maxima, argmax
     # one composite over every feasible pose: the payload CoM as three arrays

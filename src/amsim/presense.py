@@ -38,11 +38,10 @@ class OrientedBox:
     dims: tuple
 
     def __post_init__(self):
-        rot = np.array(self.rotation, dtype=float).reshape(3, 3)
+        rot = np.reshape(as_floats(np.ravel(self.rotation), 9, "box rotation"), (3, 3))
         dims = as_floats(self.dims, 3, "box dims", "positive")
         if not (dims[0] >= dims[1] >= dims[2]):
             raise ValueError("box dims must be ordered l >= w >= h")
-        # written so that a NaN entry fails it
         if not (np.max(np.abs(rot @ rot.T - np.eye(3))) <= 1e-6 and np.linalg.det(rot) > 0.0):
             raise ValueError("rotation must be orthonormal with det +1")
         object.__setattr__(self, "center", as_floats(self.center, 3, "box center"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import adaptation, delta, presense
+from . import adaptation, delta, dynamics, presense
 from .adaptation import TotalInertia
 from .config import ScenarioConfig
 from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
@@ -268,6 +268,7 @@ class _Run:
         self.noise = rng.standard_normal((self.n_steps, 6))
         veh, obj = cfg.vehicle, cfg.obj
         self.rotor, self.geom = veh.rotor, cfg.arm.geom
+        self.k_m, self.decay = veh.rotor.k_m, dynamics.motor_decay(veh.rotor.tau_m, cfg.sim_dt)
         self.k_att, self.k_theta = cfg.gains.k_att, cfg.arm.k_theta
         # the bare vehicle: mass, CoM and inertia, all checked when the config was built
         self.m_a, self.am_com, self.am_j = veh.mass, veh.p_b, [v for row in veh.j_a for v in row]
@@ -326,7 +327,8 @@ class _Run:
             tot = adaptation.update_total(self.m_a, self.am_j, self.am_com, *self.payload,
                                           self.theta, self.geom)
         self.truth = tot
-        self.truth_inv = inverse3(tot.j_t_hat)
+        self.body = dynamics.rigid_body(tot.m_t_hat, tot.j_t_hat, inverse3(tot.j_t_hat), self.g,
+                                        self.dt)
         self.truth_tmap = torque_matrix(self.rotor, [c - b for c, b in zip(tot.c_t, self.am_com)])
         self.truth_cols = _body_cols(tot)
 
@@ -415,11 +417,9 @@ class _Run:
 
     def physics(self, wind: tuple):
         """Motor lag, rotor wrench and one RK4 step, at the sim rate."""
-        rotor, dt, truth = self.rotor, self.dt, self.truth
-        self.thr = thr = motor_lag_step(self.t_cmd, self.thr, rotor, dt)
+        self.thr = thr = motor_lag_step(self.t_cmd, self.thr, self.k_m, self.decay)
         force_b, torque_b = rotor_wrench(thr, self.truth_tmap)
-        self.y = step_rk4(self.y, force_b, torque_b, truth.m_t_hat, truth.j_t_hat,
-                          self.truth_inv, dt, self.g, wind)
+        self.y = step_rk4(self.y, force_b, torque_b, wind, self.body)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunLog:

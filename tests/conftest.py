@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amsim.delta import DeltaGeometry
-from amsim.dynamics import step_rk4
+from amsim.dynamics import rigid_body, step_rk4
 from amsim.spatial import InertialParams, inverse3, quat_to_rot
 
 
@@ -46,11 +46,12 @@ P, V, Q, W = slice(0, 3), slice(3, 6), slice(6, 10), slice(10, 13)
 
 def step(y, force, torque, m, j, dt, g=9.81, wind=(0.0, 0.0, 0.0)):
     """``step_rk4`` on test values: arrays go in as the floats it takes, the
-    inertia as nine row-major floats with their ``inverse3``."""
+    inertia as nine row-major floats with their ``inverse3``, bound by ``rigid_body``."""
     j9 = np.ravel(j).astype(float).tolist()
     return step_rk4(y, np.ravel(force).astype(float).tolist(),
-                    np.ravel(torque).astype(float).tolist(), m, j9, inverse3(j9), dt, g,
-                    tuple(np.ravel(wind).astype(float).tolist()))
+                    np.ravel(torque).astype(float).tolist(),
+                    tuple(np.ravel(wind).astype(float).tolist()),
+                    rigid_body(m, j9, inverse3(j9), g, dt))
 
 
 def lattice_inertia(bodies, n=48):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from conftest import P, Q, V, W, quat_mul, rot_matrix, state, step
 
 import amsim.dynamics
-from amsim.config import ScenarioConfig
-from amsim.dynamics import (NonFinite, RotorConfig, _rates, motor_lag_step, rotor_wrench,
-                            step_rk4, torque_matrix)
-from amsim.scenario import _Run
+from amsim.config import ScenarioConfig, load_config
+from amsim.dynamics import (MAX_STEP, NonFinite, RotorConfig, motor_decay, motor_lag_step,
+                            rigid_body, rotor_wrench, step_rk4, torque_matrix)
+from amsim.scenario import _Run, run_scenario
 from amsim.spatial import inverse3, quat_to_rot, unit_quat
 
 G = 9.81
@@ -165,6 +166,19 @@ def kernel_j(j):
     return j9, inverse3(j9)
 
 
+def rates(force, torque, m_t, j, j_inv, g, ext):
+    """The stage derivative of ``rigid_body`` under one wrench, as a function of
+    ``(q, omega)``: the world force goes in over ``m_t``, as ``step_rk4`` passes it."""
+    stage, m_t, _ = rigid_body(m_t, j, j_inv, g, 1e-3)
+    given = (*force, *torque, *(e / m_t for e in ext))
+    return lambda *q_omega: stage(*q_omega, *given)
+
+
+def lag(t_des, t_actual, rotor, dt):
+    """``motor_lag_step`` of ``rotor`` over ``dt``, with the decay the engine computes once."""
+    return motor_lag_step(t_des, t_actual, rotor.k_m, motor_decay(rotor.tau_m, dt))
+
+
 def wrench(thrusts, rotor, com):
     """``rotor_wrench`` about ``com``, from test arrays."""
     return rotor_wrench(np.ravel(thrusts).tolist(), torque_matrix(rotor, np.ravel(com).tolist()))
@@ -176,7 +190,7 @@ class TestFloatKernelAgainstReference:
             case = random_case(rng)
             y, force, torque, m, j, wind, j_inv = kernel_inputs(case)
             y = scaled_q(y, rng.uniform(0.5, 2.0))  # stage quaternions are not unit
-            got = _rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
+            got = rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
             _, v, q, omega = parts(y)
             want = ref_derivatives(v, q, omega, *case[1:5], G, case[5])
             for a, b in zip((got[0:3], got[3:7], got[7:10]), want[1:]):
@@ -193,9 +207,9 @@ class TestFloatKernelAgainstReference:
 
     def test_precomputed_inverse_is_used_as_given(self, rng):
         y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
-        a = step_rk4(y, force, torque, m, j, j_inv, 1e-3, G, wind)
-        b = step_rk4(y, force, torque, m, j, np.linalg.inv(np.reshape(j, (3, 3))).ravel().tolist(),
-                     1e-3, G, wind)
+        a = step_rk4(y, force, torque, wind, rigid_body(m, j, j_inv, G, 1e-3))
+        b = step_rk4(y, force, torque, wind, rigid_body(
+            m, j, np.linalg.inv(np.reshape(j, (3, 3))).ravel().tolist(), G, 1e-3))
         assert_close_rel(b[W], a[W])
 
 
@@ -211,7 +225,7 @@ class TestStraightLineKernelIsExact:
                 if rng.random() < 0.5:  # the position sum then shows its own rounding
                     y = state(v=y[V], q=y[Q], omega=y[W])
                 seen.add(wind == NO_WIND)
-                got = step_rk4(y, force, torque, m, j, j_inv, dt, G, wind)
+                got = step_rk4(y, force, torque, wind, rigid_body(m, j, j_inv, G, dt))
                 assert same_bits(got, list_step_rk4(y, force, torque, m, j, dt, G, wind, j_inv))
                 assert type(got) is tuple and all(type(c) is float for c in got)
         assert len(seen) == 2  # wind / no wind
@@ -223,7 +237,7 @@ class TestStraightLineKernelIsExact:
             case = random_case(rng) if k else rest
             y, force, torque, m, j, wind, j_inv = kernel_inputs(case)
             y = scaled_q(y, rng.uniform(0.5, 2.0))  # stage quaternions are not unit
-            got = _rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
+            got = rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
             want = list_deriv(y, force, torque, m, j, j_inv, G, wind)
             assert same_bits(got, want[3:])  # the oracle starts with the velocity
 
@@ -247,9 +261,9 @@ class TestStraightLineKernelIsExact:
         monkeypatch.setattr(amsim.dynamics, "quat_to_rot", counting)
         for n in range(1, 6):
             y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
-            step_rk4(y, force, torque, m, j, j_inv, 1e-3, G, wind)
+            step_rk4(y, force, torque, wind, rigid_body(m, j, j_inv, G, 1e-3))
             assert len(calls) == 4 * n
-        _rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
+        rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
         assert len(calls) == 21
 
     def test_wrong_lengths_rejected(self, rotor):
@@ -261,14 +275,14 @@ class TestStraightLineKernelIsExact:
                                  ([0.0] * 3, [0.0] * 3, j[:8], no_wind),
                                  ([0.0] * 3, [0.0] * 3, j, (1.0, 2.0))):
             with pytest.raises(ValueError):
-                step_rk4(y, f, tau, 1.0, j_t, j_inv, 1e-3, G, ext)
+                step_rk4(y, f, tau, ext, rigid_body(1.0, j_t, j_inv, G, 1e-3))
         tmap = torque_matrix(rotor, (0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             rotor_wrench([1.0] * 3, tmap)
         with pytest.raises(ValueError):
             rotor_wrench([1.0] * 5, tmap)
         with pytest.raises(ValueError):
-            motor_lag_step([1.0] * 5, [1.0] * 5, rotor, 5e-4)
+            lag([1.0] * 5, [1.0] * 5, rotor, 5e-4)
 
 
 class TestVehicleState:
@@ -327,7 +341,7 @@ class TestDerivatives:
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
         y = state((0.0, 0.0, 1.0))
         force, torque = wrench([m * G / 4] * 4, rotor, np.zeros(3))
-        d = _rates(force, torque, m, *kernel_j(j), G, NO_WIND)(*y[6:13])
+        d = rates(force, torque, m, *kernel_j(j), G, NO_WIND)(*y[6:13])
         np.testing.assert_allclose(y[V], np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(d[0:3], np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(d[3:7], np.zeros(4), atol=1e-12)
@@ -336,7 +350,7 @@ class TestDerivatives:
     def test_principal_axis_spin_torque_free(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
         y = state(omega=[0.0, 2.0, 0.0])
-        dw = _rates([0.0] * 3, [0.0] * 3, 1.0, *kernel_j(j), G, NO_WIND)(*y[6:13])[7:10]
+        dw = rates([0.0] * 3, [0.0] * 3, 1.0, *kernel_j(j), G, NO_WIND)(*y[6:13])[7:10]
         np.testing.assert_allclose(dw, np.zeros(3), atol=1e-14)
 
     def test_translation_matches_specific_force(self, rng):
@@ -347,7 +361,7 @@ class TestDerivatives:
             q = rng.standard_normal(4)
             y = state(p, rng.uniform(-2, 2, 3), q / np.linalg.norm(q))
             force = np.array([0.0, 0.0, rng.uniform(0, 30)])
-            dv = np.array(_rates(force.tolist(), [0.0] * 3, m, *kernel_j(j), G,
+            dv = np.array(rates(force.tolist(), [0.0] * 3, m, *kernel_j(j), G,
                                  NO_WIND)(*y[6:13])[0:3])
             lhs = np.linalg.norm(dv + G * np.array([0, 0, 1.0]))
             assert lhs == pytest.approx(np.linalg.norm(force) / m, rel=1e-12)
@@ -356,17 +370,17 @@ class TestDerivatives:
 class TestMotorLag:
     def test_steady_state_fixed_point(self, rotor):
         t_des = np.array([1.0, 2.0, 3.0, 4.0])
-        out = motor_lag_step(t_des, rotor.k_m * t_des, rotor, 0.01)
+        out = lag(t_des, rotor.k_m * t_des, rotor, 0.01)
         np.testing.assert_allclose(out, rotor.k_m * t_des, atol=1e-15)
 
     def test_one_time_constant_632(self, rotor):
         t_des = np.full(4, 5.0)
-        out = motor_lag_step(t_des, np.zeros(4), rotor, rotor.tau_m)
+        out = lag(t_des, np.zeros(4), rotor, rotor.tau_m)
         np.testing.assert_allclose(out, (1 - math.exp(-1)) * 5.0, rtol=1e-9)
 
     def test_dt_to_zero_identity(self, rotor):
         t0 = np.array([1.0, 1.5, 0.5, 2.0])
-        out = motor_lag_step(np.full(4, 9.0), t0, rotor, 1e-12)
+        out = lag(np.full(4, 9.0), t0, rotor, 1e-12)
         np.testing.assert_allclose(out, t0, atol=1e-9)
 
     def test_floats_equal_the_array_formula(self, rotor, rng):
@@ -374,16 +388,16 @@ class TestMotorLag:
             t_des, t_act = rng.uniform(0.0, 18.0, 4), rng.uniform(0.0, 18.0, 4)
             target = rotor.k_m * t_des
             want = target + (t_act - target) * math.exp(-5e-4 / rotor.tau_m)
-            got = motor_lag_step(t_des.tolist(), t_act.tolist(), rotor, 5e-4)
+            got = lag(t_des.tolist(), t_act.tolist(), rotor, 5e-4)
             assert all(type(c) is float for c in got)
             np.testing.assert_array_equal(got, want)
         with pytest.raises(ValueError):
-            motor_lag_step([1.0] * 4, [1.0] * 3, rotor, 5e-4)
+            lag([1.0] * 4, [1.0] * 3, rotor, 5e-4)
 
     @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1e-3])
     def test_dt_must_be_positive(self, rotor, dt):
         with pytest.raises(ValueError):
-            motor_lag_step([1.0] * 4, [0.0] * 4, rotor, dt)
+            lag([1.0] * 4, [0.0] * 4, rotor, dt)
 
     def test_matches_fine_euler(self, rotor):
         # closed-form update vs brute-force fine-step Euler integration
@@ -393,8 +407,59 @@ class TestMotorLag:
         dt = 0.05 / n
         for _ in range(n):
             t = t + dt * (rotor.k_m * t_des - t) / rotor.tau_m
-        exact = motor_lag_step(t_des, np.zeros(4), rotor, 0.05)
+        exact = lag(t_des, np.zeros(4), rotor, 0.05)
         np.testing.assert_allclose(exact, t, rtol=1e-4)
+
+
+class TestBinding:
+    """The RK4 body and the motor decay are bound once per body and per run, and
+    refuse the steps that the per-step kernels refused."""
+
+    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1e-3, math.nextafter(MAX_STEP, 1.0),
+                                    6e-3])
+    def test_rigid_body_refuses_dt(self, dt):
+        j = np.eye(3).ravel().tolist()
+        with pytest.raises(ValueError, match=re.escape(f"dt must be in (0, {MAX_STEP}] s")):
+            rigid_body(1.0, j, j, G, dt)
+
+    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1e-3])
+    def test_motor_decay_refuses_dt(self, rotor, dt):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            motor_decay(rotor.tau_m, dt)
+
+    def test_body_holds_its_mass_and_step(self, rotor):
+        j = np.eye(3).ravel().tolist()
+        _, m_t, dt = rigid_body(1.5, j, j, G, MAX_STEP)
+        assert (m_t, dt) == (1.5, MAX_STEP)
+        assert motor_decay(rotor.tau_m, 5e-4) == math.exp(-5e-4 / rotor.tau_m)
+
+    @pytest.mark.parametrize("name", ["hover_payload", "grasp_estimate"])
+    def test_engine_rebinds_on_every_truth_change(self, monkeypatch, name):
+        """At tick 0 and on the first physics step after each new true body (the attach,
+        then each arm move), ``_Run.physics`` equals the kernels run with a body
+        bound afresh from ``run.truth``."""
+        cfg = load_config(name)
+        physics, checked, last = _Run.physics, [], []
+
+        def check(run, wind):
+            fresh = not last or run.truth is not last[-1]
+            if fresh:
+                tot = run.truth
+                thr = lag(run.t_cmd, run.thr, cfg.vehicle.rotor, cfg.sim_dt)
+                body = rigid_body(tot.m_t_hat, tot.j_t_hat, inverse3(tot.j_t_hat), cfg.g,
+                                  cfg.sim_dt)
+                y = step_rk4(run.y, *rotor_wrench(thr, run.truth_tmap), wind, body)
+            physics(run, wind)
+            if fresh:
+                assert same_bits(run.thr, thr) and same_bits(run.y, y)
+                checked.append(run.attached)
+                last.append(run.truth)
+
+        monkeypatch.setattr(_Run, "physics", check)
+        run_scenario(cfg)
+        assert checked[:2] == [False, True]  # tick 0, then the attach
+        if name == "hover_payload":  # the arm moves while the payload is held
+            assert len(checked) > 100
 
 
 class TestRK4:

@@ -984,9 +984,10 @@ class TestWorkspaceSweep:
         assert calls == {"sphere_centres": 9, "trilaterate": 9 ** 3}
 
     def test_zero_mass_identity(self, vehicle_params):
-        maxima, _ = workspace_kk_sweep(DeltaGeometry(), 0.0, [0.2, 0.2, 0.2],
-                                       vehicle_params)
+        maxima, argmax = workspace_kk_sweep(DeltaGeometry(), 0.0, [0.2, 0.2, 0.2],
+                                            vehicle_params)
         np.testing.assert_array_equal(maxima, np.ones(3))
+        assert argmax == [None, None, None]  # the form of an axis no pose raises
 
     @pytest.mark.parametrize("mass, grid_n", [(-1.0, 9), (math.nan, 9),
                                               (math.inf, 9), (0.4, 0), (0.0, 0)])

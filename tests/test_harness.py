@@ -21,7 +21,7 @@ from amsim.config import (MODES, ConfigError, ScenarioConfig, load_config, parse
                           shipped_scenarios)
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, inverse_kin
-from amsim.dynamics import MAX_STEP, NonFinite, step_rk4
+from amsim.dynamics import MAX_STEP, NonFinite, rigid_body
 from amsim.presense import load_catalog, prior_for
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, RunLog,
                             Trajectory, _csv_digest, _wind_at, run_scenario)
@@ -129,12 +129,12 @@ class TestConfig:
         assert cli.main(["run", str(cfg_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
-        # the limit itself loads, and the physics step keeps its own check
+        # the limit itself loads, and the physics step's binder keeps its own check
         cfg = replace(load_config("grasp_estimate"), **{**rates, "sim_dt": MAX_STEP})
         assert cfg.sim_dt == MAX_STEP
-        level, zero, eye = (0.0,) * 6 + (1.0,) + (0.0,) * 6, (0.0,) * 3, np.eye(3).ravel().tolist()
+        eye = np.eye(3).ravel().tolist()
         with pytest.raises(ValueError, match="dt must be in"):
-            step_rk4(level, zero, zero, 1.0, eye, eye, 0.01, 9.81, zero)
+            rigid_body(1.0, eye, eye, 9.81, 0.01)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -1656,6 +1656,13 @@ class TestCli:
         assert [r.split(",")[0] for r in rows] == ["x", "y", "z"]
         for row in rows:
             assert all(math.isfinite(float(v)) for v in row.split(",")[1:])
+
+    def test_sweep_workspace_zero_mass_writes_nan_angles(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert cli.main(["sweep", "--workspace", "--mass", "0", "--out", str(out)]) == 0
+        _, *rows = out.read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows] == [["x", "1.0"], ["y", "1.0"], ["z", "1.0"]]
+        assert all(math.isnan(float(v)) for r in rows for v in r.split(",")[2:])
 
     def test_sweep_uncertainty_smoke(self, tmp_path):
         out = tmp_path / "grid.csv"

@@ -166,11 +166,19 @@ class TestEstimateInertia:
             ObjectEstimate(mass, np.eye(3), 1e-3, (0.0, 0.0, -0.06))
 
     def test_nan_rotation_rejected(self):
-        """A NaN entry fails the orthonormality check, so no box reads a vertical
-        extent off it."""
+        """A NaN entry fails the entry check, so no box reads a vertical extent off it."""
         from amsim.presense import OrientedBox
-        with pytest.raises(ValueError, match="^rotation must be orthonormal with det \\+1$"):
+        with pytest.raises(ValueError, match="^box rotation must be finite"):
             OrientedBox((0.0, 0.0, 0.0), [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                        (0.3, 0.2, 0.1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rotation_rejected_without_warning(self, bad):
+        """The nine entries are checked before ``rot @ rot.T``, which would warn."""
+        from amsim.presense import OrientedBox
+        with pytest.raises(ValueError, match="^box rotation must be finite"):
+            OrientedBox((0.0, 0.0, 0.0), [[1.0, 0.0, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 1.0]],
                         (0.3, 0.2, 0.1))
 
     def test_non_finite_moi_estimate_rejected(self):
