@@ -412,8 +412,9 @@ class TestMotorLag:
 
 
 class TestBinding:
-    """The RK4 body and the motor decay are bound once per body and per run, and
-    refuse the steps that the per-step kernels refused."""
+    """The RK4 body is bound once per true body and refuses the steps that the
+    per-step kernel refused; ``TestMotorLag::test_dt_must_be_positive`` checks the
+    motor decay's refusals."""
 
     @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1e-3, math.nextafter(MAX_STEP, 1.0),
                                     6e-3])
@@ -421,17 +422,6 @@ class TestBinding:
         j = np.eye(3).ravel().tolist()
         with pytest.raises(ValueError, match=re.escape(f"dt must be in (0, {MAX_STEP}] s")):
             rigid_body(1.0, j, j, G, dt)
-
-    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1e-3])
-    def test_motor_decay_refuses_dt(self, rotor, dt):
-        with pytest.raises(ValueError, match="^dt must be positive$"):
-            motor_decay(rotor.tau_m, dt)
-
-    def test_body_holds_its_mass_and_step(self, rotor):
-        j = np.eye(3).ravel().tolist()
-        _, m_t, dt = rigid_body(1.5, j, j, G, MAX_STEP)
-        assert (m_t, dt) == (1.5, MAX_STEP)
-        assert motor_decay(rotor.tau_m, 5e-4) == math.exp(-5e-4 / rotor.tau_m)
 
     @pytest.mark.parametrize("name", ["hover_payload", "grasp_estimate"])
     def test_engine_rebinds_on_every_truth_change(self, monkeypatch, name):
