@@ -5,7 +5,7 @@ plane. The integrated ``p`` is the composite (vehicle plus payload) CoM, and the
 rotor torques act about it, through ``torque_matrix(rotor, c_t - p_b)``. The arm's
 reaction wrench and the (dJ/dt) omega term are not modelled: the body's mass
 properties change quasi-statically (ROADMAP item 4). Rotor speeds are normalized to
-[0, 1]; a rotor at full speed produces ``c_t`` newtons, so thrust is capped at ``c_t``.
+[0, 1]; a rotor at full speed produces ``c_t`` newtons, so per-rotor thrust is capped at ``c_t``.
 """
 from __future__ import annotations
 
