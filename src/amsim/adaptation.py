@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import delta
 from .spatial import composite
 
 
@@ -63,18 +62,18 @@ def rescale_moi(j_tilde, m_tilde: float, m_hat: float) -> list:
 
 
 def update_total(m_a: float, j_a, p_b, obj_mass, obj_moi, grasp_offset,
-                 theta, geom: delta.DeltaGeometry) -> TotalInertia:
+                 platform) -> TotalInertia:
     """Composite mass/CoM/MoI of vehicle plus grasped object at the current pose.
 
     Vectors are three floats and inertias nine row-major floats; the object CoM
-    sits at forward_kin(theta) + grasp_offset in the arm frame. With no object
+    sits at ``platform`` (the arm's ``forward_kin``) + grasp_offset in the arm frame. With no object
     mass (the observer clamps its estimate to 0) the bare vehicle parameters
     come back as new lists. Both bodies must already be valid (the vehicle at
     config load, the object where its inertia is built): ``composite`` checks nothing.
     """
     if obj_mass <= 0.0:
         return TotalInertia(m_a, list(p_b), list(j_a))
-    px, py, pz = delta.forward_kin(geom, theta)
+    px, py, pz = platform
     ox, oy, oz = grasp_offset
     return TotalInertia(*composite(m_a, p_b, j_a, obj_mass, (px + ox, py + oy, pz + oz),
                                    obj_moi))

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--uncertainty", action="store_true")
     grp.add_argument("--workspace", action="store_true")
     sw_p.add_argument("--config", default=None)
-    sw_p.add_argument("--grid-n", type=int, default=7)
+    sw_p.add_argument("--grid-n", type=int, default=None, help="default: the sweep's own")
     sw_p.add_argument("--mass", type=float, default=0.4)
     sw_p.add_argument("--dims", default="0.2 0.2 0.2")
     sw_p.add_argument("--out", default=None, help="write the grid as CSV")
@@ -142,11 +142,11 @@ def _cmd_margins(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args.config)
+    grid = {} if args.grid_n is None else {"grid_n": args.grid_n}
     if args.uncertainty:
         worst, rows = freqdom.robustness_sweep(cfg.gains, np.diag(cfg.vehicle.j_a),
                                                k_m=cfg.vehicle.rotor.k_m,
-                                               tau_m=cfg.vehicle.rotor.tau_m,
-                                               grid_n=args.grid_n)
+                                               tau_m=cfg.vehicle.rotor.tau_m, **grid)
         if args.out:
             with _open_out(args.out) as fh:
                 fh.write("axis,j_scale,kk_scale,gm_db,pm_deg,w_gc,w_pc\n")
@@ -164,8 +164,8 @@ def _cmd_sweep(args) -> int:
         dims = [float(v) for v in args.dims.replace(",", " ").split()]
         vehicle = InertialParams(cfg.vehicle.mass, cfg.vehicle.p_b, cfg.vehicle.j_a)
         maxima, argmax = freqdom.workspace_kk_sweep(cfg.arm.geom, args.mass, dims,
-                                                    vehicle, grid_n=args.grid_n,
-                                                    pad_height=cfg.est.suction_pad)
+                                                    vehicle, pad_height=cfg.est.suction_pad,
+                                                    **grid)
         if args.out:
             with _open_out(args.out) as fh:
                 fh.write("axis,kk_max,theta1,theta2,theta3\n")

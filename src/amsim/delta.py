@@ -159,9 +159,10 @@ def inverse_kin(geom: DeltaGeometry, p) -> tuple:
     return tuple(thetas)
 
 
-def _closure(geom: DeltaGeometry, theta) -> tuple[list, list]:
-    """Loop closure N v = diag(b) thetadot: forearm vectors n_i, b_i = n_i . dE_i/dtheta_i."""
-    p0, p1, p2 = forward_kin(geom, theta)
+def _closure(geom: DeltaGeometry, theta, platform) -> tuple[list, list]:
+    """Loop closure N v = diag(b) thetadot: forearm vectors n_i, b_i = n_i . dE_i/dtheta_i;
+    ``platform`` is ``forward_kin(geom, theta)``."""
+    p0, p1, p2 = platform
     la, pr, br = geom.upper_arm_len, geom.platform_radius, geom.base_radius
     rows, b = [], []
     for ca, sa, ct, st in _chains(geom, theta):
@@ -201,7 +202,7 @@ def _well_conditioned(rows, b) -> bool:
 
 def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
     """Velocity Jacobian J = N^-1 diag(b), v = J @ theta_dot; Singular above cond_2 1e8."""
-    rows, b = _closure(geom, theta)
+    rows, b = _closure(geom, theta, forward_kin(geom, theta))
     try:
         jac = np.linalg.solve(np.array(rows), np.diag(b))
     except np.linalg.LinAlgError as exc:
@@ -211,16 +212,17 @@ def jacobian(geom: DeltaGeometry, theta) -> np.ndarray:
     return jac
 
 
-def joint_command(geom: DeltaGeometry, target_p, target_v, theta,
+def joint_command(geom: DeltaGeometry, target_p, target_v, theta, platform,
                   k_theta) -> tuple[tuple, tuple]:
     """Servo setpoints, three floats each: IK position plus feedforward/proportional velocity.
 
     theta_des = IK(target_p); theta_dot_des = J^-1 target_v + K_theta (theta_des - theta),
-    (J^-1 v)_i = (n_i . v) / b_i, ``theta`` the current joint angles and ``k_theta``
-    the diagonal of K_theta. Raises as ``inverse_kin``, then as ``jacobian``.
+    (J^-1 v)_i = (n_i . v) / b_i, ``theta`` the current joint angles, ``platform`` their
+    ``forward_kin`` and ``k_theta`` the diagonal of K_theta. Raises as ``inverse_kin``,
+    then as ``jacobian``.
     """
     theta_des = inverse_kin(geom, target_p)
-    rows, b = _closure(geom, theta)
+    rows, b = _closure(geom, theta, platform)
     if not _well_conditioned(rows, b):
         jacobian(geom, theta)  # numpy's Singular check decides
     v0, v1, v2 = target_v

@@ -1,4 +1,4 @@
-"""Quadrotor rigid-body model: rotor wrench, 6-DOF derivatives, motor lag, RK4.
+"""Quadrotor rigid-body model: motor lag, rotor wrench, 6-DOF derivatives, RK4.
 
 Rotor positions are taken from the unloaded vehicle CoM, z up through the rotor
 plane. The integrated ``p`` is the composite (vehicle plus payload) CoM, and the
@@ -6,13 +6,14 @@ rotor torques act about it, through ``torque_matrix(rotor, c_t - p_b)``. The arm
 reaction wrench and the (dJ/dt) omega term are not modelled: the body's mass
 properties change quasi-statically (ROADMAP item 4). Rotor speeds are normalized to
 [0, 1]; a rotor at full speed produces ``c_t`` newtons, so per-rotor thrust is capped at ``c_t``.
+One physics step is one ``step_rk4`` call, motor lag and rotor wrench included.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .spatial import ConfigError, as_floats, quat_to_rot, unit_quat
+from .spatial import ConfigError, as_floats, quat_to_rot
 
 
 class NonFinite(RuntimeError):
@@ -72,8 +73,10 @@ def torque_matrix(cfg: RotorConfig, com) -> list:
             [cfg.k_tau * s for s in cfg.spin_dirs]]
 
 
-def rigid_body(m_t: float, j, j_inv, g: float, dt: float) -> tuple:
-    """``(rates, m_t, dt)``, the body that ``step_rk4`` integrates over ``dt`` (checked here);
+def rigid_body(m_t: float, j, j_inv, g: float, dt: float, tmap, k_m: float,
+               decay: float) -> tuple:
+    """``(rates, m_t, dt, tmap, k_m, decay)``, the body that ``step_rk4`` integrates over ``dt``
+    (checked here), with its ``torque_matrix`` and its rotors' gain and ``motor_decay``;
     ``j``/``j_inv`` are the row-major inertia and its inverse. ``rates`` maps a stage's
     ``(q, omega)``, the body wrench and the world force over ``m_t`` (sixteen floats) to
     ``(a, dq, domega)``, ten floats."""
@@ -103,7 +106,7 @@ def rigid_body(m_t: float, j, j_inv, g: float, dt: float) -> tuple:
                 i00 * gx + i01 * gy + i02 * gz,
                 i10 * gx + i11 * gy + i12 * gz,
                 i20 * gx + i21 * gy + i22 * gz)
-    return rates, m_t, dt
+    return rates, m_t, dt, tmap, k_m, decay
 
 
 def motor_decay(tau_m: float, dt: float) -> float:
@@ -122,17 +125,26 @@ def motor_lag_step(t_des, t_actual, k_m: float, a: float) -> list:
     return [s0 + (t0 - s0) * a, s1 + (t1 - s1) * a, s2 + (t2 - s2) * a, s3 + (t3 - s3) * a]
 
 
-def step_rk4(y, force_b, torque_b, f_ext_w, body) -> tuple:
-    """Classical RK4 step of the state ``y`` of ``rigid_body``'s ``body``, holding the body
-    wrench ``force_b``/``torque_b`` and the world force ``f_ext_w`` constant.
+def step_rk4(y, thr, cmd, f_ext_w, body) -> tuple:
+    """One step of ``rigid_body``'s ``body``: the motor lag takes the four rotor thrusts
+    ``thr`` toward ``k_m * cmd``, then a classical RK4 step of the state ``y`` holds their
+    wrench and the world force ``f_ext_w`` constant (the lag and the wrench are inline, the
+    float operations of ``motor_lag_step`` and ``rotor_wrench``). Returns the next state and
+    the new thrusts.
 
     ``y`` is the 13 floats ``(p, v, q, omega)``: world position (m) and
     velocity (m/s), the unit quaternion body->world and the body rate (rad/s).
     Each stage's rotation comes from its renormalized quaternion; the new q is
     renormalized. Raises NonFinite if any state component leaves the finite range.
     """
-    rates, m_t, dt = body
-    (fx, fy, fz), (tx, ty, tz), (ux, uy, uz) = force_b, torque_b, f_ext_w
+    rates, m_t, dt, ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3)), k_m, a = body
+    (d0, d1, d2, d3), (t0, t1, t2, t3), (ux, uy, uz) = cmd, thr, f_ext_w
+    s0, s1, s2, s3 = k_m * d0, k_m * d1, k_m * d2, k_m * d3
+    t0, t1 = s0 + (t0 - s0) * a, s1 + (t1 - s1) * a
+    t2, t3 = s2 + (t2 - s2) * a, s3 + (t3 - s3) * a
+    fx, fy, fz = 0.0, 0.0, t0 + t1 + t2 + t3
+    tx, ty = a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3, b0 * t0 + b1 * t1 + b2 * t2 + b3 * t3
+    tz = c0 * t0 + c1 * t1 + c2 * t2 + c3 * t3
     ux, uy, uz = ux / m_t, uy / m_t, uz / m_t
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
     h = 0.5 * dt
@@ -162,4 +174,8 @@ def step_rk4(y, force_b, torque_b, f_ext_w, body) -> tuple:
          wz + c * (ez1 + 2.0 * ez2 + 2.0 * ez3 + ez4))
     if not all(map(math.isfinite, y)):
         raise NonFinite("state diverged during integration")
-    return y[:6] + unit_quat(*y[6:10]) + y[10:]
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = y
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)  # unit_quat's renormalization
+    if n < 1e-15:
+        raise ValueError("cannot normalize a zero quaternion")
+    return (px, py, pz, vx, vy, vz, qw / n, qx / n, qy / n, qz / n, wx, wy, wz), (t0, t1, t2, t3)

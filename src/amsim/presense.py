@@ -7,9 +7,12 @@ object is ever touched.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -186,18 +189,25 @@ def top_grasp_offset(height: float, pad_height: float) -> tuple:
     return 0.0, 0.0, -(0.5 * float(height) + pad_height)
 
 
-def load_catalog(path=None) -> dict:
+def load_catalog(path=None) -> MappingProxyType:
     """Load the prior catalog from a file path; None loads the shipped one.
 
     Format: one record per line, pipe separated:
     ``label | beta | alpha_x alpha_y alpha_z | rho``; '#' starts a comment.
-    Duplicate labels (case-insensitive) are a load-time error.
+    Duplicate labels (case-insensitive) are a load-time error. The file is read
+    once per version (its modification time and size), into a read-only mapping.
     """
-    if path is None:
-        text = resources.files("amsim").joinpath("data/priors.txt").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    path = os.path.abspath(resources.files("amsim") / "data" / "priors.txt" if path is None
+                           else path)
+    info = os.stat(path)
+    return _read_catalog(path, info.st_mtime_ns, info.st_size)
+
+
+@functools.lru_cache(maxsize=32)
+def _read_catalog(path: str, mtime_ns: int, size: int) -> MappingProxyType:
+    """The catalog in the file ``path`` of that version, parsed (``load_catalog``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     catalog: dict[str, ObjectPrior] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -214,7 +224,7 @@ def load_catalog(path=None) -> dict:
                                          alpha=parts[2].split(), rho=float(parts[3]))
         except ValueError as exc:
             raise CatalogError(f"line {lineno}: {exc}") from exc
-    return catalog
+    return MappingProxyType(catalog)
 
 
 def prior_for(label: str, catalog: dict) -> ObjectPrior:

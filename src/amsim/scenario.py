@@ -17,7 +17,9 @@ from .adaptation import TotalInertia
 from .config import ScenarioConfig
 from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
                          position_loop)
-from .dynamics import NonFinite, motor_lag_step, rotor_wrench, step_rk4, torque_matrix
+# motor_lag_step and rotor_wrench are step_rk4's inline lag and wrench as functions; the
+# engine calls neither, and perfbench/layers.py traces them under these names
+from .dynamics import NonFinite, motor_lag_step, rotor_wrench, step_rk4, torque_matrix  # noqa: F401
 from .spatial import InertialParams, inverse3, quat_to_rot
 
 COLUMNS = (
@@ -312,6 +314,7 @@ class _Run:
         self.alloc_com, self.alloc = [0.0, 0.0], allocation(self.rotor, (0.0, 0.0, 0.0))
         self.est_cols = _body_cols(self.bare) + self.kk
         self.servo_key = self.theta_cols = None  # servo inputs; angles the truth was built for
+        self.fk_theta = None  # the joint angles ``platform`` holds the position of
         self.set_truth()
 
         ctrl, dob, servo = (len(range(0, self.n_steps, n)) for n in self.every)
@@ -325,12 +328,18 @@ class _Run:
         tot = self.bare
         if self.attached:
             tot = adaptation.update_total(self.m_a, self.am_j, self.am_com, *self.payload,
-                                          self.theta, self.geom)
+                                          self.platform())
         self.truth = tot
+        tmap = torque_matrix(self.rotor, [c - b for c, b in zip(tot.c_t, self.am_com)])
         self.body = dynamics.rigid_body(tot.m_t_hat, tot.j_t_hat, inverse3(tot.j_t_hat), self.g,
-                                        self.dt)
-        self.truth_tmap = torque_matrix(self.rotor, [c - b for c, b in zip(tot.c_t, self.am_com)])
+                                        self.dt, tmap, self.k_m, self.decay)
         self.truth_cols = _body_cols(tot)
+
+    def platform(self) -> tuple:
+        """``forward_kin`` of the current joint angles, computed once per new pose."""
+        if self.theta != self.fk_theta:
+            self.fk_p, self.fk_theta = delta.forward_kin(self.geom, self.theta), self.theta
+        return self.fk_p
 
     def sense(self, k: int, wind: tuple):
         """Attitude, total thrust, accelerometer and gyro, on control and observer ticks."""
@@ -374,7 +383,7 @@ class _Run:
             self.servo_key = (tgt_p, tgt_v, self.theta)
             try:  # on a fallback, zero joint rate
                 self.thd_des, self.kin_failed = delta.joint_command(
-                    self.geom, tgt_p, tgt_v, self.theta, self.k_theta)[1], False
+                    self.geom, tgt_p, tgt_v, self.theta, self.platform(), self.k_theta)[1], False
             except delta.KinematicsError:
                 self.thd_des, self.kin_failed = (0.0, 0.0, 0.0), True
         self.events["kin_fallbacks"] += self.kin_failed
@@ -393,8 +402,8 @@ class _Run:
             if self.use_prior:
                 j_o = adaptation.rescale_moi(j_o, self.m_tilde, m_o)
             self.est_tot = est = adaptation.update_total(
-                self.m_a, self.am_j, self.am_com, m_o, j_o, self.offset_est, self.theta,
-                self.geom)
+                self.m_a, self.am_j, self.am_com, m_o, j_o, self.offset_est,
+                None if m_o <= 0.0 else self.platform())
             self.kk = iags_gain(self.am_j, self.am_j_inv, est.j_t_hat)
             com = [c - b for c, b in zip(est.c_t, self.am_com)]
             if com[:2] != self.alloc_com:
@@ -415,47 +424,65 @@ class _Run:
             self.events["infeasible_ticks"] += 1
         self.ctrl_cols = [*p_des, *v_des, *q_des, *w_des, thrust_des, *tau_des]
 
-    def physics(self, wind: tuple):
-        """Motor lag, rotor wrench and one RK4 step, at the sim rate."""
-        self.thr = thr = motor_lag_step(self.t_cmd, self.thr, self.k_m, self.decay)
-        force_b, torque_b = rotor_wrench(thr, self.truth_tmap)
-        self.y = step_rk4(self.y, force_b, torque_b, wind, self.body)
+    def physics(self, rows: np.ndarray, k0: int, k1: int, wind: tuple):
+        """Motor lag, rotor wrench and one RK4 step for each step of ``[k0, k1)``, the steps up
+        to the next event, logging the row of each step first."""
+        dt, y, thr, cmd, body = self.dt, self.y, self.thr, self.t_cmd, self.body
+        pack, size, ctrl = _ROW.pack_into, _ROW.size, self.ctrl_cols
+        slow = (*self.theta_cols, self.m_hat, *self.est_cols, *self.truth_cols, *self.det_filt,
+                float(self.attached), float(self.latched))  # the columns after the thrusts
+        try:
+            for k in range(k0, k1):
+                pack(rows, k * size, k * dt, *y, *ctrl, *thr, *slow)
+                y, thr = step_rk4(y, thr, cmd, wind, body)
+        except NonFinite as exc:
+            raise NonFinite(f"{exc} at t={k * dt:.4f} s") from exc
+        self.y, self.thr = y, thr
+
+
+def _first_step(t0: float, dt: float, n: int) -> int:
+    """The first step ``k < n`` whose time ``k * dt`` reaches ``t0``, else ``n``."""
+    return bisect.bisect_left(range(n), t0, key=lambda k: k * dt)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunLog:
     """Run one scenario to completion and return the full-rate log.
 
-    Each sim step attaches the payload at its grasp time, runs the ``_Run``
-    stages due on it (``sense``, ``observe``, ``servo``, ``control``), logs
-    one row and ends with ``physics``. Raises NonFinite (annotated with the
-    simulation time) if the state diverges.
+    The run goes from event to event: a control, observer or servo tick, the
+    payload's attach at its grasp time, or the start of a wind row. On an event
+    step it runs the ``_Run`` stages due (``sense``, ``observe``, ``servo``,
+    ``control``); ``physics`` then logs and integrates every step up to the next
+    event. Raises NonFinite (annotated with the simulation time) if the state
+    diverges.
     """
     run = _Run(cfg)
-    dt, obj = cfg.sim_dt, cfg.obj
+    dt, n = cfg.sim_dt, run.n_steps
     every_ctrl, every_dob, every_servo = run.every
-    rows = np.empty((run.n_steps, len(COLUMNS)))
-    try:
-        for k in range(run.n_steps):
-            t = k * dt
-            if obj is not None and not run.attached and t >= obj.grasp_time - 1e-12:
-                run.attached = True
-                run.events["attach_time"] = t
-                run.set_truth()
+    attach = n if cfg.obj is None else _first_step(cfg.obj.grasp_time - 1e-12, dt, n)
+    starts = (_first_step(t0, dt, n) for t0, _ in cfg.wind)  # the wind rows', in order
+    next_wind, wind = next(starts, n), (0.0, 0.0, 0.0)
+    rows, k = np.empty((n, len(COLUMNS))), 0
+    while k < n:
+        t = k * dt
+        if k == attach:
+            run.attached = True
+            run.events["attach_time"] = t
+            run.set_truth()
+        if k == next_wind:  # one or more wind rows begin
             wind = _wind_at(cfg.wind, t)
-            ctrl_tick = k % every_ctrl == 0
-            dob_tick = k % every_dob == 0
-            if ctrl_tick or dob_tick:  # the only ticks that read the sensors
-                run.sense(k, wind)
-            if dob_tick:
-                run.observe(t)
-            if k % every_servo == 0:
-                run.servo(t)
-            if ctrl_tick:
-                run.control(t)
-            _ROW.pack_into(rows, k * _ROW.size, t, *run.y, *run.ctrl_cols, *run.thr,
-                           *run.theta_cols, run.m_hat, *run.est_cols, *run.truth_cols,
-                           *run.det_filt, float(run.attached), float(run.latched))
-            run.physics(wind)
-    except NonFinite as exc:
-        raise NonFinite(f"{exc} at t={k * dt:.4f} s") from exc
+            while next_wind == k:
+                next_wind = next(starts, n)
+        ctrl_tick, dob_tick = k % every_ctrl == 0, k % every_dob == 0
+        if ctrl_tick or dob_tick:  # the only ticks that read the sensors
+            run.sense(k, wind)
+        if dob_tick:
+            run.observe(t)
+        if k % every_servo == 0:
+            run.servo(t)
+        if ctrl_tick:
+            run.control(t)
+        k1 = min(n, next_wind, attach if attach > k else n, k - k % every_ctrl + every_ctrl,
+                 k - k % every_dob + every_dob, k - k % every_servo + every_servo)
+        run.physics(rows, k, k1, wind)
+        k = k1
     return RunLog(names=list(COLUMNS), data=rows, events=run.events, config=cfg)

@@ -44,14 +44,19 @@ def state(p=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0),
 P, V, Q, W = slice(0, 3), slice(3, 6), slice(6, 10), slice(10, 13)
 
 
-def step(y, force, torque, m, j, dt, g=9.81, wind=(0.0, 0.0, 0.0)):
-    """``step_rk4`` on test values: arrays go in as the floats it takes, the
-    inertia as nine row-major floats with their ``inverse3``, bound by ``rigid_body``."""
+# a torque map (``dynamics.torque_matrix``) under which no thrust makes a torque
+NO_TORQUE = ((0.0, 0.0, 0.0, 0.0),) * 3
+
+
+def step(y, thrusts, m, j, dt, g=9.81, wind=(0.0, 0.0, 0.0), tmap=NO_TORQUE):
+    """The next state from ``step_rk4`` on test values, with the motor lag off (gain 1,
+    decay 0) so that the four rotors hold ``thrusts``, which ``tmap`` maps to torque:
+    arrays go in as the floats it takes, the inertia as nine row-major floats with their
+    ``inverse3``, bound by ``rigid_body``."""
     j9 = np.ravel(j).astype(float).tolist()
-    return step_rk4(y, np.ravel(force).astype(float).tolist(),
-                    np.ravel(torque).astype(float).tolist(),
-                    tuple(np.ravel(wind).astype(float).tolist()),
-                    rigid_body(m, j9, inverse3(j9), g, dt))
+    thr = np.ravel(thrusts).astype(float).tolist()
+    return step_rk4(y, thr, thr, tuple(np.ravel(wind).astype(float).tolist()),
+                    rigid_body(m, j9, inverse3(j9), g, dt, tmap, 1.0, 0.0))[0]
 
 
 def lattice_inertia(bodies, n=48):

@@ -237,7 +237,7 @@ def test_criterion_11_dynamics_conservation():
     def tumble(dt, steps, omega0):
         y = state(omega=omega0)
         for _ in range(steps):
-            y = step(y, np.zeros(3), np.zeros(3), m, j, dt)
+            y = step(y, np.zeros(4), m, j, dt)
         return y
 
     y0 = state(omega=[1.2, -0.7, 0.9])

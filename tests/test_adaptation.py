@@ -220,14 +220,15 @@ class TestUpdateTotal:
         self.j9, self.p3 = self.j_a.ravel().tolist(), self.p_b.tolist()
 
     def total(self, m_o, j_o, offset, theta, m_a=M_A, j_a=None, p_b=None):
-        """update_total on test arrays, passed as the floats it takes."""
+        """update_total on test arrays, passed as the floats it takes, with the
+        platform at ``forward_kin`` of ``theta``."""
         return update_total(m_a, self.j9 if j_a is None else np.ravel(j_a).tolist(),
                             self.p3 if p_b is None else np.ravel(p_b).tolist(), m_o,
                             np.ravel(j_o).tolist(), np.ravel(offset).tolist(),
-                            np.ravel(theta).tolist(), self.geom)
+                            forward_kin(self.geom, np.ravel(theta).tolist()))
 
     def test_no_object_passthrough(self):
-        out = update_total(M_A, self.j9, self.p3, 0.0, None, None, (0.4, 0.4, 0.4), self.geom)
+        out = update_total(M_A, self.j9, self.p3, 0.0, None, None, None)
         assert out.m_t_hat == M_A
         np.testing.assert_array_equal(out.c_t, self.p_b)
         np.testing.assert_array_equal(out.j_t_hat, self.j_a.ravel())
@@ -264,7 +265,7 @@ class TestUpdateTotal:
     def test_no_object_returns_fresh_arrays(self, obj_mass):
         """Fresh lists of 3 and 9 floats from the nine row-major floats the engine passes."""
         p_b, j_a = self.p_b.tolist(), self.j_a.ravel().tolist()
-        out = update_total(M_A, j_a, p_b, obj_mass, None, None, (0.4, 0.4, 0.4), self.geom)
+        out = update_total(M_A, j_a, p_b, obj_mass, None, None, None)
         assert type(out.c_t) is list and type(out.j_t_hat) is list
         assert all(type(v) is float for v in out.c_t + out.j_t_hat)
         assert len(out.c_t) == 3 and len(out.j_t_hat) == 9

@@ -97,7 +97,7 @@ class TestJointCommand:
         p = np.array([0.0, 0.0, -0.16])
         theta = inverse_kin(geom, p)
         _, rate = joint_command(geom, p, np.zeros(3),
-                                theta,
+                                theta, forward_kin(geom, theta),
                                 np.array([20.0, 20.0, 20.0]))
         np.testing.assert_allclose(rate, np.zeros(3), atol=1e-9)
 
@@ -107,7 +107,7 @@ class TestJointCommand:
         off = np.array(theta)
         off[0] -= 0.01
         _, rate = joint_command(geom, p, np.zeros(3),
-                                off,
+                                off, forward_kin(geom, off),
                                 np.array([20.0, 20.0, 20.0]))
         assert rate[0] == pytest.approx(0.2, rel=1e-9)
         np.testing.assert_allclose(rate[1:], np.zeros(2), atol=1e-12)
@@ -116,7 +116,7 @@ class TestJointCommand:
         p = np.array([0.0, 0.0, -0.16])
         theta = inverse_kin(geom, p)
         _, rate = joint_command(geom, p, np.array([0.0, 0.0, -0.05]),
-                                theta,
+                                theta, forward_kin(geom, theta),
                                 np.array([20.0, 20.0, 20.0]))
         assert np.ptp(rate) < 1e-10
 
@@ -124,7 +124,7 @@ class TestJointCommand:
         theta = inverse_kin(geom, [0.0, 0.0, -0.16])
         with pytest.raises(Unreachable):
             joint_command(geom, np.array([1.0, 0.0, -0.1]), np.zeros(3),
-                          theta, np.full(3, 20.0))
+                          theta, forward_kin(geom, theta), np.full(3, 20.0))
 
 
 class TestServo:
@@ -268,6 +268,13 @@ def ref_jacobian(geom, theta):
     return jac
 
 
+def command(geom, p, v, theta, k_theta):
+    """``joint_command`` at the platform position of ``theta``, found once the IK of ``p``
+    has succeeded, so that an unreachable target is refused first, as the array code does."""
+    inverse_kin(geom, p)
+    return joint_command(geom, p, v, theta, forward_kin(geom, theta), k_theta)
+
+
 def outcome(fn, *args):
     """The result of ``fn``, or the type of the KinematicsError it raised."""
     try:
@@ -385,7 +392,7 @@ class TestScreenedJointCommand:
                 p = np.array([0.0, 0.0, -0.16])
             v = 0.05 * rng.standard_normal(3)
             for theta in self.configurations(geom, rng):
-                got = outcome(joint_command, geom, p, v,  # arrays in, floats out
+                got = outcome(command, geom, p, v,  # arrays in, floats out
                               tuple(theta.tolist()), np.zeros(3))
                 want = outcome(ref_joint_command, geom, p, v, theta)
                 if isinstance(want, type):
@@ -420,11 +427,12 @@ class TestScreenedJointCommand:
         calls = self.count_cond(monkeypatch)
         for theta, calls_wanted, ff in cases:
             calls.clear()
-            _, rates = joint_command(geom, p, v, theta, (0.0, 0.0, 0.0))
+            _, rates = joint_command(geom, p, v, theta, forward_kin(geom, theta), (0.0, 0.0, 0.0))
             assert len(calls) == calls_wanted
             assert_feedforward(rates, ff, geom, theta)
         with pytest.raises(Singular):
-            joint_command(geom, p, v, theta_singular, (0.0, 0.0, 0.0))
+            joint_command(geom, p, v, theta_singular, forward_kin(geom, theta_singular),
+                          (0.0, 0.0, 0.0))
 
     def test_hover_payload_run_needs_no_svd(self, monkeypatch):
         from amsim.config import load_config

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import P, Q, V, W, quat_mul, rot_matrix, state, step
+from conftest import NO_TORQUE, P, Q, V, W, quat_mul, rot_matrix, state, step
 
 import amsim.dynamics
 from amsim.config import ScenarioConfig, load_config
@@ -169,7 +169,7 @@ def kernel_j(j):
 def rates(force, torque, m_t, j, j_inv, g, ext):
     """The stage derivative of ``rigid_body`` under one wrench, as a function of
     ``(q, omega)``: the world force goes in over ``m_t``, as ``step_rk4`` passes it."""
-    stage, m_t, _ = rigid_body(m_t, j, j_inv, g, 1e-3)
+    stage, m_t = rigid_body(m_t, j, j_inv, g, 1e-3, NO_TORQUE, 1.0, 0.0)[:2]
     given = (*force, *torque, *(e / m_t for e in ext))
     return lambda *q_omega: stage(*q_omega, *given)
 
@@ -182,6 +182,29 @@ def lag(t_des, t_actual, rotor, dt):
 def wrench(thrusts, rotor, com):
     """``rotor_wrench`` about ``com``, from test arrays."""
     return rotor_wrench(np.ravel(thrusts).tolist(), torque_matrix(rotor, np.ravel(com).tolist()))
+
+
+def random_drive(rng):
+    """Random rotor inputs of ``step_rk4``: thrusts, their command, the torque map about
+    a random CoM, the motor gain and the step's decay."""
+    com = rng.uniform(-0.05, 0.05, 3).tolist()
+    return (rng.uniform(0.0, 18.0, 4).tolist(), rng.uniform(0.0, 18.0, 4).tolist(),
+            torque_matrix(RotorConfig.x_config(), com), rng.uniform(0.5, 1.5),
+            math.exp(-rng.uniform(0.01, 0.5)))
+
+
+def drive_step(y, drive, m, j, j_inv, dt, wind):
+    """``step_rk4`` under ``random_drive``'s rotor inputs: the next state and thrusts."""
+    thr, cmd, tmap, k_m, decay = drive
+    return step_rk4(y, thr, cmd, wind, rigid_body(m, j, j_inv, G, dt, tmap, k_m, decay))
+
+
+def drive_wrench(drive):
+    """The thrusts after the step's motor lag and their body force and torque, from the
+    one-step ``motor_lag_step`` and ``rotor_wrench``."""
+    thr, cmd, tmap, k_m, decay = drive
+    new = motor_lag_step(cmd, thr, k_m, decay)
+    return (tuple(new), *rotor_wrench(new, tmap))
 
 
 class TestFloatKernelAgainstReference:
@@ -199,17 +222,21 @@ class TestFloatKernelAgainstReference:
     def test_step_rk4_matches(self, rng):
         for dt in (5e-4, 2e-3):
             for _ in range(100):
-                y, force, torque, m, j, wind = random_case(rng)
-                got = step(y, force, torque, m, j, dt, G, wind)
-                want = ref_step_rk4(y, force, torque, m, j, dt, G, wind)
+                y, _, _, m, j, wind, j_inv = kernel_inputs(random_case(rng))
+                drive = random_drive(rng)
+                got, _ = drive_step(y, drive, m, j, j_inv, dt, wind)
+                _, force, torque = drive_wrench(drive)
+                want = ref_step_rk4(y, force, torque, m, np.reshape(j, (3, 3)), dt, G,
+                                    np.array(wind))
                 for a, b in zip(parts(got), want):
                     assert_close_rel(a, b)
 
     def test_precomputed_inverse_is_used_as_given(self, rng):
-        y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
-        a = step_rk4(y, force, torque, wind, rigid_body(m, j, j_inv, G, 1e-3))
-        b = step_rk4(y, force, torque, wind, rigid_body(
-            m, j, np.linalg.inv(np.reshape(j, (3, 3))).ravel().tolist(), G, 1e-3))
+        y, _, _, m, j, wind, j_inv = kernel_inputs(random_case(rng))
+        drive = random_drive(rng)
+        a, _ = drive_step(y, drive, m, j, j_inv, 1e-3, wind)
+        b, _ = drive_step(y, drive, m, j, np.linalg.inv(np.reshape(j, (3, 3))).ravel().tolist(),
+                          1e-3, wind)
         assert_close_rel(b[W], a[W])
 
 
@@ -218,16 +245,22 @@ class TestStraightLineKernelIsExact:
     its results must be equal, not close."""
 
     def test_step_rk4_equals_list_oracle(self, rng):
+        """The state after ``list_step_rk4`` under the wrench, and the thrusts, of the
+        one-step ``motor_lag_step`` and ``rotor_wrench``, which ``step_rk4`` forms inline."""
         seen = set()
         for dt in (5e-4, 2e-3, 5e-3):
             for _ in range(150):
-                y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
+                y, _, _, m, j, wind, j_inv = kernel_inputs(random_case(rng))
                 if rng.random() < 0.5:  # the position sum then shows its own rounding
                     y = state(v=y[V], q=y[Q], omega=y[W])
                 seen.add(wind == NO_WIND)
-                got = step_rk4(y, force, torque, wind, rigid_body(m, j, j_inv, G, dt))
+                drive = random_drive(rng)
+                got, thr = drive_step(y, drive, m, j, j_inv, dt, wind)
+                want_thr, force, torque = drive_wrench(drive)
                 assert same_bits(got, list_step_rk4(y, force, torque, m, j, dt, G, wind, j_inv))
-                assert type(got) is tuple and all(type(c) is float for c in got)
+                assert same_bits(thr, want_thr)
+                assert all(type(x) is tuple and all(type(c) is float for c in x)
+                           for x in (got, thr))
         assert len(seen) == 2  # wind / no wind
 
     def test_derivatives_equal_list_oracle(self, rng):
@@ -261,7 +294,7 @@ class TestStraightLineKernelIsExact:
         monkeypatch.setattr(amsim.dynamics, "quat_to_rot", counting)
         for n in range(1, 6):
             y, force, torque, m, j, wind, j_inv = kernel_inputs(random_case(rng))
-            step_rk4(y, force, torque, wind, rigid_body(m, j, j_inv, G, 1e-3))
+            drive_step(y, random_drive(rng), m, j, j_inv, 1e-3, wind)
             assert len(calls) == 4 * n
         rates(force, torque, m, j, j_inv, G, wind)(*y[6:13])
         assert len(calls) == 21
@@ -270,13 +303,14 @@ class TestStraightLineKernelIsExact:
         y = state()
         j = [1e-2, 0.0, 0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-2]
         j_inv, no_wind = inverse3(j), (0.0, 0.0, 0.0)
-        for f, tau, j_t, ext in (([0.0] * 2, [0.0] * 3, j, no_wind),
-                                 ([0.0] * 3, [0.0] * 4, j, no_wind),
-                                 ([0.0] * 3, [0.0] * 3, j[:8], no_wind),
-                                 ([0.0] * 3, [0.0] * 3, j, (1.0, 2.0))):
-            with pytest.raises(ValueError):
-                step_rk4(y, f, tau, ext, rigid_body(1.0, j_t, j_inv, G, 1e-3))
         tmap = torque_matrix(rotor, (0.0, 0.0, 0.0))
+        for thr, cmd, j_t, t_map, ext in (([0.0] * 3, [0.0] * 4, j, tmap, no_wind),
+                                          ([0.0] * 4, [0.0] * 5, j, tmap, no_wind),
+                                          ([0.0] * 4, [0.0] * 4, j[:8], tmap, no_wind),
+                                          ([0.0] * 4, [0.0] * 4, j, tmap[:2], no_wind),
+                                          ([0.0] * 4, [0.0] * 4, j, tmap, (1.0, 2.0))):
+            with pytest.raises(ValueError):
+                step_rk4(y, thr, cmd, ext, rigid_body(1.0, j_t, j_inv, G, 1e-3, t_map, 1.0, 0.5))
         with pytest.raises(ValueError):
             rotor_wrench([1.0] * 3, tmap)
         with pytest.raises(ValueError):
@@ -297,9 +331,8 @@ class TestVehicleState:
 
     def test_step_keeps_floats(self, rotor):
         y = state((0.0, 0.0, 1.0))
-        force, torque = wrench([3.0, 3.5, 3.0, 3.5], rotor, np.zeros(3))
-        out = step(y, force, torque, 1.4, np.diag([9.2e-3, 10.5e-3, 14.7e-3]), 1e-3, G,
-                   (0.0, 1.0, 0.0))
+        out = step(y, [3.0, 3.5, 3.0, 3.5], 1.4, np.diag([9.2e-3, 10.5e-3, 14.7e-3]), 1e-3, G,
+                   (0.0, 1.0, 0.0), torque_matrix(rotor, [0.0, 0.0, 0.0]))
         assert type(out) is tuple and len(out) == 13
         assert all(type(c) is float for c in out)
 
@@ -421,29 +454,29 @@ class TestBinding:
     def test_rigid_body_refuses_dt(self, dt):
         j = np.eye(3).ravel().tolist()
         with pytest.raises(ValueError, match=re.escape(f"dt must be in (0, {MAX_STEP}] s")):
-            rigid_body(1.0, j, j, G, dt)
+            rigid_body(1.0, j, j, G, dt, NO_TORQUE, 1.0, 0.5)
 
     @pytest.mark.parametrize("name", ["hover_payload", "grasp_estimate"])
     def test_engine_rebinds_on_every_truth_change(self, monkeypatch, name):
         """At tick 0 and on the first physics step after each new true body (the attach,
-        then each arm move), ``_Run.physics`` equals the kernels run with a body
-        bound afresh from ``run.truth``."""
+        then each arm move), ``_Run.physics`` equals ``step_rk4`` with a body and torque
+        map bound afresh from ``run.truth``."""
         cfg = load_config(name)
-        physics, checked, last = _Run.physics, [], []
+        rotor, physics, checked, last = cfg.vehicle.rotor, _Run.physics, [], []
 
-        def check(run, wind):
-            fresh = not last or run.truth is not last[-1]
-            if fresh:
-                tot = run.truth
-                thr = lag(run.t_cmd, run.thr, cfg.vehicle.rotor, cfg.sim_dt)
-                body = rigid_body(tot.m_t_hat, tot.j_t_hat, inverse3(tot.j_t_hat), cfg.g,
-                                  cfg.sim_dt)
-                y = step_rk4(run.y, *rotor_wrench(thr, run.truth_tmap), wind, body)
-            physics(run, wind)
-            if fresh:
-                assert same_bits(run.thr, thr) and same_bits(run.y, y)
-                checked.append(run.attached)
-                last.append(run.truth)
+        def check(run, log, k0, k1, wind):
+            if last and run.truth is last[-1]:
+                return physics(run, log, k0, k1, wind)
+            tot = run.truth
+            tmap = torque_matrix(rotor, [c - b for c, b in zip(tot.c_t, cfg.vehicle.p_b)])
+            body = rigid_body(tot.m_t_hat, tot.j_t_hat, inverse3(tot.j_t_hat), cfg.g,
+                              cfg.sim_dt, tmap, rotor.k_m, motor_decay(rotor.tau_m, cfg.sim_dt))
+            y, thr = step_rk4(run.y, run.thr, run.t_cmd, wind, body)
+            physics(run, log, k0, k0 + 1, wind)  # one step, then the rest of the segment
+            assert same_bits(run.thr, thr) and same_bits(run.y, y)
+            checked.append(run.attached)
+            last.append(run.truth)
+            physics(run, log, k0 + 1, k1, wind)
 
         monkeypatch.setattr(_Run, "physics", check)
         run_scenario(cfg)
@@ -457,8 +490,7 @@ class TestRK4:
         m = 1.379
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
         y = state((0.0, 0.0, 1.0))
-        force, torque = wrench([m * G / 4] * 4, rotor, np.zeros(3))
-        out = step(y, force, torque, m, j, 1e-3, G)
+        out = step(y, [m * G / 4] * 4, m, j, 1e-3, G, tmap=torque_matrix(rotor, [0.0] * 3))
         np.testing.assert_allclose(out[P], y[P], atol=1e-12)
         np.testing.assert_allclose(out[V], y[V], atol=1e-12)
         np.testing.assert_allclose(out[Q], y[Q], atol=1e-12)
@@ -469,7 +501,7 @@ class TestRK4:
         y = state((0.0, 0.0, 2.0))
         dt = 1e-3
         for _ in range(1000):
-            y = step(y, np.zeros(3), np.zeros(3), 1.379, j, dt, G)
+            y = step(y, np.zeros(4), 1.379, j, dt, G)
         assert y[2] == pytest.approx(2.0 - 0.5 * G * 1.0 ** 2, abs=1e-9)
 
     def test_angular_momentum_conserved_short(self):
@@ -477,7 +509,7 @@ class TestRK4:
         y = state(omega=[1.2, -0.7, 0.9])
         L0 = rot_matrix(y[Q]) @ (j @ y[W])
         for _ in range(2000):
-            y = step(y, np.zeros(3), np.zeros(3), 1.379, j, 1e-3, G)
+            y = step(y, np.zeros(4), 1.379, j, 1e-3, G)
         L = rot_matrix(y[Q]) @ (j @ y[W])
         assert np.linalg.norm(L - L0) / np.linalg.norm(L0) < 1e-7
 
@@ -486,7 +518,7 @@ class TestRK4:
         y = state(omega=[1.2, -0.7, 0.9])
         e0 = 0.5 * float(np.array(y[W]) @ (j @ y[W]))
         for _ in range(2000):
-            y = step(y, np.zeros(3), np.zeros(3), 1.379, j, 1e-3, G)
+            y = step(y, np.zeros(4), 1.379, j, 1e-3, G)
         e = 0.5 * float(np.array(y[W]) @ (j @ y[W]))
         assert abs(e - e0) / e0 < 1e-7
 
@@ -494,38 +526,38 @@ class TestRK4:
         y = state()
         j = np.eye(3) * 1e-2
         with pytest.raises(ValueError):
-            step(y, np.zeros(3), np.zeros(3), 1.0, j, 6e-3)
+            step(y, np.zeros(4), 1.0, j, 6e-3)
         with pytest.raises(ValueError):
-            step(y, np.zeros(3), np.zeros(3), 1.0, j, 0.0)
+            step(y, np.zeros(4), 1.0, j, 0.0)
 
     def test_nonfinite_detected(self):
         y = state()
         j = np.eye(3) * 1e-2
         with pytest.raises(NonFinite):
-            step(y, np.array([np.nan, 0, 0]), np.zeros(3), 1.0, j, 1e-3)
+            step(y, np.array([np.nan, 0, 0, 0]), 1.0, j, 1e-3)
 
     def test_nan_torque_detected(self):
         y = state()
         j = np.eye(3) * 1e-2
         with pytest.raises(NonFinite):
-            step(y, np.zeros(3), np.array([0.0, np.nan, 0.0]), 1.0, j, 1e-3)
+            step(y, np.zeros(4), 1.0, j, 1e-3, tmap=([0.0] * 4, [np.nan] * 4, [0.0] * 4))
 
     def test_nan_inertia_detected(self):
         y = state(omega=[1.0, 0.0, 0.0])
         j = np.eye(3) * 1e-2
         j[0, 0] = np.nan
         with pytest.raises(NonFinite):
-            step(y, np.zeros(3), np.zeros(3), 1.0, j, 1e-3)
+            step(y, np.zeros(4), 1.0, j, 1e-3)
 
     def test_zero_quaternion_rejected(self):
         y = state(q=np.zeros(4))
         with pytest.raises(ValueError):
-            step(y, np.zeros(3), np.zeros(3), 1.0, np.eye(3) * 1e-2, 1e-3)
+            step(y, np.zeros(4), 1.0, np.eye(3) * 1e-2, 1e-3)
 
     def test_quaternion_stays_unit(self):
         j = np.diag([9.2e-3, 10.5e-3, 14.7e-3])
         y = state(omega=[3.0, 2.0, -1.0])
         for _ in range(500):
-            y = step(y, np.zeros(3), np.zeros(3), 1.0, j, 1e-3)
+            y = step(y, np.zeros(4), 1.0, j, 1e-3)
             assert abs(np.linalg.norm(y[Q]) - 1.0) < 1e-9
 

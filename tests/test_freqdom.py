@@ -874,7 +874,7 @@ def ref_workspace_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pa
                                                     .ravel().tolist(),
                                                     np.asarray(vehicle.com).tolist(), payload_mass,
                                                     j_obj.ravel().tolist(), offset,
-                                                    theta.tolist(), geom)
+                                                    delta.forward_kin(geom, theta.tolist()))
                 except delta.KinematicsError:
                     continue
                 kk = np.diag(np.linalg.solve(np.asarray(vehicle.inertia_about_com),
@@ -903,7 +903,7 @@ def per_pose_kk_sweep(geom, payload_mass, payload_dims, vehicle, grid_n, pad_hei
                     j_t = adaptation.update_total(vehicle.mass, j_a,
                                                   np.asarray(vehicle.com).tolist(),
                                                   payload_mass, j_obj, offset,
-                                                  (t1, t2, t3), geom).j_t_hat
+                                                  delta.forward_kin(geom, (t1, t2, t3))).j_t_hat
                 except delta.KinematicsError:
                     continue
                 gains.append(iags_gain(j_a, j_inv, j_t))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -20,7 +21,7 @@ from amsim.adaptation import dob_step, update_total
 from amsim.config import (MODES, ConfigError, ScenarioConfig, load_config, parse_config,
                           shipped_scenarios)
 from amsim.controller import iags_gain
-from amsim.delta import KinematicsError, inverse_kin
+from amsim.delta import KinematicsError, forward_kin, inverse_kin
 from amsim.dynamics import MAX_STEP, NonFinite, rigid_body
 from amsim.presense import load_catalog, prior_for
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, RunLog,
@@ -134,7 +135,7 @@ class TestConfig:
         assert cfg.sim_dt == MAX_STEP
         eye = np.eye(3).ravel().tolist()
         with pytest.raises(ValueError, match="dt must be in"):
-            rigid_body(1.0, eye, eye, 9.81, 0.01)
+            rigid_body(1.0, eye, eye, 9.81, 0.01, [[0.0] * 4] * 3, 1.0, 0.5)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -518,6 +519,15 @@ class TestConfig:
         assert err.startswith("config error: " + message.format(dir=tmp_path))
         assert not out.exists()
 
+    def test_replace_opens_no_file(self, monkeypatch):
+        """A derived config checks its catalog prior against the catalog read when the
+        first config was built: ``replace`` opens no file."""
+        cfg = load_config("grasp_estimate")
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a) or 1 / 0)
+        other = replace(cfg, mode="baseline")
+        assert opened == [] and other.obj.prior == cfg.obj.prior
+
     def test_label_and_catalog_checked_in_replace(self, tmp_path):
         cfg = load_config("grasp_estimate")
         with pytest.raises(ConfigError, match="label 'cofee can' is not in the shipped"):
@@ -554,7 +564,91 @@ class TestTrajectory:
         np.testing.assert_allclose(a0, 0, atol=1e-12)
 
 
+def per_step_run(cfg):
+    """The engine as one loop over the physics steps: each step tests every event
+    predicate, runs the stages due, logs its row and steps the kernel. Returns the
+    rows and the events, or the NonFinite message."""
+    run, rows = scenario._Run(cfg), []
+    every_ctrl, every_dob, every_servo = run.every
+    for k in range(run.n_steps):
+        t = k * cfg.sim_dt
+        if cfg.obj is not None and not run.attached and t >= cfg.obj.grasp_time - 1e-12:
+            run.attached = True
+            run.events["attach_time"] = t
+            run.set_truth()
+        wind = _wind_at(cfg.wind, t)
+        if k % every_ctrl == 0 or k % every_dob == 0:
+            run.sense(k, wind)
+        if k % every_dob == 0:
+            run.observe(t)
+        if k % every_servo == 0:
+            run.servo(t)
+        if k % every_ctrl == 0:
+            run.control(t)
+        rows.append((t, *run.y, *run.ctrl_cols, *run.thr, *run.theta_cols, run.m_hat,
+                     *run.est_cols, *run.truth_cols, *run.det_filt, float(run.attached),
+                     float(run.latched)))
+        try:
+            run.y, run.thr = scenario.step_rk4(run.y, run.thr, run.t_cmd, wind, run.body)
+        except NonFinite as exc:
+            return f"{exc} at t={t:.4f} s"
+    return np.array(rows), run.events
+
+
+def assert_same_run(cfg):
+    """``run_scenario`` logs the same bits and events as ``per_step_run``."""
+    rows, events = per_step_run(cfg)
+    log = run_scenario(cfg)
+    assert log.data.tobytes() == rows.tobytes()
+    assert log.events == events
+    return log
+
+
 class TestScheduler:
+    """The engine steps from event to event; its logs equal, bit for bit, those of the
+    loop that tests every event predicate on every step (``per_step_run``)."""
+
+    @pytest.mark.parametrize("grasp_time, step", [
+        (1.0003, 2001), (0.20026, 401), (1.0, 2000), (-0.5, 0), (1e300, None), (1.7e308, None)])
+    def test_attach_off_the_grid(self, grasp_time, step):
+        """The payload attaches on the first step at or after its grasp time, however
+        far from a tick or from the run that is."""
+        cfg = load_config("grasp_estimate")
+        cfg = replace(cfg, duration=1.2, obj=replace(cfg.obj, grasp_time=grasp_time))
+        log = assert_same_run(cfg)
+        assert log.events["attach_time"] == (None if step is None else step * cfg.sim_dt)
+
+    def test_wind_rows_between_ticks_and_out_of_the_run(self):
+        """Rows that begin before 0, between ticks, two on one step (201), exactly on a
+        step (300), after the run, and so late that their step count overflows an int."""
+        inside = [(-0.5, (0.1, 0.0, 0.0)), (0.10013, (0.0, 0.2, 0.0)),
+                  (0.10014, (0.3, 0.0, 0.0)), (0.15, (0.0, -0.3, 0.0)),
+                  (0.20026, (0.0, 0.0, -0.4))]
+        outside = [(0.35, (0.5, 0.5, 0.0)), (1e300, (9.0, 0.0, 0.0)), (1e306, (0.0, 9.0, 0.0))]
+        cfg = replace(load_config("gate_wind"), duration=0.3, wind=inside + outside)
+        log = assert_same_run(cfg)
+        # the rows that never begin change nothing; the ones that do, do
+        assert run_scenario(replace(cfg, wind=inside)).data.tobytes() == log.data.tobytes()
+        assert run_scenario(replace(cfg, wind=inside[:1])).data.tobytes() != log.data.tobytes()
+
+    @pytest.mark.parametrize("control_hz", [400, 125])
+    @pytest.mark.parametrize("name", ["grasp_estimate", "hover_payload"])
+    def test_observer_and_servo_off_the_control_grid(self, name, control_hz):
+        """Observer ticks every 25 steps and servo ticks every 40, on and (at 125 Hz,
+        every 16 steps) off the control ticks."""
+        cfg = replace(load_config(name), duration=1.5, control_hz=control_hz, dob_hz=80,
+                      servo_hz=50)
+        log = assert_same_run(cfg)
+        assert (log.events["dob_ticks"], log.events["servo_ticks"]) == (120, 75)
+
+    def test_nonfinite_names_the_failing_step(self):
+        cfg = replace(parse_config(HOVER_QUIET.format(dur=0.5)),
+                      wind=[(0.30013, (1.7e308, 0.0, 0.0))])
+        message = per_step_run(cfg)
+        assert message == "state diverged during integration at t=0.3005 s"
+        with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+            run_scenario(cfg)
+
     def test_exact_tick_counts(self):
         cfg = parse_config(HOVER_QUIET.format(dur=0.1))
         log = run_scenario(cfg)
@@ -680,7 +774,7 @@ class TestEstimateRefresh:
                           "jtx_hat", "jty_hat", "jtz_hat", "kk_x", "kk_y", "kk_z")
         for k in rows:
             tot = update_total(am.mass, am_j, am_com, float(m_obj[k]), j_tilde, offset,
-                               theta[k].tolist(), cfg.arm.geom)
+                               forward_kin(cfg.arm.geom, theta[k].tolist()))
             kk = iags_gain(am_j, inverse3(am_j), tot.j_t_hat)
             want = [tot.m_t_hat, *tot.c_t, *tot.j_t_hat[::4], *kk]
             assert est[k].tolist() == [float(v) for v in want]
@@ -1671,6 +1765,23 @@ class TestCli:
         assert out.exists()
         header = out.read_text().splitlines()[0]
         assert header == "axis,j_scale,kk_scale,gm_db,pm_deg,w_gc,w_pc"
+
+    def test_sweep_default_grid_is_each_sweeps_own(self, monkeypatch, capsys):
+        """Without ``--grid-n`` each sweep runs on its own default grid (uncertainty 7,
+        workspace 9, which perfbench and compare_logs use); with it, on the one given."""
+        from amsim import freqdom
+        grids = []
+        for name in ("robustness_sweep", "workspace_kk_sweep"):
+            sweep = getattr(freqdom, name)
+            default = inspect.signature(sweep).parameters["grid_n"].default
+            monkeypatch.setattr(freqdom, name, lambda *a, sweep=sweep, default=default, **k:
+                                grids.append(k.get("grid_n", default)) or sweep(*a, **k))
+        for kind in ("--uncertainty", "--workspace"):
+            assert cli.main(["sweep", kind]) == 0
+            assert cli.main(["sweep", kind, "--grid-n", "5"]) == 0
+        assert grids == [7, 5, 9, 5]
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == "per-axis max scheduled gain: x=6.101 y=5.469 z=1.791"
 
     def test_estimate_unknown_label_exit_1(self, tmp_path, rng):
         from amsim.presense import sample_box_cloud

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -326,6 +327,25 @@ class TestCatalog:
         """A NaN fails every range check, so the catalog cannot hold it."""
         with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
             load_catalog(catalog_file(tmp_path, f"# header\n{line}\n"))
+
+    def test_read_once_per_file_version(self, tmp_path, monkeypatch):
+        """The file is opened again only when its modification time or size changes,
+        and the mapping it gives cannot be changed."""
+        path = catalog_file(tmp_path, "box | 1.0 | 1 1 1 | 100\n")
+        first = load_catalog(path)
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a) or 1 / 0)
+        assert load_catalog(path) is first and opened == []
+        monkeypatch.undo()
+        with pytest.raises(TypeError):
+            first["box"] = None  # read-only
+        catalog_file(tmp_path, "box | 1.0 | 1 1 1 | 2500\n")  # one byte longer
+        assert load_catalog(path)["box"].rho == 2500.0 and first["box"].rho == 100.0
+        text = "box | 1.0 | 1 1 1 | 2600\n"
+        catalog_file(tmp_path, text)  # the same size: a new modification time
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        assert load_catalog(path)["box"].rho == 2600.0
 
     def test_prior_is_hashable_floats(self):
         prior = ObjectPrior("t", 1.0, np.ones(3), 100.0)
