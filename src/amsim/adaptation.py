@@ -66,9 +66,9 @@ def update_total(m_a: float, j_a, p_b, obj_mass, obj_moi, grasp_offset,
     """Composite mass/CoM/MoI of vehicle plus grasped object at the current pose.
 
     Vectors are three floats and inertias nine row-major floats; the object CoM
-    sits at ``platform`` (the arm's ``forward_kin``) + grasp_offset in the arm frame. With no object
-    mass (the observer clamps its estimate to 0) the bare vehicle parameters
-    come back as new lists. Both bodies must already be valid (the vehicle at
+    sits at ``platform`` (the arm's ``forward_kin``) + grasp_offset in the arm
+    frame. With no object mass (the observer clamps its estimate to 0) the bare
+    vehicle parameters come back as new lists. Both bodies must already be valid (the vehicle at
     config load, the object where its inertia is built): ``composite`` checks nothing.
     """
     if obj_mass <= 0.0:
