@@ -10,9 +10,11 @@ then one line per run (marked ``bit-identical`` when the two logs have the
 same bytes), the count of bit-identical runs and the count of runs whose
 files have equal digests. Each tree also analyses each log as ``amsim
 metrics`` and ``compare`` do: the ``evaluate`` channels at the scenario's
-``eval_start``, the ``declare_convergence`` times and, for the iags run,
-``compare_runs`` against the baseline run of its scenario; the script counts
-the runs whose analysis has the same bits in both trees. Each tree also runs
+``eval_start``, the ``declare_convergence`` times, the margins of the rate
+loop each run ended with (per axis, from its last logged ``kk_*`` and
+``jt*_true``) and, for the iags run, ``compare_runs`` against the baseline
+run of its scenario; the script counts the runs whose analysis has the same
+bits in both trees. Each tree also runs
 the offline sweeps of the default vehicle (``SWEEPS``): every cell of the
 uncertainty grid and the workspace maxima with their joint angles. It exits
 1 when any log difference exceeds ``TOL`` (a NaN where the other tree has a
@@ -67,12 +69,29 @@ def dump(src: str, out: str) -> None:
                 meta[key] = {"names": log.names, "events": log.events, **digests,
                              "metrics": hex_floats({
                                  "evaluate": metrics.evaluate(log, cfg.eval_start).channels,
-                                 "converged": metrics.declare_convergence(log)})}
+                                 "converged": metrics.declare_convergence(log),
+                                 "final_loop": final_loop_margins(cfg, log)})}
             meta[f"{name}/iags"]["metrics"]["compare_baseline"] = hex_floats(
                 metrics.compare_runs(logs["iags"], logs["baseline"], cfg.eval_start))
     arrays.update(sweeps())
     np.savez(out, **arrays)
     Path(out + ".json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def final_loop_margins(cfg, log) -> list:
+    """Per axis, the margins (GM, PM, w_gc, w_pc) of the rate loop the run
+    ended with: the last logged scheduled gain on the true total inertia, the
+    loop whose phase margin perfbench reports as ``min_pm_deg``."""
+    from amsim.freqdom import margins, open_loop_tf
+
+    g, rotor = cfg.gains, cfg.vehicle.rotor
+    kk = log.columns("kk_x", "kk_y", "kk_z")[-1].tolist()
+    j_true = log.columns("jtx_true", "jty_true", "jtz_true")[-1].tolist()
+    reports = [margins(open_loop_tf(g.rate_kp[a], g.rate_ki[a], g.rate_kd[a], k_k=kk[a],
+                                    k_m=rotor.k_m, tau_m=rotor.tau_m, j=j_true[a]))
+               for a in range(3)]
+    return [(r.gain_margin_db, r.phase_margin_deg, r.gain_crossover, r.phase_crossover)
+            for r in reports]
 
 
 def hex_floats(value):
@@ -163,7 +182,8 @@ def compare(ref, new) -> int:
         same_metrics = ref_meta[key]["metrics"] == new_meta[key]["metrics"]
         metrics_equal += same_metrics
         if not same_metrics:
-            problems.append(f"{key}: evaluate, declare_convergence or compare_runs differs")
+            problems.append(f"{key}: evaluate, declare_convergence, the final-loop margins "
+                            "or compare_runs differs")
         ev_a, ev_b = ref_meta[key]["events"], new_meta[key]["events"]
         for ev in sorted(set(ev_a) & set(ev_b)):
             if ev_a[ev] != ev_b[ev]:

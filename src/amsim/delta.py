@@ -87,24 +87,28 @@ def forward_kin(geom: DeltaGeometry, theta) -> tuple:
     return trilaterate(geom, *sphere_centres(geom, theta))
 
 
-def trilaterate(geom: DeltaGeometry, c1, c2, c3) -> tuple:
+def _refuse(bad, why: str) -> None:
+    if bad:
+        raise NoIntersection(why)
+
+
+def trilaterate(geom: DeltaGeometry, c1, c2, c3, sqrt=math.sqrt, refuse=_refuse) -> tuple:
     """The lower (platform below the base plane) of the two points at
     ``forearm_len`` from the three sphere centres, as three floats.
 
-    Raises NoIntersection when the three spheres do not share a point.
+    Raises NoIntersection when the three spheres do not share a point. The
+    arithmetic is plain, so the coordinates may be arrays: see ``trilaterate_lanes``.
     """
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = c1, c2, c3
     ex0, ex1, ex2 = x2 - x1, y2 - y1, z2 - z1
-    d = math.sqrt(ex0 * ex0 + ex1 * ex1 + ex2 * ex2)
-    if d < 1e-12:
-        raise NoIntersection("coincident sphere centers")
+    d = sqrt(ex0 * ex0 + ex1 * ex1 + ex2 * ex2)
+    refuse(d < 1e-12, "coincident sphere centers")
     ex0, ex1, ex2 = ex0 / d, ex1 / d, ex2 / d
     t0, t1, t2 = x3 - x1, y3 - y1, z3 - z1
     i_coord = ex0 * t0 + ex1 * t1 + ex2 * t2
     ey0, ey1, ey2 = t0 - i_coord * ex0, t1 - i_coord * ex1, t2 - i_coord * ex2
-    j_coord = math.sqrt(ey0 * ey0 + ey1 * ey1 + ey2 * ey2)
-    if j_coord < 1e-12:
-        raise NoIntersection("collinear sphere centers")
+    j_coord = sqrt(ey0 * ey0 + ey1 * ey1 + ey2 * ey2)
+    refuse(j_coord < 1e-12, "collinear sphere centers")
     ey0, ey1, ey2 = ey0 / j_coord, ey1 / j_coord, ey2 / j_coord
     ez0, ez1, ez2 = cross3((ex0, ex1, ex2), (ey0, ey1, ey2))
 
@@ -112,14 +116,23 @@ def trilaterate(geom: DeltaGeometry, c1, c2, c3) -> tuple:
     x = 0.5 * d  # equal radii
     y = (i_coord * i_coord + j_coord * j_coord - 2.0 * i_coord * x) / (2.0 * j_coord)
     z2 = r2 - x * x - y * y
-    if z2 < -1e-12 * r2:
-        raise NoIntersection("forearm spheres do not intersect")
-    z = math.sqrt(max(z2, 0.0))
+    refuse(z2 < -1e-12 * r2, "forearm spheres do not intersect")
+    z = sqrt(z2 - z2 * (z2 < 0.0))  # z2 clamped at 0 where the spheres just touch
 
     b0, b1, b2 = x1 + x * ex0 + y * ey0, y1 + x * ex1 + y * ey1, z1 + x * ex2 + y * ey2
-    if not b2 + z * ez2 <= b2 - z * ez2:
-        z = -z  # the other intersection is the lower one
+    z = z * (2.0 * (b2 + z * ez2 <= b2 - z * ez2) - 1.0)  # -z where the other point is lower
     return b0 + z * ez0, b1 + z * ez1, b2 + z * ez2
+
+
+def trilaterate_lanes(geom: DeltaGeometry, c1, c2, c3) -> tuple:
+    """``trilaterate`` of arrays of centre coordinates, with numpy's square root
+    and each refusal's condition kept instead of raised, as ``(point, ok)``: three
+    arrays whose every lane has the bits of the float call, and a mask that is
+    False exactly where the float call raises (those lanes hold no point)."""
+    bad = []
+    with np.errstate(all="ignore"):
+        point = trilaterate(geom, c1, c2, c3, np.sqrt, lambda b, _: bad.append(b))
+    return point, ~(bad[0] | bad[1] | bad[2])
 
 
 def inverse_kin(geom: DeltaGeometry, p) -> tuple:

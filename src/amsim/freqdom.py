@@ -46,12 +46,9 @@ class RationalTF:
     den: tuple
 
     def __post_init__(self):
-        num = _trim(self.num)
-        den = _trim(self.den)
+        num, den = _trim(self.num) or (0.0,), _trim(self.den)
         if not den or den[-1] == 0.0:
             raise ValueError("denominator must have a nonzero leading coefficient")
-        if not num:
-            num = (0.0,)
         if not all(math.isfinite(c) for c in num + den):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "num", num)
@@ -119,45 +116,45 @@ def _jw_parts(polys) -> tuple:
     coeffs = np.zeros((len(polys), width + width % 2))
     for row, p in zip(coeffs, polys):
         row[:len(p)] = p
-    a, b = coeffs[:, 0::2].copy(), coeffs[:, 1::2].copy()
-    a[:, 1::2] *= -1.0
-    b[:, 1::2] *= -1.0
-    return a, b
+    coeffs[:, np.arange(coeffs.shape[1]) % 4 >= 2] *= -1.0  # j^k = -1 or -j: k = 2, 3 mod 4
+    return coeffs[:, 0::2], coeffs[:, 1::2]
 
 
 def _band_roots(polys, lo: float, hi: float) -> list:
-    """Per polynomial, the frequencies in [lo, hi] whose squares u > 0 are its real roots.
+    """Per row of the array ``polys`` (ascending powers, zero-padded), the
+    frequencies in [lo, hi], lo > 0, whose squares u > 0 are its real roots.
 
     Leading terms that stay below the rounding of the largest term all over
     the band (u up to hi^2) are dropped first: their extra roots lie far
     beyond the band, and a tiny leading coefficient would overflow the
     companion matrix. Exactly zero low-order terms are roots u = 0, divided
-    out; a linear rest has its root in closed form. The companion matrices
-    of one size share one ``np.linalg.eigvals`` call.
+    out; a linear rest has its root in closed form. The rows are trimmed as
+    arrays, and the companion matrices of one size share one ``eigvals`` call.
     """
-    roots = []
-    companions = {}  # size -> (polynomial index, first column) pairs
-    log2_u_top = math.log2(hi * hi)
-    for i, poly in enumerate(polys):
-        size = [math.log2(abs(c)) + k * log2_u_top if c else -math.inf
-                for k, c in enumerate(poly)]
-        top = max(size)
-        n = max((k for k, v in enumerate(size) if v > top - 52.0), default=0)
-        low = next((k for k, c in enumerate(poly[:n]) if c), n)
-        poly = poly[low:n + 1]
-        n -= low
-        roots.append([-poly[0] / poly[1]] if n == 1 else [])
-        if n > 1:
-            companions.setdefault(n, []).append(
-                (i, [-c / poly[n] for c in reversed(poly[:n])]))
-    for n, group in companions.items():
-        stack = np.empty((len(group), n, n))
-        stack[:] = np.eye(n, k=1)
-        stack[:, :, 0] = [column for _, column in group]
-        for (i, _), eig in zip(group, np.linalg.eigvals(stack).tolist()):
-            roots[i] = [u.real for u in eig if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real))]
-    return [[w for w in (math.sqrt(u) for u in r if u > 0.0) if lo <= w <= hi]
-            for r in roots]
+    cols = np.arange(polys.shape[1])
+    nonzero = polys != 0.0
+    size = np.full(polys.shape, -math.inf)
+    size[nonzero] = list(map(math.log2, np.abs(polys[nonzero]).tolist()))
+    size += cols * math.log2(hi * hi)
+    keep = size > size.max(axis=1, keepdims=True) - 52.0
+    n = np.where(keep, cols, 0).max(axis=1)
+    low = np.where(nonzero & (cols < n[:, None]), cols, n[:, None]).min(axis=1)
+    degree = n - low
+    roots = [[] for _ in polys]
+    for d in np.unique(degree[degree > 0]).tolist():
+        rows = np.flatnonzero(degree == d)
+        top = low[rows, None] + d  # the column of each rest's leading coefficient
+        u = -polys[rows[:, None], top - 1 - np.arange(d)] / polys[rows[:, None], top]  # d = 1: root
+        if d > 1:  # the companion matrices' eigenvalues
+            stack = np.repeat(np.eye(d, k=1)[None], len(rows), axis=0)
+            stack[:, :, 0] = u
+            u = np.linalg.eigvals(stack)
+        real = np.abs(u.imag) <= 1e-9 * np.maximum(1.0, np.abs(u.real))
+        w = np.sqrt(np.where(real & (u.real > 0.0), u.real, 0.0))  # 0 < lo: no frequency
+        ok = (lo <= w) & (w <= hi)
+        for i, w_row, ok_row in zip(rows.tolist(), w.tolist(), ok.tolist()):
+            roots[i] = [x for x, keep_x in zip(w_row, ok_row) if keep_x]
+    return roots
 
 
 def margins(tf: RationalTF, band=DEFAULT_BAND) -> MarginReport:
@@ -195,11 +192,11 @@ def margins_stack(tfs, band=DEFAULT_BAND) -> list:
     a, b = _jw_parts([tf.num for tf in tfs] + [tf.den for tf in tfs])
     na, nb, da, db = a[:k], b[:k], a[k:], b[k:]
     gain_polys = (_polymul(na, na) + _polymul(nb, nb, 1)
-                  - _polymul(da, da) - _polymul(db, db, 1)).tolist()
+                  - _polymul(da, da) - _polymul(db, db, 1))
     cross_re = (_polymul(na, da) + _polymul(nb, db, 1)).tolist()
-    cross_im = (_polymul(nb, da) - _polymul(na, db)).tolist()
+    cross_im = _polymul(nb, da) - _polymul(na, db)
 
-    roots = _band_roots(gain_polys + cross_im, lo, hi)
+    roots = _band_roots(np.concatenate([gain_polys, cross_im]), lo, hi)
     reports = []
     for tf, gain_roots, phase_roots, re in zip(tfs, roots[:k], roots[k:], cross_re):
         pm_candidates = []
@@ -212,8 +209,7 @@ def margins_stack(tfs, band=DEFAULT_BAND) -> list:
         gm_candidates = [(-20.0 * math.log10(abs(freq_response(tf, wpc))), wpc)
                          for wpc in phase_roots if _polyval(re, wpc * wpc) < 0.0]
         gm, w_pc = min(gm_candidates) if gm_candidates else (math.inf, math.nan)
-        reports.append(MarginReport(gain_margin_db=gm, phase_margin_deg=pm,
-                                    gain_crossover=w_gc, phase_crossover=w_pc))
+        reports.append(MarginReport(gm, pm, w_gc, w_pc))
     return reports
 
 
@@ -231,24 +227,19 @@ def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.
     if grid_n < 5:
         raise ValueError("grid_n must be at least 5")
     j_a_diag = np.asarray(j_a_diag, dtype=float).reshape(3)
-    for lo, hi in box:
-        if not 0.0 < lo <= hi:
-            raise ValueError("box bounds must satisfy 0 < lo <= hi per axis")
-    worst = {}
-    rows = []
-    for axis in range(3):
-        lo, hi = box[axis]
-        scales = list(product(np.linspace(lo, hi, grid_n).tolist(), repeat=2))
-        reports = margins_stack([
-            open_loop_tf(gains.rate_kp[axis], gains.rate_ki[axis], gains.rate_kd[axis],
-                         k_k=sk, k_m=k_m, tau_m=tau_m, j=float(j_a_diag[axis] * sj))
-            for sj, sk in scales], band=band)
-        cells = [(axis, sj, sk, rep) for (sj, sk), rep in zip(scales, reports)]
-        # the first of equal (phase margin, crossover) keys is the worst cell
-        _, sj, sk, rep = min(cells, key=lambda c: (c[3].phase_margin_deg, c[3].gain_crossover))
-        worst[axis] = (rep, sj, sk)
-        rows += cells
-    return worst, rows
+    if not all(0.0 < lo <= hi for lo, hi in box):
+        raise ValueError("box bounds must satisfy 0 < lo <= hi per axis")
+    cells = [(axis, sj, sk) for axis in range(3)
+             for sj, sk in product(np.linspace(*box[axis], grid_n).tolist(), repeat=2)]
+    reports = margins_stack([
+        open_loop_tf(gains.rate_kp[axis], gains.rate_ki[axis], gains.rate_kd[axis],
+                     k_k=sk, k_m=k_m, tau_m=tau_m, j=float(j_a_diag[axis] * sj))
+        for axis, sj, sk in cells], band=band)
+    rows = [(*cell, rep) for cell, rep in zip(cells, reports)]
+    n = grid_n * grid_n  # cells per axis; the first of equal keys is the worst cell
+    worst = [min(rows[axis * n:(axis + 1) * n],
+                 key=lambda c: (c[3].phase_margin_deg, c[3].gain_crossover)) for axis in range(3)]
+    return {axis: (rep, sj, sk) for axis, sj, sk, rep in worst}, rows
 
 
 def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
@@ -264,38 +255,34 @@ def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
     of the largest scheduled gain J_a^-1 J_t encountered and ``argmax_theta``
     each maximum's joint angles as three floats, or None where no pose exceeds 1 (every
     axis of a zero payload mass). Raises ValueError for a negative or non-finite payload
-    mass, payload dims that are not all positive and finite, or ``grid_n < 1``.
+    mass or pad height, payload dims that are not all positive and finite, or ``grid_n < 1``.
     """
     if grid_n < 1:
         raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     dims = as_floats(payload_dims, 3, "payload dims", "positive")
     as_floats([payload_mass], 1, "payload mass", "non-negative")
+    as_floats([pad_height], 1, "pad height", "non-negative")
     maxima, argmax = np.ones(3), [None, None, None]
     if payload_mass == 0.0:
         return maxima, argmax
     j_obj = box_inertia(payload_mass, dims).ravel().tolist()  # diagonal: valid as built
     ox, oy, oz = presense.top_grasp_offset(dims[2], pad_height)
-    lo, hi = geom.joint_limits
-    grid = np.linspace(lo, hi, grid_n).tolist()
+    grid = np.linspace(*geom.joint_limits, grid_n).tolist()
     # each arm's sphere centre at each grid angle, built once: forward_kin's floats
-    centres = [delta.sphere_centres(geom, (g, g, g)) for g in grid]
-    poses, points = [], []
-    for i, j, k in product(range(len(grid)), repeat=3):
-        try:
-            px, py, pz = delta.trilaterate(geom, centres[i][0], centres[j][1], centres[k][2])
-        except delta.KinematicsError:
-            continue
-        poses.append((grid[i], grid[j], grid[k]))
-        points.append((px + ox, py + oy, pz + oz))
-    if not poses:
+    table = np.array([delta.sphere_centres(geom, (g, g, g)) for g in grid])
+    poses = np.indices((grid_n,) * 3).reshape(3, -1)  # grid indices, in product order
+    (px, py, pz), ok = delta.trilaterate_lanes(
+        geom, *(table[i, arm].T for arm, i in enumerate(poses)))
+    if not ok.any():
         return maxima, argmax
+    poses = poses[:, ok]
     # one composite over every feasible pose: the payload CoM as three arrays
     j_a = [v for row in vehicle.inertia_about_com for v in row]
     _, _, j_t = composite(vehicle.mass, vehicle.com, j_a, payload_mass,
-                          list(np.array(points).T), j_obj)
+                          [px[ok] + ox, py[ok] + oy, pz[ok] + oz], j_obj)
     for axis, kk in enumerate(iags_gain(j_a, inverse3(j_a), j_t)):
         k = int(np.argmax(kk))  # the first pose of the largest gain, as a strict > scan
         if kk[k] > 1.0:
             maxima[axis] = kk[k]
-            argmax[axis] = poses[k]
+            argmax[axis] = tuple(grid[i] for i in poses[:, k])
     return maxima, argmax

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amsim.delta import (DeltaGeometry, NoIntersection,
                          OutOfLimits, Singular, Unreachable, forward_kin,
-                         inverse_kin, jacobian, joint_command, servo_step)
+                         inverse_kin, jacobian, joint_command, servo_step,
+                         sphere_centres, trilaterate, trilaterate_lanes)
 
 
 def fd_jacobian(geom, theta, h=1e-6):
@@ -442,3 +444,71 @@ class TestScreenedJointCommand:
         assert log.events["servo_ticks"] == 1000 and log.events["kin_fallbacks"] == 0
         assert np.ptp(log.column("theta1")) > 0.1  # the arm sweeps all run
         assert calls == []
+
+
+def compare_lanes(geom, triples) -> list:
+    """``trilaterate_lanes`` of ``triples`` (three centres each) against one float
+    ``trilaterate`` call per triple: a lane reads infeasible exactly where the call
+    raises, and otherwise holds its bits. Returns each triple's outcome: the refusal's
+    message, "nan" for a NaN point, or the sign of the z part of (c2 - c1) x (c3 - c1),
+    which decides whether the lower point is the flipped one."""
+    (px, py, pz), ok = trilaterate_lanes(geom, *(np.array(c, dtype=float).T
+                                                 for c in zip(*triples)))
+    outcomes = []
+    for i, (c1, c2, c3) in enumerate(triples):
+        try:
+            want = np.array(trilaterate(geom, c1, c2, c3))
+        except NoIntersection as exc:
+            assert not ok[i]
+            outcomes.append(str(exc))
+            continue
+        assert ok[i]
+        got = np.array([px[i], py[i], pz[i]])
+        if np.isnan(want).all():  # NaN in, NaN out; a NaN's sign bit carries nothing
+            assert np.isnan(got).all()
+            outcomes.append("nan")
+            continue
+        assert got.tobytes() == want.tobytes()
+        u, v = np.subtract(c2, c1), np.subtract(c3, c1)
+        outcomes.append(float(np.sign(u[0] * v[1] - u[1] * v[0])))
+    return outcomes
+
+
+centre = st.tuples(*[st.floats(-0.2, 0.2)] * 3)
+
+
+@st.composite
+def centre_triples(draw):
+    """Random centre triples, some made coincident, collinear or swapped."""
+    c1, c2, c3 = draw(centre), draw(centre), draw(centre)
+    kind = draw(st.sampled_from(["random", "swapped", "coincident", "collinear"]))
+    if kind == "swapped":
+        c2, c3 = c3, c2
+    elif kind == "coincident":
+        c2 = c1
+    elif kind == "collinear":
+        t = draw(st.floats(-2.0, 2.0))
+        c3 = tuple(a + t * (b - a) for a, b in zip(c1, c2))
+    return c1, c2, c3
+
+
+class TestTrilaterateLanes:
+    """Every lane of the array call has the bits and the refusals of the float call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(centre_triples(), min_size=1, max_size=20),
+           st.sampled_from([0.05, 0.16, 0.3]))
+    def test_lanes_equal_float_calls(self, triples, forearm_len):
+        compare_lanes(DeltaGeometry(forearm_len=forearm_len), triples)
+
+    def test_every_refusal_and_both_flips(self, geom, rng):
+        thetas = [rng.uniform(*geom.joint_limits, 3).tolist() for _ in range(200)]
+        triples = [tuple(sphere_centres(geom, th)) for th in thetas]
+        triples += [(c1, c3, c2) for c1, c2, c3 in triples]  # the other orientation
+        triples += [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, 0.0, 0.0)),   # coincident
+                    ((0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.0, 0.0)),   # collinear
+                    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),   # disjoint
+                    ((math.nan, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 0.1, 0.0))]
+        assert set(compare_lanes(geom, triples)) == {
+            -1.0, 1.0, "nan", "coincident sphere centers", "collinear sphere centers",
+            "forearm spheres do not intersect"}

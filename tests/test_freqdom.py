@@ -596,6 +596,60 @@ def companion_band_roots(poly, lo, hi):
     return [x for x in w if lo <= x <= hi]
 
 
+def per_poly_band_roots(polys, lo, hi):
+    """The former ``_band_roots``, one Python list per polynomial: the array code's
+    reference for every bit."""
+    roots = []
+    companions = {}  # size -> (polynomial index, first column) pairs
+    log2_u_top = math.log2(hi * hi)
+    for i, poly in enumerate(polys):
+        size = [math.log2(abs(c)) + k * log2_u_top if c else -math.inf
+                for k, c in enumerate(poly)]
+        top = max(size)
+        n = max((k for k, v in enumerate(size) if v > top - 52.0), default=0)
+        low = next((k for k, c in enumerate(poly[:n]) if c), n)
+        poly = poly[low:n + 1]
+        n -= low
+        roots.append([-poly[0] / poly[1]] if n == 1 else [])
+        if n > 1:
+            companions.setdefault(n, []).append(
+                (i, [-c / poly[n] for c in reversed(poly[:n])]))
+    for n, group in companions.items():
+        stack = np.empty((len(group), n, n))
+        stack[:] = np.eye(n, k=1)
+        stack[:, :, 0] = [column for _, column in group]
+        for (i, _), eig in zip(group, np.linalg.eigvals(stack).tolist()):
+            roots[i] = [u.real for u in eig if abs(u.imag) <= 1e-9 * max(1.0, abs(u.real))]
+    return [[w for w in (math.sqrt(u) for u in r if u > 0.0) if lo <= w <= hi]
+            for r in roots]
+
+
+def padded(rows) -> np.ndarray:
+    """The rows as one array, zero-padded at the top to the longest."""
+    out = np.zeros((len(rows), max(map(len, rows), default=0) or 1))
+    for row, poly in zip(out, rows):
+        row[:len(poly)] = poly
+    return out
+
+
+CLOSE_ROOT = float.fromhex("0x1.4375336c473d3p+17")
+
+coefficient = st.one_of(st.just(0.0), st.builds(
+    lambda m, e, sign: sign * m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-12, 12),
+    st.sampled_from([-1.0, 1.0])))
+
+
+@st.composite
+def poly_rows(draw):
+    """Polynomials in u with up to three zero low-order terms, random middle terms
+    (none: an all-zero row; one: a linear rest after the zeros; zeros among them), and
+    a leading term that may be far below rounding over the band."""
+    return [[0.0] * draw(st.integers(0, 3))
+            + draw(st.lists(coefficient, max_size=6))
+            + draw(st.sampled_from([[], [1e-40], [-3e-35], [2e-300]])) or [0.0]
+            for _ in range(draw(st.integers(1, 12)))]
+
+
 class TestBandRoots:
     """Zero roots u = 0 are divided out before any eigenvalue is taken."""
 
@@ -613,18 +667,47 @@ class TestBandRoots:
                               (rep.phase_crossover, ref.phase_crossover)):
                 assert got == pytest.approx(want, rel=1e-12, abs=0, nan_ok=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(poly_rows(), st.sampled_from([DEFAULT_BAND, (1e-3, 1e5)]))
+    # with hi = 512 every size is exact: at u = hi^2, 2^-70 u^2 is exactly 2^-52 of
+    # u, so it is dropped and the root near u = 1.66e5 is solved in closed form, while
+    # 2^-69 u^2 is kept and the eigenvalue differs in its last bit; the roots u = 1
+    # and u = hi^2 lie on the band's edges
+    @example([[-CLOSE_ROOT, 1.0, -2.0 ** -70], [-CLOSE_ROOT, 1.0, -2.0 ** -69], [-1.0, 1.0],
+              [-512.0 ** 2, 1.0]], (1.0, 512.0))
+    def test_equals_per_polynomial_code_bitwise(self, rows, band):
+        """The array trim, division, companion columns and filter give the former
+        per-polynomial code's list of roots, bit for bit, in its order."""
+        assert freqdom._band_roots(padded(rows), *band) == per_poly_band_roots(rows, *band)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.25, 4.0, 30.0, 900.0, 2.5e4, 1.6e5, 1e7, -50.0,
+                                     -1e3]), min_size=1, max_size=4, unique=True),
+           st.integers(0, 2), st.floats(1e-6, 1e6), st.sampled_from([[], [1e-300]]))
+    def test_known_roots_equal_companion_oracle(self, u_roots, zeros, scale, negligible):
+        """Polynomials with known roots u, zero roots and a leading term below
+        rounding: the roots in the band, as the companion oracle finds them."""
+        poly = [0.0] * zeros + (scale * P.polyfromroots(u_roots)).tolist() + negligible
+        got = freqdom._band_roots(np.array([poly, [0.0] * len(poly)]), *DEFAULT_BAND)
+        want = sorted(math.sqrt(u) for u in u_roots if 1.0 <= u <= 600.0 ** 2)
+        assert got[1] == []
+        assert sorted(got[0]) == pytest.approx(want, rel=1e-9)
+        assert sorted(got[0]) == pytest.approx(
+            sorted(companion_band_roots(poly, *DEFAULT_BAND)), rel=1e-9)
+
     def test_zero_constant_term_has_no_zero_root(self, monkeypatch):
         lo, hi = 1e-300, 1e3
         cases = [([0.0, -4.0, 1.0], [2.0]),                  # u (u - 4)
                  ([0.0, 0.0, 9.0, -10.0, 1.0], [1.0, 3.0]),  # u^2 (u - 1)(u - 9)
                  ([0.0, 0.0, 5.0], []), ([0.0, 3.0], [])]
         for poly, want in cases:
-            assert sorted(freqdom._band_roots([poly], lo, hi)[0]) == pytest.approx(want,
-                                                                                 rel=1e-14)
+            assert sorted(freqdom._band_roots(np.array([poly]), lo, hi)[0]) == pytest.approx(
+                want, rel=1e-14)
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
-        assert freqdom._band_roots([[0.0, -4.0, 1.0], [0.0, 0.0, 5.0]], lo, hi) == [[2.0], []]
+        assert freqdom._band_roots(np.array([[0.0, -4.0, 1.0], [0.0, 0.0, 5.0]]), lo,
+                                   hi) == [[2.0], []]
         assert calls == []
         # a rate loop's phase polynomial has a zero constant term: one
         # eigenvalue call per margins, for the gain polynomial
@@ -811,6 +894,8 @@ class TestRobustnessSweep:
             got, sj, sk = worst[axis]
             assert got.phase_margin_deg == pytest.approx(rep.phase_margin_deg,
                                                          abs=1e-9)
+            # every cell of the axis ties: the first one is the worst
+            assert got is next(r for r in rows if r[0] == axis)[3]
 
     def test_diagonal_invariance(self):
         worst, rows = robustness_sweep(Gains(), J_A_DIAG, grid_n=5)
@@ -830,17 +915,30 @@ class TestRobustnessSweep:
             robustness_sweep(Gains(), J_A_DIAG, grid_n=4)
 
     def test_rows_equal_per_cell_margins_bitwise(self):
+        self.assert_rows_equal_per_cell_margins(Gains(), DEFAULT_UNCERTAINTY_BOX, 1.3, 0.025)
+
+    @pytest.mark.parametrize("g, box, k_m, tau_m", [
+        (Gains(), DEFAULT_UNCERTAINTY_BOX, 1.0, 0.02),
+        # PID, PI and P-only loops in the one stack of all three axes
+        (Gains(rate_ki=(0.2, 0.1, 0.0), rate_kd=(0.003, 0.0, 0.0)),
+         ((1.0, 4.7), (0.5, 2.0), (1.0, 1.0)), 1.0, 0.02)], ids=["shipped", "mixed_degrees"])
+    def test_rows_equal_per_cell_margins_bitwise_mixed_stacks(self, g, box, k_m, tau_m):
+        self.assert_rows_equal_per_cell_margins(g, box, k_m, tau_m)
+
+    @staticmethod
+    def assert_rows_equal_per_cell_margins(g, box, k_m, tau_m):
         """Every row is the cell's own ``margins`` call, in grid order, and the
         worst cell is the first of the smallest (phase margin, crossover)."""
-        g, grid_n = Gains(), 7
-        worst, rows = robustness_sweep(g, J_A_DIAG, k_m=1.3, tau_m=0.025, grid_n=grid_n)
+        grid_n = 7
+        worst, rows = robustness_sweep(g, J_A_DIAG, k_m=k_m, tau_m=tau_m, box=box,
+                                       grid_n=grid_n)
         want = []
         for axis in range(3):
-            lo, hi = DEFAULT_UNCERTAINTY_BOX[axis]
+            lo, hi = box[axis]
             for sj in np.linspace(lo, hi, grid_n).tolist():
                 for sk in np.linspace(lo, hi, grid_n).tolist():
                     tf = open_loop_tf(g.rate_kp[axis], g.rate_ki[axis], g.rate_kd[axis],
-                                      k_k=sk, k_m=1.3, tau_m=0.025,
+                                      k_k=sk, k_m=k_m, tau_m=tau_m,
                                       j=float(J_A_DIAG[axis] * sj))
                     want.append((axis, sj, sk, margins(tf)))
         assert [r[:3] for r in rows] == [w[:3] for w in want]
@@ -971,9 +1069,9 @@ class TestWorkspaceSweep:
             assert gains == []
 
     def test_centres_built_once_per_grid_angle(self, vehicle_params, monkeypatch):
-        """Each grid angle's sphere centres are built once, each pose is one
-        trilateration, and forward_kin is not called."""
-        calls = {"sphere_centres": 0, "trilaterate": 0}
+        """Each grid angle's sphere centres are built once, every pose is a lane
+        of one trilateration, and forward_kin is not called."""
+        calls = {"sphere_centres": 0, "trilaterate_lanes": 0, "trilaterate": 0}
         for name in calls:
             def counted(*args, inner=getattr(delta, name), name=name):
                 calls[name] += 1
@@ -981,7 +1079,7 @@ class TestWorkspaceSweep:
             monkeypatch.setattr(delta, name, counted)
         monkeypatch.setattr(delta, "forward_kin", None)
         workspace_kk_sweep(DeltaGeometry(), 0.4, (0.2, 0.2, 0.2), vehicle_params, grid_n=9)
-        assert calls == {"sphere_centres": 9, "trilaterate": 9 ** 3}
+        assert calls == {"sphere_centres": 9, "trilaterate_lanes": 1, "trilaterate": 1}
 
     def test_zero_mass_identity(self, vehicle_params):
         maxima, argmax = workspace_kk_sweep(DeltaGeometry(), 0.0, [0.2, 0.2, 0.2],
@@ -989,12 +1087,16 @@ class TestWorkspaceSweep:
         np.testing.assert_array_equal(maxima, np.ones(3))
         assert argmax == [None, None, None]  # the form of an axis no pose raises
 
-    @pytest.mark.parametrize("mass, grid_n", [(-1.0, 9), (math.nan, 9),
-                                              (math.inf, 9), (0.4, 0), (0.0, 0)])
-    def test_bad_inputs_rejected(self, vehicle_params, mass, grid_n):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mass, grid_n, pad_height", [
+        *(pytest.param(m, n, 0.01, id=f"{m}-{n}")
+          for m, n in [(-1.0, 9), (math.nan, 9), (math.inf, 9), (0.4, 0), (0.0, 0)]),
+        (0.4, 9, math.nan), (0.4, 9, math.inf), (0.4, 9, -0.01), (0.0, 9, math.nan)])
+    def test_bad_inputs_rejected(self, vehicle_params, mass, grid_n, pad_height):
+        """A bad pad height is refused too, not read as "no pose raises the gain"."""
         with pytest.raises(ValueError):
             workspace_kk_sweep(DeltaGeometry(), mass, [0.2, 0.2, 0.2],
-                               vehicle_params, grid_n=grid_n)
+                               vehicle_params, grid_n=grid_n, pad_height=pad_height)
 
     @pytest.mark.parametrize("mass", [0.4, 0.0])
     @pytest.mark.parametrize("dims", [[-0.2, 0.2, 0.2], [0.2, 0.0, 0.2],
