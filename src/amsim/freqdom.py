@@ -140,21 +140,21 @@ def _band_roots(polys, lo: float, hi: float) -> list:
     n = np.where(keep, cols, 0).max(axis=1)
     low = np.where(nonzero & (cols < n[:, None]), cols, n[:, None]).min(axis=1)
     degree = n - low
-    roots = [[] for _ in polys]
-    for d in np.unique(degree[degree > 0]).tolist():
+    u = np.zeros(polys.shape, complex)  # each row's roots u, padded with zeros
+    for d in set(degree.tolist()) - {0}:
         rows = np.flatnonzero(degree == d)
         top = low[rows, None] + d  # the column of each rest's leading coefficient
-        u = -polys[rows[:, None], top - 1 - np.arange(d)] / polys[rows[:, None], top]  # d = 1: root
-        if d > 1:  # the companion matrices' eigenvalues
+        col = -polys[rows[:, None], top - 1 - np.arange(d)] / polys[rows[:, None], top]
+        if d > 1:  # the companion matrices' eigenvalues; a linear rest's root is col
             stack = np.repeat(np.eye(d, k=1)[None], len(rows), axis=0)
-            stack[:, :, 0] = u
-            u = np.linalg.eigvals(stack)
-        real = np.abs(u.imag) <= 1e-9 * np.maximum(1.0, np.abs(u.real))
-        w = np.sqrt(np.where(real & (u.real > 0.0), u.real, 0.0))  # 0 < lo: no frequency
-        ok = (lo <= w) & (w <= hi)
-        for i, w_row, ok_row in zip(rows.tolist(), w.tolist(), ok.tolist()):
-            roots[i] = [x for x, keep_x in zip(w_row, ok_row) if keep_x]
-    return roots
+            stack[:, :, 0] = col
+            col = np.linalg.eigvals(stack)
+        u[rows, :d] = col
+    real = np.abs(u.imag) <= 1e-9 * np.maximum(1.0, np.abs(u.real))
+    w = np.sqrt(np.where(real & (u.real > 0.0), u.real, 0.0))  # 0 < lo: no frequency
+    ok = (lo <= w) & (w <= hi)
+    return [[x for x, keep_x in zip(w_row, ok_row) if keep_x]
+            for w_row, ok_row in zip(w.tolist(), ok.tolist())]
 
 
 def margins(tf: RationalTF, band=DEFAULT_BAND) -> MarginReport:
