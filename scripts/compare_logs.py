@@ -4,7 +4,10 @@
 
 Each scenario runs in each canonical mode (``MODES``), once per tree, each
 tree in its own process, which also writes each log with ``RunLog.to_csv``
-and keeps the SHA-256 of the CSV and of its ``.npy`` sidecar. The script
+and keeps the SHA-256 of the CSV and of the rows its ``.npy`` sidecar holds
+(as ``np.load`` returns them, with their dtype and shape). The rest of a
+sidecar is a function of the CSV (its copy, or in earlier trees its digest),
+so between them the two digests fix every sidecar byte. The script
 prints the largest absolute difference of every log column over all runs,
 then one line per run (marked ``bit-identical`` when the two logs have the
 same bytes), the count of bit-identical runs and the count of runs whose
@@ -19,9 +22,9 @@ the offline sweeps of the default vehicle (``SWEEPS``): every cell of the
 uncertainty grid and the workspace maxima with their joint angles. It exits
 1 when any log difference exceeds ``TOL`` (a NaN where the other tree has a
 number counts as an infinite difference), when logs differ in shape or column
-names, when an event both trees record differs, when the CSV or sidecar bytes
-of a run differ, or when an analysis or sweep output differs in any bit;
-otherwise 0.
+names, when an event both trees record differs, when the CSV bytes or
+sidecar rows of a run differ, or when an analysis or sweep output differs in
+any bit; otherwise 0.
 Last it prints the line count of each tree's ``amsim`` package (its ``.py``
 files, as ``wc -l`` counts them), which plays no part in the exit status.
 """
@@ -44,7 +47,7 @@ MODES = ("baseline", "iags", "pre-only", "dob-only")  # every engine path
 SWEEPS = {"uncertainty_grid_n": 7, "workspace_grid_n": 9, "mass": 0.4,
           "dims": (0.2, 0.2, 0.2)}
 SWEEP_PREFIX = "sweep/"
-FILE_DIGESTS = ("csv_sha256", "npy_sha256")  # of each run's to_csv output, in the metadata
+FILE_DIGESTS = ("csv_sha256", "rows_sha256")  # of each run's to_csv output, in the metadata
 
 
 def dump(src: str, out: str) -> None:
@@ -64,8 +67,11 @@ def dump(src: str, out: str) -> None:
                 key = f"{name}/{mode}"
                 arrays[key] = log.data
                 log.to_csv(csv)
-                digests = {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in
-                           zip(FILE_DIGESTS, (csv, csv.with_name(csv.name + ".npy")))}
+                rows = np.load(csv.with_name(csv.name + ".npy"))
+                digests = dict(zip(FILE_DIGESTS, (
+                    hashlib.sha256(csv.read_bytes()).hexdigest(),
+                    hashlib.sha256(f"{rows.dtype.str} {rows.shape}".encode()
+                                   + rows.tobytes()).hexdigest())))
                 meta[key] = {"names": log.names, "events": log.events, **digests,
                              "metrics": hex_floats({
                                  "evaluate": metrics.evaluate(log, cfg.eval_start).channels,
@@ -178,7 +184,7 @@ def compare(ref, new) -> int:
         same_files = all(ref_meta[key][f] == new_meta[key][f] for f in FILE_DIGESTS)
         files_equal += same_files
         if not same_files:
-            problems.append(f"{key}: the CSV or its sidecar differs in bytes")
+            problems.append(f"{key}: the CSV or its sidecar's rows differ in bytes")
         same_metrics = ref_meta[key]["metrics"] == new_meta[key]["metrics"]
         metrics_equal += same_metrics
         if not same_metrics:
@@ -197,7 +203,7 @@ def compare(ref, new) -> int:
     print()
     print("\n".join(lines))
     print(f"bit-identical: {identical}/{len(lines)} runs")
-    print(f"equal CSV and sidecar digests: {files_equal}/{len(lines)} runs")
+    print(f"equal CSV and sidecar-row digests: {files_equal}/{len(lines)} runs")
     print(f"metrics bit-identical: {metrics_equal}/{len(lines)}")
     print("\n".join(sweep_lines))
     for p in problems:

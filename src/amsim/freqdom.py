@@ -227,6 +227,8 @@ def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.
     if grid_n < 5:
         raise ValueError("grid_n must be at least 5")
     j_a_diag = np.asarray(j_a_diag, dtype=float).reshape(3)
+    if len(box) != 3 or any(len(pair) != 2 for pair in box):
+        raise ValueError(f"box must be three (lo, hi) pairs, one per axis, got {box}")
     if not all(0.0 < lo <= hi for lo, hi in box):
         raise ValueError("box bounds must satisfy 0 < lo <= hi per axis")
     cells = [(axis, sj, sk) for axis in range(3)

@@ -4,8 +4,8 @@ bit-reproducible."""
 from __future__ import annotations
 
 import bisect
-import hashlib
 import os
+import shutil
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -40,7 +40,8 @@ _ROW = struct.Struct(f"{len(COLUMNS)}d")  # one log row, packed exactly into a f
 
 
 CSV_BLOCK_ROWS = 250  # rows per block of RunLog.to_csv; its caller holds one block's text
-# bytes per chunk of a CSV's digest, each hashed on its own (``_csv_digest``)
+# bytes per read when a CSV is copied (from a worker's pipe, into its sidecar) or compared
+# with its sidecar's copy; a read of a log holds two such chunks at a time
 CSV_CHUNK = 1 << 20
 
 
@@ -114,9 +115,10 @@ class RunLog:
             raise
         if np.isnan(data).any():  # store the NaN that np.loadtxt returns for "nan"
             data = np.where(np.isnan(data), np.nan, data)
-        with open(path + ".npy", "wb") as fh:  # the sidecar: the rows, then the CSV's digest
+        # the sidecar: the rows as a standard .npy, then a copy of the CSV's bytes
+        with open(path + ".npy", "wb") as fh, open(path, "rb") as csv:
             np.lib.format.write_array(fh, data, allow_pickle=False)
-            fh.write(_csv_digest(path)[0])
+            shutil.copyfileobj(csv, fh, CSV_CHUNK)
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":
@@ -135,58 +137,21 @@ class RunLog:
 
 
 def _read_sidecar(path: str, n_cols: int):
-    """(rows, "hit") from the sidecar if it matches the CSV, else (None, the reason)."""
+    """(rows, "hit") from the sidecar if its copy of the CSV has the CSV's bytes, else
+    (None, the reason). Both files are read CSV_CHUNK bytes at a time."""
     if not os.path.exists(path + ".npy"):
         return None, "absent"
-
-    def read():
-        try:
-            with open(path + ".npy", "rb") as fh:
-                return np.lib.format.read_array(fh, allow_pickle=False), fh.read(33)
-        except (OSError, ValueError, EOFError):
-            return None, b""
-    digest, (data, stored) = _csv_digest(path, read)
-    if data is None or data.dtype != "<f8" or data.shape[1:] != (n_cols,) or len(stored) != 32:
+    try:
+        with open(path + ".npy", "rb") as side, open(path, "rb") as csv:
+            data = np.lib.format.read_array(side, allow_pickle=False)
+            if data.dtype != "<f8" or data.shape[1:] != (n_cols,):
+                return None, "unreadable"
+            while (chunk := side.read(CSV_CHUNK)) == csv.read(CSV_CHUNK):
+                if not chunk:
+                    return data, "hit"
+            return None, "stale"
+    except (OSError, ValueError, EOFError):
         return None, "unreadable"
-    return (data, "hit") if digest == stored else (None, "stale")
-
-
-def _csv_digest(path: str, meanwhile=lambda: None):
-    """(digest, ``meanwhile()``). The digest is the SHA-256 of the file's byte length
-    (8 bytes, little-endian) followed by the SHA-256 of each CSV_CHUNK bytes in turn.
-    Up to one thread per core hashes chunks, read by ``os.preadv`` (both release the
-    GIL); this one runs ``meanwhile`` first and joins every helper before it returns."""
-    with open(path, "rb") as fh:
-        fd, size = fh.fileno(), os.fstat(fh.fileno()).st_size
-        hashes, errors, lock = [b""] * -(-size // CSV_CHUNK), [], threading.Lock()
-        chunks = iter(range(len(hashes)))
-
-        def hash_chunks():
-            buf = memoryview(bytearray(CSV_CHUNK))
-            try:
-                while True:
-                    with lock:
-                        i = next(chunks, None)
-                    if i is None:
-                        return
-                    got = os.preadv(fd, [buf[:size - i * CSV_CHUNK]], i * CSV_CHUNK)
-                    hashes[i] = hashlib.sha256(buf[:got]).digest()
-            except Exception as exc:  # raised again in the calling thread
-                errors.append(exc)
-        helpers = [threading.Thread(target=hash_chunks)
-                   for _ in range(min(len(os.sched_getaffinity(0)), len(hashes)) - 1)]
-        try:
-            for helper in helpers:
-                helper.start()
-            result = meanwhile()
-            hash_chunks()
-        finally:
-            for helper in helpers:
-                if helper.is_alive():  # one that never started or has ended needs no join
-                    helper.join()
-    if errors:
-        raise errors[0]
-    return hashlib.sha256(size.to_bytes(8, "little") + b"".join(hashes)).digest(), result
 
 
 class Trajectory:
@@ -288,7 +253,7 @@ class _Run:
         self.m_tilde, self.j_tilde, self.offset_est = (
             _presense_object(cfg, rng) if self.use_prior
             else (None, [1e-8, 0.0, 0.0, 0.0, 1e-8, 0.0, 0.0, 0.0, 1e-8],
-                  (0.0, 0.0, -cfg.est.suction_pad)))
+                  presense.top_grasp_offset(0.0, cfg.est.suction_pad)))
         if obj is not None:  # the true payload: mass, inertia about its CoM, grasp offset
             self.payload = (obj.true_mass, [v for row in obj.inertia for v in row],
                             presense.top_grasp_offset(obj.dims[2], cfg.est.suction_pad))

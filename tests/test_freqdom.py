@@ -914,6 +914,16 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError):
             robustness_sweep(Gains(), J_A_DIAG, grid_n=4)
 
+    @pytest.mark.parametrize("box, match", [
+        (((1.0, 2.0), (1.0, 2.0)), "box must be three"),
+        (((1.0, 2.0),) * 4, "box must be three"),
+        (((1.0, 2.0), (1.0, 2.0, 3.0), (1.0, 2.0)), "box must be three"),
+        (((1.0, 2.0), (2.0, 1.0), (1.0, 2.0)), "box bounds")],
+        ids=["two_axes", "four_axes", "three_values", "lo_above_hi"])
+    def test_bad_box_rejected(self, box, match):
+        with pytest.raises(ValueError, match=match):
+            robustness_sweep(Gains(), J_A_DIAG, box=box, grid_n=5)
+
     def test_rows_equal_per_cell_margins_bitwise(self):
         self.assert_rows_equal_per_cell_margins(Gains(), DEFAULT_UNCERTAINTY_BOX, 1.3, 0.025)
 

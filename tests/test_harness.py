@@ -8,6 +8,7 @@ import re
 import signal
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from importlib import resources
@@ -25,7 +26,7 @@ from amsim.delta import KinematicsError, forward_kin, inverse_kin
 from amsim.dynamics import MAX_STEP, NonFinite, rigid_body
 from amsim.presense import load_catalog, prior_for
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, RunLog,
-                            Trajectory, _csv_digest, _wind_at, run_scenario)
+                            Trajectory, _wind_at, run_scenario)
 from amsim.spatial import InertialParams, box_inertia, inverse3
 
 from conftest import random_rotation
@@ -1216,14 +1217,14 @@ def per_value_csv(log, path):
 
 def assert_same_csv_bytes(log, tmp_path):
     """The CSV against ``per_value_csv``, and its sidecar against the rows (each NaN
-    stored as np.nan) in a standard .npy, followed by the CSV's ``ref_digest``."""
+    stored as np.nan) in a standard .npy, followed by the CSV's bytes."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     log.to_csv(str(got))
     per_value_csv(log, str(want))
     assert got.read_bytes() == want.read_bytes()
     npy = io.BytesIO()
     np.lib.format.write_array(npy, np.where(np.isnan(log.data), np.nan, log.data))
-    assert sidecar_of(got).read_bytes() == npy.getvalue() + ref_digest(want.read_bytes())
+    assert sidecar_of(got).read_bytes() == npy.getvalue() + want.read_bytes()
     return got
 
 
@@ -1354,6 +1355,13 @@ def snapshot(directory):
     return {f.name: f.stat().st_mtime_ns for f in directory.iterdir()}
 
 
+def write_sidecar(path, data, tail: bytes):
+    """Replace the sidecar of the CSV at ``path`` with ``data`` as a .npy, then ``tail``."""
+    with open(sidecar_of(path), "wb") as fh:
+        np.lib.format.write_array(fh, data)
+        fh.write(tail)
+
+
 def sized_log(n_bytes):
     """A log of ones in 64 columns whose CSV is exactly ``n_bytes`` long: a header of
     at least 128 bytes, the first name padded, and rows of 256 bytes."""
@@ -1361,23 +1369,9 @@ def sized_log(n_bytes):
     return RunLog(names=["a" * (1 + pad)] + ["a"] * 63, data=np.ones((rows, 64)))
 
 
-def ref_digest(raw: bytes) -> bytes:
-    """The sidecar digest written out in one thread: the byte length, then each chunk's."""
-    chunks = [raw[i:i + CSV_CHUNK] for i in range(0, len(raw), CSV_CHUNK)]
-    return hashlib.sha256(len(raw).to_bytes(8, "little")
-                          + b"".join(hashlib.sha256(c).digest() for c in chunks)).digest()
-
-
 def cores(monkeypatch, n):
-    """Make ``_csv_digest`` see ``n`` usable cores; returns the list of threads it starts."""
+    """Make ``RunLog.to_csv`` see ``n`` usable cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    started, start = [], threading.Thread.start
-
-    def counted(thread):
-        started.append(thread)
-        start(thread)
-    monkeypatch.setattr(threading.Thread, "start", counted)
-    return started
 
 
 class TestCsvSidecar:
@@ -1423,30 +1417,32 @@ class TestCsvSidecar:
         assert back.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("damage", ["truncated", "columns", "tail31", "tail33",
-                                        "big_endian", "garbage"])
+                                        "big_endian", "garbage", "directory"])
     def test_unreadable_falls_back(self, written, damage):
+        """A damaged sidecar falls back to the parse: it reads unreadable when its array
+        is damaged or cannot be read, and stale when only its copy of the CSV is one
+        byte short (``tail31``) or long (``tail33``)."""
         log, path = written
         side = sidecar_of(path)
-        raw = side.read_bytes()
-        digest = raw[-32:]
+        raw, csv = side.read_bytes(), path.read_bytes()
         if damage == "truncated":
             side.write_bytes(raw[:len(raw) // 2])
         elif damage == "columns":
-            with open(side, "wb") as fh:
-                np.lib.format.write_array(fh, log.data[:, :-1].copy())
-                fh.write(digest)
+            write_sidecar(path, log.data[:, :-1].copy(), csv)
         elif damage == "tail31":
             side.write_bytes(raw[:-1])
         elif damage == "tail33":
             side.write_bytes(raw + b"\0")
         elif damage == "big_endian":
-            with open(side, "wb") as fh:
-                np.lib.format.write_array(fh, log.data.astype(">f8"))
-                fh.write(digest)
+            write_sidecar(path, log.data.astype(">f8"), csv)
+        elif damage == "directory":
+            side.unlink()
+            side.mkdir()
         else:
             side.write_bytes(b"not an npy file")
         back = RunLog.from_csv(path)
-        assert back.events["csv_sidecar"] == "unreadable"
+        want = "stale" if damage.startswith("tail") else "unreadable"
+        assert back.events["csv_sidecar"] == want
         assert back.data.tobytes() == log.data.tobytes()
 
     @pytest.mark.parametrize("n_rows", SYNTHETIC_ROWS)
@@ -1484,7 +1480,7 @@ class TestCsvSidecar:
         path.write_text("a,b,c\n1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ValueError, match="2 values a row, 3 names"):
             RunLog.from_csv(path)
-        # a sidecar with the CSV's digest but 2 columns is refused as well
+        # a sidecar whose copy matches the CSV but whose rows have 2 columns is refused too
         RunLog(names=["a", "b", "c"], data=np.ones((2, 2))).to_csv(path)
         with pytest.raises(ValueError, match="2 values a row, 3 names"):
             RunLog.from_csv(path)
@@ -1512,44 +1508,20 @@ class TestCsvSidecar:
         assert snapshot(path.parent) == before
 
     @pytest.mark.parametrize("n_bytes", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
-    def test_stored_digest_at_chunk_edges(self, tmp_path, n_bytes):
+    def test_stored_copy_at_chunk_edges(self, tmp_path, n_bytes):
+        """The sidecar ends in the CSV's bytes, and a CSV one byte longer or shorter than
+        that copy reads stale, on either side of a chunk edge."""
         path = tmp_path / "log.csv"
-        sized_log(n_bytes).to_csv(path)
+        log = sized_log(n_bytes)
+        log.to_csv(path)
         raw = path.read_bytes()
-        assert len(raw) == n_bytes
-        stored = sidecar_of(path).read_bytes()[-32:]
-        assert stored == _csv_digest(str(path))[0] == ref_digest(raw)
+        assert len(raw) == n_bytes and sidecar_of(path).read_bytes().endswith(raw)
         assert RunLog.from_csv(path).events["csv_sidecar"] == "hit"
-
-    @pytest.mark.parametrize("n_cores", [1, 2])
-    def test_digest_same_for_any_worker_count(self, tmp_path, monkeypatch, n_cores):
-        path = tmp_path / "blob"
-        raw = np.random.default_rng(5).bytes(3 * CSV_CHUNK + 12345)
-        path.write_bytes(raw)
-        started = cores(monkeypatch, n_cores)
-        assert _csv_digest(str(path)) == (ref_digest(raw), None)
-        assert len(started) == n_cores - 1
-
-    def test_digest_of_empty_file(self, tmp_path):
-        path = tmp_path / "empty"
-        path.write_bytes(b"")
-        assert _csv_digest(str(path))[0] == ref_digest(b"")
-
-    def test_stress_more_workers_than_cores(self, tmp_path, monkeypatch):
-        """Eight workers share out 10 chunks under a tiny switch interval: a chunk
-        skipped or hashed into the wrong slot would change the digest."""
-        path = tmp_path / "blob"
-        raw = np.random.default_rng(6).bytes(9 * CSV_CHUNK + 7)
-        path.write_bytes(raw)
-        started = cores(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert _csv_digest(str(path))[0] == ref_digest(raw)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(started) == 5 * 7 and not any(t.is_alive() for t in started)
+        for changed in (raw + b"\n", raw[:-1]):  # a blank line added, the last newline gone
+            path.write_bytes(changed)
+            back = RunLog.from_csv(path)
+            assert back.events["csv_sidecar"] == "stale"
+            assert back.data.tobytes() == log.data.tobytes()
 
     def test_stale_after_one_digit_changes_in_last_chunk(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -1564,38 +1536,52 @@ class TestCsvSidecar:
     def test_old_plain_sha256_sidecar_reads_stale(self, written):
         """A sidecar written before the chunked digest ends in the SHA-256 of the CSV."""
         log, path = written
-        side = sidecar_of(path)
-        side.write_bytes(side.read_bytes()[:-32] + hashlib.sha256(path.read_bytes()).digest())
+        write_sidecar(path, log.data, hashlib.sha256(path.read_bytes()).digest())
+        back = RunLog.from_csv(path)
+        assert back.events["csv_sidecar"] == "stale"
+        assert back.data.tobytes() == log.data.tobytes()
+
+    def test_old_chunked_digest_sidecar_reads_stale(self, written):
+        """A sidecar written before the byte copy ends in the SHA-256 of the CSV's length
+        (8 bytes, little-endian) followed by the SHA-256 of each CSV_CHUNK bytes."""
+        log, path = written
+        raw = path.read_bytes()
+        hashes = b"".join(hashlib.sha256(raw[i:i + CSV_CHUNK]).digest()
+                          for i in range(0, len(raw), CSV_CHUNK))
+        write_sidecar(path, log.data,
+                      hashlib.sha256(len(raw).to_bytes(8, "little") + hashes).digest())
         back = RunLog.from_csv(path)
         assert back.events["csv_sidecar"] == "stale"
         assert back.data.tobytes() == log.data.tobytes()
 
     @pytest.mark.parametrize("outcome", ["hit", "unreadable"])
     def test_no_thread_outlives_a_read(self, tmp_path, monkeypatch, outcome):
+        """A read of a four-chunk log starts no thread at all."""
         path = tmp_path / "log.csv"
-        sized_log(3 * CSV_CHUNK + 1).to_csv(path)  # four chunks
+        sized_log(3 * CSV_CHUNK + 1).to_csv(path)
         if outcome == "unreadable":
             sidecar_of(path).write_bytes(b"not an npy file")
-        started = cores(monkeypatch, 4)
+
+        def no_thread(thread):
+            raise AssertionError("a read of a log started a thread")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         before = threading.active_count()
         assert RunLog.from_csv(path).events["csv_sidecar"] == outcome
-        assert threading.active_count() == before and len(started) == 3
+        assert threading.active_count() == before
 
-    def test_helper_error_raised_in_caller(self, tmp_path, monkeypatch):
+    def test_hit_compares_in_chunks(self, tmp_path):
+        """A hit holds the rows and a few chunks of the two copies, never a whole file:
+        reading a log of over 3 MiB peaks below the rows' size plus four chunks."""
         path = tmp_path / "log.csv"
-        sized_log(3 * CSV_CHUNK).to_csv(path)
-        preadv = os.preadv
-
-        def failing(fd, buffers, offset):
-            if threading.current_thread() is not threading.main_thread():
-                raise OSError(5, "injected read error")
-            return preadv(fd, buffers, offset)
-        monkeypatch.setattr(os, "preadv", failing)
-        started = cores(monkeypatch, 2)
-        before = threading.active_count()
-        with pytest.raises(OSError, match="injected read error"):
-            RunLog.from_csv(path)
-        assert threading.active_count() == before and len(started) == 1
+        sized_log(3 * CSV_CHUNK + 1000).to_csv(path)
+        tracemalloc.start()
+        try:
+            back = RunLog.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.events["csv_sidecar"] == "hit"
+        assert peak < back.data.nbytes + 4 * CSV_CHUNK
 
     def test_cli_output_same_with_and_without_sidecar(self, tmp_path, capsys):
         assert cli.main(["run", "grasp_estimate", "--duration", "0.5",
