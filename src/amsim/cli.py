@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import freqdom, metrics, presense
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import MODES, ConfigError, ScenarioConfig, load_config
 from .dynamics import NonFinite
 from .scenario import MismatchedRuns, RunLog, run_scenario
 
@@ -26,8 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and write its CSV log")
     run_p.add_argument("scenario", help="config file path or shipped scenario name")
     run_p.add_argument("--mode", default=None,
-                       help="controller mode override (baseline, iags, iags+dob, "
-                            "pre-only, dob-only)")
+                       help=f"controller mode override ({', '.join(MODES)})")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--duration", type=float, default=None)
     run_p.add_argument("--out", default=".", help="output directory")

@@ -24,7 +24,7 @@ import numpy as np
 from .controller import Gains
 from .delta import DeltaGeometry, KinematicsError, inverse_kin
 from .dynamics import MAX_STEP, RotorConfig
-from .presense import ObjectPrior, UnknownLabel, load_catalog, prior_for
+from .presense import SUCTION_PAD, ObjectPrior, UnknownLabel, load_catalog, prior_for
 from .spatial import ConfigError, as_floats, box_inertia, cylinder_inertia, inertia_rows
 
 
@@ -99,12 +99,6 @@ class ArmConfig:
                            _table("[arm] waypoints", self.waypoints, "t x y z"))
 
 
-def _check_prior_keys(ignored: list):
-    if ignored:
-        raise ConfigError(f"[object] prior_rho is not set, so {' and '.join(ignored)} "
-                          "would be ignored for the catalog prior of the label")
-
-
 @dataclass(frozen=True)
 class ObjectConfig:
     true_mass: float
@@ -115,9 +109,9 @@ class ObjectConfig:
     true_inertia: tuple | None = None  # about CoM, grasped orientation
     grasp_time: float = 1.0
     # inline prior, used instead of the catalog entry of the label when prior_rho is
-    # set; prior_beta and prior_alpha other than these defaults need prior_rho
-    prior_beta: float = 1.0
-    prior_alpha: tuple = (1.0, 1.0, 1.0)
+    # set; prior_beta and prior_alpha need prior_rho, and an inline prior reads 1 for each unset
+    prior_beta: float | None = None
+    prior_alpha: tuple | None = None
     prior_rho: float | None = None
     # derived from the fields above when built: ``true_inertia``, or else that of
     # the solid shape of ``dims`` and ``true_mass``; and the inline prior, if any
@@ -140,15 +134,19 @@ class ObjectConfig:
                  else cylinder_inertia(self.true_mass, 0.5 * self.dims[0], self.dims[2]))
         object.__setattr__(self, "inertia",
                            self.true_inertia or inertia_rows(solid, "[object] inertia"))
-        object.__setattr__(self, "prior_alpha",
-                           as_floats(self.prior_alpha, 3, "[object] prior_alpha"))
-        _check_prior_keys([key for key in ("prior_beta", "prior_alpha") if self.prior_rho
-                           is None and getattr(self, key) != getattr(ObjectConfig, key)])
+        if self.prior_alpha is not None:
+            object.__setattr__(self, "prior_alpha",
+                               as_floats(self.prior_alpha, 3, "[object] prior_alpha"))
+        ignored = [key for key in ("prior_beta", "prior_alpha") if getattr(self, key) is not None]
+        if self.prior_rho is None and ignored:
+            raise ConfigError(f"[object] prior_rho is not set, so {' and '.join(ignored)} "
+                              "would be ignored for the catalog prior of the label")
         if self.prior_rho is not None:
             try:
                 object.__setattr__(self, "prior", ObjectPrior(
-                    label=self.label or "inline", beta=self.prior_beta,
-                    alpha=self.prior_alpha, rho=self.prior_rho))
+                    label=self.label or "inline",
+                    beta=1.0 if self.prior_beta is None else self.prior_beta,
+                    alpha=self.prior_alpha or (1.0, 1.0, 1.0), rho=self.prior_rho))
             except ValueError as exc:
                 raise ConfigError(f"[object] inline prior: {exc}") from None
 
@@ -160,7 +158,7 @@ class EstimationConfig:
     dob_c: float = 10.0
     force_lpf_hz: float = 50.0
     cloud_points: int = 20000
-    suction_pad: float = 0.01
+    suction_pad: float = SUCTION_PAD
     catalog: str | None = None
 
     def __post_init__(self):
@@ -168,9 +166,7 @@ class EstimationConfig:
             as_floats([getattr(self, name)], 1, f"[estimation] {name}", "positive")
         if self.cloud_points < 10:
             raise ConfigError(f"[estimation] cloud_points must be >= 10, got {self.cloud_points}")
-        if not 0.0 <= self.suction_pad < math.inf:
-            raise ConfigError("[estimation] suction_pad must be finite and >= 0, "
-                              f"got {self.suction_pad}")
+        as_floats([self.suction_pad], 1, "[estimation] suction_pad", "non-negative")
 
 
 @dataclass(frozen=True)
@@ -204,13 +200,11 @@ class ScenarioConfig:
         if not self.trajectory:
             raise ConfigError("[trajectory] waypoints needs at least one row")
         object.__setattr__(self, "wind", _table("[disturbances] wind", self.wind, "t fx fy fz"))
-        if not (0.0 < self.duration < math.inf and 0.0 < self.sim_dt < math.inf):
-            raise ConfigError("duration and sim_dt must be positive and finite")
+        as_floats([self.duration, self.sim_dt], 2, "[run] duration, [rates] sim_dt", "positive")
         if self.sim_dt > MAX_STEP:  # the physics step's own limit, named here by its key
             raise ConfigError(f"[rates] sim_dt must be at most {MAX_STEP:g} s, "
                               f"got {self.sim_dt:g}")
-        if not 0.0 <= self.eval_start < math.inf:
-            raise ConfigError(f"[run] eval_start must be finite and >= 0, got {self.eval_start}")
+        as_floats([self.eval_start], 1, "[run] eval_start", "non-negative")
         as_floats([self.g], 1, "[vehicle] g", "positive")
         if self.obj is not None and self.obj.prior_rho is None:  # in every mode
             label, path = self.obj.label, self.est.catalog
@@ -324,11 +318,6 @@ def parse_config(text: str, name: str = "scenario") -> ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
-    # written without prior_rho, they are refused even at the values ObjectConfig
-    # cannot tell apart from its defaults
-    obj = kw["obj"]
-    _check_prior_keys([key for key in ("prior_beta", "prior_alpha")
-                       if key in obj and "prior_rho" not in obj])
     geom = kw["geom"]
     lo, hi = DeltaGeometry.joint_limits
     geom["joint_limits"] = (geom.pop("theta_min", lo), geom.pop("theta_max", hi))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -153,29 +152,25 @@ class RateLoop:
                 (kp2 * e2 + i2 + kd2 * f2) * k2]
 
 
-class Allocation(NamedTuple):
-    collective: tuple  # rotor thrusts of a unit collective, zero torque
-    inverse: tuple     # rows of the inverse allocation matrix, four floats each
+def allocation(cfg: RotorConfig, com) -> tuple:
+    """Rows (four tuples of four floats) of the inverse of the allocation matrix about ``com``.
 
-
-def allocation(cfg: RotorConfig, com) -> Allocation:
-    """Inverse of the allocation matrix about ``com``, and its collective direction.
-
-    The allocation matrix maps rotor thrusts to [collective; body torque about
-    ``com``]. Both stay valid while the CoM estimate stays put, so the engine
-    builds them once per estimate change. Raises ValueError unless the
-    collective direction loads every rotor (the layout is not X-like about ``com``).
+    The allocation matrix maps rotor thrusts to [collective; body torque about ``com``],
+    so the inverse's first column, the collective direction, holds the rotor thrusts of
+    a unit collective at zero torque. The engine builds it once per CoM estimate change.
+    Raises ValueError unless the collective direction loads every rotor (the layout is
+    not X-like about ``com``).
     """
     inv = np.linalg.inv(np.array([[1.0] * 4, *torque_matrix(cfg, com)]))
     if np.any(inv[:, 0] <= 0.0):
         raise ValueError("collective direction must load every rotor (allocation not X-like)")
-    return Allocation(tuple(inv[:, 0].tolist()), tuple(map(tuple, inv.tolist())))
+    return tuple(map(tuple, inv.tolist()))
 
 
-def mixer(thrust_des: float, torque_des, alloc: Allocation, t_max: float) -> tuple[list, bool]:
+def mixer(thrust_des: float, torque_des, alloc, t_max: float) -> tuple[list, bool]:
     """Per-rotor thrusts (four floats) realizing the commanded collective and torque.
 
-    Applies the exact inverse ``alloc`` (``allocation(cfg, com)``), then
+    Applies the exact inverse ``alloc`` (the rows of ``allocation(cfg, com)``), then
     handles saturation by shifting the collective component only (torque
     priority): the smallest collective change that brings all rotors into
     [0, t_max] is applied; ``t_max`` is the rotor's ``c_t``. When no
@@ -184,12 +179,12 @@ def mixer(thrust_des: float, torque_des, alloc: Allocation, t_max: float) -> tup
     """
     w0 = thrust_des
     w1, w2, w3 = torque_des
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = alloc.inverse
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = alloc
     t0 = a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3
     t1 = b0 * w0 + b1 * w1 + b2 * w2 + b3 * w3
     t2 = c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3
     t3 = d0 * w0 + d1 * w1 + d2 * w2 + d3 * w3
-    u0, u1, u2, u3 = alloc.collective
+    u0, u1, u2, u3 = a0, b0, c0, d0  # the collective direction
     # a NaN thrust makes every rotor NaN, and max/min then return the first
     lam_lo = max(-t0 / u0, -t1 / u1, -t2 / u2, -t3 / u3)  # smallest shift keeping all >= 0
     lam_hi = min((t_max - t0) / u0, (t_max - t1) / u1,    # largest shift keeping all <= max

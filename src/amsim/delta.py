@@ -35,8 +35,8 @@ class Singular(KinematicsError):
     """Jacobian is singular or nearly so (condition number above 1e8)."""
 
 
-_DEFAULT_AZIMUTHS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-_DEFAULT_LIMITS = (-math.pi / 6.0, 2.0 * math.pi / 3.0)  # -30 deg .. +120 deg
+# per arm, the cosine and sine of its azimuth
+_ARMS = tuple((math.cos(a), math.sin(a)) for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3))
 
 _COND_LIMIT = 1e8
 
@@ -47,26 +47,23 @@ class DeltaGeometry:
     platform_radius: float = 0.03
     upper_arm_len: float = 0.08
     forearm_len: float = 0.16
-    arm_azimuths: tuple = _DEFAULT_AZIMUTHS
-    joint_limits: tuple = _DEFAULT_LIMITS
+    joint_limits: tuple = (-math.pi / 6.0, 2.0 * math.pi / 3.0)  # -30 deg .. +120 deg
 
     def __post_init__(self):
         for name in ("base_radius", "platform_radius", "upper_arm_len", "forearm_len"):
             as_floats([getattr(self, name)], 1, name, "positive")
         if self.forearm_len <= abs(self.base_radius - self.platform_radius):
             raise ValueError("forearm_len too short for a non-degenerate workspace")
-        object.__setattr__(self, "arm_azimuths", as_floats(self.arm_azimuths, 3, "arm_azimuths"))
         object.__setattr__(self, "joint_limits", as_floats(self.joint_limits, 2, "joint_limits"))
         lo, hi = self.joint_limits
         if not lo < hi:
             raise ValueError("joint_limits must satisfy lo < hi")
 
 
-def _chains(geom: DeltaGeometry, theta) -> list:
+def _chains(theta) -> list:
     """Per arm: cos and sin of its azimuth, then of its joint angle."""
     t1, t2, t3 = theta  # exactly three joint angles
-    return [(math.cos(a), math.sin(a), math.cos(th), math.sin(th))
-            for a, th in zip(geom.arm_azimuths, (t1, t2, t3))]
+    return [(ca, sa, math.cos(th), math.sin(th)) for (ca, sa), th in zip(_ARMS, (t1, t2, t3))]
 
 
 def sphere_centres(geom: DeltaGeometry, theta) -> list:
@@ -74,7 +71,7 @@ def sphere_centres(geom: DeltaGeometry, theta) -> list:
     shifted inward by the platform radius."""
     la, pr = geom.upper_arm_len, geom.platform_radius
     centres = []
-    for ca, sa, ct, st in _chains(geom, theta):
+    for ca, sa, ct, st in _chains(theta):
         r = geom.base_radius + la * ct  # radial elbow coordinate
         centres.append((r * ca - pr * ca, r * sa - pr * sa, -la * st))
     return centres
@@ -149,8 +146,7 @@ def inverse_kin(geom: DeltaGeometry, p) -> tuple:
     shift = geom.platform_radius - geom.base_radius
     lo, hi = geom.joint_limits
     thetas = []
-    for i, az in enumerate(geom.arm_azimuths):
-        ux, uy = math.cos(az), math.sin(az)
+    for i, (ux, uy) in enumerate(_ARMS):
         qx, qy = px + shift * ux, py + shift * uy
         a = qx * ux + qy * uy   # radial coordinate
         b = qy * ux - qx * uy   # tangential coordinate
@@ -178,7 +174,7 @@ def _closure(geom: DeltaGeometry, theta, platform) -> tuple[list, list]:
     p0, p1, p2 = platform
     la, pr, br = geom.upper_arm_len, geom.platform_radius, geom.base_radius
     rows, b = [], []
-    for ca, sa, ct, st in _chains(geom, theta):
+    for ca, sa, ct, st in _chains(theta):
         r = br + la * ct  # radial elbow coordinate
         n0, n1, n2 = p0 + pr * ca - r * ca, p1 + pr * sa - r * sa, p2 + la * st
         rows.append((n0, n1, n2))

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from . import delta, presense
+from . import delta, dynamics, presense
 from .controller import Gains, iags_gain
 from .spatial import InertialParams, as_floats, box_inertia, composite, inverse3
 
@@ -213,9 +213,9 @@ def margins_stack(tfs, band=DEFAULT_BAND) -> list:
     return reports
 
 
-def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.02,
-                     box=DEFAULT_UNCERTAINTY_BOX, grid_n: int = 7,
-                     band=DEFAULT_BAND):
+def robustness_sweep(gains: Gains, j_a_diag, k_m: float = dynamics.RotorConfig.k_m,
+                     tau_m: float = dynamics.RotorConfig.tau_m,
+                     box=DEFAULT_UNCERTAINTY_BOX, grid_n: int = 7):
     """Worst-case margins over a grid of co-varied inertia and gain scales.
 
     Per axis, the plant inertia multiplier and the scheduled-gain multiplier
@@ -236,7 +236,7 @@ def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.
     reports = margins_stack([
         open_loop_tf(gains.rate_kp[axis], gains.rate_ki[axis], gains.rate_kd[axis],
                      k_k=sk, k_m=k_m, tau_m=tau_m, j=float(j_a_diag[axis] * sj))
-        for axis, sj, sk in cells], band=band)
+        for axis, sj, sk in cells])
     rows = [(*cell, rep) for cell, rep in zip(cells, reports)]
     n = grid_n * grid_n  # cells per axis; the first of equal keys is the worst cell
     worst = [min(rows[axis * n:(axis + 1) * n],
@@ -246,7 +246,7 @@ def robustness_sweep(gains: Gains, j_a_diag, k_m: float = 1.0, tau_m: float = 0.
 
 def workspace_kk_sweep(geom: delta.DeltaGeometry, payload_mass: float,
                        payload_dims, vehicle: InertialParams,
-                       grid_n: int = 9, pad_height: float = 0.01):
+                       grid_n: int = 9, pad_height: float = presense.SUCTION_PAD):
     """Per-axis maxima of the scheduled gain over the arm's joint workspace.
 
     The payload is modeled as a solid box of ``payload_dims`` hanging half

@@ -88,9 +88,11 @@ def declare_convergence(log: RunLog, bounds=CONVERGENCE_BOUNDS) -> dict:
     A channel converges at the first time its error enters the bound and
     never leaves again. Bounds: relative mass error, relative per-axis MoI
     error, absolute per-axis CoM error (m). A channel that never converges
-    maps to None. ValueError unless ``t`` is non-decreasing.
+    maps to None. ValueError unless ``t`` is non-decreasing, or when the log has no rows.
     """
     t = _time(log)
+    if not len(t):
+        raise ValueError("log has no rows to declare convergence on")
     mass_bound, moi_bound, com_bound = bounds
 
     m_hat = log.column("m_t_hat")

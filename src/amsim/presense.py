@@ -19,6 +19,9 @@ import numpy as np
 from .spatial import as_floats
 
 
+SUCTION_PAD = 0.01  # m, the default height of the suction pad below the end-effector
+
+
 class DegenerateCloud(Exception):
     """Point cloud covariance has rank < 3 (e.g. coplanar points)."""
 
@@ -164,7 +167,7 @@ def fit_obb(points) -> OrientedBox:
 
 
 def estimate_inertia(box: OrientedBox, prior: ObjectPrior,
-                     pad_height: float = 0.01) -> ObjectEstimate:
+                     pad_height: float = SUCTION_PAD) -> ObjectEstimate:
     """Mass and MoI estimate from box dimensions and a shape/density prior.
 
     volume_hat = beta * l*w*h; mass = rho * volume_hat;

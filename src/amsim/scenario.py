@@ -20,7 +20,7 @@ from .controller import (RateLoop, allocation, attitude_loop, iags_gain, mixer,
 # motor_lag_step and rotor_wrench are step_rk4's inline lag and wrench as functions; the
 # engine calls neither, and perfbench/layers.py traces them under these names
 from .dynamics import NonFinite, motor_lag_step, rotor_wrench, step_rk4, torque_matrix  # noqa: F401
-from .spatial import InertialParams, inverse3, quat_to_rot
+from .spatial import inertia_rows, inverse3, quat_to_rot
 
 COLUMNS = (
     ["t",
@@ -68,8 +68,8 @@ class RunLog:
 
         Logs repeat most values (slow-rate and constant columns), so each
         block of rows formats each distinct bit pattern once; comparing bits
-        keeps -0.0, NaN and the infinities apart. Children forked one a core, if
-        no other thread runs, format even shares of the blocks after the first.
+        keeps -0.0, NaN and the infinities apart. On Linux, if no other thread runs,
+        children forked one a core format even shares of the blocks after the first.
         """
         path = os.fspath(path)
         data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -81,7 +81,8 @@ class RunLog:
                                 dtype=object)[where.reshape(block.shape)]
                 yield "".join(",".join(row) + "\n" for row in text.tolist()).encode()
         starts = range(0, data.shape[0], CSV_BLOCK_ROWS)
-        cores = len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+        forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        cores = len(os.sched_getaffinity(0)) if forkable and threading.active_count() == 1 else 1
         shares = np.array_split(starts, min(cores, len(starts)) or 1)
         fh, children = open(f"{path}.{os.getpid()}.tmp", "wb"), []  # children: (pid, read end)
         try:
@@ -192,8 +193,8 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     """Synthesize a cloud of the true object shape, fit it, and apply the prior.
 
     Returns (mass_tilde, moi_tilde in arm-frame axes as nine row-major floats,
-    grasp_offset as three floats); the prior body is validated here, once, and
-    its inertia comes back symmetrized.
+    grasp_offset as three floats); the prior body's inertia is checked here, once, by
+    ``inertia_rows`` naming the prior, and comes back symmetrized.
     """
     obj = cfg.obj
     n = cfg.est.cloud_points
@@ -204,8 +205,9 @@ def _presense_object(cfg: ScenarioConfig, rng: np.random.Generator):
     box = presense.fit_obb(cloud)
     est = presense.estimate_inertia(box, obj.prior, pad_height=cfg.est.suction_pad)
     rot = np.array(box.rotation)
-    body = InertialParams(est.mass_tilde, (0.0, 0.0, 0.0), rot @ est.moi_tilde @ rot.T)
-    return body.mass, [v for row in body.inertia_about_com for v in row], est.grasp_offset
+    moi = inertia_rows(rot @ est.moi_tilde @ rot.T,
+                       f"[object] prior {obj.prior.label!r}, on the fitted box")
+    return est.mass_tilde, [v for row in moi for v in row], est.grasp_offset
 
 
 def _wind_at(wind: list, t: float) -> tuple:
@@ -278,8 +280,7 @@ class _Run:
         self.est_tot, self.kk, self.est_key = self.bare, [1.0, 1.0, 1.0], None
         self.alloc_com, self.alloc = [0.0, 0.0], allocation(self.rotor, (0.0, 0.0, 0.0))
         self.est_cols = _body_cols(self.bare) + self.kk
-        self.servo_key = self.theta_cols = None  # servo inputs; angles the truth was built for
-        self.fk_theta = None  # the joint angles ``platform`` holds the position of
+        self.servo_key = self.fk_theta = None  # servo inputs; angles ``platform`` was built for
         self.set_truth()
 
         ctrl, dob, servo = (len(range(0, self.n_steps, n)) for n in self.every)
@@ -352,10 +353,10 @@ class _Run:
             except delta.KinematicsError:
                 self.thd_des, self.kin_failed = (0.0, 0.0, 0.0), True
         self.events["kin_fallbacks"] += self.kin_failed
-        self.theta = delta.servo_step(self.geom, self.theta, self.thd_des, self.servo_dt,
-                                      self.cfg.arm.rate_limit)
-        if self.theta != self.theta_cols:  # the arm moved
-            self.theta_cols = self.theta
+        theta = delta.servo_step(self.geom, self.theta, self.thd_des, self.servo_dt,
+                                 self.cfg.arm.rate_limit)
+        if theta != self.theta:  # the arm moved
+            self.theta = theta
             if self.attached:
                 self.set_truth()
 
@@ -394,7 +395,7 @@ class _Run:
         to the next event, logging the row of each step first."""
         dt, y, thr, cmd, body = self.dt, self.y, self.thr, self.t_cmd, self.body
         pack, size, ctrl = _ROW.pack_into, _ROW.size, self.ctrl_cols
-        slow = (*self.theta_cols, self.m_hat, *self.est_cols, *self.truth_cols, *self.det_filt,
+        slow = (*self.theta, self.m_hat, *self.est_cols, *self.truth_cols, *self.det_filt,
                 float(self.attached), float(self.latched))  # the columns after the thrusts
         try:
             for k in range(k0, k1):

@@ -177,14 +177,18 @@ class TestGeometryValidation:
             DeltaGeometry(base_radius=value)
 
 
-# The array kinematics that the float functions replaced, kept as their oracle.
+# The array kinematics that the float functions replaced, kept as their oracle,
+# with its own arm azimuths, 120 deg apart.
+AZIMUTHS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+
+
 def _radial(geom, i):
-    a = geom.arm_azimuths[i]
+    a = AZIMUTHS[i]
     return np.array([math.cos(a), math.sin(a), 0.0])
 
 
 def _tangent(geom, i):
-    a = geom.arm_azimuths[i]
+    a = AZIMUTHS[i]
     return np.array([-math.sin(a), math.cos(a), 0.0])
 
 

@@ -24,7 +24,7 @@ from amsim.config import (MODES, ConfigError, ScenarioConfig, load_config, parse
 from amsim.controller import iags_gain
 from amsim.delta import KinematicsError, forward_kin, inverse_kin
 from amsim.dynamics import MAX_STEP, NonFinite, rigid_body
-from amsim.presense import load_catalog, prior_for
+from amsim.presense import ObjectPrior, load_catalog, prior_for
 from amsim.scenario import (COLUMNS, CSV_BLOCK_ROWS, CSV_CHUNK, MismatchedRuns, RunLog,
                             Trajectory, _wind_at, run_scenario)
 from amsim.spatial import InertialParams, box_inertia, inverse3
@@ -180,13 +180,14 @@ class TestConfig:
          "[estimation] force_lpf_hz must be positive and finite, got nan"),
         ("[estimation]\ncloud_points = 0\n", "[estimation] cloud_points must be >= 10, got 0"),
         ("[estimation]\nsuction_pad = -0.01\n",
-         "[estimation] suction_pad must be finite and >= 0, got -0.01"),
+         "[estimation] suction_pad must be non-negative and finite, got -0.01"),
         ("[object]\nlabel = coffee can\ntrue_mass = 0.2\ndims = -0.1 0.1 0.1\n",
          "[object] dims must be positive and finite, got [-0.1, 0.1, 0.1]"),
         ("[object]\nlabel = coffee can\ntrue_mass = 0.2\ndims = 0.1 0 inf\n",
          "[object] dims must be positive and finite, got [0.1, 0.0, inf]"),
-        ("[run]\neval_start = -3\n", "[run] eval_start must be finite and >= 0, got -3.0"),
-        ("[run]\neval_start = nan\n", "[run] eval_start must be finite and >= 0, got nan"),
+        ("[run]\neval_start = -3\n",
+         "[run] eval_start must be non-negative and finite, got -3.0"),
+        ("[run]\neval_start = nan\n", "[run] eval_start must be non-negative and finite, got nan"),
     ])
     def test_bad_estimation_object_or_run_rejected(self, text, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -336,12 +337,13 @@ class TestConfig:
         vectors = ("vehicle.j_a", "vehicle.p_b", "vehicle.rotor.positions",
                    "vehicle.rotor.spin_dirs", "arm.k_theta", "arm.home", "arm.waypoints",
                    "gains.k_pos", "gains.k_vel", "gains.k_att", "gains.rate_kp",
-                   "gains.rate_ki", "gains.rate_kd", "obj.dims", "obj.prior_alpha",
-                   "trajectory", "wind")
+                   "gains.rate_ki", "gains.rate_kd", "obj.dims", "trajectory", "wind")
         for name in shipped_scenarios():
             cfg = load_config(name)
             found = dict(config_tuples(cfg))
-            assert {f"cfg.{v}" for v in vectors} <= set(found), name
+            # prior_alpha is None unless the file writes an inline prior
+            inline = {"cfg.obj.prior_alpha"} if cfg.obj.prior_rho is not None else set()
+            assert {f"cfg.{v}" for v in vectors} | inline <= set(found), name
             for where, value in found.items():
                 if value:
                     with pytest.raises(TypeError):
@@ -424,18 +426,29 @@ class TestConfig:
         ("prior_alpha = 1 1 1\nprior_beta = 1\n", "prior_beta and prior_alpha")],
         ids=["alpha", "beta", "both"])
     def test_inline_prior_keys_at_defaults_without_rho_rejected(self, lines, keys):
-        """A file that writes them is refused even at the dataclass defaults."""
+        """A file or ``replace`` that writes them is refused even at 1, the value an
+        inline prior reads for each one unset."""
         message = (f"[object] prior_rho is not set, so {keys} would be ignored for the "
                    "catalog prior of the label")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config("[object]\nlabel = coffee can\ntrue_mass = 0.2\n" + lines)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(load_config("grasp_estimate").obj,
+                    **{key: 1.0 if key == "prior_beta" else (1.0, 1.0, 1.0)
+                       for key in keys.split(" and ")})
 
     def test_dropping_rho_of_an_inline_prior_rejected(self):
         obj = load_config("hover_payload").obj
         with pytest.raises(ConfigError, match="prior_beta and prior_alpha would be ignored"):
             replace(obj, prior_rho=None)
-        assert replace(obj, prior_rho=None, prior_beta=1.0, prior_alpha=(1.0, 1.0, 1.0)).prior \
-            is None
+        assert replace(obj, prior_rho=None, prior_beta=None, prior_alpha=None).prior is None
+
+    def test_inline_prior_reads_1_for_unset_keys(self):
+        obj = parse_config("[object]\ntrue_mass = 0.3\nprior_rho = 900\n").obj
+        assert (obj.prior_beta, obj.prior_alpha) == (None, None)
+        assert obj.prior == ObjectPrior("inline", 1.0, (1.0, 1.0, 1.0), 900.0)
+        obj = replace(obj, label="box", prior_beta=0.5)
+        assert obj.prior == ObjectPrior("box", 0.5, (1.0, 1.0, 1.0), 900.0)
 
     @pytest.mark.parametrize("home", [(math.nan, 0.0, -0.16), (0.0, 0.0, -1.0)])
     def test_bad_home_rejected_in_replace(self, home):
@@ -586,7 +599,7 @@ def per_step_run(cfg):
             run.servo(t)
         if k % every_ctrl == 0:
             run.control(t)
-        rows.append((t, *run.y, *run.ctrl_cols, *run.thr, *run.theta_cols, run.m_hat,
+        rows.append((t, *run.y, *run.ctrl_cols, *run.thr, *run.theta, run.m_hat,
                      *run.est_cols, *run.truth_cols, *run.det_filt, float(run.attached),
                      float(run.latched)))
         try:
@@ -1086,6 +1099,11 @@ class TestMetrics:
         with pytest.raises(ValueError, match="^evaluation window contains no samples$"):
             metrics.evaluate(make_log(np.zeros(0)))
 
+    def test_empty_log_refused_by_convergence(self):
+        """A log of no rows is refused with a ValueError, as ``evaluate`` refuses it."""
+        with pytest.raises(ValueError, match="^log has no rows to declare convergence on$"):
+            metrics.declare_convergence(make_log(np.zeros(0)))
+
     @pytest.mark.parametrize("t", [[0.0, 0.02, 0.01, 0.03], [0.0, math.nan, 0.02, 0.03],
                                    [math.nan, 0.01, 0.02, 0.03], [math.nan],
                                    (np.arange(10) * 0.1)[::-1].tolist()],
@@ -1314,6 +1332,20 @@ class TestCsvWriterOracle:
             release.set()
             other.join(30)
         assert pids == [] and not other.is_alive()
+
+    @pytest.mark.parametrize("missing", [("sched_getaffinity",), ("fork",),
+                                         ("fork", "sched_getaffinity")],
+                             ids=["macos", "no-fork", "windows"])
+    def test_one_process_where_os_lacks_fork_or_affinity(self, tmp_path, monkeypatch,
+                                                         missing):
+        """Where ``os`` has no ``sched_getaffinity`` (macOS) or no ``fork`` either
+        (Windows), this process formats every block, with the same bytes."""
+        cores(monkeypatch, 3)
+        pids = forks(monkeypatch)
+        for name in missing:
+            monkeypatch.delattr(os, name)
+        assert_same_csv_bytes(synthetic_log(3 * CSV_BLOCK_ROWS + 1), tmp_path)
+        assert pids == []
 
     @pytest.mark.parametrize("previous", [True, False], ids=["previous", "none"])
     @pytest.mark.parametrize("fault, target", [
@@ -1646,6 +1678,21 @@ class TestCli:
         assert ((tmp_path / f"grasp_estimate_{mode}.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
 
+    @pytest.mark.parametrize("mode", ["iags", "pre-only"])
+    def test_prior_of_no_rigid_body_named(self, tmp_path, capsys, mode):
+        """Shape factors that the inline prior accepts but that give the fitted box
+        an inertia no rigid body has load; a mode that uses the prior exits 1 with
+        an error naming the [object] prior and its label, and writes nothing."""
+        cfg_file, out = tmp_path / "prior.cfg", tmp_path / "out"
+        cfg_file.write_text("[run]\nduration = 0.05\n[object]\nlabel = coffee can\n"
+                            "true_mass = 0.3\nprior_alpha = 3 0.1 0.1\nprior_rho = 1000\n")
+        assert load_config(str(cfg_file)).obj.prior.alpha == (3.0, 0.1, 0.1)
+        assert cli.main(["run", str(cfg_file), "--mode", mode, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: [object] prior 'coffee can', on the fitted box: principal "
+            "moments violate the triangle inequality")
+        assert not out.exists()
+
     def test_duration_below_one_step_exit_1_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["run", "hover_payload", "--duration", "1e-4",
@@ -1657,7 +1704,8 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", "hover_payload", "--duration", value, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "config error: duration and sim_dt must be positive and finite\n")
+            "config error: [run] duration, [rates] sim_dt must be positive and finite, "
+            f"got [{value}, 0.0005]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["duration = inf", "duration = nan"])
@@ -1665,7 +1713,8 @@ class TestCli:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(f"[run]\n{line}\n")
         assert cli.main(["run", str(cfg_file), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("config error: duration and sim_dt")
+        assert capsys.readouterr().err.startswith(
+            "config error: [run] duration, [rates] sim_dt must be positive and finite")
         assert [f.name for f in tmp_path.iterdir()] == ["bad.cfg"]
 
     def test_eval_start_past_the_end_is_noted(self, tmp_path, capsys):
